@@ -1,17 +1,15 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <mutex>
+#include <deque>
 #include <future>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
-#include "common/bounded_queue.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/features_std.h"
@@ -295,157 +293,33 @@ void Fixy::RankSceneApps(const RunPlan& plan, const Scene& scene,
   }
 }
 
-Result<MultiAppReport> Fixy::RankScene(
-    const Scene& scene, const std::vector<std::string>& apps) const {
-  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
-  const size_t app_count = plan.app_indices.size();
+MultiAppReport Fixy::EmptyReport(const RunPlan& plan,
+                                 size_t scene_count) const {
   MultiAppReport multi;
-  multi.apps.reserve(app_count);
+  multi.apps.reserve(plan.app_indices.size());
   for (const size_t idx : plan.app_indices) {
     multi.apps.push_back(registry_.apps()[idx].name);
   }
-  multi.reports.resize(app_count);
-  for (BatchReport& report : multi.reports) report.outcomes.resize(1);
-  RankSceneApps(plan, scene, multi.reports, 0);
+  multi.reports.resize(plan.app_indices.size());
   for (BatchReport& report : multi.reports) {
-    if (report.outcomes.front().ok()) {
-      report.scenes_ok = 1;
-    } else {
-      report.scenes_failed = 1;
-      report.scenes_quarantined = 1;
-    }
+    report.outcomes.resize(scene_count);
   }
+  return multi;
+}
+
+Result<MultiAppReport> Fixy::RankScene(
+    const Scene& scene, const std::vector<std::string>& apps) const {
+  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
+  MultiAppReport multi = EmptyReport(plan, 1);
+  RankSceneApps(plan, scene, multi.reports, 0);
+  RecomputeReportSummary(multi);
   return multi;
 }
 
 Result<MultiAppReport> Fixy::RankDataset(
     const Dataset& dataset, const std::vector<std::string>& apps,
     const BatchOptions& batch) const {
-  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
-
-  const size_t scene_count = dataset.scenes.size();
-  const size_t app_count = plan.app_indices.size();
-  MultiAppReport multi;
-  multi.apps.reserve(app_count);
-  for (const size_t idx : plan.app_indices) {
-    multi.apps.push_back(registry_.apps()[idx].name);
-  }
-  multi.reports.resize(app_count);
-  for (BatchReport& report : multi.reports) {
-    report.outcomes.resize(scene_count);
-  }
-
-  const bool collect = batch.collect_metrics;
-  const obs::StageTimer total_timer;
-  // One collector per scene, touched only by the worker that ranks the
-  // scene: counters are exact per-scene event counts, and merging the
-  // snapshots back in dataset order afterwards makes the batch totals
-  // byte-identical at every thread count. With metrics off, a null scope
-  // is installed instead so an ambient caller-installed collector sees
-  // the same (empty) contribution from the serial and parallel paths.
-  std::vector<obs::PipelineMetrics> scene_metrics(collect ? scene_count : 0);
-
-  // Each scene is scored independently against the shared immutable specs,
-  // so outcomes land in pre-assigned slots and the merged output is
-  // identical for any thread count. The online phase draws no randomness;
-  // any per-scene variation comes only from the scene itself. A failing
-  // scene writes only its own slots, so it cannot poison its neighbours.
-  // All of a scene's applications run on one worker, in request order, so
-  // per-app counters are deterministic too.
-  auto rank_into_slot = [this, collect, &plan, &dataset, &multi,
-                         &scene_metrics](size_t i, uint64_t queue_wait_ns) {
-    obs::MetricsCollector scene_collector;
-    const obs::MetricsScope scope(collect ? &scene_collector : nullptr);
-    const obs::StageTimer scene_timer;
-    RankSceneApps(plan, dataset.scenes[i], multi.reports, i);
-    if (collect) {
-      const uint64_t wall_ns = scene_timer.ElapsedNs();
-      const double wall_ms = static_cast<double>(wall_ns) * 1e-6;
-      for (BatchReport& report : multi.reports) {
-        report.outcomes[i].wall_ms = wall_ms;
-      }
-      scene_collector.Count("span.scene.calls");
-      scene_collector.AddTimeNs("span.scene", wall_ns);
-      // Recorded even when zero (the serial path) so the snapshot schema
-      // does not depend on the thread count.
-      scene_collector.AddTimeNs("batch.queue_wait", queue_wait_ns);
-      scene_metrics[i] = scene_collector.Snapshot();
-    }
-  };
-
-  const int threads = ThreadPool::ResolveThreadCount(batch.num_threads);
-  const bool parallel = threads > 1 && scene_count > 1;
-  if (!parallel) {
-    // Serial reference path: no pool, calling thread only.
-    for (size_t i = 0; i < scene_count; ++i) rank_into_slot(i, 0);
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(scene_count);
-    for (size_t i = 0; i < scene_count; ++i) {
-      const auto enqueued = std::chrono::steady_clock::now();
-      futures.push_back(pool.Submit([&rank_into_slot, i, enqueued] {
-        const auto waited = std::chrono::steady_clock::now() - enqueued;
-        rank_into_slot(
-            i, static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                       .count()));
-      }));
-    }
-    for (std::future<void>& future : futures) future.get();
-  }
-
-  // Summary pass, and the fail-fast contract: the first failure in scene
-  // order (then request order within a scene) wins, so error reporting is
-  // as deterministic as the success path.
-  size_t scenes_all_ok = 0;
-  size_t scenes_any_failed = 0;
-  for (size_t i = 0; i < scene_count; ++i) {
-    bool any_failed = false;
-    for (size_t a = 0; a < app_count; ++a) {
-      const SceneOutcome& outcome = multi.reports[a].outcomes[i];
-      if (outcome.ok()) {
-        ++multi.reports[a].scenes_ok;
-        continue;
-      }
-      if (batch.fail_fast) {
-        // Name the scene so callers can tell which one sank the batch.
-        return Status(outcome.status.code(),
-                      "scene '" + outcome.scene_name +
-                          "': " + outcome.status.message());
-      }
-      ++multi.reports[a].scenes_failed;
-      ++multi.reports[a].scenes_quarantined;
-      any_failed = true;
-    }
-    if (any_failed) {
-      ++scenes_any_failed;
-    } else {
-      ++scenes_all_ok;
-    }
-  }
-
-  if (collect) {
-    for (const obs::PipelineMetrics& m : scene_metrics) {
-      multi.metrics.MergeFrom(m);
-    }
-    // Scene-granularity batch counters: a scene counts as ok only when
-    // every application ranked it (equals the per-app counters for a
-    // single-application run).
-    multi.metrics.counters["batch.scenes"] += scene_count;
-    multi.metrics.counters["batch.scenes_ok"] += scenes_all_ok;
-    multi.metrics.counters["batch.scenes_failed"] += scenes_any_failed;
-    multi.metrics.counters["batch.scenes_quarantined"] += scenes_any_failed;
-    multi.metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
-    multi.metrics.gauges["batch.threads"] =
-        static_cast<double>(parallel ? threads : 1);
-    double scene_ms_max = 0.0;
-    for (const SceneOutcome& outcome : multi.reports.front().outcomes) {
-      scene_ms_max = std::max(scene_ms_max, outcome.wall_ms);
-    }
-    multi.metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
-  }
-  return multi;
+  return RankDatasetStreaming(DatasetSceneSource(dataset), apps, batch);
 }
 
 Result<BatchReport> Fixy::RankDataset(const Dataset& dataset, Application app,
@@ -461,283 +335,167 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     const SceneSource& source, const std::vector<std::string>& apps,
     const BatchOptions& batch, const StreamOptions& stream) const {
   FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
-
   const size_t scene_count = source.scene_count();
-  const size_t app_count = plan.app_indices.size();
-  MultiAppReport multi;
-  multi.apps.reserve(app_count);
-  for (const size_t idx : plan.app_indices) {
-    multi.apps.push_back(registry_.apps()[idx].name);
-  }
-  multi.reports.resize(app_count);
-  for (BatchReport& report : multi.reports) {
-    report.outcomes.resize(scene_count);
-  }
+  MultiAppReport multi = EmptyReport(plan, scene_count);
 
   const bool collect = batch.collect_metrics;
   const obs::StageTimer total_timer;
-  // Two collectors per scene — one filled by the loader that decodes it,
-  // one by the worker that ranks it — merged back in dataset order, so
-  // every counter total is byte-identical at any decode/rank thread
-  // combination (same scheme as RankDataset).
-  std::vector<obs::PipelineMetrics> scene_metrics(collect ? scene_count : 0);
+  // Two collectors per scene, one filled by the loader that decodes it and
+  // one by the worker that ranks it, merged back in dataset order: every
+  // counter total is byte-identical at any decode/rank thread combination.
+  // With metrics off a null scope is installed instead, so nothing leaks
+  // into an ambient collector either.
+  std::vector<obs::PipelineMetrics> decode_metrics(collect ? scene_count : 0);
+  std::vector<obs::PipelineMetrics> rank_metrics(collect ? scene_count : 0);
 
   const int rank_threads = ThreadPool::ResolveThreadCount(batch.num_threads);
   const int decode_threads = std::max(1, stream.decode_threads);
-  const size_t queue_capacity =
-      stream.queue_capacity != 0 ? stream.queue_capacity
-                                 : static_cast<size_t>(rank_threads) * 2;
+  const size_t max_resident = stream.max_resident_scenes != 0
+                                  ? stream.max_resident_scenes
+                                  : static_cast<size_t>(rank_threads) * 2;
 
-  // A decoded (or failed-to-decode) scene in flight between the loader
-  // pool and the rank workers. Each scene is decoded once however many
-  // applications rank it.
-  struct WorkItem {
+  // The decode -> rank hand-off, all under one mutex. Loaders claim scene
+  // indices in dataset order; `resident` counts scenes a loader has
+  // started decoding that no rank worker has claimed yet, and a loader
+  // starts a scene only while resident < max_resident, so the ceiling is
+  // exact. Rank workers claim decoded scenes in arrival order and exit
+  // once every scene is claimed. A decode failure travels as the scene's
+  // Result and is quarantined like a ranking failure.
+  struct Decoded {
     size_t index;
     Result<Scene> scene;
   };
-  const int stall_ms = stream.stall_timeout_ms;
-  // Everything a decode task touches after a stall abort must live on the
-  // heap, shared with the task: if the run is declared stalled, the
-  // decode pool is abandoned un-joined and its threads may still run.
-  // (`source` is the one caller-owned exception — see StreamOptions.)
-  struct StreamContext {
-    StreamContext(size_t capacity, size_t metric_slots, size_t resident_limit)
-        : queue(capacity),
-          decode_metrics(metric_slots),
-          resident_limit(resident_limit) {}
-    BoundedQueue<WorkItem> queue;
-    std::vector<obs::PipelineMetrics> decode_metrics;
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> stalled{false};
+  std::mutex mu;
+  std::condition_variable cv;  // any change to the state below
+  std::deque<Decoded> decoded;
+  size_t next_decode = 0;
+  size_t claimed = 0;
+  size_t resident = 0;
+  size_t resident_peak = 0;
 
-    // Residency gate (StreamOptions::max_resident_scenes): loaders take a
-    // permit before decoding; the permit is freed when a rank worker
-    // claims the scene. Limit 0 never blocks but still tracks the peak.
-    const size_t resident_limit;
-    std::mutex resident_mu;
-    std::condition_variable resident_cv;
-    size_t resident_now = 0;
-    size_t resident_peak = 0;
-    bool resident_closed = false;
-
-    /// Blocks until a permit frees up; false once the gate is closed
-    /// (stall shutdown), so a parked loader can bow out.
-    bool AcquireResident() {
-      std::unique_lock<std::mutex> lock(resident_mu);
-      resident_cv.wait(lock, [this] {
-        return resident_closed || resident_limit == 0 ||
-               resident_now < resident_limit;
-      });
-      if (resident_closed) return false;
-      ++resident_now;
-      resident_peak = std::max(resident_peak, resident_now);
-      return true;
-    }
-    void ReleaseResident() {
+  auto decode_loop = [&] {
+    for (;;) {
+      size_t i;
       {
-        const std::lock_guard<std::mutex> lock(resident_mu);
-        --resident_now;
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+          return next_decode == scene_count || resident < max_resident;
+        });
+        if (next_decode == scene_count) return;
+        i = next_decode++;
+        resident_peak = std::max(resident_peak, ++resident);
       }
-      resident_cv.notify_one();
-    }
-    void CloseResident() {
+      obs::MetricsCollector collector;
+      const obs::MetricsScope scope(collect ? &collector : nullptr);
+      Result<Scene> scene = source.DecodeScene(i);
+      if (collect) decode_metrics[i] = collector.Snapshot();
       {
-        const std::lock_guard<std::mutex> lock(resident_mu);
-        resident_closed = true;
+        const std::lock_guard<std::mutex> lock(mu);
+        decoded.push_back(Decoded{i, std::move(scene)});
       }
-      resident_cv.notify_all();
-    }
-    size_t ResidentPeak() {
-      const std::lock_guard<std::mutex> lock(resident_mu);
-      return resident_peak;
+      cv.notify_all();
     }
   };
-  auto ctx = std::make_shared<StreamContext>(
-      queue_capacity, collect ? scene_count : 0, stream.max_resident_scenes);
-  BoundedQueue<WorkItem>& queue = ctx->queue;
 
-  // Loader side: decode scene i and push it. Push blocks when the queue
-  // is full — that back-pressure is what bounds ingestion memory — and
-  // the residency gate is taken before the decode even starts, so a
-  // loader blocked on a full queue still counts against the ceiling.
-  // Captures ctx by value so abandoned tasks stay memory-safe.
-  auto decode_one = [collect, &source, ctx](size_t i) {
-    if (ctx->cancelled.load(std::memory_order_relaxed)) return;
-    if (!ctx->AcquireResident()) return;
-    obs::MetricsCollector decode_collector;
-    const obs::MetricsScope scope(collect ? &decode_collector : nullptr);
-    Result<Scene> scene = source.DecodeScene(i);
-    if (collect) ctx->decode_metrics[i] = decode_collector.Snapshot();
-    ctx->queue.Push(WorkItem{i, std::move(scene)});
-  };
-
-  // The pop the rank workers use: plain blocking Pop without a stall
-  // deadline; with one, a queue empty for stall_ms flags the run as
-  // stalled and the worker bows out (the flag, not the worker, fails the
-  // run — items never sit unclaimed, because a timeout can only fire on
-  // an empty queue). A claimed scene frees its residency permit: it now
-  // belongs to the rank worker, not the ingestion window.
-  auto pop_item = [ctx, stall_ms]() -> std::optional<WorkItem> {
-    std::optional<WorkItem> item;
-    if (stall_ms <= 0) {
-      item = ctx->queue.Pop();
-    } else {
-      switch (ctx->queue.PopWithTimeout(stall_ms, &item)) {
-        case BoundedQueue<WorkItem>::PopStatus::kItem:
-          break;
-        case BoundedQueue<WorkItem>::PopStatus::kClosed:
-          return std::nullopt;
-        case BoundedQueue<WorkItem>::PopStatus::kTimeout:
-          ctx->stalled.store(true, std::memory_order_relaxed);
-          return std::nullopt;
-      }
-    }
-    if (item.has_value()) ctx->ReleaseResident();
-    return item;
-  };
-
-  // Rank side: long-lived workers popping until the queue is closed and
-  // drained. Outcomes land in pre-assigned slots, so arrival order —
-  // which varies with scheduling — cannot reorder the report. A decode
-  // failure flows through as every application's outcome Status for that
-  // scene, exactly like a ranking failure.
-  auto rank_worker = [this, collect, &plan, &source, &multi, &scene_metrics,
-                      &pop_item] {
+  // Outcomes land in pre-assigned dataset-order slots, so arrival order,
+  // which varies with scheduling, cannot reorder the report. All of a
+  // scene's applications run on one worker, in request order, so per-app
+  // counters are deterministic too.
+  auto rank_loop = [&] {
     for (;;) {
       const obs::StageTimer wait_timer;
-      std::optional<WorkItem> item = pop_item();
-      if (!item.has_value()) return;  // closed and drained, or stalled
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return !decoded.empty() || claimed == scene_count; });
+      if (decoded.empty()) return;  // every scene is claimed
+      const Decoded item = std::move(decoded.front());
+      decoded.pop_front();
+      ++claimed;
+      --resident;
+      lock.unlock();
+      cv.notify_all();
       const uint64_t wait_ns = wait_timer.ElapsedNs();
-      const size_t i = item->index;
-      obs::MetricsCollector scene_collector;
-      const obs::MetricsScope scope(collect ? &scene_collector : nullptr);
+
+      const size_t i = item.index;
+      obs::MetricsCollector collector;
+      const obs::MetricsScope scope(collect ? &collector : nullptr);
       const obs::StageTimer scene_timer;
-      if (!item->scene.ok()) {
+      if (item.scene.ok()) {
+        RankSceneApps(plan, item.scene.value(), multi.reports, i);
+      } else {
         for (BatchReport& report : multi.reports) {
           report.outcomes[i].scene_name = source.scene_name(i);
-          report.outcomes[i].status = item->scene.status();
+          report.outcomes[i].status = item.scene.status();
         }
-      } else {
-        RankSceneApps(plan, item->scene.value(), multi.reports, i);
       }
       if (collect) {
         const uint64_t wall_ns = scene_timer.ElapsedNs();
-        const double wall_ms = static_cast<double>(wall_ns) * 1e-6;
         for (BatchReport& report : multi.reports) {
-          report.outcomes[i].wall_ms = wall_ms;
+          report.outcomes[i].wall_ms = static_cast<double>(wall_ns) * 1e-6;
         }
-        scene_collector.Count("span.scene.calls");
-        scene_collector.AddTimeNs("span.scene", wall_ns);
-        // The streaming path's wait is the pop on the decode→rank queue;
-        // batch.queue_wait is recorded at zero so the snapshot key set
-        // matches the non-streaming path.
-        scene_collector.AddTimeNs("io.fxb.queue_wait", wait_ns);
-        scene_collector.AddTimeNs("batch.queue_wait", 0);
-        scene_metrics[i] = scene_collector.Snapshot();
+        collector.Count("span.scene.calls");
+        collector.AddTimeNs("span.scene", wall_ns);
+        collector.AddTimeNs("io.fxb.queue_wait", wait_ns);
+        rank_metrics[i] = collector.Snapshot();
       }
     }
   };
 
   {
-    // Rank workers first so consumers exist before the first Push can
-    // fill the queue; the loader pool drains itself before Close().
+    // Separate pools: a slow decode never occupies a rank thread.
     ThreadPool rank_pool(rank_threads);
-    std::vector<std::future<void>> rank_futures;
-    rank_futures.reserve(static_cast<size_t>(rank_threads));
+    ThreadPool decode_pool(decode_threads);
+    std::vector<std::future<void>> loops;
     for (int t = 0; t < rank_threads; ++t) {
-      rank_futures.push_back(rank_pool.Submit(rank_worker));
+      loops.push_back(rank_pool.Submit(rank_loop));
     }
-    // The decode pool is abandoned (not destroyed) when the run stalls:
-    // its destructor would join the wedged thread and hang forever.
-    auto decode_pool = std::make_unique<ThreadPool>(decode_threads);
-    std::vector<std::future<void>> decode_futures;
-    decode_futures.reserve(scene_count);
-    for (size_t i = 0; i < scene_count; ++i) {
-      // decode_one copied by value: the task owns its ctx reference.
-      decode_futures.push_back(
-          decode_pool->Submit([decode_one, i] { decode_one(i); }));
+    for (int t = 0; t < decode_threads; ++t) {
+      loops.push_back(decode_pool.Submit(decode_loop));
     }
-    bool stalled = false;
-    if (stall_ms <= 0) {
-      for (std::future<void>& future : decode_futures) future.get();
-    } else {
-      for (std::future<void>& future : decode_futures) {
-        while (future.wait_for(std::chrono::milliseconds(50)) ==
-               std::future_status::timeout) {
-          if (ctx->stalled.load(std::memory_order_relaxed)) {
-            stalled = true;
-            break;
-          }
-        }
-        if (stalled) break;
-      }
-    }
-    if (stalled) {
-      // Tell queued decode tasks to skip, unblock decoders mid-Push and
-      // rank workers mid-Pop, then abandon the pool: every thread but the
-      // wedged one winds down promptly, and the wedged one parks on the
-      // leaked pool holding only ctx (and the caller's source) alive.
-      ctx->cancelled.store(true, std::memory_order_relaxed);
-      ctx->CloseResident();
-      queue.Close();
-      (void)decode_pool.release();
-      for (std::future<void>& future : rank_futures) future.get();
-      return Status::Internal(
-          "streaming rank stalled: no scene reached a rank worker for over " +
-          std::to_string(stall_ms) +
-          " ms with decodes outstanding (wedged decode worker?)");
-    }
-    decode_pool.reset();  // drains and joins normally
-    queue.Close();
-    for (std::future<void>& future : rank_futures) future.get();
+    for (std::future<void>& loop : loops) loop.get();
   }
 
-  // Same summary pass and fail-fast contract as RankDataset: the first
-  // failure in dataset order (then request order) wins.
-  size_t scenes_all_ok = 0;
-  size_t scenes_any_failed = 0;
+  // Summary pass, and the fail-fast contract: the first failure in dataset
+  // order (then request order within a scene) wins, so error reporting is
+  // as deterministic as the success path.
+  size_t scenes_failed = 0;
   for (size_t i = 0; i < scene_count; ++i) {
-    bool any_failed = false;
-    for (size_t a = 0; a < app_count; ++a) {
-      const SceneOutcome& outcome = multi.reports[a].outcomes[i];
-      if (outcome.ok()) {
-        ++multi.reports[a].scenes_ok;
-        continue;
-      }
+    for (const BatchReport& report : multi.reports) {
+      const SceneOutcome& outcome = report.outcomes[i];
+      if (outcome.ok()) continue;
       if (batch.fail_fast) {
+        // Name the scene so callers can tell which one sank the batch.
         return Status(outcome.status.code(),
                       "scene '" + outcome.scene_name +
                           "': " + outcome.status.message());
       }
-      ++multi.reports[a].scenes_failed;
-      ++multi.reports[a].scenes_quarantined;
-      any_failed = true;
-    }
-    if (any_failed) {
-      ++scenes_any_failed;
-    } else {
-      ++scenes_all_ok;
+      ++scenes_failed;
+      break;
     }
   }
+  RecomputeReportSummary(multi);
 
   if (collect) {
+    obs::PipelineMetrics& metrics = multi.metrics;
     for (size_t i = 0; i < scene_count; ++i) {
-      multi.metrics.MergeFrom(ctx->decode_metrics[i]);
-      multi.metrics.MergeFrom(scene_metrics[i]);
+      metrics.MergeFrom(decode_metrics[i]);
+      metrics.MergeFrom(rank_metrics[i]);
     }
-    multi.metrics.counters["batch.scenes"] += scene_count;
-    multi.metrics.counters["batch.scenes_ok"] += scenes_all_ok;
-    multi.metrics.counters["batch.scenes_failed"] += scenes_any_failed;
-    multi.metrics.counters["batch.scenes_quarantined"] += scenes_any_failed;
-    multi.metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
-    multi.metrics.gauges["batch.threads"] = static_cast<double>(rank_threads);
-    multi.metrics.gauges["stream.resident_scenes_peak"] =
-        static_cast<double>(ctx->ResidentPeak());
+    // Scene-granularity batch counters: a scene counts as ok only when
+    // every application ranked it (equals the per-app counters for a
+    // single-application run).
+    metrics.counters["batch.scenes"] += scene_count;
+    metrics.counters["batch.scenes_ok"] += scene_count - scenes_failed;
+    metrics.counters["batch.scenes_failed"] += scenes_failed;
+    metrics.counters["batch.scenes_quarantined"] += scenes_failed;
+    metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
+    metrics.gauges["batch.threads"] = static_cast<double>(rank_threads);
+    metrics.gauges["stream.resident_scenes_peak"] =
+        static_cast<double>(resident_peak);
     double scene_ms_max = 0.0;
     for (const SceneOutcome& outcome : multi.reports.front().outcomes) {
       scene_ms_max = std::max(scene_ms_max, outcome.wall_ms);
     }
-    multi.metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
+    metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
   }
   return multi;
 }

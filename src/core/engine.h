@@ -63,8 +63,9 @@ const char* ApplicationName(Application app);
 
 /// Configuration of dataset-scale batch ranking.
 struct BatchOptions {
-  /// Worker threads to fan scenes out across. 0 (the default) uses
-  /// hardware concurrency; 1 runs serially on the calling thread.
+  /// Rank worker threads to fan scenes out across. 0 (the default) uses
+  /// hardware concurrency. Scenes always rank on pool threads, never on
+  /// the calling thread; the output is identical at every count.
   int num_threads = 0;
 
   /// When true, RankDataset fails with the first failing scene's Status
@@ -84,44 +85,22 @@ struct BatchOptions {
   bool collect_metrics = false;
 };
 
-/// Configuration of the streaming ingestion pipeline
-/// (RankDatasetStreaming).
+/// Configuration of the decode side of RankDatasetStreaming (RankDataset
+/// runs with the defaults): loader threads decode scenes from the source
+/// and hand them to the rank workers.
 struct StreamOptions {
-  /// Threads decoding scenes from the SceneSource. 1 (the default) keeps
-  /// a single loader feeding the rank workers; higher values overlap
-  /// several decodes. Values < 1 are treated as 1.
+  /// Loader threads, separate from the rank workers. 1 (the default)
+  /// keeps a single loader feeding the rank workers; higher values
+  /// overlap several decodes. Values < 1 are treated as 1.
   int decode_threads = 1;
 
-  /// Capacity of the bounded decode→rank queue: at most this many decoded
-  /// scenes wait in memory, so ingestion memory stays O(capacity) however
-  /// far decode runs ahead. 0 (the default) uses 2× the rank thread
-  /// count.
-  size_t queue_capacity = 0;
-
-  /// Stall detection. 0 (the default) waits forever, matching the old
-  /// behavior. When > 0: if no scene reaches a rank worker for this many
-  /// milliseconds while decodes are still outstanding, the run is
-  /// declared stalled and fails with a Status instead of hanging on a
-  /// wedged decode worker. The wedged decode thread cannot be joined —
-  /// it is abandoned, parked on its leaked pool for the remainder of the
-  /// process, still holding a reference to `source` (so a caller that
-  /// sees the stall error should not destroy the source if it can avoid
-  /// it). Pick a value comfortably above the worst-case gap between two
-  /// scene decodes; a too-small value turns a slow decode into a
-  /// spurious stall error.
-  int stall_timeout_ms = 0;
-
-  /// Hard ceiling on decoded-but-not-yet-ranked scenes: each loader takes
-  /// a permit before decoding and the permit is released when a rank
-  /// worker claims the scene, so at most this many decoded scenes exist
-  /// outside the rank workers at any instant — including the ones loaders
-  /// hold while blocked pushing into a full queue, which queue_capacity
-  /// alone does not bound. 0 (the default) leaves residency bounded only
-  /// by queue_capacity + decode_threads. Values > 0 smaller than the
-  /// decode thread count simply idle the surplus loaders; no deadlock is
-  /// possible because permits are freed by the pop side. The run records
-  /// the observed peak as the stream.resident_scenes_peak gauge when
-  /// metrics are collected.
+  /// Exact ceiling on decoded-but-unranked scenes: a loader takes a slot
+  /// before it starts decoding a scene, and the slot frees when a rank
+  /// worker claims the scene, so at no instant do more than this many
+  /// scenes sit between the loaders and the rank workers. 0 (the default)
+  /// means 2x the rank thread count. Values smaller than decode_threads
+  /// idle the surplus loaders. The run records the observed peak as the
+  /// stream.resident_scenes_peak gauge when metrics are collected.
   size_t max_resident_scenes = 0;
 };
 
@@ -272,12 +251,13 @@ class Fixy {
 
   /// Dataset-scale multi-application batch ranking: runs every requested
   /// application over every scene of `dataset` from ONE pass — scenes fan
-  /// out across a thread pool, and each worker runs association once per
-  /// scene (ScenePass) and then compiles/scores each application against
-  /// the shared track views and feature-score cache. Per-app reports are
-  /// byte-identical to solo runs of each application, at every thread
-  /// count (scenes are scored independently against shared immutable
-  /// specs; nothing in the online phase draws randomness).
+  /// out across the rank workers, and each worker runs association once
+  /// per scene (ScenePass) and then compiles/scores each application
+  /// against the shared track views and feature-score cache. Per-app
+  /// reports are byte-identical to solo runs of each application, at every
+  /// thread count (scenes are scored independently against shared
+  /// immutable specs; nothing in the online phase draws randomness). This
+  /// is RankDatasetStreaming over a DatasetSceneSource.
   ///
   /// Failure semantics: by default a failing (scene, application) pair is
   /// quarantined — its outcome carries the error Status, all other
@@ -296,18 +276,16 @@ class Fixy {
   Result<BatchReport> RankDataset(const Dataset& dataset, Application app,
                                   const BatchOptions& batch = {}) const;
 
-  /// Streaming variant of the multi-application RankDataset: scenes are
-  /// decoded on demand from `source` by a loader pool and fed to the rank
-  /// workers through a bounded queue, overlapping decode with ranking and
-  /// keeping at most StreamOptions::queue_capacity decoded scenes in
+  /// RankDataset over scenes decoded on demand from `source`: loader
+  /// threads decode scenes while the rank workers score earlier ones, and
+  /// at most StreamOptions::max_resident_scenes decoded scenes wait in
   /// memory — each scene still decoded once and associated once for all
   /// applications. Outcomes land in pre-assigned dataset-order slots, so
   /// the report (outcomes, proposals, and every metrics counter) is
-  /// byte-identical to RankDataset over the materialized dataset, at any
-  /// combination of decode and rank thread counts. A scene whose *decode*
-  /// fails is quarantined for every application exactly like a scene whose
-  /// ranking fails (or, with fail_fast, fails the call with the first
-  /// dataset-order error).
+  /// byte-identical at any combination of decode and rank thread counts
+  /// and residency ceilings. A scene whose *decode* fails is quarantined
+  /// for every application exactly like a scene whose ranking fails (or,
+  /// with fail_fast, fails the call with the first dataset-order error).
   Result<MultiAppReport> RankDatasetStreaming(
       const SceneSource& source, const std::vector<std::string>& apps,
       const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
@@ -364,6 +342,10 @@ class Fixy {
   /// FeatureDistribution (and re-allocating its shared_ptr features) per
   /// call.
   void RebuildSpecs();
+
+  /// A report with one BatchReport per planned application (request
+  /// order), each holding `scene_count` empty outcomes.
+  MultiAppReport EmptyReport(const RunPlan& plan, size_t scene_count) const;
 
   /// Runs one ScenePass over `scene` and every planned application against
   /// it, writing outcome `slot` of each report (reports are parallel to

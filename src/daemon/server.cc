@@ -602,9 +602,12 @@ struct FixydServer::Impl {
           if (remove) {
             // Mark closed under the write lock so no worker writes after
             // this; the fd itself closes when the last reference drops.
-            std::lock_guard<std::mutex> lock(it->second->write_mu);
-            it->second->open = false;
+            // `conn` is declared before the lock so the mutex it owns
+            // outlives the unlock even when this is the last reference.
+            const std::shared_ptr<Connection> conn = std::move(it->second);
             connections.erase(it);
+            const std::lock_guard<std::mutex> lock(conn->write_mu);
+            conn->open = false;
           }
         }
       }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
 #include "common/crc32.h"
@@ -272,25 +271,6 @@ T LoadPod(std::string_view bytes, size_t offset) {
   T value;
   std::memcpy(&value, bytes.data() + offset, sizeof(T));
   return value;
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open for writing: " + tmp);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) return Status::IoError("write failed: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           ec.message());
-  }
-  return Status::Ok();
 }
 
 // Reads the manifest and returns the scene file names it lists, plus the

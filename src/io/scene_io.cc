@@ -125,15 +125,6 @@ Result<std::string> ReadFile(const std::string& path) {
   return contents;
 }
 
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << contents;
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
 }  // namespace
 
 json::Value SceneToJson(const Scene& scene) {
@@ -190,7 +181,25 @@ Result<Scene> SceneFromString(std::string_view text) {
 }
 
 Status SaveScene(const Scene& scene, const std::string& path) {
-  return WriteFile(path, SceneToString(scene, /*pretty=*/false));
+  return WriteFileAtomic(path, SceneToString(scene, /*pretty=*/false));
+}
+
+Status WriteFileAtomic(const std::string& path, const std::string& contents) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IoError("cannot open for writing: " + tmp);
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    out.flush();
+    if (!out) return Status::IoError("write failed: " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
+                           ec.message());
+  }
+  return Status::Ok();
 }
 
 Result<Scene> LoadScene(const std::string& path) {
@@ -245,8 +254,8 @@ Status SaveDataset(const Dataset& dataset, const std::string& directory) {
   manifest["version"] = kFormatVersion;
   manifest["name"] = dataset.name;
   manifest["scenes"] = std::move(scene_files);
-  return WriteFile(directory + "/manifest.json",
-                   json::Write(manifest, /*pretty=*/true));
+  return WriteFileAtomic(directory + "/manifest.json",
+                         json::Write(manifest, /*pretty=*/true));
 }
 
 Result<Dataset> LoadDataset(const std::string& directory) {

@@ -40,7 +40,8 @@ std::string SceneToString(const Scene& scene, bool pretty = false);
 /// Parses a scene from serialized text.
 Result<Scene> SceneFromString(std::string_view text);
 
-/// Writes `scene` to `path`. Errors: IoError on filesystem failure.
+/// Writes `scene` to `path` through WriteFileAtomic. Errors: IoError on
+/// filesystem failure.
 Status SaveScene(const Scene& scene, const std::string& path);
 
 /// Reads a scene from `path`.
@@ -54,6 +55,11 @@ Result<Scene> LoadScene(const std::string& path, std::string* buffer);
 /// Reads the whole file at `path` into `*out` with one sized read,
 /// reusing `out`'s existing capacity when it suffices.
 Status ReadFileInto(const std::string& path, std::string* out);
+
+/// Writes `contents` to `path + ".tmp"`, then renames it over `path`, so
+/// a concurrent reader (a watch poll, a cache update) sees the old file or
+/// the new one, never a half-written one. Errors: IoError.
+Status WriteFileAtomic(const std::string& path, const std::string& contents);
 
 /// Writes every scene of `dataset` into `directory` as
 /// `<directory>/<scene-name>.fixy.json` plus a `manifest.json` listing them.

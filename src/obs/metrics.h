@@ -38,8 +38,8 @@
 namespace fixy::obs {
 
 /// A snapshot of everything a pipeline run recorded. Attached to
-/// BatchReport, dumped by `fixy_cli rank --metrics-json`, and emitted by
-/// bench_throughput; the JSON schema lives in obs/metrics_json.h.
+/// BatchReport and dumped by `fixy_cli rank --metrics-json`; the JSON
+/// schema lives in obs/metrics_json.h.
 struct PipelineMetrics {
   std::map<std::string, uint64_t, std::less<>> counters;
   std::map<std::string, double, std::less<>> timers_ms;

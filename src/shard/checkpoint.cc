@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/crc32.h"
@@ -118,24 +117,6 @@ Result<ErrorProposal> ReadProposal(Cursor& cursor) {
   p.first_frame = first;
   p.last_frame = last;
   return p;
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open for writing: " + tmp);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) return Status::IoError("write failed: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           ec.message());
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -287,7 +268,7 @@ Status WriteShardCheckpoint(const std::string& checkpoint_dir,
     return Status::IoError("cannot create checkpoint directory " +
                            checkpoint_dir + ": " + ec.message());
   }
-  return WriteFileAtomic(
+  return io::WriteFileAtomic(
       ShardCheckpointPath(checkpoint_dir, checkpoint.shard_index),
       EncodeShardCheckpoint(checkpoint));
 }

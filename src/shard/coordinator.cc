@@ -478,7 +478,11 @@ Status Coordinator::Supervise() {
       timeout_ms = std::min(timeout_ms, remain);
     }
     for (const ShardState& state : states_) {
-      if (state.phase == ShardState::Phase::kPending) {
+      // Only a shard still in its backoff window has an expiry to wait
+      // for; a never-attempted one holds time_point::min(), and min() - now
+      // overflows.
+      if (state.phase == ShardState::Phase::kPending &&
+          state.ready_at > now) {
         const auto remain = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 state.ready_at - now)
                                 .count();

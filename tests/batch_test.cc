@@ -3,15 +3,10 @@
 // the ClosestApproachBundle empty-bundle regression.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/applications.h"
@@ -79,6 +74,22 @@ Dataset PoisonScene(const Dataset& dataset, size_t index) {
   Dataset poisoned = dataset;
   poisoned.scenes[index].frames().front().index = 9999;
   return poisoned;
+}
+
+// The dataset loop's independent reference: every scene ranked alone by
+// Fixy::RankScene on the calling thread, with no thread pool involved.
+std::vector<SceneOutcome> RankEachScene(const Fixy& fixy,
+                                        const Dataset& dataset,
+                                        Application app) {
+  std::vector<SceneOutcome> outcomes;
+  for (const Scene& scene : dataset.scenes) {
+    auto report = fixy.RankScene(scene, {ApplicationName(app)});
+    EXPECT_TRUE(report.ok()) << report.status();
+    if (report.ok()) {
+      outcomes.push_back(std::move(report->reports.front().outcomes.front()));
+    }
+  }
+  return outcomes;
 }
 
 TEST_F(BatchRankTest, RequiresLearn) {
@@ -162,23 +173,22 @@ TEST_F(BatchRankTest, ReturnsOneRankedListPerSceneInOrder) {
   }
 }
 
-// The tentpole determinism contract: on a 16-scene sim dataset, 1 worker
-// and N workers must produce identical ranked proposals for every
-// application.
+// The tentpole determinism contract: on a 16-scene sim dataset, every
+// worker count must produce the ranked proposals of scene-by-scene
+// RankScene calls on the calling thread, for every application.
 TEST_F(BatchRankTest, ParallelOutputIdenticalToSerial) {
   for (const Application app :
        {Application::kMissingTracks, Application::kMissingObservations,
         Application::kModelErrors}) {
-    const auto serial =
-        fixy_->RankDataset(dataset_->dataset, app, BatchOptions{1});
-    ASSERT_TRUE(serial.ok());
-    for (const int threads : {2, 8}) {
+    const std::vector<SceneOutcome> serial =
+        RankEachScene(*fixy_, dataset_->dataset, app);
+    for (const int threads : {1, 2, 8}) {
       const auto parallel =
           fixy_->RankDataset(dataset_->dataset, app, BatchOptions{threads});
       ASSERT_TRUE(parallel.ok());
-      ASSERT_EQ(serial->outcomes.size(), parallel->outcomes.size());
-      for (size_t s = 0; s < serial->outcomes.size(); ++s) {
-        ExpectProposalsIdentical(serial->outcomes[s].proposals,
+      ASSERT_EQ(serial.size(), parallel->outcomes.size());
+      for (size_t s = 0; s < serial.size(); ++s) {
+        ExpectProposalsIdentical(serial[s].proposals,
                                  parallel->outcomes[s].proposals);
       }
     }
@@ -405,14 +415,13 @@ class FailingSource : public SceneSource {
   std::set<size_t> failing_;
 };
 
-// The streaming determinism contract: RankDatasetStreaming must produce a
-// report byte-identical to RankDataset at every (rank threads, decode
-// threads, queue capacity) combination.
+// The streaming determinism contract: RankDatasetStreaming must produce
+// the proposals of scene-by-scene RankScene calls at every (rank threads,
+// decode threads) combination.
 TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
   const DatasetSceneSource source(dataset_->dataset);
-  const auto reference = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
-  ASSERT_TRUE(reference.ok());
+  const std::vector<SceneOutcome> reference =
+      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
   for (int threads = 1; threads <= 8; ++threads) {
     for (const int decode_threads : {1, 2}) {
       BatchOptions batch;
@@ -423,110 +432,35 @@ TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
           source, Application::kMissingTracks, batch, stream);
       ASSERT_TRUE(streamed.ok())
           << "threads=" << threads << " decode=" << decode_threads;
-      ASSERT_EQ(streamed->outcomes.size(), reference->outcomes.size());
-      EXPECT_EQ(streamed->scenes_ok, reference->scenes_ok);
-      for (size_t s = 0; s < reference->outcomes.size(); ++s) {
-        EXPECT_EQ(streamed->outcomes[s].scene_name,
-                  reference->outcomes[s].scene_name);
-        ExpectProposalsIdentical(reference->outcomes[s].proposals,
+      ASSERT_EQ(streamed->outcomes.size(), reference.size());
+      EXPECT_EQ(streamed->scenes_ok, reference.size());
+      for (size_t s = 0; s < reference.size(); ++s) {
+        EXPECT_EQ(streamed->outcomes[s].scene_name, reference[s].scene_name);
+        ExpectProposalsIdentical(reference[s].proposals,
                                  streamed->outcomes[s].proposals);
       }
     }
   }
 }
 
-// A SceneSource whose decode of one scene hangs until the test opens a
-// gate — a stand-in for a wedged loader (dead NFS mount, kernel bug,
-// deadlocked decoder).
-class HangingSource : public SceneSource {
- public:
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-    std::atomic<bool> exited{false};
-
-    void Open() {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        open = true;
-      }
-      cv.notify_all();
-    }
-  };
-
-  HangingSource(const Dataset& dataset, size_t hang_index,
-                std::shared_ptr<Gate> gate)
-      : inner_(dataset), hang_index_(hang_index), gate_(std::move(gate)) {}
-
-  size_t scene_count() const override { return inner_.scene_count(); }
-  std::string scene_name(size_t index) const override {
-    return inner_.scene_name(index);
-  }
-  Result<Scene> DecodeScene(size_t index) const override {
-    if (index == hang_index_) {
-      const std::shared_ptr<Gate> gate = gate_;  // keep alive past `this`
-      std::unique_lock<std::mutex> lock(gate->mutex);
-      gate->cv.wait(lock, [&] { return gate->open; });
-      lock.unlock();
-      gate->exited.store(true);
-      return Status::IoError("woke from injected hang");
-    }
-    return inner_.DecodeScene(index);
-  }
-
- private:
-  DatasetSceneSource inner_;
-  size_t hang_index_;
-  std::shared_ptr<Gate> gate_;
-};
-
-// A wedged decode worker must surface as a Status after the stall
-// deadline instead of hanging the call forever. (Without
-// stall_timeout_ms this test would deadlock.)
-TEST_F(BatchRankTest, StreamingStallSurfacesAsStatus) {
-  auto gate = std::make_shared<HangingSource::Gate>();
-  const HangingSource source(dataset_->dataset, 0, gate);
-  BatchOptions batch;
-  batch.num_threads = 2;
-  StreamOptions stream;
-  stream.decode_threads = 1;  // the hung scene blocks the whole stream
-  stream.stall_timeout_ms = 100;
-  const auto result = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks, batch, stream);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("stalled"), std::string::npos);
-
-  // Unwedge the abandoned decode thread and wait for it to leave the
-  // source before the source goes out of scope; its pool thread stays
-  // parked (intentionally leaked), holding only heap state.
-  gate->Open();
-  while (!gate->exited.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-}
-
-// A tiny queue forces back-pressure (decoders block on Push); the output
-// must not change.
+// A tight residency ceiling forces back-pressure (loaders wait for rank
+// workers to claim scenes); the output must not change.
 TEST_F(BatchRankTest, StreamingUnaffectedByQueueCapacity) {
   const DatasetSceneSource source(dataset_->dataset);
-  const auto reference = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
-  ASSERT_TRUE(reference.ok());
+  const std::vector<SceneOutcome> reference =
+      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
   BatchOptions batch;
   batch.num_threads = 4;
   StreamOptions stream;
   stream.decode_threads = 4;
-  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{64}}) {
-    stream.queue_capacity = capacity;
+  for (const size_t limit : {size_t{1}, size_t{2}, size_t{64}}) {
+    stream.max_resident_scenes = limit;
     const auto streamed = fixy_->RankDatasetStreaming(
         source, Application::kMissingTracks, batch, stream);
-    ASSERT_TRUE(streamed.ok()) << "capacity=" << capacity;
-    ASSERT_EQ(streamed->outcomes.size(), reference->outcomes.size());
-    for (size_t s = 0; s < reference->outcomes.size(); ++s) {
-      ExpectProposalsIdentical(reference->outcomes[s].proposals,
+    ASSERT_TRUE(streamed.ok()) << "limit=" << limit;
+    ASSERT_EQ(streamed->outcomes.size(), reference.size());
+    for (size_t s = 0; s < reference.size(); ++s) {
+      ExpectProposalsIdentical(reference[s].proposals,
                                streamed->outcomes[s].proposals);
     }
   }
@@ -561,9 +495,9 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
 // clean run byte for byte.
 TEST_F(BatchRankTest, StreamingDecodeFailureQuarantined) {
   const FailingSource source(dataset_->dataset, {5});
-  const auto clean = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
-  ASSERT_TRUE(clean.ok());
+  const std::vector<SceneOutcome> clean =
+      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
+  ASSERT_EQ(clean.size(), dataset_->dataset.scenes.size());
   for (const int threads : {1, 4}) {
     const auto result = fixy_->RankDatasetStreaming(
         source, Application::kMissingTracks, BatchOptions{threads});
@@ -578,7 +512,7 @@ TEST_F(BatchRankTest, StreamingDecodeFailureQuarantined) {
               StatusCode::kFailedPrecondition);
     for (size_t s = 0; s < result->outcomes.size(); ++s) {
       if (s == 5) continue;
-      ExpectProposalsIdentical(clean->outcomes[s].proposals,
+      ExpectProposalsIdentical(clean[s].proposals,
                                result->outcomes[s].proposals);
     }
   }

@@ -1,14 +1,8 @@
 // Tests for src/common: Status, Result, macros, random, string utilities.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <mutex>
-#include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,7 +10,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/bounded_queue.h"
 #include "common/crc32.h"
 #include "common/macros.h"
 #include "common/process.h"
@@ -357,131 +350,6 @@ TEST(Crc32Test, MatchesKnownVectors) {
 TEST(Crc32Test, StringViewOverloadAgreesWithPointerForm) {
   const std::string bytes = "fxb section payload \x00\xff\x7f";
   EXPECT_EQ(Crc32(bytes), Crc32(bytes.data(), bytes.size()));
-}
-
-// ---------------------------------------------------------- BoundedQueue
-
-TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> queue(4);
-  EXPECT_EQ(queue.capacity(), 4u);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-}
-
-TEST(BoundedQueueTest, ZeroCapacityClampsToOne) {
-  BoundedQueue<int> queue(0);
-  EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_TRUE(queue.Push(7));
-  EXPECT_EQ(queue.Pop(), 7);
-}
-
-TEST(BoundedQueueTest, CloseFailsPushesAndDrainsPops) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(3));
-  // Items queued before Close remain poppable, then nullopt.
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-  EXPECT_EQ(queue.Pop(), std::nullopt);  // Close is sticky
-}
-
-TEST(BoundedQueueTest, FullQueueBlocksProducerUntilConsumed) {
-  BoundedQueue<int> queue(1);
-  EXPECT_TRUE(queue.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.Push(2));  // blocks until the consumer pops
-    second_pushed.store(true);
-  });
-  // The producer cannot complete while the queue is full. (A sleep-based
-  // "still blocked" probe would be flaky; we only assert delivery order
-  // through the happens-before of Pop -> Push completion.)
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> queue(2);
-  std::thread consumer([&] { EXPECT_EQ(queue.Pop(), std::nullopt); });
-  queue.Close();
-  consumer.join();
-}
-
-TEST(BoundedQueueTest, PopWithTimeoutTriState) {
-  using PopStatus = BoundedQueue<int>::PopStatus;
-  BoundedQueue<int> queue(4);
-  std::optional<int> item;
-
-  // Item available: returned immediately.
-  EXPECT_TRUE(queue.Push(7));
-  EXPECT_EQ(queue.PopWithTimeout(1000, &item), PopStatus::kItem);
-  EXPECT_EQ(item, 7);
-
-  // Empty but open: timeout, not closed — the caller can tell a silent
-  // producer from a finished stream.
-  item.reset();
-  EXPECT_EQ(queue.PopWithTimeout(5, &item), PopStatus::kTimeout);
-  EXPECT_FALSE(item.has_value());
-
-  // Closed with items left: still drains them before reporting closed.
-  EXPECT_TRUE(queue.Push(8));
-  queue.Close();
-  EXPECT_EQ(queue.PopWithTimeout(5, &item), PopStatus::kItem);
-  EXPECT_EQ(item, 8);
-  EXPECT_EQ(queue.PopWithTimeout(5, &item), PopStatus::kClosed);
-  EXPECT_EQ(queue.PopWithTimeout(5, &item), PopStatus::kClosed);  // sticky
-}
-
-TEST(BoundedQueueTest, PopWithTimeoutWokenByLatePush) {
-  BoundedQueue<int> queue(2);
-  std::thread producer([&queue] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(queue.Push(42));
-  });
-  // A generous deadline: the late push must wake the waiter well before
-  // the timeout fires.
-  std::optional<int> item;
-  EXPECT_EQ(queue.PopWithTimeout(10000, &item),
-            BoundedQueue<int>::PopStatus::kItem);
-  EXPECT_EQ(item, 42);
-  producer.join();
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumersDeliverEverything) {
-  constexpr int kProducers = 4;
-  constexpr int kItemsPerProducer = 250;
-  BoundedQueue<int> queue(8);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push(p * kItemsPerProducer + i));
-      }
-    });
-  }
-  std::mutex mutex;
-  std::set<int> seen;
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&queue, &mutex, &seen] {
-      while (auto item = queue.Pop()) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        seen.insert(*item);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  queue.Close();
-  for (std::thread& t : consumers) t.join();
-  EXPECT_EQ(seen.size(),
-            static_cast<size_t>(kProducers * kItemsPerProducer));
 }
 
 // --------------------------------------------------------------- process

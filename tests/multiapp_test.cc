@@ -277,16 +277,24 @@ TEST_F(MultiAppTest, StreamingMultiAppMatchesSoloRunsAtEveryThreadCount) {
   }
 }
 
+// The independent reference: each scene ranked alone by RankScene on the
+// calling thread, concatenated in dataset order.
 TEST_F(MultiAppTest, StreamingMatchesBatchForTheSameRequest) {
   const std::vector<std::string> apps = fixy_->applications().names();
+  MultiAppReport per_scene;
+  for (const Scene& scene : dataset_->dataset.scenes) {
+    auto one = fixy_->RankScene(scene, apps);
+    ASSERT_TRUE(one.ok()) << one.status();
+    ASSERT_TRUE(AppendShardReport(per_scene, std::move(*one)).ok());
+  }
+  RecomputeReportSummary(per_scene);
   const DatasetSceneSource source(dataset_->dataset);
-  const auto batch = fixy_->RankDataset(dataset_->dataset, apps);
   const auto streamed = fixy_->RankDatasetStreaming(source, apps);
-  ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(streamed.ok());
+  ASSERT_EQ(streamed->apps, per_scene.apps);
   for (size_t a = 0; a < apps.size(); ++a) {
     SCOPED_TRACE(apps[a]);
-    ExpectReportsIdentical(batch->reports[a], streamed->reports[a]);
+    ExpectReportsIdentical(per_scene.reports[a], streamed->reports[a]);
   }
 }
 

@@ -399,11 +399,21 @@ TEST(DistributionInterfaceTest, LogDensityIsFloored) {
 
 // Property sweep: for every estimator, NormalizedScore stays in
 // [floor, 1] across a wide input range.
+struct EstimatorCase {
+  std::string name;
+  std::shared_ptr<const Distribution> dist;
+};
+
+// Prints a case by name, so the parameter (and the test name CTest
+// derives from it) is the same on every run; the default printer would
+// show the shared_ptr's heap address.
+void PrintTo(const EstimatorCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributionContractTest
-    : public ::testing::TestWithParam<std::shared_ptr<const Distribution>> {};
+    : public ::testing::TestWithParam<EstimatorCase> {};
 
 TEST_P(DistributionContractTest, NormalizedScoreBounds) {
-  const auto& dist = GetParam();
+  const auto& dist = GetParam().dist;
   Rng rng(55);
   for (int i = 0; i < 500; ++i) {
     const double x = rng.Uniform(-100.0, 100.0);
@@ -414,18 +424,25 @@ TEST_P(DistributionContractTest, NormalizedScoreBounds) {
   }
 }
 
-std::vector<std::shared_ptr<const Distribution>> AllDistributions() {
-  std::vector<std::shared_ptr<const Distribution>> all;
-  all.push_back(std::make_shared<GaussianKde>(
-      GaussianKde::Fit(NormalSample(0, 2, 300, 21)).value()));
-  all.push_back(std::make_shared<HistogramDensity>(
-      HistogramDensity::Fit(NormalSample(0, 2, 300, 22), 16).value()));
-  all.push_back(std::make_shared<Gaussian>(Gaussian::Create(0, 2).value()));
-  all.push_back(std::make_shared<Bernoulli>(Bernoulli::Create(0.4).value()));
-  all.push_back(std::make_shared<Categorical>(
-      Categorical::Fit({1, 2, 2, 3, 3, 3}).value()));
-  all.push_back(std::make_shared<LambdaDistribution>(
-      "exp", [](double x) { return std::exp(-std::abs(x)); }));
+std::vector<EstimatorCase> AllDistributions() {
+  std::vector<EstimatorCase> all;
+  all.push_back({"kde", std::make_shared<GaussianKde>(GaussianKde::Fit(
+                            NormalSample(0, 2, 300, 21)).value())});
+  all.push_back({"histogram",
+                 std::make_shared<HistogramDensity>(
+                     HistogramDensity::Fit(NormalSample(0, 2, 300, 22), 16)
+                         .value())});
+  all.push_back(
+      {"gaussian", std::make_shared<Gaussian>(Gaussian::Create(0, 2).value())});
+  all.push_back({"bernoulli",
+                 std::make_shared<Bernoulli>(Bernoulli::Create(0.4).value())});
+  all.push_back({"categorical", std::make_shared<Categorical>(
+                                    Categorical::Fit({1, 2, 2, 3, 3, 3})
+                                        .value())});
+  all.push_back({"lambda_exp", std::make_shared<LambdaDistribution>(
+                                   "exp", [](double x) {
+                                     return std::exp(-std::abs(x));
+                                   })});
   return all;
 }
 

@@ -6,7 +6,7 @@
 # Usage:
 #   tools/check.sh            # plain + asan + tsan + ubsan + metrics
 #                             # + cache + multiapp + shard + daemon
-#                             # + incremental + sweep + perf
+#                             # + incremental + sweep
 #   tools/check.sh plain      # just the tier-1 build/test
 #   tools/check.sh address    # just the asan build/test
 #   tools/check.sh thread     # just the tsan build/test
@@ -47,15 +47,9 @@
 #                             # watch --learn-labels fold byte-identical to
 #                             # a full refit, watch smoke with a live edit,
 #                             # and the randomized parity/merge suites
-#   tools/check.sh perf       # perf-regression gate: re-run the hot-path
-#                             # throughput bench and fail if any scenes/sec
-#                             # row drops below the tolerance band of the
-#                             # committed BENCH_hotpath.json, then the same
-#                             # for the cold rows of BENCH_shard.json, the
-#                             # resident p50 latencies of BENCH_daemon.json,
-#                             # and the update/fold speedups of
-#                             # BENCH_incremental.json
-#                             # (see FIXY_PERF_TOLERANCE, default 0.75)
+#
+# Performance is measured by `python3 fixybench/run.py` (see
+# fixybench/README.md), not by this script.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -204,7 +198,7 @@ PYEOF
   fi
 
   echo "==== cache: streaming tests under asan + tsan ===="
-  local san tests_re="Fxb|BoundedQueue|Crc32|Streaming|Binary|ChecksumFlip"
+  local san tests_re="Fxb|Crc32|Streaming|Binary|ChecksumFlip"
   for san in address thread; do
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
@@ -362,8 +356,9 @@ run_daemon_sweep() {
   [ -x "${cli}" ] || cli="$(find build -name fixy_cli -type f | head -1)"
   local work
   work="$(mktemp -d)"
-  # The daemon must not outlive the sweep even on failure.
-  trap 'kill "${serve_pid:-}" 2>/dev/null; rm -rf "${work}"' RETURN
+  # The daemon must not outlive the sweep even on failure. `|| true`: once
+  # the daemon has exited the kill fails, and errexit applies in traps.
+  trap 'kill "${serve_pid:-}" 2>/dev/null || true; rm -rf "${work}"' RETURN
 
   echo "==== daemon: generate + learn + start fixyd ===="
   "${cli}" generate --out "${work}/ds" --profile lyft --scenes 4 --seed 11
@@ -635,41 +630,6 @@ EOF
   echo "==== sweep: OK ===="
 }
 
-run_perf_gate() {
-  echo "==== perf: build bench_throughput ===="
-  cmake -B build -S .
-  cmake --build build -j "${JOBS}" --target bench_throughput
-  local bench="build/bench/bench_throughput"
-  [ -x "${bench}" ] || bench="$(find build -name bench_throughput -type f | head -1)"
-  [ -f BENCH_hotpath.json ] \
-      || { echo "perf gate FAILED: BENCH_hotpath.json not committed" >&2
-           return 1; }
-  [ -f BENCH_shard.json ] \
-      || { echo "perf gate FAILED: BENCH_shard.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_hotpath.json ===="
-  # The filter matches no google-benchmark; only the hot-path measurement
-  # and the baseline diff run. A regression exits non-zero.
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --hotpath-baseline BENCH_hotpath.json
-  echo "==== perf: re-measure vs committed BENCH_shard.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --shard-baseline BENCH_shard.json
-  [ -f BENCH_daemon.json ] \
-      || { echo "perf gate FAILED: BENCH_daemon.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_daemon.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --daemon-baseline BENCH_daemon.json
-  [ -f BENCH_incremental.json ] \
-      || { echo "perf gate FAILED: BENCH_incremental.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_incremental.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --incremental-baseline BENCH_incremental.json
-  echo "==== perf: OK ===="
-}
-
 mode="${1:-all}"
 case "${mode}" in
   plain)
@@ -694,8 +654,6 @@ case "${mode}" in
     run_incremental_sweep ;;
   sweep)
     run_scenario_sweep ;;
-  perf)
-    run_perf_gate ;;
   all)
     run_suite "plain" build
     run_suite "asan" build-asan -DFIXY_SANITIZE=address
@@ -707,10 +665,9 @@ case "${mode}" in
     run_shard_sweep
     run_daemon_sweep
     run_incremental_sweep
-    run_scenario_sweep
-    run_perf_gate ;;
+    run_scenario_sweep ;;
   *)
-    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|shard|daemon|incremental|sweep|perf|all]" >&2
+    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|shard|daemon|incremental|sweep|all]" >&2
     exit 2 ;;
 esac
 echo "all requested suites passed"

@@ -639,7 +639,7 @@ Status CmdRank(const Flags& flags) {
     return Status::InvalidArgument("--decode-threads must be >= 1");
   }
   // Hard ceiling on decoded-but-unranked scenes resident in memory during
-  // the streaming cache path (0 = bounded by queue capacity alone).
+  // the streaming cache path (0 = 2x the rank threads).
   FIXY_ASSIGN_OR_RETURN(const int max_resident,
                         flags.GetIntOr("max-resident-scenes", 0));
   if (max_resident < 0) {
@@ -1184,7 +1184,7 @@ void PrintUsage() {
       "           [--decode-threads N] loader threads for the cache's\n"
       "           streaming path (default 1)\n"
       "           [--max-resident-scenes N] cap decoded-but-unranked scenes\n"
-      "           resident in memory on the streaming path (0 = queue-bound)\n"
+      "           resident in memory on the streaming path (0 = 2x --threads)\n"
       "           [--workers N]  rank in N worker processes over scene-range\n"
       "           shards; each completed shard writes a CRC'd checkpoint,\n"
       "           failed shards retry with capped backoff and quarantine\n"
