@@ -1,5 +1,7 @@
 #include "daemon/protocol.h"
 
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -86,6 +88,11 @@ Result<Request> RequestFromJson(const json::Value& value) {
   if (value.Find("top") != nullptr) {
     FIXY_ASSIGN_OR_RETURN(const int64_t top, value.GetInt64("top"));
     if (top < 0) return Status::InvalidArgument("request top must be >= 0");
+    if (top > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument(
+          "request top must be <= " +
+          std::to_string(std::numeric_limits<int>::max()));
+    }
     request.top = static_cast<int>(top);
   }
   if (value.Find("deadline_ms") != nullptr) {

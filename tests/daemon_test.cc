@@ -107,6 +107,27 @@ TEST(DaemonProtocolTest, RequestFromJsonRejectsHostileInput) {
   bad_apps["kind"] = json::Value(std::string("status"));
   bad_apps["apps"] = json::Value(std::string("model-errors"));
   EXPECT_FALSE(RequestFromJson(json::Value(std::move(bad_apps))).ok());
+  // A top beyond int range is rejected, naming the bound, instead of
+  // wrapping: 2^32 used to become 0 (an empty worklist) and 2^31 negative.
+  for (const int64_t top : {int64_t{4294967296}, int64_t{2147483648}}) {
+    json::Object huge_top;
+    huge_top["kind"] = json::Value(std::string("rank"));
+    huge_top["top"] = json::Value(top);
+    const Result<Request> parsed =
+        RequestFromJson(json::Value(std::move(huge_top)));
+    ASSERT_FALSE(parsed.ok()) << top;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("2147483647"),
+              std::string::npos)
+        << parsed.status();
+  }
+  json::Object max_top;
+  max_top["kind"] = json::Value(std::string("rank"));
+  max_top["top"] = json::Value(int64_t{2147483647});
+  const Result<Request> at_bound =
+      RequestFromJson(json::Value(std::move(max_top)));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->top, 2147483647);
 }
 
 #if defined(FIXY_DAEMON_TEST_HAVE_SOCKETS)

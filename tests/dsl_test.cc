@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/crc32.h"
 #include "dsl/aof.h"
 #include "dsl/bundler.h"
 #include "dsl/feature.h"
 #include "dsl/feature_distribution.h"
 #include "dsl/track_builder.h"
+#include "scenario/materialize.h"
+#include "scenario/presets.h"
 #include "stats/gaussian.h"
 #include "stats/lambda_distribution.h"
 
@@ -196,6 +200,47 @@ TEST(TrackBuilderTest, BundlesCarryEgoPose) {
   const Track& track = tracks->tracks[0];
   EXPECT_DOUBLE_EQ(track.bundles()[1].ego_position.x, 2.0);
   EXPECT_DOUBLE_EQ(track.bundles()[2].ego_position.y, 1.0);
+}
+
+// CRC-32 over each track's id and its member observation ids in bundle
+// order: two track sets share a digest only if association grouped and
+// ordered every observation the same way.
+uint32_t AssociationDigest(const TrackSet& set) {
+  std::string text;
+  for (const Track& track : set.tracks) {
+    text += std::to_string(track.id()) + ':';
+    for (const ObservationBundle& bundle : track.bundles()) {
+      for (const Observation& obs : bundle.observations) {
+        text += std::to_string(obs.id) + ',';
+      }
+    }
+    text += ';';
+  }
+  return Crc32(text);
+}
+
+// Association golden for one fixed-seed dense-urban scene. The expected
+// values are constants recorded with the polygon clip deciding every pair,
+// so any shortcut in geom::BevIou that flips one association decision
+// (in sim placement, bundling or linking) changes them.
+TEST(TrackBuilderTest, DenseSceneAssociationGolden) {
+  const Result<scenario::ScenarioSpec> spec =
+      scenario::PresetByName("dense-urban-intersection");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  const Result<sim::GeneratedDataset> generated =
+      scenario::GenerateScenarioDataset(*spec, 1, 2022);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  ASSERT_EQ(generated->dataset.scenes.size(), 1u);
+  const auto views =
+      TrackBuilder().BuildViews(generated->dataset.scenes[0], true, true);
+  ASSERT_TRUE(views.ok()) << views.status();
+
+  const TrackSet& full = views->view(SceneView::kFull);
+  const TrackSet& model_only = views->view(SceneView::kModelOnly);
+  EXPECT_EQ(full.tracks.size(), 205u);
+  EXPECT_EQ(AssociationDigest(full), 3957315928u);
+  EXPECT_EQ(model_only.tracks.size(), 143u);
+  EXPECT_EQ(AssociationDigest(model_only), 1116404835u);
 }
 
 // ------------------------------------------------------------------ AOF

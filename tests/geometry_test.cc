@@ -1,8 +1,16 @@
 // Tests for src/geometry: vectors, boxes, polygon clipping, IoU — golden
-// values plus parameterized property sweeps (symmetry, bounds, identity).
+// values plus parameterized property sweeps (symmetry, bounds, identity)
+// and the bit-exactness of the IoU broad phase against the polygon clip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <ostream>
+#include <string>
 
 #include "common/random.h"
 #include "geometry/box.h"
@@ -300,6 +308,221 @@ TEST_P(IouTranslationTest, TranslationInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Shifts, IouTranslationTest,
                          ::testing::Values(-100.0, -1.5, 0.0, 2.5, 1000.0));
+
+// ------------------------------------------------ Broad-phase exactness
+
+// BevIntersectionArea skips the polygon clip for footprints whose
+// circumcircles are more than 1e-6 m apart, inside an envelope where the
+// clip returns exactly 0 for them: every BEV side >= 1e-4 m and every
+// footprint coordinate within 1e7 m of the origin. These tests hold the
+// three IoU entry points to the clip's own values, bit for bit, inside
+// and outside that envelope.
+constexpr double kBroadPhaseMargin = 1e-6;
+constexpr double kBroadPhaseMinSide = 1e-4;
+constexpr double kBroadPhaseMaxCoord = 1e7;
+constexpr int kBroadPhasePairs = 25000;
+
+double ClipArea(const Box3d& a, const Box3d& b) {
+  return BoxBevPolygon(a).Intersect(BoxBevPolygon(b)).Area();
+}
+
+double ClipBevIou(const Box3d& a, const Box3d& b) {
+  const double inter = ClipArea(a, b);
+  const double uni = a.BevArea() + b.BevArea() - inter;
+  if (uni <= 0.0) return 0.0;
+  return std::clamp(inter / uni, 0.0, 1.0);
+}
+
+double ClipIou3d(const Box3d& a, const Box3d& b) {
+  const double z_overlap = std::max(
+      0.0, std::min(a.ZMax(), b.ZMax()) - std::max(a.ZMin(), b.ZMin()));
+  const double inter = ClipArea(a, b) * z_overlap;
+  const double uni = a.Volume() + b.Volume() - inter;
+  if (uni <= 0.0) return 0.0;
+  return std::clamp(inter / uni, 0.0, 1.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+double CircumRadius(const Box3d& box) {
+  return 0.5 * std::sqrt(box.length * box.length + box.width * box.width);
+}
+
+std::string DescribePair(const Box3d& a, const Box3d& b) {
+  const auto one = [](const Box3d& box) {
+    char text[160];
+    std::snprintf(text, sizeof(text), "{c=(%.17g, %.17g) l=%.17g w=%.17g "
+                  "yaw=%.17g}", box.center.x, box.center.y, box.length,
+                  box.width, box.yaw);
+    return std::string(text);
+  };
+  return one(a) + " vs " + one(b);
+}
+
+// Number of the three entry points that differ from the clip in any bit.
+int ClipMismatches(const Box3d& a, const Box3d& b) {
+  return (Bits(BevIntersectionArea(a, b)) != Bits(ClipArea(a, b))) +
+         (Bits(BevIou(a, b)) != Bits(ClipBevIou(a, b))) +
+         (Bits(Iou3d(a, b)) != Bits(ClipIou3d(a, b)));
+}
+
+// A sampling envelope: extents are log-uniform on [min_extent,
+// max_extent], centre coordinates have log-uniform magnitudes on
+// [min_coord, max_coord] and a random sign, yaws are arbitrary, and the
+// second box sits at the circumradius sum plus or minus a log-uniform gap
+// of 1e-12..1 m. Each envelope names how many of its pairs must land in
+// the reject region and fall through each guard, so a sampler that stops
+// reaching a region fails instead of passing vacuously.
+struct BroadPhaseEnvelope {
+  const char* name;
+  uint64_t seed;
+  double min_extent;
+  double max_extent;
+  double min_coord;
+  double max_coord;
+  int min_rejected;
+  int min_small_side;
+  int min_far_coord;
+};
+
+void PrintTo(const BroadPhaseEnvelope& envelope, std::ostream* os) {
+  *os << envelope.name;
+}
+
+double LogUniform(Rng& rng, double lo, double hi) {
+  return std::exp(rng.Uniform(std::log(lo), std::log(hi)));
+}
+
+class BroadPhaseExactnessTest
+    : public ::testing::TestWithParam<BroadPhaseEnvelope> {};
+
+TEST_P(BroadPhaseExactnessTest, MatchesClipBitForBit) {
+  const BroadPhaseEnvelope& env = GetParam();
+  Rng rng(env.seed);
+  const auto extent = [&] {
+    return LogUniform(rng, env.min_extent, env.max_extent);
+  };
+  const auto coord = [&] {
+    const double magnitude = LogUniform(rng, env.min_coord, env.max_coord);
+    return rng.Bernoulli(0.5) ? magnitude : -magnitude;
+  };
+  int rejected = 0;
+  int small_side = 0;
+  int far_coord = 0;
+  int mismatched = 0;
+  std::string first_mismatch;
+  for (int i = 0; i < kBroadPhasePairs; ++i) {
+    Box3d a({coord(), coord(), rng.Uniform(-1, 1)}, extent(), extent(),
+            extent(), rng.Uniform(-4 * M_PI, 4 * M_PI));
+    Box3d b({0, 0, 0}, extent(), extent(), extent(),
+            rng.Uniform(-4 * M_PI, 4 * M_PI));
+    const double ra = CircumRadius(a);
+    const double rb = CircumRadius(b);
+    const double gap = (rng.Bernoulli(0.5) ? 1.0 : -1.0) *
+                       LogUniform(rng, 1e-12, 1.0);
+    const double distance = std::max(0.0, ra + rb + gap);
+    const double angle = rng.Uniform(0, 2 * M_PI);
+    b.center = {a.center.x + distance * std::cos(angle),
+                a.center.y + distance * std::sin(angle),
+                a.center.z + rng.Uniform(-1, 1) * (a.height + b.height)};
+
+    const bool side_guard =
+        std::min({a.length, a.width, b.length, b.width}) < kBroadPhaseMinSide;
+    const bool coord_guard =
+        std::max({std::abs(a.center.x) + ra, std::abs(a.center.y) + ra,
+                  std::abs(b.center.x) + rb, std::abs(b.center.y) + rb}) >
+        kBroadPhaseMaxCoord;
+    small_side += side_guard;
+    far_coord += coord_guard;
+    // Twice the margin, so rounding of b's centre cannot move a pair
+    // counted here back inside it.
+    rejected += !side_guard && !coord_guard && gap > 2 * kBroadPhaseMargin;
+
+    if (ClipMismatches(a, b) != 0 && mismatched++ == 0) {
+      first_mismatch = DescribePair(a, b);
+    }
+  }
+  EXPECT_EQ(mismatched, 0) << "first: " << first_mismatch;
+  EXPECT_GE(rejected, env.min_rejected);
+  EXPECT_GE(small_side, env.min_small_side);
+  EXPECT_GE(far_coord, env.min_far_coord);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Envelopes, BroadPhaseExactnessTest,
+    ::testing::Values(
+        // Inside the envelope: the reject decides about a quarter of pairs.
+        BroadPhaseEnvelope{"guarded", 11, 1e-4, 10, 1e-3, 1e6, 4000, 0, 0},
+        // Every box has a side below 1e-4 m: all pairs go to the clip.
+        BroadPhaseEnvelope{"small_sides", 12, 1e-9, 1e-4, 1e-3, 1e6, 0,
+                           kBroadPhasePairs, 0},
+        // Every centre is beyond 1e7 m: all pairs go to the clip.
+        BroadPhaseEnvelope{"far_centres", 13, 1e-4, 10, 1e7, 1e12, 0, 0,
+                           kBroadPhasePairs},
+        // The whole mixture: extents 1e-9..10 m, centres out to 1e12 m.
+        BroadPhaseEnvelope{"mixed", 14, 1e-9, 10, 1e-3, 1e12, 100, 20000,
+                           10000}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Pairs whose circumcircles are more than the margin apart, yet which the
+// clip scores as overlapping. Each lies outside the broad phase's
+// envelope in one direction, so the clip's (pre-existing) answer must come
+// back unchanged rather than become 0.
+void ExpectClipOverlapKept(const Box3d& a, const Box3d& b) {
+  const double dx = a.center.x - b.center.x;
+  const double dy = a.center.y - b.center.y;
+  ASSERT_GT(std::sqrt(dx * dx + dy * dy),
+            CircumRadius(a) + CircumRadius(b) + kBroadPhaseMargin);
+  ASSERT_GT(ClipArea(a, b), 0.0);
+  EXPECT_EQ(ClipMismatches(a, b), 0) << DescribePair(a, b);
+  EXPECT_EQ(ClipMismatches(b, a), 0) << DescribePair(b, a);
+}
+
+// Sub-micrometre sides: the clip's 1e-12 cross-product tolerance admits
+// points 1e-3 m off a 1e-9 m edge, so it scores these boxes, 10 um apart,
+// as fully overlapping.
+TEST(BroadPhaseTest, SubMicrometreSidesKeepTheClipsValue) {
+  const Box3d a({0, 0, 0}, 1e-9, 1e-9, 1e-9, 0.3);
+  const Box3d b({1e-5, 0, 0}, 1e-9, 1e-9, 1e-9, 1.1);
+  ExpectClipOverlapKept(a, b);
+  EXPECT_NEAR(BevIou(a, b), 1.0, 1e-6);
+}
+
+// Centres near 1.6e11 m: corners round to a 3e-5 m grid, so these two
+// diamonds, whose circumcircles are 3.4 um apart, share a sliver.
+TEST(BroadPhaseTest, FarCentresKeepTheClipsValue) {
+  const double side = 1.1733011078033051;
+  ExpectClipOverlapKept(
+      Box3d({159857974229.9704, 0, 0}, side, side, 1, M_PI / 4),
+      Box3d({159857974231.6297, 0, 0}, side, side, 1, M_PI / 4));
+}
+
+// Corner-to-corner contact 1e-13 m apart, inside the envelope: the clip's
+// tolerance scores it as a sliver of area, and the 1e-6 m margin keeps the
+// reject from turning that into 0.
+TEST(BroadPhaseTest, NearContactKeepsTheClipsSliver) {
+  const Box3d a({0, 0, 0}, 2, 2, 1, M_PI / 4);
+  const Box3d b({2 * std::sqrt(2.0) + 1e-13, 0, 0}, 2, 2, 1, M_PI / 4);
+  ASSERT_GT(ClipArea(a, b), 0.0);
+  EXPECT_EQ(ClipMismatches(a, b), 0);
+  EXPECT_EQ(ClipMismatches(b, a), 0);
+}
+
+// Non-finite centres and extents fall through to the clip, whatever it
+// makes of them. Yaw never enters the reject; a NaN yaw makes every
+// clip corner NaN, so the clip answers 0 too.
+TEST(BroadPhaseTest, NonFiniteValuesKeepTheClipsValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Box3d far({100, 0, 0}, 4, 2, 1.5, 0.2);
+  for (const Box3d& odd :
+       {Box3d({nan, 0, 0}, 4, 2, 1.5, 0), Box3d({0, nan, 0}, 4, 2, 1.5, 0),
+        Box3d({inf, 0, 0}, 4, 2, 1.5, 0), Box3d({0, -inf, 0}, 4, 2, 1.5, 0),
+        Box3d({0, 0, 0}, 4, 2, 1.5, nan), Box3d({0, 0, 0}, inf, 2, 1.5, 0)}) {
+    EXPECT_EQ(ClipMismatches(odd, far), 0) << DescribePair(odd, far);
+    EXPECT_EQ(ClipMismatches(far, odd), 0) << DescribePair(far, odd);
+  }
+}
 
 }  // namespace
 }  // namespace fixy::geom
