@@ -16,6 +16,7 @@
 #include "core/engine.h"
 #include "core/features_std.h"
 #include "core/learner.h"
+#include "core/scene_pass.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "workloads.h"
@@ -35,9 +36,13 @@ std::vector<sim::GeneratedScene> ValidationScenes(
   return scenes;
 }
 
+// Ranks missing tracks against a spec built from `learned`, through the
+// same ScenePass pipeline the engine runs.
 double PrecisionAt10(const std::vector<sim::GeneratedScene>& scenes,
                      const std::vector<FeatureDistribution>& learned,
                      const ApplicationOptions& options) {
+  const AppSpec app = MissingTracksApp();
+  const LoaSpec spec = BuildMissingTracksSpec(learned, options);
   double total = 0.0;
   int counted = 0;
   for (const sim::GeneratedScene& generated : scenes) {
@@ -45,9 +50,12 @@ double PrecisionAt10(const std::vector<sim::GeneratedScene>& scenes,
         eval::ClaimableErrors(generated.ledger, ProposalKind::kMissingTrack,
                               generated.scene.name());
     if (claimable.empty()) continue;
+    ScenePass pass = ScenePass::Run(generated.scene, options.track_builder,
+                                    /*need_full=*/true,
+                                    /*need_model_only=*/false)
+                         .value();
     const auto proposals =
-        FindMissingTracks(generated.scene,
-                          BuildMissingTracksSpec(learned, options), options)
+        RunApplicationOnPass(app, spec, generated.scene, pass, options)
             .value();
     total += eval::PrecisionAtK(proposals, claimable, 10).precision;
     ++counted;

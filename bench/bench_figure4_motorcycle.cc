@@ -104,7 +104,7 @@ void Run() {
   const TrainedPipeline pipeline =
       Train(sim::InternalLikeProfile(), kInternalTrainingScenes);
   const auto proposals =
-      pipeline.fixy.FindMissingTracks(generated.scene).value();
+      pipeline.fixy.Find(generated.scene, "missing-tracks").value();
 
   int moto_rank = -1;
   for (size_t r = 0; r < proposals.size(); ++r) {

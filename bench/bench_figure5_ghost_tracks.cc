@@ -173,7 +173,7 @@ void Run() {
 
   // ---- Figure 9: inverted AOF ranks the inconsistent track first, and
   // the ad-hoc assertions stay silent. ----
-  const auto model_errors = pipeline.fixy.FindModelErrors(scene).value();
+  const auto model_errors = pipeline.fixy.Find(scene, "model-errors").value();
   const auto appear = baselines::AppearAssertion(scene).value();
   const auto flicker = baselines::FlickerAssertion(scene).value();
   const auto multibox = baselines::MultiboxAssertion(scene).value();

@@ -38,7 +38,7 @@ void Run() {
         generated.scene.name());
     if (errors.empty()) continue;
     const auto proposals =
-        lyft.fixy.FindMissingObservations(generated.scene).value();
+        lyft.fixy.Find(generated.scene, "missing-obs").value();
     std::string ranks;
     for (const sim::GtError* error : errors) {
       ++total_errors;

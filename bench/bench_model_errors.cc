@@ -88,7 +88,7 @@ void Run() {
 
     // Step 2 & 3: Fixy and uncertainty sampling on the novel errors.
     const auto fixy_ranked = ExcludeMatching(
-        lyft.fixy.FindModelErrors(generated.scene).value(), caught_errors);
+        lyft.fixy.Find(generated.scene, "model-errors").value(), caught_errors);
     const auto us_ranked = ExcludeMatching(
         baselines::UncertaintySampling(generated.scene).value(),
         caught_errors);

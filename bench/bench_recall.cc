@@ -27,7 +27,8 @@ void Run() {
   const auto claimable = eval::ClaimableErrors(
       audit.ledger, ProposalKind::kMissingTrack, audit.scene.name());
 
-  const auto proposals = internal.fixy.FindMissingTracks(audit.scene).value();
+  const auto proposals =
+      internal.fixy.Find(audit.scene, "missing-tracks").value();
   const auto top10_per_class = TopKPerClass(proposals, 10);
   const eval::RecallResult recall =
       eval::RecallOf(top10_per_class, claimable);
@@ -53,7 +54,7 @@ void Run() {
     if (errors.empty()) continue;
     ++scenes_with_errors;
     const auto scene_proposals =
-        lyft.fixy.FindMissingTracks(generated.scene).value();
+        lyft.fixy.Find(generated.scene, "missing-tracks").value();
     if (eval::PrecisionAtK(TopK(scene_proposals, 10), errors, 10).hits > 0) {
       ++scenes_hit_in_top10;
     }

@@ -26,7 +26,7 @@ void BM_RankSceneByDuration(benchmark::State& state) {
   const auto generated = sim::GenerateScene(profile, "runtime", 11);
   const TrainedPipeline& pipeline = LyftPipeline();
   for (auto _ : state) {
-    auto proposals = pipeline.fixy.FindMissingTracks(generated.scene);
+    auto proposals = pipeline.fixy.Find(generated.scene, "missing-tracks");
     benchmark::DoNotOptimize(proposals);
   }
   state.counters["scene_seconds"] = duration;
@@ -43,7 +43,7 @@ void BM_RankSceneByObjectCount(benchmark::State& state) {
   const auto generated = sim::GenerateScene(profile, "density", 12);
   const TrainedPipeline& pipeline = LyftPipeline();
   for (auto _ : state) {
-    auto proposals = pipeline.fixy.FindMissingTracks(generated.scene);
+    auto proposals = pipeline.fixy.Find(generated.scene, "missing-tracks");
     benchmark::DoNotOptimize(proposals);
   }
   state.counters["objects"] = static_cast<double>(state.range(0));
@@ -56,7 +56,8 @@ void BM_FindMissingTracks(benchmark::State& state) {
   const auto generated = sim::GenerateScene(sim::LyftLikeProfile(), "apps", 13);
   const TrainedPipeline& pipeline = LyftPipeline();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.fixy.FindMissingTracks(generated.scene));
+    benchmark::DoNotOptimize(
+        pipeline.fixy.Find(generated.scene, "missing-tracks"));
   }
 }
 BENCHMARK(BM_FindMissingTracks)->Unit(benchmark::kMillisecond);
@@ -66,7 +67,7 @@ void BM_FindMissingObservations(benchmark::State& state) {
   const TrainedPipeline& pipeline = LyftPipeline();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        pipeline.fixy.FindMissingObservations(generated.scene));
+        pipeline.fixy.Find(generated.scene, "missing-obs"));
   }
 }
 BENCHMARK(BM_FindMissingObservations)->Unit(benchmark::kMillisecond);
@@ -75,7 +76,8 @@ void BM_FindModelErrors(benchmark::State& state) {
   const auto generated = sim::GenerateScene(sim::LyftLikeProfile(), "apps", 13);
   const TrainedPipeline& pipeline = LyftPipeline();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.fixy.FindModelErrors(generated.scene));
+    benchmark::DoNotOptimize(
+        pipeline.fixy.Find(generated.scene, "model-errors"));
   }
 }
 BENCHMARK(BM_FindModelErrors)->Unit(benchmark::kMillisecond);

@@ -72,7 +72,7 @@ void AddRows(eval::Table* table, const std::string& dataset,
              const char* paper_rand, const char* paper_conf) {
   const PrecisionRow fixy_row =
       EvaluateMethod(scenes, [&pipeline](const Scene& scene, int) {
-        return pipeline.fixy.FindMissingTracks(scene).value();
+        return pipeline.fixy.Find(scene, "missing-tracks").value();
       });
   const PrecisionRow rand_row =
       EvaluateMethod(scenes, [](const Scene& scene, int index) {

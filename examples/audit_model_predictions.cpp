@@ -45,7 +45,7 @@ int main() {
               appear.size(), flicker.size(), multibox.size());
 
   // What Fixy finds, ranked.
-  const auto proposals = fixy.FindModelErrors(generated.scene).value();
+  const auto proposals = fixy.Find(generated.scene, "model-errors").value();
   std::printf("Fixy ranks %zu candidate tracks; top 10:\n\n",
               proposals.size());
   int rank = 1;

@@ -102,7 +102,7 @@ int main() {
 
   // Rank a fresh scene with the extended feature set.
   const auto scene = sim::GenerateScene(profile, "validation", 9001);
-  const auto proposals = fixy.FindMissingTracks(scene.scene);
+  const auto proposals = fixy.Find(scene.scene, "missing-tracks");
   if (!proposals.ok()) {
     std::fprintf(stderr, "ranking failed: %s\n",
                  proposals.status().ToString().c_str());

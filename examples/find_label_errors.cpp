@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   size_t verified = 0;
   size_t proposed = 0;
   for (const Scene& scene : loaded->scenes) {
-    const auto proposals = fixy.FindMissingTracks(scene);
+    const auto proposals = fixy.Find(scene, "missing-tracks");
     if (!proposals.ok()) {
       std::fprintf(stderr, "ranking failed for %s: %s\n",
                    scene.name().c_str(),

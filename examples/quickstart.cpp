@@ -52,7 +52,7 @@ int main() {
 
   // 3. Online phase: rank potential missing tracks.
   const Result<std::vector<ErrorProposal>> proposals =
-      fixy.FindMissingTracks(validation.scene);
+      fixy.Find(validation.scene, "missing-tracks");
   if (!proposals.ok()) {
     std::fprintf(stderr, "ranking failed: %s\n",
                  proposals.status().ToString().c_str());

@@ -4,9 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "common/macros.h"
 #include "core/features_std.h"
-#include "core/scene_pass.h"
 #include "graph/factor_graph.h"
 
 namespace fixy {
@@ -76,19 +74,6 @@ ErrorProposal MakeTrackProposal(const Scene& scene, const Track& track,
     if (obs != nullptr) proposal.box = obs->box;
   }
   return proposal;
-}
-
-// Standalone facade shared by the three Find* entry points: one ScenePass
-// over the scene, then the application's compile + extract stage.
-Result<std::vector<ErrorProposal>> FindWithApp(
-    const Scene& scene, const AppSpec& app, const LoaSpec& spec,
-    const ApplicationOptions& options) {
-  FIXY_ASSIGN_OR_RETURN(
-      ScenePass pass,
-      ScenePass::Run(scene, options.track_builder,
-                     /*need_full=*/app.view == SceneView::kFull,
-                     /*need_model_only=*/app.view == SceneView::kModelOnly));
-  return RunApplicationOnPass(app, spec, scene, pass, options);
 }
 
 }  // namespace
@@ -289,24 +274,6 @@ AppSpec ModelErrorsApp() {
   };
   app.prune_normalize = [](const ApplicationOptions&) { return true; };
   return app;
-}
-
-Result<std::vector<ErrorProposal>> FindMissingTracks(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options) {
-  return FindWithApp(scene, MissingTracksApp(), spec, options);
-}
-
-Result<std::vector<ErrorProposal>> FindMissingObservations(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options) {
-  return FindWithApp(scene, MissingObservationsApp(), spec, options);
-}
-
-Result<std::vector<ErrorProposal>> FindModelErrors(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options) {
-  return FindWithApp(scene, ModelErrorsApp(), spec, options);
 }
 
 }  // namespace fixy

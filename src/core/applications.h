@@ -7,16 +7,17 @@
 //   - model-errors:    erroneous ML model predictions.
 //
 // Each is packaged as an AppSpec (spec builder + extraction strategy) so
-// it plugs into the ApplicationRegistry alongside user applications; the
-// Find* facades below rank one scene standalone through the same
-// ScenePass pipeline the batch engine uses.
+// it plugs into the ApplicationRegistry alongside user applications, and
+// is named only by its registry name. To rank one scene, use
+// Fixy::Find(scene, name); to rank against a spec of your own, run
+// ScenePass::Run and RunApplicationOnPass (core/scene_pass.h), the
+// pipeline every ranking call uses.
 #ifndef FIXY_CORE_APPLICATIONS_H_
 #define FIXY_CORE_APPLICATIONS_H_
 
 #include <optional>
 #include <vector>
 
-#include "common/result.h"
 #include "core/app_spec.h"
 #include "core/proposal.h"
 #include "data/scene.h"
@@ -47,9 +48,10 @@ LoaSpec BuildMissingObservationsSpec(
 LoaSpec BuildModelErrorsSpec(const std::vector<FeatureDistribution>& learned);
 
 /// The paper applications as registry entries. MissingTracksApp and
-/// MissingObservationsApp build their specs from the count-augmented
-/// learned set and associate over the full scene; ModelErrorsApp builds
-/// from the continuous learned set and associates model predictions only.
+/// MissingObservationsApp build their specs from the learned set without
+/// the count distribution and associate over the full scene;
+/// ModelErrorsApp builds from the count-augmented set and associates
+/// model predictions only.
 AppSpec MissingTracksApp();
 AppSpec MissingObservationsApp();
 AppSpec ModelErrorsApp();
@@ -71,19 +73,6 @@ std::vector<ErrorProposal> ExtractMissingObservations(const AppContext& ctx);
 /// ranks model tracks longer than the count threshold by descending
 /// implausibility (the spec's inverting AOF).
 std::vector<ErrorProposal> ExtractModelErrors(const AppContext& ctx);
-
-/// Standalone single-scene facades over the ScenePass pipeline, against a
-/// prebuilt spec (see the Build*Spec builders above). Equivalent to
-/// registering the application and ranking a one-scene dataset.
-Result<std::vector<ErrorProposal>> FindMissingTracks(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options);
-Result<std::vector<ErrorProposal>> FindMissingObservations(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options);
-Result<std::vector<ErrorProposal>> FindModelErrors(
-    const Scene& scene, const LoaSpec& spec,
-    const ApplicationOptions& options);
 
 namespace internal {
 

@@ -5,9 +5,9 @@
 #include <deque>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "common/macros.h"
@@ -17,18 +17,6 @@
 #include "core/scene_pass.h"
 
 namespace fixy {
-
-const char* ApplicationName(Application app) {
-  switch (app) {
-    case Application::kMissingTracks:
-      return "missing-tracks";
-    case Application::kMissingObservations:
-      return "missing-obs";
-    case Application::kModelErrors:
-      return "model-errors";
-  }
-  return "unknown";
-}
 
 Status AppendShardReport(MultiAppReport& into, MultiAppReport&& part) {
   if (into.apps.empty() && into.reports.empty()) {
@@ -76,87 +64,64 @@ Fixy::Fixy(FixyOptions options)
   }
 }
 
-std::vector<FeaturePtr> Fixy::BaseFeatures() const {
+std::vector<FeaturePtr> Fixy::FeaturesToLearn() const {
   // Standard learned features (Table 2): class-conditional volume and
-  // velocity, plus any user-provided extras.
+  // velocity, plus any user-provided extras, then the track count.
   std::vector<FeaturePtr> features;
   features.push_back(std::make_shared<VolumeFeature>());
   features.push_back(std::make_shared<VelocityFeature>());
   for (const FeaturePtr& extra : options_.extra_features) {
     features.push_back(extra);
   }
+  features.push_back(std::make_shared<CountFeature>());
   return features;
 }
 
 Status Fixy::Learn(const Dataset& training) {
   const obs::ScopedStageTimer learn_timer("learn.total");
-  const std::vector<FeaturePtr> features = BaseFeatures();
   const DistributionLearner learner(options_.learner);
-  FIXY_ASSIGN_OR_RETURN(LearnedFeatureSet base_set,
-                        learner.LearnWithStats(training, features));
-
-  // Track-count distribution for the model-error application: counts are
-  // discrete, so fit a categorical regardless of the main estimator.
-  LearnerOptions count_options = options_.learner;
-  count_options.estimator = EstimatorKind::kCategorical;
-  const DistributionLearner count_learner(count_options);
-  FIXY_ASSIGN_OR_RETURN(
-      LearnedFeatureSet count_set,
-      count_learner.LearnWithStats(training,
-                                   {std::make_shared<CountFeature>()}));
-
-  learned_base_ = std::move(base_set.distributions);
-  stats_base_ = std::move(base_set.stats);
-  stats_count_ = std::move(count_set.stats);
-  learned_with_count_ = learned_base_;
-  learned_with_count_.push_back(std::move(count_set.distributions.front()));
-  has_stats_ = true;
-  learned_flag_ = true;
-  RebuildSpecs();
-  return Status::Ok();
+  LearnedFeatureSet empty;
+  for (const FeaturePtr& feature : FeaturesToLearn()) {
+    empty.stats.push_back(
+        learner.EmptyStats(*feature, options_.learner.estimator));
+  }
+  // Track counts are discrete, so the count distribution the model-error
+  // application uses is a categorical whatever the main estimator.
+  empty.stats.back().estimator = EstimatorKind::kCategorical;
+  return FoldAndCommit(training, std::move(empty));
 }
 
 Status Fixy::LearnIncremental(const Dataset& delta) {
   const obs::ScopedStageTimer learn_timer("learn.total");
   FIXY_RETURN_IF_ERROR(CheckLearned());
-  if (!has_stats_) {
+  if (stats_.empty()) {
     return Status::FailedPrecondition(
         "model carries no sufficient statistics to fold into (saved before "
         "incremental learning?) — run a full Learn() instead");
   }
-  const std::vector<FeaturePtr> features = BaseFeatures();
+  return FoldAndCommit(delta, LearnedFeatureSet{learned_with_count_, stats_});
+}
+
+Status Fixy::FoldAndCommit(const Dataset& data, LearnedFeatureSet state) {
   const DistributionLearner learner(options_.learner);
-  LearnedFeatureSet base_state{learned_base_, stats_base_};
-  FIXY_RETURN_IF_ERROR(learner.Fold(delta, features, base_state));
-
-  LearnerOptions count_options = options_.learner;
-  count_options.estimator = EstimatorKind::kCategorical;
-  const DistributionLearner count_learner(count_options);
-  LearnedFeatureSet count_state{{learned_with_count_.back()}, stats_count_};
-  FIXY_RETURN_IF_ERROR(count_learner.Fold(
-      delta, {std::make_shared<CountFeature>()}, count_state));
-
-  // Both folds succeeded — commit.
-  learned_base_ = std::move(base_state.distributions);
-  stats_base_ = std::move(base_state.stats);
-  stats_count_ = std::move(count_state.stats);
-  learned_with_count_ = learned_base_;
-  learned_with_count_.push_back(std::move(count_state.distributions.front()));
-  RebuildSpecs();
+  FIXY_RETURN_IF_ERROR(learner.Fold(data, FeaturesToLearn(), state));
+  Commit(std::move(state));
   return Status::Ok();
+}
+
+void Fixy::Commit(LearnedFeatureSet model) {
+  learned_with_count_ = std::move(model.distributions);
+  stats_ = std::move(model.stats);
+  // The label-error applications use the manual count *filter* instead
+  // of the learned count distribution, which is last.
+  learned_base_.assign(learned_with_count_.begin(),
+                       learned_with_count_.end() - 1);
+  RebuildSpecs();
 }
 
 Status Fixy::SaveModel(const std::string& path) const {
   FIXY_RETURN_IF_ERROR(CheckLearned());
-  // learned_with_count_ = learned_base_ + the track-count distribution, so
-  // serializing it captures the full learned state; the parallel stats
-  // (when held) make the saved model foldable after a reload.
-  std::vector<FeatureStats> stats;
-  if (has_stats_) {
-    stats = stats_base_;
-    stats.insert(stats.end(), stats_count_.begin(), stats_count_.end());
-  }
-  return SaveLearnedModel(learned_with_count_, stats, path);
+  return SaveLearnedModel(learned_with_count_, stats_, path);
 }
 
 Status Fixy::LoadModel(const std::string& path) {
@@ -166,42 +131,35 @@ Status Fixy::LoadModel(const std::string& path) {
   }
   FIXY_ASSIGN_OR_RETURN(LoadedModel model,
                         LoadLearnedModelWithStats(path, registry));
-  // Split the count distribution back out: the label-error applications
-  // use the manual count *filter* instead of the learned distribution.
-  // The stats (when present) are parallel to the distributions and split
-  // the same way. learned_with_count_ is rebuilt count-last so the
-  // learned state (and a subsequent SaveModel) is canonical whatever
-  // order the file listed the features in.
-  learned_base_.clear();
-  stats_base_.clear();
-  stats_count_.clear();
-  const bool with_stats = model.has_stats();
-  std::optional<FeatureDistribution> count_fd;
+  // Put the file's entries in learn order, checking that each learned
+  // feature appears exactly once, before anything in the engine changes.
+  std::map<std::string, size_t> entry_of;
   for (size_t i = 0; i < model.distributions.size(); ++i) {
-    FeatureDistribution& fd = model.distributions[i];
-    if (fd.feature().kind() == FeatureKind::kTrack &&
-        fd.feature().name() == "count") {
-      count_fd = std::move(fd);
-      if (with_stats) stats_count_.push_back(std::move(model.stats[i]));
-    } else {
-      learned_base_.push_back(std::move(fd));
-      if (with_stats) stats_base_.push_back(std::move(model.stats[i]));
+    const std::string& name = model.distributions[i].feature().name();
+    if (!entry_of.emplace(name, i).second) {
+      return Status::InvalidArgument("model file lists feature '" + name +
+                                     "' twice");
     }
   }
-  if (!count_fd.has_value()) {
-    learned_base_.clear();
-    learned_with_count_.clear();
-    stats_base_.clear();
-    stats_count_.clear();
-    has_stats_ = false;
-    return Status::InvalidArgument(
-        "model file is missing the learned 'count' distribution");
+  LearnedFeatureSet ordered;
+  for (const FeaturePtr& feature : FeaturesToLearn()) {
+    const auto it = entry_of.find(feature->name());
+    if (it == entry_of.end()) {
+      return Status::InvalidArgument("model file is missing the learned '" +
+                                     feature->name() + "' distribution");
+    }
+    ordered.distributions.push_back(std::move(model.distributions[it->second]));
+    if (model.has_stats()) {
+      ordered.stats.push_back(std::move(model.stats[it->second]));
+    }
+    entry_of.erase(it);
   }
-  learned_with_count_ = learned_base_;
-  learned_with_count_.push_back(std::move(*count_fd));
-  has_stats_ = with_stats;
-  learned_flag_ = true;
-  RebuildSpecs();
+  if (!entry_of.empty()) {
+    return Status::InvalidArgument("model file has feature '" +
+                                   entry_of.begin()->first +
+                                   "', which this engine does not learn");
+  }
+  Commit(std::move(ordered));
   return Status::Ok();
 }
 
@@ -216,7 +174,7 @@ void Fixy::RebuildSpecs() {
 }
 
 Status Fixy::CheckLearned() const {
-  if (!learned_flag_) {
+  if (!is_learned()) {
     return Status::FailedPrecondition(
         "Fixy::Learn() must succeed before ranking errors");
   }
@@ -247,21 +205,6 @@ Result<std::vector<ErrorProposal>> Fixy::Find(const Scene& scene,
                      plan.need_full, plan.need_model));
   return RunApplicationOnPass(registry_.apps()[idx], specs_[idx], scene, pass,
                               options_.application);
-}
-
-Result<std::vector<ErrorProposal>> Fixy::FindMissingTracks(
-    const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kMissingTracks));
-}
-
-Result<std::vector<ErrorProposal>> Fixy::FindMissingObservations(
-    const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kMissingObservations));
-}
-
-Result<std::vector<ErrorProposal>> Fixy::FindModelErrors(
-    const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kModelErrors));
 }
 
 void Fixy::RankSceneApps(const RunPlan& plan, const Scene& scene,
@@ -320,15 +263,6 @@ Result<MultiAppReport> Fixy::RankDataset(
     const Dataset& dataset, const std::vector<std::string>& apps,
     const BatchOptions& batch) const {
   return RankDatasetStreaming(DatasetSceneSource(dataset), apps, batch);
-}
-
-Result<BatchReport> Fixy::RankDataset(const Dataset& dataset, Application app,
-                                      const BatchOptions& batch) const {
-  FIXY_ASSIGN_OR_RETURN(MultiAppReport multi,
-                        RankDataset(dataset, {ApplicationName(app)}, batch));
-  BatchReport report = std::move(multi.reports.front());
-  report.metrics = std::move(multi.metrics);
-  return report;
 }
 
 Result<MultiAppReport> Fixy::RankDatasetStreaming(
@@ -498,17 +432,6 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
   }
   return multi;
-}
-
-Result<BatchReport> Fixy::RankDatasetStreaming(
-    const SceneSource& source, Application app, const BatchOptions& batch,
-    const StreamOptions& stream) const {
-  FIXY_ASSIGN_OR_RETURN(
-      MultiAppReport multi,
-      RankDatasetStreaming(source, {ApplicationName(app)}, batch, stream));
-  BatchReport report = std::move(multi.reports.front());
-  report.metrics = std::move(multi.metrics);
-  return report;
 }
 
 }  // namespace fixy

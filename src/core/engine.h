@@ -1,19 +1,21 @@
 // Fixy: the system facade. Offline, Learn() fits feature distributions
-// from existing labels (the organizational resource); online, the Find*
-// methods rank potential errors in new scenes (Section 3's workflow).
+// from existing labels (the organizational resource); online, Find() and
+// the ranking calls rank potential errors in new scenes (Section 3's
+// workflow).
 //
 // Quickstart:
 //
 //   Fixy fixy;
 //   FIXY_RETURN_IF_ERROR(fixy.Learn(training_dataset));
-//   FIXY_ASSIGN_OR_RETURN(auto errors, fixy.FindMissingTracks(scene));
+//   FIXY_ASSIGN_OR_RETURN(auto errors, fixy.Find(scene, "missing-tracks"));
 //   for (const ErrorProposal& e : TopK(errors, 10)) { ... audit ... }
 //
-// Applications are open-ended: the engine ranks everything in its
-// ApplicationRegistry (the three paper applications plus any AppSpecs
-// registered through FixyOptions::extra_applications), and the
-// name-addressed RankDataset overloads rank several applications from one
-// pass over the dataset — one decode and one association per scene.
+// Applications are named only by their registry name: the engine ranks
+// everything in its ApplicationRegistry (the three paper applications,
+// "missing-tracks", "missing-obs" and "model-errors", plus any AppSpecs
+// registered through FixyOptions::extra_applications), and RankDataset
+// ranks several applications from one pass over the dataset — one decode
+// and one association per scene.
 #ifndef FIXY_CORE_ENGINE_H_
 #define FIXY_CORE_ENGINE_H_
 
@@ -47,19 +49,6 @@ struct FixyOptions {
   /// names, missing strategies) surface from the first ranking call.
   std::vector<AppSpec> extra_applications;
 };
-
-/// The three error-ranking applications of Section 7, as a selector for
-/// the single-app batch API (kept for callers that predate the
-/// name-addressed registry surface).
-enum class Application {
-  kMissingTracks = 0,
-  kMissingObservations = 1,
-  kModelErrors = 2,
-};
-
-/// The registry name of a paper application ("missing-tracks",
-/// "missing-obs", "model-errors").
-const char* ApplicationName(Application app);
 
 /// Configuration of dataset-scale batch ranking.
 struct BatchOptions {
@@ -194,14 +183,16 @@ class Fixy {
 
   /// Offline phase: learns the volume and velocity distributions (plus any
   /// extra features) from `training`'s human labels, and the track-count
-  /// distribution used by the model-error application. Also retains the
-  /// per-feature sufficient statistics the distributions materialized
-  /// from, so LearnIncremental can fold new scenes in later.
+  /// distribution used by the model-error application. This is one fold
+  /// of `training` into empty statistics, so each training scene is
+  /// associated once for all features; the engine keeps the statistics so
+  /// LearnIncremental can fold new scenes in later.
   Status Learn(const Dataset& training);
 
   /// Folds the scenes of `delta` into the retained sufficient statistics
-  /// and re-materializes every learned distribution — the amortized cost
-  /// is proportional to `delta`, not to everything learned so far. For
+  /// and re-fits the distributions whose statistics changed — the
+  /// amortized cost is proportional to `delta`, not to everything learned
+  /// so far. For
   /// the exact estimators (gaussian moments, histogram/categorical
   /// counts) the result is identical to a full refit over the extended
   /// dataset; for KDE it is identical while the per-class sample streams
@@ -212,29 +203,21 @@ class Fixy {
   /// before incremental learning); otherwise the learner's errors.
   Status LearnIncremental(const Dataset& delta);
 
-  bool is_learned() const { return learned_flag_; }
+  bool is_learned() const { return !learned_with_count_.empty(); }
 
   /// True when the engine holds the sufficient statistics
   /// LearnIncremental needs — after Learn(), or after LoadModel() of a
   /// file that carried stats.
-  bool supports_incremental_learning() const { return has_stats_; }
+  bool supports_incremental_learning() const { return !stats_.empty(); }
 
   /// Online phase (each requires Learn() first; FailedPrecondition
   /// otherwise). Outputs are ranked most-suspicious-first.
   ///
-  /// Ranks one registered application (by name) over one scene.
-  /// InvalidArgument for an unknown name — the message lists the
-  /// registered names.
+  /// Ranks one registered application (by name, e.g. "missing-tracks")
+  /// over one scene. InvalidArgument for an unknown name — the message
+  /// lists the registered names.
   Result<std::vector<ErrorProposal>> Find(const Scene& scene,
                                           const std::string& app) const;
-
-  /// Name-sugar facades for the paper applications.
-  Result<std::vector<ErrorProposal>> FindMissingTracks(
-      const Scene& scene) const;
-  Result<std::vector<ErrorProposal>> FindMissingObservations(
-      const Scene& scene) const;
-  Result<std::vector<ErrorProposal>> FindModelErrors(
-      const Scene& scene) const;
 
   /// Ranks every requested application over ONE scene from a single
   /// association pass (the same shared ScenePass the batch path uses), on
@@ -271,11 +254,6 @@ class Fixy {
                                      const std::vector<std::string>& apps,
                                      const BatchOptions& batch = {}) const;
 
-  /// Single-application wrapper over the multi-app pass; the run-wide
-  /// metrics land on the returned BatchReport.
-  Result<BatchReport> RankDataset(const Dataset& dataset, Application app,
-                                  const BatchOptions& batch = {}) const;
-
   /// RankDataset over scenes decoded on demand from `source`: loader
   /// threads decode scenes while the rank workers score earlier ones, and
   /// at most StreamOptions::max_resident_scenes decoded scenes wait in
@@ -288,11 +266,6 @@ class Fixy {
   /// with fail_fast, fails the call with the first dataset-order error).
   Result<MultiAppReport> RankDatasetStreaming(
       const SceneSource& source, const std::vector<std::string>& apps,
-      const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
-
-  /// Single-application wrapper over the streaming multi-app pass.
-  Result<BatchReport> RankDatasetStreaming(
-      const SceneSource& source, Application app,
       const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
 
   /// The application registry this engine ranks against: the three paper
@@ -311,7 +284,14 @@ class Fixy {
 
   /// Restores a model saved with SaveModel, resolving feature names
   /// through the standard registry plus this engine's extra_features.
-  /// Replaces any previously learned state.
+  /// The file must hold exactly the features this engine learns, each
+  /// once, in any order; they are stored in learn order (volume,
+  /// velocity, extras, count), so a reload re-saves the canonical file
+  /// and folds pair each feature with its own statistics. Replaces any
+  /// previously learned state, but only on success: on error the engine
+  /// is unchanged. Errors: the file's I/O and parse errors; NotFound for
+  /// an unregistered feature name; InvalidArgument for a missing,
+  /// duplicated or unlearned feature.
   Status LoadModel(const std::string& path);
 
   const FixyOptions& options() const { return options_; }
@@ -327,10 +307,18 @@ class Fixy {
 
   Status CheckLearned() const;
 
-  /// The standard learned feature list (volume + velocity + extras) —
-  /// must be identical for Learn and LearnIncremental so folded stats
-  /// stay parallel to the features they were collected for.
-  std::vector<FeaturePtr> BaseFeatures() const;
+  /// Every learned feature, in learn order: volume, velocity, extras and
+  /// the track count last. learned_with_count_ and stats_ are parallel
+  /// to it.
+  std::vector<FeaturePtr> FeaturesToLearn() const;
+
+  /// Folds `data` into `state` over FeaturesToLearn() and, on success,
+  /// commits the result: the shared tail of Learn and LearnIncremental.
+  Status FoldAndCommit(const Dataset& data, LearnedFeatureSet state);
+
+  /// Makes `model` (in learn order; stats empty or parallel) the learned
+  /// state and rebuilds the specs.
+  void Commit(LearnedFeatureSet model);
 
   /// Learned-state + registry checks and name resolution shared by every
   /// ranking entry point.
@@ -359,19 +347,15 @@ class Fixy {
   /// First error from registering extra_applications (surfaced by the
   /// first ranking call; construction itself cannot fail).
   Status registry_status_;
-  bool learned_flag_ = false;
   /// Volume + velocity + extras, for the label-error applications.
   std::vector<FeatureDistribution> learned_base_;
   /// learned_base_ + learned track-count, for the model-error application
   /// (Section 8.4 adds "a track feature over the total number of
   /// observations").
   std::vector<FeatureDistribution> learned_with_count_;
-  /// Sufficient statistics behind learned_base_ (parallel to it) and the
-  /// count distribution; empty with has_stats_ false when the model was
-  /// loaded from a stats-less file.
-  std::vector<FeatureStats> stats_base_;
-  std::vector<FeatureStats> stats_count_;
-  bool has_stats_ = false;
+  /// Sufficient statistics parallel to learned_with_count_; empty when the
+  /// model was loaded from a stats-less file.
+  std::vector<FeatureStats> stats_;
   /// Cached specs, parallel to registry_.apps(), built by RebuildSpecs().
   /// Immutable between Learn()/LoadModel() calls and safe to share across
   /// the batch path's worker threads.

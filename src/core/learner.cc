@@ -71,66 +71,67 @@ Result<EstimatorKind> EstimatorKindFromString(const std::string& name) {
 DistributionLearner::DistributionLearner(LearnerOptions options)
     : options_(std::move(options)) {}
 
-Result<DistributionLearner::CollectedValues>
-DistributionLearner::CollectValues(const Dataset& training,
-                                   const Feature& feature) const {
-  CollectedValues collected;
-  const bool per_class = feature.class_conditional();
+Result<std::vector<DistributionLearner::CollectedValues>>
+DistributionLearner::CollectValues(
+    const Dataset& training, const std::vector<FeaturePtr>& features) const {
+  std::vector<CollectedValues> collected(features.size());
   const TrackBuilder builder(options_.track_builder);
-
-  auto record = [&collected, per_class](std::optional<double> value,
-                                        ObjectClass cls) {
-    if (!value.has_value()) return;
-    if (per_class) {
-      collected.per_class[cls].push_back(*value);
-    } else {
-      collected.global.push_back(*value);
-    }
-  };
-
   for (const Scene& scene : training.scenes) {
     const Scene filtered =
         options_.all_sources ? scene : FilterScene(scene, options_.source);
     FIXY_ASSIGN_OR_RETURN(TrackSet tracks, builder.Build(filtered));
-    for (const Track& track : tracks.tracks) {
-      switch (feature.kind()) {
-        case FeatureKind::kObservation: {
-          const auto& f = static_cast<const ObservationFeature&>(feature);
-          for (const ObservationBundle& bundle : track.bundles()) {
-            FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
-            for (const Observation& obs : bundle.observations) {
-              record(f.Compute(obs, ctx), obs.object_class);
+    for (size_t i = 0; i < features.size(); ++i) {
+      const Feature& feature = *features[i];
+      CollectedValues& values = collected[i];
+      const bool per_class = feature.class_conditional();
+      auto record = [&values, per_class](std::optional<double> value,
+                                         ObjectClass cls) {
+        if (!value.has_value()) return;
+        if (per_class) {
+          values.per_class[cls].push_back(*value);
+        } else {
+          values.global.push_back(*value);
+        }
+      };
+      for (const Track& track : tracks.tracks) {
+        switch (feature.kind()) {
+          case FeatureKind::kObservation: {
+            const auto& f = static_cast<const ObservationFeature&>(feature);
+            for (const ObservationBundle& bundle : track.bundles()) {
+              FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
+              for (const Observation& obs : bundle.observations) {
+                record(f.Compute(obs, ctx), obs.object_class);
+              }
             }
+            break;
           }
-          break;
-        }
-        case FeatureKind::kBundle: {
-          const auto& f = static_cast<const BundleFeature&>(feature);
-          for (const ObservationBundle& bundle : track.bundles()) {
-            FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
-            record(f.Compute(bundle, ctx), BundleClass(bundle));
+          case FeatureKind::kBundle: {
+            const auto& f = static_cast<const BundleFeature&>(feature);
+            for (const ObservationBundle& bundle : track.bundles()) {
+              FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
+              record(f.Compute(bundle, ctx), BundleClass(bundle));
+            }
+            break;
           }
-          break;
-        }
-        case FeatureKind::kTransition: {
-          const auto& f = static_cast<const TransitionFeature&>(feature);
-          for (size_t b = 0; b + 1 < track.bundles().size(); ++b) {
-            const ObservationBundle& from = track.bundles()[b];
-            const ObservationBundle& to = track.bundles()[b + 1];
-            FeatureContext ctx{from.ego_position, scene.frame_rate_hz()};
-            record(f.Compute(from, to, ctx), BundleClass(from));
+          case FeatureKind::kTransition: {
+            const auto& f = static_cast<const TransitionFeature&>(feature);
+            for (size_t b = 0; b + 1 < track.bundles().size(); ++b) {
+              const ObservationBundle& from = track.bundles()[b];
+              const ObservationBundle& to = track.bundles()[b + 1];
+              FeatureContext ctx{from.ego_position, scene.frame_rate_hz()};
+              record(f.Compute(from, to, ctx), BundleClass(from));
+            }
+            break;
           }
-          break;
-        }
-        case FeatureKind::kTrack: {
-          const auto& f = static_cast<const TrackFeature&>(feature);
-          if (track.bundles().empty()) break;
-          FeatureContext ctx{track.bundles().front().ego_position,
-                             scene.frame_rate_hz()};
-          const auto cls = track.MajorityClass();
-          record(f.Compute(track, ctx),
-                 cls.value_or(ObjectClass::kCar));
-          break;
+          case FeatureKind::kTrack: {
+            const auto& f = static_cast<const TrackFeature&>(feature);
+            if (track.bundles().empty()) break;
+            FeatureContext ctx{track.bundles().front().ego_position,
+                               scene.frame_rate_hz()};
+            const auto cls = track.MajorityClass();
+            record(f.Compute(track, ctx), cls.value_or(ObjectClass::kCar));
+            break;
+          }
         }
       }
     }
@@ -206,181 +207,143 @@ Result<stats::DistributionPtr> DistributionLearner::FitFromStats(
   return Status::Internal("unknown estimator kind");
 }
 
-Result<FeatureDistribution> DistributionLearner::MaterializeOne(
-    const FeaturePtr& feature, const FeatureStats& stats) const {
-  if (stats.class_conditional) {
-    std::map<ObjectClass, stats::DistributionPtr> per_class;
-    for (const auto& [cls, sample_stats] : stats.per_class) {
-      if (sample_stats.n(stats.estimator) < options_.min_samples) continue;
-      FIXY_ASSIGN_OR_RETURN(stats::DistributionPtr dist,
-                            FitFromStats(sample_stats, stats.estimator));
-      per_class[cls] = std::move(dist);
-    }
-    if (per_class.empty()) {
-      return Status::InvalidArgument(
-          StrFormat("feature '%s': no class reached %zu training samples",
-                    feature->name().c_str(), options_.min_samples));
-    }
-    return FeatureDistribution(feature, std::move(per_class));
-  }
-  const uint64_t n = stats.global.n(stats.estimator);
-  if (n < options_.min_samples) {
-    return Status::InvalidArgument(
-        StrFormat("feature '%s': only %zu training samples (need %zu)",
-                  feature->name().c_str(), static_cast<size_t>(n),
-                  options_.min_samples));
-  }
-  FIXY_ASSIGN_OR_RETURN(stats::DistributionPtr dist,
-                        FitFromStats(stats.global, stats.estimator));
-  return FeatureDistribution(feature, std::move(dist));
+FeatureStats DistributionLearner::EmptyStats(const Feature& feature,
+                                             EstimatorKind estimator) const {
+  FeatureStats stats;
+  stats.estimator = estimator;
+  stats.class_conditional = feature.class_conditional();
+  if (!stats.class_conditional) stats.global = NewSampleStats();
+  return stats;
 }
 
 Result<std::vector<FeatureDistribution>> DistributionLearner::Learn(
     const Dataset& training, const std::vector<FeaturePtr>& features) const {
-  FIXY_ASSIGN_OR_RETURN(LearnedFeatureSet set,
-                        LearnWithStats(training, features));
-  return std::move(set.distributions);
-}
-
-Result<LearnedFeatureSet> DistributionLearner::LearnWithStats(
-    const Dataset& training, const std::vector<FeaturePtr>& features) const {
-  const obs::ScopedStageTimer fit_timer("learn.fit");
-  LearnedFeatureSet set;
-  set.distributions.reserve(features.size());
-  set.stats.reserve(features.size());
+  LearnedFeatureSet state;
   for (const FeaturePtr& feature : features) {
     if (feature == nullptr) {
       return Status::InvalidArgument("null feature passed to learner");
     }
-    FIXY_ASSIGN_OR_RETURN(CollectedValues collected,
-                          CollectValues(training, *feature));
-    if (obs::Enabled()) {
-      size_t samples = collected.global.size();
-      for (const auto& [cls, values] : collected.per_class) {
-        samples += values.size();
-      }
-      obs::Count("learn.samples." + feature->name(), samples);
-    }
-    FeatureStats stats;
-    stats.estimator = options_.estimator;
-    stats.class_conditional = feature->class_conditional();
-    if (stats.class_conditional) {
-      for (const auto& [cls, values] : collected.per_class) {
-        SampleStats sample_stats = NewSampleStats();
-        for (double value : values) sample_stats.Add(value, stats.estimator);
-        stats.per_class[cls] = std::move(sample_stats);
-      }
-    } else {
-      stats.global = NewSampleStats();
-      for (double value : collected.global) {
-        stats.global.Add(value, stats.estimator);
-      }
-    }
-    FIXY_ASSIGN_OR_RETURN(FeatureDistribution dist,
-                          MaterializeOne(feature, stats));
-    set.distributions.push_back(std::move(dist));
-    set.stats.push_back(std::move(stats));
+    state.stats.push_back(EmptyStats(*feature, options_.estimator));
   }
-  return set;
+  FIXY_RETURN_IF_ERROR(Fold(training, features, state));
+  return std::move(state.distributions);
 }
 
-Result<std::vector<FeatureDistribution>> DistributionLearner::Materialize(
-    const std::vector<FeaturePtr>& features,
-    const std::vector<FeatureStats>& stats) const {
-  if (features.size() != stats.size()) {
-    return Status::InvalidArgument(
-        StrFormat("cannot materialize: %zu features but %zu stat sets",
-                  features.size(), stats.size()));
+Status DistributionLearner::Fold(const Dataset& delta,
+                                 const std::vector<FeaturePtr>& features,
+                                 LearnedFeatureSet& state) const {
+  const obs::ScopedStageTimer fit_timer("learn.fit");
+  const bool refit = !state.distributions.empty();
+  if (features.size() != state.stats.size() ||
+      (refit && features.size() != state.distributions.size())) {
+    return Status::InvalidArgument(StrFormat(
+        "cannot fold: %zu features but %zu stat sets and %zu distributions",
+        features.size(), state.stats.size(), state.distributions.size()));
   }
-  std::vector<FeatureDistribution> learned;
-  learned.reserve(features.size());
-  for (size_t i = 0; i < features.size(); ++i) {
-    if (features[i] == nullptr) {
-      return Status::InvalidArgument("null feature passed to learner");
-    }
-    FIXY_ASSIGN_OR_RETURN(FeatureDistribution dist,
-                          MaterializeOne(features[i], stats[i]));
-    learned.push_back(std::move(dist));
-  }
-  return learned;
-}
-
-Result<std::vector<FeatureDistribution>> DistributionLearner::MaterializeDelta(
-    const std::vector<FeaturePtr>& features, const LearnedFeatureSet& state,
-    const std::vector<FeatureStats>& folded) const {
-  if (features.size() != folded.size() ||
-      state.stats.size() != folded.size() ||
-      state.distributions.size() != folded.size()) {
-    return Status::InvalidArgument(
-        StrFormat("cannot materialize delta: %zu features, %zu stat sets, "
-                  "%zu prior distributions",
-                  features.size(), folded.size(),
-                  state.distributions.size()));
-  }
-  // One cell per distribution to (re)fit: class-conditional features have
-  // one per class at min_samples, the rest a single global cell. Cells
-  // whose statistics the fold left untouched keep their existing
-  // DistributionPtr; only the changed ones become fit jobs.
-  struct Cell {
-    size_t feature = 0;
-    std::optional<ObjectClass> cls;
-    const SampleStats* stats = nullptr;  // set only when a fit is needed
-    stats::DistributionPtr reused;       // set only when reusing
-  };
-  std::vector<Cell> cells;
-  size_t fits = 0;
   for (size_t i = 0; i < features.size(); ++i) {
     const FeaturePtr& feature = features[i];
     if (feature == nullptr) {
       return Status::InvalidArgument("null feature passed to learner");
     }
+    if (state.stats[i].class_conditional != feature->class_conditional()) {
+      return Status::InvalidArgument(StrFormat(
+          "feature '%s': stats class-conditionality does not match",
+          feature->name().c_str()));
+    }
+    if (refit && state.distributions[i].feature().name() != feature->name()) {
+      return Status::InvalidArgument(StrFormat(
+          "cannot fold: distribution %zu is feature '%s', not '%s'", i,
+          state.distributions[i].feature().name().c_str(),
+          feature->name().c_str()));
+    }
+  }
+
+  FIXY_ASSIGN_OR_RETURN(std::vector<CollectedValues> collected,
+                        CollectValues(delta, features));
+  // Fold into a copy so a failed fit leaves `state` usable.
+  std::vector<FeatureStats> folded = state.stats;
+  for (size_t i = 0; i < features.size(); ++i) {
+    const CollectedValues& values = collected[i];
+    if (obs::Enabled()) {
+      size_t samples = values.global.size();
+      for (const auto& [cls, class_values] : values.per_class) {
+        samples += class_values.size();
+      }
+      obs::Count("learn.samples." + features[i]->name(), samples);
+    }
+    FeatureStats& stats = folded[i];
+    for (const auto& [cls, class_values] : values.per_class) {
+      auto it = stats.per_class.find(cls);
+      if (it == stats.per_class.end()) {
+        it = stats.per_class.emplace(cls, NewSampleStats()).first;
+      }
+      for (double value : class_values) it->second.Add(value, stats.estimator);
+    }
+    for (double value : values.global) stats.global.Add(value, stats.estimator);
+  }
+
+  // One cell per distribution to fit: class-conditional features have one
+  // per class at min_samples, the rest a single global cell. On a refit, a
+  // cell whose statistics the fold left untouched keeps its existing
+  // DistributionPtr; only the changed ones become fit jobs.
+  struct Cell {
+    size_t feature = 0;
+    std::optional<ObjectClass> cls;
+    const SampleStats* stats = nullptr;  // set only when a fit is needed
+    stats::DistributionPtr dist;         // the reused or fitted distribution
+  };
+  std::vector<Cell> cells;
+  size_t fits = 0;
+  const auto add_cell = [&](size_t i, std::optional<ObjectClass> cls,
+                            const SampleStats& now, const SampleStats* before,
+                            stats::DistributionPtr prior) {
+    Cell cell{i, cls, nullptr, nullptr};
+    if (prior != nullptr && before != nullptr && *before == now) {
+      cell.dist = std::move(prior);
+    } else {
+      cell.stats = &now;
+      ++fits;
+    }
+    cells.push_back(std::move(cell));
+  };
+  for (size_t i = 0; i < features.size(); ++i) {
     const FeatureStats& now = folded[i];
     const FeatureStats& before = state.stats[i];
-    const FeatureDistribution& prior = state.distributions[i];
     if (now.class_conditional) {
       bool any = false;
       for (const auto& [cls, sample_stats] : now.per_class) {
         if (sample_stats.n(now.estimator) < options_.min_samples) continue;
         any = true;
-        Cell cell;
-        cell.feature = i;
-        cell.cls = cls;
         const auto old_stats = before.per_class.find(cls);
-        const auto old_dist = prior.per_class_distributions().find(cls);
-        if (old_stats != before.per_class.end() &&
-            old_stats->second == sample_stats &&
-            old_dist != prior.per_class_distributions().end()) {
-          cell.reused = old_dist->second;
-        } else {
-          cell.stats = &sample_stats;
-          ++fits;
+        stats::DistributionPtr prior;
+        if (refit) {
+          const auto& dists = state.distributions[i].per_class_distributions();
+          const auto old_dist = dists.find(cls);
+          if (old_dist != dists.end()) prior = old_dist->second;
         }
-        cells.push_back(std::move(cell));
+        add_cell(i, cls, sample_stats,
+                 old_stats == before.per_class.end() ? nullptr
+                                                     : &old_stats->second,
+                 std::move(prior));
       }
       if (!any) {
         return Status::InvalidArgument(
             StrFormat("feature '%s': no class reached %zu training samples",
-                      feature->name().c_str(), options_.min_samples));
+                      features[i]->name().c_str(), options_.min_samples));
       }
     } else {
       const uint64_t n = now.global.n(now.estimator);
       if (n < options_.min_samples) {
         return Status::InvalidArgument(
             StrFormat("feature '%s': only %zu training samples (need %zu)",
-                      feature->name().c_str(), static_cast<size_t>(n),
+                      features[i]->name().c_str(), static_cast<size_t>(n),
                       options_.min_samples));
       }
-      Cell cell;
-      cell.feature = i;
-      if (now.global == before.global && prior.global_distribution()) {
-        cell.reused = prior.global_distribution();
-      } else {
-        cell.stats = &now.global;
-        ++fits;
-      }
-      cells.push_back(std::move(cell));
+      add_cell(i, std::nullopt, now.global, &before.global,
+               refit ? state.distributions[i].global_distribution() : nullptr);
     }
   }
+
   // Fit every changed cell; each fit is independent (pure function of the
   // cell's stats), so they fan out across a pool. Results land in
   // cell-index slots and errors are reported in cell order, keeping the
@@ -388,7 +351,8 @@ Result<std::vector<FeatureDistribution>> DistributionLearner::MaterializeDelta(
   std::vector<Result<stats::DistributionPtr>> fitted(
       cells.size(), Status::Internal("fit not run"));
   const auto fit_cell = [&](size_t c) {
-    fitted[c] = FitFromStats(*cells[c].stats, folded[cells[c].feature].estimator);
+    fitted[c] =
+        FitFromStats(*cells[c].stats, folded[cells[c].feature].estimator);
   };
   if (fits > 1) {
     ThreadPool pool(static_cast<int>(
@@ -406,6 +370,12 @@ Result<std::vector<FeatureDistribution>> DistributionLearner::MaterializeDelta(
       if (cells[c].stats != nullptr) fit_cell(c);
     }
   }
+  for (size_t c = 0; c < cells.size(); ++c) {
+    if (cells[c].stats == nullptr) continue;
+    FIXY_RETURN_IF_ERROR(fitted[c].status());
+    cells[c].dist = std::move(*fitted[c]);
+  }
+
   // Assemble per-feature distributions in feature order.
   std::vector<FeatureDistribution> learned;
   learned.reserve(features.size());
@@ -414,74 +384,14 @@ Result<std::vector<FeatureDistribution>> DistributionLearner::MaterializeDelta(
     if (folded[i].class_conditional) {
       std::map<ObjectClass, stats::DistributionPtr> per_class;
       for (; c < cells.size() && cells[c].feature == i; ++c) {
-        stats::DistributionPtr dist = cells[c].reused;
-        if (dist == nullptr) {
-          FIXY_RETURN_IF_ERROR(fitted[c].status());
-          dist = std::move(*fitted[c]);
-        }
-        per_class[*cells[c].cls] = std::move(dist);
+        per_class[*cells[c].cls] = std::move(cells[c].dist);
       }
       learned.push_back(FeatureDistribution(features[i], std::move(per_class)));
     } else {
-      stats::DistributionPtr dist = cells[c].reused;
-      if (dist == nullptr) {
-        FIXY_RETURN_IF_ERROR(fitted[c].status());
-        dist = std::move(*fitted[c]);
-      }
-      ++c;
-      learned.push_back(FeatureDistribution(features[i], std::move(dist)));
+      learned.push_back(
+          FeatureDistribution(features[i], std::move(cells[c++].dist)));
     }
   }
-  return learned;
-}
-
-Status DistributionLearner::Fold(const Dataset& delta,
-                                 const std::vector<FeaturePtr>& features,
-                                 LearnedFeatureSet& state) const {
-  const obs::ScopedStageTimer fit_timer("learn.fit");
-  if (features.size() != state.stats.size()) {
-    return Status::InvalidArgument(
-        StrFormat("cannot fold: %zu features but %zu stat sets",
-                  features.size(), state.stats.size()));
-  }
-  // Fold into a copy so a failed materialization leaves `state` usable.
-  std::vector<FeatureStats> folded = state.stats;
-  for (size_t i = 0; i < features.size(); ++i) {
-    const FeaturePtr& feature = features[i];
-    if (feature == nullptr) {
-      return Status::InvalidArgument("null feature passed to learner");
-    }
-    FeatureStats& stats = folded[i];
-    if (stats.class_conditional != feature->class_conditional()) {
-      return Status::InvalidArgument(StrFormat(
-          "feature '%s': stats class-conditionality does not match",
-          feature->name().c_str()));
-    }
-    FIXY_ASSIGN_OR_RETURN(CollectedValues collected,
-                          CollectValues(delta, *feature));
-    if (obs::Enabled()) {
-      size_t samples = collected.global.size();
-      for (const auto& [cls, values] : collected.per_class) {
-        samples += values.size();
-      }
-      obs::Count("learn.samples." + feature->name(), samples);
-    }
-    if (stats.class_conditional) {
-      for (const auto& [cls, values] : collected.per_class) {
-        auto it = stats.per_class.find(cls);
-        if (it == stats.per_class.end()) {
-          it = stats.per_class.emplace(cls, NewSampleStats()).first;
-        }
-        for (double value : values) it->second.Add(value, stats.estimator);
-      }
-    } else {
-      for (double value : collected.global) {
-        stats.global.Add(value, stats.estimator);
-      }
-    }
-  }
-  FIXY_ASSIGN_OR_RETURN(std::vector<FeatureDistribution> learned,
-                        MaterializeDelta(features, state, folded));
   state.stats = std::move(folded);
   state.distributions = std::move(learned);
   return Status::Ok();

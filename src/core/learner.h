@@ -107,63 +107,64 @@ struct FeatureStats {
 };
 
 /// A learned model together with the statistics it materialized from.
-/// `stats` is parallel to `distributions`; keeping both lets
-/// Fixy::LearnIncremental fold new scenes in and re-materialize without a
-/// full refit.
+/// `stats` is parallel to the feature list it was folded over;
+/// `distributions` is parallel to it too, or empty before the first fit.
+/// Keeping both lets Fixy::LearnIncremental fold new scenes in and
+/// re-fit only what changed.
 struct LearnedFeatureSet {
   std::vector<FeatureDistribution> distributions;
   std::vector<FeatureStats> stats;
 };
 
 /// Learns feature distributions for the given features from a training
-/// dataset.
+/// dataset. There is one learning path, Fold: Learn is a fold into empty
+/// statistics.
 class DistributionLearner {
  public:
   explicit DistributionLearner(LearnerOptions options = {});
 
-  /// Fits one FeatureDistribution per feature. Features whose values never
+  /// Fits one FeatureDistribution per feature with the configured
+  /// estimator: Fold over EmptyStats. Features whose values never
   /// materialize (or never reach min_samples for any class) produce an
   /// InvalidArgument error, since scoring with them would be vacuous.
   Result<std::vector<FeatureDistribution>> Learn(
       const Dataset& training, const std::vector<FeaturePtr>& features) const;
 
-  /// Like Learn, but also returns the sufficient statistics each
-  /// distribution was materialized from. Learn() is this with the stats
-  /// discarded — both paths fold values into statistics and fit from
-  /// them, so a model refit from its own stats is byte-identical.
-  Result<LearnedFeatureSet> LearnWithStats(
-      const Dataset& training, const std::vector<FeaturePtr>& features) const;
+  /// Statistics of no values for `feature`, to be fitted with `estimator`.
+  /// A list of these, one per feature, is what a first Fold starts from.
+  FeatureStats EmptyStats(const Feature& feature,
+                          EstimatorKind estimator) const;
 
   /// Folds `delta`'s feature values into `state.stats` (in dataset order,
-  /// the same order LearnWithStats would have consumed them) and
-  /// re-materializes every distribution from the updated statistics.
-  /// `features` must be the list `state` was learned with (same size and
-  /// class-conditionality). On error `state` is left unchanged. Errors:
-  /// InvalidArgument on a feature/stats shape mismatch or when a feature
-  /// still has no class at min_samples after the fold.
+  /// so folding A then B equals folding A+B) and re-fits the changed
+  /// distributions. `state.stats[i]` holds feature i's statistics, which
+  /// carry their own estimator. `state.distributions` is empty before the
+  /// first fit, when every (feature, class) cell is fitted; otherwise
+  /// distribution i must be feature i's, and a cell whose statistics the
+  /// fold left unchanged keeps its fitted distribution (a fit is a pure
+  /// function of its statistics, so reuse is byte-identical). Changed
+  /// cells fit in parallel. On error `state` is left unchanged. Errors,
+  /// all InvalidArgument, in this order: a feature/stats/distribution
+  /// shape or name mismatch; a feature with no class at min_samples after
+  /// the fold (in feature order); a failed fit (in cell order). Scene
+  /// validation errors from track building come between the first two.
   Status Fold(const Dataset& delta, const std::vector<FeaturePtr>& features,
               LearnedFeatureSet& state) const;
 
-  /// Materializes one distribution per feature from previously collected
-  /// statistics, enforcing min_samples exactly like Learn. Used to turn a
-  /// deserialized stats set back into a scoreable model.
-  Result<std::vector<FeatureDistribution>> Materialize(
-      const std::vector<FeaturePtr>& features,
-      const std::vector<FeatureStats>& stats) const;
-
-  /// Collects the raw feature values for one feature over the dataset,
-  /// keyed by object class (class-conditional features) or all under
-  /// ObjectClass::kCar slot 0 semantics is avoided: non-class-conditional
-  /// features return a single entry with nullopt key semantics via the
-  /// `global` output. Exposed for tests and the ablation benches.
+  /// The raw values of one feature over a dataset: per class for
+  /// class-conditional features, in `global` otherwise.
   struct CollectedValues {
     /// Values for non-class-conditional features.
     std::vector<double> global;
     /// Values per class for class-conditional features.
     std::map<ObjectClass, std::vector<double>> per_class;
   };
-  Result<CollectedValues> CollectValues(const Dataset& training,
-                                        const Feature& feature) const;
+
+  /// Collects every (non-null) feature's raw values over the dataset, one
+  /// entry per feature, in dataset order. Each scene's tracks are built
+  /// once for all features. Exposed for tests.
+  Result<std::vector<CollectedValues>> CollectValues(
+      const Dataset& training, const std::vector<FeaturePtr>& features) const;
 
  private:
   /// A SampleStats seeded with this learner's reservoir configuration.
@@ -173,22 +174,6 @@ class DistributionLearner {
   /// which member is read).
   Result<stats::DistributionPtr> FitFromStats(const SampleStats& stats,
                                               EstimatorKind kind) const;
-
-  /// Materializes one feature's distribution from its stats, enforcing
-  /// min_samples per class (or globally) with Learn's error messages.
-  Result<FeatureDistribution> MaterializeOne(const FeaturePtr& feature,
-                                             const FeatureStats& stats) const;
-
-  /// Fold's materialization: like Materialize(features, folded), but a
-  /// (feature, class) cell whose statistics are unchanged from
-  /// `state.stats` reuses the already-fitted distribution from
-  /// `state.distributions` (a fit is a pure function of its stats, so the
-  /// reuse is byte-identical), and the cells that did change are fitted
-  /// in parallel. This is what makes folding a small delta cost the
-  /// delta's cells, not a full re-fit of every distribution.
-  Result<std::vector<FeatureDistribution>> MaterializeDelta(
-      const std::vector<FeaturePtr>& features, const LearnedFeatureSet& state,
-      const std::vector<FeatureStats>& folded) const;
 
   LearnerOptions options_;
 };

@@ -374,11 +374,6 @@ Result<FeatureStats> FeatureStatsFromJson(const json::Value& value) {
 }
 
 Result<json::Value> LearnedModelToJson(
-    const std::vector<FeatureDistribution>& learned) {
-  return LearnedModelToJson(learned, {});
-}
-
-Result<json::Value> LearnedModelToJson(
     const std::vector<FeatureDistribution>& learned,
     const std::vector<FeatureStats>& stats) {
   if (!stats.empty() && stats.size() != learned.size()) {
@@ -415,13 +410,6 @@ Result<json::Value> LearnedModelToJson(
   doc["version"] = kModelVersion;
   doc["features"] = std::move(features);
   return json::Value(std::move(doc));
-}
-
-Result<std::vector<FeatureDistribution>> LearnedModelFromJson(
-    const json::Value& value, const FeatureRegistry& registry) {
-  FIXY_ASSIGN_OR_RETURN(LoadedModel model,
-                        LearnedModelWithStatsFromJson(value, registry));
-  return std::move(model.distributions);
 }
 
 Result<LoadedModel> LearnedModelWithStatsFromJson(
@@ -490,11 +478,6 @@ Result<LoadedModel> LearnedModelWithStatsFromJson(
 }
 
 Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
-                        const std::string& path) {
-  return SaveLearnedModel(learned, {}, path);
-}
-
-Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
                         const std::vector<FeatureStats>& stats,
                         const std::string& path) {
   FIXY_ASSIGN_OR_RETURN(json::Value doc, LearnedModelToJson(learned, stats));
@@ -504,13 +487,6 @@ Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
-}
-
-Result<std::vector<FeatureDistribution>> LoadLearnedModel(
-    const std::string& path, const FeatureRegistry& registry) {
-  FIXY_ASSIGN_OR_RETURN(LoadedModel model,
-                        LoadLearnedModelWithStats(path, registry));
-  return std::move(model.distributions);
 }
 
 Result<LoadedModel> LoadLearnedModelWithStats(const std::string& path,

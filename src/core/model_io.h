@@ -1,7 +1,12 @@
-// Persistence for learned models: serializes fitted feature distributions
-// to JSON and reloads them, so the offline phase (Learn) and the online
-// phase (Find*) can run in different processes — e.g. learn once in a
-// nightly job, rank in the labeling pipeline.
+// Persistence for learned models: serializes fitted feature distributions,
+// with the sufficient statistics they were fitted from, to JSON and
+// reloads them, so the offline phase (Learn) and the online phase (Find,
+// RankDataset) can run in different processes — e.g. learn once in a
+// nightly job, rank in the labeling pipeline. There is one serializer
+// pair: LearnedModelToJson / LearnedModelWithStatsFromJson, with the
+// file wrappers SaveLearnedModel / LoadLearnedModelWithStats. An empty
+// stats vector writes a distributions-only model, which ranks but cannot
+// be folded into.
 //
 // Features themselves are code, not data, so deserialization resolves them
 // by name through a FeatureRegistry; user-defined features are supported
@@ -57,23 +62,15 @@ Result<json::Value> FeatureStatsToJson(const FeatureStats& stats);
 /// Reconstructs statistics written by FeatureStatsToJson.
 Result<FeatureStats> FeatureStatsFromJson(const json::Value& value);
 
-/// Serializes a learned model (a set of feature distributions). AOFs are
-/// not serialized — they are per-application configuration.
-Result<json::Value> LearnedModelToJson(
-    const std::vector<FeatureDistribution>& learned);
-
-/// Serializes a learned model together with the sufficient statistics it
-/// materialized from (`stats` parallel to `learned`; pass an empty vector
-/// to omit them). The document stays version 1: each feature entry just
-/// gains a "stats" member, which pre-incremental readers ignore.
+/// Serializes a learned model (a set of feature distributions) together
+/// with the sufficient statistics it was fitted from (`stats` parallel to
+/// `learned`; pass an empty vector to omit them). AOFs are not serialized
+/// — they are per-application configuration. The document stays version
+/// 1: each feature entry just gains a "stats" member, which
+/// pre-incremental readers ignore.
 Result<json::Value> LearnedModelToJson(
     const std::vector<FeatureDistribution>& learned,
     const std::vector<FeatureStats>& stats);
-
-/// Reconstructs a learned model; every feature name in the document must
-/// resolve through `registry`.
-Result<std::vector<FeatureDistribution>> LearnedModelFromJson(
-    const json::Value& value, const FeatureRegistry& registry);
 
 /// A loaded model, with sufficient statistics when the file carried them.
 struct LoadedModel {
@@ -86,21 +83,18 @@ struct LoadedModel {
   bool has_stats() const { return !stats.empty(); }
 };
 
-/// Like LearnedModelFromJson, but also recovers per-feature statistics.
-/// A malformed "stats" member is an error (a file that claims stats must
-/// carry valid ones); a file with no stats members loads with
-/// `stats` empty.
+/// Reconstructs a learned model and its per-feature statistics; every
+/// feature name in the document must resolve through `registry`. A
+/// malformed "stats" member is an error (a file that claims stats must
+/// carry valid ones); a file with no stats members loads with `stats`
+/// empty.
 Result<LoadedModel> LearnedModelWithStatsFromJson(
     const json::Value& value, const FeatureRegistry& registry);
 
 /// File-level convenience wrappers.
 Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
-                        const std::string& path);
-Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
                         const std::vector<FeatureStats>& stats,
                         const std::string& path);
-Result<std::vector<FeatureDistribution>> LoadLearnedModel(
-    const std::string& path, const FeatureRegistry& registry);
 Result<LoadedModel> LoadLearnedModelWithStats(const std::string& path,
                                               const FeatureRegistry& registry);
 

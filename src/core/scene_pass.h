@@ -2,7 +2,9 @@
 // pipeline (DESIGN.md §10). One pass per scene runs TrackBuilder::BuildViews
 // exactly once and owns a per-view FeatureScoreCache of raw pre-AOF feature
 // scores; every requested application then compiles and scores against the
-// shared views through RunApplicationOnPass.
+// shared views through RunApplicationOnPass. Every ranking call of the Fixy
+// engine runs these two steps; a caller ranking against a spec of its own
+// (an ablation, a test of spec caching) runs them directly.
 #ifndef FIXY_CORE_SCENE_PASS_H_
 #define FIXY_CORE_SCENE_PASS_H_
 
@@ -20,7 +22,7 @@ namespace fixy {
 
 /// One scene's association pass: the requested track views plus a lazily
 /// shared feature-score cache per view. Not thread-safe — one pass lives
-/// inside one batch worker (or one standalone Find* call).
+/// inside one batch worker (or one Fixy::Find call).
 class ScenePass {
  public:
   /// Runs association over `scene` for the requested views, recording the

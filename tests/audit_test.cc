@@ -35,7 +35,7 @@ Fixy* AuditTest::fixy_ = nullptr;
 
 TEST_F(AuditTest, VerifiedProposalsPatchTheScene) {
   const auto generated = sim::GenerateScene(*profile_, "audit_scene", 11);
-  const auto ranked = fixy_->FindMissingTracks(generated.scene).value();
+  const auto ranked = fixy_->Find(generated.scene, "missing-tracks").value();
   const auto result =
       AuditScene(generated.scene, ranked, generated.ledger);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -54,7 +54,7 @@ TEST_F(AuditTest, VerifiedProposalsPatchTheScene) {
 
 TEST_F(AuditTest, YieldMatchesPrecisionAtK) {
   const auto generated = sim::GenerateScene(*profile_, "audit_scene", 12);
-  const auto ranked = fixy_->FindMissingTracks(generated.scene).value();
+  const auto ranked = fixy_->Find(generated.scene, "missing-tracks").value();
   const auto claimable = ClaimableErrors(
       generated.ledger, ProposalKind::kMissingTrack, generated.scene.name());
   const auto result = AuditScene(generated.scene, ranked, generated.ledger);
@@ -69,7 +69,7 @@ TEST_F(AuditTest, FixedErrorsAreFoundNoMoreAfterCorrection) {
   // tracks human/auditor-covered, so they stop being missing-track
   // candidates.
   const auto generated = sim::GenerateScene(*profile_, "audit_scene", 13);
-  const auto ranked = fixy_->FindMissingTracks(generated.scene).value();
+  const auto ranked = fixy_->Find(generated.scene, "missing-tracks").value();
   AuditOptions options;
   options.top_k = 10;
   const auto result =
@@ -78,7 +78,7 @@ TEST_F(AuditTest, FixedErrorsAreFoundNoMoreAfterCorrection) {
   if (result->errors_fixed == 0) GTEST_SKIP() << "no errors fixed";
 
   const auto ranked_after =
-      fixy_->FindMissingTracks(result->corrected_scene).value();
+      fixy_->Find(result->corrected_scene, "missing-tracks").value();
   // Note: auditor labels count as non-model sources, so fixed tracks are
   // excluded from the candidate pool.
   size_t still_flagged = 0;
@@ -118,7 +118,7 @@ TEST_F(AuditTest, RejectsInvalidScene) {
 
 TEST_F(AuditTest, TopKLimitsReview) {
   const auto generated = sim::GenerateScene(*profile_, "audit_scene", 15);
-  const auto ranked = fixy_->FindMissingTracks(generated.scene).value();
+  const auto ranked = fixy_->Find(generated.scene, "missing-tracks").value();
   if (ranked.size() < 3) GTEST_SKIP() << "not enough proposals";
   AuditOptions options;
   options.top_k = 2;

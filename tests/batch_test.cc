@@ -12,6 +12,7 @@
 #include "core/applications.h"
 #include "data/scene_source.h"
 #include "core/engine.h"
+#include "core/scene_pass.h"
 #include "obs/metrics.h"
 #include "sim/generate.h"
 
@@ -76,14 +77,23 @@ Dataset PoisonScene(const Dataset& dataset, size_t index) {
   return poisoned;
 }
 
+// The one report of a single-application ranking call, with the run's
+// metrics.
+Result<BatchReport> OnlyReport(Result<MultiAppReport> multi) {
+  if (!multi.ok()) return multi.status();
+  BatchReport report = std::move(multi->reports.front());
+  report.metrics = std::move(multi->metrics);
+  return report;
+}
+
 // The dataset loop's independent reference: every scene ranked alone by
 // Fixy::RankScene on the calling thread, with no thread pool involved.
 std::vector<SceneOutcome> RankEachScene(const Fixy& fixy,
                                         const Dataset& dataset,
-                                        Application app) {
+                                        const std::string& app) {
   std::vector<SceneOutcome> outcomes;
   for (const Scene& scene : dataset.scenes) {
-    auto report = fixy.RankScene(scene, {ApplicationName(app)});
+    auto report = fixy.RankScene(scene, {app});
     EXPECT_TRUE(report.ok()) << report.status();
     if (report.ok()) {
       outcomes.push_back(std::move(report->reports.front().outcomes.front()));
@@ -94,15 +104,15 @@ std::vector<SceneOutcome> RankEachScene(const Fixy& fixy,
 
 TEST_F(BatchRankTest, RequiresLearn) {
   const Fixy unlearned;
-  const auto result = unlearned.RankDataset(dataset_->dataset,
-                                            Application::kMissingTracks);
+  const auto result =
+      OnlyReport(unlearned.RankDataset(dataset_->dataset, {"missing-tracks"}));
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(BatchRankTest, EmptyDatasetYieldsEmptyResult) {
   const Dataset empty;
   const auto result =
-      fixy_->RankDataset(empty, Application::kMissingTracks);
+      OnlyReport(fixy_->RankDataset(empty, {"missing-tracks"}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
   EXPECT_TRUE(result->all_ok());
@@ -115,7 +125,7 @@ TEST_F(BatchRankTest, EmptyDatasetOkEvenWithFailFast) {
   BatchOptions options;
   options.fail_fast = true;
   const auto result =
-      fixy_->RankDataset(empty, Application::kModelErrors, options);
+      OnlyReport(fixy_->RankDataset(empty, {"model-errors"}, options));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
 }
@@ -136,10 +146,8 @@ TEST_F(BatchRankTest, EmptyFrameScenesRankToEmptyProposals) {
     empty_frames.AddFrame(frame);
   }
   dataset.scenes.push_back(empty_frames);
-  for (const Application app :
-       {Application::kMissingTracks, Application::kMissingObservations,
-        Application::kModelErrors}) {
-    const auto result = fixy_->RankDataset(dataset, app);
+  for (const char* app : {"missing-tracks", "missing-obs", "model-errors"}) {
+    const auto result = OnlyReport(fixy_->RankDataset(dataset, {app}));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->outcomes.size(), 2u);
     EXPECT_TRUE(result->all_ok());
@@ -152,9 +160,8 @@ TEST_F(BatchRankTest, EmptyFrameScenesRankToEmptyProposals) {
 }
 
 TEST_F(BatchRankTest, ReturnsOneRankedListPerSceneInOrder) {
-  const auto result = fixy_->RankDataset(dataset_->dataset,
-                                         Application::kMissingTracks,
-                                         BatchOptions{4});
+  const auto result = OnlyReport(fixy_->RankDataset(
+      dataset_->dataset, {"missing-tracks"}, BatchOptions{4}));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
   EXPECT_EQ(result->scenes_ok, dataset_->dataset.scenes.size());
@@ -177,14 +184,13 @@ TEST_F(BatchRankTest, ReturnsOneRankedListPerSceneInOrder) {
 // worker count must produce the ranked proposals of scene-by-scene
 // RankScene calls on the calling thread, for every application.
 TEST_F(BatchRankTest, ParallelOutputIdenticalToSerial) {
-  for (const Application app :
-       {Application::kMissingTracks, Application::kMissingObservations,
-        Application::kModelErrors}) {
+  for (const char* app : {"missing-tracks", "missing-obs", "model-errors"}) {
     const std::vector<SceneOutcome> serial =
         RankEachScene(*fixy_, dataset_->dataset, app);
     for (const int threads : {1, 2, 8}) {
       const auto parallel =
-          fixy_->RankDataset(dataset_->dataset, app, BatchOptions{threads});
+          OnlyReport(fixy_->RankDataset(dataset_->dataset, {app},
+                                        BatchOptions{threads}));
       ASSERT_TRUE(parallel.ok());
       ASSERT_EQ(serial.size(), parallel->outcomes.size());
       for (size_t s = 0; s < serial.size(); ++s) {
@@ -198,13 +204,12 @@ TEST_F(BatchRankTest, ParallelOutputIdenticalToSerial) {
 // The batch path must agree with the single-scene facade calls (which use
 // the same cached specs).
 TEST_F(BatchRankTest, BatchAgreesWithSingleSceneCalls) {
-  const auto batch = fixy_->RankDataset(dataset_->dataset,
-                                        Application::kMissingTracks,
-                                        BatchOptions{4});
+  const auto batch = OnlyReport(fixy_->RankDataset(
+      dataset_->dataset, {"missing-tracks"}, BatchOptions{4}));
   ASSERT_TRUE(batch.ok());
   for (size_t s = 0; s < dataset_->dataset.scenes.size(); ++s) {
     const auto single =
-        fixy_->FindMissingTracks(dataset_->dataset.scenes[s]);
+        fixy_->Find(dataset_->dataset.scenes[s], "missing-tracks");
     ASSERT_TRUE(single.ok());
     ExpectProposalsIdentical(*single, batch->outcomes[s].proposals);
   }
@@ -216,13 +221,12 @@ TEST_F(BatchRankTest, BatchAgreesWithSingleSceneCalls) {
 TEST_F(BatchRankTest, PoisonedSceneQuarantinedOthersUnaffected) {
   constexpr size_t kPoisoned = 5;
   const Dataset poisoned = PoisonScene(dataset_->dataset, kPoisoned);
-  const auto clean = fixy_->RankDataset(dataset_->dataset,
-                                        Application::kMissingTracks,
-                                        BatchOptions{1});
+  const auto clean = OnlyReport(fixy_->RankDataset(
+      dataset_->dataset, {"missing-tracks"}, BatchOptions{1}));
   ASSERT_TRUE(clean.ok());
   for (int threads = 1; threads <= 8; ++threads) {
-    const auto result = fixy_->RankDataset(
-        poisoned, Application::kMissingTracks, BatchOptions{threads});
+    const auto result = OnlyReport(fixy_->RankDataset(
+        poisoned, {"missing-tracks"}, BatchOptions{threads}));
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
     EXPECT_EQ(result->scenes_ok, dataset_->dataset.scenes.size() - 1);
@@ -251,8 +255,8 @@ TEST_F(BatchRankTest, FailFastReturnsFirstFailureInDatasetOrder) {
   options.fail_fast = true;
   for (const int threads : {1, 2, 8}) {
     options.num_threads = threads;
-    const auto result = fixy_->RankDataset(
-        poisoned, Application::kMissingTracks, options);
+    const auto result = OnlyReport(fixy_->RankDataset(
+        poisoned, {"missing-tracks"}, options));
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_NE(result.status().message().find(
                   poisoned.scenes[3].name()),
@@ -266,8 +270,8 @@ TEST_F(BatchRankTest, FailFastReturnsFirstFailureInDatasetOrder) {
 TEST_F(BatchRankTest, TwoPoisonedScenesBothQuarantined) {
   Dataset poisoned = PoisonScene(dataset_->dataset, 3);
   poisoned.scenes[10].frames().front().index = 9999;
-  const auto result = fixy_->RankDataset(
-      poisoned, Application::kMissingTracks, BatchOptions{4});
+  const auto result = OnlyReport(fixy_->RankDataset(
+      poisoned, {"missing-tracks"}, BatchOptions{4}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->scenes_failed, 2u);
   EXPECT_EQ(result->scenes_quarantined, 2u);
@@ -281,13 +285,16 @@ TEST_F(BatchRankTest, TwoPoisonedScenesBothQuarantined) {
 // ablation benches use).
 TEST_F(BatchRankTest, CachedSpecMatchesPerCallSpecConstruction) {
   const Scene& scene = dataset_->dataset.scenes.front();
-  const auto cached = fixy_->FindMissingTracks(scene);
+  const auto cached = fixy_->Find(scene, "missing-tracks");
   ASSERT_TRUE(cached.ok());
-  const auto rebuilt = FindMissingTracks(
-      scene,
-      BuildMissingTracksSpec(fixy_->learned_features(),
-                             fixy_->options().application),
-      fixy_->options().application);
+  const ApplicationOptions& options = fixy_->options().application;
+  auto pass = ScenePass::Run(scene, options.track_builder, /*need_full=*/true,
+                             /*need_model_only=*/false);
+  ASSERT_TRUE(pass.ok());
+  const auto rebuilt = RunApplicationOnPass(
+      MissingTracksApp(),
+      BuildMissingTracksSpec(fixy_->learned_features(), options), scene, *pass,
+      options);
   ASSERT_TRUE(rebuilt.ok());
   ExpectProposalsIdentical(*cached, *rebuilt);
 }
@@ -311,8 +318,8 @@ TEST_F(BatchRankTest, MetricsCountersIdenticalAcrossThreadCounts) {
   BatchOptions options;
   options.collect_metrics = true;
   options.num_threads = 1;
-  const auto baseline = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, options);
+  const auto baseline = OnlyReport(fixy_->RankDataset(
+      dataset_->dataset, {"missing-tracks"}, options));
   ASSERT_TRUE(baseline.ok());
   ASSERT_FALSE(baseline->metrics.counters.empty());
   EXPECT_GT(baseline->metrics.counters.at("batch.scenes"), 0u);
@@ -323,8 +330,8 @@ TEST_F(BatchRankTest, MetricsCountersIdenticalAcrossThreadCounts) {
 
   for (int threads = 2; threads <= 8; ++threads) {
     options.num_threads = threads;
-    const auto result = fixy_->RankDataset(
-        dataset_->dataset, Application::kMissingTracks, options);
+    const auto result = OnlyReport(fixy_->RankDataset(
+        dataset_->dataset, {"missing-tracks"}, options));
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result->metrics.counters, baseline->metrics.counters)
         << "threads=" << threads;
@@ -346,8 +353,8 @@ TEST_F(BatchRankTest, MetricsQuarantineCountersMatchReport) {
   BatchOptions options;
   options.collect_metrics = true;
   options.num_threads = 4;
-  const auto result = fixy_->RankDataset(
-      poisoned, Application::kMissingTracks, options);
+  const auto result = OnlyReport(fixy_->RankDataset(
+      poisoned, {"missing-tracks"}, options));
   ASSERT_TRUE(result.ok());
   const auto& counters = result->metrics.counters;
   EXPECT_EQ(counters.at("batch.scenes"), poisoned.scenes.size());
@@ -365,8 +372,8 @@ TEST_F(BatchRankTest, MetricsEmptyWhenDisabled) {
   for (const int threads : {1, 4}) {
     obs::MetricsCollector ambient;
     const obs::MetricsScope scope(&ambient);
-    const auto result = fixy_->RankDataset(
-        dataset_->dataset, Application::kMissingTracks, BatchOptions{threads});
+    const auto result = OnlyReport(fixy_->RankDataset(
+        dataset_->dataset, {"missing-tracks"}, BatchOptions{threads}));
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->metrics.empty());
     EXPECT_TRUE(ambient.Snapshot().empty()) << "threads=" << threads;
@@ -421,15 +428,15 @@ class FailingSource : public SceneSource {
 TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
   const DatasetSceneSource source(dataset_->dataset);
   const std::vector<SceneOutcome> reference =
-      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
+      RankEachScene(*fixy_, dataset_->dataset, "missing-tracks");
   for (int threads = 1; threads <= 8; ++threads) {
     for (const int decode_threads : {1, 2}) {
       BatchOptions batch;
       batch.num_threads = threads;
       StreamOptions stream;
       stream.decode_threads = decode_threads;
-      const auto streamed = fixy_->RankDatasetStreaming(
-          source, Application::kMissingTracks, batch, stream);
+      const auto streamed = OnlyReport(fixy_->RankDatasetStreaming(
+          source, {"missing-tracks"}, batch, stream));
       ASSERT_TRUE(streamed.ok())
           << "threads=" << threads << " decode=" << decode_threads;
       ASSERT_EQ(streamed->outcomes.size(), reference.size());
@@ -448,15 +455,15 @@ TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
 TEST_F(BatchRankTest, StreamingUnaffectedByQueueCapacity) {
   const DatasetSceneSource source(dataset_->dataset);
   const std::vector<SceneOutcome> reference =
-      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
+      RankEachScene(*fixy_, dataset_->dataset, "missing-tracks");
   BatchOptions batch;
   batch.num_threads = 4;
   StreamOptions stream;
   stream.decode_threads = 4;
   for (const size_t limit : {size_t{1}, size_t{2}, size_t{64}}) {
     stream.max_resident_scenes = limit;
-    const auto streamed = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+    const auto streamed = OnlyReport(fixy_->RankDatasetStreaming(
+        source, {"missing-tracks"}, batch, stream));
     ASSERT_TRUE(streamed.ok()) << "limit=" << limit;
     ASSERT_EQ(streamed->outcomes.size(), reference.size());
     for (size_t s = 0; s < reference.size(); ++s) {
@@ -473,8 +480,8 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
   BatchOptions batch;
   batch.collect_metrics = true;
   batch.num_threads = 1;
-  const auto baseline = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks, batch);
+  const auto baseline = OnlyReport(fixy_->RankDatasetStreaming(
+      source, {"missing-tracks"}, batch));
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->metrics.counters.at("batch.scenes"),
             dataset_->dataset.scenes.size());
@@ -482,8 +489,8 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
     batch.num_threads = threads;
     StreamOptions stream;
     stream.decode_threads = 2;
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+    const auto result = OnlyReport(fixy_->RankDatasetStreaming(
+        source, {"missing-tracks"}, batch, stream));
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result->metrics.counters, baseline->metrics.counters)
         << "threads=" << threads;
@@ -496,11 +503,11 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
 TEST_F(BatchRankTest, StreamingDecodeFailureQuarantined) {
   const FailingSource source(dataset_->dataset, {5});
   const std::vector<SceneOutcome> clean =
-      RankEachScene(*fixy_, dataset_->dataset, Application::kMissingTracks);
+      RankEachScene(*fixy_, dataset_->dataset, "missing-tracks");
   ASSERT_EQ(clean.size(), dataset_->dataset.scenes.size());
   for (const int threads : {1, 4}) {
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, BatchOptions{threads});
+    const auto result = OnlyReport(fixy_->RankDatasetStreaming(
+        source, {"missing-tracks"}, BatchOptions{threads}));
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
     EXPECT_EQ(result->scenes_failed, 1u);
@@ -526,8 +533,8 @@ TEST_F(BatchRankTest, StreamingFailFastFirstInDatasetOrder) {
   batch.fail_fast = true;
   for (const int threads : {1, 8}) {
     batch.num_threads = threads;
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch);
+    const auto result = OnlyReport(fixy_->RankDatasetStreaming(
+        source, {"missing-tracks"}, batch));
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_NE(result.status().message().find(
                   dataset_->dataset.scenes[3].name()),
@@ -539,8 +546,8 @@ TEST_F(BatchRankTest, StreamingFailFastFirstInDatasetOrder) {
 TEST_F(BatchRankTest, StreamingEmptySource) {
   const Dataset empty;
   const DatasetSceneSource source(empty);
-  const auto result = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks);
+  const auto result = OnlyReport(fixy_->RankDatasetStreaming(
+      source, {"missing-tracks"}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
   EXPECT_TRUE(result->all_ok());

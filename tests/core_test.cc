@@ -242,14 +242,16 @@ TEST(LearnerTest, LearnsVolumeAndVelocity) {
 TEST(LearnerTest, CollectValuesSeparatesClasses) {
   const auto training = SmallTrainingSet();
   const DistributionLearner learner;
-  const VolumeFeature volume;
-  const auto collected = learner.CollectValues(training.dataset, volume);
+  const auto collected = learner.CollectValues(
+      training.dataset, {std::make_shared<VolumeFeature>()});
   ASSERT_TRUE(collected.ok());
-  EXPECT_TRUE(collected->global.empty());
-  ASSERT_FALSE(collected->per_class.empty());
+  ASSERT_EQ(collected->size(), 1u);
+  const auto& volume = collected->front();
+  EXPECT_TRUE(volume.global.empty());
+  ASSERT_FALSE(volume.per_class.empty());
   // Car volumes cluster far below truck volumes.
-  const auto& cars = collected->per_class.at(ObjectClass::kCar);
-  const auto& trucks = collected->per_class.at(ObjectClass::kTruck);
+  const auto& cars = volume.per_class.at(ObjectClass::kCar);
+  const auto& trucks = volume.per_class.at(ObjectClass::kTruck);
   ASSERT_GE(cars.size(), 10u);
   ASSERT_GE(trucks.size(), 10u);
   double car_mean = 0;
@@ -331,16 +333,51 @@ TEST(LearnerTest, AllEstimatorsFit) {
   }
 }
 
+TEST(LearnerTest, MinSamplesErrorsComeInFeatureOrder) {
+  const DistributionLearner learner;
+  const auto learned =
+      learner.Learn(Dataset{}, {std::make_shared<VelocityFeature>(),
+                                std::make_shared<VolumeFeature>()});
+  ASSERT_FALSE(learned.ok());
+  EXPECT_EQ(learned.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(learned.status().message().find("'velocity'"), std::string::npos)
+      << learned.status();
+}
+
+TEST(LearnerTest, FoldRejectsDistributionsOfAnotherFeature) {
+  // Fold pairs statistics and distributions with features by position, so
+  // a prior distribution of another feature must fail the fold instead of
+  // folding values into the wrong statistics.
+  const auto training = SmallTrainingSet();
+  const DistributionLearner learner;
+  const std::vector<FeaturePtr> features = {
+      std::make_shared<VolumeFeature>(), std::make_shared<VelocityFeature>()};
+  LearnedFeatureSet state;
+  for (const FeaturePtr& feature : features) {
+    state.stats.push_back(learner.EmptyStats(*feature, EstimatorKind::kKde));
+  }
+  ASSERT_TRUE(learner.Fold(training.dataset, features, state).ok());
+  ASSERT_EQ(state.distributions.size(), 2u);
+  std::swap(state.distributions[0], state.distributions[1]);
+  std::swap(state.stats[0], state.stats[1]);
+  const std::vector<FeatureStats> before = state.stats;
+
+  const Status status = learner.Fold(training.dataset, features, state);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("'velocity'"), std::string::npos) << status;
+  EXPECT_EQ(state.stats, before);
+}
+
 // -------------------------------------------------------------- Engine
 
 TEST(EngineTest, RequiresLearnBeforeFind) {
   const Fixy fixy;
   const Scene scene("s", 10.0);
-  EXPECT_EQ(fixy.FindMissingTracks(scene).status().code(),
+  EXPECT_EQ(fixy.Find(scene, "missing-tracks").status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(fixy.FindMissingObservations(scene).status().code(),
+  EXPECT_EQ(fixy.Find(scene, "missing-obs").status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(fixy.FindModelErrors(scene).status().code(),
+  EXPECT_EQ(fixy.Find(scene, "model-errors").status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -410,7 +447,7 @@ class ApplicationsTest : public ::testing::Test {
 };
 
 TEST_F(ApplicationsTest, MissingTrackExcludesHumanLabeledTracks) {
-  const auto proposals = fixy_.FindMissingTracks(MissingTrackScenario());
+  const auto proposals = fixy_.Find(MissingTrackScenario(), "missing-tracks");
   ASSERT_TRUE(proposals.ok()) << proposals.status();
   // The missing object plus ghost fragments; the human-labeled track must
   // not be proposed. The labeled track is the only one spanning frames
@@ -426,7 +463,7 @@ TEST_F(ApplicationsTest, MissingTrackExcludesHumanLabeledTracks) {
 }
 
 TEST_F(ApplicationsTest, ConsistentMissingTrackOutranksGhost) {
-  const auto proposals = fixy_.FindMissingTracks(MissingTrackScenario());
+  const auto proposals = fixy_.Find(MissingTrackScenario(), "missing-tracks");
   ASSERT_TRUE(proposals.ok());
   ASSERT_GE(proposals->size(), 2u);
   // The consistent track spans all 10 frames; ghost fragments are shorter
@@ -453,7 +490,7 @@ TEST_F(ApplicationsTest, MissingObservationFindsDroppedHumanBox) {
                                          ObjectClass::kCar, 0.9));
     scene.AddFrame(std::move(frame));
   }
-  const auto proposals = fixy_.FindMissingObservations(scene);
+  const auto proposals = fixy_.Find(scene, "missing-obs");
   ASSERT_TRUE(proposals.ok());
   ASSERT_EQ(proposals->size(), 1u);
   EXPECT_EQ((*proposals)[0].kind, ProposalKind::kMissingObservation);
@@ -474,13 +511,13 @@ TEST_F(ApplicationsTest, MissingObservationIgnoresModelOnlyTracks) {
                                          ObjectClass::kCar, 0.9));
     scene.AddFrame(std::move(frame));
   }
-  const auto proposals = fixy_.FindMissingObservations(scene);
+  const auto proposals = fixy_.Find(scene, "missing-obs");
   ASSERT_TRUE(proposals.ok());
   EXPECT_TRUE(proposals->empty());
 }
 
 TEST_F(ApplicationsTest, ModelErrorsRankGhostAboveCleanTrack) {
-  const auto proposals = fixy_.FindModelErrors(MissingTrackScenario());
+  const auto proposals = fixy_.Find(MissingTrackScenario(), "model-errors");
   ASSERT_TRUE(proposals.ok());
   ASSERT_GE(proposals->size(), 2u);
   // The top proposal should be (a fragment of) the erratic ghost, which
@@ -501,13 +538,13 @@ TEST_F(ApplicationsTest, ModelErrorsIgnoreHumanObservations) {
         MakeObs(id++, ObservationSource::kHuman, 10, 2, f));
     scene.AddFrame(std::move(frame));
   }
-  const auto proposals = fixy_.FindModelErrors(scene);
+  const auto proposals = fixy_.Find(scene, "model-errors");
   ASSERT_TRUE(proposals.ok());
   EXPECT_TRUE(proposals->empty());
 }
 
 TEST_F(ApplicationsTest, ProposalsAreRankedDescending) {
-  const auto proposals = fixy_.FindMissingTracks(MissingTrackScenario());
+  const auto proposals = fixy_.Find(MissingTrackScenario(), "missing-tracks");
   ASSERT_TRUE(proposals.ok());
   for (size_t i = 1; i < proposals->size(); ++i) {
     EXPECT_GE((*proposals)[i - 1].score, (*proposals)[i].score);
@@ -516,9 +553,9 @@ TEST_F(ApplicationsTest, ProposalsAreRankedDescending) {
 
 TEST_F(ApplicationsTest, EmptySceneProducesNoProposals) {
   const Scene scene("empty", 10.0);
-  EXPECT_TRUE(fixy_.FindMissingTracks(scene)->empty());
-  EXPECT_TRUE(fixy_.FindMissingObservations(scene)->empty());
-  EXPECT_TRUE(fixy_.FindModelErrors(scene)->empty());
+  EXPECT_TRUE(fixy_.Find(scene, "missing-tracks")->empty());
+  EXPECT_TRUE(fixy_.Find(scene, "missing-obs")->empty());
+  EXPECT_TRUE(fixy_.Find(scene, "model-errors")->empty());
 }
 
 }  // namespace

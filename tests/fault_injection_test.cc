@@ -30,6 +30,10 @@
 namespace fixy {
 namespace {
 
+// The paper applications, picked by seed so the sweeps cover all three.
+constexpr const char* kPaperApps[] = {"missing-tracks", "missing-obs",
+                                      "model-errors"};
+
 // Joins a corruption history for failure messages.
 std::string Describe(const testing::CorruptionResult& corruption) {
   std::string out;
@@ -90,13 +94,12 @@ class FaultInjectionTest : public ::testing::Test {
     Result<Scene> scene = io::SceneFromString(document);
     if (!scene.ok()) return false;  // rejected at the ingestion boundary
 
-    const Application app = static_cast<Application>(seed % 3);
     Dataset dataset;
     dataset.scenes.push_back(*scene);
-    const Result<BatchReport> report =
-        fixy_->RankDataset(dataset, app, BatchOptions{1});
+    const Result<MultiAppReport> report = fixy_->RankDataset(
+        dataset, {kPaperApps[seed % 3]}, BatchOptions{1});
     ASSERT_OK_OR_RETURN(report, seed, description);
-    for (const SceneOutcome& outcome : report->outcomes) {
+    for (const SceneOutcome& outcome : report->reports[0].outcomes) {
       if (!outcome.ok()) continue;  // quarantined: also acceptable
       for (const ErrorProposal& p : outcome.proposals) {
         EXPECT_TRUE(std::isfinite(p.score))
@@ -196,7 +199,7 @@ TEST_F(FaultInjectionTest, SurvivingCorruptScenesNeverPoisonCleanScene) {
   Dataset solo;
   solo.scenes.push_back(clean.scene);
   const auto reference =
-      fixy_->RankDataset(solo, Application::kMissingTracks, BatchOptions{1});
+      fixy_->RankDataset(solo, {"missing-tracks"}, BatchOptions{1});
   ASSERT_TRUE(reference.ok());
 
   // Collect survivors until the batch has a few hostile neighbours.
@@ -218,17 +221,17 @@ TEST_F(FaultInjectionTest, SurvivingCorruptScenesNeverPoisonCleanScene) {
 
   for (const int threads : {1, 4}) {
     const auto result = fixy_->RankDataset(
-        mixed, Application::kMissingTracks, BatchOptions{threads});
+        mixed, {"missing-tracks"}, BatchOptions{threads});
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
-    const SceneOutcome& outcome = result->outcomes[clean_index];
+    const SceneOutcome& outcome = result->reports[0].outcomes[clean_index];
     ASSERT_TRUE(outcome.ok());
     ASSERT_EQ(outcome.proposals.size(),
-              reference->outcomes[0].proposals.size());
+              reference->reports[0].outcomes[0].proposals.size());
     for (size_t i = 0; i < outcome.proposals.size(); ++i) {
       EXPECT_EQ(outcome.proposals[i].score,
-                reference->outcomes[0].proposals[i].score);
+                reference->reports[0].outcomes[0].proposals[i].score);
       EXPECT_EQ(outcome.proposals[i].track_id,
-                reference->outcomes[0].proposals[i].track_id);
+                reference->reports[0].outcomes[0].proposals[i].track_id);
     }
   }
 }
@@ -305,17 +308,18 @@ TEST_F(FaultInjectionTest, CorruptedFxbContainersNeverCrashStreamingRank) {
     for (size_t i = 0; i < source.scene_count(); ++i) {
       if (!source.DecodeScene(i).ok()) ++expected_failures;
     }
-    const Application app = static_cast<Application>(seed % 3);
     const auto report = fixy_->RankDatasetStreaming(
-        source, app, BatchOptions{static_cast<int>(seed % 4) + 1});
+        source, {kPaperApps[seed % 3]},
+        BatchOptions{static_cast<int>(seed % 4) + 1});
     ASSERT_TRUE(report.ok())
         << "seed=" << seed << " mutations=[" << Describe(corruption)
         << "] streaming rank failed: " << report.status();
-    EXPECT_EQ(report->scenes_quarantined, expected_failures)
+    const BatchReport& solo = report->reports[0];
+    EXPECT_EQ(solo.scenes_quarantined, expected_failures)
         << "seed=" << seed << " mutations=[" << Describe(corruption) << "]";
-    scenes_quarantined += report->scenes_quarantined;
-    scenes_ranked += report->scenes_ok;
-    for (const SceneOutcome& outcome : report->outcomes) {
+    scenes_quarantined += solo.scenes_quarantined;
+    scenes_ranked += solo.scenes_ok;
+    for (const SceneOutcome& outcome : solo.outcomes) {
       if (!outcome.ok()) continue;
       for (const ErrorProposal& p : outcome.proposals) {
         EXPECT_TRUE(std::isfinite(p.score))
@@ -359,7 +363,7 @@ TEST_F(FaultInjectionTest, EachBinaryCorruptionKindIsSurvivable) {
       if (!reader.ok()) continue;  // rejected at open: acceptable
       const io::FxbSceneSource source(std::move(*reader));
       const auto report = fixy_->RankDatasetStreaming(
-          source, Application::kMissingTracks, BatchOptions{2});
+          source, {"missing-tracks"}, BatchOptions{2});
       ASSERT_TRUE(report.ok())
           << ToString(kind) << ": " << detail << " seed=" << seed << ": "
           << report.status();
@@ -383,13 +387,13 @@ TEST_F(FaultInjectionTest, ChecksumFlipQuarantinesExactlyOneScene) {
     ASSERT_TRUE(reader.ok()) << detail << ": " << reader.status();
     const io::FxbSceneSource source(std::move(*reader));
     const auto report = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, BatchOptions{1});
+        source, {"missing-tracks"}, BatchOptions{1});
     ASSERT_TRUE(report.ok()) << detail;
     // The flipped byte may land in a scene name or padding and keep the
     // section decodable only if it still checksums — it cannot, so at
     // most one scene fails, and usually exactly one.
-    EXPECT_LE(report->scenes_quarantined, 1u) << detail;
-    observed += report->scenes_quarantined;
+    EXPECT_LE(report->reports[0].scenes_quarantined, 1u) << detail;
+    observed += report->reports[0].scenes_quarantined;
   }
   EXPECT_GT(observed, 0u) << "checksum-flip never quarantined a scene";
 }

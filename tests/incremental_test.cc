@@ -31,6 +31,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/crc32.h"
 #include "core/engine.h"
 #include "core/model_io.h"
 #include "daemon/watch.h"
@@ -355,6 +356,53 @@ INSTANTIATE_TEST_SUITE_P(AllEstimators, MergeRefitTest,
                                EstimatorKindToString(info.param));
                          });
 
+// The saved bytes of a fixed-seed Learn, per estimator. Learn and
+// LearnIncremental share one fold, so the parity test above compares that
+// fold with itself; these constants were recorded from an earlier learner
+// whose Learn fitted every distribution directly, and pin both paths to it.
+struct ModelGolden {
+  EstimatorKind estimator;
+  uint32_t crc;
+  size_t bytes;
+};
+
+class LearnedModelGoldenTest : public ::testing::TestWithParam<ModelGolden> {};
+
+TEST_P(LearnedModelGoldenTest, SavedModelMatchesRecordedCrc) {
+  const ModelGolden& golden = GetParam();
+  FixyOptions options;
+  options.learner.estimator = golden.estimator;
+  const std::string dir = TempDir();
+
+  Dataset head = MakeLabeledDataset(4, 2022);
+  Fixy learned(options);
+  ASSERT_TRUE(learned.Learn(head).ok());
+  ASSERT_TRUE(learned.SaveModel(dir + "/learned.json").ok());
+  const std::string learned_bytes = ReadFile(dir + "/learned.json");
+  EXPECT_EQ(Crc32(learned_bytes), golden.crc);
+  EXPECT_EQ(learned_bytes.size(), golden.bytes);
+
+  const Dataset tail = SplitTail(head, 3);
+  Fixy folded(options);
+  ASSERT_TRUE(folded.Learn(head).ok());
+  ASSERT_TRUE(folded.LearnIncremental(tail).ok());
+  ASSERT_TRUE(folded.SaveModel(dir + "/folded.json").ok());
+  const std::string folded_bytes = ReadFile(dir + "/folded.json");
+  EXPECT_EQ(Crc32(folded_bytes), golden.crc);
+  EXPECT_EQ(folded_bytes.size(), golden.bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEstimators, LearnedModelGoldenTest,
+    ::testing::Values(
+        ModelGolden{EstimatorKind::kKde, 2364567827u, 675843},
+        ModelGolden{EstimatorKind::kHistogram, 746815824u, 528393},
+        ModelGolden{EstimatorKind::kGaussian, 3223151782u, 7822},
+        ModelGolden{EstimatorKind::kCategorical, 1424494968u, 528391}),
+    [](const auto& info) {
+      return std::string(EstimatorKindToString(info.param.estimator));
+    });
+
 TEST(MergeRefitCapacityTest, KdeFoldMatchesRefitPastReservoirCapacity) {
   // A tiny reservoir forces the KDE to subsample. The counter-based
   // reservoir resumes the exact subsampling stream across the fold, so
@@ -414,14 +462,15 @@ TEST(MergeRefitTest, StatsLessModelRejectsFold) {
   ASSERT_TRUE(engine.Learn(dataset).ok());
   ASSERT_TRUE(engine.SaveModel(dir + "/with_stats.json").ok());
 
-  // Strip the statistics by re-saving through the distributions-only
-  // serializer (the pre-incremental format).
+  // Strip the statistics by re-saving with an empty stats vector (the
+  // pre-incremental format).
   const auto loaded = LoadLearnedModelWithStats(dir + "/with_stats.json",
                                                 FeatureRegistry::Standard());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_TRUE(loaded->has_stats());
   ASSERT_TRUE(
-      SaveLearnedModel(loaded->distributions, dir + "/stats_less.json").ok());
+      SaveLearnedModel(loaded->distributions, {}, dir + "/stats_less.json")
+          .ok());
 
   Fixy reloaded;
   ASSERT_TRUE(reloaded.LoadModel(dir + "/stats_less.json").ok());
@@ -504,7 +553,7 @@ TEST(ResidencyTest, MaxResidentScenesBoundsThePeak) {
     stream.decode_threads = 4;
     stream.max_resident_scenes = limit;
     const auto report = engine.RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+        source, {"missing-tracks"}, batch, stream);
     ASSERT_TRUE(report.ok()) << report.status();
     const auto it = report->metrics.gauges.find("stream.resident_scenes_peak");
     ASSERT_NE(it, report->metrics.gauges.end());
@@ -514,7 +563,7 @@ TEST(ResidencyTest, MaxResidentScenesBoundsThePeak) {
     EXPECT_LE(it->second, static_cast<double>(ceiling)) << "limit " << limit;
     EXPECT_GE(it->second, 1.0);
     // The cap never costs coverage: every scene still ranks.
-    EXPECT_EQ(report->scenes_ok, 6u) << "limit " << limit;
+    EXPECT_EQ(report->reports[0].scenes_ok, 6u) << "limit " << limit;
   }
 }
 

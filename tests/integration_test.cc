@@ -56,7 +56,7 @@ TEST_F(PipelineTest, MissingTracksRankAboveNoiseOnAverage) {
         generated.ledger, ProposalKind::kMissingTrack, generated.scene.name());
     if (claimable.empty()) continue;
     scenes_with_errors += 1;
-    const auto fixy_proposals = fixy_->FindMissingTracks(generated.scene);
+    const auto fixy_proposals = fixy_->Find(generated.scene, "missing-tracks");
     ASSERT_TRUE(fixy_proposals.ok());
     fixy_hits +=
         eval::PrecisionAtK(*fixy_proposals, claimable, 5).precision;
@@ -81,7 +81,7 @@ TEST_F(PipelineTest, ModelErrorsBeatUncertaintySampling) {
         generated.ledger, ProposalKind::kModelError, generated.scene.name());
     if (claimable.empty()) continue;
     ++scenes;
-    const auto fixy_proposals = fixy_->FindModelErrors(generated.scene);
+    const auto fixy_proposals = fixy_->Find(generated.scene, "model-errors");
     ASSERT_TRUE(fixy_proposals.ok());
     fixy_precision +=
         eval::PrecisionAtK(*fixy_proposals, claimable, 10).precision;
@@ -97,7 +97,7 @@ TEST_F(PipelineTest, ModelErrorsBeatUncertaintySampling) {
 
 TEST_F(PipelineTest, SerializationRoundTripPreservesRanking) {
   const auto generated = sim::GenerateScene(*profile_, "roundtrip", 777);
-  const auto direct = fixy_->FindMissingTracks(generated.scene);
+  const auto direct = fixy_->Find(generated.scene, "missing-tracks");
   ASSERT_TRUE(direct.ok());
 
   const std::string dir =
@@ -106,7 +106,7 @@ TEST_F(PipelineTest, SerializationRoundTripPreservesRanking) {
   ASSERT_TRUE(io::SaveScene(generated.scene, dir + "/scene.json").ok());
   const auto loaded = io::LoadScene(dir + "/scene.json");
   ASSERT_TRUE(loaded.ok());
-  const auto via_disk = fixy_->FindMissingTracks(*loaded);
+  const auto via_disk = fixy_->Find(*loaded, "missing-tracks");
   ASSERT_TRUE(via_disk.ok());
 
   ASSERT_EQ(direct->size(), via_disk->size());
@@ -119,8 +119,8 @@ TEST_F(PipelineTest, SerializationRoundTripPreservesRanking) {
 
 TEST_F(PipelineTest, EndToEndDeterminism) {
   const auto generated = sim::GenerateScene(*profile_, "det", 31337);
-  const auto a = fixy_->FindMissingTracks(generated.scene);
-  const auto b = fixy_->FindMissingTracks(generated.scene);
+  const auto a = fixy_->Find(generated.scene, "missing-tracks");
+  const auto b = fixy_->Find(generated.scene, "missing-tracks");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
@@ -134,8 +134,8 @@ TEST_F(PipelineTest, LearningTwiceGivesSameDistributions) {
   Fixy again;
   ASSERT_TRUE(again.Learn(training_->dataset).ok());
   const auto generated = sim::GenerateScene(*profile_, "twice", 4242);
-  const auto a = fixy_->FindMissingTracks(generated.scene);
-  const auto b = again.FindMissingTracks(generated.scene);
+  const auto a = fixy_->Find(generated.scene, "missing-tracks");
+  const auto b = again.Find(generated.scene, "missing-tracks");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
@@ -154,7 +154,7 @@ TEST_F(PipelineTest, InternalProfilePipelineAlsoWorks) {
   options.exact_missing_tracks = 6;
   const auto generated =
       sim::GenerateScene(internal_profile, "ival", 99, options);
-  const auto proposals = fixy.FindMissingTracks(generated.scene);
+  const auto proposals = fixy.Find(generated.scene, "missing-tracks");
   ASSERT_TRUE(proposals.ok());
   const auto claimable = eval::ClaimableErrors(
       generated.ledger, ProposalKind::kMissingTrack, generated.scene.name());
@@ -167,7 +167,7 @@ TEST_F(PipelineTest, InternalProfilePipelineAlsoWorks) {
 
 TEST_F(PipelineTest, ProposalsCarryConsistentMetadata) {
   const auto generated = sim::GenerateScene(*profile_, "meta", 246);
-  const auto proposals = fixy_->FindMissingTracks(generated.scene);
+  const auto proposals = fixy_->Find(generated.scene, "missing-tracks");
   ASSERT_TRUE(proposals.ok());
   for (const ErrorProposal& p : *proposals) {
     EXPECT_EQ(p.scene_name, generated.scene.name());

@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 
 #include "common/random.h"
 #include "core/engine.h"
@@ -168,6 +170,22 @@ class ModelIoTest : public ::testing::Test {
     return (std::filesystem::temp_directory_path() / name).string();
   }
 
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // Writes the model at `from` to `to` with `edit` applied to its feature
+  // entries (SaveModel lists volume, velocity, count).
+  static void RewriteFeatures(const std::string& from, const std::string& to,
+                              const std::function<void(json::Array&)>& edit) {
+    auto doc = json::Parse(ReadBytes(from));
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    edit(doc->AsObject()["features"].AsArray());
+    std::ofstream out(to, std::ios::binary);
+    out << json::Write(*doc, /*pretty=*/true);
+  }
+
   static sim::GeneratedDataset* training_;
 };
 
@@ -184,8 +202,8 @@ TEST_F(ModelIoTest, EngineSaveLoadPreservesRanking) {
   EXPECT_TRUE(restored.is_learned());
 
   const auto scene = sim::GenerateScene(sim::LyftLikeProfile(), "val", 616);
-  const auto a = original.FindMissingTracks(scene.scene).value();
-  const auto b = restored.FindMissingTracks(scene.scene).value();
+  const auto a = original.Find(scene.scene, "missing-tracks").value();
+  const auto b = restored.Find(scene.scene, "missing-tracks").value();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].track_id, b[i].track_id);
@@ -193,8 +211,8 @@ TEST_F(ModelIoTest, EngineSaveLoadPreservesRanking) {
   }
   // The model-error application (which uses the learned count
   // distribution) survives too.
-  const auto me_a = original.FindModelErrors(scene.scene).value();
-  const auto me_b = restored.FindModelErrors(scene.scene).value();
+  const auto me_a = original.Find(scene.scene, "model-errors").value();
+  const auto me_b = restored.Find(scene.scene, "model-errors").value();
   ASSERT_EQ(me_a.size(), me_b.size());
   for (size_t i = 0; i < me_a.size(); ++i) {
     EXPECT_NEAR(me_a[i].score, me_b[i].score, 1e-9);
@@ -216,11 +234,11 @@ TEST_F(ModelIoTest, LoadMissingFileFails) {
 }
 
 TEST_F(ModelIoTest, LoadRejectsModelWithoutCount) {
-  // A model document containing only volume is rejected by the engine
-  // (FindModelErrors needs the count distribution).
+  // A model document without the count distribution is rejected by the
+  // engine (the model-errors application needs it).
   Fixy original;
   ASSERT_TRUE(original.Learn(training_->dataset).ok());
-  const auto doc = LearnedModelToJson(original.learned_features());
+  const auto doc = LearnedModelToJson(original.learned_features(), {});
   ASSERT_TRUE(doc.ok());
   const std::string path = TempPath("fixy_model_nocount.json");
   {
@@ -232,13 +250,92 @@ TEST_F(ModelIoTest, LoadRejectsModelWithoutCount) {
   std::filesystem::remove(path);
 }
 
+TEST_F(ModelIoTest, LoadStoresFeaturesInLearnOrder) {
+  // A file may list its features in any order. The engine keeps them in
+  // the order it learns them, so a fold adds each feature's values to its
+  // own statistics and a re-save writes the canonical file.
+  Fixy original;
+  ASSERT_TRUE(original.Learn(training_->dataset).ok());
+  const std::string canonical = TempPath("fixy_model_canonical.json");
+  const std::string swapped = TempPath("fixy_model_swapped.json");
+  ASSERT_TRUE(original.SaveModel(canonical).ok());
+  RewriteFeatures(canonical, swapped, [](json::Array& features) {
+    ASSERT_EQ(features.at(0).GetString("feature").value(), "volume");
+    ASSERT_EQ(features.at(1).GetString("feature").value(), "velocity");
+    std::swap(features[0], features[1]);
+  });
+
+  Fixy from_canonical;
+  Fixy from_swapped;
+  ASSERT_TRUE(from_canonical.LoadModel(canonical).ok());
+  ASSERT_TRUE(from_swapped.LoadModel(swapped).ok());
+  const std::string resaved = TempPath("fixy_model_resaved.json");
+  ASSERT_TRUE(from_swapped.SaveModel(resaved).ok());
+  EXPECT_TRUE(ReadBytes(resaved) == ReadBytes(canonical));
+
+  Dataset delta;
+  delta.scenes.push_back(
+      sim::GenerateScene(sim::LyftLikeProfile(), "delta", 717).scene);
+  ASSERT_TRUE(from_canonical.LearnIncremental(delta).ok());
+  ASSERT_TRUE(from_swapped.LearnIncremental(delta).ok());
+  const std::string folded = TempPath("fixy_model_folded.json");
+  ASSERT_TRUE(from_canonical.SaveModel(folded).ok());
+  ASSERT_TRUE(from_swapped.SaveModel(resaved).ok());
+  EXPECT_TRUE(ReadBytes(resaved) == ReadBytes(folded));
+  for (const std::string& path : {canonical, swapped, resaved, folded}) {
+    std::filesystem::remove(path);
+  }
+}
+
+TEST_F(ModelIoTest, LoadRejectsDuplicateFeature) {
+  Fixy original;
+  ASSERT_TRUE(original.Learn(training_->dataset).ok());
+  const std::string saved = TempPath("fixy_model_once.json");
+  const std::string duplicated = TempPath("fixy_model_twice.json");
+  ASSERT_TRUE(original.SaveModel(saved).ok());
+  RewriteFeatures(saved, duplicated, [](json::Array& features) {
+    const json::Value volume = features.at(0);
+    features.insert(features.begin() + 1, volume);
+  });
+
+  Fixy restored;
+  const Status status = restored.LoadModel(duplicated);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("volume"), std::string::npos) << status;
+  EXPECT_FALSE(restored.is_learned());
+  std::filesystem::remove(saved);
+  std::filesystem::remove(duplicated);
+}
+
+TEST_F(ModelIoTest, FailedLoadKeepsLearnedState) {
+  Fixy engine;
+  ASSERT_TRUE(engine.Learn(training_->dataset).ok());
+  const std::string before = TempPath("fixy_model_before.json");
+  const std::string no_count = TempPath("fixy_model_no_count.json");
+  const std::string after = TempPath("fixy_model_after.json");
+  ASSERT_TRUE(engine.SaveModel(before).ok());
+  RewriteFeatures(before, no_count, [](json::Array& features) {
+    ASSERT_EQ(features.back().GetString("feature").value(), "count");
+    features.pop_back();
+  });
+
+  EXPECT_EQ(engine.LoadModel(no_count).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine.is_learned());
+  EXPECT_EQ(engine.learned_features().size(), 2u);
+  ASSERT_TRUE(engine.SaveModel(after).ok());
+  EXPECT_TRUE(ReadBytes(after) == ReadBytes(before));
+  for (const std::string& path : {before, no_count, after}) {
+    std::filesystem::remove(path);
+  }
+}
+
 TEST_F(ModelIoTest, LoadRejectsUnknownFeature) {
   const auto doc = json::Parse(
       R"({"format":"fixy-model","version":1,"features":[
            {"feature":"warp","distribution":{"type":"gaussian","mean":0,"stddev":1}}]})");
   ASSERT_TRUE(doc.ok());
   const auto loaded =
-      LearnedModelFromJson(*doc, FeatureRegistry::Standard());
+      LearnedModelWithStatsFromJson(*doc, FeatureRegistry::Standard());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -247,21 +344,22 @@ TEST_F(ModelIoTest, LoadRejectsWrongFormat) {
   const auto doc = json::Parse(R"({"format":"other","version":1})");
   ASSERT_TRUE(doc.ok());
   EXPECT_FALSE(
-      LearnedModelFromJson(*doc, FeatureRegistry::Standard()).ok());
+      LearnedModelWithStatsFromJson(*doc, FeatureRegistry::Standard()).ok());
 }
 
 TEST_F(ModelIoTest, PerClassStructurePreserved) {
   Fixy original;
   ASSERT_TRUE(original.Learn(training_->dataset).ok());
-  const auto doc = LearnedModelToJson(original.learned_features());
+  const auto doc = LearnedModelToJson(original.learned_features(), {});
   ASSERT_TRUE(doc.ok());
   const auto loaded =
-      LearnedModelFromJson(*doc, FeatureRegistry::Standard());
+      LearnedModelWithStatsFromJson(*doc, FeatureRegistry::Standard());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), original.learned_features().size());
-  for (size_t i = 0; i < loaded->size(); ++i) {
+  EXPECT_FALSE(loaded->has_stats());
+  ASSERT_EQ(loaded->distributions.size(), original.learned_features().size());
+  for (size_t i = 0; i < loaded->distributions.size(); ++i) {
     const auto& orig = original.learned_features()[i];
-    const auto& rest = (*loaded)[i];
+    const auto& rest = loaded->distributions[i];
     EXPECT_EQ(rest.feature().name(), orig.feature().name());
     EXPECT_EQ(rest.per_class_distributions().size(),
               orig.per_class_distributions().size());

@@ -304,10 +304,9 @@ TEST_F(MultiAppTest, RequestOrderIsPreservedAndSelectionIsFree) {
   const auto multi = fixy_->RankDataset(dataset_->dataset, request);
   ASSERT_TRUE(multi.ok());
   EXPECT_EQ(multi->apps, request);
-  const auto solo_me =
-      fixy_->RankDataset(dataset_->dataset, Application::kModelErrors);
+  const auto solo_me = fixy_->RankDataset(dataset_->dataset, {"model-errors"});
   ASSERT_TRUE(solo_me.ok());
-  ExpectReportsIdentical(multi->reports[0], *solo_me);
+  ExpectReportsIdentical(multi->reports[0], solo_me->reports.front());
 }
 
 TEST_F(MultiAppTest, UnknownAppFailsTheCall) {
@@ -535,13 +534,18 @@ TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
   }
 }
 
+// Fixy::Find, the single-scene single-application call, ranks every scene
+// exactly as the name-addressed dataset run does.
 TEST_F(MultiAppTest, SingleAppWrappersMatchNameAddressedRuns) {
-  const auto wrapped =
-      fixy_->RankDataset(dataset_->dataset, Application::kMissingObservations);
   const auto named = fixy_->RankDataset(dataset_->dataset, {"missing-obs"});
-  ASSERT_TRUE(wrapped.ok());
   ASSERT_TRUE(named.ok());
-  ExpectReportsIdentical(*wrapped, named->reports.front());
+  const BatchReport& report = named->reports.front();
+  ASSERT_EQ(report.outcomes.size(), dataset_->dataset.scenes.size());
+  for (size_t s = 0; s < report.outcomes.size(); ++s) {
+    const auto found = fixy_->Find(dataset_->dataset.scenes[s], "missing-obs");
+    ASSERT_TRUE(found.ok()) << found.status();
+    ExpectProposalsIdentical(*found, report.outcomes[s].proposals);
+  }
 }
 
 }  // namespace

@@ -80,8 +80,8 @@ TEST_P(SeededPropertyTest, RankingInvariantToObservationOrder) {
                 frame.observations[rng.UniformInt(i)]);
     }
   }
-  const auto a = fixy.FindMissingTracks(generated.scene).value();
-  const auto b = fixy.FindMissingTracks(shuffled).value();
+  const auto a = fixy.Find(generated.scene, "missing-tracks").value();
+  const auto b = fixy.Find(shuffled, "missing-tracks").value();
   ASSERT_EQ(a.size(), b.size());
   // Scores must agree pairwise after sorting (track ids can differ since
   // assembly order differs).
@@ -149,7 +149,7 @@ TEST_P(SeededPropertyTest, MetricBounds) {
     ASSERT_TRUE(fixy.Learn(training.dataset).ok());
   }
   const auto generated = sim::GenerateScene(profile, "prop", GetParam() + 3);
-  const auto ranked = fixy.FindMissingTracks(generated.scene).value();
+  const auto ranked = fixy.Find(generated.scene, "missing-tracks").value();
   const auto claimable = eval::ClaimableErrors(
       generated.ledger, ProposalKind::kMissingTrack, generated.scene.name());
   for (size_t k : {1u, 5u, 10u, 100u}) {

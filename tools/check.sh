@@ -36,8 +36,8 @@
 #                             # then the daemon concurrency/corruption suites
 #                             # under plain + asan builds
 #   tools/check.sh sweep      # scenario sweep: validator rejections name
-#                             # the offending field, sim --preset datasets
-#                             # byte-identical to the legacy profiles, a
+#                             # the offending field, the generate alias
+#                             # byte-identical to sim --preset, a
 #                             # 2x3 scenario-x-app grid byte-identical at
 #                             # any --threads, metrics-diff + regression
 #                             # gate smoke, and the scenario suites under
@@ -572,7 +572,7 @@ EOF
       || { echo "sweep FAILED: enum error does not list valid values" >&2
            cat "${work}/bad.log" >&2; return 1; }
 
-  echo "==== sweep: preset sim is byte-identical to the legacy profile ===="
+  echo "==== sweep: the generate alias is byte-identical to sim --preset ===="
   "${cli}" generate --out "${work}/legacy" --profile lyft --scenes 3 --seed 9
   "${cli}" sim --out "${work}/preset" --preset lyft-like --scenes 3 --seed 9 \
       > /dev/null

@@ -1,14 +1,16 @@
 // fixy_cli — command-line front end for the Fixy pipeline.
 //
 // Subcommands:
-//   generate  --profile lyft|internal --scenes N --seed S --out DIR
-//             Simulate a labeled dataset (with injected errors) to DIR.
 //   sim       --out DIR [--preset NAME | --scenario FILE] [--scenes N]
 //             [--seed S] [--fxb] [--list-presets]
-//             The spec-driven generate: materialize a scenario (built-in
-//             preset or JSON spec file) to DIR — scene JSON, ground-truth
-//             ledger, and a lock file recording the recipe; --fxb also
-//             builds dataset.fxb straight from memory (no JSON re-parse).
+//             Simulate a labeled dataset (with injected errors): materialize
+//             a scenario (built-in preset or JSON spec file) to DIR — scene
+//             JSON, ground-truth ledger, and a lock file recording the
+//             recipe; --fxb also builds dataset.fxb straight from memory
+//             (no JSON re-parse).
+//   generate  --profile lyft|internal [--scenes N] [--seed S] --out DIR
+//             Alias of `sim --preset lyft-like|internal-like`, defaulting
+//             to 4 scenes and seed 42.
 //   sweep     --report FILE [--presets a,b,c|all] [--scenarios f1,f2]
 //             [--apps a,b,c] [--scenes N] [--seed S] [--top K]
 //             [--threads N] [--estimator E] [--cache-dir DIR]
@@ -53,7 +55,7 @@
 //             Print dataset statistics.
 //
 // Example session:
-//   fixy_cli generate --profile lyft --scenes 4 --out /tmp/ds
+//   fixy_cli sim      --preset lyft-like --scenes 4 --out /tmp/ds
 //   fixy_cli learn    --data /tmp/ds --model /tmp/model.json
 //   fixy_cli rank     --data /tmp/ds --model /tmp/model.json --top 5
 #include <charconv>
@@ -97,7 +99,6 @@
 #include "scenario/sweep.h"
 #include "shard/coordinator.h"
 #include "shard/worker.h"
-#include "sim/generate.h"
 
 namespace fixy::cli {
 namespace {
@@ -148,6 +149,10 @@ class Flags {
       flags.values_[name] = argv[++i];
     }
     return flags;
+  }
+
+  void Set(const std::string& name, const std::string& value) {
+    values_[name] = value;
   }
 
   std::string GetOr(const std::string& name,
@@ -291,35 +296,8 @@ std::string PerAppOutPath(const std::string& out_path,
   return renamed.string();
 }
 
-Result<sim::SimProfile> ProfileByName(const std::string& name) {
-  if (name == "lyft") return sim::LyftLikeProfile();
-  if (name == "internal") return sim::InternalLikeProfile();
-  return Status::InvalidArgument("unknown profile: " + name +
-                                 " (expected lyft|internal)");
-}
-
-Status CmdGenerate(const Flags& flags) {
-  FIXY_ASSIGN_OR_RETURN(std::string out, flags.GetRequired("out"));
-  FIXY_ASSIGN_OR_RETURN(sim::SimProfile profile,
-                        ProfileByName(flags.GetOr("profile", "lyft")));
-  FIXY_ASSIGN_OR_RETURN(const int scenes, flags.GetIntOr("scenes", 4));
-  if (scenes < 1) {
-    return Status::InvalidArgument("--scenes must be >= 1");
-  }
-  FIXY_ASSIGN_OR_RETURN(const int64_t seed_value, flags.GetInt64Or("seed", 42));
-  const uint64_t seed = static_cast<uint64_t>(seed_value);
-  const sim::GeneratedDataset generated =
-      sim::GenerateDataset(profile, profile.name, scenes, seed);
-  FIXY_RETURN_IF_ERROR(io::SaveDataset(generated.dataset, out));
-  std::printf("wrote %d scenes (%zu observations, %zu injected errors) to "
-              "%s\n",
-              scenes, generated.dataset.TotalObservations(),
-              generated.ledger.errors.size(), out.c_str());
-  return Status::Ok();
-}
-
-// `sim` — the spec-driven generate: a scenario (preset or JSON file)
-// materializes into scene JSON + ground-truth ledger + lock file, with
+// `sim` — a scenario (preset or JSON file) materializes into scene JSON +
+// ground-truth ledger + lock file, with
 // --fxb building the binary cache straight from the in-memory dataset
 // (no JSON re-parse), which is the path that makes 100k+ scene datasets
 // practical.
@@ -367,6 +345,23 @@ Status CmdSim(const Flags& flags) {
               result.data.ledger.errors.size(), spec.name.c_str(), out.c_str(),
               options.write_fxb ? " (+ dataset.fxb)" : "");
   return Status::Ok();
+}
+
+// `generate` is an alias of `sim`: --profile lyft|internal selects the
+// lyft-like|internal-like preset, and generate's defaults stay (4 scenes,
+// seed 42).
+Result<Flags> SimFlagsForGenerate(Flags flags) {
+  const std::string profile = flags.GetOr("profile", "lyft");
+  if (profile != "lyft" && profile != "internal") {
+    return Status::InvalidArgument("unknown profile: " + profile +
+                                   " (expected lyft|internal)");
+  }
+  FIXY_ASSIGN_OR_RETURN(const int scenes, flags.GetIntOr("scenes", 4));
+  if (scenes < 1) return Status::InvalidArgument("--scenes must be >= 1");
+  flags.Set("preset", profile + "-like");
+  flags.Set("scenes", std::to_string(scenes));
+  if (!flags.Has("seed")) flags.Set("seed", "42");
+  return flags;
 }
 
 // The scenario half of a sweep grid: `--presets a,b,c|all` resolves
@@ -1143,8 +1138,6 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: fixy_cli <command> [--flag value ...]\n"
-      "  generate --out DIR [--profile lyft|internal] [--scenes N] "
-      "[--seed S]\n"
       "  sim      --out DIR [--preset NAME | --scenario FILE] [--scenes N]\n"
       "           [--seed S] [--fxb] [--list-presets]\n"
       "           materialize a scenario (preset or JSON spec file) to DIR:\n"
@@ -1152,6 +1145,10 @@ void PrintUsage() {
       "           also builds dataset.fxb directly from the in-memory\n"
       "           dataset (no JSON re-parse); --list-presets lists the\n"
       "           built-in scenarios\n"
+      "  generate --out DIR [--profile lyft|internal] [--scenes N] "
+      "[--seed S]\n"
+      "           alias of sim --preset lyft-like|internal-like (defaults:\n"
+      "           4 scenes, seed 42)\n"
       "  sweep    --report FILE [--presets a,b,c|all] [--scenarios f1,f2]\n"
       "           [--apps a,b,c] [--scenes N] [--seed S] [--top K]\n"
       "           [--threads N] [--estimator kde|histogram|gaussian]\n"
@@ -1250,7 +1247,8 @@ int Main(int argc, char** argv) {
   }
   Status status;
   if (command == "generate") {
-    status = CmdGenerate(*flags);
+    const Result<Flags> sim_flags = SimFlagsForGenerate(*flags);
+    status = sim_flags.ok() ? CmdSim(*sim_flags) : sim_flags.status();
   } else if (command == "sim") {
     status = CmdSim(*flags);
   } else if (command == "sweep") {
