@@ -79,7 +79,8 @@ double FeatureDistribution::ApplyAofAndFloor(double likelihood) const {
 }
 
 std::optional<double> FeatureDistribution::RawTransform(
-    std::optional<double> value, std::optional<ObjectClass> cls) const {
+    std::optional<double> value, std::optional<ObjectClass> cls,
+    DensityMemo* memo) const {
   if (!value.has_value()) return std::nullopt;
   if (!std::isfinite(*value)) {
     // Degenerate feature value (overflowed velocity, inf volume from a
@@ -89,6 +90,10 @@ std::optional<double> FeatureDistribution::RawTransform(
     // first — instead of the non-finite value reaching an estimator,
     // where NaN comparisons are undefined.
     return 0.0;
+  }
+  const stats::Distribution* dist = DistributionFor(cls);
+  if (memo != nullptr && dist != nullptr && dist->CostlyDensity()) {
+    return dist->NormalizedScoreFromDensity(memo->Density(*dist, *value));
   }
   return RawLikelihood(*value, cls);
 }
@@ -101,7 +106,8 @@ std::optional<double> FeatureDistribution::Transform(
 }
 
 void FeatureDistribution::RawScoreTrackObservations(
-    const Track& track, double frame_rate_hz, RawTrackScores* out) const {
+    const Track& track, double frame_rate_hz, RawTrackScores* out,
+    DensityMemo* memo) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kObservation);
   const auto* f = static_cast<const ObservationFeature*>(feature_.get());
   out->Clear();
@@ -163,7 +169,11 @@ void FeatureDistribution::RawScoreTrackObservations(
   for (size_t b = 0; b < used; ++b) {
     const Batch& batch = batches[b];
     densities.resize(batch.values.size());
-    batch.dist->DensityBatch(batch.values, densities);
+    if (memo != nullptr && batch.dist->CostlyDensity()) {
+      memo->DensityBatch(*batch.dist, batch.values, densities);
+    } else {
+      batch.dist->DensityBatch(batch.values, densities);
+    }
     for (size_t i = 0; i < batch.values.size(); ++i) {
       out->values[batch.out_indices[i]] =
           batch.dist->NormalizedScoreFromDensity(densities[i]);
@@ -187,25 +197,26 @@ void FeatureDistribution::ScoreTrackObservations(
 }
 
 std::optional<double> FeatureDistribution::RawScoreBundle(
-    const ObservationBundle& bundle, const FeatureContext& ctx) const {
+    const ObservationBundle& bundle, const FeatureContext& ctx,
+    DensityMemo* memo) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kBundle);
   const auto* f = static_cast<const BundleFeature*>(feature_.get());
-  return RawTransform(f->Compute(bundle, ctx), BundleClass(bundle));
+  return RawTransform(f->Compute(bundle, ctx), BundleClass(bundle), memo);
 }
 
 std::optional<double> FeatureDistribution::RawScoreTransition(
     const ObservationBundle& from, const ObservationBundle& to,
-    const FeatureContext& ctx) const {
+    const FeatureContext& ctx, DensityMemo* memo) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kTransition);
   const auto* f = static_cast<const TransitionFeature*>(feature_.get());
-  return RawTransform(f->Compute(from, to, ctx), BundleClass(from));
+  return RawTransform(f->Compute(from, to, ctx), BundleClass(from), memo);
 }
 
 std::optional<double> FeatureDistribution::RawScoreTrack(
-    const Track& track, const FeatureContext& ctx) const {
+    const Track& track, const FeatureContext& ctx, DensityMemo* memo) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kTrack);
   const auto* f = static_cast<const TrackFeature*>(feature_.get());
-  return RawTransform(f->Compute(track, ctx), track.MajorityClass());
+  return RawTransform(f->Compute(track, ctx), track.MajorityClass(), memo);
 }
 
 std::optional<double> FeatureDistribution::ScoreObservation(

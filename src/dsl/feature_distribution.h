@@ -15,6 +15,7 @@
 
 namespace fixy {
 
+class DensityMemo;
 struct RawTrackScores;
 
 /// A feature together with the distribution(s) learned for it offline and
@@ -84,15 +85,23 @@ class FeatureDistribution {
   /// values are gathered into contiguous per-distribution buffers so the
   /// density evaluation runs the KDE's batched/SIMD path, and the scratch
   /// is thread-local, so steady-state scoring does not allocate.
+  ///
+  /// With a `memo`, costly densities (CostlyDensity()) are read from and
+  /// added to it instead of being evaluated afresh; the likelihoods are
+  /// the same bits either way. Cheap distributions never use it.
   void RawScoreTrackObservations(const Track& track, double frame_rate_hz,
-                                 RawTrackScores* out) const;
+                                 RawTrackScores* out,
+                                 DensityMemo* memo = nullptr) const;
   std::optional<double> RawScoreBundle(const ObservationBundle& bundle,
-                                       const FeatureContext& ctx) const;
+                                       const FeatureContext& ctx,
+                                       DensityMemo* memo = nullptr) const;
   std::optional<double> RawScoreTransition(const ObservationBundle& from,
                                            const ObservationBundle& to,
-                                           const FeatureContext& ctx) const;
+                                           const FeatureContext& ctx,
+                                           DensityMemo* memo = nullptr) const;
   std::optional<double> RawScoreTrack(const Track& track,
-                                      const FeatureContext& ctx) const;
+                                      const FeatureContext& ctx,
+                                      DensityMemo* memo = nullptr) const;
 
   /// AOF application + the strict-positivity floor, shared by the scalar
   /// and batch scoring paths (and applied per application to cached raw
@@ -121,10 +130,12 @@ class FeatureDistribution {
 
   /// Raw half of Transform: degenerate values map to likelihood 0.0,
   /// missing values/distributions to nullopt, everything else to the
-  /// distribution's normalized likelihood. Transform is RawTransform
-  /// followed by ApplyAofAndFloor.
+  /// distribution's normalized likelihood (a costly density through
+  /// `memo` when one is given). Transform is RawTransform followed by
+  /// ApplyAofAndFloor.
   std::optional<double> RawTransform(std::optional<double> value,
-                                     std::optional<ObjectClass> cls) const;
+                                     std::optional<ObjectClass> cls,
+                                     DensityMemo* memo = nullptr) const;
 
   /// The distribution covering `cls` (the global one, or the per-class
   /// entry); nullptr when none applies.

@@ -53,6 +53,22 @@ double SelectBandwidth(const std::vector<double>& sorted, BandwidthRule rule) {
   return bw;
 }
 
+// The constructor's invariants as a Status: `bandwidth` and the kernel
+// normalization 1/(sqrt(2*pi) * h * n) must both be finite and positive.
+// Reachable from data (a sample whose spread overflows) and from a
+// hand-edited model file, so it must not be a CHECK.
+Status ValidateBandwidth(double bandwidth, size_t sample_count) {
+  const double norm =
+      kInvSqrt2Pi / (bandwidth * static_cast<double>(sample_count));
+  if (!(std::isfinite(bandwidth) && bandwidth > 0.0 && std::isfinite(norm) &&
+        norm > 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "KDE bandwidth %g over %zu samples has no finite normalization",
+        bandwidth, sample_count));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 GaussianKde::GaussianKde(std::vector<double> samples, double bandwidth)
@@ -185,6 +201,7 @@ Result<GaussianKde> GaussianKde::Fit(std::vector<double> samples,
   FIXY_RETURN_IF_ERROR(ValidateSamples(samples));
   std::sort(samples.begin(), samples.end());
   const double bw = SelectBandwidth(samples, rule);
+  FIXY_RETURN_IF_ERROR(ValidateBandwidth(bw, samples.size()));
   return GaussianKde(std::move(samples), bw);
 }
 
@@ -199,6 +216,7 @@ Result<GaussianKde> GaussianKde::FitWithBandwidth(std::vector<double> samples,
     return Status::InvalidArgument(StrFormat(
         "KDE bandwidth must be a finite value >= %g", kMinBandwidth));
   }
+  FIXY_RETURN_IF_ERROR(ValidateBandwidth(bandwidth, samples.size()));
   return GaussianKde(std::move(samples), bandwidth);
 }
 
@@ -209,17 +227,11 @@ double GaussianKde::Density(double x) const {
 
 double GaussianKde::DensityUncounted(double x) const {
   // Non-finite queries have zero density by convention; letting them into
-  // lower_bound would break the comparator's ordering requirements.
+  // the window search would break the comparator's ordering requirements.
   if (!std::isfinite(x)) return 0.0;
-  // Samples are sorted, so kernels further than 8 bandwidths contribute
-  // less than 1e-14 of their mass and can be skipped.
-  const double cutoff = 8.0 * bandwidth_;
-  const size_t lo = static_cast<size_t>(
-      std::lower_bound(samples_.begin(), samples_.end(), x - cutoff) -
-      samples_.begin());
-  size_t lo_cursor = lo;
-  size_t hi_cursor = lo;
-  return WindowedSum(x, &lo_cursor, &hi_cursor) * norm_;
+  size_t lo = 0;
+  size_t hi = 0;
+  return WindowedSum(x, &lo, &hi) * norm_;
 }
 
 void GaussianKde::DensityBatch(std::span<const double> xs,
@@ -264,16 +276,18 @@ void GaussianKde::DensityBatch(std::span<const double> xs,
 }
 
 double GaussianKde::WindowedSum(double x, size_t* lo, size_t* hi) const {
-  // Advances [*lo, *hi) to the window of samples within the 8-bandwidth
-  // cutoff of `x` — the same bounds lower_bound/upper_bound would find —
-  // then hands the contiguous window to the dispatched kernel.
+  // Samples are sorted, so kernels further than 8 bandwidths contribute
+  // less than 1e-14 of their mass and are skipped: [*lo, *hi) becomes
+  // [first sample >= x - 8h, first sample > x + 8h), each end found by
+  // binary search from the cursor handed in (a sorted batch's windows only
+  // move right). The dispatched kernel sums that contiguous window.
   const double cutoff = 8.0 * bandwidth_;
-  const double lo_value = x - cutoff;
-  const double hi_value = x + cutoff;
-  const size_t n = samples_.size();
-  while (*lo < n && samples_[*lo] < lo_value) ++*lo;
-  if (*hi < *lo) *hi = *lo;
-  while (*hi < n && samples_[*hi] <= hi_value) ++*hi;
+  const auto begin = samples_.begin();
+  *lo = static_cast<size_t>(
+      std::lower_bound(begin + *lo, samples_.end(), x - cutoff) - begin);
+  *hi = static_cast<size_t>(std::upper_bound(begin + std::max(*lo, *hi),
+                                             samples_.end(), x + cutoff) -
+                            begin);
   return simd::GaussianWindowSum(samples_.data() + *lo, *hi - *lo, x,
                                  inv_bandwidth_);
 }

@@ -26,22 +26,27 @@ enum class BandwidthRule {
 class GaussianKde final : public Distribution {
  public:
   /// Fits a KDE to `samples`. Errors:
-  ///  - InvalidArgument if `samples` is empty or contains non-finite values.
+  ///  - InvalidArgument if `samples` is empty or contains non-finite values;
+  ///  - InvalidArgument if the selected bandwidth or the normalization
+  ///    1/(sqrt(2*pi) * h * n) is not finite and positive (a spread that
+  ///    overflows, e.g. samples near +-1e300).
   /// Degenerate samples (zero spread) get a small positive fallback
   /// bandwidth so the density stays well defined.
   static Result<GaussianKde> Fit(std::vector<double> samples,
                                  BandwidthRule rule = BandwidthRule::kScott);
 
-  /// Fits with an explicit bandwidth. Errors if bandwidth <= 0 or samples
+  /// Fits with an explicit bandwidth. Errors (InvalidArgument) if the
+  /// bandwidth is below 1e-6 or not finite, if its normalization
+  /// 1/(sqrt(2*pi) * h * n) is not finite and positive, or if samples are
   /// empty / non-finite.
   static Result<GaussianKde> FitWithBandwidth(std::vector<double> samples,
                                               double bandwidth);
 
   double Density(double x) const override;
   /// Batch evaluation: identical results to calling Density per element,
-  /// but the kernel windows are found with one monotone sweep over the
-  /// sorted samples instead of a binary search per query — the path factor
-  /// scoring and the constructor's mode scan use.
+  /// but the queries are visited in ascending order, so each window search
+  /// starts from the previous window instead of the whole sample — the
+  /// path factor scoring and the mode scan use.
   void DensityBatch(std::span<const double> xs,
                     std::span<double> out) const override;
   /// Exact mode density (the maximum of Density over the samples),
@@ -73,8 +78,9 @@ class GaussianKde final : public Distribution {
   /// each record their own (batched) count exactly once per query.
   double DensityUncounted(double x) const;
 
-  /// Kernel-window sum for queries in ascending order; `lo`/`hi` are the
-  /// sliding window bounds carried across queries. The sum itself runs on
+  /// Kernel-window sum at `x`. `lo`/`hi` are the window bounds carried
+  /// across queries in ascending order (both 0 for a lone query); each is
+  /// re-found by binary search from where it was. The sum itself runs on
   /// the dispatched SIMD kernel (stats/simd.h).
   double WindowedSum(double x, size_t* lo, size_t* hi) const;
 

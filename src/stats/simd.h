@@ -2,14 +2,16 @@
 //
 // The only kernel today is the Gaussian window sum
 //     sum_i exp(-0.5 * ((x - s[i]) * inv_bw)^2)
-// which is >80% of factor-graph compile time. Two implementations exist:
-// a portable scalar one and an AVX2+FMA one. Both evaluate exp() with the
-// same fused polynomial (Cody-Waite reduction, degree-13 Taylor core,
-// exponent reassembly through the exponent bits) and accumulate in the
-// same 4-lane striped order, so their results are bit-identical per call
-// — dispatch never changes program output, only wall-clock. The polynomial
-// differs from std::exp by a few ULP per kernel term; the observed density
-// shift is < 1e-13 relative (documented in DESIGN.md §11).
+// which is >80% of factor-graph compile time. Three implementations exist:
+// a portable scalar one, an AVX2+FMA one and an AVX-512F one. All evaluate
+// exp() with the same fused polynomial (Cody-Waite reduction, degree-13
+// Taylor core, exponent reassembly through the exponent bits) and
+// accumulate in the same 4-lane striped order — the AVX-512 kernel adds
+// each 8-term block into the 4-lane accumulator low quad first, then high
+// quad — so their results are bit-identical per call: dispatch never
+// changes program output, only wall-clock. The polynomial differs from
+// std::exp by a few ULP per kernel term; the observed density shift is
+// < 1e-13 relative (documented in DESIGN.md §11).
 //
 // Dispatch is decided once, at first use, from CPUID; tests can pin a
 // kernel with SetKernelForTesting to compare the paths directly.
@@ -23,13 +25,16 @@ namespace fixy::stats::simd {
 enum class Kernel {
   kScalar,
   kAvx2,
+  kAvx512,
 };
 
 /// The kernel the process dispatches to: the test override if one is set,
 /// otherwise the best implementation the CPU supports (detected once).
 Kernel ActiveKernel();
 
-/// Whether this build/CPU can run `kernel` (kScalar is always available).
+/// Whether this build/CPU can run `kernel` (kScalar is always available;
+/// kAvx2 needs AVX2 and FMA; kAvx512 needs AVX-512F as well). Every kernel
+/// the CPU can run reports true, not only the one dispatch picks.
 bool KernelAvailable(Kernel kernel);
 
 /// Pins dispatch to `kernel` for tests. Returns false (and leaves dispatch
@@ -39,7 +44,7 @@ bool SetKernelForTesting(Kernel kernel);
 /// Restores CPUID-based dispatch.
 void ClearKernelOverrideForTesting();
 
-/// Human-readable kernel name ("scalar", "avx2").
+/// Human-readable kernel name ("scalar", "avx2", "avx512").
 const char* KernelName(Kernel kernel);
 
 /// Sums exp(-0.5 * ((x - samples[i]) * inv_bandwidth)^2) over i in [0, n).

@@ -329,6 +329,101 @@ TEST_F(ModelIoTest, FailedLoadKeepsLearnedState) {
   }
 }
 
+// Sets "bandwidth" on the first {"type": "kde"} object found depth-first.
+bool SetFirstKdeBandwidth(json::Value& value, double bandwidth) {
+  if (value.is_object()) {
+    json::Object& obj = value.AsObject();
+    const auto type = obj.find("type");
+    if (type != obj.end() && type->second.is_string() &&
+        type->second.AsString() == "kde") {
+      obj["bandwidth"] = bandwidth;
+      return true;
+    }
+    for (auto& [key, child] : obj) {
+      if (SetFirstKdeBandwidth(child, bandwidth)) return true;
+    }
+  } else if (value.is_array()) {
+    for (json::Value& child : value.AsArray()) {
+      if (SetFirstKdeBandwidth(child, bandwidth)) return true;
+    }
+  }
+  return false;
+}
+
+// Regression: a KDE bandwidth of 1e308 passes the finite/minimum check, but
+// its normalization 1/(sqrt(2*pi) * h * n) underflows to 0, which used to
+// abort the process in the KDE constructor. Loading it is an
+// InvalidArgument, and the engine keeps the model it had.
+TEST_F(ModelIoTest, LoadRejectsKdeBandwidthWithoutNormalization) {
+  Fixy engine;
+  ASSERT_TRUE(engine.Learn(training_->dataset).ok());
+  const std::string before = TempPath("fixy_model_bw_before.json");
+  const std::string huge = TempPath("fixy_model_bw_huge.json");
+  const std::string after = TempPath("fixy_model_bw_after.json");
+  ASSERT_TRUE(engine.SaveModel(before).ok());
+  RewriteFeatures(before, huge, [](json::Array& features) {
+    bool set = false;
+    for (json::Value& feature : features) {
+      if (SetFirstKdeBandwidth(feature, 1e308)) {
+        set = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(set);
+  });
+
+  const Status status = engine.LoadModel(huge);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_TRUE(engine.is_learned());
+  ASSERT_TRUE(engine.SaveModel(after).ok());
+  EXPECT_TRUE(ReadBytes(after) == ReadBytes(before));
+  for (const std::string& path : {before, huge, after}) {
+    std::filesystem::remove(path);
+  }
+}
+
+// Regression: one human box 1e100 m a side passes Scene::Validate and its
+// volume (1e300) is finite, but the volume sample's standard deviation
+// overflows, so the selected KDE bandwidth is infinite. Learn and
+// LearnIncremental return InvalidArgument instead of aborting, and the
+// failed fold leaves the engine's model as it was.
+TEST_F(ModelIoTest, LearnRejectsSampleSpreadThatOverflows) {
+  Dataset corrupt = training_->dataset;
+  bool grown = false;
+  for (Frame& frame : corrupt.scenes.front().frames()) {
+    for (Observation& obs : frame.observations) {
+      if (obs.source != ObservationSource::kHuman) continue;
+      obs.box.length = obs.box.width = obs.box.height = 1e100;
+      grown = true;
+      break;
+    }
+    if (grown) break;
+  }
+  ASSERT_TRUE(grown);
+  ASSERT_TRUE(corrupt.scenes.front().Validate().ok());
+  Dataset delta;
+  delta.scenes.push_back(corrupt.scenes.front());
+
+  Fixy engine;
+  ASSERT_TRUE(engine.Learn(training_->dataset).ok());
+  const std::string before = TempPath("fixy_model_spread_before.json");
+  const std::string after = TempPath("fixy_model_spread_after.json");
+  ASSERT_TRUE(engine.SaveModel(before).ok());
+
+  Status status = engine.Learn(corrupt);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  ASSERT_TRUE(engine.SaveModel(after).ok());
+  EXPECT_TRUE(ReadBytes(after) == ReadBytes(before));
+
+  status = engine.LearnIncremental(delta);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  ASSERT_TRUE(engine.SaveModel(after).ok());
+  EXPECT_TRUE(ReadBytes(after) == ReadBytes(before));
+  for (const std::string& path : {before, after}) {
+    std::filesystem::remove(path);
+  }
+}
+
 TEST_F(ModelIoTest, LoadRejectsUnknownFeature) {
   const auto doc = json::Parse(
       R"({"format":"fixy-model","version":1,"features":[

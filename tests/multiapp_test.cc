@@ -1,21 +1,32 @@
 // Tests for the multi-application pipeline: the ApplicationRegistry, the
 // shared-ScenePass invariants (association once per scene, model view
 // identical to a filtered-scene build), multi-vs-solo byte-identity for
-// the batch and streaming APIs at every thread count, and a user-defined
-// application ranked end-to-end through FixyOptions::extra_applications.
+// the batch and streaming APIs at every thread count, a user-defined
+// application ranked end-to-end through FixyOptions::extra_applications,
+// and the pass's shared density memo (same bits as no memo; one view's
+// densities serve the other).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/applications.h"
 #include "core/engine.h"
+#include "core/model_io.h"
 #include "core/ranker.h"
+#include "core/scene_pass.h"
 #include "data/scene_source.h"
 #include "dsl/aof.h"
 #include "dsl/track_builder.h"
 #include "graph/factor_graph.h"
 #include "obs/metrics.h"
+#include "scenario/materialize.h"
+#include "scenario/presets.h"
 #include "sim/generate.h"
 #include "stats/simd.h"
 
@@ -497,9 +508,10 @@ TEST_F(MultiAppTest, NonPrunableAppsAreUnaffectedByTopK) {
 // ---- Kernel dispatch byte-identity through the whole pipeline. ----
 
 // The SIMD contract one level up: ranked proposals are byte-identical
-// whichever kernel the KDE dispatches to, at several thread counts. (The
-// learned model is rebuilt under each kernel so even the fitted
-// mode-density constants go through the pinned code path.)
+// whichever kernel the KDE dispatches to, at several thread counts. Every
+// kernel the CPU runs is compared against scalar. (The learned model is
+// rebuilt under each kernel so even the fitted mode-density constants go
+// through the pinned code path.)
 TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
   if (!stats::simd::KernelAvailable(stats::simd::Kernel::kAvx2)) {
     GTEST_SKIP() << "no AVX2 on this CPU; nothing to compare";
@@ -507,10 +519,16 @@ TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
   const std::vector<std::string> apps = kStandardApps;
   const sim::GeneratedDataset training =
       sim::GenerateDataset(*profile_, "multiapp_train", 4, 92);
+  std::vector<stats::simd::Kernel> kernels;
   std::vector<std::vector<BatchReport>> per_kernel;
   for (const auto kernel :
-       {stats::simd::Kernel::kScalar, stats::simd::Kernel::kAvx2}) {
-    ASSERT_TRUE(stats::simd::SetKernelForTesting(kernel));
+       {stats::simd::Kernel::kScalar, stats::simd::Kernel::kAvx2,
+        stats::simd::Kernel::kAvx512}) {
+    if (!stats::simd::SetKernelForTesting(kernel)) {
+      std::printf("kernel %s unavailable on this CPU; its comparison is "
+                  "skipped\n", stats::simd::KernelName(kernel));
+      continue;
+    }
     FixyOptions plain;
     Fixy fixy(std::move(plain));
     ASSERT_TRUE(fixy.Learn(training.dataset).ok());
@@ -524,13 +542,17 @@ TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
         reports.push_back(std::move(report));
       }
     }
+    kernels.push_back(kernel);
     per_kernel.push_back(std::move(reports));
   }
   stats::simd::ClearKernelOverrideForTesting();
-  ASSERT_EQ(per_kernel[0].size(), per_kernel[1].size());
-  for (size_t i = 0; i < per_kernel[0].size(); ++i) {
-    SCOPED_TRACE("report " + std::to_string(i));
-    ExpectReportsIdentical(per_kernel[0][i], per_kernel[1][i]);
+  for (size_t k = 1; k < per_kernel.size(); ++k) {
+    ASSERT_EQ(per_kernel[0].size(), per_kernel[k].size());
+    for (size_t i = 0; i < per_kernel[0].size(); ++i) {
+      SCOPED_TRACE(std::string(stats::simd::KernelName(kernels[k])) +
+                   " report " + std::to_string(i));
+      ExpectReportsIdentical(per_kernel[0][i], per_kernel[k][i]);
+    }
   }
 }
 
@@ -546,6 +568,155 @@ TEST_F(MultiAppTest, SingleAppWrappersMatchNameAddressedRuns) {
     ASSERT_TRUE(found.ok()) << found.status();
     ExpectProposalsIdentical(*found, report.outcomes[s].proposals);
   }
+}
+
+// ---- The per-pass density memo. ----
+
+// One fixed-seed dense-urban-intersection scene, a model learned from two
+// more, and the three paper applications' specs built from that model.
+class DensityMemoTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const Result<scenario::ScenarioSpec> preset =
+        scenario::PresetByName("dense-urban-intersection");
+    ASSERT_TRUE(preset.ok()) << preset.status();
+    const auto training = scenario::GenerateScenarioDataset(*preset, 2, 2024);
+    ASSERT_TRUE(training.ok()) << training.status();
+    const auto audited = scenario::GenerateScenarioDataset(*preset, 1, 2025);
+    ASSERT_TRUE(audited.ok()) << audited.status();
+    scene_ = new Scene(audited->dataset.scenes.front());
+    fixy_ = new Fixy();
+    ASSERT_TRUE(fixy_->Learn(training->dataset).ok());
+
+    // The count-augmented set model-errors builds from is not exposed by
+    // the engine; a save/load round trip returns it, count last.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "fixy_memo_model.json")
+            .string();
+    ASSERT_TRUE(fixy_->SaveModel(path).ok());
+    const auto loaded =
+        LoadLearnedModelWithStats(path, FeatureRegistry::Standard());
+    std::filesystem::remove(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const std::vector<FeatureDistribution>& with_count = loaded->distributions;
+    const std::vector<FeatureDistribution> base(with_count.begin(),
+                                                with_count.end() - 1);
+    specs_ = new std::vector<std::pair<AppSpec, LoaSpec>>();
+    for (AppSpec app : {MissingTracksApp(), MissingObservationsApp(),
+                        ModelErrorsApp()}) {
+      LoaSpec spec = app.build_spec(LearnedState{base, with_count},
+                                    fixy_->options().application);
+      specs_->emplace_back(std::move(app), std::move(spec));
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete specs_;
+    delete fixy_;
+    delete scene_;
+    specs_ = nullptr;
+    fixy_ = nullptr;
+    scene_ = nullptr;
+  }
+
+  static uint64_t KdeEvals(const obs::MetricsCollector& collector) {
+    const obs::PipelineMetrics snapshot = collector.Snapshot();
+    const auto it = snapshot.counters.find("stats.kde_evals");
+    return it == snapshot.counters.end() ? 0 : it->second;
+  }
+
+  static Scene* scene_;
+  static Fixy* fixy_;
+  static std::vector<std::pair<AppSpec, LoaSpec>>* specs_;
+};
+
+Scene* DensityMemoTest::scene_ = nullptr;
+Fixy* DensityMemoTest::fixy_ = nullptr;
+std::vector<std::pair<AppSpec, LoaSpec>>* DensityMemoTest::specs_ = nullptr;
+
+// Every raw score a pass's caches produce — each view filling the shared
+// memo first in turn — has the bits of a memo-free standalone cache's.
+TEST_F(DensityMemoTest, PassCachesMatchStandaloneCachesBitForBit) {
+  const double hz = scene_->frame_rate_hz();
+  for (const auto& order : {std::vector<SceneView>{SceneView::kFull,
+                                                   SceneView::kModelOnly},
+                            std::vector<SceneView>{SceneView::kModelOnly,
+                                                   SceneView::kFull}}) {
+    auto pass = ScenePass::Run(*scene_,
+                               fixy_->options().application.track_builder,
+                               /*need_full=*/true, /*need_model_only=*/true);
+    ASSERT_TRUE(pass.ok()) << pass.status();
+    for (const SceneView view : order) {
+      FeatureScoreCache standalone(hz);
+      const TrackSet& tracks = pass->tracks(view);
+      ASSERT_FALSE(tracks.tracks.empty());
+      for (const auto& [app, spec] : *specs_) {
+        for (const FeatureDistribution& fd : spec.feature_distributions) {
+          for (size_t t = 0; t < tracks.tracks.size(); ++t) {
+            const RawTrackScores& shared =
+                pass->cache(view)->Get(fd, tracks.tracks[t], t);
+            const RawTrackScores& fresh =
+                standalone.Get(fd, tracks.tracks[t], t);
+            ASSERT_EQ(shared.size(), fresh.size());
+            for (size_t i = 0; i < fresh.size(); ++i) {
+              ASSERT_EQ(shared.engaged[i], fresh.engaged[i]);
+              ASSERT_EQ(std::bit_cast<uint64_t>(shared.values[i]),
+                        std::bit_cast<uint64_t>(fresh.values[i]))
+                  << app.name << " " << fd.feature().name() << " track " << t
+                  << " entry " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The two views share one memo: once missing-tracks has compiled over the
+// full view, every model prediction's volume is in it, so scoring the
+// model-only view's volumes evaluates no KDE at all — where a standalone
+// cache evaluates every one of them.
+TEST_F(DensityMemoTest, ModelOnlyVolumesAreAllMemoHitsAfterFullView) {
+  ApplicationOptions options = fixy_->options().application;
+  options.top_k_per_class = 0;  // compile every full-view track
+  auto pass = ScenePass::Run(*scene_, options.track_builder,
+                             /*need_full=*/true, /*need_model_only=*/true);
+  ASSERT_TRUE(pass.ok()) << pass.status();
+  const auto& [missing_tracks, missing_tracks_spec] = specs_->at(0);
+  ASSERT_EQ(missing_tracks.name, "missing-tracks");
+  ASSERT_TRUE(RunApplicationOnPass(missing_tracks, missing_tracks_spec,
+                                   *scene_, *pass, options)
+                  .ok());
+
+  const auto& [model_errors, model_errors_spec] = specs_->at(2);
+  ASSERT_EQ(model_errors.view, SceneView::kModelOnly);
+  const FeatureDistribution* volume = nullptr;
+  for (const FeatureDistribution& fd :
+       model_errors_spec.feature_distributions) {
+    if (fd.feature().name() == "volume") volume = &fd;
+  }
+  ASSERT_NE(volume, nullptr);
+  const TrackSet& tracks = pass->tracks(SceneView::kModelOnly);
+  ASSERT_FALSE(tracks.tracks.empty());
+
+  obs::MetricsCollector shared;
+  {
+    const obs::MetricsScope scope(&shared);
+    for (size_t t = 0; t < tracks.tracks.size(); ++t) {
+      pass->cache(SceneView::kModelOnly)->Get(*volume, tracks.tracks[t], t);
+    }
+  }
+  EXPECT_EQ(KdeEvals(shared), 0u);
+
+  obs::MetricsCollector alone;
+  {
+    const obs::MetricsScope scope(&alone);
+    FeatureScoreCache standalone(scene_->frame_rate_hz());
+    for (size_t t = 0; t < tracks.tracks.size(); ++t) {
+      standalone.Get(*volume, tracks.tracks[t], t);
+    }
+  }
+  EXPECT_GT(KdeEvals(alone), 0u);
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 // summaries, and the Distribution interface contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "stats/discrete.h"
 #include "stats/distribution.h"
 #include "stats/gaussian.h"
 #include "stats/histogram.h"
 #include "stats/kde.h"
 #include "stats/lambda_distribution.h"
+#include "stats/simd.h"
 #include "stats/summary.h"
 
 namespace fixy::stats {
@@ -101,6 +104,23 @@ TEST(KdeTest, RejectsNonFiniteAndDenormalBandwidth) {
   const auto kde = GaussianKde::FitWithBandwidth({1, 2, 3}, 1e-6);
   ASSERT_TRUE(kde.ok());
   EXPECT_TRUE(std::isfinite(kde->Density(2.0)));
+}
+
+// Regression: a bandwidth whose normalization 1/(sqrt(2*pi) * h * n)
+// overflows — given explicitly (a model file) or selected from samples
+// whose spread overflows (a 1e100 m box's volume) — must be a Status, not
+// a CHECK abort in the constructor.
+TEST(KdeTest, RejectsBandwidthWhoseNormalizationOverflows) {
+  const auto explicit_bw = GaussianKde::FitWithBandwidth({1, 2, 3}, 1e308);
+  ASSERT_FALSE(explicit_bw.ok());
+  EXPECT_EQ(explicit_bw.status().code(), StatusCode::kInvalidArgument);
+  const auto selected = GaussianKde::Fit({-1e200, 1e200});
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().code(), StatusCode::kInvalidArgument);
+  // Large but representable spreads still fit.
+  const auto wide = GaussianKde::Fit({-1e150, 1e150});
+  ASSERT_TRUE(wide.ok());
+  EXPECT_TRUE(std::isfinite(wide->Density(0.0)));
 }
 
 TEST(KdeTest, SingleSampleIsPeakedAtValue) {
@@ -208,6 +228,59 @@ TEST(KdeTest, DensityBatchMatchesScalarDensity) {
     kde->DensityBatch(queries, batch);
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(batch[i], kde->Density(queries[i])) << "query " << i;
+    }
+  }
+}
+
+// The window a density sums is [first sample >= x - 8h, first sample >
+// x + 8h). With a power-of-two bandwidth x +- 8h is exact, so samples sit
+// exactly on both cutoffs and one ULP outside them; the boundary terms
+// (exp(-32) ~ 1.3e-14 of a kernel) change the sum's bits, so only the
+// exact window reproduces it. The window is computed here independently,
+// with std::lower_bound / std::upper_bound over the fitted samples.
+TEST(KdeTest, WindowBoundsAreExactAtTheCutoff) {
+  const double h = 0.25;
+  const double cutoff = 8.0 * h;
+  const std::vector<double> queries = {-3.0, 0.5, 1.0, 4.25, 9.0};
+  std::vector<double> samples;
+  for (const double q : queries) {
+    samples.push_back(q - cutoff);
+    samples.push_back(std::nextafter(q - cutoff, -INFINITY));
+    samples.push_back(q + cutoff);
+    samples.push_back(std::nextafter(q + cutoff, INFINITY));
+    samples.push_back(q + 0.3);
+  }
+  const auto kde = GaussianKde::FitWithBandwidth(samples, h);
+  ASSERT_TRUE(kde.ok());
+  const std::vector<double>& sorted = kde->samples();
+  const double norm =
+      0.3989422804014327 / (h * static_cast<double>(sorted.size()));
+  const auto expected = [&](double x) {
+    const auto lo = std::lower_bound(sorted.begin(), sorted.end(), x - cutoff);
+    const auto hi = std::upper_bound(sorted.begin(), sorted.end(), x + cutoff);
+    return simd::GaussianWindowSum(sorted.data() + (lo - sorted.begin()),
+                                   static_cast<size_t>(hi - lo), x, 1.0 / h) *
+           norm;
+  };
+  for (const double q : queries) {
+    // The edge samples are inside the window, the one-ULP ones outside.
+    const auto lo = std::lower_bound(sorted.begin(), sorted.end(), q - cutoff);
+    const auto hi = std::upper_bound(sorted.begin(), sorted.end(), q + cutoff);
+    EXPECT_EQ(*lo, q - cutoff);
+    EXPECT_EQ(*(hi - 1), q + cutoff);
+    EXPECT_EQ(kde->Density(q), expected(q)) << "query " << q;
+  }
+  const std::vector<std::vector<double>> batches = {
+      queries,                           // sorted: the window slides
+      {9.0, 0.5, 4.25, -3.0, 1.0},       // unsorted: visited by permutation
+      {-1000.0, 9.0},                    // the cursor jumps far right
+      {-1000.0, -3.0, 1.0, 1.0, 1000.0}, // duplicates and an empty window
+  };
+  for (const std::vector<double>& batch : batches) {
+    std::vector<double> out(batch.size());
+    kde->DensityBatch(batch, out);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(out[i], expected(batch[i])) << "batch query " << batch[i];
     }
   }
 }
