@@ -1,7 +1,6 @@
-// Process-wide setup shared by every fixy executable that writes to pipes
-// or sockets whose peer can vanish: the shard worker (coordinator dies),
-// the shard coordinator (worker dies mid-read), and fixyd (client
-// disconnects). Without SIG_IGN a write to a half-closed descriptor
+// Process-wide setup for fixy executables that write to sockets whose
+// peer can vanish: fixyd (a client disconnects) and its clients (the
+// daemon exits). Without SIG_IGN a write to a half-closed descriptor
 // raises SIGPIPE and kills the process; with it the write fails with
 // EPIPE and surfaces as an IoError Status the caller can handle.
 #ifndef FIXY_COMMON_PROCESS_H_

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <deque>
 #include <future>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,27 +16,6 @@
 #include "core/scene_pass.h"
 
 namespace fixy {
-
-Status AppendShardReport(MultiAppReport& into, MultiAppReport&& part) {
-  if (into.apps.empty() && into.reports.empty()) {
-    into.apps = std::move(part.apps);
-    into.reports.resize(into.apps.size());
-  } else if (into.apps != part.apps) {
-    return Status::InvalidArgument(
-        "cannot merge shard reports ranked with different applications");
-  }
-  if (part.reports.size() != into.reports.size()) {
-    return Status::InvalidArgument(
-        "shard report has a different per-app report count");
-  }
-  for (size_t a = 0; a < into.reports.size(); ++a) {
-    std::vector<SceneOutcome>& dst = into.reports[a].outcomes;
-    std::vector<SceneOutcome>& src = part.reports[a].outcomes;
-    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-               std::make_move_iterator(src.end()));
-  }
-  return Status::Ok();
-}
 
 void RecomputeReportSummary(MultiAppReport& report) {
   for (BatchReport& batch : report.reports) {

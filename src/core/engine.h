@@ -160,17 +160,6 @@ struct MultiAppReport {
   }
 };
 
-/// Appends the outcomes of `part` — a report over the next contiguous
-/// slice of the dataset, ranked with the same applications — onto `into`,
-/// preserving scene order. An empty `into` (no apps yet) adopts `part`'s
-/// app list; afterwards the lists must match exactly. Summary counters
-/// are NOT updated — call RecomputeReportSummary once after the last
-/// append. Used by the shard coordinator to merge per-shard reports in
-/// shard order; because shard ranges partition the dataset and scenes are
-/// scored independently, the concatenation is byte-identical to a
-/// single-process run. Errors: InvalidArgument on an app-list mismatch.
-Status AppendShardReport(MultiAppReport& into, MultiAppReport&& part);
-
 /// Recomputes every per-app report's scenes_ok / scenes_failed /
 /// scenes_quarantined from its outcomes (failed == quarantined, the
 /// keep-going convention).

@@ -4,6 +4,7 @@
 #ifndef FIXY_DAEMON_CLIENT_H_
 #define FIXY_DAEMON_CLIENT_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +51,8 @@ class FixydClient {
 
   int fd_ = -1;
   uint64_t next_id_ = 1;
-  shard::FrameParser parser_;
+  /// Responses carry whole worklists: any length the u32 field can hold.
+  shard::FrameParser parser_{UINT32_MAX};
   std::vector<shard::Frame> buffered_;
 };
 

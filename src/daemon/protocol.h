@@ -1,6 +1,6 @@
 // The fixyd request/response protocol: JSON request and response bodies
-// carried in the shard wire format's CRC-checked frames (FrameType
-// kRequest / kResponse), over a unix-domain stream socket.
+// carried in CRC-checked frames (shard/wire.h, FrameType kRequest /
+// kResponse), over a unix-domain stream socket.
 //
 // A connection is a sequence of independent request frames; the daemon
 // answers each with exactly one response frame carrying the request's id
@@ -76,6 +76,11 @@ struct Response {
 
 json::Value ResponseToJson(const Response& response);
 Result<Response> ResponseFromJson(const json::Value& value);
+
+/// The largest request payload fixyd accepts: requests come from outside
+/// the daemon, so a bigger length field is corruption. Responses carry
+/// whole worklists and have no cap beyond the u32 length field.
+inline constexpr uint32_t kMaxRequestPayload = 1u << 20;
 
 /// Complete wire frames (EncodeFrame over the JSON body).
 std::string EncodeRequestFrame(const Request& request);

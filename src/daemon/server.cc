@@ -33,7 +33,6 @@
 #include "io/scene_io.h"
 #include "obs/metrics.h"
 #include "obs/metrics_json.h"
-#include "shard/shard_plan.h"
 #include "shard/wire.h"
 
 namespace fixy::daemon {
@@ -102,7 +101,7 @@ Status SendAll(int fd, std::string_view bytes, int stall_timeout_ms) {
 /// reference — so a worker can never write to a recycled fd number.
 struct Connection {
   int fd = -1;
-  shard::FrameParser parser;
+  shard::FrameParser parser{kMaxRequestPayload};
   std::mutex write_mu;
   bool open = true;  // guarded by write_mu
 
@@ -117,7 +116,6 @@ struct Connection {
 struct ResidentDataset {
   std::unique_ptr<SceneSource> source;
   io::FxbSourceFingerprint fingerprint;
-  bool from_cache = false;
 };
 
 }  // namespace
@@ -287,12 +285,9 @@ struct FixydServer::Impl {
         std::fflush(stdout);
       }
     }
-    FIXY_ASSIGN_OR_RETURN(shard::ShardSource opened,
-                          shard::OpenShardSource(data_dir, /*no_cache=*/false));
     auto resident = std::make_shared<ResidentDataset>();
-    resident->source = std::move(opened.source);
+    FIXY_ASSIGN_OR_RETURN(resident->source, io::OpenSceneSource(data_dir));
     resident->fingerprint = fingerprint;
-    resident->from_cache = opened.from_cache;
     if (resident->source->scene_count() == 0) {
       return Status::InvalidArgument("dataset contains no scenes: " + data_dir);
     }

@@ -45,8 +45,7 @@ struct ServerOptions {
   /// rejected with Unavailable.
   int max_queue_depth = 64;
   /// Test hook: every request sleeps this long at execution start,
-  /// making overload and deadline rejections deterministic in tests
-  /// (the FIXY_SHARD_KILL idiom, as an option instead of an env var).
+  /// making overload and deadline rejections deterministic in tests.
   int test_delay_ms = 0;
 };
 

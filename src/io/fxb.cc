@@ -977,6 +977,24 @@ Result<Scene> DirectorySceneSource::DecodeScene(size_t index) const {
   return LoadScene(directory_ + "/" + files_[index]);
 }
 
+Result<std::unique_ptr<SceneSource>> OpenSceneSource(
+    const std::string& directory) {
+  Result<FxbReader> cache = OpenFreshCache(directory);
+  if (cache.ok()) {
+    return std::unique_ptr<SceneSource>(
+        std::make_unique<FxbSceneSource>(std::move(cache).value()));
+  }
+  const StatusCode code = cache.status().code();
+  if (code != StatusCode::kNotFound &&
+      code != StatusCode::kFailedPrecondition) {
+    return cache.status();
+  }
+  FIXY_ASSIGN_OR_RETURN(DirectorySceneSource source,
+                        DirectorySceneSource::Open(directory));
+  return std::unique_ptr<SceneSource>(
+      std::make_unique<DirectorySceneSource>(std::move(source)));
+}
+
 void RecordFxbMetricsSchema() {
   obs::Count("io.fxb.bytes_mapped", 0);
   obs::Count("io.fxb.cache_hits", 0);

@@ -306,6 +306,13 @@ class DirectorySceneSource : public SceneSource {
   std::vector<std::string> files_;
 };
 
+/// Opens a dataset directory as a SceneSource: the fresh FXB cache when
+/// there is one, the JSON scene files otherwise (no cache, or a stale
+/// one). Errors: a present-but-corrupt cache's open error, or whatever
+/// the manifest read fails with.
+Result<std::unique_ptr<SceneSource>> OpenSceneSource(
+    const std::string& directory);
+
 /// Records every `io.fxb.*` counter and timer at zero on the calling
 /// thread's collector, so metric snapshots carry a stable key set whether
 /// or not the cache path ran (the schema golden depends on this).

@@ -8,7 +8,7 @@ namespace fixy::shard {
 namespace {
 
 bool KnownFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kHello) &&
+  return type >= static_cast<uint8_t>(FrameType::kError) &&
          type <= static_cast<uint8_t>(FrameType::kResponse);
 }
 
@@ -31,19 +31,6 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   return out;
 }
 
-std::string EncodeU32Payload(uint32_t value) {
-  return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-Result<uint32_t> DecodeU32Payload(std::string_view payload) {
-  if (payload.size() != sizeof(uint32_t)) {
-    return Status::InvalidArgument("frame payload is not a u32");
-  }
-  uint32_t value;
-  std::memcpy(&value, payload.data(), sizeof(value));
-  return value;
-}
-
 std::string EncodeErrorPayload(const Status& status) {
   std::string out;
   const uint32_t code = static_cast<uint32_t>(status.code());
@@ -54,12 +41,12 @@ std::string EncodeErrorPayload(const Status& status) {
 
 Status DecodeErrorPayload(std::string_view payload) {
   if (payload.size() < sizeof(uint32_t)) {
-    return Status::Internal("worker sent a malformed error frame");
+    return Status::Internal("peer sent a malformed error frame");
   }
   uint32_t code;
   std::memcpy(&code, payload.data(), sizeof(code));
   if (code == 0 || code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
-    return Status::Internal("worker sent an error frame with a bad code");
+    return Status::Internal("peer sent an error frame with a bad code");
   }
   return Status(static_cast<StatusCode>(code),
                 std::string(payload.substr(sizeof(code))));
@@ -74,7 +61,7 @@ std::vector<Frame> FrameParser::Consume(std::string_view bytes) {
     const uint8_t type = static_cast<uint8_t>(buffer_[pos]);
     uint32_t length;
     std::memcpy(&length, buffer_.data() + pos + 1, sizeof(length));
-    if (!KnownFrameType(type) || length > kMaxFramePayload) {
+    if (!KnownFrameType(type) || length > max_payload_) {
       corrupt_ = true;
       break;
     }

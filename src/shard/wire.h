@@ -1,7 +1,7 @@
-// The coordinator↔worker pipe protocol: length-prefixed, CRC-checked
-// frames over the worker's stdout, in the spirit of the FXB container's
-// framing (every structure bounds-checked and checksummed, every parse
-// error a Status, never a crash).
+// fixyd's framing: length-prefixed, CRC-checked frames over the daemon's
+// unix socket, in the spirit of the FXB container's framing (every
+// structure bounds-checked and checksummed, every parse error a Status,
+// never a crash). daemon/protocol.h defines the JSON bodies they carry.
 //
 // Frame layout (little-endian):
 //
@@ -11,18 +11,19 @@
 //   5      ..   payload bytes
 //   5+n    4    u32 CRC32 over (type byte + payload)
 //
-// The worker is the only writer; the coordinator parses incrementally
-// with FrameParser (reads from a non-blocking pipe arrive in arbitrary
-// chunks). Any framing violation — unknown type, oversized payload, CRC
-// mismatch — marks the stream corrupt, and the coordinator treats the
-// worker as failed; it does not try to resynchronize.
+// Reads from a socket arrive in arbitrary chunks, so both ends parse
+// incrementally with FrameParser. Any framing violation — unknown type,
+// a payload over the parser's cap, CRC mismatch — marks the stream
+// corrupt; nobody tries to resynchronize.
 //
-// The protocol carries *liveness and status only*. Shard results travel
-// through the checkpoint file, never the pipe, so a worker whose pipe
-// dies after the checkpoint rename has still durably completed.
+// The codec once also framed the pipe between a sharded ranking run's
+// coordinator and its worker processes, hence the directory and the
+// `fixy_shard` library name: the benchmark build links the library by
+// that name.
 #ifndef FIXY_SHARD_WIRE_H_
 #define FIXY_SHARD_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -32,20 +33,12 @@
 
 namespace fixy::shard {
 
+/// Type bytes 1-4 belonged to the retired worker pipe; they, like any
+/// other unlisted byte, are unknown and poison the stream.
 enum class FrameType : uint8_t {
-  /// First frame a worker sends: payload u32 shard index.
-  kHello = 1,
-  /// Periodic liveness signal while ranking; empty payload.
-  kHeartbeat = 2,
-  /// Progress note: payload u32 scenes completed so far.
-  kProgress = 3,
-  /// The shard completed and its checkpoint is durably renamed into
-  /// place; empty payload.
-  kDone = 4,
-  /// The worker failed: payload u32 StatusCode + message bytes.
+  /// A framing or protocol failure: payload u32 StatusCode + message.
   kError = 5,
-  /// Daemon request: payload is a JSON-encoded daemon::Request. Sent by
-  /// fixyd clients; never appears on the coordinator↔worker pipe.
+  /// Daemon request: payload is a JSON-encoded daemon::Request.
   kRequest = 6,
   /// Daemon response: payload is a JSON-encoded daemon::Response.
   kResponse = 7,
@@ -53,29 +46,30 @@ enum class FrameType : uint8_t {
 
 /// type(1) + length(4) + crc(4).
 inline constexpr size_t kFrameOverhead = 9;
-/// Frames carry status, not scene data; anything bigger is corruption.
-inline constexpr size_t kMaxFramePayload = 1 << 20;
 
 /// One decoded frame.
 struct Frame {
-  FrameType type = FrameType::kHeartbeat;
+  FrameType type = FrameType::kError;
   std::string payload;
 };
 
 /// Serializes one frame.
 std::string EncodeFrame(FrameType type, std::string_view payload);
 
-/// Convenience payload codecs.
-std::string EncodeU32Payload(uint32_t value);
-Result<uint32_t> DecodeU32Payload(std::string_view payload);
+/// kError payload codec.
 std::string EncodeErrorPayload(const Status& status);
 /// Malformed payloads decode to an Internal status (never fail) so an
 /// error report garbled in transit still reads as an error.
 Status DecodeErrorPayload(std::string_view payload);
 
-/// Incremental frame parser for the coordinator's non-blocking reads.
+/// Incremental frame parser for non-blocking socket reads.
 class FrameParser {
  public:
+  /// Frames whose length field exceeds `max_payload` are corruption.
+  /// The parser buffers only the bytes it has received, so a large cap
+  /// costs nothing until a frame that size actually arrives.
+  explicit FrameParser(uint32_t max_payload) : max_payload_(max_payload) {}
+
   /// Appends `bytes` to the internal buffer and returns every frame they
   /// complete. Once the stream is corrupt, returns nothing further.
   std::vector<Frame> Consume(std::string_view bytes);
@@ -85,6 +79,7 @@ class FrameParser {
   bool corrupt() const { return corrupt_; }
 
  private:
+  uint32_t max_payload_;
   std::string buffer_;
   bool corrupt_ = false;
 };

@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "io/fxb.h"
 #include "json/json.h"
-#include "shard/checkpoint.h"
 
 namespace fixy::testing {
 
@@ -491,83 +490,6 @@ std::string DocumentCorruptor::ApplyBinary(BinaryCorruptionKind kind,
     }
   }
   return ApplyBinaryByteFlip(blob, &rng_, detail);
-}
-
-const char* ToString(CheckpointCorruptionKind kind) {
-  switch (kind) {
-    case CheckpointCorruptionKind::kTruncate:
-      return "ckpt-truncate";
-    case CheckpointCorruptionKind::kCrcFlip:
-      return "ckpt-crc-flip";
-    case CheckpointCorruptionKind::kStaleFingerprint:
-      return "stale-fingerprint";
-  }
-  return "unknown";
-}
-
-std::string DocumentCorruptor::ApplyCheckpoint(CheckpointCorruptionKind kind,
-                                               const std::string& blob,
-                                               std::string* detail) {
-  switch (kind) {
-    case CheckpointCorruptionKind::kTruncate: {
-      if (blob.empty()) {
-        *detail = "ckpt-truncate(empty)";
-        return blob;
-      }
-      const size_t keep = static_cast<size_t>(rng_.UniformInt(blob.size()));
-      *detail =
-          StrFormat("ckpt-truncate(%zu of %zu bytes)", keep, blob.size());
-      return blob.substr(0, keep);
-    }
-    case CheckpointCorruptionKind::kCrcFlip: {
-      // Flip one payload byte, leaving the whole header intact: only the
-      // payload CRC check stands between the lie and a trusted reuse.
-      if (blob.size() <= shard::kCheckpointHeaderSize) {
-        return ApplyBinaryByteFlip(blob, &rng_, detail);
-      }
-      std::string out = blob;
-      const size_t span = out.size() - shard::kCheckpointHeaderSize;
-      const size_t pos = shard::kCheckpointHeaderSize +
-                         static_cast<size_t>(rng_.UniformInt(span));
-      out[pos] = static_cast<char>(
-          out[pos] ^ static_cast<char>(1 + rng_.UniformInt(255)));
-      *detail = StrFormat("ckpt-crc-flip(payload byte %zu)", pos);
-      return out;
-    }
-    case CheckpointCorruptionKind::kStaleFingerprint: {
-      if (blob.size() < shard::kCheckpointHeaderSize) {
-        return ApplyBinaryByteFlip(blob, &rng_, detail);
-      }
-      std::string out = blob;
-      const uint64_t stale =
-          LoadField<uint64_t>(out, shard::kCheckpointFingerprintOffset) ^
-          (rng_.NextUint64() | 1);  // |1: never a zero xor-mask
-      StoreField<uint64_t>(&out, shard::kCheckpointFingerprintOffset, stale);
-      // Re-seal the header CRC so every checksum verifies and only the
-      // coordinator's fingerprint gate can reject the checkpoint.
-      StoreField<uint32_t>(
-          &out, shard::kCheckpointHeaderCrcOffset,
-          Crc32(out.data(), shard::kCheckpointHeaderCrcOffset));
-      *detail = StrFormat("stale-fingerprint(0x%016llx)",
-                          static_cast<unsigned long long>(stale));
-      return out;
-    }
-  }
-  return ApplyBinaryByteFlip(blob, &rng_, detail);
-}
-
-CorruptionResult DocumentCorruptor::CorruptCheckpoint(const std::string& blob) {
-  static const CheckpointCorruptionKind kKinds[] = {
-      CheckpointCorruptionKind::kTruncate,
-      CheckpointCorruptionKind::kCrcFlip,
-      CheckpointCorruptionKind::kStaleFingerprint,
-  };
-  const CheckpointCorruptionKind kind = kKinds[rng_.UniformInt(3)];
-  CorruptionResult result;
-  std::string detail;
-  result.document = ApplyCheckpoint(kind, blob, &detail);
-  result.mutations.push_back(detail.empty() ? ToString(kind) : detail);
-  return result;
 }
 
 CorruptionResult DocumentCorruptor::CorruptBinary(const std::string& blob) {

@@ -78,27 +78,6 @@ enum class BinaryCorruptionKind {
 /// Human-readable name, e.g. "version-bump".
 const char* ToString(BinaryCorruptionKind kind);
 
-/// One family of shard-checkpoint mutation (the FXC1 layout in
-/// shard/checkpoint.h). The harness contract mirrors the FXB one, with a
-/// twist: a corrupt checkpoint fed through resume must never crash AND
-/// never be trusted — the shard it claims to cover must be re-ranked.
-enum class CheckpointCorruptionKind {
-  /// Cuts the file off at a random byte (a checkpoint writer killed
-  /// mid-write; the atomic rename makes this near-impossible in practice,
-  /// which is exactly why the reader must still survive it).
-  kTruncate,
-  /// XORs one byte of the payload, so only the payload CRC check can
-  /// catch it.
-  kCrcFlip,
-  /// Rewrites the run fingerprint and re-seals the header CRC — a
-  /// checkpoint from a different dataset/model/options lying its way into
-  /// this run. Every CRC verifies; only the fingerprint gate stands.
-  kStaleFingerprint,
-};
-
-/// Human-readable name, e.g. "stale-fingerprint".
-const char* ToString(CheckpointCorruptionKind kind);
-
 /// The outcome of one Corrupt() call.
 struct CorruptionResult {
   /// The mutated document text.
@@ -135,14 +114,6 @@ class DocumentCorruptor {
   /// short to carry the targeted structure degrade to kByteFlip.
   std::string ApplyBinary(BinaryCorruptionKind kind, const std::string& blob,
                           std::string* detail);
-
-  /// Applies one randomly chosen mutation to a shard checkpoint blob.
-  CorruptionResult CorruptCheckpoint(const std::string& blob);
-
-  /// Applies exactly one checkpoint mutation of the given kind. Blobs too
-  /// short to carry the targeted field degrade to a byte flip.
-  std::string ApplyCheckpoint(CheckpointCorruptionKind kind,
-                              const std::string& blob, std::string* detail);
 
  private:
   Rng rng_;

@@ -357,10 +357,9 @@ TEST(Crc32Test, StringViewOverloadAgreesWithPointerForm) {
 #if defined(__unix__) || defined(__APPLE__)
 
 // Writing to a peer that already hung up must surface as an IoError, not
-// a SIGPIPE that kills the process. This is the regression the shard
-// worker, coordinator, and fixyd all depend on through IgnoreSigpipe():
-// before the fix only the worker ignored SIGPIPE, so a coordinator (or
-// daemon) writing to a dead peer died with the default signal action.
+// a SIGPIPE that kills the process. fixyd and its clients depend on this
+// through IgnoreSigpipe(): without it, a daemon writing a response to a
+// client that had gone away died with the default signal action.
 TEST(ProcessTest, WriteToDeadPeerFailsInsteadOfKillingTheProcess) {
   IgnoreSigpipe();
   int fds[2];

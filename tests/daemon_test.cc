@@ -1,10 +1,11 @@
 // Tests for fixyd (src/daemon): the request/response protocol codecs,
-// byte-identity between daemon rank responses and the direct engine
-// pipeline, concurrent clients, admission control (queue overload and
-// per-request deadlines), frame-corruption resilience (a seeded
-// DocumentCorruptor-style sweep over truncation, CRC flips, bad type
-// bytes, and oversized lengths), stale-socket recovery, and graceful
-// shutdown semantics.
+// the CRC frame codec they travel in (shard/wire.h), byte-identity
+// between daemon rank responses and the direct engine pipeline
+// (including responses over the 1 MiB request cap), concurrent clients,
+// admission control (queue overload and per-request deadlines),
+// frame-corruption resilience (a seeded DocumentCorruptor-style sweep
+// over truncation, CRC flips, bad type bytes, and oversized lengths),
+// stale-socket recovery, and graceful shutdown semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -128,6 +129,75 @@ TEST(DaemonProtocolTest, RequestFromJsonRejectsHostileInput) {
       RequestFromJson(json::Value(std::move(max_top)));
   ASSERT_TRUE(at_bound.ok()) << at_bound.status();
   EXPECT_EQ(at_bound->top, 2147483647);
+}
+
+// ----------------------------------------------------------- wire codec
+
+TEST(DaemonWireTest, FramesRoundTripThroughArbitraryChunking) {
+  std::string stream;
+  stream += shard::EncodeFrame(shard::FrameType::kRequest,
+                               "{\"kind\": \"status\"}");
+  stream += shard::EncodeFrame(shard::FrameType::kResponse, "");
+  stream += shard::EncodeFrame(
+      shard::FrameType::kError,
+      shard::EncodeErrorPayload(Status::IoError("disk gone")));
+  stream += shard::EncodeFrame(shard::FrameType::kResponse, "{\"id\": 7}");
+
+  // Feed the stream one byte at a time — the harshest chunking a
+  // non-blocking socket can produce.
+  shard::FrameParser parser(kMaxRequestPayload);
+  std::vector<shard::Frame> frames;
+  for (const char byte : stream) {
+    for (shard::Frame& frame : parser.Consume(std::string_view(&byte, 1))) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  EXPECT_FALSE(parser.corrupt());
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0].type, shard::FrameType::kRequest);
+  EXPECT_EQ(frames[0].payload, "{\"kind\": \"status\"}");
+  EXPECT_EQ(frames[1].type, shard::FrameType::kResponse);
+  EXPECT_TRUE(frames[1].payload.empty());
+  EXPECT_EQ(frames[2].type, shard::FrameType::kError);
+  const Status error = shard::DecodeErrorPayload(frames[2].payload);
+  EXPECT_EQ(error.code(), StatusCode::kIoError);
+  EXPECT_EQ(error.message(), "disk gone");
+  EXPECT_EQ(frames[3].type, shard::FrameType::kResponse);
+  EXPECT_EQ(frames[3].payload, "{\"id\": 7}");
+}
+
+TEST(DaemonWireTest, CorruptionPoisonsTheStream) {
+  std::string frame = shard::EncodeFrame(shard::FrameType::kRequest, "{}");
+  frame[frame.size() - 1] ^= 0x01;  // break the CRC
+  shard::FrameParser parser(kMaxRequestPayload);
+  EXPECT_TRUE(parser.Consume(frame).empty());
+  EXPECT_TRUE(parser.corrupt());
+  // Nothing after the violation is ever surfaced.
+  EXPECT_TRUE(
+      parser.Consume(shard::EncodeFrame(shard::FrameType::kResponse, ""))
+          .empty());
+
+  // Type bytes 1-4 (the retired worker pipe's) are unknown.
+  for (int type = 1; type <= 4; ++type) {
+    std::string retired = shard::EncodeFrame(shard::FrameType::kResponse, "");
+    retired[0] = static_cast<char>(type);
+    shard::FrameParser fresh(UINT32_MAX);
+    EXPECT_TRUE(fresh.Consume(retired).empty()) << "type " << type;
+    EXPECT_TRUE(fresh.corrupt()) << "type " << type;
+  }
+
+  // The payload cap is the parser's own: the same frame over fixyd's
+  // request cap poisons a capped parser and parses under a client's.
+  const std::string big = shard::EncodeFrame(
+      shard::FrameType::kResponse, std::string(kMaxRequestPayload + 1, 'x'));
+  shard::FrameParser capped(kMaxRequestPayload);
+  EXPECT_TRUE(capped.Consume(big).empty());
+  EXPECT_TRUE(capped.corrupt());
+  shard::FrameParser uncapped(UINT32_MAX);
+  const std::vector<shard::Frame> frames = uncapped.Consume(big);
+  EXPECT_FALSE(uncapped.corrupt());
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].payload.size(), kMaxRequestPayload + 1);
 }
 
 #if defined(FIXY_DAEMON_TEST_HAVE_SOCKETS)
@@ -345,6 +415,63 @@ TEST_F(DaemonTest, RankDatasetMatchesDirectEngineByteForByte) {
     EXPECT_EQ(proposals.at(app).AsString(), text)
         << "daemon proposals for " << app
         << " differ from the direct engine pipeline";
+  }
+}
+
+// Responses carry whole worklists and are not held to the 1 MiB request
+// cap: an untruncated rank-dataset over 16 full-size scenes reaches
+// the client intact, each app's string byte-identical to what
+// SaveProposals writes in process.
+TEST_F(DaemonTest, RankDatasetResponseOverOneMebibyteReachesTheClient) {
+  const std::string big_dir = *base_dir_ + "/big";
+  const sim::GeneratedDataset big = sim::GenerateDataset(
+      sim::LyftLikeProfile(), "daemon_big", 16, 7);
+  ASSERT_TRUE(io::SaveDataset(big.dataset, big_dir).ok());
+  constexpr int kUntruncated = 1000000;
+
+  Fixy ranker;
+  ASSERT_TRUE(ranker.LoadModel(*model_path_).ok());
+  auto source = io::DirectorySceneSource::Open(big_dir);
+  ASSERT_TRUE(source.ok()) << source.status();
+  const Result<MultiAppReport> report =
+      ranker.RankDatasetStreaming(*source, *apps_);
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::map<std::string, std::string> expected;
+  size_t expected_bytes = 0;
+  for (size_t a = 0; a < report->apps.size(); ++a) {
+    std::vector<ErrorProposal> all;
+    for (const SceneOutcome& outcome : report->reports[a].outcomes) {
+      ASSERT_TRUE(outcome.ok()) << outcome.status;
+      const std::vector<ErrorProposal> top =
+          TopK(outcome.proposals, static_cast<size_t>(kUntruncated));
+      all.insert(all.end(), top.begin(), top.end());
+    }
+    const std::string path = big_dir + "/expected.json";
+    ASSERT_TRUE(SaveProposals(all, path).ok());
+    std::string& text = expected[report->apps[a]];
+    ASSERT_TRUE(io::ReadFileInto(path, &text).ok());
+    expected_bytes += text.size();
+  }
+  ASSERT_GT(expected_bytes, size_t{kMaxRequestPayload})
+      << "the dataset no longer produces a response over the request cap";
+
+  ServerRunner runner(BaseOptions(SocketPath("rank_big")));
+  ASSERT_TRUE(runner.ok()) << runner.create_status();
+  Request request;
+  request.kind = RequestKind::kRankDataset;
+  request.data_dir = big_dir;
+  request.top = kUntruncated;
+  const Result<Response> response =
+      Call(runner.server().socket_path(), request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->status.ok()) << response->status;
+  const json::Object& proposals =
+      response->result.AsObject().at("proposals").AsObject();
+  ASSERT_EQ(proposals.size(), expected.size());
+  for (const auto& [app, text] : expected) {
+    ASSERT_TRUE(proposals.count(app)) << app;
+    EXPECT_EQ(proposals.at(app).AsString(), text)
+        << "daemon proposals for " << app << " differ from SaveProposals";
   }
 }
 
@@ -594,16 +721,17 @@ TEST_F(DaemonTest, CorruptFramesAreRejectedAndTheDaemonStaysHealthy) {
   }
 
   // A bad type byte poisons the parser: kError, then the stream dies.
-  {
+  // Type 2 was a worker-pipe heartbeat and is now just as unknown.
+  for (const int type : {0x7f, 2}) {
     std::string bad_type = valid;
-    bad_type[0] = static_cast<char>(0x7f);
+    bad_type[0] = static_cast<char>(type);
     Result<FixydClient> client = FixydClient::Connect(socket);
     ASSERT_TRUE(client.ok()) << client.status();
     ASSERT_TRUE(client->SendRaw(bad_type).ok());
     const Result<shard::Frame> frame = client->ReadFrame(5000);
     ASSERT_TRUE(frame.ok()) << frame.status();
     EXPECT_EQ(frame->type, shard::FrameType::kError);
-    expect_healthy("bad type byte");
+    expect_healthy("bad type byte " + std::to_string(type));
   }
 
   // An oversized length field is rejected before any allocation.
@@ -632,7 +760,7 @@ TEST_F(DaemonTest, CorruptFramesAreRejectedAndTheDaemonStaysHealthy) {
     Result<FixydClient> client = FixydClient::Connect(socket);
     ASSERT_TRUE(client.ok()) << client.status();
     ASSERT_TRUE(
-        client->SendRaw(shard::EncodeFrame(shard::FrameType::kHeartbeat, ""))
+        client->SendRaw(shard::EncodeFrame(shard::FrameType::kResponse, "{}"))
             .ok());
     const Result<shard::Frame> frame = client->ReadFrame(5000);
     ASSERT_TRUE(frame.ok()) << frame.status();

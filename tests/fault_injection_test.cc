@@ -10,20 +10,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "core/engine.h"
 #include "io/fxb.h"
 #include "io/scene_io.h"
-#include "shard/checkpoint.h"
-#include "shard/coordinator.h"
 #include "sim/generate.h"
 #include "testing/document_corruptor.h"
 
@@ -399,200 +391,6 @@ TEST_F(FaultInjectionTest, ChecksumFlipQuarantinesExactlyOneScene) {
 }
 
 #undef ASSERT_OK_OR_RETURN
-
-// --------------------------------------------------- shard checkpoints
-
-// The checkpoint corruptor is deterministic like its siblings.
-TEST(CheckpointCorruptorTest, IsDeterministic) {
-  shard::ShardCheckpoint checkpoint;
-  checkpoint.shard_index = 2;
-  checkpoint.range = {4, 6};
-  checkpoint.fingerprint = 0x1234abcd5678ef00ull;
-  checkpoint.report.apps = {"model-errors"};
-  checkpoint.report.reports.resize(1);
-  checkpoint.report.reports[0].outcomes.resize(2);
-  checkpoint.report.reports[0].outcomes[0].scene_name = "a";
-  checkpoint.report.reports[0].outcomes[1].scene_name = "b";
-  const std::string blob = shard::EncodeShardCheckpoint(checkpoint);
-  for (uint64_t seed : {0u, 1u, 42u, 977u}) {
-    fixy::testing::DocumentCorruptor a(seed);
-    fixy::testing::DocumentCorruptor b(seed);
-    const auto ra = a.CorruptCheckpoint(blob);
-    const auto rb = b.CorruptCheckpoint(blob);
-    EXPECT_EQ(ra.document, rb.document) << "seed=" << seed;
-    EXPECT_EQ(ra.mutations, rb.mutations) << "seed=" << seed;
-  }
-}
-
-// Every checkpoint corruption kind must be *rejected* by the decode /
-// reuse ladder — a corrupt checkpoint is never trusted. The decode-level
-// half of the contract; the resume sweep below drives the full
-// coordinator path.
-TEST(CheckpointCorruptorTest, EveryKindDefeatsDecodeOrFingerprint) {
-  using fixy::testing::CheckpointCorruptionKind;
-  shard::ShardCheckpoint checkpoint;
-  checkpoint.shard_index = 0;
-  checkpoint.range = {0, 1};
-  checkpoint.fingerprint = 0xfeedfacecafef00dull;
-  checkpoint.report.apps = {"model-errors"};
-  checkpoint.report.reports.resize(1);
-  checkpoint.report.reports[0].outcomes.resize(1);
-  checkpoint.report.reports[0].outcomes[0].scene_name = "s";
-  const std::string blob = shard::EncodeShardCheckpoint(checkpoint);
-  const CheckpointCorruptionKind kinds[] = {
-      CheckpointCorruptionKind::kTruncate,
-      CheckpointCorruptionKind::kCrcFlip,
-      CheckpointCorruptionKind::kStaleFingerprint,
-  };
-  for (const CheckpointCorruptionKind kind : kinds) {
-    for (uint64_t seed = 0; seed < 50; ++seed) {
-      fixy::testing::DocumentCorruptor corruptor(seed);
-      std::string detail;
-      const std::string mutated = corruptor.ApplyCheckpoint(kind, blob,
-                                                            &detail);
-      const auto decoded = shard::DecodeShardCheckpoint(mutated);
-      if (kind == CheckpointCorruptionKind::kStaleFingerprint) {
-        // Every CRC verifies by construction; the fingerprint gate is
-        // the only thing standing — it must actually have changed.
-        ASSERT_TRUE(decoded.ok()) << detail << ": " << decoded.status();
-        EXPECT_NE(decoded->fingerprint, checkpoint.fingerprint) << detail;
-      } else {
-        EXPECT_FALSE(decoded.ok()) << detail << " decoded successfully";
-      }
-    }
-  }
-}
-
-#if defined(FIXY_CLI_PATH) && (defined(__unix__) || defined(__APPLE__))
-
-// Fixture for the resume sweep: a tiny on-disk dataset + model, one
-// uninterrupted sharded run whose checkpoints are the pristine inputs
-// and whose merged bytes are the reference output.
-class CheckpointFaultTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    namespace fs = std::filesystem;
-    base_dir_ = new std::string(
-        (fs::temp_directory_path() /
-         ("fixy_ckpt_fault_" + std::to_string(::getpid())))
-            .string());
-    fs::remove_all(*base_dir_);
-    fs::create_directories(*base_dir_);
-    data_dir_ = new std::string(*base_dir_ + "/data");
-    model_path_ = new std::string(*base_dir_ + "/model.fxm");
-
-    sim::SimProfile profile = sim::LyftLikeProfile();
-    profile.world.duration_seconds = 2.0;
-    profile.world.mean_object_count = 6.0;
-    Fixy fixy;
-    const sim::GeneratedDataset training =
-        sim::GenerateDataset(profile, "ckpt_train", 3, 911);
-    ASSERT_TRUE(fixy.Learn(training.dataset).ok());
-    ASSERT_TRUE(fixy.SaveModel(*model_path_).ok());
-    const sim::GeneratedDataset ranking =
-        sim::GenerateDataset(profile, "ckpt_rank", 3, 417);
-    ASSERT_TRUE(io::SaveDataset(ranking.dataset, *data_dir_).ok());
-
-    shard::ShardOptions options = BaseOptions();
-    options.checkpoint_dir = *base_dir_ + "/pristine";
-    const auto reference = shard::RankDatasetSharded(
-        *data_dir_, *model_path_, {"model-errors"}, options);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    ASSERT_EQ(reference->shards_quarantined, 0u);
-    shard_count_ = reference->shards.size();
-    ASSERT_GT(shard_count_, 1u);
-    reference_bytes_ =
-        new std::string(shard::EncodeMultiAppReport(reference->merged));
-  }
-
-  static void TearDownTestSuite() {
-    std::filesystem::remove_all(*base_dir_);
-    delete base_dir_;
-    delete data_dir_;
-    delete model_path_;
-    delete reference_bytes_;
-    base_dir_ = data_dir_ = model_path_ = reference_bytes_ = nullptr;
-  }
-
-  static shard::ShardOptions BaseOptions() {
-    shard::ShardOptions options;
-    options.workers = 1;
-    options.scenes_per_shard = 1;
-    options.worker_binary = FIXY_CLI_PATH;
-    return options;
-  }
-
-  static std::string* base_dir_;
-  static std::string* data_dir_;
-  static std::string* model_path_;
-  static std::string* reference_bytes_;
-  static size_t shard_count_;
-};
-
-std::string* CheckpointFaultTest::base_dir_ = nullptr;
-std::string* CheckpointFaultTest::data_dir_ = nullptr;
-std::string* CheckpointFaultTest::model_path_ = nullptr;
-std::string* CheckpointFaultTest::reference_bytes_ = nullptr;
-size_t CheckpointFaultTest::shard_count_ = 0;
-
-// The acceptance gate: >= 300 seeded corrupted checkpoints through the
-// real coordinator resume path with zero crashes. A corrupt checkpoint
-// is never trusted — its shard is re-ranked by a fresh worker — and the
-// resumed merged report stays byte-identical to the uninterrupted run.
-TEST_F(CheckpointFaultTest, ThreeHundredCorruptCheckpointsResumeCleanly) {
-  namespace fs = std::filesystem;
-  const std::string pristine = *base_dir_ + "/pristine";
-  constexpr uint64_t kSeeds = 300;
-  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    fixy::testing::DocumentCorruptor corruptor(seed);
-    const size_t victim = static_cast<size_t>(seed) % shard_count_;
-    const std::string run_dir = *base_dir_ + "/run";
-    fs::remove_all(run_dir);
-    fs::create_directories(run_dir);
-    for (size_t s = 0; s < shard_count_; ++s) {
-      fs::copy_file(shard::ShardCheckpointPath(pristine, s),
-                    shard::ShardCheckpointPath(run_dir, s));
-    }
-    const std::string victim_path =
-        shard::ShardCheckpointPath(run_dir, victim);
-    std::string blob;
-    ASSERT_TRUE(io::ReadFileInto(victim_path, &blob).ok());
-    const fixy::testing::CorruptionResult corruption =
-        corruptor.CorruptCheckpoint(blob);
-    {
-      std::ofstream out(victim_path, std::ios::binary | std::ios::trunc);
-      out.write(corruption.document.data(),
-                static_cast<std::streamsize>(corruption.document.size()));
-    }
-
-    shard::ShardOptions options = BaseOptions();
-    options.checkpoint_dir = run_dir;
-    options.resume = true;
-    const auto resumed = shard::RankDatasetSharded(
-        *data_dir_, *model_path_, {"model-errors"}, options);
-    ASSERT_TRUE(resumed.ok())
-        << "seed=" << seed << " mutations=[" << Describe(corruption)
-        << "]: " << resumed.status();
-    EXPECT_EQ(resumed->shards_quarantined, 0u) << "seed=" << seed;
-    // Exactly the untouched checkpoints are reused; the corrupted one is
-    // re-ranked, whatever the corruption kind.
-    EXPECT_EQ(resumed->checkpoints_reused, shard_count_ - 1)
-        << "seed=" << seed << " mutations=[" << Describe(corruption) << "]";
-    EXPECT_FALSE(resumed->shards[victim].reused_checkpoint)
-        << "seed=" << seed << " corrupt checkpoint was trusted! mutations=["
-        << Describe(corruption) << "]";
-    EXPECT_EQ(shard::EncodeMultiAppReport(resumed->merged),
-              *reference_bytes_)
-        << "seed=" << seed << " resumed report diverged, mutations=["
-        << Describe(corruption) << "]";
-    if (::testing::Test::HasFatalFailure() ||
-        ::testing::Test::HasNonfatalFailure()) {
-      FAIL() << "stopping sweep at seed " << seed;
-    }
-  }
-}
-
-#endif  // FIXY_CLI_PATH && unix
 
 }  // namespace
 }  // namespace fixy

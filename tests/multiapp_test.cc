@@ -293,10 +293,17 @@ TEST_F(MultiAppTest, StreamingMultiAppMatchesSoloRunsAtEveryThreadCount) {
 TEST_F(MultiAppTest, StreamingMatchesBatchForTheSameRequest) {
   const std::vector<std::string> apps = fixy_->applications().names();
   MultiAppReport per_scene;
+  per_scene.apps = apps;
+  per_scene.reports.resize(apps.size());
   for (const Scene& scene : dataset_->dataset.scenes) {
     auto one = fixy_->RankScene(scene, apps);
     ASSERT_TRUE(one.ok()) << one.status();
-    ASSERT_TRUE(AppendShardReport(per_scene, std::move(*one)).ok());
+    ASSERT_EQ(one->apps, apps);
+    for (size_t a = 0; a < apps.size(); ++a) {
+      for (SceneOutcome& outcome : one->reports[a].outcomes) {
+        per_scene.reports[a].outcomes.push_back(std::move(outcome));
+      }
+    }
   }
   RecomputeReportSummary(per_scene);
   const DatasetSceneSource source(dataset_->dataset);

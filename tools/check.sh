@@ -5,7 +5,7 @@
 #
 # Usage:
 #   tools/check.sh            # plain + asan + tsan + ubsan + metrics
-#                             # + cache + multiapp + shard + daemon
+#                             # + cache + multiapp + daemon
 #                             # + incremental + sweep
 #   tools/check.sh plain      # just the tier-1 build/test
 #   tools/check.sh address    # just the asan build/test
@@ -24,11 +24,6 @@
 #                             # runs, one track build per scene (not per
 #                             # app), per-app metrics keys vs the golden,
 #                             # and the multiapp tests under asan + tsan
-#   tools/check.sh shard      # sharded-ranking sweep: single-process vs
-#                             # --workers N proposal parity (byte-identical),
-#                             # kill-injected run + --resume parity, and the
-#                             # kill/resume + checkpoint-corruption suites
-#                             # under plain + asan builds
 #   tools/check.sh daemon     # fixyd sweep: start a resident daemon, check
 #                             # CLI-vs-daemon proposal parity (byte-identical),
 #                             # hammer it with 8 concurrent query clients,
@@ -290,62 +285,6 @@ PYEOF
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   done
   echo "==== multiapp: OK ===="
-}
-
-run_shard_sweep() {
-  echo "==== shard: build fixy_cli ===="
-  cmake -B build -S .
-  cmake --build build -j "${JOBS}" --target fixy_cli
-  local cli="build/tools/fixy_cli"
-  [ -x "${cli}" ] || cli="$(find build -name fixy_cli -type f | head -1)"
-  local work
-  work="$(mktemp -d)"
-  trap 'rm -rf "${work}"' RETURN
-
-  echo "==== shard: single-process vs --workers N parity ===="
-  "${cli}" generate --out "${work}/ds" --profile lyft --scenes 8 --seed 11
-  "${cli}" learn --data "${work}/ds" --model "${work}/model.json"
-  "${cli}" rank --data "${work}/ds" --model "${work}/model.json" \
-      --out "${work}/p_single.json" > /dev/null
-  local workers
-  for workers in 1 2 4; do
-    "${cli}" rank --data "${work}/ds" --model "${work}/model.json" \
-        --workers "${workers}" \
-        --checkpoint-dir "${work}/ckpt_w${workers}" \
-        --out "${work}/p_w${workers}.json" > /dev/null
-    cmp "${work}/p_single.json" "${work}/p_w${workers}.json" \
-        || { echo "shard sweep FAILED: --workers ${workers} proposals" \
-                  "differ from single-process" >&2; return 1; }
-  done
-
-  echo "==== shard: kill-injected run + --resume parity ===="
-  # Shard 2 dies permanently at mid-shard with one attempt: the cold run
-  # quarantines it (still exit 0 — other shards rank). The resume run with
-  # the injection disarmed must complete byte-identical to single-process.
-  FIXY_SHARD_KILL="2:mid-shard" \
-      "${cli}" rank --data "${work}/ds" --model "${work}/model.json" \
-      --workers 2 --max-attempts 1 --backoff-ms 1 \
-      --checkpoint-dir "${work}/ckpt_kill" \
-      --out "${work}/p_killed.json" > /dev/null
-  cmp -s "${work}/p_single.json" "${work}/p_killed.json" \
-      && { echo "shard sweep FAILED: quarantined run matched the full" \
-                "report (injection never fired?)" >&2; return 1; }
-  "${cli}" rank --data "${work}/ds" --model "${work}/model.json" \
-      --workers 4 --resume \
-      --checkpoint-dir "${work}/ckpt_kill" \
-      --out "${work}/p_resumed.json" > /dev/null
-  cmp "${work}/p_single.json" "${work}/p_resumed.json" \
-      || { echo "shard sweep FAILED: resumed proposals differ from" \
-                "single-process" >&2; return 1; }
-
-  echo "==== shard: kill/resume + corruption suites (plain + asan) ===="
-  local tests_re="Shard|Checkpoint|Wire"
-  (cd build && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
-  cmake -B build-asan -S . -DFIXY_SANITIZE=address
-  cmake --build build-asan -j "${JOBS}" \
-      --target shard_test fault_injection_test fixy_cli
-  (cd build-asan && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
-  echo "==== shard: OK ===="
 }
 
 run_daemon_sweep() {
@@ -646,8 +585,6 @@ case "${mode}" in
     run_cache_sweep ;;
   multiapp)
     run_multiapp_sweep ;;
-  shard)
-    run_shard_sweep ;;
   daemon)
     run_daemon_sweep ;;
   incremental)
@@ -662,12 +599,11 @@ case "${mode}" in
     run_metrics_sweep
     run_cache_sweep
     run_multiapp_sweep
-    run_shard_sweep
     run_daemon_sweep
     run_incremental_sweep
     run_scenario_sweep ;;
   *)
-    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|shard|daemon|incremental|sweep|all]" >&2
+    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|daemon|incremental|sweep|all]" >&2
     exit 2 ;;
 esac
 echo "all requested suites passed"

@@ -128,6 +128,28 @@ foreach(bad_flags
   endif()
 endforeach()
 
+# ---- Unknown flags: each command accepts only the flags it reads. ----
+# A misspelled flag used to be ignored (learn wrote the default KDE model),
+# and a retired one (--workers) silently ran the default path.
+function(expect_unknown_flag flag command)
+  execute_process(COMMAND ${CLI} ${command} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${command} ${flag}: expected exit 2, got ${rc}: ${out}${err}")
+  endif()
+  if(NOT err MATCHES "unknown flag ${flag} for command '${command}'")
+    message(FATAL_ERROR "${command} ${flag}: error names neither: ${err}")
+  endif()
+endfunction()
+expect_unknown_flag(--estimater learn --data ${WORK}/ds --model ${WORK}/typo.json
+                    --estimater histogram)
+expect_unknown_flag(--workers rank --data ${WORK}/ds --model ${WORK}/model.json
+                    --workers 2)
+expect_unknown_flag(--bogus info --data ${WORK}/ds --bogus 1)
+if(EXISTS ${WORK}/typo.json)
+  message(FATAL_ERROR "learn with an unknown flag still wrote a model")
+endif()
+
 # ---- Partial-failure fixture: corrupt one scene file on disk. ----
 run_cli(generate --out ${WORK}/broken --profile internal --scenes 2 --seed 7)
 file(GLOB BROKEN_SCENES ${WORK}/broken/*.fixy.json)

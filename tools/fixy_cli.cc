@@ -54,6 +54,9 @@
 //   info      --data DIR
 //             Print dataset statistics.
 //
+// Each command accepts only the flags it reads (Commands() below); any
+// other flag exits 2 before the command starts work.
+//
 // Example session:
 //   fixy_cli sim      --preset lyft-like --scenes 4 --out /tmp/ds
 //   fixy_cli learn    --data /tmp/ds --model /tmp/model.json
@@ -97,8 +100,6 @@
 #include "scenario/presets.h"
 #include "scenario/spec.h"
 #include "scenario/sweep.h"
-#include "shard/coordinator.h"
-#include "shard/worker.h"
 
 namespace fixy::cli {
 namespace {
@@ -124,12 +125,17 @@ Result<int64_t> ParseInt64Flag(const std::string& name,
 }
 
 // Minimal --flag value parser; every flag takes exactly one value, except
-// the boolean switches listed in kBooleanFlags, which take none.
+// the boolean switches listed in kBooleanFlags, which take none. A flag
+// outside `known` (the flags the command reads) is an error, so a
+// misspelled or retired flag fails instead of leaving its default in
+// place.
 class Flags {
  public:
-  static Result<Flags> Parse(int argc, char** argv, int first) {
+  static Result<Flags> Parse(int argc, char** argv, int first,
+                             const std::string& command,
+                             const std::set<std::string>& known) {
     static const std::set<std::string> kBooleanFlags = {
-        "keep-going", "fail-fast", "verbose-metrics", "no-cache", "resume",
+        "keep-going", "fail-fast", "verbose-metrics", "no-cache",
         "learn-labels", "verify", "fxb", "list-presets", "diff-only",
         "fail-on-regression"};
     Flags flags;
@@ -139,6 +145,13 @@ class Flags {
         return Status::InvalidArgument("expected a --flag, got: " + arg);
       }
       const std::string name = arg.substr(2);
+      if (known.count(name) == 0) {
+        std::string accepted;
+        for (const std::string& flag : known) accepted += " --" + flag;
+        return Status::InvalidArgument("unknown flag " + arg +
+                                       " for command '" + command +
+                                       "' (accepted:" + accepted + ")");
+      }
       if (kBooleanFlags.count(name) > 0) {
         flags.values_[name] = "true";
         continue;
@@ -350,7 +363,7 @@ Status CmdSim(const Flags& flags) {
 // `generate` is an alias of `sim`: --profile lyft|internal selects the
 // lyft-like|internal-like preset, and generate's defaults stay (4 scenes,
 // seed 42).
-Result<Flags> SimFlagsForGenerate(Flags flags) {
+Status CmdGenerate(const Flags& flags) {
   const std::string profile = flags.GetOr("profile", "lyft");
   if (profile != "lyft" && profile != "internal") {
     return Status::InvalidArgument("unknown profile: " + profile +
@@ -358,10 +371,11 @@ Result<Flags> SimFlagsForGenerate(Flags flags) {
   }
   FIXY_ASSIGN_OR_RETURN(const int scenes, flags.GetIntOr("scenes", 4));
   if (scenes < 1) return Status::InvalidArgument("--scenes must be >= 1");
-  flags.Set("preset", profile + "-like");
-  flags.Set("scenes", std::to_string(scenes));
-  if (!flags.Has("seed")) flags.Set("seed", "42");
-  return flags;
+  Flags sim_flags = flags;
+  sim_flags.Set("preset", profile + "-like");
+  sim_flags.Set("scenes", std::to_string(scenes));
+  if (!sim_flags.Has("seed")) sim_flags.Set("seed", "42");
+  return CmdSim(sim_flags);
 }
 
 // The scenario half of a sweep grid: `--presets a,b,c|all` resolves
@@ -516,31 +530,10 @@ Status CmdRank(const Flags& flags) {
   if (top < 0) {
     return Status::InvalidArgument("--top must be >= 0");
   }
-  // --workers N > 0 switches to the sharded multi-process pipeline: the
-  // dataset splits into scene-range shards, each ranked by a fresh
-  // `fixy_cli rank-shard` child under supervision (heartbeats, capped
-  // exponential backoff retries, quarantine after K attempts), with a
-  // CRC-protected checkpoint per completed shard so --resume continues a
-  // killed run from the last completed shard.
-  FIXY_ASSIGN_OR_RETURN(const int workers, flags.GetIntOr("workers", 0));
-  if (workers < 0) {
-    return Status::InvalidArgument("--workers must be >= 0");
-  }
-  const bool sharded = workers > 0;
-  if (flags.Has("resume") && !sharded) {
-    return Status::InvalidArgument("--resume requires --workers N");
-  }
-  if (sharded && flags.Has("fail-fast")) {
-    return Status::InvalidArgument(
-        "--fail-fast is not supported with --workers: shard runs always "
-        "quarantine failures (per scene and per shard)");
-  }
   // --keep-going: tolerate corrupt scene files at load and quarantine
   // scenes that fail to rank; exit non-zero only when nothing ranked.
   // --fail-fast restores strict first-failure-wins semantics (the default).
-  // Sharded runs are keep-going by construction.
-  const bool keep_going =
-      (flags.Has("keep-going") || sharded) && !flags.Has("fail-fast");
+  const bool keep_going = flags.Has("keep-going") && !flags.Has("fail-fast");
 
   const std::string out_path = flags.GetOr("out", "");
   const std::string metrics_path = flags.GetOr("metrics-json", "");
@@ -559,7 +552,6 @@ Status CmdRank(const Flags& flags) {
     // snapshot key set is identical whether scenes streamed from the FXB
     // cache or were parsed from JSON.
     io::RecordFxbMetricsSchema();
-    shard::RecordShardMetricsSchema();
     scenario::RecordScenarioMetricsSchema();
     obs::Count("io.bytes_read", 0);
     obs::Count("io.files_read", 0);
@@ -579,7 +571,6 @@ Status CmdRank(const Flags& flags) {
   if (fixy_options.application.top_k_per_class < 0) {
     return Status::InvalidArgument("--top-k must be >= 0");
   }
-  const int top_k = fixy_options.application.top_k_per_class;
   fixy_options.extra_applications.push_back(SuspectTracksApp());
   Fixy fixy(std::move(fixy_options));
   FIXY_RETURN_IF_ERROR(fixy.LoadModel(model_path));
@@ -651,46 +642,7 @@ Status CmdRank(const Flags& flags) {
   MultiAppReport multi_report;
   size_t files_skipped = 0;
   bool from_cache = false;
-  if (sharded) {
-    shard::ShardOptions shard_options;
-    shard_options.workers = workers;
-    FIXY_ASSIGN_OR_RETURN(shard_options.scenes_per_shard,
-                          flags.GetIntOr("shard-scenes", 0));
-    FIXY_ASSIGN_OR_RETURN(shard_options.max_attempts,
-                          flags.GetIntOr("max-attempts", 3));
-    FIXY_ASSIGN_OR_RETURN(shard_options.backoff_base_ms,
-                          flags.GetIntOr("backoff-ms", 100));
-    FIXY_ASSIGN_OR_RETURN(shard_options.backoff_cap_ms,
-                          flags.GetIntOr("backoff-cap-ms", 5000));
-    FIXY_ASSIGN_OR_RETURN(shard_options.heartbeat_timeout_ms,
-                          flags.GetIntOr("heartbeat-timeout-ms", 30000));
-    shard_options.resume = flags.Has("resume");
-    shard_options.checkpoint_dir = flags.GetOr("checkpoint-dir", "");
-    shard_options.worker_threads = batch.num_threads;
-    shard_options.top_k_per_class = top_k;
-    shard_options.no_cache = flags.Has("no-cache");
-    FIXY_ASSIGN_OR_RETURN(
-        shard::ShardRunReport shard_run,
-        shard::RankDatasetSharded(data, model_path, apps, shard_options));
-    for (size_t s = 0; s < shard_run.shards.size(); ++s) {
-      const shard::ShardOutcome& outcome = shard_run.shards[s];
-      if (outcome.quarantined) {
-        std::printf("QUARANTINED shard %zu (scenes [%zu,%zu)): %s\n", s,
-                    outcome.range.begin, outcome.range.end,
-                    outcome.status.ToString().c_str());
-      }
-    }
-    std::printf("sharded run: %zu shards, %zu completed (%zu checkpoints "
-                "reused), %zu quarantined, %d workers\n",
-                shard_run.shards.size(), shard_run.shards_completed,
-                shard_run.checkpoints_reused, shard_run.shards_quarantined,
-                workers);
-    // Exit non-zero only when *every* shard failed — the existing
-    // all-scenes-failed rule below implements exactly that, because a
-    // quarantined shard fails all of its scenes.
-    multi_report = std::move(shard_run.merged);
-  }
-  if (!sharded && !flags.Has("no-cache")) {
+  if (!flags.Has("no-cache")) {
     Result<io::FxbReader> cache = io::OpenFreshCache(data);
     if (cache.ok()) {
       obs::Count("io.fxb.cache_hits");
@@ -725,7 +677,7 @@ Status CmdRank(const Flags& flags) {
       }
     }
   }
-  if (!sharded && !from_cache) {
+  if (!from_cache) {
     io::DatasetLoadOptions load_options;
     load_options.tolerant = keep_going;
     FIXY_ASSIGN_OR_RETURN(io::DatasetLoadReport loaded,
@@ -811,49 +763,6 @@ Status CmdRank(const Flags& flags) {
     }
   }
   return Status::Ok();
-}
-
-// The worker half of `rank --workers N`: ranks one shard and writes its
-// checkpoint. Spawned by the coordinator, not meant for direct use —
-// stdout is the binary frame channel, so this command prints nothing.
-Status CmdRankShard(const Flags& flags) {
-  shard::ShardWorkerConfig config;
-  FIXY_ASSIGN_OR_RETURN(config.data_dir, flags.GetRequired("data"));
-  FIXY_ASSIGN_OR_RETURN(config.model_path, flags.GetRequired("model"));
-  FIXY_ASSIGN_OR_RETURN(const std::string apps_list,
-                        flags.GetRequired("apps"));
-  config.apps = SplitApps(apps_list);
-  FIXY_ASSIGN_OR_RETURN(const int shard_index, flags.GetIntOr("shard", -1));
-  if (shard_index < 0) {
-    return Status::InvalidArgument("--shard must be >= 0");
-  }
-  config.shard_index = static_cast<size_t>(shard_index);
-  FIXY_ASSIGN_OR_RETURN(config.scenes_per_shard,
-                        flags.GetIntOr("shard-scenes", 0));
-  if (config.scenes_per_shard < 1) {
-    return Status::InvalidArgument("--shard-scenes must be >= 1");
-  }
-  FIXY_ASSIGN_OR_RETURN(config.checkpoint_dir,
-                        flags.GetRequired("checkpoint-dir"));
-  FIXY_ASSIGN_OR_RETURN(config.top_k_per_class, flags.GetIntOr("top-k", 0));
-  if (config.top_k_per_class < 0) {
-    return Status::InvalidArgument("--top-k must be >= 0");
-  }
-  FIXY_ASSIGN_OR_RETURN(config.threads, flags.GetIntOr("threads", 1));
-  if (config.threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
-  FIXY_ASSIGN_OR_RETURN(config.heartbeat_interval_ms,
-                        flags.GetIntOr("heartbeat-ms", 100));
-  config.no_cache = flags.Has("no-cache");
-  config.out_fd = 1;  // stdout is the coordinator's frame pipe
-  FIXY_RETURN_IF_ERROR(CheckDatasetDirectory(config.data_dir));
-
-  // Same engine configuration as CmdRank, so per-scene results are
-  // byte-identical to the single-process run.
-  FixyOptions options;
-  options.extra_applications.push_back(SuspectTracksApp());
-  return shard::RunShardWorker(config, std::move(options));
 }
 
 // fixyd: keep the model, registry, and FXB readers resident and serve
@@ -997,11 +906,8 @@ Status CmdQuery(const Flags& flags) {
   return Status::Ok();
 }
 
-Status CmdCache(const std::string& positional, const Flags& flags) {
-  std::string data = positional;
-  if (data.empty()) {
-    FIXY_ASSIGN_OR_RETURN(data, flags.GetRequired("data"));
-  }
+Status CmdCache(const Flags& flags) {
+  FIXY_ASSIGN_OR_RETURN(const std::string data, flags.GetRequired("data"));
   FIXY_RETURN_IF_ERROR(CheckDatasetDirectory(data));
   // Report *why* a refresh is needed before doing it — one line per
   // changed file (added/removed/resized/touched/rewritten), so the cache
@@ -1182,19 +1088,6 @@ void PrintUsage() {
       "           streaming path (default 1)\n"
       "           [--max-resident-scenes N] cap decoded-but-unranked scenes\n"
       "           resident in memory on the streaming path (0 = 2x --threads)\n"
-      "           [--workers N]  rank in N worker processes over scene-range\n"
-      "           shards; each completed shard writes a CRC'd checkpoint,\n"
-      "           failed shards retry with capped backoff and quarantine\n"
-      "           after --max-attempts (exit non-zero only when every shard\n"
-      "           fails)\n"
-      "           [--resume] reuse valid checkpoints from a previous killed\n"
-      "           run (requires --workers)\n"
-      "           [--shard-scenes N] scenes per shard (default: auto)\n"
-      "           [--max-attempts K] worker attempts per shard (default 3)\n"
-      "           [--backoff-ms B] [--backoff-cap-ms C] retry backoff\n"
-      "           [--heartbeat-timeout-ms T] kill workers silent for T ms\n"
-      "           [--checkpoint-dir DIR] (default DIR/.fixy-shards)\n"
-      "  rank-shard (internal) worker process behind rank --workers\n"
       "  serve    --socket PATH [--model FILE] [--threads N]\n"
       "           [--rank-threads N] [--queue-depth N] [--top-k K]\n"
       "           [--estimator kde|histogram|gaussian]\n"
@@ -1226,53 +1119,80 @@ void PrintUsage() {
       "  info     --data DIR\n");
 }
 
+// Every command with the flags it reads, declared once: Main rejects any
+// other flag before the command starts work.
+struct Command {
+  const char* name;
+  std::set<std::string> flags;
+  Status (*run)(const Flags&);
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> kCommands = {
+      {"sim",
+       {"out", "preset", "scenario", "scenes", "seed", "fxb", "list-presets"},
+       CmdSim},
+      {"generate", {"out", "profile", "scenes", "seed"}, CmdGenerate},
+      {"sweep",
+       {"report", "presets", "scenarios", "apps", "scenes", "seed", "top",
+        "threads", "estimator", "cache-dir", "baseline", "fail-on-regression",
+        "diff-only"},
+       CmdSweep},
+      {"learn", {"data", "model", "estimator"}, CmdLearn},
+      {"rank",
+       {"data", "model", "app", "apps", "top", "top-k", "out", "threads",
+        "keep-going", "fail-fast", "metrics-json", "verbose-metrics",
+        "no-cache", "decode-threads", "max-resident-scenes"},
+       CmdRank},
+      {"serve",
+       {"socket", "model", "threads", "rank-threads", "queue-depth", "top-k",
+        "estimator"},
+       CmdServe},
+      {"query",
+       {"socket", "cmd", "data", "scene", "scene-index", "app", "apps", "top",
+        "out", "deadline-ms", "model", "timeout-ms"},
+       CmdQuery},
+      {"cache", {"data", "verify"}, CmdCache},
+      {"watch",
+       {"data", "model", "interval-ms", "max-cycles", "learn-labels",
+        "model-out", "app", "apps", "top", "threads", "metrics-json",
+        "verbose-metrics"},
+       CmdWatch},
+      {"info", {"data"}, CmdInfo},
+  };
+  return kCommands;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     PrintUsage();
     return 2;
   }
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  const Command* command = nullptr;
+  for (const Command& candidate : Commands()) {
+    if (name == candidate.name) command = &candidate;
+  }
+  if (command == nullptr) {
+    PrintUsage();
+    return 2;
+  }
   // `cache` accepts the dataset directory as a positional argument
   // (`fixy_cli cache DIR`) as well as via --data.
   std::string positional;
   int first_flag = 2;
-  if (command == "cache" && argc >= 3 && argv[2][0] != '-') {
+  if (name == "cache" && argc >= 3 && argv[2][0] != '-') {
     positional = argv[2];
     first_flag = 3;
   }
-  const Result<Flags> flags = Flags::Parse(argc, argv, first_flag);
+  Result<Flags> flags =
+      Flags::Parse(argc, argv, first_flag, name, command->flags);
   if (!flags.ok()) {
     std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 2;
   }
-  Status status;
-  if (command == "generate") {
-    const Result<Flags> sim_flags = SimFlagsForGenerate(*flags);
-    status = sim_flags.ok() ? CmdSim(*sim_flags) : sim_flags.status();
-  } else if (command == "sim") {
-    status = CmdSim(*flags);
-  } else if (command == "sweep") {
-    status = CmdSweep(*flags);
-  } else if (command == "learn") {
-    status = CmdLearn(*flags);
-  } else if (command == "rank") {
-    status = CmdRank(*flags);
-  } else if (command == "rank-shard") {
-    status = CmdRankShard(*flags);
-  } else if (command == "serve") {
-    status = CmdServe(*flags);
-  } else if (command == "query") {
-    status = CmdQuery(*flags);
-  } else if (command == "cache") {
-    status = CmdCache(positional, *flags);
-  } else if (command == "watch") {
-    status = CmdWatch(*flags);
-  } else if (command == "info") {
-    status = CmdInfo(*flags);
-  } else {
-    PrintUsage();
-    return 2;
-  }
+  if (!positional.empty()) flags->Set("data", positional);
+  const Status status = command->run(*flags);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
