@@ -1,12 +1,10 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
+#include <atomic>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/macros.h"
@@ -245,98 +243,40 @@ Result<MultiAppReport> Fixy::RankDataset(
 
 Result<MultiAppReport> Fixy::RankDatasetStreaming(
     const SceneSource& source, const std::vector<std::string>& apps,
-    const BatchOptions& batch, const StreamOptions& stream) const {
+    const BatchOptions& batch) const {
   FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
   const size_t scene_count = source.scene_count();
   MultiAppReport multi = EmptyReport(plan, scene_count);
 
   const bool collect = batch.collect_metrics;
   const obs::StageTimer total_timer;
-  // Two collectors per scene, one filled by the loader that decodes it and
-  // one by the worker that ranks it, merged back in dataset order: every
-  // counter total is byte-identical at any decode/rank thread combination.
-  // With metrics off a null scope is installed instead, so nothing leaks
-  // into an ambient collector either.
-  std::vector<obs::PipelineMetrics> decode_metrics(collect ? scene_count : 0);
-  std::vector<obs::PipelineMetrics> rank_metrics(collect ? scene_count : 0);
+  // One collector per scene, filled by the worker that decodes and ranks
+  // it and merged back in dataset order: every counter total is
+  // byte-identical at any thread count. With metrics off a null scope is
+  // installed instead, so nothing leaks into an ambient collector either.
+  std::vector<obs::PipelineMetrics> scene_metrics(collect ? scene_count : 0);
 
-  const int rank_threads = ThreadPool::ResolveThreadCount(batch.num_threads);
-  const int decode_threads = std::max(1, stream.decode_threads);
-  const size_t max_resident = stream.max_resident_scenes != 0
-                                  ? stream.max_resident_scenes
-                                  : static_cast<size_t>(rank_threads) * 2;
-
-  // The decode -> rank hand-off, all under one mutex. Loaders claim scene
-  // indices in dataset order; `resident` counts scenes a loader has
-  // started decoding that no rank worker has claimed yet, and a loader
-  // starts a scene only while resident < max_resident, so the ceiling is
-  // exact. Rank workers claim decoded scenes in arrival order and exit
-  // once every scene is claimed. A decode failure travels as the scene's
-  // Result and is quarantined like a ranking failure.
-  struct Decoded {
-    size_t index;
-    Result<Scene> scene;
-  };
-  std::mutex mu;
-  std::condition_variable cv;  // any change to the state below
-  std::deque<Decoded> decoded;
-  size_t next_decode = 0;
-  size_t claimed = 0;
-  size_t resident = 0;
-  size_t resident_peak = 0;
-
-  auto decode_loop = [&] {
-    for (;;) {
-      size_t i;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
-          return next_decode == scene_count || resident < max_resident;
-        });
-        if (next_decode == scene_count) return;
-        i = next_decode++;
-        resident_peak = std::max(resident_peak, ++resident);
-      }
-      obs::MetricsCollector collector;
-      const obs::MetricsScope scope(collect ? &collector : nullptr);
-      Result<Scene> scene = source.DecodeScene(i);
-      if (collect) decode_metrics[i] = collector.Snapshot();
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        decoded.push_back(Decoded{i, std::move(scene)});
-      }
-      cv.notify_all();
-    }
-  };
-
-  // Outcomes land in pre-assigned dataset-order slots, so arrival order,
-  // which varies with scheduling, cannot reorder the report. All of a
-  // scene's applications run on one worker, in request order, so per-app
-  // counters are deterministic too.
+  // Each worker claims the next scene index, decodes that scene and ranks
+  // it, so a worker holds one decoded scene at a time. Outcomes land in
+  // pre-assigned dataset-order slots, so claim order, which varies with
+  // scheduling, cannot reorder the report. All of a scene's applications
+  // run on one worker, in request order, so per-app counters are
+  // deterministic too. A decode failure is quarantined like a ranking
+  // failure.
+  std::atomic<size_t> next_scene{0};
   auto rank_loop = [&] {
-    for (;;) {
-      const obs::StageTimer wait_timer;
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !decoded.empty() || claimed == scene_count; });
-      if (decoded.empty()) return;  // every scene is claimed
-      const Decoded item = std::move(decoded.front());
-      decoded.pop_front();
-      ++claimed;
-      --resident;
-      lock.unlock();
-      cv.notify_all();
-      const uint64_t wait_ns = wait_timer.ElapsedNs();
-
-      const size_t i = item.index;
+    for (size_t i = next_scene++; i < scene_count; i = next_scene++) {
       obs::MetricsCollector collector;
       const obs::MetricsScope scope(collect ? &collector : nullptr);
+      const Result<Scene> scene = source.DecodeScene(i);
+      // wall_ms and span.scene time the ranking alone, not the decode.
       const obs::StageTimer scene_timer;
-      if (item.scene.ok()) {
-        RankSceneApps(plan, item.scene.value(), multi.reports, i);
+      if (scene.ok()) {
+        RankSceneApps(plan, scene.value(), multi.reports, i);
       } else {
         for (BatchReport& report : multi.reports) {
           report.outcomes[i].scene_name = source.scene_name(i);
-          report.outcomes[i].status = item.scene.status();
+          report.outcomes[i].status = scene.status();
         }
       }
       if (collect) {
@@ -346,23 +286,16 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
         }
         collector.Count("span.scene.calls");
         collector.AddTimeNs("span.scene", wall_ns);
-        collector.AddTimeNs("io.fxb.queue_wait", wait_ns);
-        rank_metrics[i] = collector.Snapshot();
+        scene_metrics[i] = collector.Snapshot();
       }
     }
   };
 
+  const int threads = ThreadPool::ResolveThreadCount(batch.num_threads);
   {
-    // Separate pools: a slow decode never occupies a rank thread.
-    ThreadPool rank_pool(rank_threads);
-    ThreadPool decode_pool(decode_threads);
+    ThreadPool pool(threads);
     std::vector<std::future<void>> loops;
-    for (int t = 0; t < rank_threads; ++t) {
-      loops.push_back(rank_pool.Submit(rank_loop));
-    }
-    for (int t = 0; t < decode_threads; ++t) {
-      loops.push_back(decode_pool.Submit(decode_loop));
-    }
+    for (int t = 0; t < threads; ++t) loops.push_back(pool.Submit(rank_loop));
     for (std::future<void>& loop : loops) loop.get();
   }
 
@@ -388,9 +321,8 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
 
   if (collect) {
     obs::PipelineMetrics& metrics = multi.metrics;
-    for (size_t i = 0; i < scene_count; ++i) {
-      metrics.MergeFrom(decode_metrics[i]);
-      metrics.MergeFrom(rank_metrics[i]);
+    for (const obs::PipelineMetrics& scene : scene_metrics) {
+      metrics.MergeFrom(scene);
     }
     // Scene-granularity batch counters: a scene counts as ok only when
     // every application ranked it (equals the per-app counters for a
@@ -400,9 +332,7 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     metrics.counters["batch.scenes_failed"] += scenes_failed;
     metrics.counters["batch.scenes_quarantined"] += scenes_failed;
     metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
-    metrics.gauges["batch.threads"] = static_cast<double>(rank_threads);
-    metrics.gauges["stream.resident_scenes_peak"] =
-        static_cast<double>(resident_peak);
+    metrics.gauges["batch.threads"] = static_cast<double>(threads);
     double scene_ms_max = 0.0;
     for (const SceneOutcome& outcome : multi.reports.front().outcomes) {
       scene_ms_max = std::max(scene_ms_max, outcome.wall_ms);

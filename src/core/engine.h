@@ -74,25 +74,6 @@ struct BatchOptions {
   bool collect_metrics = false;
 };
 
-/// Configuration of the decode side of RankDatasetStreaming (RankDataset
-/// runs with the defaults): loader threads decode scenes from the source
-/// and hand them to the rank workers.
-struct StreamOptions {
-  /// Loader threads, separate from the rank workers. 1 (the default)
-  /// keeps a single loader feeding the rank workers; higher values
-  /// overlap several decodes. Values < 1 are treated as 1.
-  int decode_threads = 1;
-
-  /// Exact ceiling on decoded-but-unranked scenes: a loader takes a slot
-  /// before it starts decoding a scene, and the slot frees when a rank
-  /// worker claims the scene, so at no instant do more than this many
-  /// scenes sit between the loaders and the rank workers. 0 (the default)
-  /// means 2x the rank thread count. Values smaller than decode_threads
-  /// idle the surplus loaders. The run records the observed peak as the
-  /// stream.resident_scenes_peak gauge when metrics are collected.
-  size_t max_resident_scenes = 0;
-};
-
 /// Outcome of ranking one scene within a batch.
 struct SceneOutcome {
   std::string scene_name;
@@ -100,7 +81,7 @@ struct SceneOutcome {
   Status status;
   /// Ranked most-suspicious-first; empty when the scene failed.
   std::vector<ErrorProposal> proposals;
-  /// Wall time spent ranking this scene, excluding queue wait. In a
+  /// Wall time spent ranking this scene, excluding its decode. In a
   /// multi-application run the scene is ranked once for all applications
   /// (shared association), so every application's outcome carries the
   /// same shared wall time. Only populated when
@@ -243,19 +224,19 @@ class Fixy {
                                      const std::vector<std::string>& apps,
                                      const BatchOptions& batch = {}) const;
 
-  /// RankDataset over scenes decoded on demand from `source`: loader
-  /// threads decode scenes while the rank workers score earlier ones, and
-  /// at most StreamOptions::max_resident_scenes decoded scenes wait in
-  /// memory — each scene still decoded once and associated once for all
+  /// RankDataset over scenes decoded on demand from `source`: each rank
+  /// worker claims the next scene index, decodes that scene and ranks it,
+  /// so at most BatchOptions::num_threads decoded scenes are alive at once
+  /// — each scene still decoded once and associated once for all
   /// applications. Outcomes land in pre-assigned dataset-order slots, so
   /// the report (outcomes, proposals, and every metrics counter) is
-  /// byte-identical at any combination of decode and rank thread counts
-  /// and residency ceilings. A scene whose *decode* fails is quarantined
-  /// for every application exactly like a scene whose ranking fails (or,
-  /// with fail_fast, fails the call with the first dataset-order error).
+  /// byte-identical at any thread count. A scene whose *decode* fails is
+  /// quarantined for every application exactly like a scene whose ranking
+  /// fails (or, with fail_fast, fails the call with the first dataset-order
+  /// error).
   Result<MultiAppReport> RankDatasetStreaming(
       const SceneSource& source, const std::vector<std::string>& apps,
-      const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
+      const BatchOptions& batch = {}) const;
 
   /// The application registry this engine ranks against: the three paper
   /// applications plus FixyOptions::extra_applications.

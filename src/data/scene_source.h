@@ -1,8 +1,8 @@
 // SceneSource: the streaming-ingestion abstraction. A source knows how
 // many scenes it has and can decode any one of them on demand, from any
-// thread — which is what lets the engine overlap scene decode with
-// ranking (Fixy::RankDatasetStreaming) instead of materializing the whole
-// dataset before the first scene is scored.
+// thread — which is what lets each rank worker of
+// Fixy::RankDatasetStreaming decode the scene it is about to rank instead
+// of materializing the whole dataset before the first scene is scored.
 //
 // Implementations: io::FxbSceneSource (binary cache, mmap-backed),
 // io::DirectorySceneSource (per-file JSON), and the in-memory

@@ -273,37 +273,6 @@ T LoadPod(std::string_view bytes, size_t offset) {
   return value;
 }
 
-// Reads the manifest and returns the scene file names it lists, plus the
-// dataset name when requested (UpdateFxbCache rebuilds the header name
-// from the manifest without a full dataset load).
-Result<std::vector<std::string>> ReadManifestSceneFiles(
-    const std::string& directory, std::string* dataset_name = nullptr) {
-  FIXY_ASSIGN_OR_RETURN(MappedFile manifest_file,
-                        MappedFile::Open(directory + "/" + kManifestFile));
-  FIXY_ASSIGN_OR_RETURN(json::Value manifest,
-                        json::Parse(manifest_file.data()));
-  FIXY_ASSIGN_OR_RETURN(std::string format, manifest.GetString("format"));
-  if (format != "fixy-dataset") {
-    return Status::InvalidArgument("not a fixy-dataset manifest");
-  }
-  if (dataset_name != nullptr) {
-    FIXY_ASSIGN_OR_RETURN(*dataset_name, manifest.GetString("name"));
-  }
-  const json::Value* scenes = manifest.Find("scenes");
-  if (scenes == nullptr || !scenes->is_array()) {
-    return Status::InvalidArgument("manifest missing scenes array");
-  }
-  std::vector<std::string> files;
-  files.reserve(scenes->AsArray().size());
-  for (const json::Value& file : scenes->AsArray()) {
-    if (!file.is_string()) {
-      return Status::InvalidArgument("manifest scene entry must be a string");
-    }
-    files.push_back(file.AsString());
-  }
-  return files;
-}
-
 // Stats one source file into a record; reads and CRCs its bytes when
 // `read_contents` (the form recorded at build time).
 Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
@@ -984,11 +953,9 @@ Result<std::unique_ptr<SceneSource>> OpenSceneSource(
     return std::unique_ptr<SceneSource>(
         std::make_unique<FxbSceneSource>(std::move(cache).value()));
   }
-  const StatusCode code = cache.status().code();
-  if (code != StatusCode::kNotFound &&
-      code != StatusCode::kFailedPrecondition) {
-    return cache.status();
-  }
+  // The JSON files are the source of truth and the cache decodes to the
+  // same bytes, so a cache that is missing, stale, or rejected at open
+  // only costs speed: rank from the JSON files instead.
   FIXY_ASSIGN_OR_RETURN(DirectorySceneSource source,
                         DirectorySceneSource::Open(directory));
   return std::unique_ptr<SceneSource>(
@@ -1004,7 +971,6 @@ void RecordFxbMetricsSchema() {
   obs::Count("io.fxb.sections_dropped", 0);
   obs::Count("io.fxb.sections_reencoded", 0);
   obs::Count("io.fxb.sections_reused", 0);
-  obs::AddTimeNs("io.fxb.queue_wait", 0);
 }
 
 }  // namespace fixy::io

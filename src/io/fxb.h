@@ -245,7 +245,9 @@ Result<CacheStaleness> ExplainCacheStaleness(const std::string& directory,
 /// comparison). Errors: NotFound (no cache), FailedPrecondition (stale:
 /// source files changed since the build, with per-file reasons; also
 /// covers a cache in an older format version), or the underlying
-/// open/parse error.
+/// open/parse error (InvalidArgument for a bad magic or a truncated
+/// header). OpenSceneSource falls back to the JSON files on every one of
+/// them.
 Result<FxbReader> OpenFreshCache(const std::string& directory);
 
 /// What UpdateFxbCache did to each scene section.
@@ -289,8 +291,8 @@ class FxbSceneSource : public SceneSource {
   std::shared_ptr<FxbReader> reader_;
 };
 
-/// JSON fallback SceneSource: decodes `<directory>/<file>.fixy.json`
-/// scene files (as listed by manifest.json) one at a time.
+/// JSON SceneSource: decodes `<directory>/<file>.fixy.json` scene files
+/// (as listed by manifest.json) one at a time, on whichever thread asks.
 class DirectorySceneSource : public SceneSource {
  public:
   /// Reads the manifest and records the scene file list; scene files
@@ -307,9 +309,10 @@ class DirectorySceneSource : public SceneSource {
 };
 
 /// Opens a dataset directory as a SceneSource: the fresh FXB cache when
-/// there is one, the JSON scene files otherwise (no cache, or a stale
-/// one). Errors: a present-but-corrupt cache's open error, or whatever
-/// the manifest read fails with.
+/// there is one, the JSON scene files otherwise — whenever OpenFreshCache
+/// fails, whether the cache is missing, stale, or rejected at open. The
+/// one source policy of `fixy_cli rank` and fixyd. Errors: only the JSON
+/// side's, i.e. whatever reading the manifest fails with.
 Result<std::unique_ptr<SceneSource>> OpenSceneSource(
     const std::string& directory);
 

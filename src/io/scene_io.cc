@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "io/mapped_file.h"
 #include "obs/metrics.h"
 
 namespace fixy::io {
@@ -117,12 +118,6 @@ Result<Frame> FrameFromJson(const json::Value& value) {
     frame.observations.push_back(std::move(obs));
   }
   return frame;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::string contents;
-  FIXY_RETURN_IF_ERROR(ReadFileInto(path, &contents));
-  return contents;
 }
 
 }  // namespace
@@ -258,53 +253,47 @@ Status SaveDataset(const Dataset& dataset, const std::string& directory) {
                          json::Write(manifest, /*pretty=*/true));
 }
 
-Result<Dataset> LoadDataset(const std::string& directory) {
-  FIXY_ASSIGN_OR_RETURN(DatasetLoadReport report,
-                        LoadDataset(directory, DatasetLoadOptions{}));
-  return std::move(report.dataset);
-}
-
-Result<DatasetLoadReport> LoadDataset(const std::string& directory,
-                                      const DatasetLoadOptions& options) {
-  const obs::ScopedStageTimer load_timer("io.load");
-  // The manifest is the one file without which nothing can be loaded, so
-  // it is strict even in tolerant mode.
-  FIXY_ASSIGN_OR_RETURN(std::string text,
-                        ReadFile(directory + "/manifest.json"));
-  obs::Count("io.bytes_read", text.size());
-  FIXY_ASSIGN_OR_RETURN(json::Value manifest, json::Parse(text));
+Result<std::vector<std::string>> ReadManifestSceneFiles(
+    const std::string& directory, std::string* dataset_name) {
+  FIXY_ASSIGN_OR_RETURN(MappedFile manifest_file,
+                        MappedFile::Open(directory + "/manifest.json"));
+  FIXY_ASSIGN_OR_RETURN(json::Value manifest,
+                        json::Parse(manifest_file.data()));
   FIXY_ASSIGN_OR_RETURN(std::string format, manifest.GetString("format"));
   if (format != kManifestMarker) {
     return Status::InvalidArgument("not a fixy-dataset manifest");
   }
-  DatasetLoadReport report;
-  FIXY_ASSIGN_OR_RETURN(report.dataset.name, manifest.GetString("name"));
+  if (dataset_name != nullptr) {
+    FIXY_ASSIGN_OR_RETURN(*dataset_name, manifest.GetString("name"));
+  }
   const json::Value* scenes = manifest.Find("scenes");
   if (scenes == nullptr || !scenes->is_array()) {
     return Status::InvalidArgument("manifest missing scenes array");
   }
-  std::string read_buffer;  // reused across scene files (one allocation)
+  std::vector<std::string> files;
+  files.reserve(scenes->AsArray().size());
   for (const json::Value& file : scenes->AsArray()) {
     if (!file.is_string()) {
-      const Status bad =
-          Status::InvalidArgument("manifest scene entry must be a string");
-      if (!options.tolerant) return bad;
-      obs::Count("io.files_skipped");
-      report.skipped.push_back({"<non-string manifest entry>", bad});
-      continue;
+      return Status::InvalidArgument("manifest scene entry must be a string");
     }
-    Result<Scene> scene =
-        LoadScene(directory + "/" + file.AsString(), &read_buffer);
-    if (!scene.ok()) {
-      if (!options.tolerant) return scene.status();
-      obs::Count("io.files_skipped");
-      report.skipped.push_back({file.AsString(), scene.status()});
-      continue;
-    }
-    obs::Count("io.files_read");
-    report.dataset.scenes.push_back(std::move(scene).value());
+    files.push_back(file.AsString());
   }
-  return report;
+  return files;
+}
+
+Result<Dataset> LoadDataset(const std::string& directory) {
+  const obs::ScopedStageTimer load_timer("io.load");
+  Dataset dataset;
+  FIXY_ASSIGN_OR_RETURN(const std::vector<std::string> files,
+                        ReadManifestSceneFiles(directory, &dataset.name));
+  std::string read_buffer;  // reused across scene files (one allocation)
+  for (const std::string& file : files) {
+    FIXY_ASSIGN_OR_RETURN(Scene scene,
+                          LoadScene(directory + "/" + file, &read_buffer));
+    obs::Count("io.files_read");
+    dataset.scenes.push_back(std::move(scene));
+  }
+  return dataset;
 }
 
 }  // namespace fixy::io

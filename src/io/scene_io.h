@@ -65,38 +65,20 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents);
 /// `<directory>/<scene-name>.fixy.json` plus a `manifest.json` listing them.
 Status SaveDataset(const Dataset& dataset, const std::string& directory);
 
+/// Reads `<directory>/manifest.json` (memory-mapped) and returns the
+/// scene file names it lists, in manifest order, plus the dataset name
+/// when `dataset_name` is non-null. The one manifest parser: LoadDataset,
+/// DirectorySceneSource and the FXB cache's source records all read the
+/// scene list through it. Errors: IoError when the manifest is unreadable;
+/// InvalidArgument when it is not a fixy-dataset manifest, lacks the
+/// requested name or the scenes array, or lists a scene entry that is
+/// not a string.
+Result<std::vector<std::string>> ReadManifestSceneFiles(
+    const std::string& directory, std::string* dataset_name = nullptr);
+
 /// Loads a dataset previously written by SaveDataset. Strict: the first
 /// unreadable, unparseable, or invalid scene file fails the whole load.
 Result<Dataset> LoadDataset(const std::string& directory);
-
-/// Ingestion policy for LoadDataset.
-struct DatasetLoadOptions {
-  /// When true, scene files that cannot be read, parsed, or validated are
-  /// skipped with a per-file diagnostic instead of failing the load; the
-  /// returned dataset holds every scene that survived, in manifest order.
-  /// A missing or malformed manifest is still an error — there is nothing
-  /// to salvage without it.
-  bool tolerant = false;
-};
-
-/// One quarantined scene file from a tolerant load.
-struct SceneFileError {
-  /// The file name as listed in the manifest.
-  std::string file;
-  /// Why it was skipped (IoError or InvalidArgument/FailedPrecondition).
-  Status status;
-};
-
-/// A tolerant load's result: the surviving scenes plus per-file
-/// diagnostics for everything that was skipped (empty in strict mode).
-struct DatasetLoadReport {
-  Dataset dataset;
-  std::vector<SceneFileError> skipped;
-};
-
-/// Loads a dataset with the given ingestion policy; see DatasetLoadOptions.
-Result<DatasetLoadReport> LoadDataset(const std::string& directory,
-                                      const DatasetLoadOptions& options);
 
 }  // namespace fixy::io
 

@@ -423,58 +423,29 @@ class FailingSource : public SceneSource {
 };
 
 // The streaming determinism contract: RankDatasetStreaming must produce
-// the proposals of scene-by-scene RankScene calls at every (rank threads,
-// decode threads) combination.
+// the proposals of scene-by-scene RankScene calls at every thread count.
 TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
   const DatasetSceneSource source(dataset_->dataset);
   const std::vector<SceneOutcome> reference =
       RankEachScene(*fixy_, dataset_->dataset, "missing-tracks");
   for (int threads = 1; threads <= 8; ++threads) {
-    for (const int decode_threads : {1, 2}) {
-      BatchOptions batch;
-      batch.num_threads = threads;
-      StreamOptions stream;
-      stream.decode_threads = decode_threads;
-      const auto streamed = OnlyReport(fixy_->RankDatasetStreaming(
-          source, {"missing-tracks"}, batch, stream));
-      ASSERT_TRUE(streamed.ok())
-          << "threads=" << threads << " decode=" << decode_threads;
-      ASSERT_EQ(streamed->outcomes.size(), reference.size());
-      EXPECT_EQ(streamed->scenes_ok, reference.size());
-      for (size_t s = 0; s < reference.size(); ++s) {
-        EXPECT_EQ(streamed->outcomes[s].scene_name, reference[s].scene_name);
-        ExpectProposalsIdentical(reference[s].proposals,
-                                 streamed->outcomes[s].proposals);
-      }
-    }
-  }
-}
-
-// A tight residency ceiling forces back-pressure (loaders wait for rank
-// workers to claim scenes); the output must not change.
-TEST_F(BatchRankTest, StreamingUnaffectedByQueueCapacity) {
-  const DatasetSceneSource source(dataset_->dataset);
-  const std::vector<SceneOutcome> reference =
-      RankEachScene(*fixy_, dataset_->dataset, "missing-tracks");
-  BatchOptions batch;
-  batch.num_threads = 4;
-  StreamOptions stream;
-  stream.decode_threads = 4;
-  for (const size_t limit : {size_t{1}, size_t{2}, size_t{64}}) {
-    stream.max_resident_scenes = limit;
-    const auto streamed = OnlyReport(fixy_->RankDatasetStreaming(
-        source, {"missing-tracks"}, batch, stream));
-    ASSERT_TRUE(streamed.ok()) << "limit=" << limit;
+    BatchOptions batch;
+    batch.num_threads = threads;
+    const auto streamed = OnlyReport(
+        fixy_->RankDatasetStreaming(source, {"missing-tracks"}, batch));
+    ASSERT_TRUE(streamed.ok()) << "threads=" << threads;
     ASSERT_EQ(streamed->outcomes.size(), reference.size());
+    EXPECT_EQ(streamed->scenes_ok, reference.size());
     for (size_t s = 0; s < reference.size(); ++s) {
+      EXPECT_EQ(streamed->outcomes[s].scene_name, reference[s].scene_name);
       ExpectProposalsIdentical(reference[s].proposals,
                                streamed->outcomes[s].proposals);
     }
   }
 }
 
-// Streaming counters must be deterministic across thread combinations,
-// like the non-streaming path's.
+// Streaming counters must be deterministic across thread counts, like
+// the non-streaming path's.
 TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
   const DatasetSceneSource source(dataset_->dataset);
   BatchOptions batch;
@@ -487,10 +458,8 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
             dataset_->dataset.scenes.size());
   for (const int threads : {2, 4, 8}) {
     batch.num_threads = threads;
-    StreamOptions stream;
-    stream.decode_threads = 2;
-    const auto result = OnlyReport(fixy_->RankDatasetStreaming(
-        source, {"missing-tracks"}, batch, stream));
+    const auto result = OnlyReport(
+        fixy_->RankDatasetStreaming(source, {"missing-tracks"}, batch));
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result->metrics.counters, baseline->metrics.counters)
         << "threads=" << threads;

@@ -475,6 +475,59 @@ TEST_F(DaemonTest, RankDatasetResponseOverOneMebibyteReachesTheClient) {
   }
 }
 
+// fixyd shares `fixy_cli rank`'s source policy: a dataset.fxb rejected at
+// open (a bad magic) falls back to the JSON files instead of failing the
+// request, and the answer is what SaveProposals writes in process.
+TEST_F(DaemonTest, RankFallsBackToJsonOnBadMagicCache) {
+  namespace fs = std::filesystem;
+  const std::string dir = *base_dir_ + "/bad_magic";
+  fs::copy(*data_dir_, dir, fs::copy_options::recursive);
+  // Junk longer than the 64-byte header, so the magic check rejects it.
+  std::ofstream(io::FxbCachePath(dir), std::ios::binary)
+      << std::string(256, 'x');
+  ASSERT_EQ(io::OpenFreshCache(dir).status().code(),
+            StatusCode::kInvalidArgument);
+
+  Fixy ranker;
+  ASSERT_TRUE(ranker.LoadModel(*model_path_).ok());
+  auto source = io::DirectorySceneSource::Open(dir);
+  ASSERT_TRUE(source.ok()) << source.status();
+  const Result<Scene> scene = source->DecodeScene(0);
+  ASSERT_TRUE(scene.ok()) << scene.status();
+  const Result<MultiAppReport> report = ranker.RankScene(*scene, *apps_);
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::map<std::string, std::string> expected;
+  for (size_t a = 0; a < report->apps.size(); ++a) {
+    const SceneOutcome& outcome = report->reports[a].outcomes.front();
+    ASSERT_TRUE(outcome.ok()) << outcome.status;
+    const std::string path = dir + "/expected.json";
+    ASSERT_TRUE(SaveProposals(
+                    TopK(outcome.proposals, static_cast<size_t>(kTop)), path)
+                    .ok());
+    ASSERT_TRUE(io::ReadFileInto(path, &expected[report->apps[a]]).ok());
+  }
+
+  ServerRunner runner(BaseOptions(SocketPath("bad_magic")));
+  ASSERT_TRUE(runner.ok()) << runner.create_status();
+  Request request;
+  request.kind = RequestKind::kRank;
+  request.data_dir = dir;
+  request.scene_index = 0;
+  request.top = kTop;
+  const Result<Response> response =
+      Call(runner.server().socket_path(), request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->status.ok()) << response->status;
+  const json::Object& proposals =
+      response->result.AsObject().at("proposals").AsObject();
+  ASSERT_EQ(proposals.size(), expected.size());
+  for (const auto& [app, text] : expected) {
+    ASSERT_TRUE(proposals.count(app)) << app;
+    EXPECT_EQ(proposals.at(app).AsString(), text)
+        << "daemon proposals for " << app << " differ from SaveProposals";
+  }
+}
+
 TEST_F(DaemonTest, RankSceneByIndexAndByNameAgree) {
   ServerRunner runner(BaseOptions(SocketPath("rank_scene")));
   ASSERT_TRUE(runner.ok()) << runner.create_status();

@@ -396,6 +396,39 @@ TEST(FxbCacheTest, SceneSourcesAgree) {
   std::filesystem::remove_all(dir);
 }
 
+// OpenSceneSource has one policy: the JSON files are the source of truth,
+// so a cache that is missing, stale, or rejected at open (a bad magic)
+// falls back to them, and only a broken manifest fails the open.
+TEST(FxbCacheTest, OpenSceneSourceFallsBackToJsonOnRejectedCache) {
+  const std::string dir = TempDir();
+  ASSERT_TRUE(SaveDataset(MakeDataset(2), dir).ok());
+  const auto is_json = [](const SceneSource& source) {
+    return dynamic_cast<const DirectorySceneSource*>(&source) != nullptr;
+  };
+  auto missing = OpenSceneSource(dir);
+  ASSERT_TRUE(missing.ok()) << missing.status();
+  EXPECT_TRUE(is_json(**missing));
+
+  ASSERT_TRUE(BuildFxbCache(dir).ok());
+  auto fresh = OpenSceneSource(dir);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(is_json(**fresh));
+
+  // Junk longer than the 64-byte header, so the magic check rejects it.
+  std::ofstream(FxbCachePath(dir), std::ios::binary | std::ios::trunc)
+      << std::string(256, 'x');
+  EXPECT_EQ(OpenFreshCache(dir).status().code(),
+            StatusCode::kInvalidArgument);
+  auto rejected = OpenSceneSource(dir);
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_TRUE(is_json(**rejected));
+  EXPECT_EQ((*rejected)->scene_count(), 2u);
+
+  std::ofstream(dir + "/manifest.json", std::ios::trunc) << "{broken";
+  EXPECT_FALSE(OpenSceneSource(dir).ok());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FxbMetricsTest, SchemaRecorderZeroTouchesAllKeys) {
   obs::MetricsCollector collector;
   {
@@ -405,11 +438,14 @@ TEST(FxbMetricsTest, SchemaRecorderZeroTouchesAllKeys) {
   const auto snapshot = collector.Snapshot();
   for (const char* key :
        {"io.fxb.bytes_mapped", "io.fxb.cache_hits", "io.fxb.cache_misses",
-        "io.fxb.checksum_failures", "io.fxb.scenes_decoded"}) {
+        "io.fxb.checksum_failures", "io.fxb.scenes_decoded",
+        "io.fxb.sections_dropped", "io.fxb.sections_reencoded",
+        "io.fxb.sections_reused"}) {
     ASSERT_TRUE(snapshot.counters.count(key)) << key;
     EXPECT_EQ(snapshot.counters.at(key), 0u) << key;
   }
-  ASSERT_TRUE(snapshot.timers_ms.count("io.fxb.queue_wait"));
+  EXPECT_EQ(snapshot.counters.size(), 8u);
+  EXPECT_TRUE(snapshot.timers_ms.empty());
 }
 
 }  // namespace

@@ -530,45 +530,7 @@ TEST(SufficientStatsTest, ReservoirHoldsEverythingUnderCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Streaming residency cap.
-// ---------------------------------------------------------------------------
-
-TEST(ResidencyTest, MaxResidentScenesBoundsThePeak) {
-  const std::string dir = TempDir();
-  Dataset dataset = MakeLabeledDataset(6, 13);
-  ASSERT_TRUE(io::SaveDataset(dataset, dir).ok());
-  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
-
-  Fixy engine;
-  ASSERT_TRUE(engine.Learn(dataset).ok());
-
-  for (const size_t limit : {size_t{1}, size_t{2}, size_t{0}}) {
-    auto cache = io::OpenFreshCache(dir);
-    ASSERT_TRUE(cache.ok()) << cache.status();
-    const io::FxbSceneSource source(std::move(*cache));
-    BatchOptions batch;
-    batch.num_threads = 2;
-    batch.collect_metrics = true;
-    StreamOptions stream;
-    stream.decode_threads = 4;
-    stream.max_resident_scenes = limit;
-    const auto report = engine.RankDatasetStreaming(
-        source, {"missing-tracks"}, batch, stream);
-    ASSERT_TRUE(report.ok()) << report.status();
-    const auto it = report->metrics.gauges.find("stream.resident_scenes_peak");
-    ASSERT_NE(it, report->metrics.gauges.end());
-    // 0 means the default ceiling, 2x the rank threads.
-    const size_t ceiling =
-        limit > 0 ? limit : 2 * static_cast<size_t>(batch.num_threads);
-    EXPECT_LE(it->second, static_cast<double>(ceiling)) << "limit " << limit;
-    EXPECT_GE(it->second, 1.0);
-    // The cap never costs coverage: every scene still ranks.
-    EXPECT_EQ(report->reports[0].scenes_ok, 6u) << "limit " << limit;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 7. Watch: incremental fold + re-rank, and the corruption sweep.
+// 6. Watch: incremental fold + re-rank, and the corruption sweep.
 // ---------------------------------------------------------------------------
 
 #if defined(__unix__) || defined(__APPLE__)

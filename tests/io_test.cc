@@ -1,12 +1,19 @@
-// Tests for src/io: scene/dataset serialization round-trips and failure
-// injection on malformed documents and filesystem errors.
+// Tests for src/io: scene/dataset serialization round-trips, failure
+// injection on malformed documents and filesystem errors, and the JSON
+// scene source under the streaming ranker (an unreadable scene file is
+// quarantined like a scene that fails to rank).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "core/engine.h"
+#include "core/proposal_io.h"
+#include "io/fxb.h"
 #include "io/scene_io.h"
+#include "json/json.h"
+#include "sim/generate.h"
 
 namespace fixy::io {
 namespace {
@@ -198,86 +205,142 @@ TEST(DatasetIoTest, LoadManifestReferencingMissingSceneFails) {
   std::filesystem::remove_all(dir);
 }
 
-// Writes a three-scene dataset, then corrupts scene_b's file on disk.
-std::string MakeDatasetWithCorruptScene() {
+// Three short simulated scenes named scene_a, scene_b and scene_c.
+Dataset SimulatedDataset(const std::string& name, uint64_t seed) {
+  sim::SimProfile profile = sim::LyftLikeProfile();
+  profile.world.duration_seconds = 2.0;
+  profile.world.mean_object_count = 6.0;
+  Dataset dataset = sim::GenerateDataset(profile, name, 3, seed).dataset;
+  const char* const names[] = {"scene_a", "scene_b", "scene_c"};
+  for (size_t i = 0; i < dataset.scenes.size(); ++i) {
+    dataset.scenes[i].set_name(names[i]);
+  }
+  return dataset;
+}
+
+// An engine learned from a simulated dataset, shared by the tests below.
+const Fixy& LearnedEngine() {
+  static const Fixy* const engine = [] {
+    auto* fixy = new Fixy();
+    EXPECT_TRUE(fixy->Learn(SimulatedDataset("train", 41)).ok());
+    return fixy;
+  }();
+  return *engine;
+}
+
+// Streams `source` through RankDatasetStreaming for every registered
+// application on `threads` workers, quarantining failures.
+MultiAppReport RankAll(const SceneSource& source, int threads) {
+  const Fixy& fixy = LearnedEngine();
+  BatchOptions batch;
+  batch.num_threads = threads;
+  Result<MultiAppReport> report =
+      fixy.RankDatasetStreaming(source, fixy.applications().names(), batch);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? std::move(report).value() : MultiAppReport{};
+}
+
+std::string ProposalBytes(const SceneOutcome& outcome) {
+  return json::Write(ProposalsToJson(outcome.proposals), /*pretty=*/true);
+}
+
+// Saves `dataset`, then corrupts scene_b's file on disk.
+std::string SaveWithCorruptSceneB(const Dataset& dataset) {
   const std::string dir = TempDir();
-  Dataset dataset;
-  dataset.name = "partial";
-  dataset.scenes.push_back(MakeScene("scene_a"));
-  dataset.scenes.push_back(MakeScene("scene_b"));
-  dataset.scenes.push_back(MakeScene("scene_c"));
   EXPECT_TRUE(SaveDataset(dataset, dir).ok());
   std::ofstream(dir + "/scene_b.fixy.json") << "{definitely not a scene";
   return dir;
 }
 
 TEST(DatasetIoTest, StrictLoadFailsOnCorruptSceneFile) {
-  const std::string dir = MakeDatasetWithCorruptScene();
+  const std::string dir =
+      SaveWithCorruptSceneB(SimulatedDataset("partial", 43));
   EXPECT_FALSE(LoadDataset(dir).ok());
-  DatasetLoadOptions strict;
-  strict.tolerant = false;
-  EXPECT_FALSE(LoadDataset(dir, strict).ok());
   std::filesystem::remove_all(dir);
 }
 
-TEST(DatasetIoTest, TolerantLoadSkipsCorruptSceneWithDiagnostic) {
-  const std::string dir = MakeDatasetWithCorruptScene();
-  DatasetLoadOptions tolerant;
-  tolerant.tolerant = true;
-  const auto loaded = LoadDataset(dir, tolerant);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->dataset.scenes.size(), 2u);
-  EXPECT_EQ(loaded->dataset.scenes[0].name(), "scene_a");
-  EXPECT_EQ(loaded->dataset.scenes[1].name(), "scene_c");
-  ASSERT_EQ(loaded->skipped.size(), 1u);
-  EXPECT_EQ(loaded->skipped[0].file, "scene_b.fixy.json");
-  EXPECT_FALSE(loaded->skipped[0].status.ok());
+TEST(DatasetIoTest, DirectorySourceStreamingQuarantinesCorruptScene) {
+  const Dataset dataset = SimulatedDataset("partial", 43);
+  const MultiAppReport clean = RankAll(DatasetSceneSource(dataset), 1);
+  size_t clean_proposals = 0;
+  for (const BatchReport& app : clean.reports) {
+    for (const SceneOutcome& outcome : app.outcomes) {
+      clean_proposals += outcome.proposals.size();
+    }
+  }
+  ASSERT_GT(clean_proposals, 0u) << "the neighbour comparison would be vacuous";
+  const std::string dir = SaveWithCorruptSceneB(dataset);
+  auto source = DirectorySceneSource::Open(dir);
+  ASSERT_TRUE(source.ok()) << source.status();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const MultiAppReport report = RankAll(*source, threads);
+    ASSERT_EQ(report.reports.size(), clean.reports.size());
+    for (size_t a = 0; a < report.reports.size(); ++a) {
+      const BatchReport& app = report.reports[a];
+      ASSERT_EQ(app.outcomes.size(), 3u);
+      EXPECT_EQ(app.scenes_quarantined, 1u);
+      EXPECT_EQ(app.outcomes[1].scene_name, "scene_b");
+      EXPECT_FALSE(app.outcomes[1].ok());
+      for (const size_t s : {size_t{0}, size_t{2}}) {
+        ASSERT_TRUE(app.outcomes[s].ok()) << app.outcomes[s].status;
+        EXPECT_EQ(ProposalBytes(app.outcomes[s]),
+                  ProposalBytes(clean.reports[a].outcomes[s]))
+            << report.apps[a] << " scene " << s;
+      }
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 
-TEST(DatasetIoTest, TolerantLoadSkipsUnreadableSceneFile) {
+TEST(DatasetIoTest, DirectorySourceStreamingQuarantinesVanishedSceneFile) {
   const std::string dir = TempDir();
-  Dataset dataset;
-  dataset.name = "gone";
-  dataset.scenes.push_back(MakeScene("scene_a"));
+  Dataset dataset = SimulatedDataset("gone", 47);
+  dataset.scenes.resize(1);
   ASSERT_TRUE(SaveDataset(dataset, dir).ok());
   // Manifest lists a file that does not exist on disk.
   std::ofstream(dir + "/manifest.json")
       << R"({"format":"fixy-dataset","version":1,"name":"gone",)"
       << R"("scenes":["scene_a.fixy.json","vanished.fixy.json"]})";
-  DatasetLoadOptions tolerant;
-  tolerant.tolerant = true;
-  const auto loaded = LoadDataset(dir, tolerant);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->dataset.scenes.size(), 1u);
-  ASSERT_EQ(loaded->skipped.size(), 1u);
-  EXPECT_EQ(loaded->skipped[0].file, "vanished.fixy.json");
-  EXPECT_EQ(loaded->skipped[0].status.code(), StatusCode::kIoError);
+  auto source = DirectorySceneSource::Open(dir);
+  ASSERT_TRUE(source.ok()) << source.status();
+  const MultiAppReport report = RankAll(*source, 2);
+  for (const BatchReport& app : report.reports) {
+    ASSERT_EQ(app.outcomes.size(), 2u);
+    EXPECT_TRUE(app.outcomes[0].ok()) << app.outcomes[0].status;
+    EXPECT_EQ(app.outcomes[1].scene_name, "vanished");
+    EXPECT_EQ(app.outcomes[1].status.code(), StatusCode::kIoError);
+    EXPECT_EQ(app.scenes_quarantined, 1u);
+  }
   std::filesystem::remove_all(dir);
 }
 
-TEST(DatasetIoTest, TolerantLoadStillRejectsBrokenManifest) {
+TEST(DatasetIoTest, DirectorySourceStreamingRejectsBrokenManifest) {
   const std::string dir = TempDir();
   std::ofstream(dir + "/manifest.json") << "{broken";
-  DatasetLoadOptions tolerant;
-  tolerant.tolerant = true;
-  EXPECT_FALSE(LoadDataset(dir, tolerant).ok());
+  EXPECT_FALSE(DirectorySceneSource::Open(dir).ok());
   std::filesystem::remove_all(dir);
 }
 
-TEST(DatasetIoTest, TolerantLoadOnCleanDatasetSkipsNothing) {
+TEST(DatasetIoTest, DirectorySourceStreamingOnCleanDatasetQuarantinesNothing) {
+  const Dataset dataset = SimulatedDataset("clean", 53);
+  const MultiAppReport in_memory = RankAll(DatasetSceneSource(dataset), 1);
   const std::string dir = TempDir();
-  Dataset dataset;
-  dataset.name = "clean";
-  dataset.scenes.push_back(MakeScene("scene_a"));
-  dataset.scenes.push_back(MakeScene("scene_b"));
   ASSERT_TRUE(SaveDataset(dataset, dir).ok());
-  DatasetLoadOptions tolerant;
-  tolerant.tolerant = true;
-  const auto loaded = LoadDataset(dir, tolerant);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->dataset.scenes.size(), 2u);
-  EXPECT_TRUE(loaded->skipped.empty());
+  auto source = DirectorySceneSource::Open(dir);
+  ASSERT_TRUE(source.ok()) << source.status();
+  const MultiAppReport report = RankAll(*source, 4);
+  ASSERT_EQ(report.reports.size(), in_memory.reports.size());
+  for (size_t a = 0; a < report.reports.size(); ++a) {
+    const BatchReport& app = report.reports[a];
+    EXPECT_EQ(app.scenes_ok, 3u);
+    EXPECT_EQ(app.scenes_quarantined, 0u);
+    for (size_t s = 0; s < app.outcomes.size(); ++s) {
+      EXPECT_EQ(ProposalBytes(app.outcomes[s]),
+                ProposalBytes(in_memory.reports[a].outcomes[s]))
+          << report.apps[a] << " scene " << s;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

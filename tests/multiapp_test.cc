@@ -275,10 +275,7 @@ TEST_F(MultiAppTest, StreamingMultiAppMatchesSoloRunsAtEveryThreadCount) {
   for (int threads = 1; threads <= 8; ++threads) {
     BatchOptions options;
     options.num_threads = threads;
-    StreamOptions stream;
-    stream.decode_threads = 2;
-    const auto multi =
-        fixy_->RankDatasetStreaming(source, apps, options, stream);
+    const auto multi = fixy_->RankDatasetStreaming(source, apps, options);
     ASSERT_TRUE(multi.ok()) << "threads=" << threads;
     ASSERT_EQ(multi->reports.size(), apps.size());
     for (size_t a = 0; a < apps.size(); ++a) {

@@ -198,7 +198,7 @@ PYEOF
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
     cmake --build "${dir}" -j "${JOBS}" \
-        --target fxb_test batch_test common_test fault_injection_test
+        --target fxb_test batch_test common_test fault_injection_test io_test
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   done
   echo "==== cache: OK ===="

@@ -23,9 +23,11 @@
 //             Learn feature distributions from DIR's labels; save to FILE.
 //   rank      --data DIR --model FILE
 //             [--app NAME | --apps a,b,c|all] [--top K] [--top-k K]
-//             [--threads N] [--metrics-json FILE] [--verbose-metrics]
+//             [--threads N] [--keep-going] [--no-cache]
+//             [--metrics-json FILE] [--verbose-metrics]
 //             Rank potential errors in every scene of DIR, fanning scenes
-//             out across N worker threads (0 = hardware concurrency).
+//             out across N worker threads (0 = hardware concurrency); each
+//             worker decodes the scene it ranks.
 //             Application names resolve against the engine's registry
 //             (missing-tracks, missing-obs, model-errors, plus the demo
 //             user-registered suspect-tracks); --apps ranks several
@@ -37,8 +39,11 @@
 //             cannot enter any scene's per-class top k; their surviving
 //             proposals match the unpruned run exactly.
 //             When DIR holds a fresh dataset.fxb cache (see `cache`),
-//             scenes stream from it — decode overlapped with ranking —
-//             instead of re-parsing JSON; --no-cache opts out.
+//             scenes decode from it instead of from the JSON files; a
+//             stale or rejected cache is reported and the JSON files are
+//             used instead, and --no-cache skips the cache altogether.
+//             --keep-going quarantines scenes that fail to decode or rank
+//             instead of failing the run on the first one.
 //             --metrics-json dumps a PipelineMetrics snapshot (stage
 //             timers + counters); --verbose-metrics prints it as a table.
 //   cache     <DIR> (or --data DIR)
@@ -135,9 +140,8 @@ class Flags {
                              const std::string& command,
                              const std::set<std::string>& known) {
     static const std::set<std::string> kBooleanFlags = {
-        "keep-going", "fail-fast", "verbose-metrics", "no-cache",
-        "learn-labels", "verify", "fxb", "list-presets", "diff-only",
-        "fail-on-regression"};
+        "keep-going", "verbose-metrics", "no-cache", "learn-labels",
+        "verify", "fxb", "list-presets", "diff-only", "fail-on-regression"};
     Flags flags;
     for (int i = first; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -530,36 +534,31 @@ Status CmdRank(const Flags& flags) {
   if (top < 0) {
     return Status::InvalidArgument("--top must be >= 0");
   }
-  // --keep-going: tolerate corrupt scene files at load and quarantine
-  // scenes that fail to rank; exit non-zero only when nothing ranked.
-  // --fail-fast restores strict first-failure-wins semantics (the default).
-  const bool keep_going = flags.Has("keep-going") && !flags.Has("fail-fast");
+  // --keep-going: quarantine scenes that fail to decode or rank and rank
+  // the rest; exit non-zero only when nothing ranked. Without it the first
+  // failing scene in dataset order fails the run.
+  const bool keep_going = flags.Has("keep-going");
 
   const std::string out_path = flags.GetOr("out", "");
   const std::string metrics_path = flags.GetOr("metrics-json", "");
   const bool verbose_metrics = flags.Has("verbose-metrics");
   const bool metrics_on = verbose_metrics || !metrics_path.empty();
 
-  // The ambient collector picks up the single-threaded stages (dataset
-  // load, model load); the batch itself collects per scene and returns its
+  // The ambient collector picks up the single-threaded stages (source
+  // open, model load); the batch itself collects per scene and returns its
   // deterministic totals on the report, merged in below.
   obs::MetricsCollector collector;
   const obs::MetricsScope metrics_scope(metrics_on ? &collector : nullptr);
 
   FIXY_RETURN_IF_ERROR(CheckDatasetDirectory(data));
   if (metrics_on) {
-    // Zero-touch every io.* key either ingestion path can record, so the
-    // snapshot key set is identical whether scenes streamed from the FXB
-    // cache or were parsed from JSON.
+    // Zero-touch every io.* key either source can record, so the snapshot
+    // key set is identical whether scenes decoded from the FXB cache or
+    // were parsed from JSON.
     io::RecordFxbMetricsSchema();
     scenario::RecordScenarioMetricsSchema();
     obs::Count("io.bytes_read", 0);
-    obs::Count("io.files_read", 0);
-    obs::AddTimeNs("io.load", 0);
     obs::AddTimeNs("io.parse", 0);
-    // Gauges merge with max(), so the streaming path's real peak always
-    // wins over this schema placeholder.
-    obs::SetGauge("stream.resident_scenes_peak", 0);
   }
 
   // Every application — the three standard ones plus the demo user app —
@@ -619,81 +618,49 @@ Status CmdRank(const Flags& flags) {
   }
   batch.fail_fast = !keep_going;
   batch.collect_metrics = metrics_on;
-  FIXY_ASSIGN_OR_RETURN(const int decode_threads,
-                        flags.GetIntOr("decode-threads", 1));
-  if (decode_threads < 1) {
-    return Status::InvalidArgument("--decode-threads must be >= 1");
-  }
-  // Hard ceiling on decoded-but-unranked scenes resident in memory during
-  // the streaming cache path (0 = 2x the rank threads).
-  FIXY_ASSIGN_OR_RETURN(const int max_resident,
-                        flags.GetIntOr("max-resident-scenes", 0));
-  if (max_resident < 0) {
-    return Status::InvalidArgument("--max-resident-scenes must be >= 0");
-  }
 
-  // Ingestion: a fresh dataset.fxb cache streams scenes into the rank
-  // workers (decode overlapped with ranking); otherwise the JSON loader
-  // materializes the dataset first. Both paths produce byte-identical
-  // proposals — the cache is built with a round-trip parity check. Either
-  // way every requested application ranks from the ONE pass: scenes are
-  // decoded and associated once, then each app compiles and scores
-  // against the shared track set.
-  MultiAppReport multi_report;
-  size_t files_skipped = 0;
-  bool from_cache = false;
-  if (!flags.Has("no-cache")) {
-    Result<io::FxbReader> cache = io::OpenFreshCache(data);
-    if (cache.ok()) {
+  // Every dataset streams through the one loop, each rank worker decoding
+  // the scene it ranks: from a fresh dataset.fxb when there is one, from
+  // the JSON files otherwise (or always, under --no-cache). Both sources
+  // decode to byte-identical scenes — the cache is built with a
+  // round-trip parity check — so the proposals do not depend on which one
+  // ran. Either way every requested application ranks from the ONE pass:
+  // scenes are decoded and associated once, then each app compiles and
+  // scores against the shared track set.
+  std::unique_ptr<SceneSource> source;
+  if (flags.Has("no-cache")) {
+    FIXY_ASSIGN_OR_RETURN(io::DirectorySceneSource json_source,
+                          io::DirectorySceneSource::Open(data));
+    source = std::make_unique<io::DirectorySceneSource>(std::move(json_source));
+  } else {
+    FIXY_ASSIGN_OR_RETURN(source, io::OpenSceneSource(data));
+    if (dynamic_cast<const io::FxbSceneSource*>(source.get()) != nullptr) {
       obs::Count("io.fxb.cache_hits");
-      const io::FxbSceneSource source(std::move(cache).value());
-      if (source.scene_count() == 0) {
-        return Status::InvalidArgument(
-            "dataset '" + source.reader().dataset_name() +
-            "' contains no scenes");
-      }
       std::printf("using cache: %s (%zu scenes)\n",
-                  io::FxbCachePath(data).c_str(), source.scene_count());
-      StreamOptions stream;
-      stream.decode_threads = decode_threads;
-      stream.max_resident_scenes = static_cast<size_t>(max_resident);
-      FIXY_ASSIGN_OR_RETURN(
-          multi_report,
-          fixy.RankDatasetStreaming(source, apps, batch, stream));
-      from_cache = true;
+                  io::FxbCachePath(data).c_str(), source->scene_count());
     } else {
       obs::Count("io.fxb.cache_misses");
-      if (cache.status().code() == StatusCode::kFailedPrecondition) {
-        // Surface *why* the cache is stale (per-file reasons) so the fix
-        // is obvious from the rank output alone.
-        const Result<io::CacheStaleness> staleness =
-            io::ExplainCacheStaleness(data);
+      // A dataset.fxb that exists but was not used is stale or rejected:
+      // surface *why* (per-file reasons, or the open error) so the fix is
+      // obvious from the rank output alone.
+      const Result<io::CacheStaleness> staleness =
+          io::ExplainCacheStaleness(data);
+      if (staleness.status().code() != StatusCode::kNotFound) {
         std::printf("cache at %s is stale (%s); loading JSON (run "
                     "`fixy_cli cache %s` to refresh)\n",
                     io::FxbCachePath(data).c_str(),
                     staleness.ok() ? staleness->Summary().c_str()
-                                   : cache.status().ToString().c_str(),
+                                   : staleness.status().ToString().c_str(),
                     data.c_str());
       }
     }
   }
-  if (!from_cache) {
-    io::DatasetLoadOptions load_options;
-    load_options.tolerant = keep_going;
-    FIXY_ASSIGN_OR_RETURN(io::DatasetLoadReport loaded,
-                          io::LoadDataset(data, load_options));
-    for (const io::SceneFileError& skipped : loaded.skipped) {
-      std::printf("SKIPPED %s: %s\n", skipped.file.c_str(),
-                  skipped.status.ToString().c_str());
-    }
-    files_skipped = loaded.skipped.size();
-    const Dataset& dataset = loaded.dataset;
-    if (dataset.scenes.empty() && files_skipped == 0) {
-      return Status::InvalidArgument("dataset '" + dataset.name +
-                                     "' contains no scenes");
-    }
-    FIXY_ASSIGN_OR_RETURN(multi_report, fixy.RankDataset(dataset, apps, batch));
+  if (source->scene_count() == 0) {
+    return Status::InvalidArgument("dataset '" + data +
+                                   "' contains no scenes");
   }
+  FIXY_ASSIGN_OR_RETURN(const MultiAppReport multi_report,
+                        fixy.RankDatasetStreaming(*source, apps, batch));
 
   // Per-app output sections: single-app output is byte-compatible with the
   // historical format; with several apps each gets a `== app: NAME ==`
@@ -726,20 +693,15 @@ Status CmdRank(const Flags& flags) {
                            scene_top.end());
     }
     if (keep_going) {
-      std::printf("ranked %zu/%zu scenes (%zu quarantined, %zu files "
-                  "skipped)\n",
+      std::printf("ranked %zu/%zu scenes (%zu quarantined)\n",
                   report.scenes_ok, report.outcomes.size(),
-                  report.scenes_quarantined, files_skipped);
+                  report.scenes_quarantined);
     }
     total_ok += report.scenes_ok;
     total_failed += report.scenes_failed;
   }
-  if (keep_going) {
-    const bool nothing_loaded =
-        multi_report.reports.front().outcomes.empty() && files_skipped > 0;
-    if (nothing_loaded || (total_ok == 0 && total_failed > 0)) {
-      return Status::Internal("all scenes failed to load or rank");
-    }
+  if (keep_going && total_ok == 0 && total_failed > 0) {
+    return Status::Internal("all scenes failed to decode or rank");
   }
   if (!out_path.empty()) {
     for (size_t a = 0; a < multi_report.apps.size(); ++a) {
@@ -1078,16 +1040,12 @@ void PrintUsage() {
       "           [--top-k K]    per-class top-k pruning (0 = off); pruned\n"
       "           apps skip tracks that cannot enter any scene's top k\n"
       "           [--threads N]  (0 = hardware concurrency)\n"
-      "           [--keep-going] skip corrupt scene files and quarantine\n"
-      "           failing scenes (exit non-zero only when all scenes fail);\n"
-      "           [--fail-fast] stop at the first failing scene (default)\n"
+      "           [--keep-going] quarantine scenes that fail to decode or\n"
+      "           rank (exit non-zero only when all scenes fail); without\n"
+      "           it the first failing scene fails the run\n"
       "           [--metrics-json FILE] write stage timers/counters as JSON\n"
       "           [--verbose-metrics] print the metrics table to stdout\n"
       "           [--no-cache] ignore dataset.fxb and parse the JSON files\n"
-      "           [--decode-threads N] loader threads for the cache's\n"
-      "           streaming path (default 1)\n"
-      "           [--max-resident-scenes N] cap decoded-but-unranked scenes\n"
-      "           resident in memory on the streaming path (0 = 2x --threads)\n"
       "  serve    --socket PATH [--model FILE] [--threads N]\n"
       "           [--rank-threads N] [--queue-depth N] [--top-k K]\n"
       "           [--estimator kde|histogram|gaussian]\n"
@@ -1141,8 +1099,7 @@ const std::vector<Command>& Commands() {
       {"learn", {"data", "model", "estimator"}, CmdLearn},
       {"rank",
        {"data", "model", "app", "apps", "top", "top-k", "out", "threads",
-        "keep-going", "fail-fast", "metrics-json", "verbose-metrics",
-        "no-cache", "decode-threads", "max-resident-scenes"},
+        "keep-going", "metrics-json", "verbose-metrics", "no-cache"},
        CmdRank},
       {"serve",
        {"socket", "model", "threads", "rank-threads", "queue-depth", "top-k",
