@@ -241,17 +241,10 @@ Result<std::vector<ErrorProposal>> RunPruned(const AppSpec& app,
 
 }  // namespace
 
-// The memo is sized for about two distinct densities per observation: its
-// volume, and the velocity of the transition it starts (in each view; the
-// model-only view's volumes are the full view's again).
-ScenePass::ScenePass(AssociationViews views, double frame_rate_hz,
-                     size_t observation_count)
-    : views_(std::move(views)),
-      memo_(std::make_unique<DensityMemo>(2 * observation_count)) {
-  if (views_.full.has_value()) full_cache_.emplace(frame_rate_hz, memo_.get());
-  if (views_.model_only.has_value()) {
-    model_cache_.emplace(frame_rate_hz, memo_.get());
-  }
+ScenePass::ScenePass(AssociationViews views, double frame_rate_hz)
+    : views_(std::move(views)) {
+  if (views_.full.has_value()) full_cache_.emplace(frame_rate_hz);
+  if (views_.model_only.has_value()) model_cache_.emplace(frame_rate_hz);
 }
 
 Result<ScenePass> ScenePass::Run(const Scene& scene,
@@ -262,8 +255,7 @@ Result<ScenePass> ScenePass::Run(const Scene& scene,
   const TrackBuilder builder(options);
   FIXY_ASSIGN_OR_RETURN(AssociationViews views,
                         builder.BuildViews(scene, need_full, need_model_only));
-  return ScenePass(std::move(views), scene.frame_rate_hz(),
-                   scene.TotalObservations());
+  return ScenePass(std::move(views), scene.frame_rate_hz());
 }
 
 FeatureScoreCache* ScenePass::cache(SceneView view) {

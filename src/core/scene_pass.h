@@ -1,16 +1,13 @@
 // ScenePass: the shared, association-once stage of the two-stage ranking
 // pipeline (DESIGN.md §10). One pass per scene runs TrackBuilder::BuildViews
 // exactly once and owns a per-view FeatureScoreCache of raw pre-AOF feature
-// scores, plus one DensityMemo that both views' caches share, so each
-// distinct (distribution, value) is evaluated once per scene; every
-// requested application then compiles and scores against the shared views
-// through RunApplicationOnPass. Every ranking call of the Fixy
+// scores; every requested application then compiles and scores against the
+// shared views through RunApplicationOnPass. Every ranking call of the Fixy
 // engine runs these two steps; a caller ranking against a spec of its own
 // (an ablation, a test of spec caching) runs them directly.
 #ifndef FIXY_CORE_SCENE_PASS_H_
 #define FIXY_CORE_SCENE_PASS_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -24,9 +21,8 @@
 namespace fixy {
 
 /// One scene's association pass: the requested track views plus a lazily
-/// shared feature-score cache per view, both reading one density memo. Not
-/// thread-safe — one pass lives inside one batch worker (or one Fixy::Find
-/// call), and its memo dies with it.
+/// shared feature-score cache per view. Not thread-safe — one pass lives
+/// inside one batch worker (or one Fixy::Find call).
 class ScenePass {
  public:
   /// Runs association over `scene` for the requested views, recording the
@@ -43,12 +39,9 @@ class ScenePass {
   FeatureScoreCache* cache(SceneView view);
 
  private:
-  ScenePass(AssociationViews views, double frame_rate_hz,
-            size_t observation_count);
+  ScenePass(AssociationViews views, double frame_rate_hz);
 
   AssociationViews views_;
-  // Heap-held so the caches' pointer to it survives moving the pass.
-  std::unique_ptr<DensityMemo> memo_;
   std::optional<FeatureScoreCache> full_cache_;
   std::optional<FeatureScoreCache> model_cache_;
 };

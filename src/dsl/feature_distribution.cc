@@ -79,8 +79,7 @@ double FeatureDistribution::ApplyAofAndFloor(double likelihood) const {
 }
 
 std::optional<double> FeatureDistribution::RawTransform(
-    std::optional<double> value, std::optional<ObjectClass> cls,
-    DensityMemo* memo) const {
+    std::optional<double> value, std::optional<ObjectClass> cls) const {
   if (!value.has_value()) return std::nullopt;
   if (!std::isfinite(*value)) {
     // Degenerate feature value (overflowed velocity, inf volume from a
@@ -90,10 +89,6 @@ std::optional<double> FeatureDistribution::RawTransform(
     // first — instead of the non-finite value reaching an estimator,
     // where NaN comparisons are undefined.
     return 0.0;
-  }
-  const stats::Distribution* dist = DistributionFor(cls);
-  if (memo != nullptr && dist != nullptr && dist->CostlyDensity()) {
-    return dist->NormalizedScoreFromDensity(memo->Density(*dist, *value));
   }
   return RawLikelihood(*value, cls);
 }
@@ -106,77 +101,16 @@ std::optional<double> FeatureDistribution::Transform(
 }
 
 void FeatureDistribution::RawScoreTrackObservations(
-    const Track& track, double frame_rate_hz, RawTrackScores* out,
-    DensityMemo* memo) const {
+    const Track& track, double frame_rate_hz, RawTrackScores* out) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kObservation);
   const auto* f = static_cast<const ObservationFeature*>(feature_.get());
   out->Clear();
-
-  // One density-evaluation batch per distinct distribution (the global
-  // distribution, or one per object class actually present). The batches
-  // are flat parallel arrays reused across calls: a distinct distribution
-  // appears at most once per track, so `used` stays small and slot reuse
-  // (clearing, not destroying, the inner vectors) keeps steady-state
-  // scoring allocation-free.
-  struct Batch {
-    const stats::Distribution* dist = nullptr;
-    std::vector<size_t> out_indices;
-    std::vector<double> values;
-  };
-  thread_local std::vector<Batch> batches;
-  thread_local std::vector<double> densities;
-  size_t used = 0;
-
   FeatureContext ctx;
   ctx.frame_rate_hz = frame_rate_hz;
   for (const ObservationBundle& bundle : track.bundles()) {
     ctx.ego_position = bundle.ego_position;
     for (const Observation& obs : bundle.observations) {
-      const std::optional<double> value = f->Compute(obs, ctx);
-      if (value.has_value() && !std::isfinite(*value)) {
-        // Same degenerate-value contract as RawTransform(): maximally
-        // unlikely, routed through the AOF by the caller, never into the
-        // estimator.
-        out->PushEngaged(0.0);
-        continue;
-      }
-      const stats::Distribution* dist =
-          value.has_value() ? DistributionFor(obs.object_class) : nullptr;
-      if (!value.has_value() || dist == nullptr) {
-        out->PushMissing();
-        continue;
-      }
-      out->PushEngaged(0.0);  // placeholder; filled from the batch below
-      Batch* batch = nullptr;
-      for (size_t b = 0; b < used; ++b) {
-        if (batches[b].dist == dist) {
-          batch = &batches[b];
-          break;
-        }
-      }
-      if (batch == nullptr) {
-        if (used == batches.size()) batches.emplace_back();
-        batch = &batches[used++];
-        batch->dist = dist;
-        batch->out_indices.clear();
-        batch->values.clear();
-      }
-      batch->out_indices.push_back(out->size() - 1);
-      batch->values.push_back(*value);
-    }
-  }
-
-  for (size_t b = 0; b < used; ++b) {
-    const Batch& batch = batches[b];
-    densities.resize(batch.values.size());
-    if (memo != nullptr && batch.dist->CostlyDensity()) {
-      memo->DensityBatch(*batch.dist, batch.values, densities);
-    } else {
-      batch.dist->DensityBatch(batch.values, densities);
-    }
-    for (size_t i = 0; i < batch.values.size(); ++i) {
-      out->values[batch.out_indices[i]] =
-          batch.dist->NormalizedScoreFromDensity(densities[i]);
+      out->Push(RawTransform(f->Compute(obs, ctx), obs.object_class));
     }
   }
 }
@@ -197,26 +131,25 @@ void FeatureDistribution::ScoreTrackObservations(
 }
 
 std::optional<double> FeatureDistribution::RawScoreBundle(
-    const ObservationBundle& bundle, const FeatureContext& ctx,
-    DensityMemo* memo) const {
+    const ObservationBundle& bundle, const FeatureContext& ctx) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kBundle);
   const auto* f = static_cast<const BundleFeature*>(feature_.get());
-  return RawTransform(f->Compute(bundle, ctx), BundleClass(bundle), memo);
+  return RawTransform(f->Compute(bundle, ctx), BundleClass(bundle));
 }
 
 std::optional<double> FeatureDistribution::RawScoreTransition(
     const ObservationBundle& from, const ObservationBundle& to,
-    const FeatureContext& ctx, DensityMemo* memo) const {
+    const FeatureContext& ctx) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kTransition);
   const auto* f = static_cast<const TransitionFeature*>(feature_.get());
-  return RawTransform(f->Compute(from, to, ctx), BundleClass(from), memo);
+  return RawTransform(f->Compute(from, to, ctx), BundleClass(from));
 }
 
 std::optional<double> FeatureDistribution::RawScoreTrack(
-    const Track& track, const FeatureContext& ctx, DensityMemo* memo) const {
+    const Track& track, const FeatureContext& ctx) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kTrack);
   const auto* f = static_cast<const TrackFeature*>(feature_.get());
-  return RawTransform(f->Compute(track, ctx), track.MajorityClass(), memo);
+  return RawTransform(f->Compute(track, ctx), track.MajorityClass());
 }
 
 std::optional<double> FeatureDistribution::ScoreObservation(

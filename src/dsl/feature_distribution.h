@@ -15,7 +15,6 @@
 
 namespace fixy {
 
-class DensityMemo;
 struct RawTrackScores;
 
 /// A feature together with the distribution(s) learned for it offline and
@@ -56,10 +55,8 @@ class FeatureDistribution {
   /// Batch form of ScoreObservation for a kObservation feature: scores
   /// every observation of `track` in bundle-major order (the factor-graph
   /// compilation order), appending one entry per observation to `out`.
-  /// Produces values identical to per-observation ScoreObservation calls;
-  /// density evaluations are grouped per underlying distribution and
-  /// routed through Distribution::DensityBatch, which is the KDE's fast
-  /// path. Aborts if the feature kind is not kObservation.
+  /// Produces values identical to per-observation ScoreObservation calls.
+  /// Aborts if the feature kind is not kObservation.
   void ScoreTrackObservations(const Track& track, double frame_rate_hz,
                               std::vector<std::optional<double>>* out) const;
 
@@ -81,27 +78,16 @@ class FeatureDistribution {
   /// maximally-unlikely contract the scoring path applies before its AOF.
   ///
   /// The batch form overwrites `*out` with one entry per observation in
-  /// bundle-major order, structure-of-arrays (see RawTrackScores): feature
-  /// values are gathered into contiguous per-distribution buffers so the
-  /// density evaluation runs the KDE's batched/SIMD path, and the scratch
-  /// is thread-local, so steady-state scoring does not allocate.
-  ///
-  /// With a `memo`, costly densities (CostlyDensity()) are read from and
-  /// added to it instead of being evaluated afresh; the likelihoods are
-  /// the same bits either way. Cheap distributions never use it.
+  /// bundle-major order, structure-of-arrays (see RawTrackScores).
   void RawScoreTrackObservations(const Track& track, double frame_rate_hz,
-                                 RawTrackScores* out,
-                                 DensityMemo* memo = nullptr) const;
+                                 RawTrackScores* out) const;
   std::optional<double> RawScoreBundle(const ObservationBundle& bundle,
-                                       const FeatureContext& ctx,
-                                       DensityMemo* memo = nullptr) const;
+                                       const FeatureContext& ctx) const;
   std::optional<double> RawScoreTransition(const ObservationBundle& from,
                                            const ObservationBundle& to,
-                                           const FeatureContext& ctx,
-                                           DensityMemo* memo = nullptr) const;
+                                           const FeatureContext& ctx) const;
   std::optional<double> RawScoreTrack(const Track& track,
-                                      const FeatureContext& ctx,
-                                      DensityMemo* memo = nullptr) const;
+                                      const FeatureContext& ctx) const;
 
   /// AOF application + the strict-positivity floor, shared by the scalar
   /// and batch scoring paths (and applied per application to cached raw
@@ -130,12 +116,10 @@ class FeatureDistribution {
 
   /// Raw half of Transform: degenerate values map to likelihood 0.0,
   /// missing values/distributions to nullopt, everything else to the
-  /// distribution's normalized likelihood (a costly density through
-  /// `memo` when one is given). Transform is RawTransform followed by
-  /// ApplyAofAndFloor.
+  /// distribution's normalized likelihood. Transform is RawTransform
+  /// followed by ApplyAofAndFloor.
   std::optional<double> RawTransform(std::optional<double> value,
-                                     std::optional<ObjectClass> cls,
-                                     DensityMemo* memo = nullptr) const;
+                                     std::optional<ObjectClass> cls) const;
 
   /// The distribution covering `cls` (the global one, or the per-class
   /// entry); nullptr when none applies.

@@ -3,72 +3,20 @@
 // shared track set (ScenePass); their specs differ only in AOFs and manual
 // factors, so the expensive part of compilation — computing feature values
 // and evaluating learned KDEs — is identical across applications and is
-// computed once here. Below the per-view caches, a DensityMemo shared by
-// the pass's views evaluates each distinct (distribution, value) once.
+// computed once here.
 #ifndef FIXY_DSL_FEATURE_SCORE_CACHE_H_
 #define FIXY_DSL_FEATURE_SCORE_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "data/track.h"
 #include "dsl/feature_distribution.h"
-#include "stats/distribution.h"
 
 namespace fixy {
-
-/// Densities of costly distributions (CostlyDensity(): the KDEs), keyed on
-/// the distribution's identity and the bit pattern of the queried value.
-/// One scene pass owns one memo and both views' caches read and fill it,
-/// so a value that two views, two tracks or two features query of the
-/// same distribution is evaluated once. A hit returns the bits a fresh
-/// evaluation would: Density(x) and DensityBatch give the same bits for the
-/// same x whatever the batch.
-///
-/// Open addressing over two parallel flat arrays — 16 bytes of value bits
-/// and density per slot, plus a 2-byte ordinal naming the distribution —
-/// allocated on first use and sized for `expected_queries` distinct
-/// queries at 3/4 load, so a pass usually allocates its memo once. Not
-/// thread-safe: it lives and dies with one ScenePass. Queries must be
-/// finite (the raw-score paths route non-finite values around the
-/// estimator).
-class DensityMemo {
- public:
-  explicit DensityMemo(size_t expected_queries = 0)
-      : expected_queries_(expected_queries) {}
-
-  /// `dist`'s density at `x`, evaluated on first use.
-  double Density(const stats::Distribution& dist, double x);
-
-  /// `dist`'s densities at `xs` into `out` (same extent). The values not
-  /// seen before go to dist.DensityBatch as one batch, each once.
-  void DensityBatch(const stats::Distribution& dist,
-                    std::span<const double> xs, std::span<double> out);
-
- private:
-  struct Slot {
-    uint64_t bits = 0;
-    double density = 0.0;
-  };
-
-  /// 1 + the index of `dist` in dists_, registering it on first sight.
-  uint16_t Owner(const stats::Distribution& dist);
-  /// Grows the table so `extra` more entries fit without a rehash, which
-  /// keeps slot indices from FindOrInsert valid until the next Reserve.
-  void Reserve(size_t extra);
-  /// The slot of (owner, x); `*inserted` reports a fresh (unset) entry.
-  size_t FindOrInsert(uint16_t owner, double x, bool* inserted);
-
-  size_t expected_queries_;
-  std::vector<const stats::Distribution*> dists_;
-  std::vector<uint16_t> owners_;  // per slot; 0 marks an empty slot
-  std::vector<Slot> slots_;       // parallel to owners_
-  size_t size_ = 0;
-};
 
 /// The raw likelihoods of one FeatureDistribution over one track, in the
 /// factor-graph compilation order for the feature's kind:
@@ -79,8 +27,7 @@ class DensityMemo {
 /// Structure-of-arrays: `values[i]` is the pre-AOF likelihood (ready for
 /// FeatureDistribution::ApplyAofAndFloor) when `engaged[i]` is nonzero;
 /// engaged[i] == 0 marks "no factor" (feature did not apply / no
-/// distribution for the class) and values[i] is 0. The split keeps the
-/// likelihoods contiguous for the batch/SIMD density path (DESIGN.md §11).
+/// distribution for the class) and values[i] is 0.
 struct RawTrackScores {
   std::vector<double> values;
   std::vector<uint8_t> engaged;
@@ -120,10 +67,8 @@ struct RawTrackScores {
 };
 
 /// Computes `fd`'s raw likelihoods over `track` into `*out` (overwritten).
-/// Costly densities go through `memo` when one is given.
 void ComputeRawTrackScores(const FeatureDistribution& fd, const Track& track,
-                           double frame_rate_hz, RawTrackScores* out,
-                           DensityMemo* memo = nullptr);
+                           double frame_rate_hz, RawTrackScores* out);
 
 /// Memoizes ComputeRawTrackScores keyed on the identity of the feature and
 /// its distributions plus the caller's track index. WithAof() copies share
@@ -135,12 +80,8 @@ void ComputeRawTrackScores(const FeatureDistribution& fd, const Track& track,
 /// always denote the same track across calls.
 class FeatureScoreCache {
  public:
-  /// `memo`, when given, must outlive the cache; a ScenePass hands both
-  /// of its views' caches its one memo. Without one, every costly density
-  /// is evaluated afresh.
-  explicit FeatureScoreCache(double frame_rate_hz,
-                             DensityMemo* memo = nullptr)
-      : frame_rate_hz_(frame_rate_hz), memo_(memo) {}
+  explicit FeatureScoreCache(double frame_rate_hz)
+      : frame_rate_hz_(frame_rate_hz) {}
 
   /// The raw scores of `fd` over `track`, computing them on first use.
   const RawTrackScores& Get(const FeatureDistribution& fd, const Track& track,
@@ -176,7 +117,6 @@ class FeatureScoreCache {
   };
 
   double frame_rate_hz_;
-  DensityMemo* memo_;
   std::unordered_map<Key, RawTrackScores, KeyHash> cache_;
 };
 

@@ -78,11 +78,9 @@ Result<FactorGraph> FactorGraph::Compile(const TrackSet& tracks,
       // Raw (pre-AOF) likelihoods for this (feature distribution, track)
       // pair, either shared across applications through the scene's cache
       // or computed locally (into a reused thread-local, so the uncached
-      // path does not allocate per pair either). Density evaluations are
-      // grouped per distribution inside, which hits the KDE's batched SIMD
-      // path. Layout per kind is documented on RawTrackScores and matches
-      // the factor instantiation order below; the AOF and score floor are
-      // applied here, per factor.
+      // path does not allocate per pair either). Layout per kind is
+      // documented on RawTrackScores and matches the factor instantiation
+      // order below; the AOF and score floor are applied here, per factor.
       thread_local RawTrackScores local;
       if (shared_scores == nullptr) {
         ComputeRawTrackScores(fd, track, frame_rate_hz, &local);

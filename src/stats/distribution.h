@@ -13,7 +13,6 @@
 
 #include <cmath>
 #include <memory>
-#include <span>
 #include <string>
 
 namespace fixy::stats {
@@ -31,16 +30,6 @@ class Distribution {
 
   /// Probability density (or mass) at `x`. Non-negative.
   virtual double Density(double x) const = 0;
-
-  /// Evaluates the density at every element of `xs`, writing into `out`
-  /// (which must have the same extent). Semantically identical to calling
-  /// Density per element; estimators with a cheaper batch path (the KDE)
-  /// override it. Factor scoring evaluates features in batches through
-  /// this entry point.
-  virtual void DensityBatch(std::span<const double> xs,
-                            std::span<double> out) const {
-    for (size_t i = 0; i < xs.size(); ++i) out[i] = Density(xs[i]);
-  }
 
   /// Density at the distribution's mode; the normalization constant for
   /// NormalizedScore. Strictly positive for a fitted distribution.

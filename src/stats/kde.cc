@@ -1,8 +1,10 @@
 #include "stats/kde.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -19,6 +21,9 @@ constexpr double kInvSqrt2Pi = 0.3989422804014327;
 
 // Bandwidth below which the KDE would be numerically useless.
 constexpr double kMinBandwidth = 1e-6;
+
+// Kernels further than this many bandwidths from a query are not summed.
+constexpr double kCutoffBandwidths = 8.0;
 
 Status ValidateSamples(const std::vector<double>& samples) {
   if (samples.empty()) {
@@ -71,8 +76,36 @@ Status ValidateBandwidth(double bandwidth, size_t sample_count) {
 
 }  // namespace
 
+// The ln-density table (DESIGN.md §11). Each cluster's nodes sit at
+// lo + j * step, j in [0, nodes); cell i is [node i, node i + 1] and is
+// interpolated from nodes i - 1 .. i + 2 unless `exact[first + i]` is set.
+struct GaussianKde::Table {
+  struct Cluster {
+    double lo = 0.0;    // first node
+    double hi = 0.0;    // last node
+    size_t first = 0;   // index of the first node in ln_f / exact
+    size_t nodes = 0;
+  };
+  std::vector<Cluster> clusters;  // ascending lo
+  std::vector<double> ln_f;       // ln of the exact density at each node
+  std::vector<uint8_t> exact;     // per cell: the exact sum answers
+  double inv_step = 0.0;
+  /// (1 - eta) * mode: interpolated densities above it answer exactly.
+  double band = 0.0;
+};
+
+struct GaussianKde::Lazy {
+  std::once_flag mode_once;
+  std::atomic<double> mode{0.0};  // 0 until the mode search has run
+  std::once_flag table_once;
+  Table table;
+  std::atomic<const Table*> published{nullptr};
+};
+
 GaussianKde::GaussianKde(std::vector<double> samples, double bandwidth)
-    : samples_(std::move(samples)), bandwidth_(bandwidth) {
+    : samples_(std::move(samples)),
+      bandwidth_(bandwidth),
+      lazy_(std::make_shared<Lazy>()) {
   // Both factories validate before constructing, but the invariants are
   // load-bearing (empty samples make norm_ infinite, a non-positive or
   // non-finite bandwidth poisons every density), so they are re-checked
@@ -87,57 +120,20 @@ GaussianKde::GaussianKde(std::vector<double> samples, double bandwidth)
           (bandwidth_ * static_cast<double>(samples_.size()));
   FIXY_CHECK_MSG(std::isfinite(norm_) && norm_ > 0.0,
                  "GaussianKde normalization is not finite");
-  // mode_density_ stays at its "not computed" sentinel: ModeDensity()
-  // derives it on first use, so fitting stays cheap for distributions
-  // that are folded or serialized but never scored.
-}
-
-GaussianKde::GaussianKde(const GaussianKde& other)
-    : samples_(other.samples_),
-      bandwidth_(other.bandwidth_),
-      inv_bandwidth_(other.inv_bandwidth_),
-      norm_(other.norm_),
-      mode_density_(other.mode_density_.load(std::memory_order_relaxed)) {}
-
-GaussianKde::GaussianKde(GaussianKde&& other) noexcept
-    : samples_(std::move(other.samples_)),
-      bandwidth_(other.bandwidth_),
-      inv_bandwidth_(other.inv_bandwidth_),
-      norm_(other.norm_),
-      mode_density_(other.mode_density_.load(std::memory_order_relaxed)) {}
-
-GaussianKde& GaussianKde::operator=(const GaussianKde& other) {
-  samples_ = other.samples_;
-  bandwidth_ = other.bandwidth_;
-  inv_bandwidth_ = other.inv_bandwidth_;
-  norm_ = other.norm_;
-  mode_density_.store(other.mode_density_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  return *this;
-}
-
-GaussianKde& GaussianKde::operator=(GaussianKde&& other) noexcept {
-  samples_ = std::move(other.samples_);
-  bandwidth_ = other.bandwidth_;
-  inv_bandwidth_ = other.inv_bandwidth_;
-  norm_ = other.norm_;
-  mode_density_.store(other.mode_density_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  return *this;
 }
 
 double GaussianKde::ModeDensity() const {
   // For a Gaussian KDE the mode is near one of the sample points; the
   // maximum of the density over the samples gives an accurate
-  // normalization constant. It is derived on first use — a fold or a
-  // save/load round trip never pays for it — and cached. Racing first
-  // callers each compute the same deterministic value, so the relaxed
-  // store is benign.
-  const double cached = mode_density_.load(std::memory_order_relaxed);
-  if (cached >= 0.0) return cached;
-  const double computed = ExactModeDensity();
-  mode_density_.store(computed, std::memory_order_relaxed);
-  return computed;
+  // normalization constant. Derived on first use — a fold or a save/load
+  // round trip never pays for it — by exactly one of any racing callers.
+  const double mode = lazy_->mode.load(std::memory_order_acquire);
+  if (mode > 0.0) return mode;
+  std::call_once(lazy_->mode_once, [this] {
+    const obs::ScopedStageTimer timer("stats.kde_warmup");
+    lazy_->mode.store(ExactModeDensity(), std::memory_order_release);
+  });
+  return lazy_->mode.load(std::memory_order_acquire);
 }
 
 double GaussianKde::ExactModeDensity() const {
@@ -191,7 +187,7 @@ double GaussianKde::ExactModeDensity() const {
   double best = 0.0;
   for (const uint32_t idx : order) {
     if (bound[idx] * norm_ <= best) break;  // the rest are bounded lower
-    best = std::max(best, DensityUncounted(samples_[idx]));
+    best = std::max(best, ExactDensity(samples_[idx]));
   }
   return best;
 }
@@ -220,12 +216,164 @@ Result<GaussianKde> GaussianKde::FitWithBandwidth(std::vector<double> samples,
   return GaussianKde(std::move(samples), bandwidth);
 }
 
-double GaussianKde::Density(double x) const {
-  obs::Count("stats.kde_evals");
-  return DensityUncounted(x);
+const GaussianKde::Table& GaussianKde::table() const {
+  const Table* table = lazy_->published.load(std::memory_order_acquire);
+  if (table != nullptr) return *table;
+  // The mode first, under its own warm-up, so the two timers never nest.
+  const double mode = ModeDensity();
+  std::call_once(lazy_->table_once, [this, mode] {
+    const obs::ScopedStageTimer timer("stats.kde_warmup");
+    lazy_->table = BuildTable(mode);
+    lazy_->published.store(&lazy_->table, std::memory_order_release);
+  });
+  return lazy_->table;
 }
 
-double GaussianKde::DensityUncounted(double x) const {
+GaussianKde::Table GaussianKde::BuildTable(double mode) const {
+  Table table;
+  const double step = bandwidth_ / kTableStepsPerBandwidth;
+  const double cutoff = kCutoffBandwidths * bandwidth_;
+  table.inv_step = 1.0 / step;
+  table.band = (1.0 - kModeBand) * mode;
+
+  // Clusters: split wherever neighbours are more than 16h apart. Each is
+  // tabulated over [first - 8h - 2 step, last + 8h + 2 step]; the two-step
+  // margin keeps every query outside all clusters more than 8h from every
+  // sample, so its exact window is empty and its density is 0.
+  const double gap = kClusterGapBandwidths * bandwidth_;
+  const double budget = static_cast<double>(
+      kTableBaseNodes + kTableNodesPerSample * samples_.size());
+  double total_nodes = 0.0;
+  size_t begin = 0;
+  for (size_t i = 1; i <= samples_.size(); ++i) {
+    if (i < samples_.size() && samples_[i] - samples_[i - 1] <= gap) continue;
+    const double lo = samples_[begin] - cutoff - 2.0 * step;
+    const double span = (samples_[i - 1] - samples_[begin]) + 2.0 * cutoff +
+                        4.0 * step;
+    const double cells = std::ceil(span * table.inv_step);
+    total_nodes += cells + 1.0;
+    if (!(total_nodes <= budget)) return Table{};  // over budget: all exact
+    Table::Cluster cluster;
+    cluster.lo = lo;
+    cluster.nodes = static_cast<size_t>(cells) + 1;
+    cluster.hi = lo + cells * step;
+    // Representability: node positions and query offsets must resolve the
+    // grid to 2^-20 of a step, or the interpolation coordinate is noise.
+    const double magnitude = std::max(std::abs(cluster.lo),
+                                      std::abs(cluster.hi));
+    const double ulp = std::nextafter(magnitude, INFINITY) - magnitude;
+    if (!(ulp <= std::ldexp(step, -20))) return Table{};
+    table.clusters.push_back(cluster);
+    begin = i;
+  }
+
+  // Nodes: exact sums over each cluster's ascending grid, in logs.
+  std::vector<double> xs;
+  xs.reserve(static_cast<size_t>(total_nodes));
+  for (Table::Cluster& cluster : table.clusters) {
+    cluster.first = xs.size();
+    for (size_t j = 0; j < cluster.nodes; ++j) {
+      xs.push_back(cluster.lo + static_cast<double>(j) * step);
+    }
+  }
+  table.ln_f.resize(xs.size());
+  ExactDensityBatch(xs, table.ln_f);
+  for (double& y : table.ln_f) y = std::log(y);  // 0 -> -inf
+
+  // Cells: exact where the stencil leaves the cluster or meets a zero
+  // density, and where the build-time check fails. The check interpolates
+  // each odd node from the even nodes (an h/16 grid); cubic interpolation
+  // error scales with the fourth power of the spacing, so the miss / 16
+  // estimates the h/32 grid's error in the two cells that meet there. It
+  // flags estimates above tau / 2: the estimate reads one point per pair
+  // of cells, and the factor of two is its margin.
+  table.exact.assign(xs.size(), 1);
+  for (const Table::Cluster& cluster : table.clusters) {
+    const double* y = table.ln_f.data() + cluster.first;
+    const auto finite = [y](size_t a, size_t b) {
+      for (size_t j = a; j <= b; ++j) {
+        if (!std::isfinite(y[j])) return false;
+      }
+      return true;
+    };
+    for (size_t i = 1; i + 2 < cluster.nodes; ++i) {
+      const size_t odd = i % 2 == 1 ? i : i + 1;
+      if (odd < 3 || odd + 3 >= cluster.nodes) continue;
+      if (!finite(i - 1, i + 2) || !finite(odd - 3, odd + 3)) continue;
+      const double coarse =
+          (9.0 * (y[odd - 1] + y[odd + 1]) - (y[odd - 3] + y[odd + 3])) / 16.0;
+      const double estimate = std::abs(y[odd] - coarse) / 16.0;
+      if (!(estimate <= 0.5 * kTableTolerance)) continue;
+      table.exact[cluster.first + i] = 0;
+    }
+  }
+  return table;
+}
+
+double GaussianKde::Lookup(const Table& table, double x, bool* exact) const {
+  *exact = false;
+  if (table.clusters.empty()) {
+    *exact = true;
+    return ExactDensity(x);
+  }
+  // The last cluster starting at or below x; outside it, x is more than
+  // 8h from every sample.
+  const auto next = std::upper_bound(
+      table.clusters.begin(), table.clusters.end(), x,
+      [](double v, const Table::Cluster& c) { return v < c.lo; });
+  if (next == table.clusters.begin()) return 0.0;
+  const Table::Cluster& cluster = *(next - 1);
+  if (x > cluster.hi) return 0.0;
+  const double u = (x - cluster.lo) * table.inv_step;
+  const size_t i = std::min(static_cast<size_t>(u), cluster.nodes - 2);
+  const size_t cell = cluster.first + i;
+  if (table.exact[cell] != 0) {
+    *exact = true;
+    return ExactDensity(x);
+  }
+  // 4-point Lagrange cubic through nodes i - 1 .. i + 2 at t in [0, 1].
+  const double t = u - static_cast<double>(i);
+  const double* y = table.ln_f.data() + cell - 1;
+  const double tp = t + 1.0;
+  const double tm = t - 1.0;
+  const double tmm = t - 2.0;
+  const double ln_f = (-t * tm * tmm * y[0] + 3.0 * tp * tm * tmm * y[1] -
+                       3.0 * tp * t * tmm * y[2] + tp * t * tm * y[3]) /
+                      6.0;
+  const double density = std::exp(ln_f);
+  if (density > table.band) {
+    *exact = true;
+    return ExactDensity(x);
+  }
+  return density;
+}
+
+double GaussianKde::Density(double x) const {
+  obs::Count("stats.kde_evals");
+  bool exact = false;
+  const double density =
+      std::isfinite(x) ? Lookup(table(), x, &exact) : 0.0;
+  if (exact) obs::Count("stats.kde_exact");
+  return density;
+}
+
+void GaussianKde::DensityBatch(std::span<const double> xs,
+                               std::span<double> out) const {
+  FIXY_CHECK(xs.size() == out.size());
+  obs::Count("stats.kde_evals", xs.size());
+  const Table& lookup_table = table();
+  uint64_t exact_count = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    bool exact = false;
+    out[i] = std::isfinite(xs[i]) ? Lookup(lookup_table, xs[i], &exact) : 0.0;
+    exact_count += exact ? 1 : 0;
+  }
+  if (exact_count > 0) obs::Count("stats.kde_exact", exact_count);
+}
+
+size_t GaussianKde::TableNodeCount() const { return table().ln_f.size(); }
+
+double GaussianKde::ExactDensity(double x) const {
   // Non-finite queries have zero density by convention; letting them into
   // the window search would break the comparator's ordering requirements.
   if (!std::isfinite(x)) return 0.0;
@@ -234,54 +382,33 @@ double GaussianKde::DensityUncounted(double x) const {
   return WindowedSum(x, &lo, &hi) * norm_;
 }
 
-void GaussianKde::DensityBatch(std::span<const double> xs,
-                               std::span<double> out) const {
+void GaussianKde::ExactDensityBatch(std::span<const double> xs,
+                                    std::span<double> out) const {
   FIXY_CHECK(xs.size() == out.size());
-  // One batched count per query — the same total the per-query path would
-  // record (non-finite queries count too: Density() counts them).
-  obs::Count("stats.kde_evals", xs.size());
   size_t lo = 0;
   size_t hi = 0;
-  // is_sorted on a NaN-bearing range would violate strict weak ordering,
-  // so the finiteness scan comes first.
-  const bool all_finite = std::all_of(
-      xs.begin(), xs.end(), [](double x) { return std::isfinite(x); });
-  if (all_finite && std::is_sorted(xs.begin(), xs.end())) {
-    for (size_t i = 0; i < xs.size(); ++i) {
-      out[i] = WindowedSum(xs[i], &lo, &hi) * norm_;
-    }
-    return;
-  }
-  // Otherwise evaluate the finite queries in value order through an index
-  // permutation so the window still slides monotonically, and give
-  // non-finite queries zero density directly (the Density() convention).
-  // The permutation scratch is reused across calls: feature scoring hits
-  // this path once per (distribution, track), so a fresh allocation per
-  // call was measurable heap churn.
-  thread_local std::vector<size_t> order;
-  order.clear();
-  order.reserve(xs.size());
+  double previous = -INFINITY;
   for (size_t i = 0; i < xs.size(); ++i) {
-    if (std::isfinite(xs[i])) {
-      order.push_back(i);
-    } else {
+    const double x = xs[i];
+    if (!std::isfinite(x)) {
       out[i] = 0.0;
+      continue;
     }
-  }
-  std::sort(order.begin(), order.end(),
-            [&xs](size_t a, size_t b) { return xs[a] < xs[b]; });
-  for (size_t idx : order) {
-    out[idx] = WindowedSum(xs[idx], &lo, &hi) * norm_;
+    if (x < previous) lo = hi = 0;  // a step back restarts the cursors
+    previous = x;
+    out[i] = WindowedSum(x, &lo, &hi) * norm_;
   }
 }
 
 double GaussianKde::WindowedSum(double x, size_t* lo, size_t* hi) const {
-  // Samples are sorted, so kernels further than 8 bandwidths contribute
-  // less than 1e-14 of their mass and are skipped: [*lo, *hi) becomes
+  // Samples are sorted, so kernels further than 8 bandwidths, each below
+  // exp(-32) ~ 1.3e-14 of a kernel's peak, are skipped (at densities near
+  // the score floor that moves ln p by up to ~1e-6, the bound c of
+  // DESIGN.md §11): [*lo, *hi) becomes
   // [first sample >= x - 8h, first sample > x + 8h), each end found by
   // binary search from the cursor handed in (a sorted batch's windows only
   // move right). The dispatched kernel sums that contiguous window.
-  const double cutoff = 8.0 * bandwidth_;
+  const double cutoff = kCutoffBandwidths * bandwidth_;
   const auto begin = samples_.begin();
   *lo = static_cast<size_t>(
       std::lower_bound(begin + *lo, samples_.end(), x - cutoff) - begin);

@@ -1,10 +1,17 @@
 // Gaussian kernel density estimation — the paper's default feature
 // distribution estimator ("By default, Fixy uses a kernel density estimator
 // (KDE) to learn feature distributions", Section 5.2).
+//
+// Densities come from a table of ln f built on first use (DESIGN.md §11,
+// "ln-density table"): a 4-point cubic on an h/32 grid over each cluster of
+// samples, whose nodes are exact windowed sums. The exact sum
+// (ExactDensity) builds the table, finds the mode, and answers every query
+// the table cannot answer within kTableTolerance.
 #ifndef FIXY_STATS_KDE_H_
 #define FIXY_STATS_KDE_H_
 
-#include <atomic>
+#include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,6 +32,24 @@ enum class BandwidthRule {
 /// A univariate Gaussian kernel density estimator.
 class GaussianKde final : public Distribution {
  public:
+  /// Table grid steps per bandwidth h.
+  static constexpr int kTableStepsPerBandwidth = 32;
+  /// Neighbouring samples further apart than this many bandwidths start a
+  /// new table cluster; the gap between clusters is not tabulated.
+  static constexpr double kClusterGapBandwidths = 16.0;
+  /// tau: the stated bound on a table answer's |error in ln f|. The build
+  /// hands every cell whose estimated error exceeds tau / 2 to the exact
+  /// sum.
+  static constexpr double kTableTolerance = 2e-6;
+  /// eta: a query whose interpolated normalized score exceeds 1 - eta is
+  /// answered exactly, so ln(1 - p) (the inverting AOF) stays accurate.
+  static constexpr double kModeBand = 1e-3;
+  /// Node budget: a distribution whose table would need more than
+  /// kTableBaseNodes + kTableNodesPerSample * n nodes answers every query
+  /// exactly (a tiny hand-set bandwidth).
+  static constexpr size_t kTableBaseNodes = 4096;
+  static constexpr size_t kTableNodesPerSample = 64;
+
   /// Fits a KDE to `samples`. Errors:
   ///  - InvalidArgument if `samples` is empty or contains non-finite values;
   ///  - InvalidArgument if the selected bandwidth or the normalization
@@ -42,55 +67,65 @@ class GaussianKde final : public Distribution {
   static Result<GaussianKde> FitWithBandwidth(std::vector<double> samples,
                                               double bandwidth);
 
+  /// The density at `x` from the ln-density table, or from ExactDensity
+  /// where the table cannot meet its tolerance. Counts stats.kde_evals,
+  /// and stats.kde_exact when the exact sum answers. A pure function of
+  /// (distribution, x).
   double Density(double x) const override;
-  /// Batch evaluation: identical results to calling Density per element,
-  /// but the queries are visited in ascending order, so each window search
-  /// starts from the previous window instead of the whole sample — the
-  /// path factor scoring and the mode scan use.
-  void DensityBatch(std::span<const double> xs,
-                    std::span<double> out) const override;
-  /// Exact mode density (the maximum of Density over the samples),
-  /// computed lazily on first use and cached. Fitting a KDE is therefore
-  /// cheap — a sort and a bandwidth — and only distributions that actually
-  /// score pay for the mode search. Thread-safe: concurrent first calls
-  /// race benignly (ExactModeDensity is deterministic, so every racer
-  /// stores the same bits).
+  /// Density per element (`out` has the extent of `xs`), with the same
+  /// bits and counts, fetching the table and counting once per batch.
+  void DensityBatch(std::span<const double> xs, std::span<double> out) const;
+  /// Exact mode density (the maximum of ExactDensity over the samples),
+  /// found on first use, once, under the stats.kde_warmup timer. Fitting
+  /// a KDE is therefore cheap — a sort and a bandwidth — and only
+  /// distributions that actually score pay for the mode search.
   double ModeDensity() const override;
   bool CostlyDensity() const override { return true; }
   std::string ToString() const override;
+
+  /// The kernel-window sum behind every density: the samples within 8
+  /// bandwidths of `x`, on the dispatched SIMD kernel. Uncounted; 0 for a
+  /// non-finite `x` or an empty window.
+  double ExactDensity(double x) const;
+  /// ExactDensity per element. The window cursors slide right from query
+  /// to query and restart at a step back, as the table build's ascending
+  /// grid uses them; the bits are ExactDensity's either way.
+  void ExactDensityBatch(std::span<const double> xs,
+                         std::span<double> out) const;
+  /// Nodes in the ln-density table, building it if needed; 0 when every
+  /// query is answered exactly (grid not representable, or over budget).
+  size_t TableNodeCount() const;
 
   double bandwidth() const { return bandwidth_; }
   size_t sample_count() const { return samples_.size(); }
   /// Fitted samples, sorted ascending (exposed for serialization).
   const std::vector<double>& samples() const { return samples_; }
 
-  /// The cached mode density is copied/moved along with the samples, so a
-  /// distribution that already paid for the mode search never re-runs it.
-  GaussianKde(const GaussianKde& other);
-  GaussianKde(GaussianKde&& other) noexcept;
-  GaussianKde& operator=(const GaussianKde& other);
-  GaussianKde& operator=(GaussianKde&& other) noexcept;
-
  private:
+  struct Table;
+  /// The lazily derived state — mode density and table — which is a
+  /// function of the samples and the bandwidth alone, so copies and moves
+  /// share it and a copy never repeats a warm-up.
+  struct Lazy;
+
   GaussianKde(std::vector<double> samples, double bandwidth);
 
-  /// Density without the stats.kde_evals count — Density and DensityBatch
-  /// each record their own (batched) count exactly once per query.
-  double DensityUncounted(double x) const;
-
   /// Kernel-window sum at `x`. `lo`/`hi` are the window bounds carried
-  /// across queries in ascending order (both 0 for a lone query); each is
-  /// re-found by binary search from where it was. The sum itself runs on
-  /// the dispatched SIMD kernel (stats/simd.h).
+  /// across ascending queries (both 0 for a lone query); each is re-found
+  /// by binary search from where it was.
   double WindowedSum(double x, size_t* lo, size_t* hi) const;
 
-  /// max over samples of the density at that sample — the same value a
-  /// full DensityBatch(samples_) scan produces, found by bounding each
-  /// sample's density from above with annulus counts and evaluating
+  /// max over samples of ExactDensity at that sample, found by bounding
+  /// each sample's density from above with annulus counts and evaluating
   /// exactly only the candidates whose bound beats the best exact density
-  /// seen so far. Cuts the mode search on large KDEs from O(n * window)
-  /// kernel evaluations to O(n) bounds plus a handful of exact ones.
+  /// seen so far.
   double ExactModeDensity() const;
+
+  /// The table, built on first use; readers take no lock.
+  const Table& table() const;
+  Table BuildTable(double mode) const;
+  /// The density at finite `x`; sets *exact when the exact sum answered.
+  double Lookup(const Table& table, double x, bool* exact) const;
 
   std::vector<double> samples_;  // sorted ascending
   double bandwidth_ = 0.0;
@@ -98,11 +133,7 @@ class GaussianKde final : public Distribution {
   /// 1/(sqrt(2*pi) * h * n) applied to every kernel sum.
   double inv_bandwidth_ = 0.0;
   double norm_ = 0.0;
-  /// Lazily-computed ModeDensity() cache; negative means "not computed
-  /// yet" (a real mode density is at least one kernel's peak, so it is
-  /// always positive). Atomic because scoring is multi-threaded and the
-  /// first callers may race; they all store identical bits.
-  mutable std::atomic<double> mode_density_{-1.0};
+  std::shared_ptr<Lazy> lazy_;
 };
 
 }  // namespace fixy::stats

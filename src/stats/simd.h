@@ -2,7 +2,8 @@
 //
 // The only kernel today is the Gaussian window sum
 //     sum_i exp(-0.5 * ((x - s[i]) * inv_bw)^2)
-// which is >80% of factor-graph compile time. Three implementations exist:
+// behind every exact KDE density: the mode search, the ln-density table's
+// nodes and its exact fallbacks. Three implementations exist:
 // a portable scalar one, an AVX2+FMA one and an AVX-512F one. All evaluate
 // exp() with the same fused polynomial (Cody-Waite reduction, degree-13
 // Taylor core, exponent reassembly through the exponent bits) and

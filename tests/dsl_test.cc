@@ -11,13 +11,10 @@
 #include "dsl/bundler.h"
 #include "dsl/feature.h"
 #include "dsl/feature_distribution.h"
-#include "dsl/feature_score_cache.h"
 #include "dsl/track_builder.h"
-#include "obs/metrics.h"
 #include "scenario/materialize.h"
 #include "scenario/presets.h"
 #include "stats/gaussian.h"
-#include "stats/kde.h"
 #include "stats/lambda_distribution.h"
 
 namespace fixy {
@@ -373,39 +370,6 @@ TEST(FeatureDistributionTest, RawLikelihoodExposed) {
   const auto off_mode = fd.RawLikelihood(12.0, std::nullopt);
   ASSERT_TRUE(off_mode.has_value());
   EXPECT_NEAR(*off_mode, std::exp(-0.5), 1e-12);
-}
-
-// ---------------------------------------------------------- DensityMemo
-
-// The memo keys on the distribution as well as the value bits: two KDEs
-// asked for the same x through one memo each get their own density, on the
-// scalar and the batch path, and each distinct (distribution, x) is
-// evaluated once — duplicates within a batch included.
-TEST(DensityMemoUnitTest, KeysOnDistributionAndValueBits) {
-  const auto narrow = stats::GaussianKde::Fit({0.0, 0.5, 1.0, 1.5, 2.0});
-  const auto wide = stats::GaussianKde::FitWithBandwidth({0.0, 3.0, 6.0}, 2.0);
-  ASSERT_TRUE(narrow.ok());
-  ASSERT_TRUE(wide.ok());
-  const std::vector<double> xs = {1.0, 0.25, 1.0, 4.0, 0.0, -0.0};
-  obs::MetricsCollector collector;
-  {
-    const obs::MetricsScope scope(&collector);
-    DensityMemo memo;
-    for (const stats::GaussianKde* kde : {&*narrow, &*wide}) {
-      std::vector<double> out(xs.size());
-      memo.DensityBatch(*kde, xs, out);
-      for (size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(out[i], kde->Density(xs[i])) << "x=" << xs[i];
-        EXPECT_EQ(memo.Density(*kde, xs[i]), kde->Density(xs[i]))
-            << "x=" << xs[i];
-      }
-    }
-  }
-  // Per KDE the memo evaluates 5 distinct bit patterns (1.0 comes twice;
-  // 0.0 and -0.0 differ), and the test's own two direct Density calls per
-  // query count 12 more.
-  const obs::PipelineMetrics snapshot = collector.Snapshot();
-  EXPECT_EQ(snapshot.counters.at("stats.kde_evals"), 2u * (5u + 2u * 6u));
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // identical to a filtered-scene build), multi-vs-solo byte-identity for
 // the batch and streaming APIs at every thread count, a user-defined
 // application ranked end-to-end through FixyOptions::extra_applications,
-// and the pass's shared density memo (same bits as no memo; one view's
-// densities serve the other).
+// and the pass's per-view caches (same bits as standalone caches).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -24,7 +23,6 @@
 #include "dsl/aof.h"
 #include "dsl/track_builder.h"
 #include "graph/factor_graph.h"
-#include "obs/metrics.h"
 #include "scenario/materialize.h"
 #include "scenario/presets.h"
 #include "sim/generate.h"
@@ -574,11 +572,11 @@ TEST_F(MultiAppTest, SingleAppWrappersMatchNameAddressedRuns) {
   }
 }
 
-// ---- The per-pass density memo. ----
+// ---- The pass's per-view caches. ----
 
 // One fixed-seed dense-urban-intersection scene, a model learned from two
 // more, and the three paper applications' specs built from that model.
-class DensityMemoTest : public ::testing::Test {
+class ScenePassCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const Result<scenario::ScenarioSpec> preset =
@@ -595,7 +593,7 @@ class DensityMemoTest : public ::testing::Test {
     // The count-augmented set model-errors builds from is not exposed by
     // the engine; a save/load round trip returns it, count last.
     const std::string path =
-        (std::filesystem::temp_directory_path() / "fixy_memo_model.json")
+        (std::filesystem::temp_directory_path() / "fixy_pass_cache_model.json")
             .string();
     ASSERT_TRUE(fixy_->SaveModel(path).ok());
     const auto loaded =
@@ -623,24 +621,19 @@ class DensityMemoTest : public ::testing::Test {
     scene_ = nullptr;
   }
 
-  static uint64_t KdeEvals(const obs::MetricsCollector& collector) {
-    const obs::PipelineMetrics snapshot = collector.Snapshot();
-    const auto it = snapshot.counters.find("stats.kde_evals");
-    return it == snapshot.counters.end() ? 0 : it->second;
-  }
-
   static Scene* scene_;
   static Fixy* fixy_;
   static std::vector<std::pair<AppSpec, LoaSpec>>* specs_;
 };
 
-Scene* DensityMemoTest::scene_ = nullptr;
-Fixy* DensityMemoTest::fixy_ = nullptr;
-std::vector<std::pair<AppSpec, LoaSpec>>* DensityMemoTest::specs_ = nullptr;
+Scene* ScenePassCacheTest::scene_ = nullptr;
+Fixy* ScenePassCacheTest::fixy_ = nullptr;
+std::vector<std::pair<AppSpec, LoaSpec>>* ScenePassCacheTest::specs_ =
+    nullptr;
 
-// Every raw score a pass's caches produce — each view filling the shared
-// memo first in turn — has the bits of a memo-free standalone cache's.
-TEST_F(DensityMemoTest, PassCachesMatchStandaloneCachesBitForBit) {
+// Every raw score a pass's caches produce — each view filled first in
+// turn — has the bits of a standalone cache's.
+TEST_F(ScenePassCacheTest, PassCachesMatchStandaloneCachesBitForBit) {
   const double hz = scene_->frame_rate_hz();
   for (const auto& order : {std::vector<SceneView>{SceneView::kFull,
                                                    SceneView::kModelOnly},
@@ -674,53 +667,6 @@ TEST_F(DensityMemoTest, PassCachesMatchStandaloneCachesBitForBit) {
       }
     }
   }
-}
-
-// The two views share one memo: once missing-tracks has compiled over the
-// full view, every model prediction's volume is in it, so scoring the
-// model-only view's volumes evaluates no KDE at all — where a standalone
-// cache evaluates every one of them.
-TEST_F(DensityMemoTest, ModelOnlyVolumesAreAllMemoHitsAfterFullView) {
-  ApplicationOptions options = fixy_->options().application;
-  options.top_k_per_class = 0;  // compile every full-view track
-  auto pass = ScenePass::Run(*scene_, options.track_builder,
-                             /*need_full=*/true, /*need_model_only=*/true);
-  ASSERT_TRUE(pass.ok()) << pass.status();
-  const auto& [missing_tracks, missing_tracks_spec] = specs_->at(0);
-  ASSERT_EQ(missing_tracks.name, "missing-tracks");
-  ASSERT_TRUE(RunApplicationOnPass(missing_tracks, missing_tracks_spec,
-                                   *scene_, *pass, options)
-                  .ok());
-
-  const auto& [model_errors, model_errors_spec] = specs_->at(2);
-  ASSERT_EQ(model_errors.view, SceneView::kModelOnly);
-  const FeatureDistribution* volume = nullptr;
-  for (const FeatureDistribution& fd :
-       model_errors_spec.feature_distributions) {
-    if (fd.feature().name() == "volume") volume = &fd;
-  }
-  ASSERT_NE(volume, nullptr);
-  const TrackSet& tracks = pass->tracks(SceneView::kModelOnly);
-  ASSERT_FALSE(tracks.tracks.empty());
-
-  obs::MetricsCollector shared;
-  {
-    const obs::MetricsScope scope(&shared);
-    for (size_t t = 0; t < tracks.tracks.size(); ++t) {
-      pass->cache(SceneView::kModelOnly)->Get(*volume, tracks.tracks[t], t);
-    }
-  }
-  EXPECT_EQ(KdeEvals(shared), 0u);
-
-  obs::MetricsCollector alone;
-  {
-    const obs::MetricsScope scope(&alone);
-    FeatureScoreCache standalone(scene_->frame_rate_hz());
-    for (size_t t = 0; t < tracks.tracks.size(); ++t) {
-      standalone.Get(*volume, tracks.tracks[t], t);
-    }
-  }
-  EXPECT_GT(KdeEvals(alone), 0u);
 }
 
 }  // namespace

@@ -141,8 +141,8 @@ TEST_F(SimdKernelTest, RandomizedDensitiesAreBitIdentical) {
     std::vector<double> queries(337);
     for (double& q : queries) q = sample(rng);
     const auto runs = RunUnderEveryKernel([&] {
-      // Fit under the pinned kernel too: the constructor's mode scan runs
-      // the kernel, so mode_density_ must also be dispatch-invariant.
+      // Fit under the pinned kernel too: the mode search and the table
+      // build run the kernel, so both must be dispatch-invariant.
       auto kde = GaussianKde::Fit(samples);
       EXPECT_TRUE(kde.ok());
       std::vector<double> out(queries.size());
@@ -175,9 +175,9 @@ TEST_F(SimdKernelTest, CutoffBoundaryQueriesAreBitIdentical) {
   }
   const auto runs = RunUnderEveryKernel([&] {
     std::vector<double> out;
-    for (double q : queries) out.push_back(kde->Density(q));
+    for (double q : queries) out.push_back(kde->ExactDensity(q));
     std::vector<double> batch(queries.size());
-    kde->DensityBatch(queries, batch);
+    kde->ExactDensityBatch(queries, batch);
     out.insert(out.end(), batch.begin(), batch.end());
     return out;
   });
@@ -204,7 +204,7 @@ TEST_F(SimdKernelTest, MinimumBandwidthIsBitIdentical) {
   }
   const auto runs = RunUnderEveryKernel([&] {
     std::vector<double> out(queries.size());
-    kde->DensityBatch(queries, out);
+    kde->ExactDensityBatch(queries, out);
     return out;
   });
   ASSERT_TRUE(runs.has_value());
@@ -242,13 +242,13 @@ TEST_F(SimdKernelTest, EmptyWindowsAndNonFiniteQueriesAreZero) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   // Far-away, infinite, and NaN queries all have zero density; the batch
-  // path partitions the non-finite ones out before sorting.
+  // path skips the non-finite ones without moving its window cursors.
   const std::vector<double> queries = {1e9, -1e9, inf, -inf, nan, 0.1};
   const auto runs = RunUnderEveryKernel([&] {
     std::vector<double> out(queries.size());
-    kde->DensityBatch(queries, out);
+    kde->ExactDensityBatch(queries, out);
     out.push_back(simd::GaussianWindowSum(samples.data(), 0, 0.0, 1.0));
-    for (double q : queries) out.push_back(kde->Density(q));
+    for (double q : queries) out.push_back(kde->ExactDensity(q));
     return out;
   });
   ASSERT_TRUE(runs.has_value());
@@ -256,7 +256,7 @@ TEST_F(SimdKernelTest, EmptyWindowsAndNonFiniteQueriesAreZero) {
   const std::vector<double>& out = runs->scalar;
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(out[i], 0.0) << "query " << i;
-    EXPECT_EQ(out[7 + i], 0.0) << "per-query " << i;  // Density() agrees
+    EXPECT_EQ(out[7 + i], 0.0) << "per-query " << i;  // ExactDensity agrees
   }
   EXPECT_GT(out[5], 0.0);        // the one in-range query
   EXPECT_EQ(out[6], 0.0);        // n == 0 window sums to zero
@@ -270,21 +270,23 @@ TEST_F(SimdKernelTest, UnsortedBatchesAreBitIdentical) {
   for (double& s : samples) s = sample(rng);
   auto kde = GaussianKde::Fit(samples);
   ASSERT_TRUE(kde.ok());
-  // Deliberately unsorted with duplicates: the permutation path must give
-  // the same windows (and therefore bits) as sorted evaluation.
+  // Deliberately unsorted with duplicates: the cursors restart at every
+  // step back and must give the same windows (and therefore bits) as lone
+  // evaluation.
   std::vector<double> queries(211);
   for (double& q : queries) q = sample(rng);
   queries[10] = queries[100];
   queries[50] = queries[0];
   const auto runs = RunUnderEveryKernel([&] {
     std::vector<double> out(queries.size());
-    kde->DensityBatch(queries, out);
+    kde->ExactDensityBatch(queries, out);
     return out;
   });
   ASSERT_TRUE(runs.has_value());
   ExpectBitIdentical(*runs);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(runs->scalar[i], kde->Density(queries[i])) << "query " << i;
+    EXPECT_EQ(runs->scalar[i], kde->ExactDensity(queries[i]))
+        << "query " << i;
   }
 }
 
@@ -302,15 +304,16 @@ uint32_t BitsCrc(const std::vector<double>& values) {
   return Crc32(bytes);
 }
 
-// Densities of one fresh fit at `queries`, in query order, followed by its
-// mode density — through Density, a sorted DensityBatch and a DensityBatch
-// in the drawn (shuffled) order. All three must give the same bits.
-std::vector<std::vector<double>> DensityPaths(
+// Exact densities of one fresh fit at `queries`, in query order, followed
+// by its mode density — through ExactDensity, an ascending
+// ExactDensityBatch (the table build's sliding cursors) and an
+// ExactDensityBatch in the drawn order. All three must give the same bits.
+std::vector<std::vector<double>> ExactDensityPaths(
     const std::vector<double>& samples, const std::vector<double>& queries) {
   auto kde = GaussianKde::Fit(samples);
   EXPECT_TRUE(kde.ok());
   std::vector<double> single;
-  for (const double q : queries) single.push_back(kde->Density(q));
+  for (const double q : queries) single.push_back(kde->ExactDensity(q));
 
   std::vector<size_t> order(queries.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -319,12 +322,12 @@ std::vector<std::vector<double>> DensityPaths(
   std::vector<double> sorted_queries;
   for (const size_t i : order) sorted_queries.push_back(queries[i]);
   std::vector<double> sorted_out(queries.size());
-  kde->DensityBatch(sorted_queries, sorted_out);
+  kde->ExactDensityBatch(sorted_queries, sorted_out);
   std::vector<double> sorted(queries.size());
   for (size_t k = 0; k < order.size(); ++k) sorted[order[k]] = sorted_out[k];
 
   std::vector<double> shuffled(queries.size());
-  kde->DensityBatch(queries, shuffled);
+  kde->ExactDensityBatch(queries, shuffled);
 
   const double mode = kde->ModeDensity();
   for (std::vector<double>* path : {&single, &sorted, &shuffled}) {
@@ -333,27 +336,54 @@ std::vector<std::vector<double>> DensityPaths(
   return {single, sorted, shuffled};
 }
 
+// Table densities of one fresh fit at `queries` — through Density and
+// through DensityBatch — each followed by the table's node count. Both
+// must give the same bits.
+std::vector<std::vector<double>> TableDensityPaths(
+    const std::vector<double>& samples, const std::vector<double>& queries) {
+  auto kde = GaussianKde::Fit(samples);
+  EXPECT_TRUE(kde.ok());
+  std::vector<double> single;
+  for (const double q : queries) single.push_back(kde->Density(q));
+  std::vector<double> batch(queries.size());
+  kde->DensityBatch(queries, batch);
+  const double nodes = static_cast<double>(kde->TableNodeCount());
+  single.push_back(nodes);
+  batch.push_back(nodes);
+  return {single, batch};
+}
+
 // Two fixed-seed fits, both above the 2,048-sample size where the mode
 // search switches to annulus bounds: 4,096 standard-normal samples, and a
-// 3,000-sample bimodal mixture. The CRC-32s were recorded from the KDE as
-// it was before its window search moved to binary search and before the
-// AVX-512 kernel existed; every kernel the CPU can run must reproduce them.
-TEST(KdeDensityGoldenTest, MatchesRecordedCrcUnderEveryKernel) {
-  Rng rng(20261017);
+// 3,000-sample bimodal mixture, queried at 1,000 uniform points.
+struct GoldenFits {
   std::vector<double> unimodal;
-  for (int i = 0; i < 4096; ++i) unimodal.push_back(rng.Normal(0.0, 1.0));
   std::vector<double> bimodal;
-  for (int i = 0; i < 1500; ++i) bimodal.push_back(rng.Normal(-4.0, 0.7));
-  for (int i = 0; i < 1500; ++i) bimodal.push_back(rng.Normal(3.0, 1.2));
   std::vector<double> queries;
-  for (int i = 0; i < 1000; ++i) queries.push_back(rng.Uniform(-8.0, 8.0));
+};
 
+GoldenFits MakeGoldenFits() {
+  GoldenFits fits;
+  Rng rng(20261017);
+  for (int i = 0; i < 4096; ++i) fits.unimodal.push_back(rng.Normal(0.0, 1.0));
+  for (int i = 0; i < 1500; ++i) fits.bimodal.push_back(rng.Normal(-4.0, 0.7));
+  for (int i = 0; i < 1500; ++i) fits.bimodal.push_back(rng.Normal(3.0, 1.2));
+  for (int i = 0; i < 1000; ++i) fits.queries.push_back(rng.Uniform(-8.0, 8.0));
+  return fits;
+}
+
+// Every kernel the CPU can run must reproduce each path's recorded CRC-32s
+// with a fresh fit (so the mode search and the table build run under it).
+template <typename Paths>
+void ExpectCrcsUnderEveryKernel(Paths paths, uint32_t unimodal_crc,
+                                uint32_t bimodal_crc) {
+  const GoldenFits fits = MakeGoldenFits();
   const struct {
     const char* name;
     const std::vector<double>* samples;
     uint32_t crc;
-  } goldens[] = {{"unimodal", &unimodal, 395709521u},
-                 {"bimodal", &bimodal, 2555926769u}};
+  } goldens[] = {{"unimodal", &fits.unimodal, unimodal_crc},
+                 {"bimodal", &fits.bimodal, bimodal_crc}};
   for (const simd::Kernel kernel :
        {simd::Kernel::kScalar, simd::Kernel::kAvx2, simd::Kernel::kAvx512}) {
     if (!simd::SetKernelForTesting(kernel)) {
@@ -362,15 +392,28 @@ TEST(KdeDensityGoldenTest, MatchesRecordedCrcUnderEveryKernel) {
       continue;
     }
     for (const auto& golden : goldens) {
-      const auto paths = DensityPaths(*golden.samples, queries);
-      for (size_t p = 0; p < paths.size(); ++p) {
-        EXPECT_EQ(BitsCrc(paths[p]), golden.crc)
+      const auto results = paths(*golden.samples, fits.queries);
+      for (size_t p = 0; p < results.size(); ++p) {
+        EXPECT_EQ(BitsCrc(results[p]), golden.crc)
             << golden.name << " path " << p << " under "
             << simd::KernelName(kernel);
       }
     }
   }
   simd::ClearKernelOverrideForTesting();
+}
+
+// The exact windowed sum. The CRC-32s were recorded from the KDE as it was
+// before its window search moved to binary search and before the AVX-512
+// kernel existed.
+TEST(KdeDensityGoldenTest, MatchesRecordedCrcUnderEveryKernel) {
+  ExpectCrcsUnderEveryKernel(ExactDensityPaths, 395709521u, 2555926769u);
+}
+
+// The ln-density table path, on the same fits and queries. Its nodes are
+// exact sums, so its bits do not depend on the kernel either.
+TEST(KdeTableGoldenTest, MatchesRecordedCrcUnderEveryKernel) {
+  ExpectCrcsUnderEveryKernel(TableDensityPaths, 2777366201u, 2452309723u);
 }
 
 }  // namespace

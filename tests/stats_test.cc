@@ -200,7 +200,7 @@ TEST(KdeTest, BimodalSampleHasTwoPeaks) {
 }
 
 TEST(KdeTest, TruncatedEvaluationMatchesFullSum) {
-  // Density from the sorted/cutoff implementation must match a naive sum.
+  // The exact sorted/cutoff sum must match a naive sum.
   const std::vector<double> xs = NormalSample(0.0, 1.0, 300, 10);
   const auto kde = GaussianKde::FitWithBandwidth(xs, 0.4);
   ASSERT_TRUE(kde.ok());
@@ -211,13 +211,13 @@ TEST(KdeTest, TruncatedEvaluationMatchesFullSum) {
       naive += std::exp(-0.5 * u * u);
     }
     naive *= 0.3989422804014327 / (0.4 * static_cast<double>(xs.size()));
-    EXPECT_NEAR(kde->Density(x), naive, 1e-12);
+    EXPECT_NEAR(kde->ExactDensity(x), naive, 1e-12);
   }
 }
 
 TEST(KdeTest, DensityBatchMatchesScalarDensity) {
-  // The batch sliding-window path must produce bit-identical densities to
-  // per-point evaluation, for sorted and unsorted query orders.
+  // The batch path must produce bit-identical densities to per-point
+  // evaluation, for sorted and unsorted query orders.
   const auto kde = GaussianKde::Fit(NormalSample(0.0, 1.0, 500, 12));
   ASSERT_TRUE(kde.ok());
   const std::vector<double> sorted_queries = {-3.0, -1.0, 0.0, 0.5, 2.5};
@@ -232,12 +232,14 @@ TEST(KdeTest, DensityBatchMatchesScalarDensity) {
   }
 }
 
-// The window a density sums is [first sample >= x - 8h, first sample >
-// x + 8h). With a power-of-two bandwidth x +- 8h is exact, so samples sit
-// exactly on both cutoffs and one ULP outside them; the boundary terms
-// (exp(-32) ~ 1.3e-14 of a kernel) change the sum's bits, so only the
-// exact window reproduces it. The window is computed here independently,
-// with std::lower_bound / std::upper_bound over the fitted samples.
+// The window an exact density sums is [first sample >= x - 8h, first
+// sample > x + 8h). With a power-of-two bandwidth x +- 8h is exact, so
+// samples sit exactly on both cutoffs and one ULP outside them; the
+// boundary terms (exp(-32) ~ 1.3e-14 of a kernel) change the sum's bits,
+// so only the exact window reproduces it. The window is computed here
+// independently, with std::lower_bound / std::upper_bound over the fitted
+// samples. The batch cases go through the sliding cursors the table build
+// uses.
 TEST(KdeTest, WindowBoundsAreExactAtTheCutoff) {
   const double h = 0.25;
   const double cutoff = 8.0 * h;
@@ -268,17 +270,17 @@ TEST(KdeTest, WindowBoundsAreExactAtTheCutoff) {
     const auto hi = std::upper_bound(sorted.begin(), sorted.end(), q + cutoff);
     EXPECT_EQ(*lo, q - cutoff);
     EXPECT_EQ(*(hi - 1), q + cutoff);
-    EXPECT_EQ(kde->Density(q), expected(q)) << "query " << q;
+    EXPECT_EQ(kde->ExactDensity(q), expected(q)) << "query " << q;
   }
   const std::vector<std::vector<double>> batches = {
       queries,                           // sorted: the window slides
-      {9.0, 0.5, 4.25, -3.0, 1.0},       // unsorted: visited by permutation
+      {9.0, 0.5, 4.25, -3.0, 1.0},       // unsorted: cursors restart
       {-1000.0, 9.0},                    // the cursor jumps far right
       {-1000.0, -3.0, 1.0, 1.0, 1000.0}, // duplicates and an empty window
   };
   for (const std::vector<double>& batch : batches) {
     std::vector<double> out(batch.size());
-    kde->DensityBatch(batch, out);
+    kde->ExactDensityBatch(batch, out);
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(out[i], expected(batch[i])) << "batch query " << batch[i];
     }
