@@ -44,15 +44,6 @@ struct ApplicationOptions {
   /// (Section 6). The ablation bench turns this off; everything else
   /// should leave it on.
   bool normalize_scores = true;
-
-  /// When > 0, ranking may prune tracks that provably cannot enter the
-  /// per-class top k of any scene (see DESIGN.md §11): applications that
-  /// opt in (AppSpec::prunable_tracks) skip extraction for tracks whose
-  /// cheap score upper bound falls below the scene's current k-th best
-  /// score for every class they could land in. The surviving proposals
-  /// are byte-identical to the unpruned run after TopKPerClass(.., k).
-  /// 0 (the default) disables pruning and ranks every candidate.
-  int top_k_per_class = 0;
 };
 
 /// The learned state applications build their specs from: the base
@@ -92,21 +83,6 @@ struct AppSpec {
   /// Turns a compiled graph into (unranked) proposals; the pipeline ranks
   /// them deterministically afterwards.
   std::function<std::vector<ErrorProposal>(const AppContext&)> extract;
-
-  /// Top-k pruning contract (ApplicationOptions::top_k_per_class). When
-  /// non-null, the application declares that its extract emits at most one
-  /// proposal per track and that `prunable_tracks(track)` returns true
-  /// exactly for the tracks extract would score — which lets the pipeline
-  /// skip tracks whose score upper bound cannot reach the per-class top k.
-  /// Null (the default) means "never prune me" (e.g. bundle-granularity
-  /// applications like missing-obs, whose proposals are not track-level).
-  std::function<bool(const Track&, const ApplicationOptions&)> prunable_tracks;
-
-  /// Whether extract's track scores use factor-count normalization. Must
-  /// match the ScoreTrack(normalize=...) calls inside extract so the
-  /// pruning bound compares like with like. Ignored when prunable_tracks
-  /// is null.
-  std::function<bool(const ApplicationOptions&)> prune_normalize;
 };
 
 }  // namespace fixy

@@ -227,15 +227,6 @@ AppSpec MissingTracksApp() {
     return BuildMissingTracksSpec(learned.base, options);
   };
   app.extract = ExtractMissingTracks;
-  // Mirrors ExtractMissingTracks' candidate filter exactly — required by
-  // the prunable_tracks contract (top-k pruning skips everything else).
-  app.prunable_tracks = [](const Track& track, const ApplicationOptions&) {
-    return !track.HasSource(ObservationSource::kHuman) &&
-           track.HasSource(ObservationSource::kModel);
-  };
-  app.prune_normalize = [](const ApplicationOptions& options) {
-    return options.normalize_scores;
-  };
   return app;
 }
 
@@ -264,15 +255,6 @@ AppSpec ModelErrorsApp() {
     return BuildModelErrorsSpec(learned.with_count);
   };
   app.extract = ExtractModelErrors;
-  // Mirrors ExtractModelErrors' candidate filter; its ScoreTrack(t) call
-  // always normalizes, independent of options.normalize_scores.
-  app.prunable_tracks = [](const Track& track,
-                           const ApplicationOptions& options) {
-    return !track.bundles().empty() &&
-           track.TotalObservations() >
-               static_cast<size_t>(options.min_track_observations);
-  };
-  app.prune_normalize = [](const ApplicationOptions&) { return true; };
   return app;
 }
 

@@ -9,6 +9,7 @@
 #define FIXY_CORE_SCENE_PASS_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -54,6 +55,12 @@ class ScenePass {
 Result<std::vector<ErrorProposal>> RunApplicationOnPass(
     const AppSpec& app, const LoaSpec& spec, const Scene& scene,
     ScenePass& pass, const ApplicationOptions& options);
+
+/// Records at zero, on the calling thread's collector, every key that
+/// ScenePass::Run and RunApplicationOnPass record: rank.track_build,
+/// rank.track_builds, and rank.<name>.{compile,factors,proposals} for each
+/// of `apps`. Snapshots then carry one key set whichever applications ran.
+void RecordRankMetricsSchema(const std::vector<std::string>& apps);
 
 }  // namespace fixy
 

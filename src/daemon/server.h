@@ -34,8 +34,8 @@ struct ServerOptions {
   /// request succeeds.
   std::string model_path;
   /// Engine configuration. Must match the CLI's (same extra
-  /// applications, same top_k_per_class) for daemon responses to be
-  /// byte-identical to one-shot CLI runs.
+  /// applications) for daemon responses to be byte-identical to one-shot
+  /// CLI runs.
   FixyOptions engine;
   /// Request-executor threads: how many requests run concurrently.
   int worker_threads = 4;

@@ -18,6 +18,7 @@
 
 #include "common/macros.h"
 #include "core/ranker.h"
+#include "core/scene_pass.h"
 #include "data/scene.h"
 #include "io/fxb.h"
 #include "obs/metrics.h"
@@ -368,14 +369,7 @@ Result<WatchReport> WatchDataset(const WatchOptions& options) {
     obs::Count("io.files_read", 0);
     obs::AddTimeNs("io.load", 0);
     obs::AddTimeNs("io.parse", 0);
-    obs::AddTimeNs("rank.track_build", 0);
-    obs::Count("rank.track_builds", 0);
-    for (const std::string& name : fixy.applications().names()) {
-      obs::AddTimeNs("rank." + name + ".compile", 0);
-      obs::Count("rank." + name + ".factors", 0);
-      obs::Count("rank." + name + ".proposals", 0);
-      obs::Count("rank." + name + ".pruned_tracks", 0);
-    }
+    RecordRankMetricsSchema(fixy.applications().names());
   }
 
   SignalPipe signals;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/arena.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace fixy {
@@ -12,13 +11,7 @@ namespace fixy {
 Result<FactorGraph> FactorGraph::Compile(const TrackSet& tracks,
                                          const LoaSpec& spec,
                                          double frame_rate_hz,
-                                         FeatureScoreCache* shared_scores,
-                                         const std::vector<uint8_t>* track_mask) {
-  FIXY_CHECK_MSG(track_mask == nullptr ||
-                     track_mask->size() == tracks.tracks.size(),
-                 "track mask size %zu != track count %zu",
-                 track_mask == nullptr ? size_t{0} : track_mask->size(),
-                 tracks.tracks.size());
+                                         FeatureScoreCache* shared_scores) {
   FactorGraph graph;
   graph.tracks_ = tracks;
 
@@ -73,7 +66,6 @@ Result<FactorGraph> FactorGraph::Compile(const TrackSet& tracks,
        ++fd_index) {
     const FeatureDistribution& fd = spec.feature_distributions[fd_index];
     for (size_t t = 0; t < tracks.tracks.size(); ++t) {
-      if (track_mask != nullptr && (*track_mask)[t] == 0) continue;
       const Track& track = tracks.tracks[t];
       // Raw (pre-AOF) likelihoods for this (feature distribution, track)
       // pair, either shared across applications through the scene's cache

@@ -81,21 +81,10 @@ class FactorGraph {
   /// each learned feature once; the caller must keep the cache paired with
   /// this exact track set. Scores are identical with or without a cache.
   ///
-  /// When `track_mask` is non-null (one entry per track), factors are only
-  /// instantiated for tracks with a nonzero mask — masked-out tracks keep
-  /// their variable nodes but score nullopt. Top-k pruning compiles with
-  /// the mask to skip feature evaluation for tracks that provably cannot
-  /// rank (DESIGN.md §11); for every masked-in track the factors and
-  /// scores are identical to an unmasked compile, because factors never
-  /// span tracks.
-  ///
   /// Errors: InvalidArgument if a track contains an empty bundle.
-  static Result<FactorGraph> Compile(const TrackSet& tracks,
-                                     const LoaSpec& spec,
-                                     double frame_rate_hz,
-                                     FeatureScoreCache* shared_scores = nullptr,
-                                     const std::vector<uint8_t>* track_mask =
-                                         nullptr);
+  static Result<FactorGraph> Compile(
+      const TrackSet& tracks, const LoaSpec& spec, double frame_rate_hz,
+      FeatureScoreCache* shared_scores = nullptr);
 
   FactorGraph(const FactorGraph&) = delete;
   FactorGraph& operator=(const FactorGraph&) = delete;

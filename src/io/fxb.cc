@@ -791,17 +791,11 @@ Result<FxbReader> OpenFreshCache(const std::string& directory) {
   FIXY_RETURN_IF_ERROR(reader.status());
   FIXY_ASSIGN_OR_RETURN(std::vector<FxbSourceRecord> current,
                         CollectSourceRecords(directory, /*read_contents=*/false));
-  // Fast path: the whole-cache fingerprint; precise fallback: the
-  // per-file map (catches e.g. a rename that preserves count, bytes, and
-  // newest mtime).
-  if (reader->fingerprint() == FingerprintFromRecords(current)) {
-    const CacheStaleness per_file = CompareCacheSources(*reader, current);
-    if (!per_file.stale) return reader;
-    return Status::FailedPrecondition("FXB cache is stale: " +
-                                      per_file.Summary() +
-                                      " (run `fixy_cli cache` to refresh)");
-  }
+  // The per-file map catches what the whole-cache fingerprint cannot
+  // (e.g. a rename that preserves count, bytes, and newest mtime), and
+  // reports any fingerprint difference as a reason of its own.
   const CacheStaleness staleness = CompareCacheSources(*reader, current);
+  if (!staleness.stale) return reader;
   return Status::FailedPrecondition("FXB cache is stale: " +
                                     staleness.Summary() +
                                     " (run `fixy_cli cache` to refresh)");

@@ -35,12 +35,6 @@ class Distribution {
   /// NormalizedScore. Strictly positive for a fitted distribution.
   virtual double ModeDensity() const = 0;
 
-  /// Whether a density evaluation is expensive (super-constant in the
-  /// sample count). The top-k pruning bound (DESIGN.md §11) evaluates
-  /// cheap distributions exactly and bounds costly ones by their maximum
-  /// normalized score of 1. The KDE overrides this to true.
-  virtual bool CostlyDensity() const { return false; }
-
   /// Density(x) / ModeDensity(), clamped to [kScoreFloor, 1].
   double NormalizedScore(double x) const {
     return NormalizedScoreFromDensity(Density(x));

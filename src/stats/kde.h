@@ -80,7 +80,6 @@ class GaussianKde final : public Distribution {
   /// a KDE is therefore cheap — a sort and a bandwidth — and only
   /// distributions that actually score pay for the mode search.
   double ModeDensity() const override;
-  bool CostlyDensity() const override { return true; }
   std::string ToString() const override;
 
   /// The kernel-window sum behind every density: the samples within 8

@@ -9,7 +9,8 @@
 //   3. The per-scene fingerprint ladder: a same-size edit is caught by
 //      its nanosecond mtime; a same-size edit with a *restored* mtime is
 //      the stat pass's documented blind spot and is caught by the
-//      content-verifying staleness pass.
+//      content-verifying staleness pass; a size change that the
+//      whole-cache fingerprint cannot see is caught per file.
 //   4. Corrupted caches (including records that lie about their source)
 //      never crash the incremental path — they degrade to re-encodes or
 //      a full rebuild.
@@ -256,6 +257,45 @@ TEST(IncrementalCacheTest, BackdatedSameSizeEditNeedsContentVerify) {
     if (reason.find("different checksum") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found) << deep->Summary();
+}
+
+// A byte that moves from one scene file to another, with both mtimes
+// restored, leaves the whole-cache fingerprint (file count, total bytes,
+// newest mtime) equal; the per-file records still differ, and
+// OpenFreshCache must refuse the cache naming both files.
+TEST(IncrementalCacheTest, EqualWholeFingerprintStillComparesPerFile) {
+  const std::string dir = TempDir();
+  Dataset dataset = MakeLabeledDataset(2, 13);
+  ASSERT_TRUE(io::SaveDataset(dataset, dir).ok());
+  const std::string file_a = dataset.scenes[0].name() + ".fixy.json";
+  const std::string file_b = dataset.scenes[1].name() + ".fixy.json";
+  const std::string path_a = dir + "/" + file_a;
+  const std::string path_b = dir + "/" + file_b;
+  WriteFile(path_a, ReadFile(path_a) + "\n");
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+  ASSERT_TRUE(io::OpenFreshCache(dir).ok());
+
+  const fs::file_time_type mtime_a = fs::last_write_time(path_a);
+  const fs::file_time_type mtime_b = fs::last_write_time(path_b);
+  std::string bytes_a = ReadFile(path_a);
+  bytes_a.pop_back();
+  WriteFile(path_a, bytes_a);
+  WriteFile(path_b, ReadFile(path_b) + "\n");
+  fs::last_write_time(path_a, mtime_a);
+  fs::last_write_time(path_b, mtime_b);
+
+  const auto fresh = io::OpenFreshCache(dir);
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message = fresh.status().message();
+  EXPECT_NE(message.find(file_a + " changed size"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(file_b + " changed size"), std::string::npos)
+      << message;
+  // No whole-cache reason: the fingerprint really stayed equal.
+  EXPECT_EQ(message.find("source file count"), std::string::npos) << message;
+  EXPECT_EQ(message.find("source total bytes"), std::string::npos) << message;
+  EXPECT_EQ(message.find("source mtime"), std::string::npos) << message;
 }
 
 // ---------------------------------------------------------------------------

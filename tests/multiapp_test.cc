@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,12 +18,12 @@
 #include "core/applications.h"
 #include "core/engine.h"
 #include "core/model_io.h"
-#include "core/ranker.h"
 #include "core/scene_pass.h"
 #include "data/scene_source.h"
 #include "dsl/aof.h"
 #include "dsl/track_builder.h"
 #include "graph/factor_graph.h"
+#include "obs/metrics.h"
 #include "scenario/materialize.h"
 #include "scenario/presets.h"
 #include "sim/generate.h"
@@ -385,6 +386,43 @@ TEST_F(MultiAppTest, PerAppMetricsKeysAreDistinct) {
   }
 }
 
+// The rank.* keys `rank` and `watch` zero-touch are exactly the keys a
+// ranking run records, so the declared schema cannot drift from the code
+// that records it.
+TEST_F(MultiAppTest, RankMetricsSchemaMatchesRecordedKeys) {
+  const auto rank_keys = [](const obs::PipelineMetrics& metrics) {
+    std::set<std::string> keys;
+    for (const auto& [name, value] : metrics.counters) {
+      if (name.rfind("rank.", 0) == 0) keys.insert("counters/" + name);
+    }
+    for (const auto& [name, value] : metrics.timers_ms) {
+      if (name.rfind("rank.", 0) == 0) keys.insert("timers_ms/" + name);
+    }
+    for (const auto& [name, value] : metrics.gauges) {
+      if (name.rfind("rank.", 0) == 0) keys.insert("gauges/" + name);
+    }
+    return keys;
+  };
+  const std::vector<std::string> apps = fixy_->applications().names();
+  Dataset one_scene;
+  one_scene.name = "one-scene";
+  one_scene.scenes.push_back(dataset_->dataset.scenes.front());
+  BatchOptions options;
+  options.collect_metrics = true;
+  const auto run = fixy_->RankDataset(one_scene, apps, options);
+  ASSERT_TRUE(run.ok());
+  ASSERT_TRUE(run->reports.front().all_ok());
+
+  obs::MetricsCollector collector;
+  {
+    const obs::MetricsScope scope(&collector);
+    RecordRankMetricsSchema(apps);
+  }
+  const std::set<std::string> declared = rank_keys(collector.Snapshot());
+  EXPECT_EQ(rank_keys(run->metrics), declared);
+  EXPECT_EQ(declared.size(), 2 + 3 * apps.size());
+}
+
 // ---- User applications end-to-end. ----
 
 TEST_F(MultiAppTest, UserApplicationRanksEndToEnd) {
@@ -414,97 +452,6 @@ TEST_F(MultiAppTest, UserApplicationRanksEndToEnd) {
       fixy_->Find(dataset_->dataset.scenes.front(), "test-user-app");
   ASSERT_TRUE(found.ok());
   ExpectProposalsIdentical(*found, report.outcomes.front().proposals);
-}
-
-// ---- Top-k pruning byte-identity. ----
-
-// The pruning guarantee (DESIGN.md §11): with top_k_per_class = k, an
-// opted-in application's per-scene proposals, cut to the per-class top k,
-// are byte-identical to the unpruned run's — while provably-unrankable
-// tracks skip factor compilation entirely.
-TEST_F(MultiAppTest, TopKPruningMatchesUnprunedAfterTopKPerClass) {
-  const std::vector<std::string> apps = {"missing-tracks", "model-errors"};
-  for (const int k : {1, 3}) {
-    FixyOptions options;
-    options.application.top_k_per_class = k;
-    Fixy pruned(std::move(options));
-    const sim::GeneratedDataset training =
-        sim::GenerateDataset(*profile_, "multiapp_train", 4, 92);
-    ASSERT_TRUE(pruned.Learn(training.dataset).ok());
-
-    BatchOptions batch;
-    batch.num_threads = 1;
-    batch.collect_metrics = true;
-    const auto pruned_run =
-        pruned.RankDataset(dataset_->dataset, apps, batch);
-    ASSERT_TRUE(pruned_run.ok()) << "k=" << k;
-    const auto baseline = fixy_->RankDataset(dataset_->dataset, apps, batch);
-    ASSERT_TRUE(baseline.ok());
-
-    int64_t pruned_tracks = 0;
-    for (size_t a = 0; a < apps.size(); ++a) {
-      const BatchReport& p = pruned_run->reports[a];
-      const BatchReport& u = baseline->reports[a];
-      ASSERT_EQ(p.outcomes.size(), u.outcomes.size());
-      for (size_t s = 0; s < p.outcomes.size(); ++s) {
-        SCOPED_TRACE("k=" + std::to_string(k) + " app=" + apps[a] +
-                     " scene=" + u.outcomes[s].scene_name);
-        ASSERT_TRUE(p.outcomes[s].ok());
-        ExpectProposalsIdentical(
-            TopKPerClass(p.outcomes[s].proposals, static_cast<size_t>(k)),
-            TopKPerClass(u.outcomes[s].proposals, static_cast<size_t>(k)));
-      }
-      const auto it = pruned_run->metrics.counters.find(
-          "rank." + apps[a] + ".pruned_tracks");
-      if (it != pruned_run->metrics.counters.end()) {
-        pruned_tracks += it->second;
-      }
-    }
-    // The dataset has far more candidate tracks than k per class, so
-    // pruning must actually fire — otherwise this test only proves the
-    // flag is ignored.
-    EXPECT_GT(pruned_tracks, 0) << "k=" << k;
-  }
-}
-
-TEST_F(MultiAppTest, TopKPruningIsThreadCountInvariant) {
-  FixyOptions options;
-  options.application.top_k_per_class = 2;
-  Fixy pruned(std::move(options));
-  const sim::GeneratedDataset training =
-      sim::GenerateDataset(*profile_, "multiapp_train", 4, 92);
-  ASSERT_TRUE(pruned.Learn(training.dataset).ok());
-  const std::vector<std::string> apps = {"missing-tracks", "model-errors"};
-  BatchOptions serial;
-  serial.num_threads = 1;
-  const auto baseline = pruned.RankDataset(dataset_->dataset, apps, serial);
-  ASSERT_TRUE(baseline.ok());
-  for (int threads = 2; threads <= 8; threads += 3) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    const auto run = pruned.RankDataset(dataset_->dataset, apps, batch);
-    ASSERT_TRUE(run.ok()) << "threads=" << threads;
-    for (size_t a = 0; a < apps.size(); ++a) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " app=" + apps[a]);
-      ExpectReportsIdentical(run->reports[a], baseline->reports[a]);
-    }
-  }
-}
-
-// Applications without a prunable_tracks hook (missing-obs ranks bundles,
-// not tracks) ignore top_k_per_class entirely.
-TEST_F(MultiAppTest, NonPrunableAppsAreUnaffectedByTopK) {
-  FixyOptions options;
-  options.application.top_k_per_class = 1;
-  Fixy pruned(std::move(options));
-  const sim::GeneratedDataset training =
-      sim::GenerateDataset(*profile_, "multiapp_train", 4, 92);
-  ASSERT_TRUE(pruned.Learn(training.dataset).ok());
-  const auto run = pruned.RankDataset(dataset_->dataset, {"missing-obs"});
-  const auto baseline = fixy_->RankDataset(dataset_->dataset, {"missing-obs"});
-  ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(baseline.ok());
-  ExpectReportsIdentical(run->reports.front(), baseline->reports.front());
 }
 
 // ---- Kernel dispatch byte-identity through the whole pipeline. ----

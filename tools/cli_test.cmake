@@ -130,15 +130,20 @@ endforeach()
 
 # ---- Unknown flags: each command accepts only the flags it reads. ----
 # A misspelled flag used to be ignored (learn wrote the default KDE model),
-# and a retired one (--workers) silently ran the default path.
+# and a retired one (--workers) silently ran the default path. The command
+# must stop before it starts work: no stdout, and (checked below) no file.
+# The timeout keeps a `serve` that wrongly starts from hanging the test.
 function(expect_unknown_flag flag command)
-  execute_process(COMMAND ${CLI} ${command} ${ARGN}
+  execute_process(COMMAND ${CLI} ${command} ${ARGN} TIMEOUT 60
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "${command} ${flag}: expected exit 2, got ${rc}: ${out}${err}")
   endif()
   if(NOT err MATCHES "unknown flag ${flag} for command '${command}'")
     message(FATAL_ERROR "${command} ${flag}: error names neither: ${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${command} ${flag}: wrote to stdout: ${out}")
   endif()
 endfunction()
 expect_unknown_flag(--estimater learn --data ${WORK}/ds --model ${WORK}/typo.json
@@ -155,6 +160,33 @@ expect_unknown_flag(--bogus info --data ${WORK}/ds --bogus 1)
 if(EXISTS ${WORK}/typo.json)
   message(FATAL_ERROR "learn with an unknown flag still wrote a model")
 endif()
+expect_unknown_flag(--top-k rank --data ${WORK}/ds --model ${WORK}/model.json
+                    --out ${WORK}/topk.json --top-k 10)
+if(EXISTS ${WORK}/topk.json)
+  message(FATAL_ERROR "rank with --top-k still wrote proposals")
+endif()
+expect_unknown_flag(--top-k serve --socket ${WORK}/topk.sock
+                    --model ${WORK}/model.json --top-k 10)
+if(EXISTS ${WORK}/topk.sock)
+  message(FATAL_ERROR "serve with --top-k still bound its socket")
+endif()
+
+# ---- Estimators: every command that takes --estimator accepts the same
+# three names and rejects anything else before it starts work. ----
+foreach(bad_estimator
+        "learn;--data;${WORK}/ds;--model;${WORK}/magic.json"
+        "serve;--socket;${WORK}/magic.sock;--model;${WORK}/model.json")
+  execute_process(COMMAND ${CLI} ${bad_estimator} --estimator magic TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT "${out}${err}" MATCHES "unknown estimator: magic")
+    message(FATAL_ERROR "${bad_estimator} --estimator magic: ${rc}: ${out}${err}")
+  endif()
+endforeach()
+foreach(artifact magic.json magic.sock)
+  if(EXISTS ${WORK}/${artifact})
+    message(FATAL_ERROR "--estimator magic still wrote ${artifact}")
+  endif()
+endforeach()
 
 # ---- Partial-failure fixture: corrupt one scene file on disk. ----
 run_cli(generate --out ${WORK}/broken --profile internal --scenes 2 --seed 7)

@@ -22,7 +22,7 @@
 //   learn     --data DIR --model FILE [--estimator kde|histogram|gaussian]
 //             Learn feature distributions from DIR's labels; save to FILE.
 //   rank      --data DIR --model FILE
-//             [--app NAME | --apps a,b,c|all] [--top K] [--top-k K]
+//             [--app NAME | --apps a,b,c|all] [--top K]
 //             [--threads N] [--keep-going] [--no-cache]
 //             [--metrics-json FILE] [--verbose-metrics]
 //             Rank potential errors in every scene of DIR, fanning scenes
@@ -34,10 +34,6 @@
 //             applications from ONE pass over the dataset — each scene is
 //             decoded and associated once, and every app scores the shared
 //             track set. Per-app results are byte-identical to solo runs.
-//             --top-k K enables per-class top-k pruning (DESIGN.md §11):
-//             applications that opt in skip compiling tracks that provably
-//             cannot enter any scene's per-class top k; their surviving
-//             proposals match the unpruned run exactly.
 //             When DIR holds a fresh dataset.fxb cache (see `cache`),
 //             scenes decode from it instead of from the JSON files; a
 //             stale or rejected cache is reported and the JSON files are
@@ -96,6 +92,7 @@
 #include "core/model_io.h"
 #include "core/proposal_io.h"
 #include "core/ranker.h"
+#include "core/scene_pass.h"
 #include "eval/dataset_stats.h"
 #include "io/scene_io.h"
 #include "eval/cell_diff.h"
@@ -285,6 +282,27 @@ AppSpec SuspectTracksApp() {
   return app;
 }
 
+// The engine of every command that learns or ranks: the learner fits the
+// --estimator the command was given (kde when absent; rank and watch do
+// not take the flag), and the demo application is registered beside the
+// standard ones. Every command therefore resolves the same application
+// names, and serve's and watch's proposals are byte-identical to rank's.
+Result<FixyOptions> EngineOptions(const Flags& flags) {
+  FixyOptions options;
+  const std::string estimator = flags.GetOr("estimator", "kde");
+  if (estimator == "kde") {
+    options.learner.estimator = EstimatorKind::kKde;
+  } else if (estimator == "histogram") {
+    options.learner.estimator = EstimatorKind::kHistogram;
+  } else if (estimator == "gaussian") {
+    options.learner.estimator = EstimatorKind::kGaussian;
+  } else {
+    return Status::InvalidArgument("unknown estimator: " + estimator);
+  }
+  options.extra_applications.push_back(SuspectTracksApp());
+  return options;
+}
+
 // `--apps a,b,c`: split on commas (names cannot contain commas — the
 // registry rejects them at registration).
 std::vector<std::string> SplitApps(const std::string& list) {
@@ -465,19 +483,7 @@ Status CmdSweep(const Flags& flags) {
     return Status::InvalidArgument("--threads must be >= 0");
   }
   options.cache_dir = flags.GetOr("cache-dir", "");
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.engine.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.engine.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.engine.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
-  // Same registry surface as `rank`: the demo user application is
-  // rankable in a sweep too (--apps suspect-tracks).
-  options.engine.extra_applications.push_back(SuspectTracksApp());
+  FIXY_ASSIGN_OR_RETURN(options.engine, EngineOptions(flags));
 
   FIXY_ASSIGN_OR_RETURN(const scenario::SweepReport report,
                         scenario::RunSweep(specs, options));
@@ -503,19 +509,8 @@ Status CmdSweep(const Flags& flags) {
 Status CmdLearn(const Flags& flags) {
   FIXY_ASSIGN_OR_RETURN(std::string data, flags.GetRequired("data"));
   FIXY_ASSIGN_OR_RETURN(std::string model_path, flags.GetRequired("model"));
+  FIXY_ASSIGN_OR_RETURN(FixyOptions options, EngineOptions(flags));
   FIXY_ASSIGN_OR_RETURN(Dataset dataset, io::LoadDataset(data));
-
-  FixyOptions options;
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
 
   Fixy fixy(std::move(options));
   FIXY_RETURN_IF_ERROR(fixy.Learn(dataset));
@@ -564,13 +559,7 @@ Status CmdRank(const Flags& flags) {
   // Every application — the three standard ones plus the demo user app —
   // lives in one registry; --app/--apps resolve against it, so the
   // unknown-app error lists exactly what is registered.
-  FixyOptions fixy_options;
-  FIXY_ASSIGN_OR_RETURN(fixy_options.application.top_k_per_class,
-                        flags.GetIntOr("top-k", 0));
-  if (fixy_options.application.top_k_per_class < 0) {
-    return Status::InvalidArgument("--top-k must be >= 0");
-  }
-  fixy_options.extra_applications.push_back(SuspectTracksApp());
+  FIXY_ASSIGN_OR_RETURN(FixyOptions fixy_options, EngineOptions(flags));
   Fixy fixy(std::move(fixy_options));
   FIXY_RETURN_IF_ERROR(fixy.LoadModel(model_path));
 
@@ -597,15 +586,8 @@ Status CmdRank(const Flags& flags) {
     // Zero-touch the shared scene-pass keys and every *registered*
     // application's per-app keys, so the snapshot schema is one fixed set
     // regardless of which --app/--apps selection actually ran.
-    obs::AddTimeNs("rank.track_build", 0);
-    obs::Count("rank.track_builds", 0);
+    RecordRankMetricsSchema(fixy.applications().names());
     daemon::RecordDaemonMetricsSchema(fixy.applications().names());
-    for (const std::string& name : fixy.applications().names()) {
-      obs::AddTimeNs("rank." + name + ".compile", 0);
-      obs::Count("rank." + name + ".factors", 0);
-      obs::Count("rank." + name + ".proposals", 0);
-      obs::Count("rank." + name + ".pruned_tracks", 0);
-    }
   }
 
   // Scenes rank in parallel across the pool (--threads, default hardware
@@ -729,7 +711,7 @@ Status CmdRank(const Flags& flags) {
 
 // fixyd: keep the model, registry, and FXB readers resident and serve
 // rank/learn/status/shutdown requests over a unix socket (DESIGN.md §13).
-// The engine is configured exactly like CmdRank's so daemon rank
+// The engine comes from EngineOptions, as CmdRank's does, so daemon rank
 // responses are byte-identical to one-shot CLI runs.
 Status CmdServe(const Flags& flags) {
   daemon::ServerOptions options;
@@ -749,22 +731,7 @@ Status CmdServe(const Flags& flags) {
   if (options.max_queue_depth < 1) {
     return Status::InvalidArgument("--queue-depth must be >= 1");
   }
-  FIXY_ASSIGN_OR_RETURN(options.engine.application.top_k_per_class,
-                        flags.GetIntOr("top-k", 0));
-  if (options.engine.application.top_k_per_class < 0) {
-    return Status::InvalidArgument("--top-k must be >= 0");
-  }
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.engine.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.engine.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.engine.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
-  options.engine.extra_applications.push_back(SuspectTracksApp());
+  FIXY_ASSIGN_OR_RETURN(options.engine, EngineOptions(flags));
   FIXY_ASSIGN_OR_RETURN(std::unique_ptr<daemon::FixydServer> server,
                         daemon::FixydServer::Create(std::move(options)));
   std::printf("fixyd serving on %s (pid %d, %s)\n",
@@ -964,9 +931,7 @@ Status CmdWatch(const Flags& flags) {
   const std::string metrics_path = flags.GetOr("metrics-json", "");
   const bool verbose_metrics = flags.Has("verbose-metrics");
   options.collect_metrics = verbose_metrics || !metrics_path.empty();
-  // Same engine configuration as CmdRank, so watch re-ranks are
-  // byte-identical to one-shot `rank` runs over the same scenes.
-  options.engine.extra_applications.push_back(SuspectTracksApp());
+  FIXY_ASSIGN_OR_RETURN(options.engine, EngineOptions(flags));
   options.install_signal_handlers = true;
 
   FIXY_ASSIGN_OR_RETURN(const daemon::WatchReport report,
@@ -1037,8 +1002,6 @@ void PrintUsage() {
       "           [--apps a,b,c|all] rank several registered applications\n"
       "           from one pass (scenes decoded and associated once); with\n"
       "           --out each app writes FILE.<app>.json\n"
-      "           [--top-k K]    per-class top-k pruning (0 = off); pruned\n"
-      "           apps skip tracks that cannot enter any scene's top k\n"
       "           [--threads N]  (0 = hardware concurrency)\n"
       "           [--keep-going] quarantine scenes that fail to decode or\n"
       "           rank (exit non-zero only when all scenes fail); without\n"
@@ -1047,7 +1010,7 @@ void PrintUsage() {
       "           [--verbose-metrics] print the metrics table to stdout\n"
       "           [--no-cache] ignore dataset.fxb and parse the JSON files\n"
       "  serve    --socket PATH [--model FILE] [--threads N]\n"
-      "           [--rank-threads N] [--queue-depth N] [--top-k K]\n"
+      "           [--rank-threads N] [--queue-depth N]\n"
       "           [--estimator kde|histogram|gaussian]\n"
       "           run fixyd: keep the model and FXB readers resident and\n"
       "           serve rank/learn/status/shutdown requests over PATH;\n"
@@ -1098,11 +1061,11 @@ const std::vector<Command>& Commands() {
        CmdSweep},
       {"learn", {"data", "model", "estimator"}, CmdLearn},
       {"rank",
-       {"data", "model", "app", "apps", "top", "top-k", "out", "threads",
+       {"data", "model", "app", "apps", "top", "out", "threads",
         "keep-going", "metrics-json", "verbose-metrics", "no-cache"},
        CmdRank},
       {"serve",
-       {"socket", "model", "threads", "rank-threads", "queue-depth", "top-k",
+       {"socket", "model", "threads", "rank-threads", "queue-depth",
         "estimator"},
        CmdServe},
       {"query",
