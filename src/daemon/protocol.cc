@@ -149,7 +149,7 @@ std::string EncodeResponseFrame(const Response& response) {
                             json::Write(ResponseToJson(response)));
 }
 
-void RecordDaemonMetricsSchema(const std::vector<std::string>& apps) {
+void RecordDaemonMetricsSchema() {
   obs::Count("daemon.connections", 0);
   obs::Count("daemon.requests", 0);
   obs::Count("daemon.rejected", 0);
@@ -159,8 +159,9 @@ void RecordDaemonMetricsSchema(const std::vector<std::string>& apps) {
   obs::AddTimeNs("daemon.queue_wait", 0);
   obs::AddTimeNs("daemon.request", 0);
   obs::SetGauge("daemon.queue_depth", 0);
-  for (const std::string& app : apps) {
-    obs::AddTimeNs("daemon.rank." + app, 0);
+  for (const char* phase :
+       {"parse", "acquire", "decode", "rank", "encode", "write"}) {
+    obs::AddTimeNs(std::string("daemon.phase.") + phase, 0);
   }
 }
 

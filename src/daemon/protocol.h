@@ -87,11 +87,16 @@ std::string EncodeRequestFrame(const Request& request);
 std::string EncodeResponseFrame(const Response& response);
 
 /// Records every daemon.* counter, timer, and gauge at zero on the
-/// calling thread's collector — one key per registered application name
-/// for the per-app latency timers — so metric snapshots carry a stable
-/// key set whether or not a daemon actually served (the schema golden
-/// depends on this).
-void RecordDaemonMetricsSchema(const std::vector<std::string>& apps);
+/// calling thread's collector, so metric snapshots carry a stable key set
+/// whether or not a daemon actually served (the schema golden depends on
+/// this). The `daemon.phase.*` timers split a request's time, in order:
+/// `parse` (frame JSON and RequestFromJson, on the poll thread), then,
+/// after `daemon.queue_wait`, `acquire` (the resident dataset's staleness
+/// check and scene lookup), `decode` (one-scene rank), `rank` (a
+/// rank-dataset's workers decode as they rank, so its decode lands
+/// here), `encode` (result body and response frame) and `write` (the
+/// socket send).
+void RecordDaemonMetricsSchema();
 
 }  // namespace fixy::daemon
 

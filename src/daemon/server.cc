@@ -11,6 +11,7 @@
 #include <shared_mutex>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -111,12 +112,69 @@ struct Connection {
 };
 
 /// A dataset directory held resident: the opened source (mmap'd FXB when
-/// fresh, per-file JSON otherwise) plus the source fingerprint it was
-/// opened at, so an edited dataset transparently reopens.
+/// fresh, per-file JSON otherwise), the stat-only source records it was
+/// opened at (one per scene in manifest order, the manifest last), so an
+/// edited dataset transparently reopens, and each scene name's first
+/// index. Immutable once published, so requests read it unlocked.
 struct ResidentDataset {
   std::unique_ptr<SceneSource> source;
-  io::FxbSourceFingerprint fingerprint;
+  std::vector<io::FxbSourceRecord> records;
+  std::unordered_map<std::string, size_t> scene_by_name;
 };
+
+/// A one-scene request's scene: its resident dataset and its index.
+struct ResidentScene {
+  std::shared_ptr<const ResidentDataset> dataset;
+  size_t index = 0;
+};
+
+/// Adds its scope's wall time to one `daemon.phase.*` timer of
+/// `collector` on every exit path: a failed phase still cost its time.
+class PhaseTimer {
+ public:
+  PhaseTimer(obs::MetricsCollector& collector, std::string_view name)
+      : collector_(collector), name_(name) {}
+  ~PhaseTimer() { collector_.AddTimeNs(name_, timer_.ElapsedNs()); }
+
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  obs::MetricsCollector& collector_;
+  std::string_view name_;
+  obs::StageTimer timer_;
+};
+
+/// Whether `record`'s file still has the size and mtime it was recorded
+/// with: one stat, and false when it fails.
+bool SourceUnchanged(const std::string& data_dir,
+                     const io::FxbSourceRecord& record) {
+  const Result<io::FxbSourceRecord> current =
+      io::StatSourceRecord(data_dir, record.file, /*read_contents=*/false);
+  return current.ok() && *current == record;
+}
+
+/// Resolves a one-scene request to an index of `dataset`: by name through
+/// the map built when it became resident, or by bounds-checked index.
+Result<size_t> ResolveScene(const ResidentDataset& dataset,
+                            const Request& request) {
+  if (!request.scene.empty()) {
+    const auto it = dataset.scene_by_name.find(request.scene);
+    if (it == dataset.scene_by_name.end()) {
+      return Status::NotFound("no scene named '" + request.scene + "' in " +
+                              request.data_dir);
+    }
+    return it->second;
+  }
+  const size_t index = static_cast<size_t>(request.scene_index);
+  const size_t count = dataset.source->scene_count();
+  if (index >= count) {
+    return Status::OutOfRange("scene_index " + std::to_string(index) +
+                              " out of range (" + std::to_string(count) +
+                              " scenes)");
+  }
+  return index;
+}
 
 }  // namespace
 
@@ -138,7 +196,7 @@ struct FixydServer::Impl {
   obs::MetricsCollector collector;
 
   std::mutex datasets_mu;
-  std::map<std::string, std::shared_ptr<ResidentDataset>> datasets;
+  std::map<std::string, std::shared_ptr<const ResidentDataset>> datasets;
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
@@ -152,6 +210,7 @@ struct FixydServer::Impl {
                          int stall_timeout_ms) {
     std::lock_guard<std::mutex> lock(conn.write_mu);
     if (!conn.open) return;
+    const PhaseTimer timer(collector, "daemon.phase.write");
     const Status status = SendAll(conn.fd, bytes, stall_timeout_ms);
     if (!status.ok()) conn.open = false;  // peer gone or wedged: stop writing
   }
@@ -167,7 +226,12 @@ struct FixydServer::Impl {
 
   void SendResponse(Connection& conn, const Response& response,
                     int stall_timeout_ms) {
-    WriteToConnection(conn, EncodeResponseFrame(response), stall_timeout_ms);
+    std::string frame;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.encode");
+      frame = EncodeResponseFrame(response);
+    }
+    WriteToConnection(conn, frame, stall_timeout_ms);
   }
 
   // ---- request handling (worker threads) ----
@@ -238,7 +302,10 @@ struct FixydServer::Impl {
     return request.apps.empty() ? fixy->applications().names() : request.apps;
   }
 
-  Result<std::shared_ptr<ResidentDataset>> AcquireDataset(
+  /// The full pass, for rank-dataset and for any one-scene request whose
+  /// own sources moved: stats every source file of `data_dir` and reuses
+  /// the resident copy only while every record is unchanged.
+  Result<std::shared_ptr<const ResidentDataset>> AcquireDataset(
       const std::string& data_dir) {
     if (data_dir.empty()) {
       return Status::InvalidArgument("request needs a dataset directory");
@@ -247,11 +314,12 @@ struct FixydServer::Impl {
     // resident source is reused only while the JSON sources it was opened
     // from are unchanged. This also rejects non-dataset directories with
     // a clear error before any decode work.
-    FIXY_ASSIGN_OR_RETURN(const io::FxbSourceFingerprint fingerprint,
-                          io::ComputeSourceFingerprint(data_dir));
+    FIXY_ASSIGN_OR_RETURN(
+        std::vector<io::FxbSourceRecord> records,
+        io::CollectSourceRecords(data_dir, /*read_contents=*/false));
     std::lock_guard<std::mutex> lock(datasets_mu);
     const auto it = datasets.find(data_dir);
-    if (it != datasets.end() && it->second->fingerprint == fingerprint) {
+    if (it != datasets.end() && it->second->records == records) {
       return it->second;
     }
     // The sources changed under a resident dataset (or this is the first
@@ -287,12 +355,44 @@ struct FixydServer::Impl {
     }
     auto resident = std::make_shared<ResidentDataset>();
     FIXY_ASSIGN_OR_RETURN(resident->source, io::OpenSceneSource(data_dir));
-    resident->fingerprint = fingerprint;
-    if (resident->source->scene_count() == 0) {
+    resident->records = std::move(records);
+    const SceneSource& source = *resident->source;
+    if (source.scene_count() == 0) {
       return Status::InvalidArgument("dataset contains no scenes: " + data_dir);
     }
+    for (size_t i = 0; i < source.scene_count(); ++i) {
+      resident->scene_by_name.emplace(source.scene_name(i), i);  // first wins
+    }
     datasets[data_dir] = resident;
-    return resident;
+    return std::shared_ptr<const ResidentDataset>(std::move(resident));
+  }
+
+  /// A one-scene request checks only what its answer depends on: the
+  /// manifest (which scene it names) and that scene's own file. When
+  /// neither moved since the resident copy was opened, the copy is reused
+  /// after two stats, whatever the dataset's size; anything else takes
+  /// the full pass. An edit to another scene waits for the first request
+  /// that touches it.
+  Result<ResidentScene> AcquireScene(const Request& request) {
+    std::shared_ptr<const ResidentDataset> resident;
+    {
+      std::lock_guard<std::mutex> lock(datasets_mu);
+      const auto it = datasets.find(request.data_dir);
+      if (it != datasets.end()) resident = it->second;
+    }
+    if (resident != nullptr &&
+        SourceUnchanged(request.data_dir, resident->records.back())) {
+      FIXY_ASSIGN_OR_RETURN(const size_t index,
+                            ResolveScene(*resident, request));
+      // The bound fails only for a copy opened while its manifest moved.
+      if (index + 1 < resident->records.size() &&
+          SourceUnchanged(request.data_dir, resident->records[index])) {
+        return ResidentScene{std::move(resident), index};
+      }
+    }
+    FIXY_ASSIGN_OR_RETURN(resident, AcquireDataset(request.data_dir));
+    FIXY_ASSIGN_OR_RETURN(const size_t index, ResolveScene(*resident, request));
+    return ResidentScene{std::move(resident), index};
   }
 
   /// The response body shared by rank and rank-dataset. `proposals` maps
@@ -340,57 +440,35 @@ struct FixydServer::Impl {
     return Status::Ok();
   }
 
-  void RecordAppTimers(const std::vector<std::string>& apps, uint64_t ns) {
-    // One shared association pass serves every requested application, so
-    // (like SceneOutcome::wall_ms) each app's latency timer records the
-    // shared elapsed time.
-    for (const std::string& app : apps) {
-      collector.AddTimeNs("daemon.rank." + app, ns);
-    }
-  }
-
   Result<json::Value> DoRank(const Request& request) {
     std::shared_lock<std::shared_mutex> lock(state_mu);
     FIXY_RETURN_IF_ERROR(CheckLearnedLocked());
-    const std::vector<std::string> apps = ResolveApps(request);
-    FIXY_ASSIGN_OR_RETURN(const std::shared_ptr<ResidentDataset> dataset,
-                          AcquireDataset(request.data_dir));
-    const SceneSource& source = *dataset->source;
-    size_t index = 0;
-    if (!request.scene.empty()) {
-      if (request.scene_index >= 0) {
-        return Status::InvalidArgument(
-            "pass either scene or scene_index, not both");
-      }
-      bool found = false;
-      for (size_t i = 0; i < source.scene_count(); ++i) {
-        if (source.scene_name(i) == request.scene) {
-          index = i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::NotFound("no scene named '" + request.scene + "' in " +
-                                request.data_dir);
-      }
-    } else {
-      if (request.scene_index < 0) {
-        return Status::InvalidArgument(
-            "rank needs a scene (by name) or scene_index");
-      }
-      index = static_cast<size_t>(request.scene_index);
-      if (index >= source.scene_count()) {
-        return Status::OutOfRange(
-            "scene_index " + std::to_string(index) + " out of range (" +
-            std::to_string(source.scene_count()) + " scenes)");
-      }
+    if (!request.scene.empty() && request.scene_index >= 0) {
+      return Status::InvalidArgument(
+          "pass either scene or scene_index, not both");
     }
-    FIXY_ASSIGN_OR_RETURN(const Scene scene, source.DecodeScene(index));
-    const obs::StageTimer rank_timer;
-    FIXY_ASSIGN_OR_RETURN(const MultiAppReport report,
-                          fixy->RankScene(scene, apps));
-    RecordAppTimers(report.apps, rank_timer.ElapsedNs());
+    if (request.scene.empty() && request.scene_index < 0) {
+      return Status::InvalidArgument(
+          "rank needs a scene (by name) or scene_index");
+    }
+    const std::vector<std::string> apps = ResolveApps(request);
+    ResidentScene resident;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.acquire");
+      FIXY_ASSIGN_OR_RETURN(resident, AcquireScene(request));
+    }
+    Scene scene;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.decode");
+      const SceneSource& source = *resident.dataset->source;
+      FIXY_ASSIGN_OR_RETURN(scene, source.DecodeScene(resident.index));
+    }
+    MultiAppReport report;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.rank");
+      FIXY_ASSIGN_OR_RETURN(report, fixy->RankScene(scene, apps));
+    }
+    const PhaseTimer timer(collector, "daemon.phase.encode");
     return BuildRankResult(report, request.top);
   }
 
@@ -398,15 +476,20 @@ struct FixydServer::Impl {
     std::shared_lock<std::shared_mutex> lock(state_mu);
     FIXY_RETURN_IF_ERROR(CheckLearnedLocked());
     const std::vector<std::string> apps = ResolveApps(request);
-    FIXY_ASSIGN_OR_RETURN(const std::shared_ptr<ResidentDataset> dataset,
-                          AcquireDataset(request.data_dir));
+    std::shared_ptr<const ResidentDataset> dataset;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.acquire");
+      FIXY_ASSIGN_OR_RETURN(dataset, AcquireDataset(request.data_dir));
+    }
     BatchOptions batch;
     batch.num_threads = options.rank_threads;
-    const obs::StageTimer rank_timer;
-    FIXY_ASSIGN_OR_RETURN(
-        const MultiAppReport report,
-        fixy->RankDatasetStreaming(*dataset->source, apps, batch));
-    RecordAppTimers(report.apps, rank_timer.ElapsedNs());
+    MultiAppReport report;
+    {
+      const PhaseTimer timer(collector, "daemon.phase.rank");
+      FIXY_ASSIGN_OR_RETURN(
+          report, fixy->RankDatasetStreaming(*dataset->source, apps, batch));
+    }
+    const PhaseTimer timer(collector, "daemon.phase.encode");
     return BuildRankResult(report, request.top);
   }
 
@@ -467,6 +550,17 @@ struct FixydServer::Impl {
     }
   }
 
+  Result<Request> ParseRequestPayload(std::string_view payload) {
+    const PhaseTimer timer(collector, "daemon.phase.parse");
+    const Result<json::Value> body = json::Parse(payload);
+    if (!body.ok()) {
+      return Status::InvalidArgument(
+          "request frame payload is not valid JSON: " +
+          body.status().message());
+    }
+    return RequestFromJson(*body);
+  }
+
   void HandleFrame(ThreadPool& pool, const std::shared_ptr<Connection>& conn,
                    const shard::Frame& frame) {
     if (frame.type != shard::FrameType::kRequest) {
@@ -475,14 +569,7 @@ struct FixydServer::Impl {
                          "unexpected frame type on a daemon connection"));
       return;
     }
-    const Result<json::Value> body = json::Parse(frame.payload);
-    if (!body.ok()) {
-      SendErrorFrame(*conn, Status::InvalidArgument(
-                                "request frame payload is not valid JSON: " +
-                                body.status().message()));
-      return;
-    }
-    Result<Request> request = RequestFromJson(*body);
+    Result<Request> request = ParseRequestPayload(frame.payload);
     if (!request.ok()) {
       SendErrorFrame(*conn, request.status());
       return;
@@ -658,7 +745,7 @@ Result<std::unique_ptr<FixydServer>> FixydServer::Create(
     // Pre-register every daemon.* key so the first status snapshot (and
     // the metrics schema golden) sees the full stable key set.
     const obs::MetricsScope scope(&impl->collector);
-    RecordDaemonMetricsSchema(impl->fixy->applications().names());
+    RecordDaemonMetricsSchema();
   }
 
   const std::string& path = impl->options.socket_path;

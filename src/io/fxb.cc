@@ -273,38 +273,6 @@ T LoadPod(std::string_view bytes, size_t offset) {
   return value;
 }
 
-// Stats one source file into a record; reads and CRCs its bytes when
-// `read_contents` (the form recorded at build time).
-Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
-                                         const std::string& file,
-                                         bool read_contents) {
-  const std::string path = directory + "/" + file;
-  FxbSourceRecord record;
-  record.file = file;
-  std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    return Status::IoError("cannot stat source file: " + path + ": " +
-                           ec.message());
-  }
-  record.size = static_cast<uint64_t>(size);
-  const auto mtime = std::filesystem::last_write_time(path, ec);
-  if (ec) {
-    return Status::IoError("cannot read mtime of: " + path + ": " +
-                           ec.message());
-  }
-  record.mtime_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          mtime.time_since_epoch())
-          .count());
-  if (read_contents) {
-    std::string bytes;
-    FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
-    record.crc = Crc32(bytes);
-  }
-  return record;
-}
-
 // Assembles a complete FXB blob from already-encoded scene sections.
 // Shared by EncodeFxbDataset (all sections freshly encoded) and
 // UpdateFxbCache (unchanged sections copied from the old cache), which
@@ -379,6 +347,36 @@ Result<std::string> AssembleFxbBlob(const std::string& dataset_name,
 }
 
 }  // namespace
+
+Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
+                                         const std::string& file,
+                                         bool read_contents) {
+  const std::string path = directory + "/" + file;
+  FxbSourceRecord record;
+  record.file = file;
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return Status::IoError("cannot stat source file: " + path + ": " +
+                           ec.message());
+  }
+  record.size = static_cast<uint64_t>(size);
+  const auto mtime = std::filesystem::last_write_time(path, ec);
+  if (ec) {
+    return Status::IoError("cannot read mtime of: " + path + ": " +
+                           ec.message());
+  }
+  record.mtime_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          mtime.time_since_epoch())
+          .count());
+  if (read_contents) {
+    std::string bytes;
+    FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
+    record.crc = Crc32(bytes);
+  }
+  return record;
+}
 
 Result<std::vector<FxbSourceRecord>> CollectSourceRecords(
     const std::string& directory, bool read_contents) {

@@ -105,6 +105,14 @@ struct FxbSourceRecord {
   bool operator==(const FxbSourceRecord&) const = default;
 };
 
+/// Stats one source file, `directory`/`file`, into a record; reads and
+/// CRCs its bytes when `read_contents` (the form recorded at build
+/// time). fixyd compares a resident dataset's records one file at a
+/// time with it. Errors: IoError when the file cannot be stat'd or read.
+Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
+                                         const std::string& file,
+                                         bool read_contents);
+
 /// Stats (and optionally reads, for CRCs) every source file of
 /// `directory`: the manifest's scene files in manifest order, then the
 /// manifest itself as the final record. Errors: IoError / InvalidArgument

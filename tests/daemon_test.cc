@@ -5,6 +5,7 @@
 // admission control (queue overload and per-request deadlines),
 // frame-corruption resilience (a seeded DocumentCorruptor-style sweep
 // over truncation, CRC flips, bad type bytes, and oversized lengths),
+// per-scene revalidation of resident datasets, the request-phase timers,
 // stale-socket recovery, and graceful shutdown semantics.
 #include <gtest/gtest.h>
 
@@ -352,6 +353,24 @@ class DaemonTest : public ::testing::Test {
     return request;
   }
 
+  static Request RankSceneRequest(const std::string& dir, int64_t index) {
+    Request request;
+    request.kind = RequestKind::kRank;
+    request.data_dir = dir;
+    request.scene_index = index;
+    request.top = kTop;
+    return request;
+  }
+
+  // The daemon's metrics snapshot, read through a status request.
+  static Result<json::Value> StatusMetrics(const std::string& socket_path) {
+    Request request;
+    request.kind = RequestKind::kStatus;
+    FIXY_ASSIGN_OR_RETURN(const Response response, Call(socket_path, request));
+    FIXY_RETURN_IF_ERROR(response.status);
+    return response.result.AsObject().at("metrics");
+  }
+
   static std::string* base_dir_;
   static std::string* data_dir_;
   static std::string* train_dir_;
@@ -574,6 +593,129 @@ TEST_F(DaemonTest, RankSceneByIndexAndByNameAgree) {
   EXPECT_FALSE(unknown->status.ok());
 }
 
+// A one-scene request checks only the manifest and its own scene file.
+// An edit to scene 1 leaves scene 0's answer resident (no reopen, no
+// cache refresh); the next request for scene 1 picks the edit up through
+// the full pass; a manifest edit reopens on the next request for any
+// scene.
+TEST_F(DaemonTest, OneSceneRequestRevalidatesOnlyItsOwnSources) {
+  namespace fs = std::filesystem;
+  const std::string dir = *base_dir_ + "/per_scene";
+  fs::copy(*data_dir_, dir, fs::copy_options::recursive);
+  // With a cache, a stale scene goes through the refresh path.
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+  const Result<std::vector<std::string>> files =
+      io::ReadManifestSceneFiles(dir);
+  ASSERT_TRUE(files.ok()) << files.status();
+  ASSERT_EQ(files->size(), kScenes);
+
+  ServerRunner runner(BaseOptions(SocketPath("per_scene")));
+  ASSERT_TRUE(runner.ok()) << runner.create_status();
+  const std::string& socket = runner.server().socket_path();
+  const auto rank = [&](int64_t index) -> Result<std::string> {
+    FIXY_ASSIGN_OR_RETURN(const Response response,
+                          Call(socket, RankSceneRequest(dir, index)));
+    FIXY_RETURN_IF_ERROR(response.status);
+    return json::Write(response.result);
+  };
+  const auto counter = [&](const std::string& name) -> double {
+    const Result<json::Value> metrics = StatusMetrics(socket);
+    if (!metrics.ok()) {
+      ADD_FAILURE() << metrics.status();
+      return -1.0;
+    }
+    return metrics->AsObject().at("counters").AsObject().at(name).AsDouble();
+  };
+
+  const Result<std::string> scene0 = rank(0);
+  ASSERT_TRUE(scene0.ok()) << scene0.status();
+  const Result<std::string> scene1 = rank(1);
+  ASSERT_TRUE(scene1.ok()) << scene1.status();
+
+  // Rewrite scene 1 with its first half only, so its ranking changes.
+  const std::string scene1_path = dir + "/" + (*files)[1];
+  Result<Scene> edited = io::LoadScene(scene1_path);
+  ASSERT_TRUE(edited.ok()) << edited.status();
+  edited->frames().resize(edited->frame_count() / 2);
+  ASSERT_TRUE(io::SaveScene(*edited, scene1_path).ok());
+
+  const Result<std::string> scene0_again = rank(0);
+  ASSERT_TRUE(scene0_again.ok()) << scene0_again.status();
+  EXPECT_EQ(*scene0_again, *scene0);
+  EXPECT_EQ(counter("daemon.dataset_reopens"), 0.0);
+  EXPECT_EQ(counter("daemon.cache_refreshes"), 0.0);
+
+  Fixy ranker;
+  ASSERT_TRUE(ranker.LoadModel(*model_path_).ok());
+  const Result<Scene> reloaded = io::LoadScene(scene1_path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  const Result<MultiAppReport> report = ranker.RankScene(*reloaded, *apps_);
+  ASSERT_TRUE(report.ok()) << report.status();
+  const Result<Response> edited_response =
+      Call(socket, RankSceneRequest(dir, 1));
+  ASSERT_TRUE(edited_response.ok()) << edited_response.status();
+  ASSERT_TRUE(edited_response->status.ok()) << edited_response->status;
+  EXPECT_NE(json::Write(edited_response->result), *scene1)
+      << "the edit did not change scene 1's ranking";
+  const json::Object& proposals =
+      edited_response->result.AsObject().at("proposals").AsObject();
+  ASSERT_EQ(proposals.size(), report->apps.size());
+  for (size_t a = 0; a < report->apps.size(); ++a) {
+    const SceneOutcome& outcome = report->reports[a].outcomes.front();
+    ASSERT_TRUE(outcome.ok()) << outcome.status;
+    EXPECT_EQ(proposals.at(report->apps[a]).AsString(),
+              json::Write(ProposalsToJson(TopK(outcome.proposals,
+                                               static_cast<size_t>(kTop))),
+                          /*pretty=*/true))
+        << report->apps[a];
+  }
+  EXPECT_EQ(counter("daemon.dataset_reopens"), 1.0);
+  EXPECT_EQ(counter("daemon.cache_refreshes"), 1.0);
+
+  // Drop the last scene from the manifest: every request sees that.
+  const std::string manifest_path = dir + "/manifest.json";
+  std::string manifest_text;
+  ASSERT_TRUE(io::ReadFileInto(manifest_path, &manifest_text).ok());
+  Result<json::Value> manifest = json::Parse(manifest_text);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  manifest->AsObject().at("scenes").AsArray().pop_back();
+  ASSERT_TRUE(io::WriteFileAtomic(manifest_path,
+                                  json::Write(*manifest, /*pretty=*/true))
+                  .ok());
+  const Result<std::string> scene0_reopened = rank(0);
+  ASSERT_TRUE(scene0_reopened.ok()) << scene0_reopened.status();
+  EXPECT_EQ(*scene0_reopened, *scene0);
+  EXPECT_EQ(counter("daemon.dataset_reopens"), 2.0);
+  EXPECT_EQ(rank(static_cast<int64_t>(kScenes - 1)).status().code(),
+            StatusCode::kOutOfRange);
+  Request dropped = RankSceneRequest(dir, -1);
+  dropped.scene = files->back().substr(0, files->back().find(".fixy.json"));
+  const Result<Response> by_name = Call(socket, dropped);
+  ASSERT_TRUE(by_name.ok()) << by_name.status();
+  EXPECT_EQ(by_name->status.code(), StatusCode::kNotFound)
+      << by_name->status;
+}
+
+// `status` times where a request went: every daemon.phase.* timer is in
+// the schema, and a one-scene rank spends time in the rank phase.
+TEST_F(DaemonTest, StatusReportsEveryRequestPhase) {
+  ServerRunner runner(BaseOptions(SocketPath("phases")));
+  ASSERT_TRUE(runner.ok()) << runner.create_status();
+  const std::string& socket = runner.server().socket_path();
+  const Result<Response> ranked = Call(socket, RankSceneRequest(*data_dir_, 0));
+  ASSERT_TRUE(ranked.ok()) << ranked.status();
+  ASSERT_TRUE(ranked->status.ok()) << ranked->status;
+
+  const Result<json::Value> metrics = StatusMetrics(socket);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  const json::Object& timers = metrics->AsObject().at("timers_ms").AsObject();
+  for (const char* phase :
+       {"parse", "acquire", "decode", "rank", "encode", "write"}) {
+    ASSERT_TRUE(timers.count(std::string("daemon.phase.") + phase)) << phase;
+  }
+  EXPECT_GT(timers.at("daemon.phase.rank").AsDouble(), 0.0);
+}
+
 TEST_F(DaemonTest, UnlearnedDaemonRejectsRankUntilLearnSucceeds) {
   ServerOptions options = BaseOptions(SocketPath("learn"));
   options.model_path.clear();  // start unlearned
@@ -613,6 +755,10 @@ TEST_F(DaemonTest, EightConcurrentClientsGetByteIdenticalResponses) {
 
   constexpr int kClients = 8;
   constexpr int kRoundsPerClient = 3;
+  const Result<std::vector<std::string>> files =
+      io::ReadManifestSceneFiles(*data_dir_);
+  ASSERT_TRUE(files.ok()) << files.status();
+  const std::string scene0_path = *data_dir_ + "/" + files->front();
   std::atomic<int> failures{0};
   std::vector<std::string> errors(kClients);
   std::vector<std::thread> clients;
@@ -626,8 +772,10 @@ TEST_F(DaemonTest, EightConcurrentClientsGetByteIdenticalResponses) {
         return;
       }
       for (int round = 0; round < kRoundsPerClient; ++round) {
-        // Mixed workload: every client interleaves cheap status probes
-        // with full rank-dataset requests.
+        // Mixed workload: every client interleaves cheap status probes,
+        // full rank-dataset requests and one-scene ranks of scene 0 (by
+        // index or by name). Client 0 also touches scene 0's file, so
+        // reopens race with the one-scene fast path's unlocked reads.
         Request status_request;
         status_request.kind = RequestKind::kStatus;
         const Result<Response> status = client->Call(status_request);
@@ -651,6 +799,34 @@ TEST_F(DaemonTest, EightConcurrentClientsGetByteIdenticalResponses) {
               proposals.at(app).AsString() != text) {
             errors[c] = "client " + std::to_string(c) +
                         " got non-identical proposals for " + app;
+            failures.fetch_add(1);
+            return;
+          }
+        }
+        if (c == 0) {
+          std::error_code ec;
+          std::filesystem::last_write_time(
+              scene0_path, std::filesystem::file_time_type::clock::now(), ec);
+        }
+        Request one_scene = RankSceneRequest(*data_dir_, 0);
+        if (c % 2 == 1) {
+          one_scene.scene_index = -1;
+          one_scene.scene = *scene0_name_;
+        }
+        const Result<Response> scene = client->Call(one_scene);
+        if (!scene.ok() || !scene->status.ok()) {
+          errors[c] = "rank scene 0: " +
+                      (scene.ok() ? scene->status : scene.status()).ToString();
+          failures.fetch_add(1);
+          return;
+        }
+        const json::Object& scene_proposals =
+            scene->result.AsObject().at("proposals").AsObject();
+        for (const auto& [app, text] : *scene0_expected_) {
+          if (!scene_proposals.count(app) ||
+              scene_proposals.at(app).AsString() != text) {
+            errors[c] = "client " + std::to_string(c) +
+                        " got non-identical scene 0 proposals for " + app;
             failures.fetch_add(1);
             return;
           }

@@ -587,7 +587,7 @@ Status CmdRank(const Flags& flags) {
     // application's per-app keys, so the snapshot schema is one fixed set
     // regardless of which --app/--apps selection actually ran.
     RecordRankMetricsSchema(fixy.applications().names());
-    daemon::RecordDaemonMetricsSchema(fixy.applications().names());
+    daemon::RecordDaemonMetricsSchema();
   }
 
   // Scenes rank in parallel across the pool (--threads, default hardware
