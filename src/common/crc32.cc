@@ -6,27 +6,55 @@ namespace fixy {
 
 namespace {
 
-constexpr std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+using Table = std::array<uint32_t, 256>;
+
+// kTables[0] is the classic byte-at-a-time table. kTables[k][b] is the
+// CRC register after byte b is followed by k zero bytes, so one 8-byte
+// step XORs eight lookups that each advance their byte to the end of the
+// word (slicing-by-8).
+constexpr std::array<Table, 8> BuildTables() {
+  std::array<Table, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = BuildTable();
+constexpr std::array<Table, 8> kTables = BuildTables();
+
+// Little-endian load whatever the host order, so the CRC bits do not
+// depend on the platform (GCC and Clang compile it to one load on x86).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = kTables[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <map>
 
@@ -10,7 +11,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/scene_io.h"
-#include "json/json.h"
 #include "obs/metrics.h"
 
 // Columns are written and read with whole-array memcpys, which is only
@@ -273,13 +273,31 @@ T LoadPod(std::string_view bytes, size_t offset) {
   return value;
 }
 
-// Assembles a complete FXB blob from already-encoded scene sections.
-// Shared by EncodeFxbDataset (all sections freshly encoded) and
-// UpdateFxbCache (unchanged sections copied from the old cache), which
-// is what makes an incremental update byte-identical to a full rebuild.
-Result<std::string> AssembleFxbBlob(const std::string& dataset_name,
-                                    const std::vector<std::string>& sections,
-                                    const std::vector<FxbSourceRecord>& sources) {
+// A whole FXB file as the byte ranges it is written from: the header and
+// dataset name, every scene section in index order, then the index and
+// the source map. The sections are views; their owner outlives the layout.
+struct FxbLayout {
+  std::string head;
+  std::vector<std::string_view> sections;
+  std::string tail;
+
+  std::vector<std::string_view> Ranges() const {
+    std::vector<std::string_view> ranges;
+    ranges.reserve(sections.size() + 2);
+    ranges.push_back(head);
+    ranges.insert(ranges.end(), sections.begin(), sections.end());
+    ranges.push_back(tail);
+    return ranges;
+  }
+};
+
+// The one FXB layout function, shared by EncodeFxbDataset, BuildFxbCache
+// and UpdateFxbCache (fresh sections and sections reused from the old
+// cache alike), which is what makes an incremental update byte-identical
+// to a full rebuild. Each section's index CRC is the one it comes with.
+Result<FxbLayout> AssembleFxbBlob(std::string_view dataset_name,
+                                  const std::vector<FxbSection>& sections,
+                                  const std::vector<FxbSourceRecord>& sources) {
   if (sections.size() > UINT32_MAX || dataset_name.size() > UINT32_MAX ||
       sources.size() > UINT32_MAX) {
     return Status::InvalidArgument("dataset exceeds FXB u32 limits");
@@ -291,16 +309,19 @@ Result<std::string> AssembleFxbBlob(const std::string& dataset_name,
         sources.size(), sections.size()));
   }
 
-  std::string body;
+  FxbLayout layout;
   std::string index;
   index.reserve(sections.size() * kFxbIndexEntrySize);
+  layout.sections.reserve(sections.size());
   const uint64_t sections_base = kFxbHeaderSize + dataset_name.size();
-  for (const std::string& section : sections) {
-    AppendPod(&index, static_cast<uint64_t>(sections_base + body.size()));
-    AppendPod(&index, static_cast<uint64_t>(section.size()));
-    AppendPod(&index, Crc32(section));
+  uint64_t offset = sections_base;
+  for (const FxbSection& section : sections) {
+    AppendPod(&index, offset);
+    AppendPod(&index, static_cast<uint64_t>(section.bytes.size()));
+    AppendPod(&index, section.crc);
     AppendPod(&index, uint32_t{0});
-    body += section;
+    layout.sections.push_back(section.bytes);
+    offset += section.bytes.size();
   }
 
   std::string source_map;
@@ -316,15 +337,15 @@ Result<std::string> AssembleFxbBlob(const std::string& dataset_name,
   }
 
   const FxbSourceFingerprint fingerprint = FingerprintFromRecords(sources);
-  std::string header(kFxbHeaderSize, '\0');
+  std::string& header = layout.head;
+  header.assign(kFxbHeaderSize, '\0');
   std::memcpy(header.data(), kFxbMagic, sizeof(kFxbMagic));
   StorePod(&header, kFxbVersionOffset, kFxbVersion);
   StorePod(&header, kFxbSceneCountOffset,
            static_cast<uint32_t>(sections.size()));
   StorePod(&header, kFxbNameBytesOffset,
            static_cast<uint32_t>(dataset_name.size()));
-  StorePod(&header, kFxbIndexOffsetOffset,
-           static_cast<uint64_t>(sections_base + body.size()));
+  StorePod(&header, kFxbIndexOffsetOffset, offset);
   StorePod(&header, kFxbSourceFilesOffset, fingerprint.file_count);
   StorePod(&header, kFxbSourceBytesOffset, fingerprint.total_bytes);
   StorePod(&header, kFxbSourceMtimeOffset, fingerprint.max_mtime_ns);
@@ -334,16 +355,35 @@ Result<std::string> AssembleFxbBlob(const std::string& dataset_name,
   StorePod(&header, kFxbSourceMapCrcOffset, Crc32(source_map));
   StorePod(&header, kFxbHeaderCrcOffset,
            Crc32(header.data(), kFxbHeaderCrcOffset));
+  header.append(dataset_name);
 
-  std::string blob;
-  blob.reserve(header.size() + dataset_name.size() + body.size() +
-               index.size() + source_map.size());
-  blob += header;
-  blob += dataset_name;
-  blob += body;
-  blob += index;
-  blob += source_map;
-  return blob;
+  layout.tail = std::move(index);
+  layout.tail += source_map;
+  return layout;
+}
+
+// Freshly encoded sections, each with its CRC computed once.
+std::vector<FxbSection> Checksummed(const std::vector<std::string>& encoded) {
+  std::vector<FxbSection> sections;
+  sections.reserve(encoded.size());
+  for (const std::string& bytes : encoded) {
+    sections.push_back({bytes, Crc32(bytes)});
+  }
+  return sections;
+}
+
+// Encodes `scene` and decodes the section straight back: the section is
+// trusted only when the decoded scene is BitIdentical to its source.
+Result<std::string> EncodeVerifiedSection(const Scene& scene) {
+  FIXY_ASSIGN_OR_RETURN(std::string section, EncodeScene(scene));
+  FIXY_ASSIGN_OR_RETURN(Scene decoded, DecodeSceneSection(section));
+  if (!BitIdentical(decoded, scene)) {
+    return Status::Internal(
+        StrFormat("FXB parity check failed: scene '%s' does not round-trip "
+                  "bit-identically",
+                  scene.name().c_str()));
+  }
+  return section;
 }
 
 }  // namespace
@@ -407,13 +447,18 @@ FxbSourceFingerprint FingerprintFromRecords(
 
 Result<std::string> EncodeFxbDataset(
     const Dataset& dataset, const std::vector<FxbSourceRecord>& sources) {
-  std::vector<std::string> sections;
-  sections.reserve(dataset.scenes.size());
+  std::vector<std::string> encoded;
+  encoded.reserve(dataset.scenes.size());
   for (const Scene& scene : dataset.scenes) {
     FIXY_ASSIGN_OR_RETURN(std::string section, EncodeScene(scene));
-    sections.push_back(std::move(section));
+    encoded.push_back(std::move(section));
   }
-  return AssembleFxbBlob(dataset.name, sections, sources);
+  FIXY_ASSIGN_OR_RETURN(
+      const FxbLayout layout,
+      AssembleFxbBlob(dataset.name, Checksummed(encoded), sources));
+  std::string blob;
+  for (const std::string_view range : layout.Ranges()) blob += range;
+  return blob;
 }
 
 Result<FxbReader> FxbReader::Open(const std::string& path,
@@ -535,28 +580,7 @@ Result<FxbReader> FxbReader::Parse(FxbReader reader) {
   return reader;
 }
 
-Result<std::string> FxbReader::SceneSectionBytes(size_t index) const {
-  if (index >= index_.size()) {
-    return Status::OutOfRange(StrFormat(
-        "scene index %zu out of range (%zu scenes)", index, index_.size()));
-  }
-  const IndexEntry& entry = index_[index];
-  const std::string_view bytes = data();
-  if (entry.offset > bytes.size() ||
-      entry.length > bytes.size() - entry.offset) {
-    return Status::InvalidArgument(
-        StrFormat("FXB scene %zu section extends past the file", index));
-  }
-  const std::string_view section = bytes.substr(entry.offset, entry.length);
-  if (Crc32(section) != entry.crc) {
-    obs::Count("io.fxb.checksum_failures");
-    return Status::FailedPrecondition(
-        StrFormat("FXB scene %zu section checksum mismatch", index));
-  }
-  return std::string(section);
-}
-
-Result<Scene> FxbReader::DecodeScene(size_t index) const {
+Result<FxbSection> FxbReader::SceneSection(size_t index) const {
   if (index >= index_.size()) {
     return Status::OutOfRange(StrFormat(
         "scene index %zu out of range (%zu scenes)", index, index_.size()));
@@ -578,7 +602,12 @@ Result<Scene> FxbReader::DecodeScene(size_t index) const {
     return Status::FailedPrecondition(
         StrFormat("FXB scene %zu section checksum mismatch", index));
   }
-  FIXY_ASSIGN_OR_RETURN(Scene scene, DecodeSceneSection(section));
+  return FxbSection{section, entry.crc};
+}
+
+Result<Scene> FxbReader::DecodeScene(size_t index) const {
+  FIXY_ASSIGN_OR_RETURN(const FxbSection section, SceneSection(index));
+  FIXY_ASSIGN_OR_RETURN(Scene scene, DecodeSceneSection(section.bytes));
   obs::Count("io.fxb.scenes_decoded");
   return scene;
 }
@@ -615,31 +644,21 @@ Result<FxbSourceFingerprint> ComputeSourceFingerprint(
 
 namespace {
 
-// Shared tail of both cache builders: encode, decode-back parity check
-// (every scene must round-trip byte-identically through the container
-// before the cache is trusted), atomic write.
+// Shared tail of both cache builders: encode with the per-section
+// parity check, lay out, and write atomically.
 Status EncodeVerifyWrite(const Dataset& dataset,
                          const std::vector<FxbSourceRecord>& sources,
                          const std::string& directory) {
-  Result<std::string> encoded = EncodeFxbDataset(dataset, sources);
-  FIXY_RETURN_IF_ERROR(encoded.status());
-  const std::string& blob = *encoded;
-  FIXY_ASSIGN_OR_RETURN(FxbReader reader, FxbReader::FromBuffer(blob));
-  if (reader.scene_count() != dataset.scenes.size()) {
-    return Status::Internal(
-        StrFormat("FXB parity check failed: encoded %zu scenes, decoded %zu",
-                  dataset.scenes.size(), reader.scene_count()));
+  std::vector<std::string> encoded;
+  encoded.reserve(dataset.scenes.size());
+  for (const Scene& scene : dataset.scenes) {
+    FIXY_ASSIGN_OR_RETURN(std::string section, EncodeVerifiedSection(scene));
+    encoded.push_back(std::move(section));
   }
-  for (size_t i = 0; i < dataset.scenes.size(); ++i) {
-    FIXY_ASSIGN_OR_RETURN(Scene decoded, reader.DecodeScene(i));
-    if (SceneToString(decoded) != SceneToString(dataset.scenes[i])) {
-      return Status::Internal(
-          StrFormat("FXB parity check failed: scene '%s' does not round-trip "
-                    "byte-identically",
-                    dataset.scenes[i].name().c_str()));
-    }
-  }
-  return WriteFileAtomic(FxbCachePath(directory), blob);
+  FIXY_ASSIGN_OR_RETURN(
+      const FxbLayout layout,
+      AssembleFxbBlob(dataset.name, Checksummed(encoded), sources));
+  return WriteFileAtomic(FxbCachePath(directory), layout.Ranges());
 }
 
 }  // namespace
@@ -829,66 +848,66 @@ Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory) {
     old_scene_by_file.emplace(old_sources[i].file, i);
   }
 
-  std::vector<std::string> sections;
+  // Sections in manifest order: views into the old cache's mapping for
+  // reused scenes, into `encoded` for the rest. A deque never moves its
+  // elements, so the views stay valid as it grows.
+  std::vector<FxbSection> sections;
+  std::deque<std::string> encoded;
   std::vector<FxbSourceRecord> sources;
   sections.reserve(files.size());
   sources.reserve(files.size() + 1);
   std::map<std::string, bool> in_manifest;
+  std::string bytes;  // the current scene file's JSON, read at most once
   for (const std::string& file : files) {
     in_manifest[file] = true;
+    const std::string path = directory + "/" + file;
     FIXY_ASSIGN_OR_RETURN(
         FxbSourceRecord fresh,
         StatSourceRecord(directory, file, /*read_contents=*/false));
+    bool have_bytes = false;
     const auto it = old_scene_by_file.find(file);
-    bool reuse = false;
     if (it != old_scene_by_file.end()) {
       const FxbSourceRecord& old = old_sources[it->second];
-      if (fresh.size == old.size && fresh.mtime_ns == old.mtime_ns) {
+      bool reuse = fresh.size == old.size && fresh.mtime_ns == old.mtime_ns;
+      if (reuse) {
         // Stat fast path: unchanged on disk.
         fresh.crc = old.crc;
-        reuse = true;
       } else {
         // Stat mismatch: read the file once — a touched-but-identical
         // file (same bytes, new mtime) still reuses its section.
-        std::string bytes;
-        FIXY_RETURN_IF_ERROR(
-            ReadFileInto(directory + "/" + file, &bytes));
+        FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
+        have_bytes = true;
         fresh.crc = Crc32(bytes);
         reuse = fresh.crc == old.crc && fresh.size == old.size;
       }
       if (reuse) {
-        // Copy the section byte-for-byte, but only after verifying its
-        // checksum: a corrupt section must be re-encoded, not propagated.
-        Result<std::string> section =
-            old_reader->SceneSectionBytes(it->second);
+        // The section's one read: its CRC check. A corrupt section must be
+        // re-encoded, not propagated; a sound one is written from the old
+        // mapping under the CRC just checked.
+        const Result<FxbSection> section = old_reader->SceneSection(it->second);
         if (section.ok()) {
-          sections.push_back(std::move(*section));
+          sections.push_back(*section);
           sources.push_back(std::move(fresh));
           report.scenes_reused += 1;
           obs::Count("io.fxb.sections_reused");
           continue;
         }
-        reuse = false;
       }
     }
-    // Added, changed, or corrupt-in-cache: encode from the JSON source.
-    if (fresh.crc == 0) {
-      std::string bytes;
-      FIXY_RETURN_IF_ERROR(ReadFileInto(directory + "/" + file, &bytes));
+    // Added, changed, or corrupt-in-cache: encode from the JSON source,
+    // parsed from the same bytes its recorded CRC covers.
+    if (!have_bytes) {
+      FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
       fresh.crc = Crc32(bytes);
     }
-    FIXY_ASSIGN_OR_RETURN(Scene scene, LoadScene(directory + "/" + file));
-    FIXY_ASSIGN_OR_RETURN(std::string section, EncodeScene(scene));
-    // Parity check for the fresh section only (reused sections were
-    // CRC-verified against the old index above).
-    FIXY_ASSIGN_OR_RETURN(Scene decoded, DecodeSceneSection(section));
-    if (SceneToString(decoded) != SceneToString(scene)) {
-      return Status::Internal(StrFormat(
-          "FXB parity check failed: scene '%s' does not round-trip "
-          "byte-identically",
-          scene.name().c_str()));
-    }
-    sections.push_back(std::move(section));
+    obs::Count("io.bytes_read", bytes.size());
+    FIXY_ASSIGN_OR_RETURN(const Scene scene, [&] {
+      const obs::ScopedStageTimer parse_timer("io.parse");
+      return SceneFromString(bytes);
+    }());
+    FIXY_ASSIGN_OR_RETURN(std::string section, EncodeVerifiedSection(scene));
+    const std::string& owned = encoded.emplace_back(std::move(section));
+    sections.push_back({owned, Crc32(owned)});
     sources.push_back(std::move(fresh));
     report.scenes_encoded += 1;
     report.encoded_files.push_back(file);
@@ -907,9 +926,11 @@ Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory) {
       StatSourceRecord(directory, kManifestFile, /*read_contents=*/true));
   sources.push_back(std::move(manifest_record));
 
-  FIXY_ASSIGN_OR_RETURN(std::string blob,
+  FIXY_ASSIGN_OR_RETURN(const FxbLayout layout,
                         AssembleFxbBlob(dataset_name, sections, sources));
-  FIXY_RETURN_IF_ERROR(WriteFileAtomic(cache_path, blob));
+  // The old reader stays open through the write: the reused sections are
+  // written from its mapping, which outlives the rename over its path.
+  FIXY_RETURN_IF_ERROR(WriteFileAtomic(cache_path, layout.Ranges()));
   report.scenes_total = sections.size();
   return report;
 }

@@ -36,10 +36,10 @@
 // Every reader path returns Status on truncated / corrupt /
 // version-mismatched input — never aborts (the PR 2 failure-semantics
 // ladder). Doubles are stored bit-exact, so a cache round-trip is
-// byte-identical to the JSON load it was built from, and an incremental
+// bit-identical to the JSON load it was built from, and an incremental
 // UpdateFxbCache is byte-identical to a from-scratch BuildFxbCache over
 // the same source state (the encoder is deterministic and both paths
-// share the same blob assembler).
+// share one layout function).
 #ifndef FIXY_IO_FXB_H_
 #define FIXY_IO_FXB_H_
 
@@ -125,6 +125,13 @@ Result<std::vector<FxbSourceRecord>> CollectSourceRecords(
 FxbSourceFingerprint FingerprintFromRecords(
     const std::vector<FxbSourceRecord>& records);
 
+/// One scene section of an FXB container and the CRC-32 its index entry
+/// records for it.
+struct FxbSection {
+  std::string_view bytes;
+  uint32_t crc = 0;
+};
+
 /// Serializes `dataset` into an FXB container blob (header + name +
 /// sections + index + source map). `sources` must hold one record per
 /// scene (record i fingerprints scene i's source file) followed by at
@@ -168,10 +175,13 @@ class FxbReader {
   /// checksumming the section; "scene#<i>" when unreadable.
   std::string SceneNameHint(size_t index) const;
 
-  /// Returns scene `index`'s raw section bytes after bounds and CRC
-  /// checks, without decoding — what UpdateFxbCache copies byte-for-byte
-  /// for unchanged scenes.
-  Result<std::string> SceneSectionBytes(size_t index) const;
+  /// Scene `index`'s section after the bounds check and one CRC-32 pass
+  /// against its index entry (`io.fxb.checksum_failures` on mismatch),
+  /// without decoding. `bytes` views the reader's own mapping or buffer
+  /// and stays valid while the reader lives; `crc` is the index's CRC,
+  /// just checked against those bytes. UpdateFxbCache writes an unchanged
+  /// scene from this view and indexes it under this CRC.
+  Result<FxbSection> SceneSection(size_t index) const;
 
  private:
   struct IndexEntry {
@@ -204,8 +214,10 @@ Result<FxbSourceFingerprint> ComputeSourceFingerprint(
     const std::string& directory);
 
 /// Builds (or refreshes) `directory`'s cache: strict JSON load, encode,
-/// decode-back parity check (every scene byte-identical to its JSON
-/// load), then an atomic write of dataset.fxb. Returns the scene count.
+/// decode-back parity check (every section decodes to a scene BitIdentical
+/// to its JSON load), then an atomic write of dataset.fxb. Returns the
+/// scene count. Errors: Internal ("FXB parity check failed") when a
+/// section does not decode back to its scene.
 Result<size_t> BuildFxbCache(const std::string& directory);
 
 /// Builds `directory`'s cache directly from an in-memory dataset that was
@@ -261,7 +273,7 @@ Result<FxbReader> OpenFreshCache(const std::string& directory);
 /// What UpdateFxbCache did to each scene section.
 struct FxbUpdateReport {
   size_t scenes_total = 0;    // scenes in the refreshed cache
-  size_t scenes_reused = 0;   // sections copied byte-for-byte
+  size_t scenes_reused = 0;   // sections written from the old cache
   size_t scenes_encoded = 0;  // added or changed, re-encoded from JSON
   size_t scenes_dropped = 0;  // removed from the manifest since the build
   bool rebuilt = false;       // no usable cache: fell back to a full build
@@ -272,12 +284,16 @@ struct FxbUpdateReport {
 /// Incrementally refreshes `directory`'s cache: re-encodes only the
 /// scenes whose source file was added or changed since the build (per
 /// the source map: stat fast path, CRC fallback for touched-but-
-/// identical files), drops scenes removed from the manifest, copies
-/// every other section byte-for-byte (after CRC verification — a
-/// corrupt section is re-encoded from its source), and rewrites the
-/// trailing index and source map. The result is byte-identical to
-/// BuildFxbCache over the same source state. Falls back to a full build
-/// when there is no usable cache (missing, corrupt, or older format).
+/// identical files), each parsed from the one read of its JSON and
+/// parity-checked like BuildFxbCache's; drops scenes removed from the
+/// manifest; and writes the new file straight from the old mapping for
+/// every other section. Each reused section is read once, by the CRC
+/// check of SceneSection (a corrupt section is re-encoded from its
+/// source instead), and indexed under that checked CRC. The result is
+/// byte-identical to BuildFxbCache over the same source state. Falls back
+/// to a full build when there is no usable cache (missing, corrupt, or
+/// older format). Errors: the source files' read/parse errors, Internal
+/// for a failed parity check, IoError for the write.
 Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory);
 
 /// FXB-backed SceneSource for the streaming ranking pipeline.

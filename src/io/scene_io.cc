@@ -1,5 +1,7 @@
 #include "io/scene_io.h"
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -175,16 +177,66 @@ Result<Scene> SceneFromString(std::string_view text) {
   return SceneFromJson(value);
 }
 
-Status SaveScene(const Scene& scene, const std::string& path) {
-  return WriteFileAtomic(path, SceneToString(scene, /*pretty=*/false));
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
+bool BitIdentical(const geom::Box3d& a, const geom::Box3d& b) {
+  return SameBits(a.center.x, b.center.x) && SameBits(a.center.y, b.center.y) &&
+         SameBits(a.center.z, b.center.z) && SameBits(a.length, b.length) &&
+         SameBits(a.width, b.width) && SameBits(a.height, b.height) &&
+         SameBits(a.yaw, b.yaw);
+}
+
+bool BitIdentical(const Observation& a, const Observation& b) {
+  return a.id == b.id && a.source == b.source &&
+         a.object_class == b.object_class && BitIdentical(a.box, b.box) &&
+         a.frame_index == b.frame_index && SameBits(a.timestamp, b.timestamp) &&
+         SameBits(a.confidence, b.confidence);
+}
+
+bool BitIdentical(const Frame& a, const Frame& b) {
+  if (a.index != b.index || !SameBits(a.timestamp, b.timestamp) ||
+      !SameBits(a.ego_position.x, b.ego_position.x) ||
+      !SameBits(a.ego_position.y, b.ego_position.y) ||
+      !SameBits(a.ego_yaw, b.ego_yaw) ||
+      a.observations.size() != b.observations.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.observations.size(); ++i) {
+    if (!BitIdentical(a.observations[i], b.observations[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool BitIdentical(const Scene& a, const Scene& b) {
+  if (a.name() != b.name() || !SameBits(a.frame_rate_hz(), b.frame_rate_hz()) ||
+      a.frame_count() != b.frame_count()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.frame_count(); ++i) {
+    if (!BitIdentical(a.frames()[i], b.frames()[i])) return false;
+  }
+  return true;
+}
+
+Status SaveScene(const Scene& scene, const std::string& path) {
+  return WriteFileAtomic(path, {SceneToString(scene, /*pretty=*/false)});
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::string_view>& parts) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IoError("cannot open for writing: " + tmp);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    for (const std::string_view part : parts) {
+      out.write(part.data(), static_cast<std::streamsize>(part.size()));
+    }
     out.flush();
     if (!out) return Status::IoError("write failed: " + tmp);
   }
@@ -250,7 +302,7 @@ Status SaveDataset(const Dataset& dataset, const std::string& directory) {
   manifest["name"] = dataset.name;
   manifest["scenes"] = std::move(scene_files);
   return WriteFileAtomic(directory + "/manifest.json",
-                         json::Write(manifest, /*pretty=*/true));
+                         {json::Write(manifest, /*pretty=*/true)});
 }
 
 Result<std::vector<std::string>> ReadManifestSceneFiles(

@@ -1,7 +1,9 @@
 // Tests for src/common: Status, Result, macros, random, string utilities.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -350,6 +352,50 @@ TEST(Crc32Test, MatchesKnownVectors) {
 TEST(Crc32Test, StringViewOverloadAgreesWithPointerForm) {
   const std::string bytes = "fxb section payload \x00\xff\x7f";
   EXPECT_EQ(Crc32(bytes), Crc32(bytes.data(), bytes.size()));
+}
+
+// The byte-at-a-time table loop Crc32 used before slicing-by-8, kept as
+// the reference the sliced form must match bit for bit.
+uint32_t ReferenceCrc32(const unsigned char* bytes, size_t size) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesByteAtATimeReference) {
+  std::mt19937_64 rng(20221);
+  // Every length through 1024 at every start offset mod 8, so each
+  // split between the 8-byte steps and the byte tail is covered.
+  std::vector<unsigned char> small(1024 + 8);
+  for (unsigned char& b : small) b = static_cast<unsigned char>(rng());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const unsigned char* start = small.data() + offset;
+      ASSERT_EQ(Crc32(start, length), ReferenceCrc32(start, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // A multi-megabyte buffer with an odd length, the size of a dense
+  // scene section several times over.
+  std::vector<unsigned char> big((4u << 20) + 5);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(rng());
+  EXPECT_EQ(Crc32(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size()));
+  EXPECT_EQ(Crc32(big.data() + 3, big.size() - 3),
+            ReferenceCrc32(big.data() + 3, big.size() - 3));
 }
 
 // --------------------------------------------------------------- process

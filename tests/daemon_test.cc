@@ -680,7 +680,7 @@ TEST_F(DaemonTest, OneSceneRequestRevalidatesOnlyItsOwnSources) {
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   manifest->AsObject().at("scenes").AsArray().pop_back();
   ASSERT_TRUE(io::WriteFileAtomic(manifest_path,
-                                  json::Write(*manifest, /*pretty=*/true))
+                                  {json::Write(*manifest, /*pretty=*/true)})
                   .ok());
   const Result<std::string> scene0_reopened = rank(0);
   ASSERT_TRUE(scene0_reopened.ok()) << scene0_reopened.status();

@@ -186,17 +186,37 @@ TEST(FxbFormatTest, RejectsSourceCountBelowSceneCount) {
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(FxbFormatTest, SceneSectionBytesVerifiesChecksum) {
-  const Dataset dataset = MakeDataset(2);
-  std::string blob = Encode(dataset);
-  auto reader = FxbReader::FromBuffer(std::string(blob));
+TEST(FxbFormatTest, SceneSectionVerifiesChecksum) {
+  std::string blob = Encode(MakeDataset(2));
+  auto reader = FxbReader::FromBuffer(blob);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  const auto section = reader->SceneSectionBytes(0);
-  ASSERT_TRUE(section.ok()) << section.status();
-  const auto decoded = FxbReader::FromBuffer(std::move(blob))->DecodeScene(0);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(reader->SceneSectionBytes(5).status().code(),
-            StatusCode::kOutOfRange);
+  uint64_t index_offset = 0;
+  std::memcpy(&index_offset, blob.data() + kFxbIndexOffsetOffset, 8);
+  uint64_t offset = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    const auto section = reader->SceneSection(i);
+    ASSERT_TRUE(section.ok()) << section.status();
+    // The section in place, as its index entry locates it, with the
+    // entry's CRC, which matches the bytes.
+    const char* entry = blob.data() + index_offset + i * kFxbIndexEntrySize;
+    uint64_t length = 0;
+    uint32_t crc = 0;
+    std::memcpy(&offset, entry, 8);
+    std::memcpy(&length, entry + 8, 8);
+    std::memcpy(&crc, entry + kFxbIndexEntryCrcOffset, 4);
+    EXPECT_EQ(section->bytes, std::string_view(blob).substr(offset, length));
+    EXPECT_EQ(section->crc, crc);
+    EXPECT_EQ(Crc32(section->bytes), crc);
+  }
+  EXPECT_EQ(reader->SceneSection(5).status().code(), StatusCode::kOutOfRange);
+
+  // One flipped byte in the last section (at `offset`) fails only it.
+  blob[offset + 4] ^= 0x10;
+  reader = FxbReader::FromBuffer(std::move(blob));
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE(reader->SceneSection(0).ok());
+  EXPECT_EQ(reader->SceneSection(1).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(FxbFormatTest, RejectsTruncatedBlob) {

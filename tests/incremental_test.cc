@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -331,6 +332,44 @@ TEST(IncrementalCacheTest, SourceRecordLieReencodesTheLiedScene) {
     const std::string updated = ReadFile(io::FxbCachePath(dir));
     EXPECT_EQ(updated, pristine) << detail;
   }
+}
+
+TEST(IncrementalCacheTest, CorruptReusedSectionIsReencodedNotCopied) {
+  const std::string dir = TempDir();
+  Dataset dataset = MakeLabeledDataset(4, 29);
+  ASSERT_TRUE(io::SaveDataset(dataset, dir).ok());
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+
+  // Flip one byte inside scene k's section. The header, index and source
+  // map still verify and every source is unchanged, so only the section's
+  // own CRC check can tell the updater not to reuse it.
+  constexpr size_t k = 2;
+  std::string cache = ReadFile(io::FxbCachePath(dir));
+  uint64_t index_offset = 0;
+  std::memcpy(&index_offset, cache.data() + io::kFxbIndexOffsetOffset, 8);
+  const char* entry = cache.data() + index_offset + k * io::kFxbIndexEntrySize;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  std::memcpy(&offset, entry, 8);
+  std::memcpy(&length, entry + 8, 8);
+  cache[offset + length / 2] ^= 0x08;
+  WriteFile(io::FxbCachePath(dir), cache);
+
+  const auto update = io::UpdateFxbCache(dir);
+  ASSERT_TRUE(update.ok()) << update.status();
+  EXPECT_FALSE(update->rebuilt);
+  EXPECT_EQ(update->scenes_encoded, 1u);
+  EXPECT_EQ(update->scenes_reused, dataset.scenes.size() - 1);
+  ASSERT_EQ(update->encoded_files.size(), 1u);
+  EXPECT_EQ(update->encoded_files.front(),
+            dataset.scenes[k].name() + ".fixy.json");
+  const std::string updated = ReadFile(io::FxbCachePath(dir));
+
+  fs::remove(io::FxbCachePath(dir));
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+  EXPECT_EQ(updated, ReadFile(io::FxbCachePath(dir)))
+      << "updated cache differs from a from-scratch build";
+  fs::remove_all(dir);
 }
 
 TEST(IncrementalCacheTest, SourceMapFlipFallsBackToFullRebuild) {

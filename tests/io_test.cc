@@ -4,9 +4,13 @@
 // quarantined like a scene that fails to rank).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/proposal_io.h"
@@ -347,6 +351,85 @@ TEST(DatasetIoTest, DirectorySourceStreamingOnCleanDatasetQuarantinesNothing) {
 TEST(SceneIoTest, SerializationIsDeterministic) {
   const Scene scene = MakeScene();
   EXPECT_EQ(SceneToString(scene), SceneToString(scene));
+}
+
+TEST(SceneIoTest, BitIdenticalSeesEveryField) {
+  const Scene base = MakeScene();
+  EXPECT_TRUE(BitIdentical(base, MakeScene()));
+
+  const auto up = [](double& v) { v = std::nextafter(v, 1e300); };
+  const auto negate_zero = [](double& v) {
+    ASSERT_EQ(std::signbit(v), false);
+    ASSERT_EQ(v, 0.0);
+    v = -0.0;
+  };
+  // Frame 1's model observation; frame 0 holds the +0.0 fields.
+  const auto obs = [](Scene& s) -> Observation& {
+    return s.frames()[1].observations[1];
+  };
+  const auto box = [&](Scene& s) -> geom::Box3d& { return obs(s).box; };
+  struct Edit {
+    std::string what;
+    std::function<void(Scene&)> apply;
+    bool json_sees_it = true;
+  };
+  const std::vector<Edit> edits = {
+      {"scene name", [](Scene& s) { s.set_name("scene_b"); }},
+      {"frame rate ulp",
+       [&](Scene& s) {
+         double hz = s.frame_rate_hz();
+         up(hz);
+         s.set_frame_rate_hz(hz);
+       }},
+      {"frame count", [](Scene& s) { s.frames().pop_back(); }},
+      {"frame index", [](Scene& s) { s.frames()[2].index = 7; }},
+      {"frame timestamp ulp", [&](Scene& s) { up(s.frames()[2].timestamp); }},
+      {"frame timestamp -0.0",
+       [&](Scene& s) { negate_zero(s.frames()[0].timestamp); },
+       /*json_sees_it=*/false},
+      {"ego x ulp", [&](Scene& s) { up(s.frames()[2].ego_position.x); }},
+      {"ego x -0.0",
+       [&](Scene& s) { negate_zero(s.frames()[0].ego_position.x); },
+       /*json_sees_it=*/false},
+      {"ego y ulp", [&](Scene& s) { up(s.frames()[2].ego_position.y); }},
+      {"ego yaw ulp", [&](Scene& s) { up(s.frames()[2].ego_yaw); }},
+      {"ego yaw -0.0", [&](Scene& s) { negate_zero(s.frames()[0].ego_yaw); },
+       /*json_sees_it=*/false},
+      {"observation count",
+       [](Scene& s) { s.frames()[1].observations.pop_back(); }},
+      {"observation id", [&](Scene& s) { obs(s).id = 99; }},
+      {"observation source",
+       [&](Scene& s) { obs(s).source = ObservationSource::kAuditor; }},
+      {"observation class",
+       [&](Scene& s) { obs(s).object_class = ObjectClass::kPedestrian; }},
+      {"confidence ulp", [&](Scene& s) { up(obs(s).confidence); }},
+      {"observation frame_index", [&](Scene& s) { obs(s).frame_index = 3; },
+       /*json_sees_it=*/false},
+      {"observation timestamp ulp", [&](Scene& s) { up(obs(s).timestamp); },
+       /*json_sees_it=*/false},
+      {"observation timestamp -0.0",
+       [&](Scene& s) { negate_zero(s.frames()[0].observations[0].timestamp); },
+       /*json_sees_it=*/false},
+      {"box cx ulp", [&](Scene& s) { up(box(s).center.x); }},
+      {"box cy ulp", [&](Scene& s) { up(box(s).center.y); }},
+      {"box cz ulp", [&](Scene& s) { up(box(s).center.z); }},
+      {"box length ulp", [&](Scene& s) { up(box(s).length); }},
+      {"box width ulp", [&](Scene& s) { up(box(s).width); }},
+      {"box height ulp", [&](Scene& s) { up(box(s).height); }},
+      {"box yaw ulp", [&](Scene& s) { up(box(s).yaw); }},
+  };
+  for (const Edit& edit : edits) {
+    Scene changed = MakeScene();
+    edit.apply(changed);
+    EXPECT_FALSE(BitIdentical(base, changed)) << edit.what;
+    EXPECT_FALSE(BitIdentical(changed, base)) << edit.what;
+    // The JSON text carries neither an observation's frame index nor its
+    // timestamp, and writes -0.0 as 0, so comparing texts would pass
+    // those scenes.
+    EXPECT_EQ(SceneToString(base) != SceneToString(changed),
+              edit.json_sees_it)
+        << edit.what;
+  }
 }
 
 }  // namespace

@@ -362,10 +362,10 @@ TEST(Materialize, FxbSceneSectionsIdenticalAcrossDirectories) {
   ASSERT_TRUE(b.ok()) << b.status();
   ASSERT_EQ(a->scene_count(), b->scene_count());
   for (size_t i = 0; i < a->scene_count(); ++i) {
-    const Result<std::string> sa = a->SceneSectionBytes(i);
-    const Result<std::string> sb = b->SceneSectionBytes(i);
+    const Result<io::FxbSection> sa = a->SceneSection(i);
+    const Result<io::FxbSection> sb = b->SceneSection(i);
     ASSERT_TRUE(sa.ok() && sb.ok());
-    EXPECT_EQ(*sa, *sb) << "scene section " << i;
+    EXPECT_EQ(sa->bytes, sb->bytes) << "scene section " << i;
   }
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);

@@ -39,6 +39,8 @@
 #                             # plain + asan builds
 #   tools/check.sh incremental # incremental-ingestion sweep: 1-scene edit
 #                             # cache update byte-identical to a rebuild,
+#                             # a corrupt cached section re-encoded (not
+#                             # copied) with the same result,
 #                             # watch --learn-labels fold byte-identical to
 #                             # a full refit, watch smoke with a live edit,
 #                             # and the randomized parity/merge suites
@@ -398,6 +400,29 @@ run_incremental_sweep() {
   cmp "${work}/ds/dataset.fxb" "${work}/updated.fxb" \
       || { echo "incremental sweep FAILED: updated cache differs from a" \
                 "fresh rebuild" >&2; return 1; }
+
+  echo "==== incremental: corrupt section -> re-encoded, not copied ===="
+  # Flip one byte inside the first scene section of the fresh cache. Its
+  # sources are unchanged, so only the section's CRC check can keep the
+  # update from writing the damaged bytes into the new file.
+  python3 - "${work}/ds/dataset.fxb" <<'EOF'
+import struct, sys
+path = sys.argv[1]
+blob = bytearray(open(path, "rb").read())
+index_offset = struct.unpack_from("<Q", blob, 16)[0]
+offset, length = struct.unpack_from("<QQ", blob, index_offset)
+blob[offset + length // 2] ^= 0x08
+open(path, "wb").write(blob)
+EOF
+  "${cli}" cache "${work}/ds" | grep -q "1 re-encoded" \
+      || { echo "incremental sweep FAILED: the corrupt section was not" \
+                "re-encoded" >&2; return 1; }
+  cp "${work}/ds/dataset.fxb" "${work}/updated.fxb"
+  rm "${work}/ds/dataset.fxb"
+  "${cli}" cache "${work}/ds" > /dev/null
+  cmp "${work}/ds/dataset.fxb" "${work}/updated.fxb" \
+      || { echo "incremental sweep FAILED: cache updated over a corrupt" \
+                "section differs from a fresh rebuild" >&2; return 1; }
 
   echo "==== incremental: merge vs refit model parity ===="
   # Learn + cache the 4-scene head, add two more scenes WHILE watch

@@ -45,8 +45,8 @@
 //   cache     <DIR> (or --data DIR)
 //             Build or incrementally refresh DIR's binary scene cache
 //             (dataset.fxb): reports why it was stale, re-encodes only the
-//             added/changed scenes, and verifies every fresh scene
-//             round-trips byte-identically.
+//             added/changed scenes and damaged sections, and verifies
+//             every scene it encodes round-trips bit-identically.
 //   watch     --data DIR --model FILE [--interval-ms N] [--learn-labels]
 //             Poll DIR for source changes; each change refreshes the cache
 //             incrementally, optionally folds the changed scenes into the
@@ -850,13 +850,21 @@ Status CmdCache(const Flags& flags) {
   if (staleness.ok()) {
     std::printf("cache status: %s\n", staleness->Summary().c_str());
     if (!staleness->stale) {
-      // Fresh: leave the file untouched so repeated `cache` runs are
-      // byte-stable no-ops.
+      // Fresh sources: leave a sound file untouched so repeated `cache`
+      // runs are byte-stable no-ops. A section that fails its CRC check
+      // (bit rot, a partial copy) is re-encoded by the update below.
       FIXY_ASSIGN_OR_RETURN(const io::FxbReader reader,
                             io::OpenFreshCache(data));
-      std::printf("cache at %s is fresh (%zu scenes); nothing to do\n",
-                  io::FxbCachePath(data).c_str(), reader.scene_count());
-      return Status::Ok();
+      size_t damaged = 0;
+      for (size_t i = 0; i < reader.scene_count(); ++i) {
+        if (!reader.SceneSection(i).ok()) ++damaged;
+      }
+      if (damaged == 0) {
+        std::printf("cache at %s is fresh (%zu scenes); nothing to do\n",
+                    io::FxbCachePath(data).c_str(), reader.scene_count());
+        return Status::Ok();
+      }
+      std::printf("cache has %zu damaged scene section(s)\n", damaged);
     }
     for (const std::string& reason : staleness->reasons) {
       if (reason.find("different checksum") != std::string::npos) {
@@ -1024,10 +1032,11 @@ void PrintUsage() {
       "  cache    DIR | --data DIR [--verify]\n"
       "           build or incrementally refresh DIR's binary scene cache\n"
       "           (dataset.fxb): reports why it was stale, re-encodes only\n"
-      "           the added/changed scenes, drops removed ones, and copies\n"
-      "           unchanged sections byte-for-byte; --verify checksums\n"
-      "           every source (catches same-size edits with restored\n"
-      "           mtimes) and full-rebuilds when one lied to the stat pass\n"
+      "           the added/changed scenes and damaged sections, drops\n"
+      "           removed ones, and copies unchanged sections byte-for-byte;\n"
+      "           --verify checksums every source (catches same-size edits\n"
+      "           with restored mtimes) and full-rebuilds when one lied to\n"
+      "           the stat pass\n"
       "  watch    --data DIR --model FILE [--interval-ms N] [--max-cycles N]\n"
       "           [--learn-labels] [--model-out FILE] [--app NAME|--apps ...]\n"
       "           [--top K] [--threads N] [--metrics-json FILE]\n"
