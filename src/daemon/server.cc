@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -150,7 +151,7 @@ class PhaseTimer {
 bool SourceUnchanged(const std::string& data_dir,
                      const io::FxbSourceRecord& record) {
   const Result<io::FxbSourceRecord> current =
-      io::StatSourceRecord(data_dir, record.file, /*read_contents=*/false);
+      io::StatSourceRecord(data_dir, record.file);
   return current.ok() && *current == record;
 }
 
@@ -314,41 +315,41 @@ struct FixydServer::Impl {
     // resident source is reused only while the JSON sources it was opened
     // from are unchanged. This also rejects non-dataset directories with
     // a clear error before any decode work.
-    FIXY_ASSIGN_OR_RETURN(
-        std::vector<io::FxbSourceRecord> records,
-        io::CollectSourceRecords(data_dir, /*read_contents=*/false));
+    FIXY_ASSIGN_OR_RETURN(std::vector<io::FxbSourceRecord> records,
+                          io::CollectSourceRecords(data_dir));
     std::lock_guard<std::mutex> lock(datasets_mu);
     const auto it = datasets.find(data_dir);
     if (it != datasets.end() && it->second->records == records) {
       return it->second;
     }
     // The sources changed under a resident dataset (or this is the first
-    // touch). Report *why* the resident copy went stale, refresh an
-    // existing cache incrementally (only the changed scenes re-encode —
-    // the daemon stays on the mmap path instead of falling back to JSON),
-    // then reopen. A dataset that never had a cache is not given one.
+    // touch). Report *why* the resident copy went stale (the diff of its
+    // records against the ones just taken), refresh an existing cache
+    // incrementally (only the changed scenes re-encode — the daemon stays
+    // on the mmap path instead of falling back to JSON), then reopen. A
+    // dataset that never had a cache is not given one.
     if (it != datasets.end()) {
       collector.Count("daemon.dataset_reopens");
-      const Result<io::CacheStaleness> staleness =
-          io::ExplainCacheStaleness(data_dir);
-      std::printf("fixyd: dataset %s changed (%s); revalidating\n",
-                  data_dir.c_str(),
-                  staleness.ok() ? staleness->Summary().c_str()
-                                 : staleness.status().ToString().c_str());
+      std::printf(
+          "fixyd: dataset %s changed (%s); revalidating\n", data_dir.c_str(),
+          io::CompareCacheSources(it->second->records, records)
+              .Summary()
+              .c_str());
       std::fflush(stdout);
-      if (staleness.ok() && staleness->stale) {
+      std::error_code ec;
+      if (std::filesystem::exists(io::FxbCachePath(data_dir), ec)) {
         const Result<io::FxbUpdateReport> refreshed =
             io::UpdateFxbCache(data_dir);
-        if (refreshed.ok()) {
+        if (!refreshed.ok()) {
+          std::printf("fixyd: cache refresh failed (%s); reopening anyway\n",
+                      refreshed.status().ToString().c_str());
+        } else if (refreshed->staleness.stale()) {
           collector.Count("daemon.cache_refreshes");
           std::printf("fixyd: cache refreshed — %zu scenes (%zu reused, "
                       "%zu re-encoded, %zu dropped%s)\n",
                       refreshed->scenes_total, refreshed->scenes_reused,
                       refreshed->scenes_encoded, refreshed->scenes_dropped,
                       refreshed->rebuilt ? ", full rebuild" : "");
-        } else {
-          std::printf("fixyd: cache refresh failed (%s); reopening anyway\n",
-                      refreshed.status().ToString().c_str());
         }
         std::fflush(stdout);
       }

@@ -159,37 +159,27 @@ Status CycleOnce(WatchState& state) {
   const WatchOptions& options = *state.options;
   const std::string& dir = options.data_dir;
 
-  // 1. Change detection: a stat-only pass over the sources. NotFound
-  // means no cache yet — the first update is a full build.
-  bool need_update = false;
-  std::string why;
-  Result<io::CacheStaleness> staleness = io::ExplainCacheStaleness(dir);
-  if (staleness.ok()) {
-    need_update = staleness->stale;
-    why = staleness->Summary();
-  } else if (staleness.status().code() == StatusCode::kNotFound) {
-    need_update = true;
-    why = "no cache yet";
-  } else {
-    return staleness.status();
-  }
-
-  if (!need_update && !state.bootstrap) {
+  // 1. Change detection: one freshness check, a stat of every source
+  // compared with the cache's source map (no content reads).
+  Result<io::FxbReader> reader = io::OpenFreshCache(dir);
+  if (reader.ok() && !state.bootstrap) {
     state.report->idle_cycles += 1;
     obs::Count("watch.idle");
     return Status::Ok();
   }
 
-  // 2. Incremental cache refresh: only the added/changed scenes
+  // 2. Any cache OpenFreshCache refused (missing, stale, or rejected at
+  // open) gets one incremental update: only the added/changed scenes
   // re-encode; everything else is copied byte-for-byte.
   bool all_scenes = state.bootstrap;
   std::set<std::string> affected;
-  if (need_update) {
-    Say(state, "watch: change detected (%s)\n", why.c_str());
+  if (!reader.ok()) {
     const obs::StageTimer update_timer;
     FIXY_ASSIGN_OR_RETURN(const io::FxbUpdateReport update,
                           io::UpdateFxbCache(dir));
     obs::AddTimeNs("watch.update", update_timer.ElapsedNs());
+    Say(state, "watch: change detected (%s)\n",
+        update.staleness.Summary().c_str());
     state.report->updates += 1;
     state.report->scenes_encoded += update.scenes_encoded;
     state.report->scenes_dropped += update.scenes_dropped;
@@ -208,26 +198,26 @@ Status CycleOnce(WatchState& state) {
         update.scenes_total, update.scenes_reused, update.scenes_encoded,
         update.scenes_dropped, update.rebuilt ? ", full rebuild" : "");
     if (!all_scenes && affected.empty()) {
-      // Fingerprint-only refresh (touched-but-identical files): the cache
-      // was resealed but no scene content changed, so nothing re-ranks.
+      // Record-only refresh (touched-but-identical files): the cache was
+      // resealed but no scene content changed, so nothing re-ranks.
       return Status::Ok();
     }
+    // 3. Decode the affected scenes from the file the update just wrote.
+    // A source edited during the update is the next poll's change.
+    reader = io::FxbReader::Open(io::FxbCachePath(dir));
+    FIXY_RETURN_IF_ERROR(reader.status());
   }
 
-  // 3. Decode the affected scenes from the refreshed cache. A cache that
-  // reads stale again means the sources changed while we were updating —
-  // retry next cycle rather than ranking a moving target.
-  FIXY_ASSIGN_OR_RETURN(const io::FxbReader reader, io::OpenFreshCache(dir));
   Dataset delta;
-  delta.name = reader.dataset_name();
-  for (size_t i = 0; i < reader.scene_count(); ++i) {
-    if (!all_scenes && affected.count(reader.sources()[i].file) == 0) {
+  delta.name = reader->dataset_name();
+  for (size_t i = 0; i < reader->scene_count(); ++i) {
+    if (!all_scenes && affected.count(reader->sources()[i].file) == 0) {
       continue;
     }
-    Result<Scene> scene = reader.DecodeScene(i);
+    Result<Scene> scene = reader->DecodeScene(i);
     if (!scene.ok()) {
       obs::Count("watch.scene_failures");
-      Say(state, "watch: SKIPPED %s: %s\n", reader.SceneNameHint(i).c_str(),
+      Say(state, "watch: SKIPPED %s: %s\n", reader->SceneNameHint(i).c_str(),
           scene.status().ToString().c_str());
       continue;
     }
@@ -366,8 +356,6 @@ Result<WatchReport> WatchDataset(const WatchOptions& options) {
     RecordWatchMetricsSchema();
     io::RecordFxbMetricsSchema();
     obs::Count("io.bytes_read", 0);
-    obs::Count("io.files_read", 0);
-    obs::AddTimeNs("io.load", 0);
     obs::AddTimeNs("io.parse", 0);
     RecordRankMetricsSchema(fixy.applications().names());
   }

@@ -2,13 +2,14 @@
 // cache, learned model, and error rankings continuously in sync with the
 // JSON sources on disk (DESIGN.md §14).
 //
-// Each cycle stats the sources (ExplainCacheStaleness — no content reads
-// on the fast path), and when anything changed runs the incremental
-// ladder: UpdateFxbCache re-encodes only the added/changed scenes, the
-// changed scenes optionally fold into the learned model via
-// Fixy::LearnIncremental (--learn-labels), and only the changed scenes
-// re-rank. The amortized cost of "one scene changed" is therefore
-// proportional to one scene, not the dataset.
+// Each cycle checks freshness once (OpenFreshCache: a stat of every
+// source against the cache's source map, no content reads), and when
+// anything changed runs the incremental ladder: one UpdateFxbCache
+// re-encodes only the added/changed scenes, they are decoded from the file
+// it wrote, optionally fold into the learned model via
+// Fixy::LearnIncremental (--learn-labels), and only they re-rank. The
+// amortized cost of "one scene changed" is therefore proportional to one
+// scene, not the dataset.
 //
 // Failure semantics follow the repo's never-abort contract: a cycle that
 // trips over a mid-edit dataset (corrupt JSON, vanished file, stale-again

@@ -336,7 +336,6 @@ Result<FxbLayout> AssembleFxbBlob(std::string_view dataset_name,
     AppendPod(&source_map, record.crc);
   }
 
-  const FxbSourceFingerprint fingerprint = FingerprintFromRecords(sources);
   std::string& header = layout.head;
   header.assign(kFxbHeaderSize, '\0');
   std::memcpy(header.data(), kFxbMagic, sizeof(kFxbMagic));
@@ -346,9 +345,6 @@ Result<FxbLayout> AssembleFxbBlob(std::string_view dataset_name,
   StorePod(&header, kFxbNameBytesOffset,
            static_cast<uint32_t>(dataset_name.size()));
   StorePod(&header, kFxbIndexOffsetOffset, offset);
-  StorePod(&header, kFxbSourceFilesOffset, fingerprint.file_count);
-  StorePod(&header, kFxbSourceBytesOffset, fingerprint.total_bytes);
-  StorePod(&header, kFxbSourceMtimeOffset, fingerprint.max_mtime_ns);
   StorePod(&header, kFxbSourceCountOffset,
            static_cast<uint32_t>(sources.size()));
   StorePod(&header, kFxbIndexCrcOffset, Crc32(index));
@@ -360,16 +356,6 @@ Result<FxbLayout> AssembleFxbBlob(std::string_view dataset_name,
   layout.tail = std::move(index);
   layout.tail += source_map;
   return layout;
-}
-
-// Freshly encoded sections, each with its CRC computed once.
-std::vector<FxbSection> Checksummed(const std::vector<std::string>& encoded) {
-  std::vector<FxbSection> sections;
-  sections.reserve(encoded.size());
-  for (const std::string& bytes : encoded) {
-    sections.push_back({bytes, Crc32(bytes)});
-  }
-  return sections;
 }
 
 // Encodes `scene` and decodes the section straight back: the section is
@@ -389,8 +375,7 @@ Result<std::string> EncodeVerifiedSection(const Scene& scene) {
 }  // namespace
 
 Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
-                                         const std::string& file,
-                                         bool read_contents) {
+                                         const std::string& file) {
   const std::string path = directory + "/" + file;
   FxbSourceRecord record;
   record.file = file;
@@ -410,16 +395,11 @@ Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           mtime.time_since_epoch())
           .count());
-  if (read_contents) {
-    std::string bytes;
-    FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
-    record.crc = Crc32(bytes);
-  }
   return record;
 }
 
 Result<std::vector<FxbSourceRecord>> CollectSourceRecords(
-    const std::string& directory, bool read_contents) {
+    const std::string& directory) {
   FIXY_ASSIGN_OR_RETURN(std::vector<std::string> files,
                         ReadManifestSceneFiles(directory));
   files.push_back(kManifestFile);  // the manifest itself counts as a source
@@ -427,22 +407,10 @@ Result<std::vector<FxbSourceRecord>> CollectSourceRecords(
   records.reserve(files.size());
   for (const std::string& file : files) {
     FIXY_ASSIGN_OR_RETURN(FxbSourceRecord record,
-                          StatSourceRecord(directory, file, read_contents));
+                          StatSourceRecord(directory, file));
     records.push_back(std::move(record));
   }
   return records;
-}
-
-FxbSourceFingerprint FingerprintFromRecords(
-    const std::vector<FxbSourceRecord>& records) {
-  FxbSourceFingerprint fingerprint;
-  for (const FxbSourceRecord& record : records) {
-    fingerprint.file_count += 1;
-    fingerprint.total_bytes += record.size;
-    fingerprint.max_mtime_ns =
-        std::max(fingerprint.max_mtime_ns, record.mtime_ns);
-  }
-  return fingerprint;
 }
 
 Result<std::string> EncodeFxbDataset(
@@ -453,9 +421,12 @@ Result<std::string> EncodeFxbDataset(
     FIXY_ASSIGN_OR_RETURN(std::string section, EncodeScene(scene));
     encoded.push_back(std::move(section));
   }
-  FIXY_ASSIGN_OR_RETURN(
-      const FxbLayout layout,
-      AssembleFxbBlob(dataset.name, Checksummed(encoded), sources));
+  std::vector<FxbSection> sections;
+  for (const std::string& bytes : encoded) {
+    sections.push_back({bytes, Crc32(bytes)});
+  }
+  FIXY_ASSIGN_OR_RETURN(const FxbLayout layout,
+                        AssembleFxbBlob(dataset.name, sections, sources));
   std::string blob;
   for (const std::string_view range : layout.Ranges()) blob += range;
   return blob;
@@ -487,29 +458,26 @@ Result<FxbReader> FxbReader::Parse(FxbReader reader) {
   if (std::memcmp(bytes.data(), kFxbMagic, sizeof(kFxbMagic)) != 0) {
     return Status::InvalidArgument("not an FXB file (bad magic)");
   }
-  const uint32_t stored_header_crc =
-      LoadPod<uint32_t>(bytes, kFxbHeaderCrcOffset);
-  if (Crc32(bytes.data(), kFxbHeaderCrcOffset) != stored_header_crc) {
-    obs::Count("io.fxb.checksum_failures");
-    return Status::FailedPrecondition("FXB header checksum mismatch");
-  }
+  // The version decides where the header CRC lives (version 2 kept it at
+  // byte 60), so it is read first: a cache from any other version is
+  // reported as such, never as a checksum mismatch.
   const uint32_t version = LoadPod<uint32_t>(bytes, kFxbVersionOffset);
   if (version != kFxbVersion) {
     return Status::InvalidArgument(
         StrFormat("unsupported FXB version %u (expected %u)", version,
                   kFxbVersion));
   }
+  const uint32_t stored_header_crc =
+      LoadPod<uint32_t>(bytes, kFxbHeaderCrcOffset);
+  if (Crc32(bytes.data(), kFxbHeaderCrcOffset) != stored_header_crc) {
+    obs::Count("io.fxb.checksum_failures");
+    return Status::FailedPrecondition("FXB header checksum mismatch");
+  }
 
   const uint32_t scene_count = LoadPod<uint32_t>(bytes, kFxbSceneCountOffset);
   const uint32_t name_bytes = LoadPod<uint32_t>(bytes, kFxbNameBytesOffset);
   const uint64_t index_offset =
       LoadPod<uint64_t>(bytes, kFxbIndexOffsetOffset);
-  reader.fingerprint_.file_count =
-      LoadPod<uint64_t>(bytes, kFxbSourceFilesOffset);
-  reader.fingerprint_.total_bytes =
-      LoadPod<uint64_t>(bytes, kFxbSourceBytesOffset);
-  reader.fingerprint_.max_mtime_ns =
-      LoadPod<uint64_t>(bytes, kFxbSourceMtimeOffset);
 
   if (name_bytes > bytes.size() - kFxbHeaderSize) {
     return Status::InvalidArgument("FXB dataset name extends past the file");
@@ -637,69 +605,20 @@ std::string FxbCachePath(const std::string& directory) {
 
 Result<FxbSourceFingerprint> ComputeSourceFingerprint(
     const std::string& directory) {
-  FIXY_ASSIGN_OR_RETURN(std::vector<FxbSourceRecord> records,
-                        CollectSourceRecords(directory, /*read_contents=*/false));
-  return FingerprintFromRecords(records);
-}
-
-namespace {
-
-// Shared tail of both cache builders: encode with the per-section
-// parity check, lay out, and write atomically.
-Status EncodeVerifyWrite(const Dataset& dataset,
-                         const std::vector<FxbSourceRecord>& sources,
-                         const std::string& directory) {
-  std::vector<std::string> encoded;
-  encoded.reserve(dataset.scenes.size());
-  for (const Scene& scene : dataset.scenes) {
-    FIXY_ASSIGN_OR_RETURN(std::string section, EncodeVerifiedSection(scene));
-    encoded.push_back(std::move(section));
+  FIXY_ASSIGN_OR_RETURN(const std::vector<FxbSourceRecord> records,
+                        CollectSourceRecords(directory));
+  FxbSourceFingerprint fingerprint;
+  for (const FxbSourceRecord& record : records) {
+    fingerprint.file_count += 1;
+    fingerprint.total_bytes += record.size;
+    fingerprint.max_mtime_ns =
+        std::max(fingerprint.max_mtime_ns, record.mtime_ns);
   }
-  FIXY_ASSIGN_OR_RETURN(
-      const FxbLayout layout,
-      AssembleFxbBlob(dataset.name, Checksummed(encoded), sources));
-  return WriteFileAtomic(FxbCachePath(directory), layout.Ranges());
-}
-
-}  // namespace
-
-Result<size_t> BuildFxbCache(const std::string& directory) {
-  // Record source fingerprints before loading: a source file modified
-  // mid-build then differs from the recorded records, so the cache reads
-  // as stale rather than silently matching the new contents.
-  FIXY_ASSIGN_OR_RETURN(std::vector<FxbSourceRecord> sources,
-                        CollectSourceRecords(directory, /*read_contents=*/true));
-  FIXY_ASSIGN_OR_RETURN(Dataset dataset, LoadDataset(directory));
-  if (dataset.scenes.size() + 1 != sources.size()) {
-    return Status::Internal(
-        StrFormat("FXB build raced a manifest edit: %zu scenes loaded but "
-                  "%zu source records collected",
-                  dataset.scenes.size(), sources.size()));
-  }
-  FIXY_RETURN_IF_ERROR(EncodeVerifyWrite(dataset, sources, directory));
-  return dataset.scenes.size();
-}
-
-Result<size_t> BuildFxbCacheFromDataset(const Dataset& dataset,
-                                        const std::string& directory) {
-  // The source fingerprints still come from disk (the files SaveDataset
-  // just wrote); only the JSON re-parse is skipped. A manifest that does
-  // not line up with the in-memory scene list means the directory holds
-  // some other dataset — refuse rather than record lying fingerprints.
-  FIXY_ASSIGN_OR_RETURN(std::vector<FxbSourceRecord> sources,
-                        CollectSourceRecords(directory, /*read_contents=*/true));
-  if (dataset.scenes.size() + 1 != sources.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "cannot build cache from memory: %zu scenes in memory but %zu "
-        "source records on disk in %s",
-        dataset.scenes.size(), sources.size(), directory.c_str()));
-  }
-  FIXY_RETURN_IF_ERROR(EncodeVerifyWrite(dataset, sources, directory));
-  return dataset.scenes.size();
+  return fingerprint;
 }
 
 std::string CacheStaleness::Summary() const {
-  if (!stale) return "cache is fresh";
+  if (!stale()) return "cache is fresh";
   std::string out;
   for (const std::string& reason : reasons) {
     if (!out.empty()) out += "; ";
@@ -709,31 +628,9 @@ std::string CacheStaleness::Summary() const {
 }
 
 CacheStaleness CompareCacheSources(
-    const FxbReader& reader, const std::vector<FxbSourceRecord>& current) {
+    const std::vector<FxbSourceRecord>& recorded,
+    const std::vector<FxbSourceRecord>& current) {
   CacheStaleness result;
-  const std::vector<FxbSourceRecord>& recorded = reader.sources();
-
-  // Whole-fingerprint summary reasons first: they name the aggregate that
-  // moved even when many files changed at once.
-  const FxbSourceFingerprint now = FingerprintFromRecords(current);
-  const FxbSourceFingerprint& then = reader.fingerprint();
-  if (now.file_count != then.file_count) {
-    result.reasons.push_back(StrFormat(
-        "source file count changed (cache recorded %llu, directory has %llu)",
-        static_cast<unsigned long long>(then.file_count),
-        static_cast<unsigned long long>(now.file_count)));
-  }
-  if (now.total_bytes != then.total_bytes) {
-    result.reasons.push_back(StrFormat(
-        "source total bytes changed (cache recorded %llu, directory has %llu)",
-        static_cast<unsigned long long>(then.total_bytes),
-        static_cast<unsigned long long>(now.total_bytes)));
-  }
-  if (now.max_mtime_ns != then.max_mtime_ns) {
-    result.reasons.push_back("source mtime changed since the cache was built");
-  }
-
-  // Per-file detail from the source map.
   std::map<std::string, const FxbSourceRecord*> by_name;
   for (const FxbSourceRecord& record : recorded) by_name[record.file] = &record;
   std::map<std::string, bool> seen;
@@ -752,7 +649,7 @@ CacheStaleness CompareCacheSources(
           static_cast<unsigned long long>(record.size)));
     } else if (record.mtime_ns != old.mtime_ns) {
       result.reasons.push_back(record.file + " was modified (mtime changed)");
-    } else if (record.crc != 0 && record.crc != old.crc) {
+    } else if (record.crc != 0 && old.crc != 0 && record.crc != old.crc) {
       result.reasons.push_back(record.file +
                                " changed contents (same size and mtime, "
                                "different checksum)");
@@ -763,30 +660,7 @@ CacheStaleness CompareCacheSources(
       result.reasons.push_back("removed since the build: " + record.file);
     }
   }
-
-  result.stale = !result.reasons.empty();
   return result;
-}
-
-Result<CacheStaleness> ExplainCacheStaleness(const std::string& directory,
-                                             bool verify_contents) {
-  const std::string path = FxbCachePath(directory);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) {
-    return Status::NotFound("no FXB cache at " + path);
-  }
-  Result<FxbReader> reader = FxbReader::Open(path);
-  if (!reader.ok()) {
-    CacheStaleness result;
-    result.stale = true;
-    result.reasons.push_back("cache is unreadable: " +
-                             reader.status().message());
-    return result;
-  }
-  FIXY_ASSIGN_OR_RETURN(
-      std::vector<FxbSourceRecord> current,
-      CollectSourceRecords(directory, /*read_contents=*/verify_contents));
-  return CompareCacheSources(*reader, current);
 }
 
 Result<FxbReader> OpenFreshCache(const std::string& directory) {
@@ -799,139 +673,190 @@ Result<FxbReader> OpenFreshCache(const std::string& directory) {
   if (!reader.ok() && reader.status().message().find("unsupported FXB "
                                                      "version") !=
                           std::string::npos) {
-    // An older-format cache is stale, not hostile: the standard refresh
-    // advice applies.
+    // A cache in another format version is stale, not hostile: the
+    // standard refresh advice applies.
     return Status::FailedPrecondition(
         "FXB cache is stale: " + reader.status().message() +
         " (run `fixy_cli cache` to refresh)");
   }
   FIXY_RETURN_IF_ERROR(reader.status());
-  FIXY_ASSIGN_OR_RETURN(std::vector<FxbSourceRecord> current,
-                        CollectSourceRecords(directory, /*read_contents=*/false));
-  // The per-file map catches what the whole-cache fingerprint cannot
-  // (e.g. a rename that preserves count, bytes, and newest mtime), and
-  // reports any fingerprint difference as a reason of its own.
-  const CacheStaleness staleness = CompareCacheSources(*reader, current);
-  if (!staleness.stale) return reader;
+  FIXY_ASSIGN_OR_RETURN(const std::vector<FxbSourceRecord> current,
+                        CollectSourceRecords(directory));
+  const CacheStaleness staleness =
+      CompareCacheSources(reader->sources(), current);
+  if (!staleness.stale()) return reader;
   return Status::FailedPrecondition("FXB cache is stale: " +
                                     staleness.Summary() +
                                     " (run `fixy_cli cache` to refresh)");
 }
 
-Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory) {
-  const std::string cache_path = FxbCachePath(directory);
-  FxbUpdateReport report;
+namespace {
 
-  // No usable cache (missing, corrupt, or an older format version) means
-  // there is nothing to reuse: fall back to a full build.
-  std::error_code ec;
-  Result<FxbReader> old_reader = std::filesystem::exists(cache_path, ec) && !ec
-                                     ? FxbReader::Open(cache_path)
-                                     : Status::NotFound("no cache");
-  if (!old_reader.ok()) {
-    FIXY_ASSIGN_OR_RETURN(const size_t scenes, BuildFxbCache(directory));
-    report.scenes_total = scenes;
-    report.scenes_encoded = scenes;
-    report.rebuilt = true;
-    obs::Count("io.fxb.sections_reencoded", scenes);
-    return report;
+// The one cache writer, behind BuildFxbCache, BuildFxbCacheFromDataset and
+// UpdateFxbCache: one pass over the manifest, in manifest order. A scene
+// keeps its section from `old` when its record matches the one `old`
+// recorded and the section passes its CRC check; every other scene is
+// encoded from `saved`'s copy (a dataset just saved to `directory`) or
+// from the one read of its JSON, whose CRC the new record carries. Each
+// record is stat'd before its file is read, so a file edited mid-pass
+// records an older stat than its bytes and reads as stale afterwards.
+// With `old`, the report names every change it acted on, and nothing is
+// written when there is none.
+Result<FxbUpdateReport> WriteCache(const std::string& directory,
+                                   const FxbReader* old, bool verify_contents,
+                                   const Dataset* saved) {
+  std::string bytes;  // the current source file, read at most once
+  FIXY_ASSIGN_OR_RETURN(FxbSourceRecord manifest,
+                        StatSourceRecord(directory, kManifestFile));
+  FIXY_RETURN_IF_ERROR(ReadFileInto(directory + "/" + kManifestFile, &bytes));
+  manifest.crc = Crc32(bytes);
+  std::string dataset_name;
+  FIXY_ASSIGN_OR_RETURN(const std::vector<std::string> files,
+                        ParseManifestSceneFiles(bytes, &dataset_name));
+  if (saved != nullptr && saved->scenes.size() != files.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "cannot build cache from memory: %zu scenes in memory but the "
+        "manifest in %s lists %zu",
+        saved->scenes.size(), directory.c_str(), files.size()));
   }
 
-  std::string dataset_name;
-  FIXY_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                        ReadManifestSceneFiles(directory, &dataset_name));
-
-  // Map the old cache's per-scene records by source file name.
   std::map<std::string, size_t> old_scene_by_file;
-  const std::vector<FxbSourceRecord>& old_sources = old_reader->sources();
-  for (size_t i = 0; i < old_reader->scene_count(); ++i) {
-    old_scene_by_file.emplace(old_sources[i].file, i);
+  std::vector<bool> kept(old != nullptr ? old->scene_count() : 0, false);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    old_scene_by_file.emplace(old->sources()[i].file, i);
   }
 
   // Sections in manifest order: views into the old cache's mapping for
   // reused scenes, into `encoded` for the rest. A deque never moves its
   // elements, so the views stay valid as it grows.
+  FxbUpdateReport report;
   std::vector<FxbSection> sections;
   std::deque<std::string> encoded;
   std::vector<FxbSourceRecord> sources;
+  std::vector<std::string> damaged;
   sections.reserve(files.size());
   sources.reserve(files.size() + 1);
-  std::map<std::string, bool> in_manifest;
-  std::string bytes;  // the current scene file's JSON, read at most once
-  for (const std::string& file : files) {
-    in_manifest[file] = true;
+  for (size_t i = 0; i < files.size(); ++i) {
+    const std::string& file = files[i];
     const std::string path = directory + "/" + file;
-    FIXY_ASSIGN_OR_RETURN(
-        FxbSourceRecord fresh,
-        StatSourceRecord(directory, file, /*read_contents=*/false));
+    FIXY_ASSIGN_OR_RETURN(FxbSourceRecord record,
+                          StatSourceRecord(directory, file));
     bool have_bytes = false;
     const auto it = old_scene_by_file.find(file);
     if (it != old_scene_by_file.end()) {
-      const FxbSourceRecord& old = old_sources[it->second];
-      bool reuse = fresh.size == old.size && fresh.mtime_ns == old.mtime_ns;
-      if (reuse) {
-        // Stat fast path: unchanged on disk.
-        fresh.crc = old.crc;
+      kept[it->second] = true;
+      const FxbSourceRecord& recorded = old->sources()[it->second];
+      if (!verify_contents && record.size == recorded.size &&
+          record.mtime_ns == recorded.mtime_ns) {
+        record.crc = recorded.crc;  // stat fast path: unchanged on disk
       } else {
-        // Stat mismatch: read the file once — a touched-but-identical
-        // file (same bytes, new mtime) still reuses its section.
+        // A moved stat, or verify_contents: one read decides, so a
+        // touched-but-identical file still keeps its section.
         FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
         have_bytes = true;
-        fresh.crc = Crc32(bytes);
-        reuse = fresh.crc == old.crc && fresh.size == old.size;
+        record.crc = Crc32(bytes);
       }
-      if (reuse) {
-        // The section's one read: its CRC check. A corrupt section must be
+      if (record.size == recorded.size && record.crc == recorded.crc) {
+        // The section's one read: its CRC check. A corrupt section is
         // re-encoded, not propagated; a sound one is written from the old
         // mapping under the CRC just checked.
-        const Result<FxbSection> section = old_reader->SceneSection(it->second);
+        const Result<FxbSection> section = old->SceneSection(it->second);
         if (section.ok()) {
           sections.push_back(*section);
-          sources.push_back(std::move(fresh));
+          sources.push_back(std::move(record));
           report.scenes_reused += 1;
           obs::Count("io.fxb.sections_reused");
           continue;
         }
+        damaged.push_back("damaged cache section for " + file + " (" +
+                          section.status().message() + ")");
       }
     }
-    // Added, changed, or corrupt-in-cache: encode from the JSON source,
-    // parsed from the same bytes its recorded CRC covers.
+    // Added, changed, damaged in the cache, or nothing to reuse: encode,
+    // from the same bytes the record's CRC covers.
     if (!have_bytes) {
       FIXY_RETURN_IF_ERROR(ReadFileInto(path, &bytes));
-      fresh.crc = Crc32(bytes);
+      record.crc = Crc32(bytes);
     }
-    obs::Count("io.bytes_read", bytes.size());
-    FIXY_ASSIGN_OR_RETURN(const Scene scene, [&] {
+    Scene parsed;
+    if (saved == nullptr) {
+      obs::Count("io.bytes_read", bytes.size());
       const obs::ScopedStageTimer parse_timer("io.parse");
-      return SceneFromString(bytes);
-    }());
-    FIXY_ASSIGN_OR_RETURN(std::string section, EncodeVerifiedSection(scene));
+      FIXY_ASSIGN_OR_RETURN(parsed, SceneFromString(bytes));
+    }
+    FIXY_ASSIGN_OR_RETURN(
+        std::string section,
+        EncodeVerifiedSection(saved != nullptr ? saved->scenes[i] : parsed));
     const std::string& owned = encoded.emplace_back(std::move(section));
     sections.push_back({owned, Crc32(owned)});
-    sources.push_back(std::move(fresh));
+    sources.push_back(std::move(record));
     report.scenes_encoded += 1;
     report.encoded_files.push_back(file);
     obs::Count("io.fxb.sections_reencoded");
   }
-  for (size_t i = 0; i < old_reader->scene_count(); ++i) {
-    if (!in_manifest.count(old_sources[i].file)) {
+  for (size_t i = 0; i < kept.size(); ++i) {
+    if (!kept[i]) {
       report.scenes_dropped += 1;
-      report.dropped_files.push_back(old_sources[i].file);
       obs::Count("io.fxb.sections_dropped");
     }
   }
+  sources.push_back(std::move(manifest));
+  report.scenes_total = sections.size();
 
-  FIXY_ASSIGN_OR_RETURN(
-      FxbSourceRecord manifest_record,
-      StatSourceRecord(directory, kManifestFile, /*read_contents=*/true));
-  sources.push_back(std::move(manifest_record));
-
+  if (old != nullptr) {
+    report.staleness = CompareCacheSources(old->sources(), sources);
+    report.staleness.reasons.insert(report.staleness.reasons.end(),
+                                    damaged.begin(), damaged.end());
+    if (!report.staleness.stale()) return report;  // fresh and sound
+  }
   FIXY_ASSIGN_OR_RETURN(const FxbLayout layout,
                         AssembleFxbBlob(dataset_name, sections, sources));
-  // The old reader stays open through the write: the reused sections are
+  FIXY_RETURN_IF_ERROR(WriteFileAtomic(FxbCachePath(directory),
+                                       layout.Ranges()));
+  return report;
+}
+
+}  // namespace
+
+Result<size_t> BuildFxbCache(const std::string& directory) {
+  FIXY_ASSIGN_OR_RETURN(
+      const FxbUpdateReport report,
+      WriteCache(directory, /*old=*/nullptr, /*verify_contents=*/false,
+                 /*saved=*/nullptr));
+  return report.scenes_total;
+}
+
+Result<size_t> BuildFxbCacheFromDataset(const Dataset& dataset,
+                                        const std::string& directory) {
+  FIXY_ASSIGN_OR_RETURN(
+      const FxbUpdateReport report,
+      WriteCache(directory, /*old=*/nullptr, /*verify_contents=*/false,
+                 &dataset));
+  return report.scenes_total;
+}
+
+Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory,
+                                       bool verify_contents) {
+  const std::string path = FxbCachePath(directory);
+  std::error_code ec;
+  const Result<FxbReader> old =
+      std::filesystem::exists(path, ec) && !ec
+          ? FxbReader::Open(path)
+          : Status::NotFound("no cache yet");
+  // The old reader stays open through the write: reused sections are
   // written from its mapping, which outlives the rename over its path.
-  FIXY_RETURN_IF_ERROR(WriteFileAtomic(cache_path, layout.Ranges()));
-  report.scenes_total = sections.size();
+  if (old.ok()) return WriteCache(directory, &*old, verify_contents, nullptr);
+
+  // No usable cache (missing, corrupt, or another format version): there
+  // is nothing to reuse, so every scene is encoded.
+  FIXY_ASSIGN_OR_RETURN(
+      FxbUpdateReport report,
+      WriteCache(directory, /*old=*/nullptr, verify_contents, nullptr));
+  report.rebuilt = true;
+  report.staleness.reasons.push_back(
+      old.status().code() == StatusCode::kNotFound
+          ? old.status().message()
+          : "cache is unreadable: " + old.status().message());
   return report;
 }
 
@@ -960,8 +885,9 @@ Result<Scene> DirectorySceneSource::DecodeScene(size_t index) const {
 }
 
 Result<std::unique_ptr<SceneSource>> OpenSceneSource(
-    const std::string& directory) {
+    const std::string& directory, Status* cache_status) {
   Result<FxbReader> cache = OpenFreshCache(directory);
+  if (cache_status != nullptr) *cache_status = cache.status();
   if (cache.ok()) {
     return std::unique_ptr<SceneSource>(
         std::make_unique<FxbSceneSource>(std::move(cache).value()));

@@ -6,14 +6,12 @@
 // and `rank` then decodes each scene with a handful of bounded memcpys
 // from a memory-mapped file instead of a JSON DOM walk.
 //
-// On-disk layout, format version 2 (all integers and doubles
-// little-endian; byte-level table in DESIGN.md §14):
+// On-disk layout, format version 3 (all integers and doubles
+// little-endian; byte-level table in DESIGN.md §9):
 //
-//   header   64 bytes: magic "FXB1", format version, scene count,
-//            dataset-name length, index offset, source fingerprint
-//            (file count / total bytes / max mtime-ns, the whole-cache
-//            staleness fast path), source record count, index CRC32,
-//            source map CRC32, header CRC32.
+//   header   40 bytes: magic "FXB1", format version, scene count,
+//            dataset-name length, index offset, source record count,
+//            index CRC32, source map CRC32, header CRC32.
 //   name     dataset name bytes, immediately after the header.
 //   scenes   one section per scene, columnar: frame columns (index,
 //            timestamp, ego x/y/yaw, per-frame observation count) then
@@ -27,19 +25,18 @@
 //            u64 size, u64 mtime_ns, u32 crc32-of-source-bytes}: record
 //            i < scene_count fingerprints scene i's JSON file, the
 //            records after that cover the non-scene sources (the
-//            manifest, last). This per-scene map is what lets
-//            UpdateFxbCache re-encode only the scenes whose source
-//            actually changed, and it closes the whole-fingerprint
-//            staleness blind spot (a same-size edit with a restored
-//            mtime still changes the recorded CRC).
+//            manifest, last). This per-file map is the cache's only
+//            freshness record: OpenFreshCache compares it with a stat of
+//            every source, and UpdateFxbCache re-encodes only the scenes
+//            whose record changed.
 //
 // Every reader path returns Status on truncated / corrupt /
-// version-mismatched input — never aborts (the PR 2 failure-semantics
+// version-mismatched input and never aborts (DESIGN.md §9's validation
 // ladder). Doubles are stored bit-exact, so a cache round-trip is
-// bit-identical to the JSON load it was built from, and an incremental
-// UpdateFxbCache is byte-identical to a from-scratch BuildFxbCache over
-// the same source state (the encoder is deterministic and both paths
-// share one layout function).
+// bit-identical to the JSON load it was built from. One loop writes every
+// cache (BuildFxbCache, BuildFxbCacheFromDataset and UpdateFxbCache), so
+// an update is byte-identical to a from-scratch build over the same
+// source state.
 #ifndef FIXY_IO_FXB_H_
 #define FIXY_IO_FXB_H_
 
@@ -59,19 +56,16 @@ namespace fixy::io {
 // ---- Layout constants (exported for DESIGN.md §9, tests, and the
 // binary corruptor in src/testing). ----
 inline constexpr char kFxbMagic[4] = {'F', 'X', 'B', '1'};
-inline constexpr uint32_t kFxbVersion = 2;
-inline constexpr size_t kFxbHeaderSize = 64;
+inline constexpr uint32_t kFxbVersion = 3;
+inline constexpr size_t kFxbHeaderSize = 40;
 inline constexpr size_t kFxbVersionOffset = 4;        // u32
 inline constexpr size_t kFxbSceneCountOffset = 8;     // u32
 inline constexpr size_t kFxbNameBytesOffset = 12;     // u32
 inline constexpr size_t kFxbIndexOffsetOffset = 16;   // u64
-inline constexpr size_t kFxbSourceFilesOffset = 24;   // u64
-inline constexpr size_t kFxbSourceBytesOffset = 32;   // u64
-inline constexpr size_t kFxbSourceMtimeOffset = 40;   // u64
-inline constexpr size_t kFxbSourceCountOffset = 48;   // u32, source records
-inline constexpr size_t kFxbIndexCrcOffset = 52;      // u32
-inline constexpr size_t kFxbSourceMapCrcOffset = 56;  // u32
-inline constexpr size_t kFxbHeaderCrcOffset = 60;     // u32, CRC of [0,60)
+inline constexpr size_t kFxbSourceCountOffset = 24;   // u32, source records
+inline constexpr size_t kFxbIndexCrcOffset = 28;      // u32
+inline constexpr size_t kFxbSourceMapCrcOffset = 32;  // u32
+inline constexpr size_t kFxbHeaderCrcOffset = 36;     // u32, CRC of [0,36)
 /// One index entry: u64 offset, u64 length, u32 crc32, u32 reserved.
 inline constexpr size_t kFxbIndexEntrySize = 24;
 inline constexpr size_t kFxbIndexEntryCrcOffset = 16;
@@ -79,11 +73,9 @@ inline constexpr size_t kFxbIndexEntryCrcOffset = 16;
 /// mtime_ns, u32 crc32.
 inline constexpr size_t kFxbSourceRecordTailSize = 20;
 
-/// Fingerprint of the JSON source files a cache was built from, recorded
-/// in the header and used as the staleness fast path: any file added,
-/// removed, resized, or touched since the build changes it. Mtimes are
-/// nanosecond-resolution, so a same-size in-place edit lands in the
-/// fingerprint even within the same wall-clock second.
+/// Whole-directory summary of a dataset's JSON sources (file count, total
+/// bytes, newest nanosecond mtime), from ComputeSourceFingerprint. No
+/// cache records it: the per-file source map decides freshness.
 struct FxbSourceFingerprint {
   uint64_t file_count = 0;
   uint64_t total_bytes = 0;
@@ -94,8 +86,8 @@ struct FxbSourceFingerprint {
 
 /// One source file's fingerprint in the per-scene source map: name
 /// relative to the dataset directory, byte size, nanosecond mtime, and
-/// CRC32 of the file's bytes (0 when the record came from a stat-only
-/// pass that did not read contents).
+/// CRC32 of the file's bytes (0 in a stat-only record, which is what
+/// StatSourceRecord returns).
 struct FxbSourceRecord {
   std::string file;
   uint64_t size = 0;
@@ -105,25 +97,18 @@ struct FxbSourceRecord {
   bool operator==(const FxbSourceRecord&) const = default;
 };
 
-/// Stats one source file, `directory`/`file`, into a record; reads and
-/// CRCs its bytes when `read_contents` (the form recorded at build
-/// time). fixyd compares a resident dataset's records one file at a
-/// time with it. Errors: IoError when the file cannot be stat'd or read.
+/// Stats one source file, `directory`/`file`, into a stat-only record.
+/// fixyd compares a resident dataset's records one file at a time with
+/// it. Errors: IoError when the file cannot be stat'd.
 Result<FxbSourceRecord> StatSourceRecord(const std::string& directory,
-                                         const std::string& file,
-                                         bool read_contents);
+                                         const std::string& file);
 
-/// Stats (and optionally reads, for CRCs) every source file of
-/// `directory`: the manifest's scene files in manifest order, then the
-/// manifest itself as the final record. Errors: IoError / InvalidArgument
-/// when the manifest is unreadable or malformed, or a listed file cannot
-/// be stat'd.
+/// Stats every source file of `directory`: the manifest's scene files in
+/// manifest order, then the manifest itself as the final record. Errors:
+/// IoError / InvalidArgument when the manifest is unreadable or
+/// malformed, or a listed file cannot be stat'd.
 Result<std::vector<FxbSourceRecord>> CollectSourceRecords(
-    const std::string& directory, bool read_contents);
-
-/// Folds per-file records into the whole-cache fast-path fingerprint.
-FxbSourceFingerprint FingerprintFromRecords(
-    const std::vector<FxbSourceRecord>& records);
+    const std::string& directory);
 
 /// One scene section of an FXB container and the CRC-32 its index entry
 /// records for it.
@@ -135,10 +120,9 @@ struct FxbSection {
 /// Serializes `dataset` into an FXB container blob (header + name +
 /// sections + index + source map). `sources` must hold one record per
 /// scene (record i fingerprints scene i's source file) followed by at
-/// least one non-scene record (the manifest); the header fingerprint is
-/// derived from it. Errors: InvalidArgument when a scene exceeds the
-/// format's u32 frame/observation counts or `sources` is shorter than
-/// the scene list.
+/// least one non-scene record (the manifest). Errors: InvalidArgument
+/// when a scene exceeds the format's u32 frame/observation counts or
+/// `sources` is shorter than the scene list.
 Result<std::string> EncodeFxbDataset(const Dataset& dataset,
                                      const std::vector<FxbSourceRecord>& sources);
 
@@ -159,7 +143,6 @@ class FxbReader {
 
   size_t scene_count() const { return index_.size(); }
   const std::string& dataset_name() const { return dataset_name_; }
-  const FxbSourceFingerprint& fingerprint() const { return fingerprint_; }
   /// The per-file source map recorded at build time: one record per
   /// scene (same order as the scene index), then the non-scene sources
   /// (manifest last).
@@ -199,7 +182,6 @@ class FxbReader {
   MappedFile file_;
   std::string buffer_;  // FromBuffer storage
   std::string dataset_name_;
-  FxbSourceFingerprint fingerprint_;
   std::vector<IndexEntry> index_;
   std::vector<FxbSourceRecord> sources_;
 };
@@ -213,88 +195,87 @@ std::string FxbCachePath(const std::string& directory);
 Result<FxbSourceFingerprint> ComputeSourceFingerprint(
     const std::string& directory);
 
-/// Builds (or refreshes) `directory`'s cache: strict JSON load, encode,
-/// decode-back parity check (every section decodes to a scene BitIdentical
-/// to its JSON load), then an atomic write of dataset.fxb. Returns the
-/// scene count. Errors: Internal ("FXB parity check failed") when a
-/// section does not decode back to its scene.
+/// Builds `directory`'s cache from scratch: UpdateFxbCache's loop with no
+/// old cache to reuse. Each scene file is read once; its recorded CRC and
+/// its parse come from the same bytes, and every encoded section must
+/// decode back to a scene BitIdentical to its parse before the atomic
+/// write of dataset.fxb. Returns the scene count. Errors: the source
+/// files' read/parse errors, Internal ("FXB parity check failed") when a
+/// section does not decode back to its scene, IoError for the write.
 Result<size_t> BuildFxbCache(const std::string& directory);
 
-/// Builds `directory`'s cache directly from an in-memory dataset that was
-/// just saved there (SaveDataset must have run first — the source
-/// fingerprints still come from the files on disk). Skips the JSON
-/// re-parse of BuildFxbCache, which matters when generating 100k+ scene
-/// synthetic datasets; the result is byte-identical to BuildFxbCache over
-/// the same directory because JSON round-trips doubles bit-exactly (the
-/// decode-back parity check still runs). Errors: InvalidArgument when the
-/// on-disk manifest does not match `dataset`'s scene list.
+/// BuildFxbCache for a dataset that was just saved to `directory`
+/// (SaveDataset must have run first): the same loop, but each section is
+/// encoded from the in-memory scene instead of a parse of its file, which
+/// matters when generating 100k+ scene synthetic datasets. The files are
+/// still read once each for their recorded CRCs. The result is
+/// byte-identical to BuildFxbCache over the same directory because JSON
+/// round-trips doubles bit-exactly, the sign of a zero included.
+/// Errors: InvalidArgument when the on-disk manifest does not list as
+/// many scenes as `dataset` holds.
 Result<size_t> BuildFxbCacheFromDataset(const Dataset& dataset,
                                         const std::string& directory);
 
-/// Why (and whether) a cache no longer matches its sources. `reasons`
-/// holds one human-readable sentence per detected difference; empty when
-/// fresh.
+/// Why (and whether) a cache no longer matches its sources: one
+/// human-readable sentence per detected difference, none when fresh.
 struct CacheStaleness {
-  bool stale = false;
   std::vector<std::string> reasons;
 
+  bool stale() const { return !reasons.empty(); }
   /// The reasons joined with "; " ("cache is fresh" when not stale).
   std::string Summary() const;
 };
 
-/// Diffs a cache's recorded source map against `current` records (from
-/// CollectSourceRecords). Stat-only records (crc == 0) compare by
-/// size/mtime; content records also compare CRCs, which catches a
-/// same-size edit whose mtime was restored.
-CacheStaleness CompareCacheSources(const FxbReader& reader,
-                                   const std::vector<FxbSourceRecord>& current);
+/// Diffs two source record lists, `recorded` (a cache's source map, or a
+/// resident dataset's records) against `current`, per file: added,
+/// removed, resized, touched, and, when both records carry a CRC,
+/// rewritten behind an unchanged size and mtime. A stat-only record
+/// (crc == 0) compares by size and mtime.
+CacheStaleness CompareCacheSources(
+    const std::vector<FxbSourceRecord>& recorded,
+    const std::vector<FxbSourceRecord>& current);
 
-/// Opens `directory`'s cache (if any) and reports why it is stale, with
-/// per-file reasons. A cache that cannot be parsed (corrupt, or an older
-/// format version) reads as stale with the parse error as the reason.
-/// The default stat-only pass trusts size + nanosecond mtime (the same
-/// fast path OpenFreshCache uses); `verify_contents` additionally reads
-/// and checksums every source file, which catches the one edit the stat
-/// pass cannot — a same-size rewrite whose mtime was restored.
-/// Errors: NotFound when there is no cache file at all.
-Result<CacheStaleness> ExplainCacheStaleness(const std::string& directory,
-                                             bool verify_contents = false);
-
-/// Opens `directory`'s cache iff it exists and is fresh: the whole-cache
-/// fingerprint fast path first, then the per-file source map (stat
-/// comparison). Errors: NotFound (no cache), FailedPrecondition (stale:
-/// source files changed since the build, with per-file reasons; also
-/// covers a cache in an older format version), or the underlying
-/// open/parse error (InvalidArgument for a bad magic or a truncated
-/// header). OpenSceneSource falls back to the JSON files on every one of
-/// them.
+/// Opens `directory`'s cache iff it exists and is fresh: its source map
+/// compared with one stat of every source. Errors: NotFound (no cache),
+/// FailedPrecondition (stale: source files changed since the build, with
+/// per-file reasons; also covers a cache in another format version), or
+/// the underlying open/parse error (InvalidArgument for a bad magic or a
+/// truncated header). OpenSceneSource falls back to the JSON files on
+/// every one of them.
 Result<FxbReader> OpenFreshCache(const std::string& directory);
 
-/// What UpdateFxbCache did to each scene section.
+/// What UpdateFxbCache did, and why.
 struct FxbUpdateReport {
   size_t scenes_total = 0;    // scenes in the refreshed cache
   size_t scenes_reused = 0;   // sections written from the old cache
   size_t scenes_encoded = 0;  // added or changed, re-encoded from JSON
   size_t scenes_dropped = 0;  // removed from the manifest since the build
-  bool rebuilt = false;       // no usable cache: fell back to a full build
+  bool rebuilt = false;       // no usable cache: every scene was encoded
+  /// The reasons the update acted on: per-file source changes, damaged
+  /// sections, or why there was no cache to reuse. Not stale() exactly
+  /// when the update wrote nothing.
+  CacheStaleness staleness;
   std::vector<std::string> encoded_files;
-  std::vector<std::string> dropped_files;
 };
 
-/// Incrementally refreshes `directory`'s cache: re-encodes only the
-/// scenes whose source file was added or changed since the build (per
-/// the source map: stat fast path, CRC fallback for touched-but-
-/// identical files), each parsed from the one read of its JSON and
-/// parity-checked like BuildFxbCache's; drops scenes removed from the
-/// manifest; and writes the new file straight from the old mapping for
-/// every other section. Each reused section is read once, by the CRC
-/// check of SceneSection (a corrupt section is re-encoded from its
-/// source instead), and indexed under that checked CRC. The result is
-/// byte-identical to BuildFxbCache over the same source state. Falls back
-/// to a full build when there is no usable cache (missing, corrupt, or
-/// older format). Errors: the source files' read/parse errors, Internal
-/// for a failed parity check, IoError for the write.
-Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory);
+/// Refreshes `directory`'s cache in one pass over its manifest. A scene
+/// whose source record matches the one the cache recorded (by size and
+/// mtime; a file whose stat moved is read once and compared by CRC, so a
+/// touched-but-identical file still matches) keeps its section, written
+/// straight from the old mapping after one CRC check; a section that
+/// fails it is re-encoded. Every other scene is encoded from the one read
+/// of its JSON, parity-checked like BuildFxbCache's; scenes removed from
+/// the manifest drop. `verify_contents` reads and CRCs every source,
+/// which catches the one edit a stat cannot see, a same-size rewrite
+/// whose mtime was restored, and re-encodes only that scene. Nothing is
+/// written when every record matches and every reused section passes its
+/// check. With no usable cache (missing, corrupt, or another format
+/// version) every scene is encoded (`rebuilt`). The result is
+/// byte-identical to BuildFxbCache over the same source state. Errors:
+/// the source files' read/parse errors, Internal for a failed parity
+/// check, IoError for the write.
+Result<FxbUpdateReport> UpdateFxbCache(const std::string& directory,
+                                       bool verify_contents = false);
 
 /// FXB-backed SceneSource for the streaming ranking pipeline.
 class FxbSceneSource : public SceneSource {
@@ -335,10 +316,12 @@ class DirectorySceneSource : public SceneSource {
 /// Opens a dataset directory as a SceneSource: the fresh FXB cache when
 /// there is one, the JSON scene files otherwise — whenever OpenFreshCache
 /// fails, whether the cache is missing, stale, or rejected at open. The
-/// one source policy of `fixy_cli rank` and fixyd. Errors: only the JSON
+/// one source policy of `fixy_cli rank` and fixyd. When `cache_status` is
+/// given it receives OpenFreshCache's status (Ok when the cache is used),
+/// so a caller can say why the cache was not. Errors: only the JSON
 /// side's, i.e. whatever reading the manifest fails with.
 Result<std::unique_ptr<SceneSource>> OpenSceneSource(
-    const std::string& directory);
+    const std::string& directory, Status* cache_status = nullptr);
 
 /// Records every `io.fxb.*` counter and timer at zero on the calling
 /// thread's collector, so metric snapshots carry a stable key set whether

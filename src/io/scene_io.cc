@@ -309,8 +309,12 @@ Result<std::vector<std::string>> ReadManifestSceneFiles(
     const std::string& directory, std::string* dataset_name) {
   FIXY_ASSIGN_OR_RETURN(MappedFile manifest_file,
                         MappedFile::Open(directory + "/manifest.json"));
-  FIXY_ASSIGN_OR_RETURN(json::Value manifest,
-                        json::Parse(manifest_file.data()));
+  return ParseManifestSceneFiles(manifest_file.data(), dataset_name);
+}
+
+Result<std::vector<std::string>> ParseManifestSceneFiles(
+    std::string_view text, std::string* dataset_name) {
+  FIXY_ASSIGN_OR_RETURN(json::Value manifest, json::Parse(text));
   FIXY_ASSIGN_OR_RETURN(std::string format, manifest.GetString("format"));
   if (format != kManifestMarker) {
     return Status::InvalidArgument("not a fixy-dataset manifest");

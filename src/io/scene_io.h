@@ -61,8 +61,7 @@ Status ReadFileInto(const std::string& path, std::string* out);
 /// double compared by its bit pattern. Stricter than comparing
 /// SceneToString texts, which are a function of the same fields: it also
 /// sees each observation's frame_index and timestamp, which the JSON
-/// document does not carry, and the sign of a zero, which it writes as 0.
-/// The FXB cache's decode-back parity check.
+/// document does not carry. The FXB cache's decode-back parity check.
 bool BitIdentical(const Scene& a, const Scene& b);
 
 /// Writes `parts`, concatenated in order, to `path + ".tmp"`, then renames
@@ -78,14 +77,19 @@ Status SaveDataset(const Dataset& dataset, const std::string& directory);
 
 /// Reads `<directory>/manifest.json` (memory-mapped) and returns the
 /// scene file names it lists, in manifest order, plus the dataset name
-/// when `dataset_name` is non-null. The one manifest parser: LoadDataset,
-/// DirectorySceneSource and the FXB cache's source records all read the
-/// scene list through it. Errors: IoError when the manifest is unreadable;
-/// InvalidArgument when it is not a fixy-dataset manifest, lacks the
-/// requested name or the scenes array, or lists a scene entry that is
-/// not a string.
+/// when `dataset_name` is non-null. LoadDataset, DirectorySceneSource and
+/// the FXB cache's source records all read the scene list through it.
+/// Errors: IoError when the manifest is unreadable; otherwise
+/// ParseManifestSceneFiles'.
 Result<std::vector<std::string>> ReadManifestSceneFiles(
     const std::string& directory, std::string* dataset_name = nullptr);
+
+/// The one manifest parser, over the manifest's text: the FXB cache
+/// writer parses the same bytes it checksums. Errors: InvalidArgument
+/// when `text` is not a fixy-dataset manifest, lacks the requested name
+/// or the scenes array, or lists a scene entry that is not a string.
+Result<std::vector<std::string>> ParseManifestSceneFiles(
+    std::string_view text, std::string* dataset_name = nullptr);
 
 /// Loads a dataset previously written by SaveDataset. Strict: the first
 /// unreadable, unparseable, or invalid scene file fails the whole load.

@@ -459,7 +459,10 @@ void WriteNumber(double d, std::string* out) {
     out->append("null");
     return;
   }
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
+  if (d == 0.0 && std::signbit(d)) {
+    // The integral branch would print 0; "-0" parses back to -0.0.
+    out->append("-0");
+  } else if (d == std::floor(d) && std::abs(d) < 1e15) {
     // Integral value: emit without a decimal point.
     out->append(StrFormat("%lld", static_cast<long long>(d)));
   } else {

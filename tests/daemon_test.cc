@@ -501,7 +501,7 @@ TEST_F(DaemonTest, RankFallsBackToJsonOnBadMagicCache) {
   namespace fs = std::filesystem;
   const std::string dir = *base_dir_ + "/bad_magic";
   fs::copy(*data_dir_, dir, fs::copy_options::recursive);
-  // Junk longer than the 64-byte header, so the magic check rejects it.
+  // Junk longer than the 40-byte header, so the magic check rejects it.
   std::ofstream(io::FxbCachePath(dir), std::ios::binary)
       << std::string(256, 'x');
   ASSERT_EQ(io::OpenFreshCache(dir).status().code(),

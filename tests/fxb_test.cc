@@ -3,6 +3,7 @@
 // dataset-directory cache workflow (build, fresh open, staleness).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -102,9 +103,7 @@ TEST(FxbFormatTest, RoundTripPreservesEveryScene) {
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader->dataset_name(), "fxb_test");
   EXPECT_EQ(reader->scene_count(), dataset.scenes.size());
-  const std::vector<FxbSourceRecord> sources = FakeSources(dataset);
-  EXPECT_EQ(reader->fingerprint(), FingerprintFromRecords(sources));
-  EXPECT_EQ(reader->sources(), sources);
+  EXPECT_EQ(reader->sources(), FakeSources(dataset));
   for (size_t i = 0; i < dataset.scenes.size(); ++i) {
     const auto scene = reader->DecodeScene(i);
     ASSERT_TRUE(scene.ok()) << scene.status();
@@ -355,7 +354,7 @@ TEST(FxbCacheTest, BuildFreshStaleRebuild) {
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_EQ(fresh->scene_count(), dataset.scenes.size());
 
-  // Growing a source file invalidates the cache via the fingerprint.
+  // Growing a source file invalidates the cache through its record.
   {
     std::ofstream out(dir + "/scene_0.fixy.json",
                       std::ios::binary | std::ios::app);
@@ -434,7 +433,7 @@ TEST(FxbCacheTest, OpenSceneSourceFallsBackToJsonOnRejectedCache) {
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_FALSE(is_json(**fresh));
 
-  // Junk longer than the 64-byte header, so the magic check rejects it.
+  // Junk longer than the 40-byte header, so the magic check rejects it.
   std::ofstream(FxbCachePath(dir), std::ios::binary | std::ios::trunc)
       << std::string(256, 'x');
   EXPECT_EQ(OpenFreshCache(dir).status().code(),
@@ -446,6 +445,78 @@ TEST(FxbCacheTest, OpenSceneSourceFallsBackToJsonOnRejectedCache) {
 
   std::ofstream(dir + "/manifest.json", std::ios::trunc) << "{broken";
   EXPECT_FALSE(OpenSceneSource(dir).ok());
+  std::filesystem::remove_all(dir);
+}
+
+// Every cache written before the current format version takes this path
+// once: it reads as stale (with the refresh hint), rank and fixyd fall
+// back to the JSON files, and the update rebuilds it from scratch.
+TEST(FxbCacheTest, OlderFormatVersionReadsStaleAndIsRebuilt) {
+  const std::string dir = TempDir();
+  ASSERT_TRUE(SaveDataset(MakeDataset(2), dir).ok());
+  ASSERT_TRUE(BuildFxbCache(dir).ok());
+  std::string built;
+  ASSERT_TRUE(ReadFileInto(FxbCachePath(dir), &built).ok());
+  std::string older = built;
+  PokeHeader<uint32_t>(&older, kFxbVersionOffset, kFxbVersion - 1);
+  ASSERT_TRUE(WriteFileAtomic(FxbCachePath(dir), {older}).ok());
+
+  const auto fresh = OpenFreshCache(dir);
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message = fresh.status().message();
+  EXPECT_NE(message.find("unsupported FXB version " +
+                         std::to_string(kFxbVersion - 1)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("run `fixy_cli cache` to refresh"),
+            std::string::npos)
+      << message;
+
+  Status cache_status;
+  auto source = OpenSceneSource(dir, &cache_status);
+  ASSERT_TRUE(source.ok()) << source.status();
+  EXPECT_NE(dynamic_cast<const DirectorySceneSource*>(source->get()),
+            nullptr);
+  EXPECT_EQ(cache_status.code(), StatusCode::kFailedPrecondition);
+
+  const auto update = UpdateFxbCache(dir);
+  ASSERT_TRUE(update.ok()) << update.status();
+  EXPECT_TRUE(update->rebuilt);
+  EXPECT_EQ(update->scenes_encoded, 2u);
+  std::string updated;
+  ASSERT_TRUE(ReadFileInto(FxbCachePath(dir), &updated).ok());
+  EXPECT_EQ(updated, built);
+  std::filesystem::remove_all(dir);
+}
+
+// JSON keeps the sign of a zero, so a scene holding -0.0 caches to the
+// same bytes from memory (`sim --fxb`) as from its saved JSON.
+TEST(FxbCacheTest, NegativeZeroCachesIdenticallyFromMemoryAndJson) {
+  Dataset dataset = MakeDataset(2);
+  Frame& frame = dataset.scenes[0].frames()[0];
+  frame.timestamp = -0.0;
+  frame.ego_position.x = -0.0;
+  frame.ego_yaw = -0.0;
+  // JSON does not carry an observation's timestamp: loading gives it its
+  // frame's, so the in-memory scene must too.
+  for (Observation& obs : frame.observations) obs.timestamp = -0.0;
+  const std::string dir = TempDir();
+  ASSERT_TRUE(SaveDataset(dataset, dir).ok());
+  ASSERT_TRUE(BuildFxbCacheFromDataset(dataset, dir).ok());
+  std::string from_memory;
+  ASSERT_TRUE(ReadFileInto(FxbCachePath(dir), &from_memory).ok());
+  ASSERT_TRUE(BuildFxbCache(dir).ok());
+  std::string from_json;
+  ASSERT_TRUE(ReadFileInto(FxbCachePath(dir), &from_json).ok());
+  EXPECT_EQ(from_json, from_memory);
+
+  auto reader = OpenFreshCache(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const auto decoded = reader->DecodeScene(0);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(BitIdentical(*decoded, dataset.scenes[0]));
+  EXPECT_TRUE(std::signbit(decoded->frames()[0].ego_yaw));
   std::filesystem::remove_all(dir);
 }
 

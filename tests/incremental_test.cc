@@ -6,11 +6,12 @@
 //      full refit over the concatenated dataset, for every estimator —
 //      including KDE past its reservoir capacity, because the reservoir's
 //      counter-based subsampling resumes the exact stream.
-//   3. The per-scene fingerprint ladder: a same-size edit is caught by
-//      its nanosecond mtime; a same-size edit with a *restored* mtime is
-//      the stat pass's documented blind spot and is caught by the
-//      content-verifying staleness pass; a size change that the
-//      whole-cache fingerprint cannot see is caught per file.
+//   3. The per-scene record ladder: a same-size edit is caught by its
+//      nanosecond mtime; a same-size edit with a *restored* mtime is the
+//      stat pass's documented blind spot and is caught by the
+//      content-verifying update, which re-encodes only that scene; size
+//      changes that cancel out across files are caught per file; and an
+//      update over unchanged sources writes nothing.
 //   4. Corrupted caches (including records that lie about their source)
 //      never crash the incremental path — they degrade to re-encodes or
 //      a full rebuild.
@@ -30,6 +31,7 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -190,8 +192,38 @@ TEST(IncrementalCacheTest, OneSceneEditReencodesExactlyOneScene) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. The fingerprint ladder: ns mtimes and the content-verify pass.
+// 2. The record ladder: ns mtimes and the content-verifying update.
 // ---------------------------------------------------------------------------
+
+#if defined(__unix__) || defined(__APPLE__)
+
+// A fresh, sound cache is left alone: no reasons and nothing written (the
+// same inode, the same mtime), with or without the content check.
+TEST(IncrementalCacheTest, UnchangedSourcesLeaveTheCacheUntouched) {
+  const std::string dir = TempDir();
+  ASSERT_TRUE(io::SaveDataset(MakeLabeledDataset(3, 19), dir).ok());
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+  const std::string path = io::FxbCachePath(dir);
+  struct stat built {};
+  ASSERT_EQ(::stat(path.c_str(), &built), 0);
+  const fs::file_time_type built_mtime = fs::last_write_time(path);
+
+  for (const bool verify : {false, true}) {
+    const auto update = io::UpdateFxbCache(dir, verify);
+    ASSERT_TRUE(update.ok()) << update.status();
+    EXPECT_TRUE(update->staleness.reasons.empty())
+        << update->staleness.Summary();
+    EXPECT_EQ(update->scenes_reused, 3u);
+    EXPECT_EQ(update->scenes_encoded, 0u);
+    struct stat after {};
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, built.st_ino) << "verify " << verify;
+    EXPECT_EQ(fs::last_write_time(path), built_mtime) << "verify " << verify;
+  }
+  fs::remove_all(dir);
+}
+
+#endif  // POSIX
 
 TEST(IncrementalCacheTest, SameSizeEditIsCaughtByMtime) {
   const std::string dir = TempDir();
@@ -212,15 +244,15 @@ TEST(IncrementalCacheTest, SameSizeEditIsCaughtByMtime) {
   ASSERT_FALSE(fresh.ok());
   EXPECT_EQ(fresh.status().code(), StatusCode::kFailedPrecondition);
 
-  const auto staleness = io::ExplainCacheStaleness(dir);
-  ASSERT_TRUE(staleness.ok()) << staleness.status();
-  EXPECT_TRUE(staleness->stale);
-
-  // And the updater re-encodes exactly that scene, byte-identical to a
-  // rebuild.
+  // And the updater names the edit, re-encodes exactly that scene, and is
+  // byte-identical to a rebuild.
   const auto update = io::UpdateFxbCache(dir);
   ASSERT_TRUE(update.ok()) << update.status();
   EXPECT_EQ(update->scenes_encoded, 1u);
+  EXPECT_EQ(update->staleness.reasons,
+            std::vector<std::string>{dataset.scenes[0].name() +
+                                     ".fixy.json was modified (mtime "
+                                     "changed)"});
   const std::string updated = ReadFile(io::FxbCachePath(dir));
   fs::remove(io::FxbCachePath(dir));
   ASSERT_TRUE(io::BuildFxbCache(dir).ok());
@@ -243,28 +275,44 @@ TEST(IncrementalCacheTest, BackdatedSameSizeEditNeedsContentVerify) {
   WriteFile(victim, bytes);
   fs::last_write_time(victim, recorded);  // the adversarial restore
 
-  // The stat-only pass trusts size + mtime — this is its documented
-  // blind spot (the same one git's stat cache has).
-  const auto shallow = io::ExplainCacheStaleness(dir);
+  // The stat-only update trusts size + mtime — this is its documented
+  // blind spot (the same one git's stat cache has): it keeps the
+  // backdated scene's section and writes nothing.
+  const std::string cache_path = io::FxbCachePath(dir);
+  const std::string built = ReadFile(cache_path);
+  const fs::file_time_type built_mtime = fs::last_write_time(cache_path);
+  const auto shallow = io::UpdateFxbCache(dir);
   ASSERT_TRUE(shallow.ok()) << shallow.status();
-  EXPECT_FALSE(shallow->stale);
+  EXPECT_FALSE(shallow->staleness.stale()) << shallow->staleness.Summary();
+  EXPECT_EQ(shallow->scenes_reused, 2u);
+  EXPECT_EQ(fs::last_write_time(cache_path), built_mtime);
+  EXPECT_EQ(ReadFile(cache_path), built);
 
-  // The content-verifying pass reads and checksums every source.
-  const auto deep = io::ExplainCacheStaleness(dir, /*verify_contents=*/true);
+  // The verifying update reads and checksums every source, names the
+  // rewrite, and re-encodes exactly that scene.
+  const auto deep = io::UpdateFxbCache(dir, /*verify_contents=*/true);
   ASSERT_TRUE(deep.ok()) << deep.status();
-  EXPECT_TRUE(deep->stale);
+  EXPECT_EQ(deep->scenes_encoded, 1u);
+  EXPECT_EQ(deep->scenes_reused, 1u);
+  ASSERT_EQ(deep->encoded_files.size(), 1u);
+  EXPECT_EQ(deep->encoded_files.front(),
+            dataset.scenes[1].name() + ".fixy.json");
   bool found = false;
-  for (const std::string& reason : deep->reasons) {
+  for (const std::string& reason : deep->staleness.reasons) {
     if (reason.find("different checksum") != std::string::npos) found = true;
   }
-  EXPECT_TRUE(found) << deep->Summary();
+  EXPECT_TRUE(found) << deep->staleness.Summary();
+  const std::string updated = ReadFile(cache_path);
+  fs::remove(cache_path);
+  ASSERT_TRUE(io::BuildFxbCache(dir).ok());
+  EXPECT_EQ(updated, ReadFile(cache_path));
 }
 
 // A byte that moves from one scene file to another, with both mtimes
-// restored, leaves the whole-cache fingerprint (file count, total bytes,
-// newest mtime) equal; the per-file records still differ, and
-// OpenFreshCache must refuse the cache naming both files.
-TEST(IncrementalCacheTest, EqualWholeFingerprintStillComparesPerFile) {
+// restored, leaves the file count, the total bytes and the newest mtime
+// unchanged; the per-file records still differ, and OpenFreshCache must
+// refuse the cache naming both files.
+TEST(IncrementalCacheTest, SizeChangesThatCancelOutAreCaughtPerFile) {
   const std::string dir = TempDir();
   Dataset dataset = MakeLabeledDataset(2, 13);
   ASSERT_TRUE(io::SaveDataset(dataset, dir).ok());
@@ -293,10 +341,6 @@ TEST(IncrementalCacheTest, EqualWholeFingerprintStillComparesPerFile) {
       << message;
   EXPECT_NE(message.find(file_b + " changed size"), std::string::npos)
       << message;
-  // No whole-cache reason: the fingerprint really stayed equal.
-  EXPECT_EQ(message.find("source file count"), std::string::npos) << message;
-  EXPECT_EQ(message.find("source total bytes"), std::string::npos) << message;
-  EXPECT_EQ(message.find("source mtime"), std::string::npos) << message;
 }
 
 // ---------------------------------------------------------------------------
@@ -320,15 +364,16 @@ TEST(IncrementalCacheTest, SourceRecordLieReencodesTheLiedScene) {
 
     // The lie re-seals every CRC, so the container opens; the staleness
     // diff must flag the lied-about record rather than trust it.
-    const auto staleness = io::ExplainCacheStaleness(dir);
-    ASSERT_TRUE(staleness.ok()) << detail << ": " << staleness.status();
-    EXPECT_TRUE(staleness->stale) << detail;
+    const auto fresh = io::OpenFreshCache(dir);
+    EXPECT_EQ(fresh.status().code(), StatusCode::kFailedPrecondition)
+        << detail << ": " << fresh.status();
 
     // The updater treats the scene as changed (its recorded stat no
     // longer matches disk), re-encodes it, and converges byte-for-byte
     // with a from-scratch build.
     const auto update = io::UpdateFxbCache(dir);
     ASSERT_TRUE(update.ok()) << detail << ": " << update.status();
+    EXPECT_TRUE(update->staleness.stale()) << detail;
     const std::string updated = ReadFile(io::FxbCachePath(dir));
     EXPECT_EQ(updated, pristine) << detail;
   }

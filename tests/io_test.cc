@@ -385,16 +385,13 @@ TEST(SceneIoTest, BitIdenticalSeesEveryField) {
       {"frame index", [](Scene& s) { s.frames()[2].index = 7; }},
       {"frame timestamp ulp", [&](Scene& s) { up(s.frames()[2].timestamp); }},
       {"frame timestamp -0.0",
-       [&](Scene& s) { negate_zero(s.frames()[0].timestamp); },
-       /*json_sees_it=*/false},
+       [&](Scene& s) { negate_zero(s.frames()[0].timestamp); }},
       {"ego x ulp", [&](Scene& s) { up(s.frames()[2].ego_position.x); }},
       {"ego x -0.0",
-       [&](Scene& s) { negate_zero(s.frames()[0].ego_position.x); },
-       /*json_sees_it=*/false},
+       [&](Scene& s) { negate_zero(s.frames()[0].ego_position.x); }},
       {"ego y ulp", [&](Scene& s) { up(s.frames()[2].ego_position.y); }},
       {"ego yaw ulp", [&](Scene& s) { up(s.frames()[2].ego_yaw); }},
-      {"ego yaw -0.0", [&](Scene& s) { negate_zero(s.frames()[0].ego_yaw); },
-       /*json_sees_it=*/false},
+      {"ego yaw -0.0", [&](Scene& s) { negate_zero(s.frames()[0].ego_yaw); }},
       {"observation count",
        [](Scene& s) { s.frames()[1].observations.pop_back(); }},
       {"observation id", [&](Scene& s) { obs(s).id = 99; }},
@@ -424,8 +421,7 @@ TEST(SceneIoTest, BitIdenticalSeesEveryField) {
     EXPECT_FALSE(BitIdentical(base, changed)) << edit.what;
     EXPECT_FALSE(BitIdentical(changed, base)) << edit.what;
     // The JSON text carries neither an observation's frame index nor its
-    // timestamp, and writes -0.0 as 0, so comparing texts would pass
-    // those scenes.
+    // timestamp, so comparing texts would pass those scenes.
     EXPECT_EQ(SceneToString(base) != SceneToString(changed),
               edit.json_sees_it)
         << edit.what;

@@ -214,6 +214,15 @@ TEST(JsonRoundtripTest, DoublePrecisionPreserved) {
   }
 }
 
+TEST(JsonRoundtripTest, NegativeZeroKeepsItsSign) {
+  EXPECT_EQ(Write(Value(-0.0)), "-0");
+  EXPECT_EQ(Write(Value(0.0)), "0");
+  const double parsed = MustParse(Write(Value(-0.0))).AsDouble();
+  EXPECT_EQ(parsed, 0.0);
+  EXPECT_TRUE(std::signbit(parsed));
+  EXPECT_FALSE(std::signbit(MustParse(Write(Value(0.0))).AsDouble()));
+}
+
 TEST(JsonRoundtripTest, PrettyAndCompactAgree) {
   const Value v =
       MustParse(R"({"a":[1,{"b":[true,false,null]}],"c":"€"})");

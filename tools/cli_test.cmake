@@ -374,7 +374,8 @@ endif()
 
 # The stat pass's blind spot: a same-size rewrite with a restored mtime
 # looks fresh to `cache`, but `cache --verify` checksums every source,
-# reports the lie, and full-rebuilds. Needs POSIX cp/touch to backdate.
+# reports the lie, and re-encodes only that scene, byte-identically to a
+# from-scratch build. Needs POSIX cp/touch to backdate.
 find_program(TOUCH_EXE touch)
 find_program(CP_EXE cp)
 if(TOUCH_EXE AND CP_EXE)
@@ -408,12 +409,20 @@ if(TOUCH_EXE AND CP_EXE)
   if(NOT CLI_OUTPUT MATCHES "different checksum")
     message(FATAL_ERROR "cache --verify missed the backdated edit: ${CLI_OUTPUT}")
   endif()
-  if(NOT CLI_OUTPUT MATCHES "full rebuild: a source changed behind its stat record")
-    message(FATAL_ERROR "cache --verify did not full-rebuild: ${CLI_OUTPUT}")
+  if(NOT CLI_OUTPUT MATCHES "1 re-encoded")
+    message(FATAL_ERROR "cache --verify did not re-encode the edited scene: ${CLI_OUTPUT}")
   endif()
   run_cli(cache ${WORK}/inc --verify)
   if(NOT CLI_OUTPUT MATCHES "is fresh")
-    message(FATAL_ERROR "cache --verify rebuild did not converge: ${CLI_OUTPUT}")
+    message(FATAL_ERROR "cache --verify update did not converge: ${CLI_OUTPUT}")
+  endif()
+  file(RENAME ${WORK}/inc/dataset.fxb ${WORK}/inc_verified.fxb)
+  run_cli(cache ${WORK}/inc)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${WORK}/inc/dataset.fxb ${WORK}/inc_verified.fxb
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cache --verify update differs from a from-scratch build")
   endif()
 endif()
 
@@ -429,7 +438,7 @@ if(NOT WATCH_METRICS MATCHES "watch\\.cycles")
 endif()
 
 # ---- A cache rejected at open falls back to JSON, like a stale one. ----
-# Junk longer than the 64-byte header fails the magic check; rank says why
+# Junk longer than the 40-byte header fails the magic check; rank says why
 # it is not using the cache and ranks the JSON files, as fixyd does.
 run_cli(generate --out ${WORK}/bad_magic --profile internal --scenes 2 --seed 5)
 string(REPEAT "not an fxb file " 16 BAD_MAGIC_JUNK)

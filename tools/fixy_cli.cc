@@ -42,11 +42,12 @@
 //             instead of failing the run on the first one.
 //             --metrics-json dumps a PipelineMetrics snapshot (stage
 //             timers + counters); --verbose-metrics prints it as a table.
-//   cache     <DIR> (or --data DIR)
+//   cache     <DIR> (or --data DIR) [--verify]
 //             Build or incrementally refresh DIR's binary scene cache
 //             (dataset.fxb): reports why it was stale, re-encodes only the
 //             added/changed scenes and damaged sections, and verifies
-//             every scene it encodes round-trips bit-identically.
+//             every scene it encodes round-trips bit-identically; --verify
+//             also checksums every source file.
 //   watch     --data DIR --model FILE [--interval-ms N] [--learn-labels]
 //             Poll DIR for source changes; each change refreshes the cache
 //             incrementally, optionally folds the changed scenes into the
@@ -615,8 +616,9 @@ Status CmdRank(const Flags& flags) {
                           io::DirectorySceneSource::Open(data));
     source = std::make_unique<io::DirectorySceneSource>(std::move(json_source));
   } else {
-    FIXY_ASSIGN_OR_RETURN(source, io::OpenSceneSource(data));
-    if (dynamic_cast<const io::FxbSceneSource*>(source.get()) != nullptr) {
+    Status cache_status;
+    FIXY_ASSIGN_OR_RETURN(source, io::OpenSceneSource(data, &cache_status));
+    if (cache_status.ok()) {
       obs::Count("io.fxb.cache_hits");
       std::printf("using cache: %s (%zu scenes)\n",
                   io::FxbCachePath(data).c_str(), source->scene_count());
@@ -625,15 +627,11 @@ Status CmdRank(const Flags& flags) {
       // A dataset.fxb that exists but was not used is stale or rejected:
       // surface *why* (per-file reasons, or the open error) so the fix is
       // obvious from the rank output alone.
-      const Result<io::CacheStaleness> staleness =
-          io::ExplainCacheStaleness(data);
-      if (staleness.status().code() != StatusCode::kNotFound) {
+      if (cache_status.code() != StatusCode::kNotFound) {
         std::printf("cache at %s is stale (%s); loading JSON (run "
                     "`fixy_cli cache %s` to refresh)\n",
                     io::FxbCachePath(data).c_str(),
-                    staleness.ok() ? staleness->Summary().c_str()
-                                   : staleness.status().ToString().c_str(),
-                    data.c_str());
+                    cache_status.message().c_str(), data.c_str());
       }
     }
   }
@@ -838,59 +836,23 @@ Status CmdQuery(const Flags& flags) {
 Status CmdCache(const Flags& flags) {
   FIXY_ASSIGN_OR_RETURN(const std::string data, flags.GetRequired("data"));
   FIXY_RETURN_IF_ERROR(CheckDatasetDirectory(data));
-  // Report *why* a refresh is needed before doing it — one line per
-  // changed file (added/removed/resized/touched/rewritten), so the cache
-  // command doubles as the staleness diagnostic. --verify additionally
-  // checksums every source file, catching the one edit the stat pass
-  // cannot: a same-size rewrite whose mtime was restored.
-  const bool verify = flags.Has("verify");
-  const Result<io::CacheStaleness> staleness =
-      io::ExplainCacheStaleness(data, /*verify_contents=*/verify);
-  bool checksum_lie = false;
-  if (staleness.ok()) {
-    std::printf("cache status: %s\n", staleness->Summary().c_str());
-    if (!staleness->stale) {
-      // Fresh sources: leave a sound file untouched so repeated `cache`
-      // runs are byte-stable no-ops. A section that fails its CRC check
-      // (bit rot, a partial copy) is re-encoded by the update below.
-      FIXY_ASSIGN_OR_RETURN(const io::FxbReader reader,
-                            io::OpenFreshCache(data));
-      size_t damaged = 0;
-      for (size_t i = 0; i < reader.scene_count(); ++i) {
-        if (!reader.SceneSection(i).ok()) ++damaged;
-      }
-      if (damaged == 0) {
-        std::printf("cache at %s is fresh (%zu scenes); nothing to do\n",
-                    io::FxbCachePath(data).c_str(), reader.scene_count());
-        return Status::Ok();
-      }
-      std::printf("cache has %zu damaged scene section(s)\n", damaged);
-    }
-    for (const std::string& reason : staleness->reasons) {
-      if (reason.find("different checksum") != std::string::npos) {
-        checksum_lie = true;
-      }
-    }
-  } else if (staleness.status().code() == StatusCode::kNotFound) {
-    std::printf("cache status: no cache yet (full build)\n");
-  } else {
-    return staleness.status();
-  }
-  if (checksum_lie) {
-    // A source lied to the stat fast path (same size and mtime, new
-    // bytes); the incremental updater trusts stat and would reuse the
-    // stale section, so force a full rebuild instead.
-    FIXY_ASSIGN_OR_RETURN(const size_t scenes, io::BuildFxbCache(data));
-    std::printf("cached %zu scenes to %s (full rebuild: a source changed "
-                "behind its stat record; JSON/FXB parity verified)\n",
-                scenes, io::FxbCachePath(data).c_str());
+  // One update: only added/changed scenes and damaged sections re-encode,
+  // removed scenes drop, every other section is copied byte-for-byte, and
+  // the result is byte-identical to a from-scratch build. It reports why
+  // it acted, one reason per changed file, so the cache command doubles
+  // as the staleness diagnostic, and writes nothing when the cache is
+  // fresh and sound. --verify also checksums every source, catching the
+  // one edit the stat pass cannot: a same-size rewrite whose mtime was
+  // restored.
+  FIXY_ASSIGN_OR_RETURN(
+      const io::FxbUpdateReport update,
+      io::UpdateFxbCache(data, /*verify_contents=*/flags.Has("verify")));
+  std::printf("cache status: %s\n", update.staleness.Summary().c_str());
+  if (!update.staleness.stale()) {
+    std::printf("cache at %s is fresh (%zu scenes); nothing to do\n",
+                io::FxbCachePath(data).c_str(), update.scenes_total);
     return Status::Ok();
   }
-  // Incremental refresh: only added/changed scenes re-encode, removed
-  // scenes drop, every unchanged section is copied byte-for-byte — the
-  // result is byte-identical to a from-scratch build.
-  FIXY_ASSIGN_OR_RETURN(const io::FxbUpdateReport update,
-                        io::UpdateFxbCache(data));
   std::printf("cached %zu scenes to %s (%zu reused, %zu re-encoded, "
               "%zu dropped%s; JSON/FXB parity verified)\n",
               update.scenes_total, io::FxbCachePath(data).c_str(),
@@ -1035,8 +997,8 @@ void PrintUsage() {
       "           the added/changed scenes and damaged sections, drops\n"
       "           removed ones, and copies unchanged sections byte-for-byte;\n"
       "           --verify checksums every source (catches same-size edits\n"
-      "           with restored mtimes) and full-rebuilds when one lied to\n"
-      "           the stat pass\n"
+      "           with restored mtimes) and re-encodes only the scenes\n"
+      "           whose bytes changed\n"
       "  watch    --data DIR --model FILE [--interval-ms N] [--max-cycles N]\n"
       "           [--learn-labels] [--model-out FILE] [--app NAME|--apps ...]\n"
       "           [--top K] [--threads N] [--metrics-json FILE]\n"
