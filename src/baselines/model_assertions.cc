@@ -4,6 +4,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "core/applications.h"
 #include "core/ranker.h"
 #include "geometry/iou.h"
 
@@ -47,21 +48,6 @@ Result<TrackSet> BuildTracks(const Scene& scene, const MaOptions& options) {
   return builder.Build(scene);
 }
 
-Scene ModelOnlyScene(const Scene& scene) {
-  Scene filtered(scene.name(), scene.frame_rate_hz());
-  for (const Frame& frame : scene.frames()) {
-    Frame copy = frame;
-    copy.observations.clear();
-    for (const Observation& obs : frame.observations) {
-      if (obs.source == ObservationSource::kModel) {
-        copy.observations.push_back(obs);
-      }
-    }
-    filtered.AddFrame(std::move(copy));
-  }
-  return filtered;
-}
-
 }  // namespace
 
 Result<std::vector<ErrorProposal>> ConsistencyAssertion(
@@ -95,7 +81,7 @@ Result<std::vector<ErrorProposal>> ConsistencyAssertion(
 
 Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene,
                                                    const MaOptions& options) {
-  const Scene model_scene = ModelOnlyScene(scene);
+  const Scene model_scene = internal::FilterToModelOnly(scene);
   FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {
@@ -116,7 +102,7 @@ Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene,
 
 Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene,
                                                     const MaOptions& options) {
-  const Scene model_scene = ModelOnlyScene(scene);
+  const Scene model_scene = internal::FilterToModelOnly(scene);
   FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {

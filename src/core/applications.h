@@ -86,8 +86,10 @@ std::optional<size_t> ClosestApproachBundle(const Track& track);
 const Observation* RepresentativeObservation(const ObservationBundle& bundle);
 
 /// A copy of the scene containing only model predictions (Section 8.4's
-/// view). Exposed so tests can assert that the shared association pass's
-/// model-only view equals a from-scratch build over the filtered scene.
+/// view). The Model Assertions baseline's appear and flicker assertions
+/// build their tracks over it, and tests use it to assert that the shared
+/// association pass's model-only view equals a from-scratch build over the
+/// filtered scene.
 Scene FilterToModelOnly(const Scene& scene);
 
 }  // namespace internal

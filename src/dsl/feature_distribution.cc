@@ -115,21 +115,6 @@ void FeatureDistribution::RawScoreTrackObservations(
   }
 }
 
-void FeatureDistribution::ScoreTrackObservations(
-    const Track& track, double frame_rate_hz,
-    std::vector<std::optional<double>>* out) const {
-  thread_local RawTrackScores raw;
-  RawScoreTrackObservations(track, frame_rate_hz, &raw);
-  out->reserve(out->size() + raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw.engaged[i] != 0) {
-      out->push_back(ApplyAofAndFloor(raw.values[i]));
-    } else {
-      out->push_back(std::nullopt);
-    }
-  }
-}
-
 std::optional<double> FeatureDistribution::RawScoreBundle(
     const ObservationBundle& bundle, const FeatureContext& ctx) const {
   FIXY_CHECK(feature_->kind() == FeatureKind::kBundle);

@@ -52,14 +52,6 @@ class FeatureDistribution {
   std::optional<double> ScoreObservation(const Observation& obs,
                                          const FeatureContext& ctx) const;
 
-  /// Batch form of ScoreObservation for a kObservation feature: scores
-  /// every observation of `track` in bundle-major order (the factor-graph
-  /// compilation order), appending one entry per observation to `out`.
-  /// Produces values identical to per-observation ScoreObservation calls.
-  /// Aborts if the feature kind is not kObservation.
-  void ScoreTrackObservations(const Track& track, double frame_rate_hz,
-                              std::vector<std::optional<double>>* out) const;
-
   std::optional<double> ScoreBundle(const ObservationBundle& bundle,
                                     const FeatureContext& ctx) const;
   std::optional<double> ScoreTransition(const ObservationBundle& from,
@@ -77,8 +69,10 @@ class FeatureDistribution {
   /// (non-finite) feature value yields raw likelihood 0.0 — the same
   /// maximally-unlikely contract the scoring path applies before its AOF.
   ///
-  /// The batch form overwrites `*out` with one entry per observation in
-  /// bundle-major order, structure-of-arrays (see RawTrackScores).
+  /// The batch form is ScoreObservation's raw counterpart for every
+  /// observation of `track`: it overwrites `*out` with one entry per
+  /// observation in bundle-major order (the factor-graph compilation
+  /// order), structure-of-arrays (see RawTrackScores).
   void RawScoreTrackObservations(const Track& track, double frame_rate_hz,
                                  RawTrackScores* out) const;
   std::optional<double> RawScoreBundle(const ObservationBundle& bundle,
@@ -90,8 +84,8 @@ class FeatureDistribution {
                                       const FeatureContext& ctx) const;
 
   /// AOF application + the strict-positivity floor, shared by the scalar
-  /// and batch scoring paths (and applied per application to cached raw
-  /// likelihoods).
+  /// scoring path and the factor graph, which applies it per application
+  /// to cached raw likelihoods.
   double ApplyAofAndFloor(double likelihood) const;
 
   /// The raw (pre-AOF) likelihood of a feature value for the given class.

@@ -45,10 +45,6 @@ struct Box3d {
   /// starting from the front-left corner.
   std::array<Vec2, 4> BevCorners() const;
 
-  /// Vertical interval occupied by the box: [center.z - h/2, center.z + h/2].
-  double ZMin() const { return center.z - height / 2.0; }
-  double ZMax() const { return center.z + height / 2.0; }
-
   /// Euclidean distance between the box center and `point` in the ground
   /// plane (the "distance to AV" used by the Distance feature).
   double BevCenterDistance(const Vec2& point) const {

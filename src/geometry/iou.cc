@@ -7,10 +7,31 @@ namespace fixy::geom {
 
 namespace {
 
+// True if `p` is on the interior side (left) of the directed edge a->b,
+// within tolerance.
+bool Inside(const Vec2& p, const Vec2& a, const Vec2& b) {
+  return (b - a).Cross(p - a) >= -1e-12;
+}
+
+// Intersection point of segment p1->p2 with the infinite line through a->b.
+Vec2 LineIntersection(const Vec2& p1, const Vec2& p2, const Vec2& a,
+                      const Vec2& b) {
+  const Vec2 r = p2 - p1;
+  const Vec2 s = b - a;
+  const double denom = r.Cross(s);
+  if (std::abs(denom) < 1e-15) {
+    // Parallel within tolerance; fall back to the segment midpoint, which is
+    // the best degenerate answer and keeps areas bounded.
+    return (p1 + p2) * 0.5;
+  }
+  const double t = (a - p1).Cross(s) / denom;
+  return p1 + r * t;
+}
+
 // Broad phase. Two footprints whose circumcircles are more than
 // kBroadPhaseMargin apart cannot meet, and inside the envelope below the
-// polygon clip returns exactly 0 for them, so the reject returns the
-// clip's own value without building either polygon. Outside the envelope
+// quad clip returns exactly 0 for them, so the reject returns the clip's
+// own value without computing either box's corners. Outside the envelope
 // the clip's absolute tolerances decide: `Inside` admits points up to
 // 1e-12/|edge| m off an edge, and far from the origin the corners round
 // by more than the margin. DESIGN.md §10 has the argument.
@@ -40,32 +61,58 @@ bool FootprintsApart(const Box3d& a, const Box3d& b) {
 
 }  // namespace
 
-ConvexPolygon BoxBevPolygon(const Box3d& box) {
-  const auto corners = box.BevCorners();
-  return ConvexPolygon(std::vector<Vec2>(corners.begin(), corners.end()));
+double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
+                                  const std::array<Vec2, 4>& clip) {
+  // Each pass emits at most two vertices per input vertex, so the four
+  // passes grow a quad to at most 4 * 2^4 = 64 vertices, whatever the
+  // inputs (NaNs included).
+  std::array<Vec2, 64> buffers[2];
+  std::copy(subject.begin(), subject.end(), buffers[0].begin());
+  size_t count = subject.size();
+  int in = 0;
+  for (size_t i = 0; i < clip.size() && count != 0; ++i) {
+    const Vec2& a = clip[i];
+    const Vec2& b = clip[(i + 1) % clip.size()];
+    const std::array<Vec2, 64>& input = buffers[in];
+    std::array<Vec2, 64>& output = buffers[1 - in];
+    size_t emitted = 0;
+    for (size_t j = 0; j < count; ++j) {
+      const Vec2& current = input[j];
+      const Vec2& prev = input[(j + count - 1) % count];
+      const bool current_inside = Inside(current, a, b);
+      const bool prev_inside = Inside(prev, a, b);
+      if (current_inside) {
+        if (!prev_inside) {
+          output[emitted++] = LineIntersection(prev, current, a, b);
+        }
+        output[emitted++] = current;
+      } else if (prev_inside) {
+        output[emitted++] = LineIntersection(prev, current, a, b);
+      }
+    }
+    count = emitted;
+    in = 1 - in;
+  }
+  if (count < 3) return 0.0;
+  // The shoelace sum starts at vertex 0; the order fixes the area's bits.
+  const std::array<Vec2, 64>& polygon = buffers[in];
+  double sum = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    sum += polygon[i].Cross(polygon[(i + 1) % count]);
+  }
+  return std::abs(sum / 2.0);
 }
 
 double BevIntersectionArea(const Box3d& a, const Box3d& b) {
   if (!a.IsValid() || !b.IsValid()) return 0.0;
   if (FootprintsApart(a, b)) return 0.0;
-  return BoxBevPolygon(a).Intersect(BoxBevPolygon(b)).Area();
+  return ConvexQuadIntersectionArea(a.BevCorners(), b.BevCorners());
 }
 
 double BevIou(const Box3d& a, const Box3d& b) {
   if (!a.IsValid() || !b.IsValid()) return 0.0;
   const double inter = BevIntersectionArea(a, b);
   const double uni = a.BevArea() + b.BevArea() - inter;
-  if (uni <= 0.0) return 0.0;
-  return std::clamp(inter / uni, 0.0, 1.0);
-}
-
-double Iou3d(const Box3d& a, const Box3d& b) {
-  if (!a.IsValid() || !b.IsValid()) return 0.0;
-  const double bev_inter = BevIntersectionArea(a, b);
-  const double z_overlap =
-      std::max(0.0, std::min(a.ZMax(), b.ZMax()) - std::max(a.ZMin(), b.ZMin()));
-  const double inter = bev_inter * z_overlap;
-  const double uni = a.Volume() + b.Volume() - inter;
   if (uni <= 0.0) return 0.0;
   return std::clamp(inter / uni, 0.0, 1.0);
 }

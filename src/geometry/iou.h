@@ -4,13 +4,19 @@
 #ifndef FIXY_GEOMETRY_IOU_H_
 #define FIXY_GEOMETRY_IOU_H_
 
+#include <array>
+
 #include "geometry/box.h"
-#include "geometry/polygon.h"
+#include "geometry/vec.h"
 
 namespace fixy::geom {
 
-/// Footprint polygon of `box` in the ground plane.
-ConvexPolygon BoxBevPolygon(const Box3d& box);
+/// Area of the intersection of two convex quads with counter-clockwise
+/// vertices (Sutherland-Hodgman: `subject` clipped by each edge of
+/// `clip`). A point up to 1e-12 / |edge| off an edge's inner side counts
+/// as inside it. Returns 0 when fewer than 3 vertices survive.
+double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
+                                  const std::array<Vec2, 4>& clip);
 
 /// Intersection area of the two box footprints (rotated rectangles).
 double BevIntersectionArea(const Box3d& a, const Box3d& b);
@@ -18,10 +24,6 @@ double BevIntersectionArea(const Box3d& a, const Box3d& b);
 /// Birds-eye-view IoU: footprint intersection / footprint union.
 /// Returns 0 when either box has a degenerate footprint.
 double BevIou(const Box3d& a, const Box3d& b);
-
-/// Full 3D IoU: BEV intersection times vertical overlap, divided by the
-/// union of the volumes. Returns 0 when either box is degenerate.
-double Iou3d(const Box3d& a, const Box3d& b);
 
 }  // namespace fixy::geom
 

@@ -673,11 +673,9 @@ Result<FxbReader> OpenFreshCache(const std::string& directory) {
   if (!reader.ok() && reader.status().message().find("unsupported FXB "
                                                      "version") !=
                           std::string::npos) {
-    // A cache in another format version is stale, not hostile: the
-    // standard refresh advice applies.
-    return Status::FailedPrecondition(
-        "FXB cache is stale: " + reader.status().message() +
-        " (run `fixy_cli cache` to refresh)");
+    // A cache in another format version is stale, not hostile.
+    return Status::FailedPrecondition(path + " is stale: " +
+                                      reader.status().message());
   }
   FIXY_RETURN_IF_ERROR(reader.status());
   FIXY_ASSIGN_OR_RETURN(const std::vector<FxbSourceRecord> current,
@@ -685,9 +683,8 @@ Result<FxbReader> OpenFreshCache(const std::string& directory) {
   const CacheStaleness staleness =
       CompareCacheSources(reader->sources(), current);
   if (!staleness.stale()) return reader;
-  return Status::FailedPrecondition("FXB cache is stale: " +
-                                    staleness.Summary() +
-                                    " (run `fixy_cli cache` to refresh)");
+  return Status::FailedPrecondition(path + " is stale: " +
+                                    staleness.Summary());
 }
 
 namespace {

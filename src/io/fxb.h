@@ -237,11 +237,10 @@ CacheStaleness CompareCacheSources(
 
 /// Opens `directory`'s cache iff it exists and is fresh: its source map
 /// compared with one stat of every source. Errors: NotFound (no cache),
-/// FailedPrecondition (stale: source files changed since the build, with
-/// per-file reasons; also covers a cache in another format version), or
-/// the underlying open/parse error (InvalidArgument for a bad magic or a
-/// truncated header). OpenSceneSource falls back to the JSON files on
-/// every one of them.
+/// FailedPrecondition ("<path> is stale: " and why: the per-file reasons,
+/// or the unsupported format version), or the underlying open/parse error
+/// (InvalidArgument for a bad magic or a truncated header).
+/// OpenSceneSource falls back to the JSON files on every one of them.
 Result<FxbReader> OpenFreshCache(const std::string& directory);
 
 /// What UpdateFxbCache did, and why.

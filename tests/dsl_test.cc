@@ -221,7 +221,7 @@ uint32_t AssociationDigest(const TrackSet& set) {
 }
 
 // Association golden for one fixed-seed dense-urban scene. The expected
-// values are constants recorded with the polygon clip deciding every pair,
+// values are constants recorded with the quad clip deciding every pair,
 // so any shortcut in geom::BevIou that flips one association decision
 // (in sim placement, bundling or linking) changes them.
 TEST(TrackBuilderTest, DenseSceneAssociationGolden) {

@@ -1,9 +1,11 @@
-// Tests for src/geometry: vectors, boxes, polygon clipping, IoU — golden
-// values plus parameterized property sweeps (symmetry, bounds, identity)
-// and the bit-exactness of the IoU broad phase against the polygon clip.
+// Tests for src/geometry: vectors, boxes, the quad clip, IoU — golden
+// values plus parameterized property sweeps (symmetry, bounds, identity),
+// the bit-exactness of the IoU broad phase against the clip, and a CRC-32
+// pinning the overlap bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,11 +13,13 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "geometry/box.h"
 #include "geometry/iou.h"
-#include "geometry/polygon.h"
 #include "geometry/vec.h"
 
 namespace fixy::geom {
@@ -104,12 +108,6 @@ TEST(BoxTest, RotatedCornersStayAtRadius) {
   }
 }
 
-TEST(BoxTest, ZExtent) {
-  const Box3d box({0, 0, 2.0}, 1, 1, 3.0, 0);
-  EXPECT_DOUBLE_EQ(box.ZMin(), 0.5);
-  EXPECT_DOUBLE_EQ(box.ZMax(), 3.5);
-}
-
 TEST(BoxTest, BevContains) {
   const Box3d box({0, 0, 0}, 4.0, 2.0, 1.0, 0.0);
   EXPECT_TRUE(box.BevContains({0, 0}));
@@ -130,57 +128,52 @@ TEST(BoxTest, CenterDistance) {
   EXPECT_DOUBLE_EQ(box.BevCenterDistance({0, 0}), 5.0);
 }
 
-// -------------------------------------------------------------- Polygon
+// ------------------------------------------------------------ Quad clip
 
-ConvexPolygon UnitSquare() {
-  return ConvexPolygon({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
-}
+using Quad = std::array<Vec2, 4>;
 
+constexpr Quad kUnitSquare = {{{0, 0}, {1, 0}, {1, 1}, {0, 1}}};
+
+// A quad clipped by itself keeps every vertex, so the area is exactly its
+// shoelace sum.
 TEST(PolygonTest, AreaOfSquare) {
-  EXPECT_DOUBLE_EQ(UnitSquare().Area(), 1.0);
+  EXPECT_DOUBLE_EQ(ConvexQuadIntersectionArea(kUnitSquare, kUnitSquare), 1.0);
 }
 
-TEST(PolygonTest, SignedAreaPositiveForCcw) {
-  EXPECT_GT(UnitSquare().SignedArea(), 0.0);
-}
-
+// A zero-width quad (a segment) has no area, as subject or as clip.
 TEST(PolygonTest, EmptyAndDegenerate) {
-  EXPECT_TRUE(ConvexPolygon().empty());
-  EXPECT_TRUE(ConvexPolygon({{0, 0}, {1, 1}}).empty());
-  EXPECT_DOUBLE_EQ(ConvexPolygon({{0, 0}, {1, 1}}).Area(), 0.0);
+  const Quad segment = {{{0, 0}, {1, 1}, {1, 1}, {0, 0}}};
+  EXPECT_DOUBLE_EQ(ConvexQuadIntersectionArea(segment, kUnitSquare), 0.0);
+  EXPECT_DOUBLE_EQ(ConvexQuadIntersectionArea(kUnitSquare, segment), 0.0);
 }
 
 TEST(PolygonTest, SelfIntersectionIsIdentity) {
-  const ConvexPolygon square = UnitSquare();
-  EXPECT_NEAR(square.Intersect(square).Area(), 1.0, 1e-9);
+  EXPECT_NEAR(ConvexQuadIntersectionArea(kUnitSquare, kUnitSquare), 1.0,
+              1e-9);
 }
 
 TEST(PolygonTest, HalfOverlapSquares) {
-  const ConvexPolygon a = UnitSquare();
-  const ConvexPolygon b({{0.5, 0}, {1.5, 0}, {1.5, 1}, {0.5, 1}});
-  EXPECT_NEAR(a.Intersect(b).Area(), 0.5, 1e-9);
+  const Quad b = {{{0.5, 0}, {1.5, 0}, {1.5, 1}, {0.5, 1}}};
+  EXPECT_NEAR(ConvexQuadIntersectionArea(kUnitSquare, b), 0.5, 1e-9);
 }
 
 TEST(PolygonTest, DisjointSquares) {
-  const ConvexPolygon a = UnitSquare();
-  const ConvexPolygon b({{2, 2}, {3, 2}, {3, 3}, {2, 3}});
-  EXPECT_TRUE(a.Intersect(b).empty());
-  EXPECT_DOUBLE_EQ(a.Intersect(b).Area(), 0.0);
+  const Quad b = {{{2, 2}, {3, 2}, {3, 3}, {2, 3}}};
+  EXPECT_DOUBLE_EQ(ConvexQuadIntersectionArea(kUnitSquare, b), 0.0);
 }
 
 TEST(PolygonTest, ContainedSquare) {
-  const ConvexPolygon outer({{-2, -2}, {2, -2}, {2, 2}, {-2, 2}});
-  const ConvexPolygon inner = UnitSquare();
-  EXPECT_NEAR(outer.Intersect(inner).Area(), 1.0, 1e-9);
-  EXPECT_NEAR(inner.Intersect(outer).Area(), 1.0, 1e-9);
+  const Quad outer = {{{-2, -2}, {2, -2}, {2, 2}, {-2, 2}}};
+  EXPECT_NEAR(ConvexQuadIntersectionArea(outer, kUnitSquare), 1.0, 1e-9);
+  EXPECT_NEAR(ConvexQuadIntersectionArea(kUnitSquare, outer), 1.0, 1e-9);
 }
 
 TEST(PolygonTest, DiamondSquareIntersection) {
-  // A unit-area diamond centered in a 2x2 square: fully contained.
-  const ConvexPolygon square({{-1, -1}, {1, -1}, {1, 1}, {-1, 1}});
-  const ConvexPolygon diamond(
-      {{0.0, -0.5}, {0.5, 0.0}, {0.0, 0.5}, {-0.5, 0.0}});
-  EXPECT_NEAR(square.Intersect(diamond).Area(), 0.5, 1e-9);
+  // A diamond with unit diagonals (area 0.5) centered in a 2x2 square:
+  // fully contained.
+  const Quad square = {{{-1, -1}, {1, -1}, {1, 1}, {-1, 1}}};
+  const Quad diamond = {{{0.0, -0.5}, {0.5, 0.0}, {0.0, 0.5}, {-0.5, 0.0}}};
+  EXPECT_NEAR(ConvexQuadIntersectionArea(square, diamond), 0.5, 1e-9);
 }
 
 TEST(PolygonTest, IntersectionIsCommutativeInArea) {
@@ -192,8 +185,10 @@ TEST(PolygonTest, IntersectionIsCommutativeInArea) {
     const Box3d b({rng.Uniform(-2, 2), rng.Uniform(-2, 2), 0},
                   rng.Uniform(0.5, 4), rng.Uniform(0.5, 3), 1.0,
                   rng.Uniform(0, 2 * M_PI));
-    const double ab = BoxBevPolygon(a).Intersect(BoxBevPolygon(b)).Area();
-    const double ba = BoxBevPolygon(b).Intersect(BoxBevPolygon(a)).Area();
+    const double ab =
+        ConvexQuadIntersectionArea(a.BevCorners(), b.BevCorners());
+    const double ba =
+        ConvexQuadIntersectionArea(b.BevCorners(), a.BevCorners());
     EXPECT_NEAR(ab, ba, 1e-8);
   }
 }
@@ -203,14 +198,12 @@ TEST(PolygonTest, IntersectionIsCommutativeInArea) {
 TEST(IouTest, IdenticalBoxes) {
   const Box3d box({1, 2, 0.5}, 4, 2, 1, 0.3);
   EXPECT_NEAR(BevIou(box, box), 1.0, 1e-9);
-  EXPECT_NEAR(Iou3d(box, box), 1.0, 1e-9);
 }
 
 TEST(IouTest, DisjointBoxes) {
   const Box3d a({0, 0, 0.5}, 2, 2, 1, 0);
   const Box3d b({10, 0, 0.5}, 2, 2, 1, 0);
   EXPECT_DOUBLE_EQ(BevIou(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(Iou3d(a, b), 0.0);
 }
 
 TEST(IouTest, HalfOverlapGolden) {
@@ -243,26 +236,17 @@ TEST(IouTest, DegenerateBoxGivesZero) {
   const Box3d degenerate({0, 0, 0}, 0, 2, 1, 0);
   const Box3d box({0, 0, 0.5}, 2, 2, 1, 0);
   EXPECT_DOUBLE_EQ(BevIou(degenerate, box), 0.0);
-  EXPECT_DOUBLE_EQ(Iou3d(degenerate, box), 0.0);
 }
 
-TEST(IouTest, VerticalSeparationZerosIou3d) {
+// BEV IoU reads the footprints only: boxes with no vertical overlap but the
+// same footprint score 1.
+TEST(IouTest, BevIouIgnoresVerticalSeparation) {
   const Box3d low({0, 0, 0.5}, 2, 2, 1, 0);
   const Box3d high({0, 0, 5.0}, 2, 2, 1, 0);
-  EXPECT_NEAR(BevIou(low, high), 1.0, 1e-9);  // same footprint
-  EXPECT_DOUBLE_EQ(Iou3d(low, high), 0.0);    // no vertical overlap
+  EXPECT_NEAR(BevIou(low, high), 1.0, 1e-9);
 }
 
-TEST(IouTest, PartialVerticalOverlap) {
-  // Same footprint, half vertical overlap: inter = 4*0.5 = 2, union =
-  // 4 + 4 - 2 = 6.
-  const Box3d a({0, 0, 0.5}, 2, 2, 1, 0);
-  const Box3d b({0, 0, 1.0}, 2, 2, 1, 0);
-  EXPECT_NEAR(Iou3d(a, b), 2.0 / 6.0, 1e-9);
-}
-
-// Property sweep: IoU is symmetric, bounded, and 3D IoU never exceeds BEV
-// IoU for gravity-aligned boxes of equal height range.
+// Property sweep: BEV IoU is symmetric and bounded.
 class IouPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IouPropertyTest, SymmetricAndBounded) {
@@ -277,13 +261,9 @@ TEST_P(IouPropertyTest, SymmetricAndBounded) {
                   rng.Uniform(0.3, 6), rng.Uniform(0.3, 3),
                   rng.Uniform(0.5, 3), rng.Uniform(0, 2 * M_PI));
     const double bev = BevIou(a, b);
-    const double full = Iou3d(a, b);
     EXPECT_GE(bev, 0.0);
     EXPECT_LE(bev, 1.0);
-    EXPECT_GE(full, 0.0);
-    EXPECT_LE(full, 1.0);
     EXPECT_NEAR(bev, BevIou(b, a), 1e-8);
-    EXPECT_NEAR(full, Iou3d(b, a), 1e-8);
   }
 }
 
@@ -311,33 +291,24 @@ INSTANTIATE_TEST_SUITE_P(Shifts, IouTranslationTest,
 
 // ------------------------------------------------ Broad-phase exactness
 
-// BevIntersectionArea skips the polygon clip for footprints whose
+// BevIntersectionArea skips the quad clip for footprints whose
 // circumcircles are more than 1e-6 m apart, inside an envelope where the
 // clip returns exactly 0 for them: every BEV side >= 1e-4 m and every
-// footprint coordinate within 1e7 m of the origin. These tests hold the
-// three IoU entry points to the clip's own values, bit for bit, inside
-// and outside that envelope.
+// footprint coordinate within 1e7 m of the origin. These tests hold both
+// IoU entry points to the clip's own values, bit for bit, inside and
+// outside that envelope.
 constexpr double kBroadPhaseMargin = 1e-6;
 constexpr double kBroadPhaseMinSide = 1e-4;
 constexpr double kBroadPhaseMaxCoord = 1e7;
 constexpr int kBroadPhasePairs = 25000;
 
 double ClipArea(const Box3d& a, const Box3d& b) {
-  return BoxBevPolygon(a).Intersect(BoxBevPolygon(b)).Area();
+  return ConvexQuadIntersectionArea(a.BevCorners(), b.BevCorners());
 }
 
 double ClipBevIou(const Box3d& a, const Box3d& b) {
   const double inter = ClipArea(a, b);
   const double uni = a.BevArea() + b.BevArea() - inter;
-  if (uni <= 0.0) return 0.0;
-  return std::clamp(inter / uni, 0.0, 1.0);
-}
-
-double ClipIou3d(const Box3d& a, const Box3d& b) {
-  const double z_overlap = std::max(
-      0.0, std::min(a.ZMax(), b.ZMax()) - std::max(a.ZMin(), b.ZMin()));
-  const double inter = ClipArea(a, b) * z_overlap;
-  const double uni = a.Volume() + b.Volume() - inter;
   if (uni <= 0.0) return 0.0;
   return std::clamp(inter / uni, 0.0, 1.0);
 }
@@ -359,11 +330,10 @@ std::string DescribePair(const Box3d& a, const Box3d& b) {
   return one(a) + " vs " + one(b);
 }
 
-// Number of the three entry points that differ from the clip in any bit.
+// Number of the two entry points that differ from the clip in any bit.
 int ClipMismatches(const Box3d& a, const Box3d& b) {
   return (Bits(BevIntersectionArea(a, b)) != Bits(ClipArea(a, b))) +
-         (Bits(BevIou(a, b)) != Bits(ClipBevIou(a, b))) +
-         (Bits(Iou3d(a, b)) != Bits(ClipIou3d(a, b)));
+         (Bits(BevIou(a, b)) != Bits(ClipBevIou(a, b)));
 }
 
 // A sampling envelope: extents are log-uniform on [min_extent,
@@ -393,12 +363,17 @@ double LogUniform(Rng& rng, double lo, double hi) {
   return std::exp(rng.Uniform(std::log(lo), std::log(hi)));
 }
 
-class BroadPhaseExactnessTest
-    : public ::testing::TestWithParam<BroadPhaseEnvelope> {};
+// One pair drawn from `env`, with the gap its circumcircles were placed at.
+// Every draw is its own statement, so the pairs do not depend on the
+// compiler's argument evaluation order: each box draws its yaw, height,
+// width and length, then the first box its centre.
+struct EnvelopePair {
+  Box3d a;
+  Box3d b;
+  double gap = 0.0;
+};
 
-TEST_P(BroadPhaseExactnessTest, MatchesClipBitForBit) {
-  const BroadPhaseEnvelope& env = GetParam();
-  Rng rng(env.seed);
+EnvelopePair SamplePair(Rng& rng, const BroadPhaseEnvelope& env) {
   const auto extent = [&] {
     return LogUniform(rng, env.min_extent, env.max_extent);
   };
@@ -406,26 +381,56 @@ TEST_P(BroadPhaseExactnessTest, MatchesClipBitForBit) {
     const double magnitude = LogUniform(rng, env.min_coord, env.max_coord);
     return rng.Bernoulli(0.5) ? magnitude : -magnitude;
   };
+  const auto shape = [&] {
+    Box3d box;
+    box.yaw = rng.Uniform(-4 * M_PI, 4 * M_PI);
+    box.height = extent();
+    box.width = extent();
+    box.length = extent();
+    return box;
+  };
+  EnvelopePair pair;
+  Box3d& a = pair.a;
+  Box3d& b = pair.b;
+  a = shape();
+  a.center = {coord(), coord(), rng.Uniform(-1, 1)};
+  b = shape();
+  pair.gap = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  pair.gap *= LogUniform(rng, 1e-12, 1.0);
+  const double distance =
+      std::max(0.0, CircumRadius(a) + CircumRadius(b) + pair.gap);
+  const double angle = rng.Uniform(0, 2 * M_PI);
+  b.center = {a.center.x + distance * std::cos(angle),
+              a.center.y + distance * std::sin(angle),
+              a.center.z + rng.Uniform(-1, 1) * (a.height + b.height)};
+  return pair;
+}
+
+constexpr BroadPhaseEnvelope kEnvelopes[] = {
+    // Inside the envelope: the reject decides about a quarter of pairs.
+    {"guarded", 11, 1e-4, 10, 1e-3, 1e6, 4000, 0, 0},
+    // Every box has a side below 1e-4 m: all pairs go to the clip.
+    {"small_sides", 12, 1e-9, 1e-4, 1e-3, 1e6, 0, kBroadPhasePairs, 0},
+    // Every centre is beyond 1e7 m: all pairs go to the clip.
+    {"far_centres", 13, 1e-4, 10, 1e7, 1e12, 0, 0, kBroadPhasePairs},
+    // The whole mixture: extents 1e-9..10 m, centres out to 1e12 m.
+    {"mixed", 14, 1e-9, 10, 1e-3, 1e12, 100, 20000, 10000}};
+
+class BroadPhaseExactnessTest
+    : public ::testing::TestWithParam<BroadPhaseEnvelope> {};
+
+TEST_P(BroadPhaseExactnessTest, MatchesClipBitForBit) {
+  const BroadPhaseEnvelope& env = GetParam();
+  Rng rng(env.seed);
   int rejected = 0;
   int small_side = 0;
   int far_coord = 0;
   int mismatched = 0;
   std::string first_mismatch;
   for (int i = 0; i < kBroadPhasePairs; ++i) {
-    Box3d a({coord(), coord(), rng.Uniform(-1, 1)}, extent(), extent(),
-            extent(), rng.Uniform(-4 * M_PI, 4 * M_PI));
-    Box3d b({0, 0, 0}, extent(), extent(), extent(),
-            rng.Uniform(-4 * M_PI, 4 * M_PI));
+    const auto [a, b, gap] = SamplePair(rng, env);
     const double ra = CircumRadius(a);
     const double rb = CircumRadius(b);
-    const double gap = (rng.Bernoulli(0.5) ? 1.0 : -1.0) *
-                       LogUniform(rng, 1e-12, 1.0);
-    const double distance = std::max(0.0, ra + rb + gap);
-    const double angle = rng.Uniform(0, 2 * M_PI);
-    b.center = {a.center.x + distance * std::cos(angle),
-                a.center.y + distance * std::sin(angle),
-                a.center.z + rng.Uniform(-1, 1) * (a.height + b.height)};
-
     const bool side_guard =
         std::min({a.length, a.width, b.length, b.width}) < kBroadPhaseMinSide;
     const bool coord_guard =
@@ -449,19 +454,7 @@ TEST_P(BroadPhaseExactnessTest, MatchesClipBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Envelopes, BroadPhaseExactnessTest,
-    ::testing::Values(
-        // Inside the envelope: the reject decides about a quarter of pairs.
-        BroadPhaseEnvelope{"guarded", 11, 1e-4, 10, 1e-3, 1e6, 4000, 0, 0},
-        // Every box has a side below 1e-4 m: all pairs go to the clip.
-        BroadPhaseEnvelope{"small_sides", 12, 1e-9, 1e-4, 1e-3, 1e6, 0,
-                           kBroadPhasePairs, 0},
-        // Every centre is beyond 1e7 m: all pairs go to the clip.
-        BroadPhaseEnvelope{"far_centres", 13, 1e-4, 10, 1e7, 1e12, 0, 0,
-                           kBroadPhasePairs},
-        // The whole mixture: extents 1e-9..10 m, centres out to 1e12 m.
-        BroadPhaseEnvelope{"mixed", 14, 1e-9, 10, 1e-3, 1e12, 100, 20000,
-                           10000}),
+    Envelopes, BroadPhaseExactnessTest, ::testing::ValuesIn(kEnvelopes),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Pairs whose circumcircles are more than the margin apart, yet which the
@@ -522,6 +515,51 @@ TEST(BroadPhaseTest, NonFiniteValuesKeepTheClipsValue) {
     EXPECT_EQ(ClipMismatches(odd, far), 0) << DescribePair(odd, far);
     EXPECT_EQ(ClipMismatches(far, odd), 0) << DescribePair(far, odd);
   }
+}
+
+// ----------------------------------------------------- Pinned overlap bits
+
+// A CRC-32 over the 8-byte patterns of BevIntersectionArea and BevIou, in
+// both argument orders, on directed pairs and on 2,500 seeded pairs from
+// each broad-phase envelope. The constant was recorded from the
+// heap-backed polygon clip that the fixed-buffer clip replaced, so any
+// change to the clip's arithmetic (its tolerances, vertex order or
+// summation order) that moves one bit fails here.
+TEST(IouTest, OverlapBitsPinned) {
+  const double far_side = 1.1733011078033051;
+  std::vector<std::pair<Box3d, Box3d>> pairs = {
+      // The 45 degree octagon.
+      {Box3d({0, 0, 0.5}, 1, 1, 1, 0), Box3d({0, 0, 0.5}, 1, 1, 1, M_PI / 4)},
+      // Edge contact: a shared edge, and a 2e-12 m sliver whose top edge
+      // lies exactly the clip's 1e-12 tolerance below a unit box, so the
+      // cross products meet the tolerance with equality.
+      {Box3d({0, 0, 0}, 2, 2, 1, 0), Box3d({2, 0, 0}, 2, 2, 1, 0)},
+      {Box3d({0.5, -2e-12, 0}, 1, 2e-12, 1, 0),
+       Box3d({0.5, 0.5, 0}, 1, 1, 1, 0)},
+      // Contained boxes.
+      {Box3d({0, 0, 0}, 4, 4, 1, 0.3), Box3d({0.2, -0.1, 0}, 1, 0.5, 1, 1.2)},
+      // Sub-micrometre sides and far centres, as in BroadPhaseTest.
+      {Box3d({0, 0, 0}, 1e-9, 1e-9, 1e-9, 0.3),
+       Box3d({1e-5, 0, 0}, 1e-9, 1e-9, 1e-9, 1.1)},
+      {Box3d({159857974229.9704, 0, 0}, far_side, far_side, 1, M_PI / 4),
+       Box3d({159857974231.6297, 0, 0}, far_side, far_side, 1, M_PI / 4)}};
+  for (const BroadPhaseEnvelope& env : kEnvelopes) {
+    Rng rng(env.seed);
+    for (int i = 0; i < 2500; ++i) {
+      const EnvelopePair pair = SamplePair(rng, env);
+      pairs.emplace_back(pair.a, pair.b);
+    }
+  }
+  std::string bytes;
+  for (const auto& [a, b] : pairs) {
+    for (const double v : {BevIntersectionArea(a, b), BevIou(a, b),
+                           BevIntersectionArea(b, a), BevIou(b, a)}) {
+      for (int k = 0; k < 8; ++k) {
+        bytes.push_back(static_cast<char>(Bits(v) >> (8 * k)));
+      }
+    }
+  }
+  EXPECT_EQ(Crc32(bytes), 4109239433u);
 }
 
 }  // namespace

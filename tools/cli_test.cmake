@@ -282,6 +282,16 @@ run_cli(rank --data ${WORK}/ds --model ${WORK}/model.json)
 if(NOT CLI_OUTPUT MATCHES "stale")
   message(FATAL_ERROR "rank on a stale cache missing staleness notice: ${CLI_OUTPUT}")
 endif()
+# One refresh hint, and it names the directory to refresh.
+string(REGEX MATCHALL "fixy_cli cache" STALE_HINTS "${CLI_OUTPUT}")
+list(LENGTH STALE_HINTS STALE_HINT_COUNT)
+if(NOT STALE_HINT_COUNT EQUAL 1)
+  message(FATAL_ERROR "stale notice has ${STALE_HINT_COUNT} refresh hints, not 1: ${CLI_OUTPUT}")
+endif()
+string(FIND "${CLI_OUTPUT}" "fixy_cli cache ${WORK}/ds`" STALE_HINT_AT)
+if(STALE_HINT_AT EQUAL -1)
+  message(FATAL_ERROR "stale notice's refresh hint does not name the directory: ${CLI_OUTPUT}")
+endif()
 if(CLI_OUTPUT MATCHES "using cache")
   message(FATAL_ERROR "rank used a stale cache: ${CLI_OUTPUT}")
 endif()

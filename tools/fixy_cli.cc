@@ -626,12 +626,16 @@ Status CmdRank(const Flags& flags) {
       obs::Count("io.fxb.cache_misses");
       // A dataset.fxb that exists but was not used is stale or rejected:
       // surface *why* (per-file reasons, or the open error) so the fix is
-      // obvious from the rank output alone.
+      // obvious from the rank output alone. A stale cache's status already
+      // says so; one rejected at open is stale too, and refreshed alike.
       if (cache_status.code() != StatusCode::kNotFound) {
-        std::printf("cache at %s is stale (%s); loading JSON (run "
-                    "`fixy_cli cache %s` to refresh)\n",
-                    io::FxbCachePath(data).c_str(),
-                    cache_status.message().c_str(), data.c_str());
+        const std::string why =
+            cache_status.code() == StatusCode::kFailedPrecondition
+                ? cache_status.message()
+                : io::FxbCachePath(data) + " is stale (" +
+                      cache_status.message() + ")";
+        std::printf("%s; loading JSON (run `fixy_cli cache %s` to refresh)\n",
+                    why.c_str(), data.c_str());
       }
     }
   }
