@@ -4,7 +4,6 @@
 
 #include "common/macros.h"
 #include "common/random.h"
-#include "core/applications.h"
 #include "core/ranker.h"
 #include "geometry/iou.h"
 
@@ -81,7 +80,7 @@ Result<std::vector<ErrorProposal>> ConsistencyAssertion(
 
 Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene,
                                                    const MaOptions& options) {
-  const Scene model_scene = internal::FilterToModelOnly(scene);
+  const Scene model_scene = FilterToSource(scene, ObservationSource::kModel);
   FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {
@@ -102,7 +101,7 @@ Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene,
 
 Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene,
                                                     const MaOptions& options) {
-  const Scene model_scene = internal::FilterToModelOnly(scene);
+  const Scene model_scene = FilterToSource(scene, ObservationSource::kModel);
   FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {

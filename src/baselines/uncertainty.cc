@@ -13,19 +13,10 @@ Result<std::vector<ErrorProposal>> UncertaintySampling(
     const Scene& scene, const UncertaintyOptions& options) {
   // Assemble tracks over model predictions so proposals carry track spans
   // (needed for error matching) and can be deduplicated per object.
-  Scene model_scene(scene.name(), scene.frame_rate_hz());
-  for (const Frame& frame : scene.frames()) {
-    Frame copy = frame;
-    copy.observations.clear();
-    for (const Observation& obs : frame.observations) {
-      if (obs.source == ObservationSource::kModel) {
-        copy.observations.push_back(obs);
-      }
-    }
-    model_scene.AddFrame(std::move(copy));
-  }
   const TrackBuilder builder(options.track_builder);
-  FIXY_ASSIGN_OR_RETURN(TrackSet tracks, builder.Build(model_scene));
+  FIXY_ASSIGN_OR_RETURN(
+      TrackSet tracks,
+      builder.Build(FilterToSource(scene, ObservationSource::kModel)));
 
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {

@@ -28,9 +28,6 @@ struct ApplicationOptions {
   /// factor of Table 2 ("errors closer to the AV are more severe").
   bool include_distance_severity = true;
 
-  /// Scale (meters) of the distance-severity falloff.
-  double distance_scale_meters = 25.0;
-
   /// Whether the missing-tracks spec includes the manual count filter
   /// (tracks shorter than min_track_observations are implausible).
   bool include_count_filter = true;

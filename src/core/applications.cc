@@ -32,21 +32,6 @@ const Observation* RepresentativeObservation(const ObservationBundle& bundle) {
   return bundle.observations.empty() ? nullptr : &bundle.observations.front();
 }
 
-Scene FilterToModelOnly(const Scene& scene) {
-  Scene filtered(scene.name(), scene.frame_rate_hz());
-  for (const Frame& frame : scene.frames()) {
-    Frame copy = frame;
-    copy.observations.clear();
-    for (const Observation& obs : frame.observations) {
-      if (obs.source == ObservationSource::kModel) {
-        copy.observations.push_back(obs);
-      }
-    }
-    filtered.AddFrame(std::move(copy));
-  }
-  return filtered;
-}
-
 }  // namespace internal
 
 namespace {
@@ -89,7 +74,7 @@ LoaSpec BuildMissingTracksSpec(const std::vector<FeatureDistribution>& learned,
   if (options.include_distance_severity) {
     spec.feature_distributions.emplace_back(
         std::make_shared<DistanceFeature>(),
-        MakeDistanceSeverityDistribution(options.distance_scale_meters));
+        MakeDistanceSeverityDistribution());
   }
   spec.feature_distributions.emplace_back(
       std::make_shared<ModelOnlyFeature>(), MakeModelOnlyDistribution());
@@ -111,7 +96,7 @@ LoaSpec BuildMissingObservationsSpec(
   if (options.include_distance_severity) {
     spec.feature_distributions.emplace_back(
         std::make_shared<DistanceFeature>(),
-        MakeDistanceSeverityDistribution(options.distance_scale_meters));
+        MakeDistanceSeverityDistribution());
   }
   return spec;
 }

@@ -85,13 +85,6 @@ std::optional<size_t> ClosestApproachBundle(const Track& track);
 /// exists, otherwise the first member. nullptr for an empty bundle.
 const Observation* RepresentativeObservation(const ObservationBundle& bundle);
 
-/// A copy of the scene containing only model predictions (Section 8.4's
-/// view). The Model Assertions baseline's appear and flicker assertions
-/// build their tracks over it, and tests use it to assert that the shared
-/// association pass's model-only view equals a from-scratch build over the
-/// filtered scene.
-Scene FilterToModelOnly(const Scene& scene);
-
 }  // namespace internal
 
 }  // namespace fixy

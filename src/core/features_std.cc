@@ -51,10 +51,10 @@ std::optional<double> CountFeature::Compute(const Track& track,
   return static_cast<double>(track.TotalObservations());
 }
 
-stats::DistributionPtr MakeDistanceSeverityDistribution(double scale_meters) {
+stats::DistributionPtr MakeDistanceSeverityDistribution() {
   return std::make_shared<stats::LambdaDistribution>(
-      "distance_severity", [scale_meters](double d) {
-        return std::exp(-std::max(0.0, d) / scale_meters);
+      "distance_severity", [](double d) {
+        return std::exp(-std::max(0.0, d) / kDistanceSeverityScaleMeters);
       });
 }
 

@@ -77,11 +77,14 @@ class CountFeature final : public TrackFeature {
                                 const FeatureContext& ctx) const override;
 };
 
-/// Manual severity distribution for Distance: exp(-d / scale), so nearby
-/// objects (the safety-relevant ones; the paper highlights errors within
-/// 20-25 m of the AV) score close to 1 and far objects fade out.
-stats::DistributionPtr MakeDistanceSeverityDistribution(
-    double scale_meters = 25.0);
+/// Scale (meters) of the distance-severity falloff.
+inline constexpr double kDistanceSeverityScaleMeters = 25.0;
+
+/// Manual severity distribution for Distance:
+/// exp(-d / kDistanceSeverityScaleMeters), so nearby objects (the
+/// safety-relevant ones; the paper highlights errors within 20-25 m of the
+/// AV) score close to 1 and far objects fade out.
+stats::DistributionPtr MakeDistanceSeverityDistribution();
 
 /// Manual distribution for ModelOnly: score 1 when the bundle is
 /// model-only (value 1), score ~0 otherwise — the "AOF zeroes out any track

@@ -1,6 +1,7 @@
 #include "core/learner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <optional>
 
@@ -14,37 +15,6 @@
 #include "stats/kde.h"
 
 namespace fixy {
-
-namespace {
-
-// Majority class of a bundle (empty bundles cannot occur in built tracks).
-ObjectClass BundleClass(const ObservationBundle& bundle) {
-  int counts[kNumObjectClasses] = {};
-  for (const Observation& obs : bundle.observations) {
-    ++counts[static_cast<int>(obs.object_class)];
-  }
-  int best = 0;
-  for (int i = 1; i < kNumObjectClasses; ++i) {
-    if (counts[i] > counts[best]) best = i;
-  }
-  return static_cast<ObjectClass>(best);
-}
-
-// Keeps only observations from `source` in a copy of `scene`.
-Scene FilterScene(const Scene& scene, ObservationSource source) {
-  Scene filtered(scene.name(), scene.frame_rate_hz());
-  for (const Frame& frame : scene.frames()) {
-    Frame copy = frame;
-    copy.observations.clear();
-    for (const Observation& obs : frame.observations) {
-      if (obs.source == source) copy.observations.push_back(obs);
-    }
-    filtered.AddFrame(std::move(copy));
-  }
-  return filtered;
-}
-
-}  // namespace
 
 const char* EstimatorKindToString(EstimatorKind kind) {
   switch (kind) {
@@ -78,61 +48,26 @@ DistributionLearner::CollectValues(
   const TrackBuilder builder(options_.track_builder);
   for (const Scene& scene : training.scenes) {
     const Scene filtered =
-        options_.all_sources ? scene : FilterScene(scene, options_.source);
+        options_.all_sources ? scene : FilterToSource(scene, options_.source);
     FIXY_ASSIGN_OR_RETURN(TrackSet tracks, builder.Build(filtered));
     for (size_t i = 0; i < features.size(); ++i) {
       const Feature& feature = *features[i];
       CollectedValues& values = collected[i];
       const bool per_class = feature.class_conditional();
-      auto record = [&values, per_class](std::optional<double> value,
-                                         ObjectClass cls) {
-        if (!value.has_value()) return;
-        if (per_class) {
-          values.per_class[cls].push_back(*value);
-        } else {
+      // Non-finite values are skipped (ForEachFeatureValue says why); a
+      // class-conditional value with no class has no cell to train.
+      const auto record = [&values, per_class](
+                              std::optional<double> value,
+                              std::optional<ObjectClass> cls) {
+        if (!value.has_value() || !std::isfinite(*value)) return;
+        if (!per_class) {
           values.global.push_back(*value);
+        } else if (cls.has_value()) {
+          values.per_class[*cls].push_back(*value);
         }
       };
       for (const Track& track : tracks.tracks) {
-        switch (feature.kind()) {
-          case FeatureKind::kObservation: {
-            const auto& f = static_cast<const ObservationFeature&>(feature);
-            for (const ObservationBundle& bundle : track.bundles()) {
-              FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
-              for (const Observation& obs : bundle.observations) {
-                record(f.Compute(obs, ctx), obs.object_class);
-              }
-            }
-            break;
-          }
-          case FeatureKind::kBundle: {
-            const auto& f = static_cast<const BundleFeature&>(feature);
-            for (const ObservationBundle& bundle : track.bundles()) {
-              FeatureContext ctx{bundle.ego_position, scene.frame_rate_hz()};
-              record(f.Compute(bundle, ctx), BundleClass(bundle));
-            }
-            break;
-          }
-          case FeatureKind::kTransition: {
-            const auto& f = static_cast<const TransitionFeature&>(feature);
-            for (size_t b = 0; b + 1 < track.bundles().size(); ++b) {
-              const ObservationBundle& from = track.bundles()[b];
-              const ObservationBundle& to = track.bundles()[b + 1];
-              FeatureContext ctx{from.ego_position, scene.frame_rate_hz()};
-              record(f.Compute(from, to, ctx), BundleClass(from));
-            }
-            break;
-          }
-          case FeatureKind::kTrack: {
-            const auto& f = static_cast<const TrackFeature&>(feature);
-            if (track.bundles().empty()) break;
-            FeatureContext ctx{track.bundles().front().ego_position,
-                               scene.frame_rate_hz()};
-            const auto cls = track.MajorityClass();
-            record(f.Compute(track, ctx), cls.value_or(ObjectClass::kCar));
-            break;
-          }
-        }
+        ForEachFeatureValue(feature, track, scene.frame_rate_hz(), record);
       }
     }
   }
@@ -283,9 +218,9 @@ Status DistributionLearner::Fold(const Dataset& delta,
   }
 
   // One cell per distribution to fit: class-conditional features have one
-  // per class at min_samples, the rest a single global cell. On a refit, a
-  // cell whose statistics the fold left untouched keeps its existing
-  // DistributionPtr; only the changed ones become fit jobs.
+  // per class at kMinTrainingSamples, the rest a single global cell. On a
+  // refit, a cell whose statistics the fold left untouched keeps its
+  // existing DistributionPtr; only the changed ones become fit jobs.
   struct Cell {
     size_t feature = 0;
     std::optional<ObjectClass> cls;
@@ -312,7 +247,7 @@ Status DistributionLearner::Fold(const Dataset& delta,
     if (now.class_conditional) {
       bool any = false;
       for (const auto& [cls, sample_stats] : now.per_class) {
-        if (sample_stats.n(now.estimator) < options_.min_samples) continue;
+        if (sample_stats.n(now.estimator) < kMinTrainingSamples) continue;
         any = true;
         const auto old_stats = before.per_class.find(cls);
         stats::DistributionPtr prior;
@@ -329,15 +264,15 @@ Status DistributionLearner::Fold(const Dataset& delta,
       if (!any) {
         return Status::InvalidArgument(
             StrFormat("feature '%s': no class reached %zu training samples",
-                      features[i]->name().c_str(), options_.min_samples));
+                      features[i]->name().c_str(), kMinTrainingSamples));
       }
     } else {
       const uint64_t n = now.global.n(now.estimator);
-      if (n < options_.min_samples) {
+      if (n < kMinTrainingSamples) {
         return Status::InvalidArgument(
             StrFormat("feature '%s': only %zu training samples (need %zu)",
                       features[i]->name().c_str(), static_cast<size_t>(n),
-                      options_.min_samples));
+                      kMinTrainingSamples));
       }
       add_cell(i, std::nullopt, now.global, &before.global,
                refit ? state.distributions[i].global_distribution() : nullptr);

@@ -40,6 +40,11 @@ const char* EstimatorKindToString(EstimatorKind kind);
 /// unknown name.
 Result<EstimatorKind> EstimatorKindFromString(const std::string& name);
 
+/// Minimum sample count required to fit a distribution. Classes with
+/// fewer samples get no distribution (elements of that class contribute no
+/// factor for the feature).
+inline constexpr size_t kMinTrainingSamples = 5;
+
 struct LearnerOptions {
   EstimatorKind estimator = EstimatorKind::kKde;
 
@@ -52,11 +57,6 @@ struct LearnerOptions {
   /// between observations of the same object in a single time step",
   /// Section 5.1), whose bundles only exist when sources are combined.
   bool all_sources = false;
-
-  /// Minimum sample count required to fit a distribution. Classes with
-  /// fewer samples get no distribution (elements of that class contribute
-  /// no factor for the feature).
-  size_t min_samples = 5;
 
   /// How training observations are assembled into tracks before feature
   /// extraction.
@@ -99,8 +99,8 @@ struct FeatureStats {
   /// Used when !class_conditional.
   SampleStats global;
   /// Every class with at least one training sample is tracked — including
-  /// classes still below min_samples, so a later fold can push them over
-  /// the threshold and materialize a distribution for them.
+  /// classes still below kMinTrainingSamples, so a later fold can push
+  /// them over the threshold and materialize a distribution for them.
   std::map<ObjectClass, SampleStats> per_class;
 
   bool operator==(const FeatureStats&) const = default;
@@ -125,8 +125,9 @@ class DistributionLearner {
 
   /// Fits one FeatureDistribution per feature with the configured
   /// estimator: Fold over EmptyStats. Features whose values never
-  /// materialize (or never reach min_samples for any class) produce an
-  /// InvalidArgument error, since scoring with them would be vacuous.
+  /// materialize (or never reach kMinTrainingSamples for any class)
+  /// produce an InvalidArgument error, since scoring with them would be
+  /// vacuous.
   Result<std::vector<FeatureDistribution>> Learn(
       const Dataset& training, const std::vector<FeaturePtr>& features) const;
 
@@ -145,13 +146,14 @@ class DistributionLearner {
   /// function of its statistics, so reuse is byte-identical). Changed
   /// cells fit in parallel. On error `state` is left unchanged. Errors,
   /// all InvalidArgument, in this order: a feature/stats/distribution
-  /// shape or name mismatch; a feature with no class at min_samples after
-  /// the fold (in feature order); a failed fit (in cell order). Scene
-  /// validation errors from track building come between the first two.
+  /// shape or name mismatch; a feature with no class at
+  /// kMinTrainingSamples after the fold (in feature order); a failed fit
+  /// (in cell order). Scene validation errors from track building come
+  /// between the first two.
   Status Fold(const Dataset& delta, const std::vector<FeaturePtr>& features,
               LearnedFeatureSet& state) const;
 
-  /// The raw values of one feature over a dataset: per class for
+  /// The finite raw values of one feature over a dataset: per class for
   /// class-conditional features, in `global` otherwise.
   struct CollectedValues {
     /// Values for non-class-conditional features.
@@ -160,9 +162,10 @@ class DistributionLearner {
     std::map<ObjectClass, std::vector<double>> per_class;
   };
 
-  /// Collects every (non-null) feature's raw values over the dataset, one
-  /// entry per feature, in dataset order. Each scene's tracks are built
-  /// once for all features. Exposed for tests.
+  /// Collects every (non-null) feature's values over the dataset through
+  /// ForEachFeatureValue, one entry per feature, in dataset order,
+  /// skipping non-finite values. Each scene's tracks are built once for
+  /// all features. Exposed for tests.
   Result<std::vector<CollectedValues>> CollectValues(
       const Dataset& training, const std::vector<FeaturePtr>& features) const;
 

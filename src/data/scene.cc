@@ -42,6 +42,19 @@ size_t Scene::CountBySource(ObservationSource source) const {
   return total;
 }
 
+Scene FilterToSource(const Scene& scene, ObservationSource source) {
+  Scene filtered(scene.name(), scene.frame_rate_hz());
+  for (const Frame& frame : scene.frames()) {
+    Frame copy = frame;
+    copy.observations.clear();
+    for (const Observation& obs : frame.observations) {
+      if (obs.source == source) copy.observations.push_back(obs);
+    }
+    filtered.AddFrame(std::move(copy));
+  }
+  return filtered;
+}
+
 Status Scene::Validate() const {
   if (!std::isfinite(frame_rate_hz_) || frame_rate_hz_ <= 0.0) {
     return Status::FailedPrecondition(

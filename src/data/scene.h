@@ -69,6 +69,10 @@ class Scene {
   std::vector<Frame> frames_;
 };
 
+/// A copy of `scene` (name, frame rate, frames and ego poses) keeping only
+/// the observations from `source`, in their order.
+Scene FilterToSource(const Scene& scene, ObservationSource source);
+
 /// A collection of scenes (e.g. "the entire validation set").
 struct Dataset {
   std::string name;

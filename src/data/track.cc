@@ -7,6 +7,26 @@
 
 namespace fixy {
 
+namespace {
+
+using ClassCounts = std::array<size_t, kNumObjectClasses>;
+
+void CountClasses(const ObservationBundle& bundle, ClassCounts& counts) {
+  for (const Observation& obs : bundle.observations) {
+    ++counts[static_cast<size_t>(obs.object_class)];
+  }
+}
+
+// The most counted class, ties to the lower enum value; nullopt when
+// nothing was counted.
+std::optional<ObjectClass> MostCounted(const ClassCounts& counts) {
+  const auto best = std::max_element(counts.begin(), counts.end());
+  if (*best == 0) return std::nullopt;
+  return static_cast<ObjectClass>(best - counts.begin());
+}
+
+}  // namespace
+
 bool ObservationBundle::HasSource(ObservationSource source) const {
   return FindBySource(source) != nullptr;
 }
@@ -36,6 +56,12 @@ double ObservationBundle::MaxConfidence() const {
   return max_conf;
 }
 
+std::optional<ObjectClass> ObservationBundle::MajorityClass() const {
+  ClassCounts counts{};
+  CountClasses(*this, counts);
+  return MostCounted(counts);
+}
+
 size_t Track::TotalObservations() const {
   size_t total = 0;
   for (const ObservationBundle& b : bundles_) total += b.observations.size();
@@ -50,20 +76,9 @@ bool Track::HasSource(ObservationSource source) const {
 }
 
 std::optional<ObjectClass> Track::MajorityClass() const {
-  std::array<size_t, kNumObjectClasses> counts{};
-  size_t total = 0;
-  for (const ObservationBundle& b : bundles_) {
-    for (const Observation& obs : b.observations) {
-      ++counts[static_cast<size_t>(obs.object_class)];
-      ++total;
-    }
-  }
-  if (total == 0) return std::nullopt;
-  size_t best = 0;
-  for (size_t i = 1; i < counts.size(); ++i) {
-    if (counts[i] > counts[best]) best = i;
-  }
-  return static_cast<ObjectClass>(best);
+  ClassCounts counts{};
+  for (const ObservationBundle& b : bundles_) CountClasses(b, counts);
+  return MostCounted(counts);
 }
 
 int Track::FirstFrame() const {

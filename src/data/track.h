@@ -32,6 +32,9 @@ struct ObservationBundle {
   geom::Vec3 MeanCenter() const;
   /// Maximum confidence among member observations.
   double MaxConfidence() const;
+  /// Majority class among member observations (ties broken by enum order).
+  /// nullopt for an empty bundle.
+  std::optional<ObjectClass> MajorityClass() const;
 };
 
 /// A sequence of bundles for one object across time.

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "data/observation.h"
 #include "data/track.h"
@@ -99,6 +100,70 @@ class TrackFeature : public Feature {
 };
 
 using FeaturePtr = std::shared_ptr<const Feature>;
+
+/// The one walk of a feature over a track, shared by learning and scoring
+/// (Sections 5.2 and 6 apply the same values). Calls
+/// `fn(std::optional<double> value, std::optional<ObjectClass> cls)` once
+/// per element `feature` covers, in this order:
+///   kObservation — every observation, bundle-major;
+///   kBundle      — every bundle;
+///   kTransition  — every adjacent bundle pair, as (from, to);
+///   kTrack       — the track itself, once (never for a bundle-less track).
+/// This is also the order of RawTrackScores' entries and of the factors
+/// FactorGraph::Compile instantiates. Each element is computed with its
+/// bundle's ego position (the first bundle's for a track, the from
+/// bundle's for a transition) and is handed the class its distribution is
+/// looked up under: the observation's own, the bundle's majority (the
+/// from bundle's for a transition) or the track's majority.
+///
+/// `value` is nullopt where the feature does not apply. A non-finite value
+/// (an inf volume from a huge but valid box) is passed on as is: scoring
+/// gives it likelihood 0 (FeatureDistribution::RawScore), and learning
+/// skips it, since it carries nothing an estimator can fit.
+template <typename Fn>
+void ForEachFeatureValue(const Feature& feature, const Track& track,
+                         double frame_rate_hz, Fn&& fn) {
+  const std::vector<ObservationBundle>& bundles = track.bundles();
+  FeatureContext ctx;
+  ctx.frame_rate_hz = frame_rate_hz;
+  switch (feature.kind()) {
+    case FeatureKind::kObservation: {
+      const auto& f = static_cast<const ObservationFeature&>(feature);
+      for (const ObservationBundle& bundle : bundles) {
+        ctx.ego_position = bundle.ego_position;
+        for (const Observation& obs : bundle.observations) {
+          const std::optional<ObjectClass> cls = obs.object_class;
+          fn(f.Compute(obs, ctx), cls);
+        }
+      }
+      return;
+    }
+    case FeatureKind::kBundle: {
+      const auto& f = static_cast<const BundleFeature&>(feature);
+      for (const ObservationBundle& bundle : bundles) {
+        ctx.ego_position = bundle.ego_position;
+        fn(f.Compute(bundle, ctx), bundle.MajorityClass());
+      }
+      return;
+    }
+    case FeatureKind::kTransition: {
+      const auto& f = static_cast<const TransitionFeature&>(feature);
+      for (size_t b = 0; b + 1 < bundles.size(); ++b) {
+        ctx.ego_position = bundles[b].ego_position;
+        fn(f.Compute(bundles[b], bundles[b + 1], ctx),
+           bundles[b].MajorityClass());
+      }
+      return;
+    }
+    case FeatureKind::kTrack: {
+      if (bundles.empty()) return;
+      ctx.ego_position = bundles.front().ego_position;
+      fn(static_cast<const TrackFeature&>(feature).Compute(track, ctx),
+         track.MajorityClass());
+      return;
+    }
+  }
+}
 
 }  // namespace fixy
 

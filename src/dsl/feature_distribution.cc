@@ -3,27 +3,8 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "dsl/feature_score_cache.h"
 
 namespace fixy {
-
-namespace {
-
-// Majority class of a bundle's member observations (nullopt when empty).
-std::optional<ObjectClass> BundleClass(const ObservationBundle& bundle) {
-  if (bundle.observations.empty()) return std::nullopt;
-  int counts[kNumObjectClasses] = {};
-  for (const Observation& obs : bundle.observations) {
-    ++counts[static_cast<int>(obs.object_class)];
-  }
-  int best = 0;
-  for (int i = 1; i < kNumObjectClasses; ++i) {
-    if (counts[i] > counts[best]) best = i;
-  }
-  return static_cast<ObjectClass>(best);
-}
-
-}  // namespace
 
 FeatureDistribution::FeatureDistribution(FeaturePtr feature,
                                          stats::DistributionPtr distribution,
@@ -78,7 +59,7 @@ double FeatureDistribution::ApplyAofAndFloor(double likelihood) const {
   return transformed;
 }
 
-std::optional<double> FeatureDistribution::RawTransform(
+std::optional<double> FeatureDistribution::RawScore(
     std::optional<double> value, std::optional<ObjectClass> cls) const {
   if (!value.has_value()) return std::nullopt;
   if (!std::isfinite(*value)) {
@@ -91,79 +72,6 @@ std::optional<double> FeatureDistribution::RawTransform(
     return 0.0;
   }
   return RawLikelihood(*value, cls);
-}
-
-std::optional<double> FeatureDistribution::Transform(
-    std::optional<double> value, std::optional<ObjectClass> cls) const {
-  const std::optional<double> raw = RawTransform(value, cls);
-  if (!raw.has_value()) return std::nullopt;
-  return ApplyAofAndFloor(*raw);
-}
-
-void FeatureDistribution::RawScoreTrackObservations(
-    const Track& track, double frame_rate_hz, RawTrackScores* out) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kObservation);
-  const auto* f = static_cast<const ObservationFeature*>(feature_.get());
-  out->Clear();
-  FeatureContext ctx;
-  ctx.frame_rate_hz = frame_rate_hz;
-  for (const ObservationBundle& bundle : track.bundles()) {
-    ctx.ego_position = bundle.ego_position;
-    for (const Observation& obs : bundle.observations) {
-      out->Push(RawTransform(f->Compute(obs, ctx), obs.object_class));
-    }
-  }
-}
-
-std::optional<double> FeatureDistribution::RawScoreBundle(
-    const ObservationBundle& bundle, const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kBundle);
-  const auto* f = static_cast<const BundleFeature*>(feature_.get());
-  return RawTransform(f->Compute(bundle, ctx), BundleClass(bundle));
-}
-
-std::optional<double> FeatureDistribution::RawScoreTransition(
-    const ObservationBundle& from, const ObservationBundle& to,
-    const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kTransition);
-  const auto* f = static_cast<const TransitionFeature*>(feature_.get());
-  return RawTransform(f->Compute(from, to, ctx), BundleClass(from));
-}
-
-std::optional<double> FeatureDistribution::RawScoreTrack(
-    const Track& track, const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kTrack);
-  const auto* f = static_cast<const TrackFeature*>(feature_.get());
-  return RawTransform(f->Compute(track, ctx), track.MajorityClass());
-}
-
-std::optional<double> FeatureDistribution::ScoreObservation(
-    const Observation& obs, const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kObservation);
-  const auto* f = static_cast<const ObservationFeature*>(feature_.get());
-  return Transform(f->Compute(obs, ctx), obs.object_class);
-}
-
-std::optional<double> FeatureDistribution::ScoreBundle(
-    const ObservationBundle& bundle, const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kBundle);
-  const auto* f = static_cast<const BundleFeature*>(feature_.get());
-  return Transform(f->Compute(bundle, ctx), BundleClass(bundle));
-}
-
-std::optional<double> FeatureDistribution::ScoreTransition(
-    const ObservationBundle& from, const ObservationBundle& to,
-    const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kTransition);
-  const auto* f = static_cast<const TransitionFeature*>(feature_.get());
-  return Transform(f->Compute(from, to, ctx), BundleClass(from));
-}
-
-std::optional<double> FeatureDistribution::ScoreTrack(
-    const Track& track, const FeatureContext& ctx) const {
-  FIXY_CHECK(feature_->kind() == FeatureKind::kTrack);
-  const auto* f = static_cast<const TrackFeature*>(feature_.get());
-  return Transform(f->Compute(track, ctx), track.MajorityClass());
 }
 
 }  // namespace fixy

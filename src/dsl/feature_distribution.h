@@ -15,8 +15,6 @@
 
 namespace fixy {
 
-struct RawTrackScores;
-
 /// A feature together with the distribution(s) learned for it offline and
 /// the AOF applied at scoring time.
 ///
@@ -43,49 +41,19 @@ class FeatureDistribution {
   /// distributions with different objectives, Section 7).
   FeatureDistribution WithAof(AofPtr aof) const;
 
-  /// Scores an element of the matching kind: computes the feature value,
-  /// looks up the (per-class) distribution, converts the value to a
-  /// normalized likelihood in (0, 1], and applies the AOF. Returns nullopt
-  /// when the feature does not apply or no distribution is available for
-  /// the element's class. Aborts if the feature kind does not match the
-  /// element type.
-  std::optional<double> ScoreObservation(const Observation& obs,
-                                         const FeatureContext& ctx) const;
+  /// The raw (pre-AOF) score of one value ForEachFeatureValue hands over:
+  /// nullopt when the feature did not apply; 0.0 for a degenerate
+  /// (non-finite) value, the maximally-unlikely contract every
+  /// application's AOF then ranks; otherwise RawLikelihood(value, cls).
+  /// It never depends on the AOF, so specs that re-target one learned
+  /// distribution with different AOFs (WithAof) share it: the
+  /// feature-score cache stores these, and the factor graph feeds each
+  /// through ApplyAofAndFloor.
+  std::optional<double> RawScore(std::optional<double> value,
+                                 std::optional<ObjectClass> cls) const;
 
-  std::optional<double> ScoreBundle(const ObservationBundle& bundle,
-                                    const FeatureContext& ctx) const;
-  std::optional<double> ScoreTransition(const ObservationBundle& from,
-                                        const ObservationBundle& to,
-                                        const FeatureContext& ctx) const;
-  std::optional<double> ScoreTrack(const Track& track,
-                                   const FeatureContext& ctx) const;
-
-  /// Raw (pre-AOF) variants of the scoring entry points, used by the
-  /// shared feature-score cache: the returned likelihoods depend only on
-  /// the feature and its distributions, never on the AOF, so two specs
-  /// that re-target the same learned distribution with different AOFs
-  /// (WithAof) share them. Feeding a raw value through ApplyAofAndFloor
-  /// reproduces the corresponding Score* result bit for bit. A degenerate
-  /// (non-finite) feature value yields raw likelihood 0.0 — the same
-  /// maximally-unlikely contract the scoring path applies before its AOF.
-  ///
-  /// The batch form is ScoreObservation's raw counterpart for every
-  /// observation of `track`: it overwrites `*out` with one entry per
-  /// observation in bundle-major order (the factor-graph compilation
-  /// order), structure-of-arrays (see RawTrackScores).
-  void RawScoreTrackObservations(const Track& track, double frame_rate_hz,
-                                 RawTrackScores* out) const;
-  std::optional<double> RawScoreBundle(const ObservationBundle& bundle,
-                                       const FeatureContext& ctx) const;
-  std::optional<double> RawScoreTransition(const ObservationBundle& from,
-                                           const ObservationBundle& to,
-                                           const FeatureContext& ctx) const;
-  std::optional<double> RawScoreTrack(const Track& track,
-                                      const FeatureContext& ctx) const;
-
-  /// AOF application + the strict-positivity floor, shared by the scalar
-  /// scoring path and the factor graph, which applies it per application
-  /// to cached raw likelihoods.
+  /// AOF application + the strict-positivity floor: the factor graph
+  /// applies it per application to cached raw likelihoods.
   double ApplyAofAndFloor(double likelihood) const;
 
   /// The raw (pre-AOF) likelihood of a feature value for the given class.
@@ -105,16 +73,6 @@ class FeatureDistribution {
   }
 
  private:
-  std::optional<double> Transform(std::optional<double> value,
-                                  std::optional<ObjectClass> cls) const;
-
-  /// Raw half of Transform: degenerate values map to likelihood 0.0,
-  /// missing values/distributions to nullopt, everything else to the
-  /// distribution's normalized likelihood. Transform is RawTransform
-  /// followed by ApplyAofAndFloor.
-  std::optional<double> RawTransform(std::optional<double> value,
-                                     std::optional<ObjectClass> cls) const;
-
   /// The distribution covering `cls` (the global one, or the per-class
   /// entry); nullptr when none applies.
   const stats::Distribution* DistributionFor(

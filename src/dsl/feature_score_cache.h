@@ -18,16 +18,13 @@
 
 namespace fixy {
 
-/// The raw likelihoods of one FeatureDistribution over one track, in the
-/// factor-graph compilation order for the feature's kind:
-///   kObservation — bundle-major, one entry per observation;
-///   kBundle      — one entry per bundle;
-///   kTransition  — one entry per adjacent bundle pair;
-///   kTrack       — a single entry (empty when the track has no bundles).
-/// Structure-of-arrays: `values[i]` is the pre-AOF likelihood (ready for
-/// FeatureDistribution::ApplyAofAndFloor) when `engaged[i]` is nonzero;
-/// engaged[i] == 0 marks "no factor" (feature did not apply / no
-/// distribution for the class) and values[i] is 0.
+/// The raw likelihoods of one FeatureDistribution over one track, one
+/// entry per element in ForEachFeatureValue's order (which is the
+/// factor-graph compilation order). Structure-of-arrays: `values[i]` is
+/// the pre-AOF likelihood (ready for FeatureDistribution::ApplyAofAndFloor)
+/// when `engaged[i]` is nonzero; engaged[i] == 0 marks "no factor"
+/// (feature did not apply / no distribution for the class) and values[i]
+/// is 0.
 struct RawTrackScores {
   std::vector<double> values;
   std::vector<uint8_t> engaged;
@@ -66,7 +63,8 @@ struct RawTrackScores {
   }
 };
 
-/// Computes `fd`'s raw likelihoods over `track` into `*out` (overwritten).
+/// Computes `fd`'s raw likelihoods over `track` into `*out` (overwritten):
+/// FeatureDistribution::RawScore of each value ForEachFeatureValue yields.
 void ComputeRawTrackScores(const FeatureDistribution& fd, const Track& track,
                            double frame_rate_hz, RawTrackScores* out);
 

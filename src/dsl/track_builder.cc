@@ -84,9 +84,6 @@ std::vector<ObservationBundle> BundleSubset(
 // frame's bundles against the open tracks, identical for every view.
 class TrackLinker {
  public:
-  explicit TrackLinker(const TrackBuilderOptions& options)
-      : options_(options) {}
-
   void AddFrame(const Frame& frame, std::vector<ObservationBundle> bundles) {
     // Candidate (track, bundle) pairs with IoU above the link threshold.
     struct Candidate {
@@ -100,7 +97,7 @@ class TrackLinker {
       for (size_t b = 0; b < bundles.size(); ++b) {
         const double iou =
             geom::BevIou(RepresentativeBox(last), RepresentativeBox(bundles[b]));
-        if (iou > options_.track_iou_threshold) {
+        if (iou > kTrackIouThreshold) {
           candidates.push_back({iou, t, b});
         }
       }
@@ -137,7 +134,7 @@ class TrackLinker {
     std::vector<OpenTrack> still_open;
     still_open.reserve(open_.size());
     for (OpenTrack& t : open_) {
-      if (frame.index - t.last_matched_frame > options_.max_gap_frames) {
+      if (frame.index - t.last_matched_frame > kMaxGapFrames) {
         result_.tracks.push_back(std::move(t.track));
       } else {
         still_open.push_back(std::move(t));
@@ -164,7 +161,6 @@ class TrackLinker {
     int last_matched_frame = 0;
   };
 
-  const TrackBuilderOptions& options_;
   std::vector<OpenTrack> open_;
   TrackId next_track_id_ = 0;
   TrackSet result_;
@@ -210,8 +206,8 @@ Result<AssociationViews> TrackBuilder::BuildViews(const Scene& scene,
   FIXY_RETURN_IF_ERROR(scene.Validate());
 
   const Bundler& bundler = *options_.bundler;
-  TrackLinker full_linker(options_);
-  TrackLinker model_linker(options_);
+  TrackLinker full_linker;
+  TrackLinker model_linker;
 
   // Scratch buffers reused across frames.
   std::vector<size_t> all_indices;

@@ -32,6 +32,15 @@ enum class SceneView {
 
 const char* SceneViewToString(SceneView view);
 
+/// Minimum BEV IoU for linking a bundle to the previous bundle of a track.
+/// Looser than the in-frame threshold because objects move between frames.
+inline constexpr double kTrackIouThreshold = 0.1;
+
+/// A track stays open for this many frames without a match before being
+/// closed; gaps let flickering detections land in one track (which the
+/// flicker baseline assertion then inspects).
+inline constexpr int kMaxGapFrames = 2;
+
 /// Options controlling track assembly.
 struct TrackBuilderOptions {
   /// Bundler used to group observations within a frame; defaults to
@@ -40,16 +49,6 @@ struct TrackBuilderOptions {
   /// result for every view (and the batch path shares one bundler across
   /// worker threads).
   BundlerPtr bundler;
-
-  /// Minimum BEV IoU for linking a bundle to the previous bundle of a
-  /// track. Looser than the in-frame threshold because objects move
-  /// between frames.
-  double track_iou_threshold = 0.1;
-
-  /// A track stays open for this many frames without a match before being
-  /// closed; gaps let flickering detections land in one track (which the
-  /// flicker baseline assertion then inspects).
-  int max_gap_frames = 2;
 };
 
 /// The track sets one association pass produced, one per requested view.

@@ -28,18 +28,9 @@ Result<DatasetStats> ComputeDatasetStats(const Dataset& dataset) {
       }
     }
     // Speed estimates from assembled human tracks.
-    Scene human_only(scene.name(), scene.frame_rate_hz());
-    for (const Frame& frame : scene.frames()) {
-      Frame copy = frame;
-      copy.observations.clear();
-      for (const Observation& obs : frame.observations) {
-        if (obs.source == ObservationSource::kHuman) {
-          copy.observations.push_back(obs);
-        }
-      }
-      human_only.AddFrame(std::move(copy));
-    }
-    FIXY_ASSIGN_OR_RETURN(TrackSet tracks, builder.Build(human_only));
+    FIXY_ASSIGN_OR_RETURN(
+        TrackSet tracks,
+        builder.Build(FilterToSource(scene, ObservationSource::kHuman)));
     for (const Track& track : tracks.tracks) {
       const auto cls = track.MajorityClass();
       if (!cls.has_value()) continue;

@@ -28,6 +28,20 @@ Vec2 LineIntersection(const Vec2& p1, const Vec2& p2, const Vec2& a,
   return p1 + r * t;
 }
 
+// A clip vertex without Vec2's default member initialisers: an array of
+// these is trivially default-constructible, so it is not zero-filled.
+struct RawVertex {
+  double x;
+  double y;
+
+  RawVertex& operator=(const Vec2& v) {
+    x = v.x;
+    y = v.y;
+    return *this;
+  }
+  Vec2 ToVec2() const { return {x, y}; }
+};
+
 // Broad phase. Two footprints whose circumcircles are more than
 // kBroadPhaseMargin apart cannot meet, and inside the envelope below the
 // quad clip returns exactly 0 for them, so the reject returns the clip's
@@ -65,20 +79,21 @@ double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
                                   const std::array<Vec2, 4>& clip) {
   // Each pass emits at most two vertices per input vertex, so the four
   // passes grow a quad to at most 4 * 2^4 = 64 vertices, whatever the
-  // inputs (NaNs included).
-  std::array<Vec2, 64> buffers[2];
-  std::copy(subject.begin(), subject.end(), buffers[0].begin());
+  // inputs (NaNs included). The buffers hold RawVertex, not Vec2, so they
+  // are left uninitialised rather than zero-filled on every clip.
+  RawVertex buffers[2][64];
+  std::copy(subject.begin(), subject.end(), buffers[0]);
   size_t count = subject.size();
   int in = 0;
   for (size_t i = 0; i < clip.size() && count != 0; ++i) {
     const Vec2& a = clip[i];
     const Vec2& b = clip[(i + 1) % clip.size()];
-    const std::array<Vec2, 64>& input = buffers[in];
-    std::array<Vec2, 64>& output = buffers[1 - in];
+    const RawVertex* input = buffers[in];
+    RawVertex* output = buffers[1 - in];
     size_t emitted = 0;
     for (size_t j = 0; j < count; ++j) {
-      const Vec2& current = input[j];
-      const Vec2& prev = input[(j + count - 1) % count];
+      const Vec2 current = input[j].ToVec2();
+      const Vec2 prev = input[(j + count - 1) % count].ToVec2();
       const bool current_inside = Inside(current, a, b);
       const bool prev_inside = Inside(prev, a, b);
       if (current_inside) {
@@ -95,10 +110,10 @@ double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
   }
   if (count < 3) return 0.0;
   // The shoelace sum starts at vertex 0; the order fixes the area's bits.
-  const std::array<Vec2, 64>& polygon = buffers[in];
+  const RawVertex* polygon = buffers[in];
   double sum = 0.0;
   for (size_t i = 0; i < count; ++i) {
-    sum += polygon[i].Cross(polygon[(i + 1) % count]);
+    sum += polygon[i].ToVec2().Cross(polygon[(i + 1) % count].ToVec2());
   }
   return std::abs(sum / 2.0);
 }

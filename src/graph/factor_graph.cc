@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/arena.h"
 #include "common/string_util.h"
 
 namespace fixy {
@@ -70,9 +69,10 @@ Result<FactorGraph> FactorGraph::Compile(const TrackSet& tracks,
       // Raw (pre-AOF) likelihoods for this (feature distribution, track)
       // pair, either shared across applications through the scene's cache
       // or computed locally (into a reused thread-local, so the uncached
-      // path does not allocate per pair either). Layout per kind is
-      // documented on RawTrackScores and matches the factor instantiation
-      // order below; the AOF and score floor are applied here, per factor.
+      // path does not allocate per pair either). Their entries follow
+      // ForEachFeatureValue's element order, which the instantiation
+      // below walks again for the elements' variable ranges; the AOF and
+      // score floor are applied here, per factor.
       thread_local RawTrackScores local;
       if (shared_scores == nullptr) {
         ComputeRawTrackScores(fd, track, frame_rate_hz, &local);
@@ -137,13 +137,13 @@ Result<FactorGraph> FactorGraph::Compile(const TrackSet& tracks,
   }
 
   // Build the variable -> factor CSR adjacency with a counting sort. The
-  // single scratch array lives in a per-thread arena: degree counts turn
-  // into start offsets, the fill pass advances them to end offsets, and
-  // the span pass reads starts back from the previous slot.
-  thread_local Arena arena;
-  arena.Reset();
+  // single scratch array is a per-thread vector that keeps its capacity
+  // across scenes: degree counts turn into start offsets, the fill pass
+  // advances them to end offsets, and the span pass reads starts back from
+  // the previous slot.
+  thread_local std::vector<size_t> cursor;
   const size_t num_vars = graph.variables_.size();
-  size_t* cursor = arena.AllocateZeroed<size_t>(num_vars);
+  cursor.assign(num_vars, 0);
   size_t total_edges = 0;
   for (const FactorNode& factor : graph.factors_) {
     total_edges += factor.variables.size();

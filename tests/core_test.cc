@@ -13,6 +13,7 @@
 #include "core/ranker.h"
 #include "obs/metrics.h"
 #include "sim/generate.h"
+#include "stats/kde.h"
 
 namespace fixy {
 namespace {
@@ -107,9 +108,10 @@ TEST(FeaturesStdTest, CountFeature) {
 }
 
 TEST(FeaturesStdTest, DistanceSeverityDecaysWithDistance) {
-  const auto severity = MakeDistanceSeverityDistribution(25.0);
+  const auto severity = MakeDistanceSeverityDistribution();
   EXPECT_DOUBLE_EQ(severity->Density(0.0), 1.0);
-  EXPECT_NEAR(severity->Density(25.0), std::exp(-1.0), 1e-12);
+  EXPECT_NEAR(severity->Density(kDistanceSeverityScaleMeters), std::exp(-1.0),
+              1e-12);
   EXPECT_GT(severity->Density(10.0), severity->Density(50.0));
 }
 
@@ -216,6 +218,29 @@ TEST(RankerTest, TopKPerClassAllInvalidYieldsEmpty) {
 
 // -------------------------------------------------------------- Learner
 
+// The factor scores a learned distribution gives one observation and one
+// bundle: Compute, RawScore under the element's class, then the AOF and
+// floor.
+std::optional<double> ScoreObservation(const FeatureDistribution& fd,
+                                       const Observation& obs,
+                                       const FeatureContext& ctx) {
+  const auto& feature = static_cast<const ObservationFeature&>(fd.feature());
+  const std::optional<double> raw =
+      fd.RawScore(feature.Compute(obs, ctx), obs.object_class);
+  if (!raw.has_value()) return std::nullopt;
+  return fd.ApplyAofAndFloor(*raw);
+}
+
+std::optional<double> ScoreBundle(const FeatureDistribution& fd,
+                                  const ObservationBundle& bundle,
+                                  const FeatureContext& ctx) {
+  const auto& feature = static_cast<const BundleFeature&>(fd.feature());
+  const std::optional<double> raw =
+      fd.RawScore(feature.Compute(bundle, ctx), bundle.MajorityClass());
+  if (!raw.has_value()) return std::nullopt;
+  return fd.ApplyAofAndFloor(*raw);
+}
+
 sim::GeneratedDataset SmallTrainingSet() {
   return sim::GenerateDataset(sim::LyftLikeProfile(), "train", 3, 101);
 }
@@ -231,10 +256,10 @@ TEST(LearnerTest, LearnsVolumeAndVelocity) {
   // A typical car volume is likely; an absurd one is not.
   const FeatureContext ctx{{0, 0}, 10.0};
   Observation car = MakeObs(1, ObservationSource::kHuman, 0, 0, 0);
-  const auto typical = (*learned)[0].ScoreObservation(car, ctx);
+  const auto typical = ScoreObservation((*learned)[0], car, ctx);
   ASSERT_TRUE(typical.has_value());
   car.box.length = 40.0;  // a 40 m "car"
-  const auto absurd = (*learned)[0].ScoreObservation(car, ctx);
+  const auto absurd = ScoreObservation((*learned)[0], car, ctx);
   ASSERT_TRUE(absurd.has_value());
   EXPECT_GT(*typical, *absurd * 100.0);
 }
@@ -314,8 +339,8 @@ TEST(LearnerTest, AllSourcesEnablesCrossSourceBundleFeatures) {
   disagreeing.observations = {
       MakeObs(3, ObservationSource::kHuman, 0, 0, 0, ObjectClass::kCar),
       MakeObs(4, ObservationSource::kModel, 0, 0, 0, ObjectClass::kTruck)};
-  EXPECT_GT(*ok->front().ScoreBundle(agreeing, ctx),
-            *ok->front().ScoreBundle(disagreeing, ctx));
+  EXPECT_GT(*ScoreBundle(ok->front(), agreeing, ctx),
+            *ScoreBundle(ok->front(), disagreeing, ctx));
 }
 
 TEST(LearnerTest, AllEstimatorsFit) {
@@ -366,6 +391,44 @@ TEST(LearnerTest, FoldRejectsDistributionsOfAnotherFeature) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
   EXPECT_NE(status.message().find("'velocity'"), std::string::npos) << status;
   EXPECT_EQ(state.stats, before);
+}
+
+TEST(LearnerTest, NonFiniteFeatureValueIsSkipped) {
+  // A human box with 1e110 m extents passes Scene::Validate, but its volume
+  // overflows to inf. Scoring gives such a value likelihood 0; learning
+  // must skip it rather than hand it to an estimator.
+  auto training = SmallTrainingSet();
+  Observation* huge = nullptr;
+  for (Frame& frame : training.dataset.scenes.front().frames()) {
+    for (Observation& obs : frame.observations) {
+      if (obs.source == ObservationSource::kHuman) huge = &obs;
+    }
+    if (huge != nullptr) break;
+  }
+  ASSERT_NE(huge, nullptr);
+  huge->box.length = huge->box.width = huge->box.height = 1e110;
+  ASSERT_TRUE(training.dataset.scenes.front().Validate().ok());
+  ASSERT_FALSE(std::isfinite(huge->box.Volume()));
+
+  Fixy fixy;
+  const Status learned = fixy.Learn(training.dataset);
+  ASSERT_TRUE(learned.ok()) << learned;
+  size_t kdes = 0;
+  for (const FeatureDistribution& fd : fixy.learned_features()) {
+    std::vector<stats::DistributionPtr> dists = {fd.global_distribution()};
+    for (const auto& [cls, dist] : fd.per_class_distributions()) {
+      dists.push_back(dist);
+    }
+    for (const stats::DistributionPtr& dist : dists) {
+      const auto* kde = dynamic_cast<const stats::GaussianKde*>(dist.get());
+      if (kde == nullptr) continue;
+      ++kdes;
+      for (double sample : kde->samples()) {
+        ASSERT_TRUE(std::isfinite(sample)) << fd.feature().name();
+      }
+    }
+  }
+  EXPECT_GT(kdes, 0u);
 }
 
 // -------------------------------------------------------------- Engine

@@ -92,6 +92,25 @@ TEST(SceneTest, BasicAccessors) {
   EXPECT_EQ(scene.CountBySource(ObservationSource::kAuditor), 0u);
 }
 
+TEST(SceneTest, FilterToSourceKeepsOneSourceAndEveryFrame) {
+  const Scene scene = MakeValidScene(3);
+  const Scene model = FilterToSource(scene, ObservationSource::kModel);
+  EXPECT_EQ(model.name(), scene.name());
+  EXPECT_DOUBLE_EQ(model.frame_rate_hz(), scene.frame_rate_hz());
+  ASSERT_EQ(model.frame_count(), scene.frame_count());
+  for (size_t f = 0; f < scene.frame_count(); ++f) {
+    const Frame& kept = model.frames()[f];
+    EXPECT_EQ(kept.index, scene.frames()[f].index);
+    EXPECT_EQ(kept.timestamp, scene.frames()[f].timestamp);
+    EXPECT_EQ(kept.ego_position, scene.frames()[f].ego_position);
+    ASSERT_EQ(kept.observations.size(), 1u);
+    EXPECT_EQ(kept.observations[0].id, scene.frames()[f].observations[1].id);
+  }
+  const Scene none = FilterToSource(scene, ObservationSource::kAuditor);
+  EXPECT_EQ(none.frame_count(), 3u);
+  EXPECT_EQ(none.TotalObservations(), 0u);
+}
+
 TEST(SceneTest, EmptySceneDuration) {
   const Scene scene("empty", 10.0);
   EXPECT_DOUBLE_EQ(scene.DurationSeconds(), 0.0);
@@ -272,6 +291,17 @@ TEST(BundleTest, EmptyBundle) {
   const ObservationBundle bundle;
   EXPECT_TRUE(bundle.empty());
   EXPECT_DOUBLE_EQ(bundle.MaxConfidence(), 0.0);
+  EXPECT_FALSE(bundle.MajorityClass().has_value());
+}
+
+TEST(BundleTest, MajorityClassTiesToLowerClass) {
+  auto bundle = MakeBundle(
+      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kTruck, 0, 0, 0),
+          MakeObs(2, ObservationSource::kHuman, ObjectClass::kCar, 0, 0, 0)});
+  EXPECT_EQ(bundle.MajorityClass(), ObjectClass::kCar);
+  bundle.observations.push_back(
+      MakeObs(3, ObservationSource::kAuditor, ObjectClass::kTruck, 0, 0, 0));
+  EXPECT_EQ(bundle.MajorityClass(), ObjectClass::kTruck);
 }
 
 // ---------------------------------------------------------------- Track

@@ -129,9 +129,7 @@ TEST(TrackBuilderTest, GapWithinAllowanceStaysOneTrack) {
     }
     scene.AddFrame(std::move(frame));
   }
-  TrackBuilderOptions options;
-  options.max_gap_frames = 2;
-  const auto tracks = TrackBuilder(options).Build(scene);
+  const auto tracks = TrackBuilder().Build(scene);
   ASSERT_TRUE(tracks.ok());
   EXPECT_EQ(tracks->tracks.size(), 1u);
   EXPECT_EQ(tracks->tracks[0].size(), 5u);
@@ -150,9 +148,7 @@ TEST(TrackBuilderTest, GapBeyondAllowanceSplitsTrack) {
     }
     scene.AddFrame(std::move(frame));
   }
-  TrackBuilderOptions options;
-  options.max_gap_frames = 2;
-  const auto tracks = TrackBuilder(options).Build(scene);
+  const auto tracks = TrackBuilder().Build(scene);
   ASSERT_TRUE(tracks.ok());
   EXPECT_EQ(tracks->tracks.size(), 2u);
 }
@@ -280,6 +276,18 @@ class TestVolumeFeature final : public ObservationFeature {
   bool per_class_;
 };
 
+// The factor score `fd` gives one observation: Compute, RawScore under the
+// observation's class, then the AOF and floor.
+std::optional<double> ScoreObservation(const FeatureDistribution& fd,
+                                       const Observation& obs,
+                                       const FeatureContext& ctx) {
+  const auto& feature = static_cast<const ObservationFeature&>(fd.feature());
+  const std::optional<double> raw =
+      fd.RawScore(feature.Compute(obs, ctx), obs.object_class);
+  if (!raw.has_value()) return std::nullopt;
+  return fd.ApplyAofAndFloor(*raw);
+}
+
 stats::DistributionPtr GaussianAt(double mean, double sd) {
   return std::make_shared<stats::Gaussian>(
       stats::Gaussian::Create(mean, sd).value());
@@ -291,7 +299,7 @@ TEST(FeatureDistributionTest, GlobalDistributionScoresObservation) {
                          GaussianAt(car_volume, 1.0));
   const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
-  const auto score = fd.ScoreObservation(obs, ctx);
+  const auto score = ScoreObservation(fd, obs, ctx);
   ASSERT_TRUE(score.has_value());
   EXPECT_NEAR(*score, 1.0, 1e-9);  // at the mode
 }
@@ -305,13 +313,13 @@ TEST(FeatureDistributionTest, ClassConditionalUsesMatchingClass) {
                          std::move(per_class));
   const FeatureContext ctx{{0, 0}, 10.0};
   const Observation car = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
-  const auto car_score = fd.ScoreObservation(car, ctx);
+  const auto car_score = ScoreObservation(fd, car, ctx);
   ASSERT_TRUE(car_score.has_value());
   EXPECT_NEAR(*car_score, 1.0, 1e-9);
   // The same box claimed as a truck is wildly unlikely.
   Observation fake_truck = car;
   fake_truck.object_class = ObjectClass::kTruck;
-  const auto truck_score = fd.ScoreObservation(fake_truck, ctx);
+  const auto truck_score = ScoreObservation(fd, fake_truck, ctx);
   ASSERT_TRUE(truck_score.has_value());
   EXPECT_LT(*truck_score, 0.01);
 }
@@ -324,7 +332,7 @@ TEST(FeatureDistributionTest, UnseenClassYieldsNoFactor) {
   const Observation ped = MakeObs(1, ObservationSource::kModel, 0, 0, 0,
                                   ObjectClass::kPedestrian);
   const FeatureContext ctx{{0, 0}, 10.0};
-  EXPECT_FALSE(fd.ScoreObservation(ped, ctx).has_value());
+  EXPECT_FALSE(ScoreObservation(fd, ped, ctx).has_value());
 }
 
 TEST(FeatureDistributionTest, AofTransformsScore) {
@@ -333,7 +341,7 @@ TEST(FeatureDistributionTest, AofTransformsScore) {
                          GaussianAt(car_volume, 1.0), MakeInvertAof());
   const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
-  const auto score = fd.ScoreObservation(obs, ctx);
+  const auto score = ScoreObservation(fd, obs, ctx);
   ASSERT_TRUE(score.has_value());
   // Mode likelihood 1.0 inverted becomes the floor, not exactly 0.
   EXPECT_NEAR(*score, stats::kScoreFloor, 1e-12);
@@ -346,8 +354,8 @@ TEST(FeatureDistributionTest, WithAofReplacesTransform) {
   const FeatureDistribution inverted = base.WithAof(MakeInvertAof());
   const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
-  EXPECT_NEAR(*base.ScoreObservation(obs, ctx), 1.0, 1e-9);
-  EXPECT_NEAR(*inverted.ScoreObservation(obs, ctx), stats::kScoreFloor,
+  EXPECT_NEAR(*ScoreObservation(base, obs, ctx), 1.0, 1e-9);
+  EXPECT_NEAR(*ScoreObservation(inverted, obs, ctx), stats::kScoreFloor,
               1e-12);
 }
 
@@ -358,7 +366,7 @@ TEST(FeatureDistributionTest, ScoreClampedToUnitInterval) {
       std::make_shared<LambdaAof>("wild", [](double) { return 42.0; }));
   const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
-  EXPECT_DOUBLE_EQ(*fd.ScoreObservation(obs, ctx), 1.0);
+  EXPECT_DOUBLE_EQ(*ScoreObservation(fd, obs, ctx), 1.0);
 }
 
 TEST(FeatureDistributionTest, RawLikelihoodExposed) {

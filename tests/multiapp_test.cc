@@ -3,21 +3,26 @@
 // identical to a filtered-scene build), multi-vs-solo byte-identity for
 // the batch and streaming APIs at every thread count, a user-defined
 // application ranked end-to-end through FixyOptions::extra_applications,
-// and the pass's per-view caches (same bits as standalone caches).
+// the pass's per-view caches (same bits as standalone caches), and one
+// fixed-seed ranking pinned by the CRC-32s of its saved worklists.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/applications.h"
 #include "core/engine.h"
 #include "core/model_io.h"
+#include "core/proposal_io.h"
 #include "core/scene_pass.h"
 #include "data/scene_source.h"
 #include "dsl/aof.h"
@@ -215,7 +220,8 @@ TEST_F(MultiAppTest, ModelViewMatchesFilteredSceneBuild) {
     const auto views = builder.BuildViews(scene, /*need_full=*/true,
                                           /*need_model_only=*/true);
     ASSERT_TRUE(views.ok()) << scene.name();
-    const auto filtered = builder.Build(internal::FilterToModelOnly(scene));
+    const auto filtered =
+        builder.Build(FilterToSource(scene, ObservationSource::kModel));
     ASSERT_TRUE(filtered.ok()) << scene.name();
     const TrackSet& a = views->view(SceneView::kModelOnly);
     const TrackSet& b = *filtered;
@@ -614,6 +620,60 @@ TEST_F(ScenePassCacheTest, PassCachesMatchStandaloneCachesBitForBit) {
       }
     }
   }
+}
+
+// ---- A pinned ranking. ----
+
+// The saved bytes of every registered application's untruncated worklist
+// over a fixed-seed dataset, ranked with a model learned from another.
+// The parity suites above compare scoring with itself; these constants
+// were recorded from the per-kind scoring methods that the feature walk
+// (ForEachFeatureValue) replaced, and pin ranking to them.
+struct WorklistGolden {
+  std::string app;
+  uint32_t crc;
+  size_t bytes;
+};
+
+TEST(RankedWorklistGoldenTest, SavedWorklistsMatchRecordedCrcs) {
+  const Result<scenario::ScenarioSpec> preset =
+      scenario::PresetByName("dense-urban-intersection");
+  ASSERT_TRUE(preset.ok()) << preset.status();
+  const auto training = scenario::GenerateScenarioDataset(*preset, 2, 2024);
+  ASSERT_TRUE(training.ok()) << training.status();
+  const auto audited = scenario::GenerateScenarioDataset(*preset, 2, 2025);
+  ASSERT_TRUE(audited.ok()) << audited.status();
+  Fixy fixy;
+  ASSERT_TRUE(fixy.Learn(training->dataset).ok());
+  const auto report =
+      fixy.RankDataset(audited->dataset, fixy.applications().names());
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  const std::vector<WorklistGolden> goldens = {
+      {"missing-tracks", 1432768769u, 56760},
+      {"missing-obs", 1418859296u, 101734},
+      {"model-errors", 28383720u, 109374},
+  };
+  ASSERT_EQ(report->apps.size(), goldens.size());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fixy_worklist_golden.json")
+          .string();
+  for (size_t a = 0; a < goldens.size(); ++a) {
+    ASSERT_EQ(report->apps[a], goldens[a].app);
+    std::vector<ErrorProposal> worklist;
+    for (const SceneOutcome& outcome : report->reports[a].outcomes) {
+      ASSERT_TRUE(outcome.ok()) << outcome.status;
+      worklist.insert(worklist.end(), outcome.proposals.begin(),
+                      outcome.proposals.end());
+    }
+    ASSERT_TRUE(SaveProposals(worklist, path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(Crc32(bytes), goldens[a].crc) << goldens[a].app;
+    EXPECT_EQ(bytes.size(), goldens[a].bytes) << goldens[a].app;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
