@@ -4,55 +4,29 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "core/applications.h"
 #include "core/ranker.h"
+#include "dsl/track_builder.h"
 #include "geometry/iou.h"
 
 namespace fixy::baselines {
 
 namespace {
 
-// Representative proposal for a track (closest-approach bundle).
-ErrorProposal TrackProposal(const Scene& scene, const Track& track,
-                            ProposalKind kind) {
-  size_t best = 0;
-  double best_distance = -1.0;
-  for (size_t b = 0; b < track.bundles().size(); ++b) {
-    const ObservationBundle& bundle = track.bundles()[b];
-    const double d = (bundle.MeanCenter().Xy() - bundle.ego_position).Norm();
-    if (best_distance < 0.0 || d < best_distance) {
-      best = b;
-      best_distance = d;
-    }
-  }
-  const ObservationBundle& bundle = track.bundles()[best];
-  const Observation* model = bundle.FindBySource(ObservationSource::kModel);
-  const Observation& obs =
-      model != nullptr ? *model : bundle.observations.front();
-
-  ErrorProposal proposal;
-  proposal.scene_name = scene.name();
-  proposal.kind = kind;
-  proposal.track_id = track.id();
-  proposal.frame_index = bundle.frame_index;
-  proposal.box = obs.box;
-  proposal.object_class = track.MajorityClass().value_or(ObjectClass::kCar);
-  proposal.model_confidence = track.MeanModelConfidence().value_or(0.0);
-  proposal.first_frame = track.FirstFrame();
-  proposal.last_frame = track.LastFrame();
-  return proposal;
-}
-
-Result<TrackSet> BuildTracks(const Scene& scene, const MaOptions& options) {
-  const TrackBuilder builder(options.track_builder);
-  return builder.Build(scene);
-}
+// The assertions' fixed thresholds, as the paper's evaluation deploys them.
+// Minimum model detections for the consistency assertion to fire.
+constexpr size_t kConsistencyMinLength = 2;
+// Tracks of at most this many observations trip the appear assertion.
+constexpr size_t kAppearMaxObservations = 2;
+// Pairwise BEV IoU above which two model boxes overlap for multibox.
+constexpr double kMultiboxIou = 0.15;
 
 }  // namespace
 
-Result<std::vector<ErrorProposal>> ConsistencyAssertion(
-    const Scene& scene, MaOrdering ordering, uint64_t seed,
-    const MaOptions& options) {
-  FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(scene, options));
+Result<std::vector<ErrorProposal>> ConsistencyAssertion(const Scene& scene,
+                                                        MaOrdering ordering,
+                                                        uint64_t seed) {
+  FIXY_ASSIGN_OR_RETURN(TrackSet tracks, TrackBuilder().Build(scene));
   Rng rng(seed);
 
   std::vector<ErrorProposal> proposals;
@@ -61,12 +35,9 @@ Result<std::vector<ErrorProposal>> ConsistencyAssertion(
     // human label.
     if (track.HasSource(ObservationSource::kHuman)) continue;
     if (!track.HasSource(ObservationSource::kModel)) continue;
-    if (static_cast<int>(track.TotalObservations()) <
-        options.consistency_min_length) {
-      continue;
-    }
-    ErrorProposal proposal =
-        TrackProposal(scene, track, ProposalKind::kMissingTrack);
+    if (track.TotalObservations() < kConsistencyMinLength) continue;
+    ErrorProposal proposal = internal::MakeTrackProposal(
+        scene, track, ProposalKind::kMissingTrack, 0.0);
     // Ad-hoc severity: random or raw confidence — exactly the calibration
     // weakness the paper contrasts with LOA's learned scores.
     proposal.score = ordering == MaOrdering::kRandom
@@ -78,31 +49,26 @@ Result<std::vector<ErrorProposal>> ConsistencyAssertion(
   return proposals;
 }
 
-Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene,
-                                                   const MaOptions& options) {
-  const Scene model_scene = FilterToSource(scene, ObservationSource::kModel);
-  FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
+Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene) {
+  FIXY_ASSIGN_OR_RETURN(
+      TrackSet tracks,
+      TrackBuilder().Build(FilterToSource(scene, ObservationSource::kModel)));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {
-    if (static_cast<int>(track.TotalObservations()) >
-        options.appear_max_observations) {
-      continue;
-    }
-    ErrorProposal proposal =
-        TrackProposal(scene, track, ProposalKind::kModelError);
+    if (track.TotalObservations() > kAppearMaxObservations) continue;
     // Shorter tracks are more severe.
-    proposal.score =
-        1.0 / (1.0 + static_cast<double>(track.TotalObservations()));
-    proposals.push_back(std::move(proposal));
+    proposals.push_back(internal::MakeTrackProposal(
+        scene, track, ProposalKind::kModelError,
+        1.0 / (1.0 + static_cast<double>(track.TotalObservations()))));
   }
   RankProposals(&proposals);
   return proposals;
 }
 
-Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene,
-                                                    const MaOptions& options) {
-  const Scene model_scene = FilterToSource(scene, ObservationSource::kModel);
-  FIXY_ASSIGN_OR_RETURN(TrackSet tracks, BuildTracks(model_scene, options));
+Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene) {
+  FIXY_ASSIGN_OR_RETURN(
+      TrackSet tracks,
+      TrackBuilder().Build(FilterToSource(scene, ObservationSource::kModel)));
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {
     // Count frame gaps between consecutive bundles.
@@ -112,17 +78,14 @@ Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene,
       if (bundles[b + 1].frame_index - bundles[b].frame_index > 1) ++gaps;
     }
     if (gaps == 0) continue;
-    ErrorProposal proposal =
-        TrackProposal(scene, track, ProposalKind::kModelError);
-    proposal.score = static_cast<double>(gaps);
-    proposals.push_back(std::move(proposal));
+    proposals.push_back(internal::MakeTrackProposal(
+        scene, track, ProposalKind::kModelError, static_cast<double>(gaps)));
   }
   RankProposals(&proposals);
   return proposals;
 }
 
-Result<std::vector<ErrorProposal>> MultiboxAssertion(
-    const Scene& scene, const MaOptions& options) {
+Result<std::vector<ErrorProposal>> MultiboxAssertion(const Scene& scene) {
   std::vector<ErrorProposal> proposals;
   for (const Frame& frame : scene.frames()) {
     // Model boxes in this frame.
@@ -135,8 +98,7 @@ Result<std::vector<ErrorProposal>> MultiboxAssertion(
       int overlaps = 0;
       for (size_t j = 0; j < boxes.size(); ++j) {
         if (i == j) continue;
-        if (geom::BevIou(boxes[i]->box, boxes[j]->box) >
-            options.multibox_iou) {
+        if (geom::BevIou(boxes[i]->box, boxes[j]->box) > kMultiboxIou) {
           ++overlaps;
         }
       }

@@ -23,7 +23,6 @@
 #include "common/result.h"
 #include "core/proposal.h"
 #include "data/scene.h"
-#include "dsl/track_builder.h"
 
 namespace fixy::baselines {
 
@@ -34,36 +33,23 @@ enum class MaOrdering {
   kConfidence = 1,
 };
 
-struct MaOptions {
-  TrackBuilderOptions track_builder;
-  /// Minimum consecutive model detections for the consistency assertion.
-  int consistency_min_length = 2;
-  /// Pairwise BEV IoU above which boxes count as overlapping for multibox.
-  double multibox_iou = 0.15;
-  /// Maximum track length flagged by the appear assertion.
-  int appear_max_observations = 2;
-};
+/// Consistency assertion: flags model-only tracks of at least two
+/// detections that have no associated human label, ordered randomly
+/// (seeded) or by mean model confidence.
+Result<std::vector<ErrorProposal>> ConsistencyAssertion(const Scene& scene,
+                                                        MaOrdering ordering,
+                                                        uint64_t seed);
 
-/// Consistency assertion: flags model-only tracks of at least
-/// `consistency_min_length` detections that have no associated human
-/// label, ordered randomly (seeded) or by mean model confidence.
-Result<std::vector<ErrorProposal>> ConsistencyAssertion(
-    const Scene& scene, MaOrdering ordering, uint64_t seed,
-    const MaOptions& options = {});
-
-/// Appear assertion: flags model tracks with at most
-/// `appear_max_observations` observations.
-Result<std::vector<ErrorProposal>> AppearAssertion(
-    const Scene& scene, const MaOptions& options = {});
+/// Appear assertion: flags model tracks with at most two observations.
+Result<std::vector<ErrorProposal>> AppearAssertion(const Scene& scene);
 
 /// Flicker assertion: flags model tracks whose detections have frame gaps.
-Result<std::vector<ErrorProposal>> FlickerAssertion(
-    const Scene& scene, const MaOptions& options = {});
+Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene);
 
 /// Multibox assertion: flags frames where three or more model boxes
-/// mutually overlap; one proposal per offending group.
-Result<std::vector<ErrorProposal>> MultiboxAssertion(
-    const Scene& scene, const MaOptions& options = {});
+/// mutually overlap (pairwise BEV IoU above 0.15); one proposal per
+/// offending group.
+Result<std::vector<ErrorProposal>> MultiboxAssertion(const Scene& scene);
 
 }  // namespace fixy::baselines
 

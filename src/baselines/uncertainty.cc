@@ -2,21 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/macros.h"
 #include "core/ranker.h"
+#include "dsl/track_builder.h"
 
 namespace fixy::baselines {
 
-Result<std::vector<ErrorProposal>> UncertaintySampling(
-    const Scene& scene, const UncertaintyOptions& options) {
+namespace {
+
+// The decision threshold predictions are sampled around.
+constexpr double kUncertaintyThreshold = 0.5;
+
+}  // namespace
+
+Result<std::vector<ErrorProposal>> UncertaintySampling(const Scene& scene) {
   // Assemble tracks over model predictions so proposals carry track spans
   // (needed for error matching) and can be deduplicated per object.
-  const TrackBuilder builder(options.track_builder);
   FIXY_ASSIGN_OR_RETURN(
       TrackSet tracks,
-      builder.Build(FilterToSource(scene, ObservationSource::kModel)));
+      TrackBuilder().Build(FilterToSource(scene, ObservationSource::kModel)));
 
   std::vector<ErrorProposal> proposals;
   for (const Track& track : tracks.tracks) {
@@ -26,30 +31,22 @@ Result<std::vector<ErrorProposal>> UncertaintySampling(
       for (const Observation& obs : bundle.observations) {
         // Uncertainty peaks at the threshold: score in (0, 1].
         const double score =
-            1.0 - std::abs(obs.confidence - options.confidence_threshold);
-        if (score <= best_score && options.deduplicate_by_track) continue;
-        ErrorProposal proposal;
-        proposal.scene_name = scene.name();
-        proposal.kind = ProposalKind::kModelError;
-        proposal.track_id = track.id();
-        proposal.frame_index = bundle.frame_index;
-        proposal.box = obs.box;
-        proposal.object_class = obs.object_class;
-        proposal.model_confidence = obs.confidence;
-        proposal.first_frame = track.FirstFrame();
-        proposal.last_frame = track.LastFrame();
-        proposal.score = score;
-        if (options.deduplicate_by_track) {
-          best = std::move(proposal);
-          best_score = score;
-        } else {
-          proposals.push_back(std::move(proposal));
-        }
+            1.0 - std::abs(obs.confidence - kUncertaintyThreshold);
+        if (score <= best_score) continue;
+        best.scene_name = scene.name();
+        best.kind = ProposalKind::kModelError;
+        best.track_id = track.id();
+        best.frame_index = bundle.frame_index;
+        best.box = obs.box;
+        best.object_class = obs.object_class;
+        best.model_confidence = obs.confidence;
+        best.first_frame = track.FirstFrame();
+        best.last_frame = track.LastFrame();
+        best.score = score;
+        best_score = score;
       }
     }
-    if (options.deduplicate_by_track && best_score >= 0.0) {
-      proposals.push_back(std::move(best));
-    }
+    if (best_score >= 0.0) proposals.push_back(std::move(best));
   }
   RankProposals(&proposals);
   return proposals;

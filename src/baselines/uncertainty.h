@@ -10,23 +10,14 @@
 #include "common/result.h"
 #include "core/proposal.h"
 #include "data/scene.h"
-#include "dsl/track_builder.h"
 
 namespace fixy::baselines {
 
-struct UncertaintyOptions {
-  /// The decision threshold predictions are sampled around.
-  double confidence_threshold = 0.5;
-  /// Group per assembled track and keep only each track's most uncertain
-  /// prediction, so the top-k is not spent on one object.
-  bool deduplicate_by_track = true;
-  TrackBuilderOptions track_builder;
-};
-
-/// Ranks model predictions by closeness of their confidence to the
-/// threshold (most uncertain first), as model-error proposals.
-Result<std::vector<ErrorProposal>> UncertaintySampling(
-    const Scene& scene, const UncertaintyOptions& options = {});
+/// Ranks model predictions by closeness of their confidence to the 0.5
+/// decision threshold (most uncertain first), as model-error proposals.
+/// Predictions are grouped per assembled track and only each track's most
+/// uncertain one is kept, so the top-k is not spent on one object.
+Result<std::vector<ErrorProposal>> UncertaintySampling(const Scene& scene);
 
 }  // namespace fixy::baselines
 

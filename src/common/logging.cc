@@ -1,64 +1,23 @@
 #include "common/logging.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-namespace fixy {
+namespace fixy::internal_logging {
 
-namespace {
-
-LogLevel g_min_level = LogLevel::kInfo;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-
-// Strips leading directories so log lines stay short.
-const char* Basename(const char* path) {
-  const char* slash = std::strrchr(path, '/');
-  return slash != nullptr ? slash + 1 : path;
-}
-
-}  // namespace
-
-LogLevel SetMinLogLevel(LogLevel level) {
-  LogLevel prev = g_min_level;
-  g_min_level = level;
-  return prev;
-}
-
-LogLevel GetMinLogLevel() { return g_min_level; }
-
-namespace internal_logging {
-
-void LogImpl(LogLevel level, const char* file, int line, const char* format,
-             ...) {
-  if (level < g_min_level && level != LogLevel::kFatal) return;
+void LogFatal(const char* file, int line, const char* format, ...) {
   char message[2048];
   va_list args;
   va_start(args, format);
   std::vsnprintf(message, sizeof(message), format, args);
   va_end(args);
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), Basename(file),
-               line, message);
-  if (level == LogLevel::kFatal) {
-    std::abort();
-  }
+  // Strip leading directories so the line stays short.
+  const char* slash = std::strrchr(file, '/');
+  std::fprintf(stderr, "[FATAL %s:%d] %s\n",
+               slash != nullptr ? slash + 1 : file, line, message);
+  std::abort();
 }
 
-}  // namespace internal_logging
-
-}  // namespace fixy
+}  // namespace fixy::internal_logging

@@ -1,49 +1,18 @@
-// Minimal printf-style logging with severities. FATAL aborts the process.
+// Fatal errors and runtime invariant checks. FIXY_LOG_FATAL prints one
+// printf-style line to stderr and aborts the process.
 #ifndef FIXY_COMMON_LOGGING_H_
 #define FIXY_COMMON_LOGGING_H_
 
-#include <cstdarg>
+namespace fixy::internal_logging {
 
-namespace fixy {
+/// Writes "[FATAL file:line] message" to stderr, then aborts.
+[[noreturn]] void LogFatal(const char* file, int line, const char* format,
+                           ...) __attribute__((format(printf, 3, 4)));
 
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
+}  // namespace fixy::internal_logging
 
-namespace internal_logging {
-
-/// Writes one formatted log line to stderr; aborts if level is kFatal.
-void LogImpl(LogLevel level, const char* file, int line, const char* format,
-             ...) __attribute__((format(printf, 4, 5)));
-
-}  // namespace internal_logging
-
-/// Sets the minimum level that is emitted (default kInfo). Returns the
-/// previous level. FATAL is always emitted.
-LogLevel SetMinLogLevel(LogLevel level);
-LogLevel GetMinLogLevel();
-
-}  // namespace fixy
-
-#define FIXY_LOG_DEBUG(...)                                                  \
-  ::fixy::internal_logging::LogImpl(::fixy::LogLevel::kDebug, __FILE__,      \
-                                    __LINE__, __VA_ARGS__)
-#define FIXY_LOG_INFO(...)                                                   \
-  ::fixy::internal_logging::LogImpl(::fixy::LogLevel::kInfo, __FILE__,       \
-                                    __LINE__, __VA_ARGS__)
-#define FIXY_LOG_WARNING(...)                                                \
-  ::fixy::internal_logging::LogImpl(::fixy::LogLevel::kWarning, __FILE__,    \
-                                    __LINE__, __VA_ARGS__)
-#define FIXY_LOG_ERROR(...)                                                  \
-  ::fixy::internal_logging::LogImpl(::fixy::LogLevel::kError, __FILE__,      \
-                                    __LINE__, __VA_ARGS__)
-#define FIXY_LOG_FATAL(...)                                                  \
-  ::fixy::internal_logging::LogImpl(::fixy::LogLevel::kFatal, __FILE__,      \
-                                    __LINE__, __VA_ARGS__)
+#define FIXY_LOG_FATAL(...) \
+  ::fixy::internal_logging::LogFatal(__FILE__, __LINE__, __VA_ARGS__)
 
 // Runtime invariant checks; active in all build modes.
 #define FIXY_CHECK(cond)                                                     \

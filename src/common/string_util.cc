@@ -23,47 +23,6 @@ std::string StrFormat(const char* format, ...) {
   return out;
 }
 
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> StrSplit(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::string_view StrTrim(std::string_view text) {
-  size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;

@@ -4,7 +4,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace fixy {
 
@@ -12,17 +11,6 @@ namespace fixy {
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Joins `parts` with `sep` between consecutive elements.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
-
-/// Splits `text` on every occurrence of `sep` (keeps empty fields).
-std::vector<std::string> StrSplit(std::string_view text, char sep);
-
-/// Removes leading and trailing ASCII whitespace.
-std::string_view StrTrim(std::string_view text);
-
-bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// Formats a double compactly ("3.5", "0.123") with up to `precision`

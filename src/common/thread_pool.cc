@@ -2,15 +2,19 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace fixy {
 
 int ThreadPool::ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(1u, hw);
+  return static_cast<int>(
+      std::clamp(hw, 1u, static_cast<unsigned>(kMaxThreads)));
 }
 
 ThreadPool::ThreadPool(int num_threads) {
+  FIXY_CHECK(num_threads <= kMaxThreads);
   const int count = ResolveThreadCount(num_threads);
   workers_.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {

@@ -16,6 +16,11 @@
 
 namespace fixy {
 
+/// The most threads one pool may start. Thread counts come from flags and
+/// options; a typo must not start thousands of threads, and a host that
+/// refuses one mid-construction would end the process in std::terminate.
+inline constexpr int kMaxThreads = 1024;
+
 /// A fixed pool of worker threads consuming a FIFO task queue.
 ///
 /// Tasks submitted after construction run on some worker; Submit returns a
@@ -26,7 +31,9 @@ namespace fixy {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; values < 1 (including the default 0)
-  /// fall back to std::thread::hardware_concurrency(), minimum 1.
+  /// fall back to ResolveThreadCount's hardware concurrency. Aborts
+  /// (FIXY_CHECK) before starting any thread if `num_threads` exceeds
+  /// kMaxThreads.
   explicit ThreadPool(int num_threads = 0);
 
   /// Drains pending tasks, then joins all workers.
@@ -42,7 +49,7 @@ class ThreadPool {
   size_t thread_count() const { return workers_.size(); }
 
   /// The effective thread count for a requested value: `requested` if > 0,
-  /// otherwise hardware concurrency (minimum 1).
+  /// otherwise hardware concurrency (minimum 1, at most kMaxThreads).
   static int ResolveThreadCount(int requested);
 
  private:

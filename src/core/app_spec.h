@@ -29,13 +29,8 @@ struct ApplicationOptions {
   bool include_distance_severity = true;
 
   /// Whether the missing-tracks spec includes the manual count filter
-  /// (tracks shorter than min_track_observations are implausible).
+  /// (tracks of kMinTrackObservations or fewer are implausible).
   bool include_count_filter = true;
-
-  /// Minimum observations for a track to clear the count filter, and the
-  /// model-error application's "longer than the appear assertion's
-  /// territory" threshold (Section 8.4).
-  int min_track_observations = 2;
 
   /// Whether component scores are normalized by their factor count
   /// (Section 6). The ablation bench turns this off; everything else

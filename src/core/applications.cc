@@ -32,10 +32,6 @@ const Observation* RepresentativeObservation(const ObservationBundle& bundle) {
   return bundle.observations.empty() ? nullptr : &bundle.observations.front();
 }
 
-}  // namespace internal
-
-namespace {
-
 ErrorProposal MakeTrackProposal(const Scene& scene, const Track& track,
                                 ProposalKind kind, double score) {
   ErrorProposal proposal;
@@ -48,20 +44,17 @@ ErrorProposal MakeTrackProposal(const Scene& scene, const Track& track,
   proposal.model_confidence = track.MeanModelConfidence().value_or(0.0);
   proposal.first_frame = track.FirstFrame();
   proposal.last_frame = track.LastFrame();
-  // A track can in principle carry empty bundles (the compiled graph
-  // rejects them, but this helper is also reachable with raw tracks):
-  // without a representative box the proposal keeps its defaults.
-  const std::optional<size_t> b = internal::ClosestApproachBundle(track);
+  const std::optional<size_t> b = ClosestApproachBundle(track);
   if (b.has_value()) {
     const ObservationBundle& bundle = track.bundles()[*b];
-    const Observation* obs = internal::RepresentativeObservation(bundle);
+    const Observation* obs = RepresentativeObservation(bundle);
     proposal.frame_index = bundle.frame_index;
     if (obs != nullptr) proposal.box = obs->box;
   }
   return proposal;
 }
 
-}  // namespace
+}  // namespace internal
 
 LoaSpec BuildMissingTracksSpec(const std::vector<FeatureDistribution>& learned,
                                const ApplicationOptions& options) {
@@ -79,13 +72,16 @@ LoaSpec BuildMissingTracksSpec(const std::vector<FeatureDistribution>& learned,
   spec.feature_distributions.emplace_back(
       std::make_shared<ModelOnlyFeature>(), MakeModelOnlyDistribution());
   if (options.include_count_filter) {
-    spec.feature_distributions.emplace_back(
-        std::make_shared<CountFeature>(),
-        MakeCountFilterDistribution(options.min_track_observations));
+    spec.feature_distributions.emplace_back(std::make_shared<CountFeature>(),
+                                            MakeCountFilterDistribution());
   }
   return spec;
 }
 
+namespace {
+
+// Missing observations: learned features with identity AOFs plus the
+// manual distance-severity factor.
 LoaSpec BuildMissingObservationsSpec(
     const std::vector<FeatureDistribution>& learned,
     const ApplicationOptions& options) {
@@ -101,6 +97,7 @@ LoaSpec BuildMissingObservationsSpec(
   return spec;
 }
 
+// Model errors: every learned feature wrapped in the inverting AOF.
 LoaSpec BuildModelErrorsSpec(const std::vector<FeatureDistribution>& learned) {
   // "The AOF inverts the probability of each feature" so that unlikely
   // tracks rank first. Distance and model-only are not deployed here
@@ -112,6 +109,9 @@ LoaSpec BuildModelErrorsSpec(const std::vector<FeatureDistribution>& learned) {
   return spec;
 }
 
+// Missing tracks (Section 7, "Finding missing tracks"): ranks tracks that
+// contain no human proposal — the AOF zero-out — by descending
+// plausibility; consistent model-only tracks are likely real objects.
 std::vector<ErrorProposal> ExtractMissingTracks(const AppContext& ctx) {
   std::vector<ErrorProposal> proposals;
   const TrackSet& tracks = ctx.graph.tracks();
@@ -124,13 +124,15 @@ std::vector<ErrorProposal> ExtractMissingTracks(const AppContext& ctx) {
     const std::optional<double> score =
         ctx.graph.ScoreTrack(t, ctx.options.normalize_scores);
     if (!score.has_value()) continue;
-    proposals.push_back(MakeTrackProposal(ctx.scene, track,
-                                          ProposalKind::kMissingTrack,
-                                          *score));
+    proposals.push_back(internal::MakeTrackProposal(
+        ctx.scene, track, ProposalKind::kMissingTrack, *score));
   }
   return proposals;
 }
 
+// Missing observations (Section 7, "Finding missing labels within
+// tracks"): ranks model-only bundles interior to the human-labeled span of
+// human-containing tracks.
 std::vector<ErrorProposal> ExtractMissingObservations(const AppContext& ctx) {
   std::vector<ErrorProposal> proposals;
   const TrackSet& tracks = ctx.graph.tracks();
@@ -181,6 +183,9 @@ std::vector<ErrorProposal> ExtractMissingObservations(const AppContext& ctx) {
   return proposals;
 }
 
+// Model errors (Section 7, "Finding erroneous ML model predictions"):
+// ranks model tracks longer than the appear assertion's territory by
+// descending implausibility (the spec's inverting AOF).
 std::vector<ErrorProposal> ExtractModelErrors(const AppContext& ctx) {
   std::vector<ErrorProposal> proposals;
   const TrackSet& tracks = ctx.graph.tracks();
@@ -191,17 +196,16 @@ std::vector<ErrorProposal> ExtractModelErrors(const AppContext& ctx) {
     // (Section 8.4 hunts errors that are "longer than two observations, so
     // will not trigger the appear assertion"); skipping them keeps Fixy
     // focused on the novel error class.
-    if (track.TotalObservations() <=
-        static_cast<size_t>(ctx.options.min_track_observations)) {
-      continue;
-    }
+    if (track.TotalObservations() <= kMinTrackObservations) continue;
     const std::optional<double> score = ctx.graph.ScoreTrack(t);
     if (!score.has_value()) continue;
-    proposals.push_back(MakeTrackProposal(ctx.scene, track,
-                                          ProposalKind::kModelError, *score));
+    proposals.push_back(internal::MakeTrackProposal(
+        ctx.scene, track, ProposalKind::kModelError, *score));
   }
   return proposals;
 }
+
+}  // namespace
 
 AppSpec MissingTracksApp() {
   AppSpec app;

@@ -26,26 +26,13 @@
 
 namespace fixy {
 
-/// Spec builders: each application's LoaSpec is a pure function of the
-/// learned distributions and the options, so callers ranking many scenes
-/// (the Fixy engine, the batch path) build it once and reuse it instead of
-/// re-wrapping every FeatureDistribution per scene. The specs are
-/// immutable after construction and safe to share across threads.
-///
-/// Missing tracks: learned features with identity AOFs plus the manual
-/// distance-severity, model-only, and count-filter factors of Table 2.
+/// The missing-tracks spec: learned features with identity AOFs plus the
+/// manual distance-severity, model-only, and count-filter factors of
+/// Table 2. A pure function of the learned distributions and the options,
+/// built once per Learn()/LoadModel() and shared across scenes and threads;
+/// exported for the feature-ablation bench.
 LoaSpec BuildMissingTracksSpec(const std::vector<FeatureDistribution>& learned,
                                const ApplicationOptions& options);
-
-/// Missing observations: learned features with identity AOFs plus the
-/// manual distance-severity factor.
-LoaSpec BuildMissingObservationsSpec(
-    const std::vector<FeatureDistribution>& learned,
-    const ApplicationOptions& options);
-
-/// Model errors: every learned feature wrapped in the inverting AOF so
-/// *unlikely* tracks rank first (Section 8.4).
-LoaSpec BuildModelErrorsSpec(const std::vector<FeatureDistribution>& learned);
 
 /// The paper applications as registry entries. MissingTracksApp and
 /// MissingObservationsApp build their specs from the learned set without
@@ -55,24 +42,6 @@ LoaSpec BuildModelErrorsSpec(const std::vector<FeatureDistribution>& learned);
 AppSpec MissingTracksApp();
 AppSpec MissingObservationsApp();
 AppSpec ModelErrorsApp();
-
-/// Extraction strategies (the AppSpec::extract of the factories above),
-/// exposed for reuse by custom applications that remix them.
-///
-/// Missing tracks (Section 7, "Finding missing tracks"): ranks tracks that
-/// contain no human proposal — the AOF zero-out — by descending
-/// plausibility; consistent model-only tracks are likely real objects.
-std::vector<ErrorProposal> ExtractMissingTracks(const AppContext& ctx);
-
-/// Missing observations (Section 7, "Finding missing labels within
-/// tracks"): ranks model-only bundles interior to the human-labeled span
-/// of human-containing tracks.
-std::vector<ErrorProposal> ExtractMissingObservations(const AppContext& ctx);
-
-/// Model errors (Section 7, "Finding erroneous ML model predictions"):
-/// ranks model tracks longer than the count threshold by descending
-/// implausibility (the spec's inverting AOF).
-std::vector<ErrorProposal> ExtractModelErrors(const AppContext& ctx);
 
 namespace internal {
 
@@ -84,6 +53,14 @@ std::optional<size_t> ClosestApproachBundle(const Track& track);
 /// Representative observation of a bundle: the model prediction when one
 /// exists, otherwise the first member. nullptr for an empty bundle.
 const Observation* RepresentativeObservation(const ObservationBundle& bundle);
+
+/// A proposal for a whole track, shown at its closest approach to the AV:
+/// the frame and box of ClosestApproachBundle's representative
+/// observation, the track's span, majority class (car when it has none)
+/// and mean model confidence. A track whose bundles are all empty keeps
+/// the default frame and box.
+ErrorProposal MakeTrackProposal(const Scene& scene, const Track& track,
+                                ProposalKind kind, double score);
 
 }  // namespace internal
 

@@ -53,8 +53,10 @@ struct FixyOptions {
 /// Configuration of dataset-scale batch ranking.
 struct BatchOptions {
   /// Rank worker threads to fan scenes out across. 0 (the default) uses
-  /// hardware concurrency. Scenes always rank on pool threads, never on
-  /// the calling thread; the output is identical at every count.
+  /// hardware concurrency; above kMaxThreads (common/thread_pool.h) the
+  /// pool aborts before starting a thread. Scenes always rank on pool
+  /// threads, never on the calling thread; the output is identical at
+  /// every count.
   int num_threads = 0;
 
   /// When true, RankDataset fails with the first failing scene's Status

@@ -63,10 +63,10 @@ stats::DistributionPtr MakeModelOnlyDistribution() {
       "model_only", [](double x) { return x >= 0.5 ? 1.0 : 0.0; });
 }
 
-stats::DistributionPtr MakeCountFilterDistribution(int min_observations) {
+stats::DistributionPtr MakeCountFilterDistribution() {
   return std::make_shared<stats::LambdaDistribution>(
-      "count_filter", [min_observations](double count) {
-        return count > static_cast<double>(min_observations) ? 1.0 : 0.0;
+      "count_filter", [](double count) {
+        return count > static_cast<double>(kMinTrackObservations) ? 1.0 : 0.0;
       });
 }
 

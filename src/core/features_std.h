@@ -92,10 +92,15 @@ stats::DistributionPtr MakeDistanceSeverityDistribution();
 /// a factor.
 stats::DistributionPtr MakeModelOnlyDistribution();
 
+/// Tracks with this many observations or fewer are implausible: the
+/// count filter scores them ~0 (Table 2: "filters tracks with two or fewer
+/// obs"), and the model-error application leaves them to the appear
+/// assertion (Section 8.4).
+inline constexpr size_t kMinTrackObservations = 2;
+
 /// Manual filter distribution for Count: score ~0 for tracks with
-/// `min_observations` or fewer observations, 1 above (Table 2: "filters
-/// tracks with two or fewer obs").
-stats::DistributionPtr MakeCountFilterDistribution(int min_observations = 2);
+/// kMinTrackObservations or fewer observations, 1 above.
+stats::DistributionPtr MakeCountFilterDistribution();
 
 }  // namespace fixy
 

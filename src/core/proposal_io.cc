@@ -1,9 +1,6 @@
 #include "core/proposal_io.h"
 
 #include <fstream>
-#include <sstream>
-
-#include "common/macros.h"
 
 namespace fixy {
 
@@ -11,15 +8,6 @@ namespace {
 
 constexpr const char* kMarker = "fixy-proposals";
 constexpr int kVersion = 1;
-
-const char* KindName(ProposalKind kind) { return ProposalKindToString(kind); }
-
-Result<ProposalKind> KindFromName(const std::string& name) {
-  if (name == "missing_track") return ProposalKind::kMissingTrack;
-  if (name == "missing_observation") return ProposalKind::kMissingObservation;
-  if (name == "model_error") return ProposalKind::kModelError;
-  return Status::InvalidArgument("unknown proposal kind: " + name);
-}
 
 }  // namespace
 
@@ -38,7 +26,7 @@ json::Value ProposalsToJson(const std::vector<ErrorProposal>& proposals) {
 
     json::Object item;
     item["scene"] = p.scene_name;
-    item["kind"] = KindName(p.kind);
+    item["kind"] = ProposalKindToString(p.kind);
     item["track_id"] = static_cast<uint64_t>(p.track_id);
     item["frame"] = p.frame_index;
     item["first_frame"] = p.first_frame;
@@ -56,55 +44,6 @@ json::Value ProposalsToJson(const std::vector<ErrorProposal>& proposals) {
   return doc;
 }
 
-Result<std::vector<ErrorProposal>> ProposalsFromJson(
-    const json::Value& value) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("proposals document must be an object");
-  }
-  FIXY_ASSIGN_OR_RETURN(std::string format, value.GetString("format"));
-  if (format != kMarker) {
-    return Status::InvalidArgument("not a fixy-proposals document");
-  }
-  const json::Value* items = value.Find("proposals");
-  if (items == nullptr || !items->is_array()) {
-    return Status::InvalidArgument("document missing proposals array");
-  }
-  std::vector<ErrorProposal> proposals;
-  proposals.reserve(items->AsArray().size());
-  for (const json::Value& item : items->AsArray()) {
-    ErrorProposal p;
-    FIXY_ASSIGN_OR_RETURN(p.scene_name, item.GetString("scene"));
-    FIXY_ASSIGN_OR_RETURN(std::string kind, item.GetString("kind"));
-    FIXY_ASSIGN_OR_RETURN(p.kind, KindFromName(kind));
-    FIXY_ASSIGN_OR_RETURN(int64_t track_id, item.GetInt64("track_id"));
-    p.track_id = static_cast<TrackId>(track_id);
-    FIXY_ASSIGN_OR_RETURN(int64_t frame, item.GetInt64("frame"));
-    p.frame_index = static_cast<int>(frame);
-    FIXY_ASSIGN_OR_RETURN(int64_t first, item.GetInt64("first_frame"));
-    p.first_frame = static_cast<int>(first);
-    FIXY_ASSIGN_OR_RETURN(int64_t last, item.GetInt64("last_frame"));
-    p.last_frame = static_cast<int>(last);
-    FIXY_ASSIGN_OR_RETURN(std::string cls, item.GetString("class"));
-    FIXY_ASSIGN_OR_RETURN(p.object_class, ObjectClassFromString(cls));
-    FIXY_ASSIGN_OR_RETURN(p.score, item.GetDouble("score"));
-    FIXY_ASSIGN_OR_RETURN(p.model_confidence,
-                          item.GetDouble("model_confidence"));
-    const json::Value* box = item.Find("box");
-    if (box == nullptr) {
-      return Status::InvalidArgument("proposal missing box");
-    }
-    FIXY_ASSIGN_OR_RETURN(p.box.center.x, box->GetDouble("cx"));
-    FIXY_ASSIGN_OR_RETURN(p.box.center.y, box->GetDouble("cy"));
-    FIXY_ASSIGN_OR_RETURN(p.box.center.z, box->GetDouble("cz"));
-    FIXY_ASSIGN_OR_RETURN(p.box.length, box->GetDouble("l"));
-    FIXY_ASSIGN_OR_RETURN(p.box.width, box->GetDouble("w"));
-    FIXY_ASSIGN_OR_RETURN(p.box.height, box->GetDouble("h"));
-    FIXY_ASSIGN_OR_RETURN(p.box.yaw, box->GetDouble("yaw"));
-    proposals.push_back(std::move(p));
-  }
-  return proposals;
-}
-
 Status SaveProposals(const std::vector<ErrorProposal>& proposals,
                      const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -113,16 +52,6 @@ Status SaveProposals(const std::vector<ErrorProposal>& proposals,
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
-}
-
-Result<std::vector<ErrorProposal>> LoadProposals(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  FIXY_ASSIGN_OR_RETURN(json::Value doc, json::Parse(buffer.str()));
-  return ProposalsFromJson(doc);
 }
 
 }  // namespace fixy

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
+#include "common/status.h"
 #include "core/proposal.h"
 #include "json/json.h"
 
@@ -16,14 +16,10 @@ namespace fixy {
 /// Serializes a ranked proposal list (order preserved).
 json::Value ProposalsToJson(const std::vector<ErrorProposal>& proposals);
 
-/// Parses a document written by ProposalsToJson.
-Result<std::vector<ErrorProposal>> ProposalsFromJson(
-    const json::Value& value);
-
-/// File-level convenience wrappers.
+/// Writes ProposalsToJson's pretty-printed document to `path`.
+/// Errors: IoError.
 Status SaveProposals(const std::vector<ErrorProposal>& proposals,
                      const std::string& path);
-Result<std::vector<ErrorProposal>> LoadProposals(const std::string& path);
 
 }  // namespace fixy
 

@@ -32,8 +32,7 @@ std::vector<ErrorProposal> TopKPerClass(
   std::array<size_t, kNumObjectClasses> taken{};
   std::vector<ErrorProposal> top;
   for (const ErrorProposal& proposal : ranked) {
-    // Proposals can arrive from outside the engine (a hand-edited or
-    // future-version proposals file via proposal_io), so the class is not
+    // Library callers build ErrorProposals themselves, so the class is not
     // trusted as an index: out-of-range values (including negative ones,
     // which the cast wraps far past the array) are skipped and counted
     // instead of indexing out of bounds.

@@ -17,7 +17,6 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -44,19 +43,6 @@ namespace fixy::daemon {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Write fd of the serving daemon's stop pipe, for the signal handler.
-std::atomic<int> g_signal_stop_fd{-1};
-
-extern "C" void FixydSignalHandler(int) {
-  const int fd = g_signal_stop_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 's';
-    // The pipe is non-blocking; a full pipe means a stop is already
-    // pending, so a failed write is fine.
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-}
 
 void SetCloexec(int fd) {
   const int flags = ::fcntl(fd, F_GETFD);
@@ -187,8 +173,7 @@ struct FixydServer::Impl {
   bool model_loaded = false;  // guarded by state_mu
 
   int listen_fd = -1;
-  int stop_read_fd = -1;
-  int stop_write_fd = -1;
+  std::unique_ptr<StopPipe> stop_pipe;
   std::atomic<bool> stopping{false};
   std::atomic<int> pending{0};
   Clock::time_point started = Clock::now();
@@ -201,8 +186,6 @@ struct FixydServer::Impl {
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
-    if (stop_read_fd >= 0) ::close(stop_read_fd);
-    if (stop_write_fd >= 0) ::close(stop_write_fd);
   }
 
   // ---- connection plumbing ----
@@ -545,10 +528,7 @@ struct FixydServer::Impl {
 
   void Stop() {
     stopping.store(true);
-    if (stop_write_fd >= 0) {
-      const char byte = 's';
-      [[maybe_unused]] const ssize_t n = ::write(stop_write_fd, &byte, 1);
-    }
+    stop_pipe->Notify();
   }
 
   Result<Request> ParseRequestPayload(std::string_view payload) {
@@ -638,21 +618,14 @@ struct FixydServer::Impl {
     served = true;
 
     // SIGTERM/SIGINT → one byte down the stop pipe → graceful drain.
-    g_signal_stop_fd.store(stop_write_fd, std::memory_order_relaxed);
-    struct sigaction action = {};
-    action.sa_handler = &FixydSignalHandler;
-    sigemptyset(&action.sa_mask);
-    struct sigaction old_term = {};
-    struct sigaction old_int = {};
-    ::sigaction(SIGTERM, &action, &old_term);
-    ::sigaction(SIGINT, &action, &old_int);
+    const ScopedStopSignals stop_signals(*stop_pipe);
 
     std::map<int, std::shared_ptr<Connection>> connections;
     {
       ThreadPool pool(options.worker_threads);
       for (;;) {
         std::vector<struct pollfd> pollfds;
-        pollfds.push_back({stop_read_fd, POLLIN, 0});
+        pollfds.push_back({stop_pipe->read_fd(), POLLIN, 0});
         pollfds.push_back({listen_fd, POLLIN, 0});
         for (const auto& [fd, conn] : connections) {
           pollfds.push_back({fd, POLLIN, 0});
@@ -707,10 +680,6 @@ struct FixydServer::Impl {
       conn->open = false;
     }
     connections.clear();
-
-    g_signal_stop_fd.store(-1, std::memory_order_relaxed);
-    ::sigaction(SIGTERM, &old_term, nullptr);
-    ::sigaction(SIGINT, &old_int, nullptr);
     return Status::Ok();
   }
 };
@@ -722,6 +691,14 @@ Result<std::unique_ptr<FixydServer>> FixydServer::Create(
   }
   if (options.worker_threads < 1) {
     return Status::InvalidArgument("worker_threads must be >= 1");
+  }
+  if (options.worker_threads > kMaxThreads) {
+    return Status::InvalidArgument("worker_threads must be <= " +
+                                   std::to_string(kMaxThreads));
+  }
+  if (options.rank_threads > kMaxThreads) {
+    return Status::InvalidArgument("rank_threads must be <= " +
+                                   std::to_string(kMaxThreads));
   }
   if (options.max_queue_depth < 1) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");
@@ -790,19 +767,7 @@ Result<std::unique_ptr<FixydServer>> FixydServer::Create(
                            std::string(std::strerror(errno)));
   }
 
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    return Status::IoError("pipe() failed: " +
-                           std::string(std::strerror(errno)));
-  }
-  impl->stop_read_fd = pipe_fds[0];
-  impl->stop_write_fd = pipe_fds[1];
-  SetCloexec(impl->stop_read_fd);
-  SetCloexec(impl->stop_write_fd);
-  // The write end must never block (it is written from signal handlers).
-  const int flags = ::fcntl(impl->stop_write_fd, F_GETFL);
-  if (flags >= 0) ::fcntl(impl->stop_write_fd, F_SETFL, flags | O_NONBLOCK);
-
+  FIXY_ASSIGN_OR_RETURN(impl->stop_pipe, StopPipe::Create());
   return std::unique_ptr<FixydServer>(new FixydServer(std::move(impl)));
 }
 

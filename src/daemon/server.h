@@ -38,8 +38,10 @@ struct ServerOptions {
   /// CLI runs.
   FixyOptions engine;
   /// Request-executor threads: how many requests run concurrently.
+  /// 1..kMaxThreads (common/thread_pool.h); Create rejects other values.
   int worker_threads = 4;
-  /// BatchOptions::num_threads used inside a rank-dataset request.
+  /// BatchOptions::num_threads used inside a rank-dataset request; above
+  /// kMaxThreads Create rejects it.
   int rank_threads = 0;
   /// Admission bound: queued + executing requests beyond this are
   /// rejected with Unavailable.

@@ -1,22 +1,21 @@
 #include "daemon/watch.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#include <fcntl.h>
 #include <poll.h>
-#include <unistd.h>
 #endif
 
 #include "common/macros.h"
+#include "common/process.h"
 #include "core/ranker.h"
 #include "core/scene_pass.h"
 #include "data/scene.h"
@@ -27,65 +26,6 @@ namespace fixy::daemon {
 namespace {
 
 #if defined(__unix__) || defined(__APPLE__)
-
-/// Write fd of the watch loop's stop pipe, for the signal handler. The
-/// same self-pipe trick fixyd uses: the handler only writes one byte to a
-/// non-blocking pipe (async-signal-safe), and the poll loop notices.
-std::atomic<int> g_watch_stop_fd{-1};
-
-void OnWatchStopSignal(int) {
-  const int fd = g_watch_stop_fd.load(std::memory_order_relaxed);
-  if (fd < 0) return;
-  const char byte = 1;
-  // A full pipe means a stop is already pending; dropping the byte is fine.
-  (void)!::write(fd, &byte, 1);
-}
-
-/// RAII self-pipe + SIGINT/SIGTERM handlers; restores the previous
-/// handlers and closes the pipe on destruction, so a bounded watch run
-/// (--max-cycles) leaves the process's signal disposition untouched.
-class SignalPipe {
- public:
-  Status Install() {
-    int fds[2] = {-1, -1};
-    if (::pipe(fds) != 0) {
-      return Status::IoError("pipe() failed for the watch stop pipe");
-    }
-    read_fd_ = fds[0];
-    write_fd_ = fds[1];
-    // Both ends non-blocking: the handler must never block, and a drained
-    // read must not hang the loop.
-    ::fcntl(read_fd_, F_SETFL, O_NONBLOCK);
-    ::fcntl(write_fd_, F_SETFL, O_NONBLOCK);
-    g_watch_stop_fd.store(write_fd_, std::memory_order_relaxed);
-    struct sigaction action {};
-    action.sa_handler = OnWatchStopSignal;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-    installed_ = true;
-    return Status::Ok();
-  }
-
-  int read_fd() const { return read_fd_; }
-
-  ~SignalPipe() {
-    if (installed_) {
-      ::sigaction(SIGINT, &old_int_, nullptr);
-      ::sigaction(SIGTERM, &old_term_, nullptr);
-      g_watch_stop_fd.store(-1, std::memory_order_relaxed);
-    }
-    if (read_fd_ >= 0) ::close(read_fd_);
-    if (write_fd_ >= 0) ::close(write_fd_);
-  }
-
- private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-  bool installed_ = false;
-};
 
 /// Waits up to `timeout_ms` for either stop fd to become readable.
 /// Returns true when a stop was signalled (the fds are left undrained —
@@ -109,16 +49,7 @@ bool WaitForStop(int fd_a, int fd_b, int timeout_ms) {
   return false;
 }
 
-#else  // non-POSIX: no signal pipe; --max-cycles bounds the loop.
-
-class SignalPipe {
- public:
-  Status Install() {
-    return Status::Unimplemented(
-        "watch signal handling requires a POSIX platform");
-  }
-  int read_fd() const { return -1; }
-};
+#else  // non-POSIX: no stop pipe; --max-cycles bounds the loop.
 
 bool WaitForStop(int, int, int timeout_ms) {
   if (timeout_ms > 0) {
@@ -360,12 +291,13 @@ Result<WatchReport> WatchDataset(const WatchOptions& options) {
     RecordRankMetricsSchema(fixy.applications().names());
   }
 
-  SignalPipe signals;
+  std::unique_ptr<StopPipe> signal_pipe;
+  std::optional<ScopedStopSignals> stop_signals;
   if (options.install_signal_handlers) {
-    FIXY_RETURN_IF_ERROR(signals.Install());
+    FIXY_ASSIGN_OR_RETURN(signal_pipe, StopPipe::Create());
+    stop_signals.emplace(*signal_pipe);
   }
-  const int signal_fd =
-      options.install_signal_handlers ? signals.read_fd() : -1;
+  const int signal_fd = signal_pipe != nullptr ? signal_pipe->read_fd() : -1;
 
   Say(state, "watch: polling %s every %d ms (%s)\n", options.data_dir.c_str(),
       options.poll_interval_ms,

@@ -48,14 +48,6 @@ geom::Vec3 ObservationBundle::MeanCenter() const {
   return sum / static_cast<double>(observations.size());
 }
 
-double ObservationBundle::MaxConfidence() const {
-  double max_conf = 0.0;
-  for (const Observation& obs : observations) {
-    max_conf = std::max(max_conf, obs.confidence);
-  }
-  return max_conf;
-}
-
 std::optional<ObjectClass> ObservationBundle::MajorityClass() const {
   ClassCounts counts{};
   CountClasses(*this, counts);
@@ -107,21 +99,6 @@ std::optional<double> Track::MeanModelConfidence() const {
   }
   if (count == 0) return std::nullopt;
   return sum / static_cast<double>(count);
-}
-
-double Track::MinEgoDistance() const {
-  double min_dist = 0.0;
-  bool first = true;
-  for (const ObservationBundle& b : bundles_) {
-    for (const Observation& obs : b.observations) {
-      const double d = obs.box.BevCenterDistance(b.ego_position);
-      if (first || d < min_dist) {
-        min_dist = d;
-        first = false;
-      }
-    }
-  }
-  return min_dist;
 }
 
 std::string Track::ToString() const {

@@ -30,8 +30,6 @@ struct ObservationBundle {
   const Observation* FindBySource(ObservationSource source) const;
   /// Mean of member box centers (the bundle's consensus position).
   geom::Vec3 MeanCenter() const;
-  /// Maximum confidence among member observations.
-  double MaxConfidence() const;
   /// Majority class among member observations (ties broken by enum order).
   /// nullopt for an empty bundle.
   std::optional<ObjectClass> MajorityClass() const;
@@ -74,10 +72,6 @@ class Track {
   /// Mean detector confidence over model observations; nullopt if the track
   /// has none.
   std::optional<double> MeanModelConfidence() const;
-
-  /// Smallest ego distance over all bundles (how close the object comes to
-  /// the AV). 0 for an empty track.
-  double MinEgoDistance() const;
 
   std::string ToString() const;
 

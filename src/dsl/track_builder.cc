@@ -168,16 +168,6 @@ class TrackLinker {
 
 }  // namespace
 
-const char* SceneViewToString(SceneView view) {
-  switch (view) {
-    case SceneView::kFull:
-      return "full";
-    case SceneView::kModelOnly:
-      return "model-only";
-  }
-  return "unknown";
-}
-
 const TrackSet& AssociationViews::view(SceneView v) const {
   const std::optional<TrackSet>& tracks =
       v == SceneView::kFull ? full : model_only;

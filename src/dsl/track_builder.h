@@ -30,8 +30,6 @@ enum class SceneView {
   kModelOnly = 1,
 };
 
-const char* SceneViewToString(SceneView view);
-
 /// Minimum BEV IoU for linking a bundle to the previous bundle of a track.
 /// Looser than the in-frame threshold because objects move between frames.
 inline constexpr double kTrackIouThreshold = 0.1;

@@ -32,9 +32,7 @@ Result<AuditResult> AuditScene(const Scene& scene,
     const ErrorProposal& proposal = ranked[i];
     bool hit = false;
     for (size_t e = 0; e < errors.size(); ++e) {
-      if (!ProposalMatchesError(proposal, *errors[e], options.match)) {
-        continue;
-      }
+      if (!ProposalMatchesError(proposal, *errors[e])) continue;
       hit = true;
       if (fixed[e]) continue;
       fixed[e] = true;

@@ -43,7 +43,6 @@ struct AuditOptions {
   /// How many top proposals the auditor reviews ("organizations have
   /// limited resources to evaluate potential errors").
   size_t top_k = 10;
-  MatchOptions match;
 };
 
 /// Audits `ranked` (already sorted, most suspicious first) against the

@@ -7,6 +7,15 @@
 
 namespace fixy::eval {
 
+namespace {
+
+// Minimum BEV IoU between the proposal's box and the error's box.
+constexpr double kIouThreshold = 0.1;
+// A proposal may sit this many frames outside the error's span.
+constexpr int kFrameSlack = 3;
+
+}  // namespace
+
 bool KindMatchesType(ProposalKind kind, sim::GtErrorType type) {
   switch (kind) {
     case ProposalKind::kMissingTrack:
@@ -22,13 +31,12 @@ bool KindMatchesType(ProposalKind kind, sim::GtErrorType type) {
 }
 
 bool ProposalMatchesError(const ErrorProposal& proposal,
-                          const sim::GtError& error,
-                          const MatchOptions& options) {
+                          const sim::GtError& error) {
   if (proposal.scene_name != error.scene_name) return false;
   if (!KindMatchesType(proposal.kind, error.type)) return false;
   // Frame spans must overlap within the slack.
-  if (proposal.last_frame < error.first_frame - options.frame_slack ||
-      proposal.first_frame > error.last_frame + options.frame_slack) {
+  if (proposal.last_frame < error.first_frame - kFrameSlack ||
+      proposal.first_frame > error.last_frame + kFrameSlack) {
     return false;
   }
   if (error.boxes.empty()) return false;
@@ -53,8 +61,8 @@ bool ProposalMatchesError(const ErrorProposal& proposal,
   // Allow a small temporal gap: boxes drift as objects move, so grow the
   // acceptance as distance-in-time grows is NOT done; instead require the
   // match frame to be reasonably close.
-  if (nearest_gap > options.frame_slack + 2) return false;
-  return geom::BevIou(proposal.box, *nearest) > options.iou_threshold;
+  if (nearest_gap > kFrameSlack + 2) return false;
+  return geom::BevIou(proposal.box, *nearest) > kIouThreshold;
 }
 
 }  // namespace fixy::eval

@@ -9,20 +9,6 @@
 
 namespace fixy::eval {
 
-struct MatchOptions {
-  /// Minimum BEV IoU between the proposal's box and the error's box at the
-  /// matched frame. Loose, because proposal boxes carry detector noise.
-  double iou_threshold = 0.1;
-  /// A proposal may sit this many frames outside the error's span.
-  int frame_slack = 3;
-  /// Precision protocol. The paper's auditors verify each flagged item
-  /// independently, so two proposals flagging the same truly-missing
-  /// object both count as real errors (one_to_one = false, the default).
-  /// Set true for strict greedy one-to-one matching, where duplicates of
-  /// an already-claimed error count as false positives.
-  bool one_to_one = false;
-};
-
 /// True if `proposal`'s kind can claim `error`'s type:
 ///   kMissingTrack       -> kMissingTrack
 ///   kMissingObservation -> kMissingObservation
@@ -31,11 +17,12 @@ struct MatchOptions {
 bool KindMatchesType(ProposalKind kind, sim::GtErrorType type);
 
 /// True if `proposal` correctly identifies `error`: same scene, compatible
-/// kind, overlapping frame spans (within slack), and geometric overlap at
-/// the proposal's representative frame.
+/// kind, frame spans that overlap within 3 frames of slack, and BEV IoU
+/// above 0.1 with the error's box at the frame nearest the proposal's
+/// representative frame (at most 5 frames away). The IoU bar is loose
+/// because proposal boxes carry detector noise.
 bool ProposalMatchesError(const ErrorProposal& proposal,
-                          const sim::GtError& error,
-                          const MatchOptions& options = {});
+                          const sim::GtError& error);
 
 }  // namespace fixy::eval
 

@@ -6,15 +6,12 @@ namespace fixy::eval {
 
 PrecisionResult PrecisionAtK(const std::vector<ErrorProposal>& ranked,
                              const std::vector<const sim::GtError*>& errors,
-                             size_t k, const MatchOptions& options) {
+                             size_t k) {
   PrecisionResult result;
   result.considered = std::min(k, ranked.size());
-  std::vector<bool> claimed(errors.size(), false);
   for (size_t i = 0; i < result.considered; ++i) {
-    for (size_t e = 0; e < errors.size(); ++e) {
-      if (options.one_to_one && claimed[e]) continue;
-      if (ProposalMatchesError(ranked[i], *errors[e], options)) {
-        claimed[e] = true;
+    for (const sim::GtError* error : errors) {
+      if (ProposalMatchesError(ranked[i], *error)) {
         ++result.hits;
         break;
       }
@@ -28,12 +25,11 @@ PrecisionResult PrecisionAtK(const std::vector<ErrorProposal>& ranked,
 }
 
 RecallResult RecallOf(const std::vector<ErrorProposal>& proposals,
-                      const std::vector<const sim::GtError*>& errors,
-                      const MatchOptions& options) {
+                      const std::vector<const sim::GtError*>& errors) {
   RecallResult result;
   result.total = errors.size();
   for (const sim::GtError* error : errors) {
-    if (AnyProposalMatches(proposals, *error, options)) ++result.found;
+    if (AnyProposalMatches(proposals, *error)) ++result.found;
   }
   if (result.total > 0) {
     result.recall =
@@ -55,10 +51,9 @@ std::vector<const sim::GtError*> ClaimableErrors(
 }
 
 bool AnyProposalMatches(const std::vector<ErrorProposal>& proposals,
-                        const sim::GtError& error,
-                        const MatchOptions& options) {
+                        const sim::GtError& error) {
   for (const ErrorProposal& proposal : proposals) {
-    if (ProposalMatchesError(proposal, error, options)) return true;
+    if (ProposalMatchesError(proposal, error)) return true;
   }
   return false;
 }

@@ -1,5 +1,7 @@
 // Precision@k and recall over ranked proposals, computed against the
-// ground-truth ledger with greedy one-to-one matching in rank order.
+// ground-truth ledger. Precision follows the paper's audit protocol: the
+// auditor verifies each flagged item on its own, so every proposal that
+// matches a real error counts, duplicates of one error included.
 #ifndef FIXY_EVAL_METRICS_H_
 #define FIXY_EVAL_METRICS_H_
 
@@ -21,13 +23,10 @@ struct PrecisionResult {
 };
 
 /// Precision among the top k proposals: the fraction that correctly
-/// identify a real error. By default (the paper's audit protocol) every
-/// proposal matching a real error counts; with options.one_to_one each
-/// ledger error can be claimed by at most one proposal (greedy in rank
-/// order).
+/// identify a real error (ProposalMatchesError with any of `errors`).
 PrecisionResult PrecisionAtK(const std::vector<ErrorProposal>& ranked,
                              const std::vector<const sim::GtError*>& errors,
-                             size_t k, const MatchOptions& options = {});
+                             size_t k);
 
 struct RecallResult {
   double recall = 0.0;
@@ -37,8 +36,7 @@ struct RecallResult {
 
 /// Fraction of `errors` matched by at least one proposal.
 RecallResult RecallOf(const std::vector<ErrorProposal>& proposals,
-                      const std::vector<const sim::GtError*>& errors,
-                      const MatchOptions& options = {});
+                      const std::vector<const sim::GtError*>& errors);
 
 /// Filters a ledger down to the errors a proposal kind can claim, within
 /// one scene (empty scene name = all scenes).
@@ -49,8 +47,7 @@ std::vector<const sim::GtError*> ClaimableErrors(
 /// True if any proposal in `proposals` matches `error`. Used for the
 /// Section 8.4 protocol of excluding errors already caught by ad-hoc MAs.
 bool AnyProposalMatches(const std::vector<ErrorProposal>& proposals,
-                        const sim::GtError& error,
-                        const MatchOptions& options = {});
+                        const sim::GtError& error);
 
 }  // namespace fixy::eval
 

@@ -1,5 +1,5 @@
-// Pipeline observability: monotonic stage timers, named counters/gauges,
-// and a per-scene trace-span API.
+// Pipeline observability: monotonic stage timers and named
+// counters/gauges.
 //
 // The design is pull-free and ambient: instrumentation sites call the
 // free helpers (obs::Count, obs::AddTimeNs, ...) which report into the
@@ -22,8 +22,8 @@
 //   gauges    — point-in-time values merged with max() so aggregation
 //               order cannot change the result ("batch.threads",
 //               "batch.scene_ms_max").
-//   spans     — a TraceSpan named S adds counter "span.S.calls" and timer
-//               "span.S" (the per-scene unit of the batch path).
+//   spans     — counter "span.S.calls" and timer "span.S" for one unit
+//               of work S (the batch path records "span.scene" per scene).
 #ifndef FIXY_OBS_METRICS_H_
 #define FIXY_OBS_METRICS_H_
 
@@ -97,11 +97,6 @@ class MetricsCollector {
   PipelineMetrics Snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return metrics_;
-  }
-
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_ = PipelineMetrics();
   }
 
  private:
@@ -186,8 +181,6 @@ class StageTimer {
 
   double ElapsedMs() const { return static_cast<double>(ElapsedNs()) * 1e-6; }
 
-  void Restart() { start_ = Clock::now(); }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
@@ -202,26 +195,6 @@ class ScopedStageTimer {
 
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  std::string name_;
-  StageTimer timer_;
-};
-
-/// A trace span: one named unit of work (the batch path opens one per
-/// scene). Records counter "span.<name>.calls" on entry and accumulates
-/// the wall time into timer "span.<name>" on exit.
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string_view name) : name_(name) {
-    Count("span." + name_ + ".calls");
-  }
-  ~TraceSpan() { AddTimeNs("span." + name_, timer_.ElapsedNs()); }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  double ElapsedMs() const { return timer_.ElapsedMs(); }
 
  private:
   std::string name_;

@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
-#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace fixy::obs {
@@ -13,16 +11,6 @@ namespace {
 
 constexpr const char* kFormatMarker = "fixy-metrics";
 constexpr int kFormatVersion = 1;
-
-Result<const json::Object*> RequireObjectMember(const json::Value& value,
-                                                const char* key) {
-  const json::Value* member = value.Find(key);
-  if (member == nullptr || !member->is_object()) {
-    return Status::InvalidArgument(
-        StrFormat("metrics document missing '%s' object", key));
-  }
-  return &member->AsObject();
-}
 
 }  // namespace
 
@@ -48,49 +36,6 @@ json::Value MetricsToJson(const PipelineMetrics& metrics) {
   return doc;
 }
 
-Result<PipelineMetrics> MetricsFromJson(const json::Value& value) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("metrics document must be an object");
-  }
-  FIXY_ASSIGN_OR_RETURN(std::string format, value.GetString("format"));
-  if (format != kFormatMarker) {
-    return Status::InvalidArgument("not a fixy-metrics document: " + format);
-  }
-  FIXY_ASSIGN_OR_RETURN(int64_t version, value.GetInt64("version"));
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported fixy-metrics version %lld",
-                  static_cast<long long>(version)));
-  }
-  PipelineMetrics metrics;
-  FIXY_ASSIGN_OR_RETURN(const json::Object* counters,
-                        RequireObjectMember(value, "counters"));
-  for (const auto& [name, entry] : *counters) {
-    if (!entry.is_number() || entry.AsDouble() < 0.0) {
-      return Status::InvalidArgument("counter '" + name +
-                                     "' must be a non-negative number");
-    }
-    metrics.counters[name] = static_cast<uint64_t>(entry.AsInt64());
-  }
-  FIXY_ASSIGN_OR_RETURN(const json::Object* timers,
-                        RequireObjectMember(value, "timers_ms"));
-  for (const auto& [name, entry] : *timers) {
-    if (!entry.is_number()) {
-      return Status::InvalidArgument("timer '" + name + "' must be a number");
-    }
-    metrics.timers_ms[name] = entry.AsDouble();
-  }
-  FIXY_ASSIGN_OR_RETURN(const json::Object* gauges,
-                        RequireObjectMember(value, "gauges"));
-  for (const auto& [name, entry] : *gauges) {
-    if (!entry.is_number()) {
-      return Status::InvalidArgument("gauge '" + name + "' must be a number");
-    }
-    metrics.gauges[name] = entry.AsDouble();
-  }
-  return metrics;
-}
-
 Status SaveMetrics(const PipelineMetrics& metrics, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open for writing: " + path);
@@ -99,16 +44,6 @@ Status SaveMetrics(const PipelineMetrics& metrics, const std::string& path) {
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
-}
-
-Result<PipelineMetrics> LoadMetrics(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  FIXY_ASSIGN_OR_RETURN(json::Value doc, json::Parse(buffer.str()));
-  return MetricsFromJson(doc);
 }
 
 Status ValidateMetrics(const PipelineMetrics& metrics) {

@@ -19,7 +19,7 @@
 
 #include <string>
 
-#include "common/result.h"
+#include "common/status.h"
 #include "json/json.h"
 #include "obs/metrics.h"
 
@@ -28,15 +28,8 @@ namespace fixy::obs {
 /// Converts a snapshot to its JSON document.
 json::Value MetricsToJson(const PipelineMetrics& metrics);
 
-/// Parses a snapshot back from JSON. Errors: InvalidArgument for a wrong
-/// format marker, unsupported version, or mistyped entries.
-Result<PipelineMetrics> MetricsFromJson(const json::Value& value);
-
 /// Writes a pretty-printed snapshot to `path`. Errors: IoError.
 Status SaveMetrics(const PipelineMetrics& metrics, const std::string& path);
-
-/// Reads a snapshot written by SaveMetrics.
-Result<PipelineMetrics> LoadMetrics(const std::string& path);
 
 /// Every metric value must be finite, and counters/timers non-negative
 /// (counters are unsigned; timers come from a monotonic clock). Returns

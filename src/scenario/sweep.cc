@@ -58,12 +58,12 @@ SweepCell ScoreCell(const std::string& scenario, const std::string& app,
       const std::vector<const sim::GtError*> claimable =
           eval::ClaimableErrors(ledger, kind, outcome.scene_name);
       cell.claimable += claimable.size();
-      const eval::PrecisionResult precision = eval::PrecisionAtK(
-          outcome.proposals, claimable, options.top_k, options.match);
+      const eval::PrecisionResult precision =
+          eval::PrecisionAtK(outcome.proposals, claimable, options.top_k);
       cell.hits += precision.hits;
       cell.considered += precision.considered;
       const eval::RecallResult recall =
-          eval::RecallOf(outcome.proposals, claimable, options.match);
+          eval::RecallOf(outcome.proposals, claimable);
       cell.found += recall.found;
     }
   }

@@ -16,7 +16,6 @@
 #include "common/result.h"
 #include "core/engine.h"
 #include "eval/cell_diff.h"
-#include "eval/matching.h"
 #include "json/json.h"
 #include "scenario/spec.h"
 
@@ -33,7 +32,8 @@ struct SweepOptions {
   /// Ranked proposals considered per scene for precision@k.
   size_t top_k = 10;
   /// Worker threads fanning scenarios out; 0 uses hardware concurrency,
-  /// 1 runs serially. Cell results are byte-identical at any value.
+  /// 1 runs serially, at most kMaxThreads. Cell results are
+  /// byte-identical at any value.
   int threads = 0;
   /// When set, each scenario materializes into `<cache_dir>/<spec name>`
   /// (scene JSON + FXB + ledger + lock) and matching directories are
@@ -42,8 +42,6 @@ struct SweepOptions {
   /// Engine configuration shared by every cell (estimator, extra
   /// applications, ...).
   FixyOptions engine;
-  /// Proposal-to-ledger matching protocol.
-  eval::MatchOptions match;
 };
 
 /// One (scenario, application) cell of a sweep.

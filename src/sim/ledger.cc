@@ -36,15 +36,6 @@ size_t GtLedger::CountByType(GtErrorType type) const {
   return count;
 }
 
-size_t GtLedger::CountByTypeInScene(GtErrorType type,
-                                    const std::string& scene_name) const {
-  size_t count = 0;
-  for (const GtError& error : errors) {
-    if (error.type == type && error.scene_name == scene_name) ++count;
-  }
-  return count;
-}
-
 std::vector<const GtError*> GtLedger::ErrorsInScene(
     const std::string& scene_name) const {
   std::vector<const GtError*> result;

@@ -53,8 +53,6 @@ struct GtLedger {
   std::vector<GtError> errors;
 
   size_t CountByType(GtErrorType type) const;
-  size_t CountByTypeInScene(GtErrorType type,
-                            const std::string& scene_name) const;
   std::vector<const GtError*> ErrorsInScene(
       const std::string& scene_name) const;
 

@@ -37,17 +37,10 @@ Status ValidateSamples(const std::vector<double>& samples) {
   return Status::Ok();
 }
 
-double SelectBandwidth(const std::vector<double>& sorted, BandwidthRule rule) {
+// Scott's rule, h = sigma * n^(-1/5).
+double SelectBandwidth(const std::vector<double>& sorted) {
   const double n = static_cast<double>(sorted.size());
-  const double sigma = Stddev(sorted);
-  double spread = sigma;
-  if (rule == BandwidthRule::kSilverman) {
-    const double iqr =
-        SortedQuantile(sorted, 0.75) - SortedQuantile(sorted, 0.25);
-    if (iqr > 0.0) spread = std::min(sigma, iqr / 1.34);
-    spread *= 0.9;
-  }
-  double bw = spread * std::pow(n, -0.2);
+  double bw = Stddev(sorted) * std::pow(n, -0.2);
   if (bw < kMinBandwidth) {
     // Degenerate sample (all values equal or nearly so): fall back to a
     // bandwidth proportional to the magnitude of the data, so the density
@@ -192,11 +185,10 @@ double GaussianKde::ExactModeDensity() const {
   return best;
 }
 
-Result<GaussianKde> GaussianKde::Fit(std::vector<double> samples,
-                                     BandwidthRule rule) {
+Result<GaussianKde> GaussianKde::Fit(std::vector<double> samples) {
   FIXY_RETURN_IF_ERROR(ValidateSamples(samples));
   std::sort(samples.begin(), samples.end());
-  const double bw = SelectBandwidth(samples, rule);
+  const double bw = SelectBandwidth(samples);
   FIXY_RETURN_IF_ERROR(ValidateBandwidth(bw, samples.size()));
   return GaussianKde(std::move(samples), bw);
 }

@@ -20,15 +20,6 @@
 
 namespace fixy::stats {
 
-/// Rule for choosing the kernel bandwidth from the sample.
-enum class BandwidthRule {
-  /// Scott's rule: h = sigma * n^(-1/5).
-  kScott,
-  /// Silverman's rule of thumb:
-  /// h = 0.9 * min(sigma, IQR/1.34) * n^(-1/5).
-  kSilverman,
-};
-
 /// A univariate Gaussian kernel density estimator.
 class GaussianKde final : public Distribution {
  public:
@@ -50,15 +41,15 @@ class GaussianKde final : public Distribution {
   static constexpr size_t kTableBaseNodes = 4096;
   static constexpr size_t kTableNodesPerSample = 64;
 
-  /// Fits a KDE to `samples`. Errors:
+  /// Fits a KDE to `samples` with Scott's rule, h = sigma * n^(-1/5).
+  /// Errors:
   ///  - InvalidArgument if `samples` is empty or contains non-finite values;
   ///  - InvalidArgument if the selected bandwidth or the normalization
   ///    1/(sqrt(2*pi) * h * n) is not finite and positive (a spread that
   ///    overflows, e.g. samples near +-1e300).
   /// Degenerate samples (zero spread) get a small positive fallback
   /// bandwidth so the density stays well defined.
-  static Result<GaussianKde> Fit(std::vector<double> samples,
-                                 BandwidthRule rule = BandwidthRule::kScott);
+  static Result<GaussianKde> Fit(std::vector<double> samples);
 
   /// Fits with an explicit bandwidth. Errors (InvalidArgument) if the
   /// bandwidth is below 1e-6 or not finite, if its normalization

@@ -37,12 +37,6 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double Quantile(std::vector<double> xs, double q) {
-  FIXY_CHECK(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  return SortedQuantile(xs, q);
-}
-
 Summary Summarize(std::vector<double> xs) {
   Summary s;
   s.count = xs.size();
@@ -54,17 +48,6 @@ Summary Summarize(std::vector<double> xs) {
   s.max = xs.back();
   s.median = SortedQuantile(xs, 0.5);
   return s;
-}
-
-EmpiricalCdf::EmpiricalCdf(std::vector<double> xs) : sorted_(std::move(xs)) {
-  FIXY_CHECK(!sorted_.empty());
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double EmpiricalCdf::operator()(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
 }
 
 }  // namespace fixy::stats

@@ -21,9 +21,6 @@ double Stddev(const std::vector<double>& xs);
 /// q is clamped to [0, 1]. Precondition: xs non-empty.
 double SortedQuantile(const std::vector<double>& sorted, double q);
 
-/// Quantile of an unsorted sample (copies and sorts internally).
-double Quantile(std::vector<double> xs, double q);
-
 /// Summary of a sample in one pass-friendly struct.
 struct Summary {
   size_t count = 0;
@@ -35,21 +32,6 @@ struct Summary {
 };
 
 Summary Summarize(std::vector<double> xs);
-
-/// Empirical CDF of a fitted sample: fraction of samples <= x.
-class EmpiricalCdf {
- public:
-  /// Precondition: xs non-empty.
-  explicit EmpiricalCdf(std::vector<double> xs);
-
-  /// P(X <= x) under the empirical distribution.
-  double operator()(double x) const;
-
-  size_t sample_count() const { return sorted_.size(); }
-
- private:
-  std::vector<double> sorted_;
-};
 
 }  // namespace fixy::stats
 

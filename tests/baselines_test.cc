@@ -203,28 +203,11 @@ TEST(UncertaintySamplingTest, DeduplicatesByTrack) {
   }
 }
 
-TEST(UncertaintySamplingTest, WithoutDedupeEmitsPerObservation) {
-  UncertaintyOptions options;
-  options.deduplicate_by_track = false;
-  const auto proposals = UncertaintySampling(TestScene(), options);
-  ASSERT_TRUE(proposals.ok());
-  // 10 + 10 + 2 model observations.
-  EXPECT_EQ(proposals->size(), 22u);
-}
-
 TEST(UncertaintySamplingTest, HighConfidenceErrorsRankLast) {
   const auto proposals = UncertaintySampling(TestScene());
   ASSERT_TRUE(proposals.ok());
   // The 0.95-confidence track is the least uncertain.
   EXPECT_NEAR(proposals->back().model_confidence, 0.95, 1e-9);
-}
-
-TEST(UncertaintySamplingTest, CustomThreshold) {
-  UncertaintyOptions options;
-  options.confidence_threshold = 0.95;
-  const auto proposals = UncertaintySampling(TestScene(), options);
-  ASSERT_TRUE(proposals.ok());
-  EXPECT_NEAR((*proposals)[0].model_confidence, 0.95, 1e-9);
 }
 
 }  // namespace

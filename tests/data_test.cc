@@ -278,19 +278,9 @@ TEST(BundleTest, MeanCenterAveragesBoxes) {
   EXPECT_DOUBLE_EQ(center.y, 2.0);
 }
 
-TEST(BundleTest, MaxConfidence) {
-  const auto bundle = MakeBundle(
-      0,
-      {MakeObs(1, ObservationSource::kModel, ObjectClass::kCar, 0, 0, 0, 0.4),
-       MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 0, 0, 0,
-               0.9)});
-  EXPECT_DOUBLE_EQ(bundle.MaxConfidence(), 0.9);
-}
-
 TEST(BundleTest, EmptyBundle) {
   const ObservationBundle bundle;
   EXPECT_TRUE(bundle.empty());
-  EXPECT_DOUBLE_EQ(bundle.MaxConfidence(), 0.0);
   EXPECT_FALSE(bundle.MajorityClass().has_value());
 }
 
@@ -365,18 +355,6 @@ TEST(TrackTest, MeanModelConfidence) {
                                          ObjectClass::kCar, 0, 0, 1, 0.8)}));
   ASSERT_TRUE(track.MeanModelConfidence().has_value());
   EXPECT_NEAR(*track.MeanModelConfidence(), 0.7, 1e-12);
-}
-
-TEST(TrackTest, MinEgoDistance) {
-  Track track(1);
-  ObservationBundle near = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kCar, 3, 4, 0)});
-  ObservationBundle far = MakeBundle(
-      1, {MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 30, 40,
-                  1)});
-  track.AddBundle(std::move(near));
-  track.AddBundle(std::move(far));
-  EXPECT_DOUBLE_EQ(track.MinEgoDistance(), 5.0);
 }
 
 TEST(TrackTest, ToStringMentionsClassAndSpan) {

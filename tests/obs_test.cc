@@ -1,9 +1,11 @@
 // Tests for the observability layer: collector semantics, the ambient
-// MetricsScope, merge rules, the JSON round-trip, validation, and the
-// human table.
+// MetricsScope, merge rules, the JSON document, validation, and the human
+// table.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -38,15 +40,6 @@ TEST(MetricsCollectorTest, GaugesKeepMaximum) {
   collector.SetGauge("batch.scene_ms_max", 1.0);
   collector.SetGauge("batch.scene_ms_max", 7.0);
   EXPECT_DOUBLE_EQ(collector.Snapshot().gauges.at("batch.scene_ms_max"), 7.0);
-}
-
-TEST(MetricsCollectorTest, ResetClearsEverything) {
-  MetricsCollector collector;
-  collector.Count("a");
-  collector.AddTimeNs("b", 1);
-  collector.SetGauge("c", 1.0);
-  collector.Reset();
-  EXPECT_TRUE(collector.Snapshot().empty());
 }
 
 TEST(PipelineMetricsTest, MergeAddsCountersAndTimersMaxesGauges) {
@@ -163,17 +156,6 @@ TEST(ScopedStageTimerTest, RecordsOnDestruction) {
   EXPECT_GE(snapshot.timers_ms.at("stage.x"), 0.0);
 }
 
-TEST(TraceSpanTest, RecordsCallCounterAndTimer) {
-  MetricsCollector collector;
-  const MetricsScope scope(&collector);
-  { const TraceSpan span("scene"); }
-  { const TraceSpan span("scene"); }
-  const PipelineMetrics snapshot = collector.Snapshot();
-  EXPECT_EQ(snapshot.counters.at("span.scene.calls"), 2u);
-  ASSERT_EQ(snapshot.timers_ms.count("span.scene"), 1u);
-  EXPECT_GE(snapshot.timers_ms.at("span.scene"), 0.0);
-}
-
 PipelineMetrics SampleMetrics() {
   PipelineMetrics metrics;
   metrics.counters["io.files_read"] = 16;
@@ -187,15 +169,27 @@ PipelineMetrics SampleMetrics() {
 TEST(MetricsJsonTest, RoundTripsThroughJsonText) {
   const PipelineMetrics metrics = SampleMetrics();
   // Full fidelity through the real serialization path: value -> text ->
-  // parse -> value, not just the in-memory converters.
+  // parse, checked against the snapshot entry by entry.
   const std::string text = json::Write(MetricsToJson(metrics), true);
   const Result<json::Value> parsed = json::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const Result<PipelineMetrics> restored = MetricsFromJson(*parsed);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->counters, metrics.counters);
-  EXPECT_EQ(restored->timers_ms, metrics.timers_ms);
-  EXPECT_EQ(restored->gauges, metrics.gauges);
+  EXPECT_EQ(*parsed->GetString("format"), "fixy-metrics");
+  EXPECT_EQ(*parsed->GetInt64("version"), 1);
+  const json::Value& counters = *parsed->Find("counters");
+  ASSERT_EQ(counters.AsObject().size(), metrics.counters.size());
+  for (const auto& [name, value] : metrics.counters) {
+    EXPECT_EQ(*counters.GetInt64(name), static_cast<int64_t>(value)) << name;
+  }
+  const json::Value& timers = *parsed->Find("timers_ms");
+  ASSERT_EQ(timers.AsObject().size(), metrics.timers_ms.size());
+  for (const auto& [name, value] : metrics.timers_ms) {
+    EXPECT_EQ(*timers.GetDouble(name), value) << name;
+  }
+  const json::Value& gauges = *parsed->Find("gauges");
+  ASSERT_EQ(gauges.AsObject().size(), metrics.gauges.size());
+  for (const auto& [name, value] : metrics.gauges) {
+    EXPECT_EQ(*gauges.GetDouble(name), value) << name;
+  }
 }
 
 TEST(MetricsJsonTest, SerializationIsByteStable) {
@@ -206,48 +200,17 @@ TEST(MetricsJsonTest, SerializationIsByteStable) {
   EXPECT_EQ(a, b);
 }
 
-TEST(MetricsJsonTest, RejectsWrongFormatMarker) {
-  json::Object obj;
-  obj["format"] = "not-metrics";
-  obj["version"] = 1;
-  obj["counters"] = json::Object{};
-  obj["timers_ms"] = json::Object{};
-  obj["gauges"] = json::Object{};
-  EXPECT_FALSE(MetricsFromJson(json::Value(obj)).ok());
-}
-
-TEST(MetricsJsonTest, RejectsUnsupportedVersion) {
-  json::Object obj;
-  obj["format"] = "fixy-metrics";
-  obj["version"] = 99;
-  obj["counters"] = json::Object{};
-  obj["timers_ms"] = json::Object{};
-  obj["gauges"] = json::Object{};
-  EXPECT_FALSE(MetricsFromJson(json::Value(obj)).ok());
-}
-
-TEST(MetricsJsonTest, RejectsNegativeCounter) {
-  json::Object counters;
-  counters["bad"] = -3;
-  json::Object obj;
-  obj["format"] = "fixy-metrics";
-  obj["version"] = 1;
-  obj["counters"] = std::move(counters);
-  obj["timers_ms"] = json::Object{};
-  obj["gauges"] = json::Object{};
-  EXPECT_FALSE(MetricsFromJson(json::Value(obj)).ok());
-}
-
 TEST(MetricsJsonTest, SaveAndLoadRoundTrip) {
   const PipelineMetrics metrics = SampleMetrics();
   const std::string path =
       ::testing::TempDir() + "/obs_test_metrics.json";
   ASSERT_TRUE(SaveMetrics(metrics, path).ok());
-  const Result<PipelineMetrics> loaded = LoadMetrics(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->counters, metrics.counters);
-  EXPECT_EQ(loaded->timers_ms, metrics.timers_ms);
-  EXPECT_EQ(loaded->gauges, metrics.gauges);
+  // The file holds the pretty document plus a trailing newline.
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string saved((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(saved, json::Write(MetricsToJson(metrics), true) + "\n");
 }
 
 TEST(ValidateMetricsTest, AcceptsWellFormedSnapshot) {

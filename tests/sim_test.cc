@@ -561,8 +561,6 @@ TEST(LedgerTest, CountsAndToString) {
   e2.scene_name = "s2";
   ledger.errors = {e1, e2};
   EXPECT_EQ(ledger.CountByType(GtErrorType::kMissingTrack), 1u);
-  EXPECT_EQ(ledger.CountByTypeInScene(GtErrorType::kMissingTrack, "s1"), 1u);
-  EXPECT_EQ(ledger.CountByTypeInScene(GtErrorType::kMissingTrack, "s2"), 0u);
   EXPECT_NE(e1.ToString().find("missing_track"), std::string::npos);
   EXPECT_NE(e2.ToString().find("ghost_track"), std::string::npos);
 }

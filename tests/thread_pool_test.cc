@@ -16,6 +16,12 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_EQ(ThreadPool::ResolveThreadCount(1), 1);
   EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1);
   EXPECT_GE(ThreadPool::ResolveThreadCount(-3), 1);
+  EXPECT_LE(ThreadPool::ResolveThreadCount(0), kMaxThreads);
+}
+
+TEST(ThreadPoolTest, MoreThanMaxThreadsAbortsBeforeStartingAny) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ThreadPool pool(kMaxThreads + 1), "CHECK failed");
 }
 
 TEST(ThreadPoolTest, SpawnsRequestedWorkers) {

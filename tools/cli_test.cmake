@@ -128,6 +128,28 @@ foreach(bad_flags
   endif()
 endforeach()
 
+# ---- Thread-count flags stop at the 1024-thread ceiling. ----
+# One past it must fail before any work starts: no stdout, no socket, and
+# (the timeout guards it) no serve or watch loop.
+foreach(bad_flags
+        "rank;--data;${WORK}/ds;--model;${WORK}/model.json;--threads;1025"
+        "sweep;--report;${WORK}/x.json;--presets;internal-like;--threads;1025"
+        "watch;--data;${WORK}/ds;--model;${WORK}/model.json;--max-cycles;1;--threads;1025"
+        "serve;--socket;${WORK}/ceiling.sock;--model;${WORK}/model.json;--threads;1025"
+        "serve;--socket;${WORK}/ceiling.sock;--model;${WORK}/model.json;--rank-threads;1025")
+  execute_process(COMMAND ${CLI} ${bad_flags} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "threads must be <= 1024")
+    message(FATAL_ERROR "thread ceiling not enforced for ${bad_flags} (${rc}): ${out}${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${bad_flags}: wrote to stdout before rejecting: ${out}")
+  endif()
+endforeach()
+if(EXISTS ${WORK}/ceiling.sock OR EXISTS ${WORK}/x.json)
+  message(FATAL_ERROR "an over-ceiling command left its socket or report behind")
+endif()
+
 # ---- Unknown flags: each command accepts only the flags it reads. ----
 # A misspelled flag used to be ignored (learn wrote the default KDE model),
 # and a retired one (--workers) silently ran the default path. The command

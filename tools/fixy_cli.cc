@@ -81,8 +81,10 @@
 #endif
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "core/applications.h"
 #include "core/engine.h"
+#include "core/features_std.h"
 #include "daemon/client.h"
 #include "daemon/protocol.h"
 #include "daemon/server.h"
@@ -204,6 +206,22 @@ class Flags {
     return ParseInt64Flag(name, it->second);
   }
 
+  /// A thread-count flag: at least `min` (0 means hardware concurrency)
+  /// and at most kMaxThreads, so a typo cannot start thousands of threads.
+  Result<int> GetThreadsOr(const std::string& name, int fallback,
+                           int min) const {
+    FIXY_ASSIGN_OR_RETURN(const int value, GetIntOr(name, fallback));
+    if (value < min) {
+      return Status::InvalidArgument("--" + name + " must be >= " +
+                                     std::to_string(min));
+    }
+    if (value > kMaxThreads) {
+      return Status::InvalidArgument("--" + name + " must be <= " +
+                                     std::to_string(kMaxThreads));
+    }
+    return value;
+  }
+
   bool Has(const std::string& name) const {
     return values_.count(name) > 0;
   }
@@ -253,30 +271,12 @@ AppSpec SuspectTracksApp() {
     for (size_t t = 0; t < tracks.tracks.size(); ++t) {
       const Track& track = tracks.tracks[t];
       if (!track.HasSource(ObservationSource::kHuman)) continue;
-      if (track.TotalObservations() <=
-          static_cast<size_t>(ctx.options.min_track_observations)) {
-        continue;
-      }
+      if (track.TotalObservations() <= kMinTrackObservations) continue;
       const std::optional<double> score =
           ctx.graph.ScoreTrack(t, ctx.options.normalize_scores);
       if (!score.has_value()) continue;
-      ErrorProposal proposal;
-      proposal.scene_name = ctx.scene.name();
-      proposal.kind = ProposalKind::kModelError;
-      proposal.track_id = track.id();
-      proposal.object_class = track.MajorityClass().value_or(ObjectClass::kCar);
-      proposal.score = *score;
-      proposal.model_confidence = track.MeanModelConfidence().value_or(0.0);
-      proposal.first_frame = track.FirstFrame();
-      proposal.last_frame = track.LastFrame();
-      const std::optional<size_t> b = internal::ClosestApproachBundle(track);
-      if (b.has_value()) {
-        const ObservationBundle& bundle = track.bundles()[*b];
-        const Observation* obs = internal::RepresentativeObservation(bundle);
-        proposal.frame_index = bundle.frame_index;
-        if (obs != nullptr) proposal.box = obs->box;
-      }
-      proposals.push_back(std::move(proposal));
+      proposals.push_back(internal::MakeTrackProposal(
+          ctx.scene, track, ProposalKind::kModelError, *score));
     }
     return proposals;
   };
@@ -479,10 +479,7 @@ Status CmdSweep(const Flags& flags) {
     return Status::InvalidArgument("--top must be >= 1");
   }
   options.top_k = static_cast<size_t>(top);
-  FIXY_ASSIGN_OR_RETURN(options.threads, flags.GetIntOr("threads", 0));
-  if (options.threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
+  FIXY_ASSIGN_OR_RETURN(options.threads, flags.GetThreadsOr("threads", 0, 0));
   options.cache_dir = flags.GetOr("cache-dir", "");
   FIXY_ASSIGN_OR_RETURN(options.engine, EngineOptions(flags));
 
@@ -530,6 +527,11 @@ Status CmdRank(const Flags& flags) {
   if (top < 0) {
     return Status::InvalidArgument("--top must be >= 0");
   }
+  // Scenes rank in parallel across the pool (--threads, default hardware
+  // concurrency); output order matches the dataset regardless of thread
+  // count.
+  BatchOptions batch;
+  FIXY_ASSIGN_OR_RETURN(batch.num_threads, flags.GetThreadsOr("threads", 0, 0));
   // --keep-going: quarantine scenes that fail to decode or rank and rank
   // the rest; exit non-zero only when nothing ranked. Without it the first
   // failing scene in dataset order fails the run.
@@ -591,14 +593,6 @@ Status CmdRank(const Flags& flags) {
     daemon::RecordDaemonMetricsSchema();
   }
 
-  // Scenes rank in parallel across the pool (--threads, default hardware
-  // concurrency); output order matches the dataset regardless of thread
-  // count.
-  BatchOptions batch;
-  FIXY_ASSIGN_OR_RETURN(batch.num_threads, flags.GetIntOr("threads", 0));
-  if (batch.num_threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
   batch.fail_fast = !keep_going;
   batch.collect_metrics = metrics_on;
 
@@ -719,15 +713,10 @@ Status CmdServe(const Flags& flags) {
   daemon::ServerOptions options;
   FIXY_ASSIGN_OR_RETURN(options.socket_path, flags.GetRequired("socket"));
   options.model_path = flags.GetOr("model", "");
-  FIXY_ASSIGN_OR_RETURN(options.worker_threads, flags.GetIntOr("threads", 4));
-  if (options.worker_threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
+  FIXY_ASSIGN_OR_RETURN(options.worker_threads,
+                        flags.GetThreadsOr("threads", 4, 1));
   FIXY_ASSIGN_OR_RETURN(options.rank_threads,
-                        flags.GetIntOr("rank-threads", 0));
-  if (options.rank_threads < 0) {
-    return Status::InvalidArgument("--rank-threads must be >= 0");
-  }
+                        flags.GetThreadsOr("rank-threads", 0, 0));
   FIXY_ASSIGN_OR_RETURN(options.max_queue_depth,
                         flags.GetIntOr("queue-depth", 64));
   if (options.max_queue_depth < 1) {
@@ -888,10 +877,7 @@ Status CmdWatch(const Flags& flags) {
     return Status::InvalidArgument("--top must be >= 0");
   }
   FIXY_ASSIGN_OR_RETURN(options.batch.num_threads,
-                        flags.GetIntOr("threads", 0));
-  if (options.batch.num_threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
+                        flags.GetThreadsOr("threads", 0, 0));
   if (flags.Has("app") && flags.Has("apps")) {
     return Status::InvalidArgument("pass either --app or --apps, not both");
   }
