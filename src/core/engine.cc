@@ -291,8 +291,12 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     }
   };
 
-  const int threads = ThreadPool::ResolveThreadCount(batch.num_threads);
-  {
+  // No more workers than scenes; an empty dataset starts no pool at all
+  // (ThreadPool(0) would mean hardware concurrency).
+  const int threads = static_cast<int>(std::min(
+      static_cast<size_t>(ThreadPool::ResolveThreadCount(batch.num_threads)),
+      scene_count));
+  if (threads > 0) {
     ThreadPool pool(threads);
     std::vector<std::future<void>> loops;
     for (int t = 0; t < threads; ++t) loops.push_back(pool.Submit(rank_loop));

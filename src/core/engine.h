@@ -52,11 +52,11 @@ struct FixyOptions {
 
 /// Configuration of dataset-scale batch ranking.
 struct BatchOptions {
-  /// Rank worker threads to fan scenes out across. 0 (the default) uses
-  /// hardware concurrency; above kMaxThreads (common/thread_pool.h) the
-  /// pool aborts before starting a thread. Scenes always rank on pool
-  /// threads, never on the calling thread; the output is identical at
-  /// every count.
+  /// Rank worker threads to fan scenes out across, capped at the scene
+  /// count (an empty dataset starts none). 0 (the default) uses hardware
+  /// concurrency; a pool above kMaxThreads (common/thread_pool.h) aborts
+  /// before starting a thread. Scenes always rank on pool threads, never
+  /// on the calling thread; the output is identical at every count.
   int num_threads = 0;
 
   /// When true, RankDataset fails with the first failing scene's Status

@@ -43,18 +43,24 @@ Result<std::vector<ErrorProposal>> RunApplicationOnPass(
   FIXY_CHECK_MSG(app.extract != nullptr,
                  "application '%s' has no extract strategy",
                  app.name.c_str());
-  Result<FactorGraph> graph = Status::Internal("uncompiled");
-  {
-    const obs::ScopedStageTimer compile_timer("rank." + app.name + ".compile");
-    graph = FactorGraph::Compile(pass.tracks(app.view), spec,
-                                 scene.frame_rate_hz(), pass.cache(app.view));
+  // The per-app keys are built only when metrics are on, so the
+  // metrics-off path allocates no key strings.
+  const bool metered = obs::Enabled();
+  const obs::StageTimer compile_timer;
+  Result<FactorGraph> graph =
+      FactorGraph::Compile(pass.tracks(app.view), spec, scene.frame_rate_hz(),
+                           pass.cache(app.view));
+  if (metered) {
+    obs::AddTimeNs("rank." + app.name + ".compile", compile_timer.ElapsedNs());
   }
   FIXY_RETURN_IF_ERROR(graph.status());
-  obs::Count("rank." + app.name + ".factors", graph->factors().size());
   std::vector<ErrorProposal> proposals =
       app.extract(AppContext{*graph, scene, options});
   RankProposals(&proposals);
-  obs::Count("rank." + app.name + ".proposals", proposals.size());
+  if (metered) {
+    obs::Count("rank." + app.name + ".factors", graph->factors().size());
+    obs::Count("rank." + app.name + ".proposals", proposals.size());
+  }
   return proposals;
 }
 

@@ -187,7 +187,8 @@ class StageTimer {
 };
 
 /// RAII stage timer: adds the scope's wall time to timer `name` on the
-/// collector active at destruction.
+/// collector active at destruction. `name` is not copied: it must outlive
+/// the timer (every caller passes a literal).
 class ScopedStageTimer {
  public:
   explicit ScopedStageTimer(std::string_view name) : name_(name) {}
@@ -197,7 +198,7 @@ class ScopedStageTimer {
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
 
  private:
-  std::string name_;
+  std::string_view name_;
   StageTimer timer_;
 };
 

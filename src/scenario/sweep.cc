@@ -1,5 +1,6 @@
 #include "scenario/sweep.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <future>
@@ -216,7 +217,10 @@ Result<SweepReport> RunSweep(const std::vector<ScenarioSpec>& specs,
   std::vector<Result<std::vector<SweepCell>>> slots(
       specs.size(), Result<std::vector<SweepCell>>(std::vector<SweepCell>{}));
   {
-    ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
+    // No more workers than scenarios (specs is not empty).
+    ThreadPool pool(static_cast<int>(std::min(
+        static_cast<size_t>(ThreadPool::ResolveThreadCount(options.threads)),
+        specs.size())));
     std::vector<std::future<void>> pending;
     for (size_t i = 0; i < specs.size(); ++i) {
       pending.push_back(pool.Submit([&specs, &options, &slots, i] {

@@ -31,9 +31,9 @@ struct SweepOptions {
   std::optional<uint64_t> seed;
   /// Ranked proposals considered per scene for precision@k.
   size_t top_k = 10;
-  /// Worker threads fanning scenarios out; 0 uses hardware concurrency,
-  /// 1 runs serially, at most kMaxThreads. Cell results are
-  /// byte-identical at any value.
+  /// Worker threads fanning scenarios out, capped at the scenario count;
+  /// 0 uses hardware concurrency, 1 runs serially, at most kMaxThreads.
+  /// Cell results are byte-identical at any value.
   int threads = 0;
   /// When set, each scenario materializes into `<cache_dir>/<spec name>`
   /// (scene JSON + FXB + ledger + lock) and matching directories are

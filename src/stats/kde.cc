@@ -67,6 +67,24 @@ Status ValidateBandwidth(double bandwidth, size_t sample_count) {
   return Status::Ok();
 }
 
+// The spacing of doubles at the larger of a cluster's end points: the
+// rounding unit of its node positions and of a query's offset into it.
+double EndPointUlp(double lo, double hi) {
+  const double magnitude = std::max(std::abs(lo), std::abs(hi));
+  return std::nextafter(magnitude, INFINITY) - magnitude;
+}
+
+// The 4-point Lagrange cubic through y[0..3] (nodes i - 1 .. i + 2) at t in
+// [0, 1] of cell i. Its weights' magnitudes sum to 1 + t (1 - t) <= 5/4.
+double Cubic(const double* y, double t) {
+  const double tp = t + 1.0;
+  const double tm = t - 1.0;
+  const double tmm = t - 2.0;
+  return (-t * tm * tmm * y[0] + 3.0 * tp * tm * tmm * y[1] -
+          3.0 * tp * t * tmm * y[2] + tp * t * tm * y[3]) /
+         6.0;
+}
+
 }  // namespace
 
 // The ln-density table (DESIGN.md §11). Each cluster's nodes sit at
@@ -85,12 +103,12 @@ struct GaussianKde::Table {
   double inv_step = 0.0;
   /// (1 - eta) * mode: interpolated densities above it answer exactly.
   double band = 0.0;
+  /// max over samples of ExactDensity; set with or without clusters.
+  double mode = 0.0;
 };
 
 struct GaussianKde::Lazy {
-  std::once_flag mode_once;
-  std::atomic<double> mode{0.0};  // 0 until the mode search has run
-  std::once_flag table_once;
+  std::once_flag once;
   Table table;
   std::atomic<const Table*> published{nullptr};
 };
@@ -118,21 +136,17 @@ GaussianKde::GaussianKde(std::vector<double> samples, double bandwidth)
 double GaussianKde::ModeDensity() const {
   // For a Gaussian KDE the mode is near one of the sample points; the
   // maximum of the density over the samples gives an accurate
-  // normalization constant. Derived on first use — a fold or a save/load
-  // round trip never pays for it — by exactly one of any racing callers.
-  const double mode = lazy_->mode.load(std::memory_order_acquire);
-  if (mode > 0.0) return mode;
-  std::call_once(lazy_->mode_once, [this] {
-    const obs::ScopedStageTimer timer("stats.kde_warmup");
-    lazy_->mode.store(ExactModeDensity(), std::memory_order_release);
-  });
-  return lazy_->mode.load(std::memory_order_acquire);
+  // normalization constant. It comes with the table, on first use, so a
+  // fold or a save/load round trip never pays for it.
+  return table().mode;
 }
 
 double GaussianKde::ExactModeDensity() const {
   const size_t n = samples_.size();
-  // Small fits: the full sliding-window scan is already cheap, and the
-  // bound arrays would cost more than they save.
+  // The mode of a distribution without a table (or whose densities could
+  // leave the normal range, see NodeModeDensity). Small fits: the full
+  // sliding-window scan is already cheap, and the bound arrays would cost
+  // more than they save.
   if (n <= 2048) {
     size_t lo = 0;
     size_t hi = 0;
@@ -211,22 +225,26 @@ Result<GaussianKde> GaussianKde::FitWithBandwidth(std::vector<double> samples,
 const GaussianKde::Table& GaussianKde::table() const {
   const Table* table = lazy_->published.load(std::memory_order_acquire);
   if (table != nullptr) return *table;
-  // The mode first, under its own warm-up, so the two timers never nest.
-  const double mode = ModeDensity();
-  std::call_once(lazy_->table_once, [this, mode] {
+  std::call_once(lazy_->once, [this] {
     const obs::ScopedStageTimer timer("stats.kde_warmup");
-    lazy_->table = BuildTable(mode);
+    lazy_->table = BuildTable();
     lazy_->published.store(&lazy_->table, std::memory_order_release);
   });
   return lazy_->table;
 }
 
-GaussianKde::Table GaussianKde::BuildTable(double mode) const {
+GaussianKde::Table GaussianKde::BuildTable() const {
   Table table;
   const double step = bandwidth_ / kTableStepsPerBandwidth;
   const double cutoff = kCutoffBandwidths * bandwidth_;
   table.inv_step = 1.0 / step;
-  table.band = (1.0 - kModeBand) * mode;
+  // No table (over budget, or a grid the coordinates cannot resolve): every
+  // query is exact, and the mode comes from the annulus-bound search.
+  const auto tableless = [this] {
+    Table none;
+    none.mode = ExactModeDensity();
+    return none;
+  };
 
   // Clusters: split wherever neighbours are more than 16h apart. Each is
   // tabulated over [first - 8h - 2 step, last + 8h + 2 step]; the two-step
@@ -244,17 +262,16 @@ GaussianKde::Table GaussianKde::BuildTable(double mode) const {
                         4.0 * step;
     const double cells = std::ceil(span * table.inv_step);
     total_nodes += cells + 1.0;
-    if (!(total_nodes <= budget)) return Table{};  // over budget: all exact
+    if (!(total_nodes <= budget)) return tableless();
     Table::Cluster cluster;
     cluster.lo = lo;
     cluster.nodes = static_cast<size_t>(cells) + 1;
     cluster.hi = lo + cells * step;
     // Representability: node positions and query offsets must resolve the
     // grid to 2^-20 of a step, or the interpolation coordinate is noise.
-    const double magnitude = std::max(std::abs(cluster.lo),
-                                      std::abs(cluster.hi));
-    const double ulp = std::nextafter(magnitude, INFINITY) - magnitude;
-    if (!(ulp <= std::ldexp(step, -20))) return Table{};
+    if (!(EndPointUlp(cluster.lo, cluster.hi) <= std::ldexp(step, -20))) {
+      return tableless();
+    }
     table.clusters.push_back(cluster);
     begin = i;
   }
@@ -270,6 +287,9 @@ GaussianKde::Table GaussianKde::BuildTable(double mode) const {
   }
   table.ln_f.resize(xs.size());
   ExactDensityBatch(xs, table.ln_f);
+  // The mode from the linear node densities, then the band, then logs.
+  table.mode = NodeModeDensity(table);
+  table.band = (1.0 - kModeBand) * table.mode;
   for (double& y : table.ln_f) y = std::log(y);  // 0 -> -inf
 
   // Cells: exact where the stencil leaves the cluster or meets a zero
@@ -302,6 +322,61 @@ GaussianKde::Table GaussianKde::BuildTable(double mode) const {
   return table;
 }
 
+double GaussianKde::NodeModeDensity(const Table& table) const {
+  // The proof assumes normal doubles with hundreds of bits of exponent to
+  // spare; no fitted KDE comes near this.
+  if (!(norm_ >= 0x1p-500)) return ExactModeDensity();
+  const double h = bandwidth_;
+  const std::vector<double>& y = table.ln_f;  // linear densities still
+  const double y_max = *std::max_element(y.begin(), y.end());
+  // R: the cubic's remainder at step h/32, from |f''''| <= 3/(sqrt(2 pi) h^5)
+  // and max |(t+1) t (t-1) (t-2)| = 9/16 on [0, 1].
+  constexpr double kRatio = 1.0 / kTableStepsPerBandwidth;
+  const double remainder = (9.0 / 16.0) *
+                           (kRatio * kRatio * kRatio * kRatio / 24.0) * 3.0 *
+                           kInvSqrt2Pi / h;
+  // T: the most the 8h cutoff removes from a node's full sum.
+  const double cutoff_mass = std::exp(-32.0) * kInvSqrt2Pi / h;
+  // rho: the rounding margin of the window sums and of the cubic.
+  const double rho =
+      (static_cast<double>(samples_.size()) + 64.0) * 0x1p-48;
+  // h * max |f'|, for G: what rounded node positions and sample offsets
+  // (a few ulps of the cluster's end points each) can move a density.
+  const double slope = kInvSqrt2Pi * std::exp(-0.5) / h;
+
+  std::vector<double> bound(samples_.size());
+  size_t k = 0;
+  for (const Table::Cluster& cluster : table.clusters) {
+    const double position =
+        16.0 * (EndPointUlp(cluster.lo, cluster.hi) / h) * slope;
+    // Every sample sits at least 8h + 2 steps inside its cluster, so its
+    // stencil (Lookup's cubic, on densities instead of logs) is inside too.
+    for (; k < samples_.size() && samples_[k] <= cluster.hi; ++k) {
+      const double u = (samples_[k] - cluster.lo) * table.inv_step;
+      const size_t i = static_cast<size_t>(u);
+      const double t = u - static_cast<double>(i);
+      const double p = Cubic(y.data() + cluster.first + i - 1, t);
+      const double lambda = 1.0 + t * (1.0 - t);
+      bound[k] = p + remainder + lambda * (cutoff_mass + rho * y_max) +
+                 rho * (std::abs(p) + remainder) + position;
+    }
+  }
+
+  // The largest bound first, then every sample whose bound beats the best
+  // exact density so far. A skipped sample has ExactDensity <= bound <=
+  // best, so the result is the full scan's, bit for bit. A repeated value
+  // has its predecessor's bound and density.
+  const size_t top = static_cast<size_t>(
+      std::max_element(bound.begin(), bound.end()) - bound.begin());
+  double best = ExactDensity(samples_[top]);
+  for (k = 0; k < samples_.size(); ++k) {
+    if (k == top || !(bound[k] > best)) continue;
+    if (k > 0 && samples_[k] == samples_[k - 1]) continue;
+    best = std::max(best, ExactDensity(samples_[k]));
+  }
+  return best;
+}
+
 double GaussianKde::Lookup(const Table& table, double x, bool* exact) const {
   *exact = false;
   if (table.clusters.empty()) {
@@ -323,16 +398,8 @@ double GaussianKde::Lookup(const Table& table, double x, bool* exact) const {
     *exact = true;
     return ExactDensity(x);
   }
-  // 4-point Lagrange cubic through nodes i - 1 .. i + 2 at t in [0, 1].
   const double t = u - static_cast<double>(i);
-  const double* y = table.ln_f.data() + cell - 1;
-  const double tp = t + 1.0;
-  const double tm = t - 1.0;
-  const double tmm = t - 2.0;
-  const double ln_f = (-t * tm * tmm * y[0] + 3.0 * tp * tm * tmm * y[1] -
-                       3.0 * tp * t * tmm * y[2] + tp * t * tm * y[3]) /
-                      6.0;
-  const double density = std::exp(ln_f);
+  const double density = std::exp(Cubic(table.ln_f.data() + cell - 1, t));
   if (density > table.band) {
     *exact = true;
     return ExactDensity(x);

@@ -67,9 +67,9 @@ class GaussianKde final : public Distribution {
   /// bits and counts, fetching the table and counting once per batch.
   void DensityBatch(std::span<const double> xs, std::span<double> out) const;
   /// Exact mode density (the maximum of ExactDensity over the samples),
-  /// found on first use, once, under the stats.kde_warmup timer. Fitting
-  /// a KDE is therefore cheap — a sort and a bandwidth — and only
-  /// distributions that actually score pay for the mode search.
+  /// found with the table, from its nodes, on first use. Fitting a KDE is
+  /// therefore cheap — a sort and a bandwidth — and only distributions
+  /// that actually score pay for the warm-up.
   double ModeDensity() const override;
   std::string ToString() const override;
 
@@ -93,7 +93,8 @@ class GaussianKde final : public Distribution {
 
  private:
   struct Table;
-  /// The lazily derived state — mode density and table — which is a
+  /// The lazily derived state — the table, which carries the mode — built
+  /// once under one std::call_once and the stats.kde_warmup timer. It is a
   /// function of the samples and the bandwidth alone, so copies and moves
   /// share it and a copy never repeats a warm-up.
   struct Lazy;
@@ -105,15 +106,18 @@ class GaussianKde final : public Distribution {
   /// by binary search from where it was.
   double WindowedSum(double x, size_t* lo, size_t* hi) const;
 
-  /// max over samples of ExactDensity at that sample, found by bounding
-  /// each sample's density from above with annulus counts and evaluating
-  /// exactly only the candidates whose bound beats the best exact density
-  /// seen so far.
+  /// The mode of a distribution without a table: max over samples of
+  /// ExactDensity at that sample, found by bounding each sample's density
+  /// from above with annulus counts and evaluating exactly only the
+  /// candidates whose bound beats the best exact density seen so far.
   double ExactModeDensity() const;
+  /// The same maximum, bounded from the table's nodes while they still
+  /// hold linear densities (DESIGN.md §11, "Warm-up", has the proof).
+  double NodeModeDensity(const Table& table) const;
 
   /// The table, built on first use; readers take no lock.
   const Table& table() const;
-  Table BuildTable(double mode) const;
+  Table BuildTable() const;
   /// The density at finite `x`; sets *exact when the exact sum answered.
   double Lookup(const Table& table, double x, bool* exact) const;
 

@@ -130,6 +130,41 @@ TEST_F(BatchRankTest, EmptyDatasetOkEvenWithFailFast) {
   EXPECT_TRUE(result->outcomes.empty());
 }
 
+// The rank loop starts no more workers than it has scenes, and none for an
+// empty dataset (a pool of 0 would mean hardware concurrency);
+// batch.threads reports the workers it started.
+TEST_F(BatchRankTest, WorkersCappedAtSceneCount) {
+  Dataset two;
+  two.name = "two";
+  two.scenes.assign(dataset_->dataset.scenes.begin(),
+                    dataset_->dataset.scenes.begin() + 2);
+  BatchOptions options;
+  options.collect_metrics = true;
+  options.num_threads = 1;
+  const auto serial =
+      OnlyReport(fixy_->RankDataset(two, {"missing-tracks"}, options));
+  options.num_threads = 8;
+  const auto capped =
+      OnlyReport(fixy_->RankDataset(two, {"missing-tracks"}, options));
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(serial->metrics.gauges.at("batch.threads"), 1.0);
+  EXPECT_EQ(capped->metrics.gauges.at("batch.threads"), 2.0);
+  EXPECT_EQ(capped->metrics.counters, serial->metrics.counters);
+  ASSERT_EQ(capped->outcomes.size(), 2u);
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(capped->outcomes[s].scene_name, serial->outcomes[s].scene_name);
+    ExpectProposalsIdentical(capped->outcomes[s].proposals,
+                             serial->outcomes[s].proposals);
+  }
+
+  options.num_threads = 0;
+  const auto empty =
+      OnlyReport(fixy_->RankDataset(Dataset{}, {"missing-tracks"}, options));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->metrics.gauges.at("batch.threads"), 0.0);
+}
+
 // Scenes with frames but no observations (and scenes with no frames at
 // all) are valid inputs: they rank to ok outcomes with zero proposals
 // rather than failing the batch.
@@ -318,9 +353,9 @@ TEST_F(BatchRankTest, MetricsCountersIdenticalAcrossThreadCounts) {
   BatchOptions options;
   options.collect_metrics = true;
   options.num_threads = 1;
-  // First-use warm-ups (the stats.kde_warmup timer: each KDE's mode search
-  // and ln-density table) run once per model, in whichever run uses it
-  // first. Warm the model so every compared run ran the same stages.
+  // First-use warm-ups (the stats.kde_warmup timer: each KDE's ln-density
+  // table, which carries its mode) run once per model, in whichever run
+  // uses it first. Warm the model so every compared run ran the same stages.
   ASSERT_TRUE(
       fixy_->RankDataset(dataset_->dataset, {"missing-tracks"}, options).ok());
   const auto baseline = OnlyReport(fixy_->RankDataset(

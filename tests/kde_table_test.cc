@@ -3,7 +3,9 @@
 // sum, and the exact sum against a full-sum reference — and the edges its
 // build guards: gaps between sample clusters, the near-mode band, grids
 // too fine for the coordinates' doubles, the node budget, concurrent first
-// use, and copies.
+// use, and copies. Then the mode the build takes from the table's nodes:
+// the full scan's bits on every preset KDE and on fits built to stress
+// the bound, and the table-less fits' own search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,13 +89,12 @@ std::vector<double> WithSweep(std::vector<double> values,
   return values;
 }
 
-class KdeTableTest : public ::testing::TestWithParam<std::string> {};
-
-// Every KDE learned from `sim --preset P --scenes 4` (seed 42), queried at
-// the feature values the learner collects from that dataset plus a
-// 2,000-point sweep of its support.
-TEST_P(KdeTableTest, WithinTauOfExactAndReference) {
-  const auto preset = scenario::PresetByName(GetParam());
+// Calls `check(name, kde, values)` for every KDE learned, cold, from
+// `sim --preset P --scenes 4` (seed 42), with the feature values the
+// learner collects for it from that dataset.
+template <typename Check>
+void ForEachLearnedKde(const std::string& preset_name, const Check& check) {
+  const auto preset = scenario::PresetByName(preset_name);
   ASSERT_TRUE(preset.ok()) << preset.status();
   const auto generated = scenario::GenerateScenarioDataset(*preset, 4, 42);
   ASSERT_TRUE(generated.ok()) << generated.status();
@@ -110,35 +111,53 @@ TEST_P(KdeTableTest, WithinTauOfExactAndReference) {
                                                                 features);
   ASSERT_TRUE(collected.ok()) << collected.status();
 
-  Worst worst;
-  size_t kdes = 0;
-  const auto check = [&](const std::string& name,
+  const auto visit = [&](const std::string& name,
                          const stats::DistributionPtr& dist,
                          const std::vector<double>& values) {
     const auto* kde = dynamic_cast<const GaussianKde*>(dist.get());
-    if (kde == nullptr) return;
+    if (kde != nullptr) check(name, *kde, values);
+  };
+  for (size_t f = 0; f < features.size(); ++f) {
+    const FeatureDistribution& fd = fixy.learned_features()[f];
+    const auto& values = (*collected)[f];
+    if (fd.global_distribution() != nullptr) {
+      visit(fd.feature().name(), fd.global_distribution(), values.global);
+    }
+    for (const auto& [cls, dist] : fd.per_class_distributions()) {
+      const auto it = values.per_class.find(cls);
+      visit(fd.feature().name() + "/" + ObjectClassToString(cls), dist,
+            it == values.per_class.end() ? std::vector<double>{}
+                                         : it->second);
+    }
+  }
+}
+
+std::string PresetTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+class KdeTableTest : public ::testing::TestWithParam<std::string> {};
+
+// Every KDE learned from `sim --preset P --scenes 4` (seed 42), queried at
+// the feature values the learner collects from that dataset plus a
+// 2,000-point sweep of its support.
+TEST_P(KdeTableTest, WithinTauOfExactAndReference) {
+  Worst worst;
+  size_t kdes = 0;
+  ForEachLearnedKde(GetParam(), [&](const std::string& name,
+                                    const GaussianKde& kde,
+                                    const std::vector<double>& values) {
     ++kdes;
-    const Worst w = Measure(*kde, WithSweep(values, *kde, 2000));
+    const Worst w = Measure(kde, WithSweep(values, kde, 2000));
     EXPECT_LE(w.table, kTau) << name;
     EXPECT_LE(w.inverted, kTauInv) << name;
     EXPECT_LE(w.cutoff, kCutoff) << name;
     worst.table = std::max(worst.table, w.table);
     worst.inverted = std::max(worst.inverted, w.inverted);
     worst.cutoff = std::max(worst.cutoff, w.cutoff);
-  };
-  for (size_t f = 0; f < features.size(); ++f) {
-    const FeatureDistribution& fd = fixy.learned_features()[f];
-    const auto& values = (*collected)[f];
-    if (fd.global_distribution() != nullptr) {
-      check(fd.feature().name(), fd.global_distribution(), values.global);
-    }
-    for (const auto& [cls, dist] : fd.per_class_distributions()) {
-      const auto it = values.per_class.find(cls);
-      check(fd.feature().name() + "/" + ObjectClassToString(cls), dist,
-            it == values.per_class.end() ? std::vector<double>{}
-                                         : it->second);
-    }
-  }
+  });
   EXPECT_GT(kdes, 0u);
   std::printf("%s: %zu KDEs, table %.3g, inverted %.3g, cutoff %.3g\n",
               GetParam().c_str(), kdes, worst.table, worst.inverted,
@@ -147,11 +166,7 @@ TEST_P(KdeTableTest, WithinTauOfExactAndReference) {
 
 INSTANTIATE_TEST_SUITE_P(, KdeTableTest,
                          ::testing::ValuesIn(scenario::PresetNames()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
-                         });
+                         PresetTestName);
 
 // An undersmoothed, hand-set bandwidth (about sigma / 33 over 500 samples)
 // has cells the build-time check must hand to the exact sum.
@@ -299,6 +314,147 @@ TEST(KdeTableEdgeTest, CopyGivesOriginalBits) {
   }
   EXPECT_EQ(copy.ModeDensity(), original->ModeDensity());
   EXPECT_EQ(copy.TableNodeCount(), original->TableNodeCount());
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// What ModeDensity must return: max over the samples of ExactDensity.
+double FullScanMode(const GaussianKde& kde) {
+  double best = 0.0;
+  for (const double s : kde.samples()) {
+    best = std::max(best, kde.ExactDensity(s));
+  }
+  return best;
+}
+
+// A cold fit's ModeDensity has the full scan's bits.
+void ExpectFullScanMode(const Result<GaussianKde>& kde,
+                        const std::string& label) {
+  ASSERT_TRUE(kde.ok()) << label << ": " << kde.status();
+  EXPECT_EQ(Bits(kde->ModeDensity()), Bits(FullScanMode(*kde))) << label;
+}
+
+class KdeModeTest : public ::testing::TestWithParam<std::string> {};
+
+// Every KDE learned from `sim --preset P --scenes 4` (seed 42): the mode
+// has the full scan's bits, and is within c (in ln) of the full-sum
+// reference's maximum over the samples.
+TEST_P(KdeModeTest, FullScanBitsAndWithinCutoffOfReference) {
+  size_t kdes = 0;
+  ForEachLearnedKde(GetParam(), [&](const std::string& name,
+                                    const GaussianKde& kde,
+                                    const std::vector<double>&) {
+    ++kdes;
+    const double mode = kde.ModeDensity();
+    EXPECT_EQ(Bits(mode), Bits(FullScanMode(kde))) << name;
+    double reference = 0.0;
+    for (const double s : kde.samples()) {
+      reference = std::max(reference, testing::ReferenceKdeDensity(
+                                          kde.samples(), kde.bandwidth(), s));
+    }
+    EXPECT_LE(std::abs(std::log(mode) - std::log(reference)), kCutoff)
+        << name;
+  });
+  EXPECT_GT(kdes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(, KdeModeTest,
+                         ::testing::ValuesIn(scenario::PresetNames()),
+                         PresetTestName);
+
+// Two mirrored copies of one sample set, 40 to 41 apart at h = 0.2: two
+// clusters whose peaks are equal up to rounding, so a bound that misses
+// the interpolation remainder drops the true arg-max in some of them.
+TEST(KdeModeEdgeTest, MirroredPeaksGiveFullScanBits) {
+  for (int fit = 0; fit < 100; ++fit) {
+    const std::vector<double> base = NormalSample(0.0, 1.0, 400, 100 + fit);
+    std::vector<double> samples = base;
+    const double offset = 40.0 + fit / 100.0;
+    for (const double s : base) samples.push_back(offset - s);
+    ExpectFullScanMode(GaussianKde::FitWithBandwidth(samples, 0.2),
+                       "mirrored fit " + std::to_string(fit));
+  }
+}
+
+// Scott's-rule fits from 1,000 to 4,096 samples, on both sides of the
+// 2,048 where a table-less KDE's search switches from the full scan to
+// annulus bounds: normal, uniform (a flat top with many near-ties) and a
+// two-peak mixture.
+TEST(KdeModeEdgeTest, CountsAroundTwoThousandFortyEightGiveFullScanBits) {
+  for (const int n : {1000, 2047, 2048, 2049, 4096}) {
+    const std::string label = std::to_string(n) + " samples";
+    ExpectFullScanMode(GaussianKde::Fit(NormalSample(0.0, 1.0, n, 200 + n)),
+                       "normal, " + label);
+    Rng rng(300 + n);
+    std::vector<double> uniform;
+    for (int i = 0; i < n; ++i) uniform.push_back(rng.Uniform(-2.0, 3.0));
+    ExpectFullScanMode(GaussianKde::Fit(uniform), "uniform, " + label);
+    std::vector<double> mixture = NormalSample(-3.0, 0.5, n / 2, 400 + n);
+    for (const double s : NormalSample(2.0, 0.5, n - n / 2, 500 + n)) {
+      mixture.push_back(s);
+    }
+    ExpectFullScanMode(GaussianKde::Fit(mixture), "mixture, " + label);
+  }
+}
+
+// Values rounded to a coarse grid, so each repeats many times, and a fit
+// whose samples are all equal (the fallback bandwidth).
+TEST(KdeModeEdgeTest, RepeatedValuesGiveFullScanBits) {
+  for (int fit = 0; fit < 10; ++fit) {
+    std::vector<double> rounded;
+    for (const double s : NormalSample(5.0, 2.0, 3000, 600 + fit)) {
+      rounded.push_back(std::round(s * 4.0) / 4.0);
+    }
+    ExpectFullScanMode(GaussianKde::Fit(rounded),
+                       "rounded fit " + std::to_string(fit));
+  }
+  ExpectFullScanMode(GaussianKde::Fit(std::vector<double>(500, 3.25)),
+                     "all equal");
+}
+
+// Clusters split by gaps just over 16h, with near-equal peaks: the bound
+// of each sample comes from its own cluster's nodes.
+TEST(KdeModeEdgeTest, ClustersSplitByTheGapGiveFullScanBits) {
+  constexpr double kH = 0.1;
+  for (int fit = 0; fit < 20; ++fit) {
+    std::vector<double> samples;
+    double start = 0.0;
+    for (int c = 0; c < 4; ++c) {
+      const std::vector<double> cluster =
+          NormalSample(0.0, 0.05, 300, 700 + 4 * fit + c);
+      const auto [lo, hi] = std::minmax_element(cluster.begin(), cluster.end());
+      for (const double s : cluster) samples.push_back(start + (s - *lo));
+      start += (*hi - *lo) + 16.0 * kH * (1.0 + 1e-3 * (c + 1));
+    }
+    const auto kde = GaussianKde::FitWithBandwidth(samples, kH);
+    ExpectFullScanMode(kde, "clustered fit " + std::to_string(fit));
+    ASSERT_TRUE(kde.ok());
+    // Four clusters: each has its own grid of at least 16h of nodes.
+    EXPECT_GE(kde->TableNodeCount(), 4u * 16u * 32u);
+  }
+}
+
+// Distributions without a table keep the annulus-bound search (and, at or
+// below 2,048 samples, the full scan): over the node budget, and samples
+// near 1e9 whose grid the doubles cannot resolve.
+TEST(KdeModeEdgeTest, TablelessFitsGiveFullScanBits) {
+  for (const int n : {500, 3000}) {
+    const std::string label = std::to_string(n) + " samples";
+    const auto tiny =
+        GaussianKde::FitWithBandwidth(NormalSample(0.0, 1.0, n, 800 + n), 1e-6);
+    ExpectFullScanMode(tiny, "over budget, " + label);
+    ASSERT_TRUE(tiny.ok());
+    EXPECT_EQ(tiny->TableNodeCount(), 0u);
+
+    std::vector<double> far;
+    for (const double s : NormalSample(0.0, 5e-5, n, 900 + n)) {
+      far.push_back(1e9 + s);
+    }
+    const auto distant = GaussianKde::FitWithBandwidth(far, 1e-5);
+    ExpectFullScanMode(distant, "far magnitude, " + label);
+    ASSERT_TRUE(distant.ok());
+    EXPECT_EQ(distant->TableNodeCount(), 0u);
+  }
 }
 
 }  // namespace

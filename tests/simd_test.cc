@@ -141,8 +141,8 @@ TEST_F(SimdKernelTest, RandomizedDensitiesAreBitIdentical) {
     std::vector<double> queries(337);
     for (double& q : queries) q = sample(rng);
     const auto runs = RunUnderEveryKernel([&] {
-      // Fit under the pinned kernel too: the mode search and the table
-      // build run the kernel, so both must be dispatch-invariant.
+      // Fit under the pinned kernel too: the warm-up (the table and the
+      // mode) runs the kernel, so both must be dispatch-invariant.
       auto kde = GaussianKde::Fit(samples);
       EXPECT_TRUE(kde.ok());
       std::vector<double> out(queries.size());
@@ -353,9 +353,8 @@ std::vector<std::vector<double>> TableDensityPaths(
   return {single, batch};
 }
 
-// Two fixed-seed fits, both above the 2,048-sample size where the mode
-// search switches to annulus bounds: 4,096 standard-normal samples, and a
-// 3,000-sample bimodal mixture, queried at 1,000 uniform points.
+// Two fixed-seed fits: 4,096 standard-normal samples, and a 3,000-sample
+// bimodal mixture, queried at 1,000 uniform points.
 struct GoldenFits {
   std::vector<double> unimodal;
   std::vector<double> bimodal;
@@ -373,7 +372,7 @@ GoldenFits MakeGoldenFits() {
 }
 
 // Every kernel the CPU can run must reproduce each path's recorded CRC-32s
-// with a fresh fit (so the mode search and the table build run under it).
+// with a fresh fit (so the warm-up, table and mode, runs under it).
 template <typename Paths>
 void ExpectCrcsUnderEveryKernel(Paths paths, uint32_t unimodal_crc,
                                 uint32_t bimodal_crc) {

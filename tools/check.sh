@@ -13,7 +13,8 @@
 #   tools/check.sh undefined  # just the ubsan build/test
 #   tools/check.sh metrics    # end-to-end metrics sweep: every value
 #                             # finite/non-negative, counters identical
-#                             # across thread counts, schema key set
+#                             # across thread counts, batch.threads
+#                             # capped at the scene count, schema key set
 #                             # matches tools/metrics_schema.golden
 #   tools/check.sh cache      # FXB cache sweep: JSON-vs-FXB proposal
 #                             # parity (byte-identical), cache-hit metrics
@@ -112,6 +113,12 @@ for path, doc in ((m1_path, m1), (m8_path, m8)):
 # Counters are exact event counts: identical at any thread count.
 if m1["counters"] != m8["counters"]:
     fail("counters differ between --threads 1 and --threads 8")
+
+# The rank loop starts no more workers than scenes: 8 asked, 4 scenes.
+for doc, expected in ((m1, 1), (m8, 4)):
+    threads = doc["gauges"].get("batch.threads")
+    if threads != expected:
+        fail(f"gauges/batch.threads reads {threads}, expected {expected}")
 
 # Schema drift is an explicit change: the key set must match the golden.
 keys = sorted(
