@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <system_error>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace fixy {
 
@@ -17,12 +19,30 @@ ThreadPool::ThreadPool(int num_threads) {
   FIXY_CHECK(num_threads <= kMaxThreads);
   const int count = ResolveThreadCount(num_threads);
   workers_.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  try {
+    for (int i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (...) {
+    // Destroying a joinable std::thread calls std::terminate.
+    StopAndJoin();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+Result<std::unique_ptr<ThreadPool>> ThreadPool::Create(int num_threads) {
+  try {
+    return std::make_unique<ThreadPool>(num_threads);
+  } catch (const std::system_error& e) {
+    return Status::Unavailable(
+        StrFormat("cannot start %d worker threads: %s",
+                  ResolveThreadCount(num_threads), e.what()));
+  }
+}
+
+ThreadPool::~ThreadPool() { StopAndJoin(); }
+
+void ThreadPool::StopAndJoin() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;

@@ -10,15 +10,17 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/result.h"
+
 namespace fixy {
 
 /// The most threads one pool may start. Thread counts come from flags and
-/// options; a typo must not start thousands of threads, and a host that
-/// refuses one mid-construction would end the process in std::terminate.
+/// options; a typo must not start thousands of threads.
 inline constexpr int kMaxThreads = 1024;
 
 /// A fixed pool of worker threads consuming a FIFO task queue.
@@ -33,8 +35,15 @@ class ThreadPool {
   /// Spawns `num_threads` workers; values < 1 (including the default 0)
   /// fall back to ResolveThreadCount's hardware concurrency. Aborts
   /// (FIXY_CHECK) before starting any thread if `num_threads` exceeds
-  /// kMaxThreads.
+  /// kMaxThreads. If the host refuses a thread (std::system_error), the
+  /// workers already started are stopped and joined before the exception
+  /// leaves the constructor.
   explicit ThreadPool(int num_threads = 0);
+
+  /// The constructor for callers that report errors as Status: a thread
+  /// the host refuses (a low process limit) comes back as Unavailable
+  /// instead of an exception.
+  static Result<std::unique_ptr<ThreadPool>> Create(int num_threads = 0);
 
   /// Drains pending tasks, then joins all workers.
   ~ThreadPool();
@@ -54,6 +63,8 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// Lets the workers drain the queue and exit, then joins them.
+  void StopAndJoin();
 
   std::mutex mutex_;
   std::condition_variable work_available_;

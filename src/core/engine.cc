@@ -297,9 +297,10 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
       static_cast<size_t>(ThreadPool::ResolveThreadCount(batch.num_threads)),
       scene_count));
   if (threads > 0) {
-    ThreadPool pool(threads);
+    FIXY_ASSIGN_OR_RETURN(const std::unique_ptr<ThreadPool> pool,
+                          ThreadPool::Create(threads));
     std::vector<std::future<void>> loops;
-    for (int t = 0; t < threads; ++t) loops.push_back(pool.Submit(rank_loop));
+    for (int t = 0; t < threads; ++t) loops.push_back(pool->Submit(rank_loop));
     for (std::future<void>& loop : loops) loop.get();
   }
 

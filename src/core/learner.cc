@@ -290,13 +290,15 @@ Status DistributionLearner::Fold(const Dataset& delta,
         FitFromStats(*cells[c].stats, folded[cells[c].feature].estimator);
   };
   if (fits > 1) {
-    ThreadPool pool(static_cast<int>(
-        std::min(fits, static_cast<size_t>(
-                           ThreadPool::ResolveThreadCount(0)))));
+    FIXY_ASSIGN_OR_RETURN(
+        const std::unique_ptr<ThreadPool> pool,
+        ThreadPool::Create(static_cast<int>(std::min(
+            fits,
+            static_cast<size_t>(ThreadPool::ResolveThreadCount(0))))));
     std::vector<std::future<void>> pending;
     for (size_t c = 0; c < cells.size(); ++c) {
       if (cells[c].stats != nullptr) {
-        pending.push_back(pool.Submit([&fit_cell, c] { fit_cell(c); }));
+        pending.push_back(pool->Submit([&fit_cell, c] { fit_cell(c); }));
       }
     }
     for (std::future<void>& f : pending) f.get();

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "core/features_std.h"
 #include "stats/discrete.h"
@@ -481,22 +480,14 @@ Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
                         const std::vector<FeatureStats>& stats,
                         const std::string& path) {
   FIXY_ASSIGN_OR_RETURN(json::Value doc, LearnedModelToJson(learned, stats));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << json::Write(doc, /*pretty=*/true);
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteFileAtomic(path, {json::Write(doc, /*pretty=*/true)});
 }
 
 Result<LoadedModel> LoadLearnedModelWithStats(const std::string& path,
                                               const FeatureRegistry& registry) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  FIXY_ASSIGN_OR_RETURN(json::Value doc, json::Parse(buffer.str()));
+  std::string text;
+  FIXY_RETURN_IF_ERROR(ReadFileInto(path, &text));
+  FIXY_ASSIGN_OR_RETURN(json::Value doc, json::Parse(text));
   return LearnedModelWithStatsFromJson(doc, registry);
 }
 

@@ -91,7 +91,9 @@ struct LoadedModel {
 Result<LoadedModel> LearnedModelWithStatsFromJson(
     const json::Value& value, const FeatureRegistry& registry);
 
-/// File-level convenience wrappers.
+/// File-level wrappers. SaveLearnedModel writes through WriteFileAtomic,
+/// so a reader of `path` (a rank, a fixyd start, a `watch` poll) never
+/// sees a half-written model, and a failed write keeps the old one.
 Status SaveLearnedModel(const std::vector<FeatureDistribution>& learned,
                         const std::vector<FeatureStats>& stats,
                         const std::string& path);

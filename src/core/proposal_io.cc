@@ -1,6 +1,6 @@
 #include "core/proposal_io.h"
 
-#include <fstream>
+#include "common/file_util.h"
 
 namespace fixy {
 
@@ -46,12 +46,8 @@ json::Value ProposalsToJson(const std::vector<ErrorProposal>& proposals) {
 
 Status SaveProposals(const std::vector<ErrorProposal>& proposals,
                      const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << json::Write(ProposalsToJson(proposals), /*pretty=*/true);
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteFileAtomic(
+      path, {json::Write(ProposalsToJson(proposals), /*pretty=*/true)});
 }
 
 }  // namespace fixy

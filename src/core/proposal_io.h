@@ -16,8 +16,8 @@ namespace fixy {
 /// Serializes a ranked proposal list (order preserved).
 json::Value ProposalsToJson(const std::vector<ErrorProposal>& proposals);
 
-/// Writes ProposalsToJson's pretty-printed document to `path`.
-/// Errors: IoError.
+/// Writes ProposalsToJson's pretty-printed document to `path` through
+/// WriteFileAtomic. Errors: IoError.
 Status SaveProposals(const std::vector<ErrorProposal>& proposals,
                      const std::string& path);
 

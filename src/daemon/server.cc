@@ -622,7 +622,8 @@ struct FixydServer::Impl {
 
     std::map<int, std::shared_ptr<Connection>> connections;
     {
-      ThreadPool pool(options.worker_threads);
+      FIXY_ASSIGN_OR_RETURN(const std::unique_ptr<ThreadPool> pool,
+                            ThreadPool::Create(options.worker_threads));
       for (;;) {
         std::vector<struct pollfd> pollfds;
         pollfds.push_back({stop_pipe->read_fd(), POLLIN, 0});
@@ -654,7 +655,7 @@ struct FixydServer::Impl {
           const auto it = connections.find(pollfds[i].fd);
           if (it == connections.end()) continue;
           bool remove = false;
-          ReadConnection(pool, it->second, remove);
+          ReadConnection(*pool, it->second, remove);
           if (remove) {
             // Mark closed under the write lock so no worker writes after
             // this; the fd itself closes when the last reference drops.

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/scene_io.h"

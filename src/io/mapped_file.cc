@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/macros.h"
-#include "io/scene_io.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FIXY_HAVE_MMAP 1

@@ -53,23 +53,12 @@ Result<Scene> LoadScene(const std::string& path);
 /// scene files allocates the read buffer once instead of per file.
 Result<Scene> LoadScene(const std::string& path, std::string* buffer);
 
-/// Reads the whole file at `path` into `*out` with one sized read,
-/// reusing `out`'s existing capacity when it suffices.
-Status ReadFileInto(const std::string& path, std::string* out);
-
 /// True when `a` and `b` hold the same scene field for field, with every
 /// double compared by its bit pattern. Stricter than comparing
 /// SceneToString texts, which are a function of the same fields: it also
 /// sees each observation's frame_index and timestamp, which the JSON
 /// document does not carry. The FXB cache's decode-back parity check.
 bool BitIdentical(const Scene& a, const Scene& b);
-
-/// Writes `parts`, concatenated in order, to `path + ".tmp"`, then renames
-/// it over `path`, so a concurrent reader (a watch poll, a cache update)
-/// sees the old file or the new one, never a half-written one. A caller
-/// with one string passes one part. Errors: IoError.
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<std::string_view>& parts);
 
 /// Writes every scene of `dataset` into `directory` as
 /// `<directory>/<scene-name>.fixy.json` plus a `manifest.json` listing them.

@@ -1,8 +1,9 @@
 #include "json/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -373,33 +374,75 @@ class Parser {
     }
   }
 
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
   Result<Value> ParseNumber() {
     const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      ++pos_;
-    }
+    Consume('-');
+    while (!AtEnd() && IsDigit(Peek())) ++pos_;
     if (Consume('.')) {
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        ++pos_;
-      }
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
     }
     if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
       ++pos_;
       if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos_;
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        ++pos_;
-      }
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (token.empty() || token == "-") return Error("invalid number");
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
-      return Error("invalid number: " + token);
+    const char* const last = token.data() + token.size();
+    double value = 0.0;
+    auto [end, ec] = std::from_chars(token.data(), last, value);
+    if (ec == std::errc::result_out_of_range && end == last &&
+        RoundsToZero(token)) {
+      // Too small for a subnormal: ±0, the correctly rounded value (and
+      // what strtod returns). Only overflow is an error.
+      value = token.front() == '-' ? -0.0 : 0.0;
+      ec = std::errc();
+    }
+    if (ec != std::errc() || end != last) {
+      return Error("invalid number: " + std::string(token));
     }
     return Value(value);
+  }
+
+  // from_chars reports a value that rounds to zero and one that overflows
+  // alike, as out of range. The decimal exponent of the token's leading
+  // digit tells them apart: overflow needs it above 308 and rounding to
+  // zero below -323, so its sign is enough. `token` is one from_chars
+  // consumed whole, so it has a nonzero digit and exponent digits after
+  // any 'e'.
+  static bool RoundsToZero(std::string_view token) {
+    size_t i = token.front() == '-' ? 1 : 0;
+    int64_t lead = 0;  // the leading digit's decimal exponent, before e
+    bool significant = false;
+    bool fraction = false;
+    for (; i < token.size() && token[i] != 'e' && token[i] != 'E'; ++i) {
+      if (token[i] == '.') {
+        fraction = true;
+      } else if (!fraction) {
+        if (significant) {
+          ++lead;
+        } else {
+          significant = token[i] != '0';
+        }
+      } else if (!significant) {
+        --lead;
+        significant = token[i] != '0';
+      }
+    }
+    // Saturate the exponent far past any document's digit count.
+    constexpr int64_t kExponentCap = int64_t{1} << 50;
+    int64_t exponent = 0;
+    bool negative = false;
+    if (i < token.size()) {
+      ++i;
+      if (token[i] == '+' || token[i] == '-') negative = token[i++] == '-';
+      for (; i < token.size(); ++i) {
+        exponent = std::min(exponent * 10 + (token[i] - '0'), kExponentCap);
+      }
+    }
+    return lead + (negative ? -exponent : exponent) < 0;
   }
 
   static constexpr int kMaxDepth = 256;
@@ -462,12 +505,20 @@ void WriteNumber(double d, std::string* out) {
   if (d == 0.0 && std::signbit(d)) {
     // The integral branch would print 0; "-0" parses back to -0.0.
     out->append("-0");
-  } else if (d == std::floor(d) && std::abs(d) < 1e15) {
-    // Integral value: emit without a decimal point.
-    out->append(StrFormat("%lld", static_cast<long long>(d)));
-  } else {
-    out->append(DoubleToString(d, 17));
+    return;
   }
+  // Room for the longest %.17g text, e.g. "-2.2250738585072014e-308".
+  char buf[32];
+  std::to_chars_result written{};
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    // Integral value: emit without a decimal point.
+    written = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    // Defined to print what printf's %.17g prints, in no locale.
+    written = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::general, 17);
+  }
+  out->append(buf, written.ptr);
 }
 
 void WriteValue(const Value& value, bool pretty, int indent,

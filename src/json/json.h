@@ -79,9 +79,20 @@ class Value {
 /// Parses a complete JSON document. Errors: InvalidArgument with a
 /// line/column-annotated message on malformed input; trailing non-space
 /// characters are an error.
+///
+/// A number is the longest run of an optional '-', digits, an optional
+/// '.' and digits, and an optional exponent; it is converted in place by
+/// std::from_chars (correctly rounded, no locale involved). The run is
+/// more lenient than JSON's grammar: "1.", ".5" and "01" parse. A value
+/// too small for a subnormal parses to ±0; one past DBL_MAX is an error.
 Result<Value> Parse(std::string_view text);
 
 /// Serializes `value`. With `pretty`, uses 2-space indentation.
+///
+/// Numbers are written by std::to_chars, with no locale involved: -0.0 as
+/// "-0", an integral value below 1e15 in magnitude as an integer, and
+/// every other finite value as printf's "%.17g" would print it, so every
+/// double parses back to the same bits.
 ///
 /// Non-finite numbers (NaN, +/-Infinity) have no JSON representation and
 /// are written as `null` — the emitted document always re-parses, and the

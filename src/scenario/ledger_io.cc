@@ -4,9 +4,9 @@
 #include <fstream>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "io/scene_io.h"
 
 namespace fixy::scenario {
 namespace {
@@ -140,7 +140,7 @@ Status SaveLedger(const sim::GtLedger& ledger, const std::string& path) {
 
 Result<sim::GtLedger> LoadLedger(const std::string& path) {
   std::string text;
-  FIXY_RETURN_IF_ERROR(io::ReadFileInto(path, &text));
+  FIXY_RETURN_IF_ERROR(ReadFileInto(path, &text));
   FIXY_ASSIGN_OR_RETURN(const json::Value value, json::Parse(text));
   return LedgerFromJson(value);
 }

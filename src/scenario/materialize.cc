@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/fxb.h"
@@ -41,7 +42,7 @@ Status WriteLock(const json::Value& lock, const std::string& path) {
 /// True when the directory's lock file records exactly this recipe.
 bool LockMatches(const std::string& directory, const json::Value& want) {
   std::string text;
-  if (!io::ReadFileInto(ScenarioLockPath(directory), &text).ok()) return false;
+  if (!ReadFileInto(ScenarioLockPath(directory), &text).ok()) return false;
   const Result<json::Value> have = json::Parse(text);
   return have.ok() && *have == want;
 }

@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "io/scene_io.h"
 #include "obs/metrics.h"
 
 namespace fixy::scenario {
@@ -351,7 +351,7 @@ Result<ScenarioSpec> ScenarioFromString(std::string_view text) {
 
 Result<ScenarioSpec> LoadScenario(const std::string& path) {
   std::string text;
-  FIXY_RETURN_IF_ERROR(io::ReadFileInto(path, &text));
+  FIXY_RETURN_IF_ERROR(ReadFileInto(path, &text));
   Result<ScenarioSpec> spec = ScenarioFromString(text);
   if (!spec.ok()) {
     return Status(spec.status().code(),

@@ -7,12 +7,12 @@
 #include <set>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
-#include "io/scene_io.h"
 #include "obs/metrics.h"
 #include "scenario/materialize.h"
 
@@ -218,12 +218,15 @@ Result<SweepReport> RunSweep(const std::vector<ScenarioSpec>& specs,
       specs.size(), Result<std::vector<SweepCell>>(std::vector<SweepCell>{}));
   {
     // No more workers than scenarios (specs is not empty).
-    ThreadPool pool(static_cast<int>(std::min(
-        static_cast<size_t>(ThreadPool::ResolveThreadCount(options.threads)),
-        specs.size())));
+    FIXY_ASSIGN_OR_RETURN(
+        const std::unique_ptr<ThreadPool> pool,
+        ThreadPool::Create(static_cast<int>(std::min(
+            static_cast<size_t>(
+                ThreadPool::ResolveThreadCount(options.threads)),
+            specs.size()))));
     std::vector<std::future<void>> pending;
     for (size_t i = 0; i < specs.size(); ++i) {
-      pending.push_back(pool.Submit([&specs, &options, &slots, i] {
+      pending.push_back(pool->Submit([&specs, &options, &slots, i] {
         slots[i] = RunScenario(specs[i], options);
       }));
     }
@@ -335,7 +338,7 @@ Status SaveSweepReport(const SweepReport& report, const std::string& path) {
 
 Result<SweepReport> LoadSweepReport(const std::string& path) {
   std::string text;
-  FIXY_RETURN_IF_ERROR(io::ReadFileInto(path, &text));
+  FIXY_RETURN_IF_ERROR(ReadFileInto(path, &text));
   const Result<json::Value> parsed = json::Parse(text);
   if (!parsed.ok()) {
     return Status::InvalidArgument(path + ": " +

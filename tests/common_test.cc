@@ -328,8 +328,9 @@ TEST(Crc32Test, StringViewOverloadAgreesWithPointerForm) {
   EXPECT_EQ(Crc32(bytes), Crc32(bytes.data(), bytes.size()));
 }
 
-// The byte-at-a-time table loop Crc32 used before slicing-by-8, kept as
-// the reference the sliced form must match bit for bit.
+// The byte-at-a-time table loop, kept as the reference both the sliced
+// fallback and the carry-less-multiplication kernel must match bit for
+// bit.
 uint32_t ReferenceCrc32(const unsigned char* bytes, size_t size) {
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
@@ -349,6 +350,8 @@ uint32_t ReferenceCrc32(const unsigned char* bytes, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+// Calls the slicing-by-8 fallback directly, so it stays covered on a host
+// whose Crc32 takes the PCLMULQDQ kernel.
 TEST(Crc32Test, SlicedMatchesByteAtATimeReference) {
   std::mt19937_64 rng(20221);
   // Every length through 1024 at every start offset mod 8, so each
@@ -358,7 +361,7 @@ TEST(Crc32Test, SlicedMatchesByteAtATimeReference) {
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t length = 0; length <= 1024; ++length) {
       const unsigned char* start = small.data() + offset;
-      ASSERT_EQ(Crc32(start, length), ReferenceCrc32(start, length))
+      ASSERT_EQ(Crc32Sliced(start, length), ReferenceCrc32(start, length))
           << "offset " << offset << " length " << length;
     }
   }
@@ -366,10 +369,36 @@ TEST(Crc32Test, SlicedMatchesByteAtATimeReference) {
   // scene section several times over.
   std::vector<unsigned char> big((4u << 20) + 5);
   for (unsigned char& b : big) b = static_cast<unsigned char>(rng());
+  EXPECT_EQ(Crc32Sliced(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size()));
+  EXPECT_EQ(Crc32Sliced(big.data() + 3, big.size() - 3),
+            ReferenceCrc32(big.data() + 3, big.size() - 3));
+}
+
+// Crc32 as every caller gets it: the PCLMULQDQ kernel where the host has
+// one (64 bytes and up, a 16-byte-multiple head, then the sliced tail),
+// the sliced loop elsewhere.
+TEST(Crc32Test, DispatchedMatchesByteAtATimeReference) {
+  std::mt19937_64 rng(20262);
+  // Every length through 4096 at every start offset mod 16: each split
+  // between the 64-byte folds, the 16-byte folds and the sliced tail,
+  // at every alignment of the unaligned loads.
+  std::vector<unsigned char> small(4096 + 16);
+  for (unsigned char& b : small) b = static_cast<unsigned char>(rng());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 4096; ++length) {
+      const unsigned char* start = small.data() + offset;
+      ASSERT_EQ(Crc32(start, length), ReferenceCrc32(start, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // 32 MiB plus an odd tail, about an update-cycle cache's reused bytes.
+  std::vector<unsigned char> big((32u << 20) + 13);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(rng());
   EXPECT_EQ(Crc32(big.data(), big.size()),
             ReferenceCrc32(big.data(), big.size()));
-  EXPECT_EQ(Crc32(big.data() + 3, big.size() - 3),
-            ReferenceCrc32(big.data() + 3, big.size() - 3));
+  EXPECT_EQ(Crc32(big.data() + 7, big.size() - 7),
+            ReferenceCrc32(big.data() + 7, big.size() - 7));
 }
 
 // --------------------------------------------------------------- process

@@ -24,6 +24,7 @@
 #define FIXY_DAEMON_TEST_HAVE_SOCKETS 1
 #endif
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -469,7 +470,7 @@ TEST_F(DaemonTest, RankDatasetResponseOverOneMebibyteReachesTheClient) {
     const std::string path = big_dir + "/expected.json";
     ASSERT_TRUE(SaveProposals(all, path).ok());
     std::string& text = expected[report->apps[a]];
-    ASSERT_TRUE(io::ReadFileInto(path, &text).ok());
+    ASSERT_TRUE(ReadFileInto(path, &text).ok());
     expected_bytes += text.size();
   }
   ASSERT_GT(expected_bytes, size_t{kMaxRequestPayload})
@@ -524,7 +525,7 @@ TEST_F(DaemonTest, RankFallsBackToJsonOnBadMagicCache) {
     ASSERT_TRUE(SaveProposals(
                     TopK(outcome.proposals, static_cast<size_t>(kTop)), path)
                     .ok());
-    ASSERT_TRUE(io::ReadFileInto(path, &expected[report->apps[a]]).ok());
+    ASSERT_TRUE(ReadFileInto(path, &expected[report->apps[a]]).ok());
   }
 
   ServerRunner runner(BaseOptions(SocketPath("bad_magic")));
@@ -676,11 +677,11 @@ TEST_F(DaemonTest, OneSceneRequestRevalidatesOnlyItsOwnSources) {
   // Drop the last scene from the manifest: every request sees that.
   const std::string manifest_path = dir + "/manifest.json";
   std::string manifest_text;
-  ASSERT_TRUE(io::ReadFileInto(manifest_path, &manifest_text).ok());
+  ASSERT_TRUE(ReadFileInto(manifest_path, &manifest_text).ok());
   Result<json::Value> manifest = json::Parse(manifest_text);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   manifest->AsObject().at("scenes").AsArray().pop_back();
-  ASSERT_TRUE(io::WriteFileAtomic(manifest_path,
+  ASSERT_TRUE(WriteFileAtomic(manifest_path,
                                   {json::Write(*manifest, /*pretty=*/true)})
                   .ok());
   const Result<std::string> scene0_reopened = rank(0);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "io/fxb.h"
 #include "io/mapped_file.h"
 #include "io/scene_io.h"

@@ -2,7 +2,14 @@
 // failure injection), writer, and round-trip stability.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <random>
+#include <string>
 
 #include "json/json.h"
 
@@ -233,6 +240,190 @@ TEST(JsonRoundtripTest, UnicodeStringSurvives) {
   const Value v = MustParse(R"("café")");
   const Value v2 = MustParse(Write(v));
   EXPECT_EQ(v.AsString(), v2.AsString());
+}
+
+// --------------------------------------------------------------- Numbers
+//
+// The writer and the parser convert numbers with <charconv>. printf and
+// strtod stay here as the reference: the writer's text must be what "%lld"
+// (an integral value under 1e15) or "%.17g" prints, and the parser's bits
+// what strtod returns for the same token.
+
+std::string ReferenceText(double d) {
+  if (d == 0.0 && std::signbit(d)) return "-0";
+  char buf[64];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+// Parses `token` as a whole document; strtod's reading of it is the
+// reference: a finite value must parse to the same bits, an infinite one
+// must be rejected.
+::testing::AssertionResult ParsesLikeStrtod(const std::string& token) {
+  char* end = nullptr;
+  const double expected = std::strtod(token.c_str(), &end);
+  const Result<Value> parsed = Parse(token);
+  if (end != token.c_str() + token.size()) {
+    return ::testing::AssertionFailure() << "bad reference token " << token;
+  }
+  if (!std::isfinite(expected)) {
+    if (!parsed.ok()) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << token << " overflows but parsed";
+  }
+  if (!parsed.ok()) {
+    return ::testing::AssertionFailure() << token << ": " << parsed.status();
+  }
+  if (Bits(parsed->AsDouble()) != Bits(expected)) {
+    return ::testing::AssertionFailure()
+           << token << " parsed to " << std::hexfloat << parsed->AsDouble()
+           << ", strtod " << expected;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Writes `d`, holds the text to printf's, then parses it back and holds
+// the bits to strtod's, which for this text are `d`'s own.
+::testing::AssertionResult MatchesReference(double d) {
+  const std::string text = Write(Value(d));
+  const std::string expected = ReferenceText(d);
+  if (text != expected) {
+    return ::testing::AssertionFailure()
+           << std::hexfloat << d << " wrote " << text << ", printf "
+           << expected;
+  }
+  const Result<Value> parsed = Parse(text);
+  if (!parsed.ok() || Bits(parsed->AsDouble()) != Bits(d)) {
+    return ::testing::AssertionFailure() << text << " did not round-trip";
+  }
+  return ParsesLikeStrtod(text);
+}
+
+TEST(JsonNumberTest, RandomBitPatternsMatchPrintfAndStrtod) {
+  std::mt19937_64 rng(27);
+  int checked = 0;
+  while (checked < 1000000) {
+    const double d = std::bit_cast<double>(rng());
+    if (!std::isfinite(d)) continue;
+    ASSERT_TRUE(MatchesReference(d));
+    ++checked;
+  }
+}
+
+TEST(JsonNumberTest, DecimalGridMatchesPrintfAndStrtod) {
+  // What scenes and models hold: quantities on a decimal grid, either
+  // correctly rounded (k / 10^j) or carrying a product's rounding error
+  // (k * 10^-j), which prints all 17 digits.
+  for (int j = 1; j <= 6; ++j) {
+    const double scale = std::pow(10.0, j);
+    const double step = 1.0 / scale;
+    for (int k = 0; k < 20000; ++k) {
+      for (const double d : {k / scale, k * step}) {
+        ASSERT_TRUE(MatchesReference(d));
+        ASSERT_TRUE(MatchesReference(-d));
+      }
+    }
+  }
+}
+
+TEST(JsonNumberTest, IntegralCutoffSubnormalsAndExtremes) {
+  // The writer prints an integral value under 1e15 as an integer and
+  // everything else with %.17g: both sides of the cut-off, and the
+  // doubles next to each integer there.
+  for (int k = -2000; k <= 2000; ++k) {
+    for (const double sign : {1.0, -1.0}) {
+      const double d = sign * (1e15 + k);
+      ASSERT_TRUE(MatchesReference(d));
+      ASSERT_TRUE(MatchesReference(std::nextafter(d, 0.0)));
+      ASSERT_TRUE(MatchesReference(std::nextafter(d, sign * DBL_MAX)));
+    }
+  }
+  std::mt19937_64 rng(2027);
+  for (int i = 0; i < 100000; ++i) {
+    // Zero exponent field: a subnormal (or a zero), either sign.
+    const uint64_t bits = rng() & ~(uint64_t{0x7FF} << 52);
+    ASSERT_TRUE(MatchesReference(std::bit_cast<double>(bits)));
+  }
+  for (const double d :
+       {DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+        std::nextafter(DBL_MIN, 0.0), std::nextafter(DBL_MAX, 0.0),
+        9007199254740992.0, 9223372036854775808.0, 0.0, -0.0, 0.5, 1e-5}) {
+    EXPECT_TRUE(MatchesReference(d));
+  }
+}
+
+TEST(JsonNumberTest, ParsedTokensMatchStrtod) {
+  // Tokens no writer of ours produces: up to 40 digits with the point
+  // anywhere (or nowhere), exponents far past either end of the range,
+  // so values round to subnormals, to zero or overflow.
+  std::mt19937_64 rng(72);
+  for (int i = 0; i < 200000; ++i) {
+    std::string token = (rng() & 1) ? "-" : "";
+    const int digits = 1 + static_cast<int>(rng() % 40);
+    const int point = static_cast<int>(rng() % (digits + 2)) - 1;
+    for (int d = 0; d < digits; ++d) {
+      if (d == point) token += '.';
+      // Mostly zeros, so leading and trailing zero runs are common.
+      token += (rng() % 3 == 0) ? static_cast<char>('0' + rng() % 10) : '0';
+    }
+    if (point == digits) token += '.';
+    if (rng() & 1) {
+      token += (rng() & 1) ? 'e' : 'E';
+      const uint64_t sign = rng() % 3;
+      if (sign == 1) token += '-';
+      if (sign == 2) token += '+';
+      token += std::to_string(rng() % 420);
+    }
+    ASSERT_TRUE(ParsesLikeStrtod(token));
+  }
+}
+
+TEST(JsonNumberTest, GrammarTable) {
+  // Where the leading digit sits, not the exponent's sign, decides
+  // between rounding to zero and overflow.
+  const std::string zeros(400, '0');
+  struct Row {
+    std::string token;
+    double value;
+  };
+  const Row accepted[] = {
+      {"1.", 1.0},
+      {".5", 0.5},
+      {"-.5", -0.5},
+      {"01", 1.0},
+      {"1E-5", 1e-5},
+      {"-0", -0.0},
+      {"1e-400", 0.0},
+      {"-1e-400", -0.0},
+      {"1.e5", 1e5},
+      {"2e-324", 0.0},
+      {"3e-324", DBL_TRUE_MIN},
+      {"-0e999", -0.0},
+      {"0." + zeros + "1", 0.0},
+      {"-0." + zeros + "1e+50", -0.0},
+      {"1" + zeros + "e-100", 1e300},
+      {"0." + zeros + "1e+100", 1e-301},
+  };
+  for (const Row& row : accepted) {
+    const Result<Value> parsed = Parse(row.token);
+    ASSERT_TRUE(parsed.ok()) << row.token << ": " << parsed.status();
+    EXPECT_EQ(Bits(parsed->AsDouble()), Bits(row.value)) << row.token;
+    EXPECT_TRUE(ParsesLikeStrtod(row.token));
+  }
+  // Out of range at the top, or not a number at all.
+  for (const std::string& token :
+       {std::string("1e999"), std::string("-1e999"),
+        std::string("1.7976931348623159e308"), "1" + zeros,
+        "1" + zeros + "e-50", std::string("1e"), std::string("1e+"),
+        std::string("."), std::string("-."), std::string("e5"),
+        std::string("-e5"), std::string("1e5.5")}) {
+    EXPECT_FALSE(Parse(token).ok()) << token;
+  }
 }
 
 }  // namespace

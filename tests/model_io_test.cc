@@ -220,6 +220,35 @@ TEST_F(ModelIoTest, EngineSaveLoadPreservesRanking) {
   std::filesystem::remove(path);
 }
 
+TEST_F(ModelIoTest, SaveLeavesAnOpenReaderTheWholeOldModel) {
+  // watch --learn-labels rewrites --model after every fold while a rank
+  // or a fixyd start may be reading it. A reader that opened the old
+  // model must still read all of it, and no temporary file stays behind.
+  Fixy fixy;
+  ASSERT_TRUE(fixy.Learn(training_->dataset).ok());
+  const std::string path = TempPath("fixy_model_atomic_save.json");
+  ASSERT_TRUE(fixy.SaveModel(path).ok());
+  const std::string old_bytes = ReadBytes(path);
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader.is_open());
+
+  Dataset delta;
+  delta.scenes.push_back(
+      sim::GenerateScene(sim::LyftLikeProfile(), "edit", 717).scene);
+  ASSERT_TRUE(fixy.LearnIncremental(delta).ok());
+  ASSERT_TRUE(fixy.SaveModel(path).ok());
+
+  const std::string seen(std::istreambuf_iterator<char>(reader), {});
+  EXPECT_TRUE(seen == old_bytes) << "the reader saw " << seen.size()
+                                 << " bytes, not the old model's "
+                                 << old_bytes.size();
+  EXPECT_NE(ReadBytes(path), old_bytes);
+  Fixy reloaded;
+  EXPECT_TRUE(reloaded.LoadModel(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
 TEST_F(ModelIoTest, SaveRequiresLearnedEngine) {
   const Fixy fixy;
   EXPECT_EQ(fixy.SaveModel(TempPath("never.json")).code(),

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_util.h"
 #include "eval/cell_diff.h"
 #include "io/fxb.h"
 #include "io/scene_io.h"
@@ -336,12 +337,12 @@ TEST(Materialize, DirectFxbMatchesJsonRebuild) {
   ASSERT_TRUE(made.ok()) << made.status();
 
   std::string direct;
-  ASSERT_TRUE(io::ReadFileInto(io::FxbCachePath(dir), &direct).ok());
+  ASSERT_TRUE(ReadFileInto(io::FxbCachePath(dir), &direct).ok());
   std::filesystem::remove(io::FxbCachePath(dir));
   const Result<size_t> rebuilt = io::BuildFxbCache(dir);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   std::string reparsed;
-  ASSERT_TRUE(io::ReadFileInto(io::FxbCachePath(dir), &reparsed).ok());
+  ASSERT_TRUE(ReadFileInto(io::FxbCachePath(dir), &reparsed).ok());
   // Same sources, same mtimes: the in-memory encode and the JSON re-parse
   // encode must agree on every byte.
   EXPECT_EQ(direct, reparsed);

@@ -29,6 +29,17 @@ TEST(ThreadPoolTest, SpawnsRequestedWorkers) {
   EXPECT_EQ(pool.thread_count(), 3u);
 }
 
+// Create is what the library's callers use. Its Unavailable path needs a
+// host that refuses a thread below kMaxThreads, which no test provokes.
+TEST(ThreadPoolTest, CreateReturnsARunningPool) {
+  Result<std::unique_ptr<ThreadPool>> pool = ThreadPool::Create(3);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  EXPECT_EQ((*pool)->thread_count(), 3u);
+  std::atomic<int> ran{0};
+  (*pool)->Submit([&ran] { ++ran; }).get();
+  EXPECT_EQ(ran.load(), 1);
+}
+
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};

@@ -18,8 +18,9 @@
 #                             # matches tools/metrics_schema.golden
 #   tools/check.sh cache      # FXB cache sweep: JSON-vs-FXB proposal
 #                             # parity (byte-identical), cache-hit metrics
-#                             # vs the golden key set, and the streaming
-#                             # tests under asan + tsan
+#                             # vs the golden key set, and the streaming,
+#                             # CRC-32 and JSON tests under asan + tsan
+#                             # (the cache's bytes come from both)
 #   tools/check.sh multiapp   # multi-application sweep: rank --apps all
 #                             # proposals byte-identical to per-app solo
 #                             # runs, one track build per scene (not per
@@ -201,13 +202,14 @@ PYEOF
     echo "==== cache: python3 not found, skipping metrics validation ===="
   fi
 
-  echo "==== cache: streaming tests under asan + tsan ===="
-  local san tests_re="Fxb|Crc32|Streaming|Binary|ChecksumFlip"
+  echo "==== cache: streaming, CRC-32 and JSON tests under asan + tsan ===="
+  local san tests_re="Fxb|Crc32|Streaming|Binary|ChecksumFlip|Json"
   for san in address thread; do
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
     cmake --build "${dir}" -j "${JOBS}" \
-        --target fxb_test batch_test common_test fault_injection_test io_test
+        --target fxb_test batch_test common_test fault_injection_test io_test \
+        json_test
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   done
   echo "==== cache: OK ===="
