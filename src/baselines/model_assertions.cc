@@ -88,17 +88,21 @@ Result<std::vector<ErrorProposal>> FlickerAssertion(const Scene& scene) {
 Result<std::vector<ErrorProposal>> MultiboxAssertion(const Scene& scene) {
   std::vector<ErrorProposal> proposals;
   for (const Frame& frame : scene.frames()) {
-    // Model boxes in this frame.
+    // Model boxes in this frame, each with its footprint: every box is
+    // tested against every other.
     std::vector<const Observation*> boxes;
+    std::vector<geom::BevFootprint> footprints;
     for (const Observation& obs : frame.observations) {
-      if (obs.source == ObservationSource::kModel) boxes.push_back(&obs);
+      if (obs.source != ObservationSource::kModel) continue;
+      boxes.push_back(&obs);
+      footprints.emplace_back(obs.box);
     }
     // Find any box overlapped by at least two others.
     for (size_t i = 0; i < boxes.size(); ++i) {
       int overlaps = 0;
       for (size_t j = 0; j < boxes.size(); ++j) {
         if (i == j) continue;
-        if (geom::BevIou(boxes[i]->box, boxes[j]->box) > kMultiboxIou) {
+        if (geom::BevIou(footprints[i], footprints[j]) > kMultiboxIou) {
           ++overlaps;
         }
       }

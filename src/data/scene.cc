@@ -1,8 +1,10 @@
 #include "data/scene.h"
 
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <vector>
 
+#include "common/random.h"
 #include "common/string_util.h"
 
 namespace fixy {
@@ -18,6 +20,35 @@ bool BoxIsFinite(const geom::Box3d& box) {
          std::isfinite(box.width) && std::isfinite(box.height) &&
          std::isfinite(box.yaw);
 }
+
+// The observation ids seen so far, in one flat open-addressing table of
+// at least twice as many slots as ids, so a probe ends at an empty slot.
+// kInvalidObservationId marks empty slots: Validate rejects that id
+// before inserting.
+class IdSet {
+ public:
+  explicit IdSet(size_t capacity)
+      : slots_(std::bit_ceil(2 * capacity + 1), kInvalidObservationId),
+        mask_(slots_.size() - 1) {}
+
+  // False if `id` was already present. SplitMix64 carries every id bit
+  // into the low bits the mask keeps, so ids that differ only in their
+  // high bits do not share one probe run.
+  bool Insert(ObservationId id) {
+    for (size_t slot = SplitMix64(id).Next() & mask_;;
+         slot = (slot + 1) & mask_) {
+      if (slots_[slot] == id) return false;
+      if (slots_[slot] == kInvalidObservationId) {
+        slots_[slot] = id;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<ObservationId> slots_;
+  size_t mask_;
+};
 
 }  // namespace
 
@@ -61,7 +92,7 @@ Status Scene::Validate() const {
         StrFormat("scene '%s': frame rate must be finite and positive",
                   name_.c_str()));
   }
-  std::unordered_set<ObservationId> seen_ids;
+  IdSet seen_ids(TotalObservations());
   double prev_timestamp = -1.0;
   for (size_t i = 0; i < frames_.size(); ++i) {
     const Frame& frame = frames_[i];
@@ -105,7 +136,7 @@ Status Scene::Validate() const {
             StrFormat("scene '%s': observation with invalid id",
                       name_.c_str()));
       }
-      if (!seen_ids.insert(obs.id).second) {
+      if (!seen_ids.Insert(obs.id)) {
         return Status::FailedPrecondition(
             StrFormat("scene '%s': duplicate observation id %llu",
                       name_.c_str(),

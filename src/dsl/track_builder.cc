@@ -33,24 +33,21 @@ class DisjointSet {
   std::vector<size_t> parent_;
 };
 
-// The box used to represent a bundle when matching across frames: prefer a
-// model prediction (model boxes exist in every application of Section 7),
-// otherwise the first observation.
-const geom::Box3d& RepresentativeBox(const ObservationBundle& bundle) {
-  const Observation* model = bundle.FindBySource(ObservationSource::kModel);
-  if (model != nullptr) return model->box;
-  return bundle.observations.front().box;
-}
-
 // Groups the view's observations (`indices`, ascending frame-local
 // indices) into bundles, given the associated pairs of the frame
 // restricted to the view. Equivalent to running the bundler's relation
 // over a frame that contains only the view's observations: the relation
 // is evaluated per pair, so restricting the observation set restricts the
 // association graph to its induced subgraph.
+//
+// `representatives` receives, per bundle, the frame-local index of the
+// observation that represents it when matching across frames: its first
+// model prediction (model boxes exist in every application of Section
+// 7), otherwise its first observation.
 std::vector<ObservationBundle> BundleSubset(
     const Frame& frame, const std::vector<size_t>& indices,
-    const std::vector<std::pair<size_t, size_t>>& pairs) {
+    const std::vector<std::pair<size_t, size_t>>& pairs,
+    std::vector<size_t>& representatives) {
   const auto& observations = frame.observations;
   std::vector<int> local_of(observations.size(), -1);
   for (size_t k = 0; k < indices.size(); ++k) {
@@ -63,9 +60,11 @@ std::vector<ObservationBundle> BundleSubset(
   }
   // Collect members per component root, preserving observation order.
   std::vector<ObservationBundle> bundles;
+  representatives.clear();
   std::vector<int> root_to_bundle(indices.size(), -1);
   for (size_t k = 0; k < indices.size(); ++k) {
     const size_t root = components.Find(k);
+    const size_t index = indices[k];
     if (root_to_bundle[root] < 0) {
       root_to_bundle[root] = static_cast<int>(bundles.size());
       ObservationBundle bundle;
@@ -73,18 +72,29 @@ std::vector<ObservationBundle> BundleSubset(
       bundle.timestamp = frame.timestamp;
       bundle.ego_position = frame.ego_position;
       bundles.push_back(std::move(bundle));
+      representatives.push_back(index);
     }
-    bundles[static_cast<size_t>(root_to_bundle[root])].observations.push_back(
-        observations[indices[k]]);
+    const size_t b = static_cast<size_t>(root_to_bundle[root]);
+    size_t& representative = representatives[b];
+    if (observations[representative].source != ObservationSource::kModel &&
+        observations[index].source == ObservationSource::kModel) {
+      representative = index;
+    }
+    bundles[b].observations.push_back(observations[index]);
   }
   return bundles;
 }
 
 // Cross-frame linking state for one view: greedy best-IoU matching of a
-// frame's bundles against the open tracks, identical for every view.
+// frame's bundles against the open tracks, identical for every view. Each
+// open track keeps the footprint of its last bundle's representative, and
+// a frame's bundles are matched on their representatives' footprints
+// (`footprints[representatives[b]]`).
 class TrackLinker {
  public:
-  void AddFrame(const Frame& frame, std::vector<ObservationBundle> bundles) {
+  void AddFrame(const Frame& frame, std::vector<ObservationBundle> bundles,
+                const std::vector<size_t>& representatives,
+                const std::vector<geom::BevFootprint>& footprints) {
     // Candidate (track, bundle) pairs with IoU above the link threshold.
     struct Candidate {
       double iou;
@@ -93,10 +103,10 @@ class TrackLinker {
     };
     std::vector<Candidate> candidates;
     for (size_t t = 0; t < open_.size(); ++t) {
-      const ObservationBundle& last = open_[t].track.bundles().back();
+      const geom::BevFootprint& last = open_[t].footprint;
       for (size_t b = 0; b < bundles.size(); ++b) {
         const double iou =
-            geom::BevIou(RepresentativeBox(last), RepresentativeBox(bundles[b]));
+            geom::BevIou(last, footprints[representatives[b]]);
         if (iou > kTrackIouThreshold) {
           candidates.push_back({iou, t, b});
         }
@@ -118,8 +128,10 @@ class TrackLinker {
       if (track_used[c.track_index] || bundle_used[c.bundle_index]) continue;
       track_used[c.track_index] = true;
       bundle_used[c.bundle_index] = true;
-      open_[c.track_index].track.AddBundle(std::move(bundles[c.bundle_index]));
-      open_[c.track_index].last_matched_frame = frame.index;
+      OpenTrack& open = open_[c.track_index];
+      open.track.AddBundle(std::move(bundles[c.bundle_index]));
+      open.footprint = footprints[representatives[c.bundle_index]];
+      open.last_matched_frame = frame.index;
     }
     // Unmatched bundles start new tracks.
     for (size_t b = 0; b < bundles.size(); ++b) {
@@ -127,6 +139,7 @@ class TrackLinker {
       OpenTrack fresh;
       fresh.track.set_id(next_track_id_++);
       fresh.track.AddBundle(std::move(bundles[b]));
+      fresh.footprint = footprints[representatives[b]];
       fresh.last_matched_frame = frame.index;
       open_.push_back(std::move(fresh));
     }
@@ -158,6 +171,8 @@ class TrackLinker {
  private:
   struct OpenTrack {
     Track track;
+    // The footprint of the last bundle's representative observation.
+    geom::BevFootprint footprint;
     int last_matched_frame = 0;
   };
 
@@ -195,13 +210,21 @@ Result<AssociationViews> TrackBuilder::BuildViews(const Scene& scene,
   FIXY_CHECK(need_full || need_model_only);
   FIXY_RETURN_IF_ERROR(scene.Validate());
 
+  // The default IouBundler's relation is BevIou > threshold, which the
+  // sweep evaluates on the frame's footprints, bit for bit what
+  // IsAssociated computes from the boxes. Any other bundler is asked per
+  // pair, as the DSL allows.
   const Bundler& bundler = *options_.bundler;
+  const auto* iou_bundler = dynamic_cast<const IouBundler*>(&bundler);
   TrackLinker full_linker;
   TrackLinker model_linker;
 
-  // Scratch buffers reused across frames.
+  // Scratch buffers reused across frames. They are locals of the call,
+  // not shared state: rank workers build views concurrently.
+  std::vector<geom::BevFootprint> footprints;
   std::vector<size_t> all_indices;
   std::vector<size_t> model_indices;
+  std::vector<size_t> representatives;
   std::vector<std::pair<size_t, size_t>> pairs;
   std::vector<std::pair<size_t, size_t>> model_pairs;
 
@@ -213,33 +236,40 @@ Result<AssociationViews> TrackBuilder::BuildViews(const Scene& scene,
         model_indices.push_back(i);
       }
     }
+    all_indices.resize(observations.size());
+    std::iota(all_indices.begin(), all_indices.end(), 0);
 
-    // One pairwise sweep per frame, shared by every view. When only the
-    // model view is wanted, human-involving pairs are never evaluated.
+    // One footprint per observation the sweep visits, indexed like
+    // `observations`: both the in-frame pairs and the linkers read them.
+    // When only the model view is wanted, human observations get none and
+    // human-involving pairs are never evaluated.
+    const std::vector<size_t>& swept = need_full ? all_indices : model_indices;
+    footprints.resize(observations.size());
+    for (const size_t i : swept) {
+      footprints[i] = geom::BevFootprint(observations[i].box);
+    }
+
+    // One pairwise sweep per frame, shared by every view, in
+    // lexicographic pair order.
     pairs.clear();
-    if (need_full) {
-      for (size_t i = 0; i < observations.size(); ++i) {
-        for (size_t j = i + 1; j < observations.size(); ++j) {
-          if (bundler.IsAssociated(observations[i], observations[j])) {
-            pairs.emplace_back(i, j);
-          }
-        }
-      }
-    } else {
-      for (size_t a = 0; a < model_indices.size(); ++a) {
-        for (size_t b = a + 1; b < model_indices.size(); ++b) {
-          if (bundler.IsAssociated(observations[model_indices[a]],
-                                   observations[model_indices[b]])) {
-            pairs.emplace_back(model_indices[a], model_indices[b]);
-          }
-        }
+    for (size_t a = 0; a < swept.size(); ++a) {
+      for (size_t b = a + 1; b < swept.size(); ++b) {
+        const size_t i = swept[a];
+        const size_t j = swept[b];
+        const bool associated =
+            iou_bundler != nullptr
+                ? geom::BevIou(footprints[i], footprints[j]) >
+                      iou_bundler->iou_threshold()
+                : bundler.IsAssociated(observations[i], observations[j]);
+        if (associated) pairs.emplace_back(i, j);
       }
     }
 
     if (need_full) {
-      all_indices.resize(observations.size());
-      std::iota(all_indices.begin(), all_indices.end(), 0);
-      full_linker.AddFrame(frame, BundleSubset(frame, all_indices, pairs));
+      std::vector<ObservationBundle> bundles =
+          BundleSubset(frame, all_indices, pairs, representatives);
+      full_linker.AddFrame(frame, std::move(bundles), representatives,
+                           footprints);
     }
     if (need_model_only) {
       const std::vector<std::pair<size_t, size_t>>* view_pairs = &pairs;
@@ -255,8 +285,10 @@ Result<AssociationViews> TrackBuilder::BuildViews(const Scene& scene,
         }
         view_pairs = &model_pairs;
       }
-      model_linker.AddFrame(frame,
-                            BundleSubset(frame, model_indices, *view_pairs));
+      std::vector<ObservationBundle> bundles =
+          BundleSubset(frame, model_indices, *view_pairs, representatives);
+      model_linker.AddFrame(frame, std::move(bundles), representatives,
+                            footprints);
     }
   }
 

@@ -45,7 +45,9 @@ struct TrackBuilderOptions {
   /// IouBundler(0.5) when null. Must be a pure function of the two
   /// observations: BuildViews evaluates each pair once and reuses the
   /// result for every view (and the batch path shares one bundler across
-  /// worker threads).
+  /// worker threads). An IouBundler's pairs are tested on box footprints
+  /// computed once per observation, with the bits IsAssociated gives;
+  /// any other bundler is asked IsAssociated per pair.
   BundlerPtr bundler;
 };
 

@@ -7,13 +7,17 @@ namespace fixy::geom {
 std::array<Vec2, 4> Box3d::BevCorners() const {
   const double hl = length / 2.0;
   const double hw = width / 2.0;
-  // Local-frame corners, counter-clockwise starting at front-left.
+  // Local-frame corners, counter-clockwise starting at front-left, each
+  // rotated by yaw as Vec2::Rotated does, with one cos and one sin.
   const std::array<Vec2, 4> local = {
       Vec2{hl, hw}, Vec2{-hl, hw}, Vec2{-hl, -hw}, Vec2{hl, -hw}};
+  const double c = std::cos(yaw);
+  const double s = std::sin(yaw);
   std::array<Vec2, 4> world;
-  const Vec2 c = center.Xy();
+  const Vec2 origin = center.Xy();
   for (size_t i = 0; i < 4; ++i) {
-    world[i] = c + local[i].Rotated(yaw);
+    world[i] = origin + Vec2{c * local[i].x - s * local[i].y,
+                             s * local[i].x + c * local[i].y};
   }
   return world;
 }

@@ -45,35 +45,29 @@ struct RawVertex {
 // Broad phase. Two footprints whose circumcircles are more than
 // kBroadPhaseMargin apart cannot meet, and inside the envelope below the
 // quad clip returns exactly 0 for them, so the reject returns the clip's
-// own value without computing either box's corners. Outside the envelope
-// the clip's absolute tolerances decide: `Inside` admits points up to
-// 1e-12/|edge| m off an edge, and far from the origin the corners round
-// by more than the margin. DESIGN.md §10 has the argument.
+// own value without clipping. Outside the envelope the clip's absolute
+// tolerances decide: `Inside` admits points up to 1e-12/|edge| m off an
+// edge, and far from the origin the corners round by more than the
+// margin. DESIGN.md §10 has the argument.
 constexpr double kBroadPhaseMargin = 1e-6;     // m between circumcircles
 constexpr double kBroadPhaseMinSide = 1e-4;    // m, shortest footprint side
 constexpr double kBroadPhaseMaxCoord = 1e7;    // m, any footprint coordinate
 
-// True when the footprints are certainly disjoint. NaN fails every
-// comparison and infinities exceed the coordinate bound, so non-finite
-// centres and extents fall through to the clip. Yaw does not enter the
-// test: the circumcircle is the same at any heading.
-bool FootprintsApart(const Box3d& a, const Box3d& b) {
-  const double ra = 0.5 * std::sqrt(a.length * a.length + a.width * a.width);
-  const double rb = 0.5 * std::sqrt(b.length * b.length + b.width * b.width);
-  const auto in_envelope = [](const Box3d& box, double r) {
-    return box.length >= kBroadPhaseMinSide &&
-           box.width >= kBroadPhaseMinSide &&
-           std::abs(box.center.x) + r <= kBroadPhaseMaxCoord &&
-           std::abs(box.center.y) + r <= kBroadPhaseMaxCoord;
-  };
-  if (!in_envelope(a, ra) || !in_envelope(b, rb)) return false;
-  const double dx = a.center.x - b.center.x;
-  const double dy = a.center.y - b.center.y;
-  const double reach = ra + rb + kBroadPhaseMargin;
-  return dx * dx + dy * dy > reach * reach;
-}
-
 }  // namespace
+
+BevFootprint::BevFootprint(const Box3d& box)
+    : corners(box.BevCorners()),
+      center(box.center.Xy()),
+      area(box.BevArea()),
+      radius(0.5 * std::sqrt(box.length * box.length + box.width * box.width)),
+      valid(box.IsValid()),
+      // NaN fails every comparison and infinities exceed the coordinate
+      // bound, so non-finite centres and extents stay outside. Yaw does
+      // not enter: the circumcircle is the same at any heading.
+      in_envelope(box.length >= kBroadPhaseMinSide &&
+                  box.width >= kBroadPhaseMinSide &&
+                  std::abs(center.x) + radius <= kBroadPhaseMaxCoord &&
+                  std::abs(center.y) + radius <= kBroadPhaseMaxCoord) {}
 
 double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
                                   const std::array<Vec2, 4>& clip) {
@@ -91,11 +85,13 @@ double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
     const RawVertex* input = buffers[in];
     RawVertex* output = buffers[1 - in];
     size_t emitted = 0;
+    // Each vertex is tested once: its result is carried as the next
+    // vertex's `prev_inside`, starting from the last vertex.
+    Vec2 prev = input[count - 1].ToVec2();
+    bool prev_inside = Inside(prev, a, b);
     for (size_t j = 0; j < count; ++j) {
       const Vec2 current = input[j].ToVec2();
-      const Vec2 prev = input[(j + count - 1) % count].ToVec2();
       const bool current_inside = Inside(current, a, b);
-      const bool prev_inside = Inside(prev, a, b);
       if (current_inside) {
         if (!prev_inside) {
           output[emitted++] = LineIntersection(prev, current, a, b);
@@ -104,32 +100,49 @@ double ConvexQuadIntersectionArea(const std::array<Vec2, 4>& subject,
       } else if (prev_inside) {
         output[emitted++] = LineIntersection(prev, current, a, b);
       }
+      prev = current;
+      prev_inside = current_inside;
     }
     count = emitted;
     in = 1 - in;
   }
   if (count < 3) return 0.0;
-  // The shoelace sum starts at vertex 0; the order fixes the area's bits.
+  // The shoelace sum starts at vertex 0 and closes with the last edge;
+  // the order fixes the area's bits.
   const RawVertex* polygon = buffers[in];
   double sum = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    sum += polygon[i].ToVec2().Cross(polygon[(i + 1) % count].ToVec2());
+  for (size_t i = 0; i + 1 < count; ++i) {
+    sum += polygon[i].ToVec2().Cross(polygon[i + 1].ToVec2());
   }
+  sum += polygon[count - 1].ToVec2().Cross(polygon[0].ToVec2());
   return std::abs(sum / 2.0);
 }
 
+double BevIntersectionArea(const BevFootprint& a, const BevFootprint& b) {
+  if (!a.valid || !b.valid) return 0.0;
+  if (a.in_envelope && b.in_envelope) {
+    const double dx = a.center.x - b.center.x;
+    const double dy = a.center.y - b.center.y;
+    const double reach = a.radius + b.radius + kBroadPhaseMargin;
+    if (dx * dx + dy * dy > reach * reach) return 0.0;
+  }
+  return ConvexQuadIntersectionArea(a.corners, b.corners);
+}
+
 double BevIntersectionArea(const Box3d& a, const Box3d& b) {
-  if (!a.IsValid() || !b.IsValid()) return 0.0;
-  if (FootprintsApart(a, b)) return 0.0;
-  return ConvexQuadIntersectionArea(a.BevCorners(), b.BevCorners());
+  return BevIntersectionArea(BevFootprint(a), BevFootprint(b));
+}
+
+double BevIou(const BevFootprint& a, const BevFootprint& b) {
+  if (!a.valid || !b.valid) return 0.0;
+  const double inter = BevIntersectionArea(a, b);
+  const double uni = a.area + b.area - inter;
+  if (uni <= 0.0) return 0.0;
+  return std::clamp(inter / uni, 0.0, 1.0);
 }
 
 double BevIou(const Box3d& a, const Box3d& b) {
-  if (!a.IsValid() || !b.IsValid()) return 0.0;
-  const double inter = BevIntersectionArea(a, b);
-  const double uni = a.BevArea() + b.BevArea() - inter;
-  if (uni <= 0.0) return 0.0;
-  return std::clamp(inter / uni, 0.0, 1.0);
+  return BevIou(BevFootprint(a), BevFootprint(b));
 }
 
 }  // namespace fixy::geom

@@ -41,12 +41,14 @@ geom::Box3d BoxOf(const SimObject& so) {
 }
 
 // Samples an object's class, size, kinematic role, and a spawn pose that
-// does not overlap already-placed objects (rejection sampling; gives up
-// after a bounded number of tries and accepts the overlap — rare, and
-// better than looping forever in a saturated world).
+// does not overlap already-placed objects, given by their footprints
+// (rejection sampling; gives up after a bounded number of tries and
+// accepts the overlap — rare, and better than looping forever in a
+// saturated world).
 SimObject SpawnObject(uint64_t gt_id, const WorldParams& params,
                       double spawn_x_lo, double spawn_x_hi,
-                      const std::vector<SimObject>& placed, Rng& rng) {
+                      const std::vector<geom::BevFootprint>& placed,
+                      Rng& rng) {
   SimObject so;
   so.object.gt_id = gt_id;
   so.object.object_class = SampleClass(params, rng);
@@ -75,9 +77,10 @@ SimObject SpawnObject(uint64_t gt_id, const WorldParams& params,
       so.position = {rng.Uniform(spawn_x_lo, spawn_x_hi), lane_y};
       so.heading = lane_y > 0 ? 0.0 : M_PI;
     }
+    const geom::BevFootprint footprint(BoxOf(so));
     bool collides = false;
-    for (const SimObject& other : placed) {
-      if (geom::BevIou(BoxOf(so), BoxOf(other)) > 0.02) {
+    for (const geom::BevFootprint& other : placed) {
+      if (geom::BevIou(footprint, other) > 0.02) {
         collides = true;
         break;
       }
@@ -179,10 +182,13 @@ GtScene GenerateWorld(const WorldParams& params, const std::string& name,
 
   const int object_count = std::max(1, rng.Poisson(params.mean_object_count));
   std::vector<SimObject> objects;
+  std::vector<geom::BevFootprint> footprints;
   objects.reserve(static_cast<size_t>(object_count));
+  footprints.reserve(static_cast<size_t>(object_count));
   for (int i = 0; i < object_count; ++i) {
     objects.push_back(SpawnObject(static_cast<uint64_t>(i), params,
-                                  spawn_x_lo, spawn_x_hi, objects, rng));
+                                  spawn_x_lo, spawn_x_hi, footprints, rng));
+    footprints.emplace_back(BoxOf(objects.back()));
   }
   EnforceFollowing(&objects);
 

@@ -238,6 +238,67 @@ TEST(SceneValidateTest, RejectsNanObservationTimestamp) {
   EXPECT_FALSE(scene.Validate().ok());
 }
 
+// Validation reports the first violation in scan order: frame by frame,
+// observation by observation, and within one observation its frame
+// index, its id (invalid, then duplicate), then its box, timestamp and
+// confidence.
+TEST(SceneValidateTest, ReportsTheFirstFailureInScanOrder) {
+  // MakeValidScene's ids run 1..6, two per frame.
+  {
+    Scene scene = MakeValidScene();
+    scene.frames()[1].observations[0].id = 1;
+    scene.frames()[2].observations[0].box.width = 0.0;
+    EXPECT_EQ(scene.Validate().message(),
+              "scene 'test': duplicate observation id 1");
+  }
+  {
+    Scene scene = MakeValidScene();
+    scene.frames()[1].observations[0].box.width = 0.0;
+    scene.frames()[2].observations[0].id = 1;
+    EXPECT_EQ(scene.Validate().message(),
+              "scene 'test': observation 3 has degenerate box (non-positive "
+              "extent)");
+  }
+  {
+    // A duplicate id whose own box is degenerate reports the id.
+    Scene scene = MakeValidScene();
+    scene.frames()[1].observations[1].id = 2;
+    scene.frames()[1].observations[1].box.length = -1.0;
+    EXPECT_EQ(scene.Validate().message(),
+              "scene 'test': duplicate observation id 2");
+  }
+}
+
+// 50,000 ids that are multiples of 2^32 share their low 32 bits, so they
+// all collide under an identity or low-bit hash. One repeat among them is
+// still found and named; without it, the scene validates.
+TEST(SceneValidateTest, DuplicateAmongManyCollidingIds) {
+  constexpr int kFrames = 50;
+  constexpr int kPerFrame = 1000;
+  Scene scene("colliding", 10.0);
+  for (int f = 0; f < kFrames; ++f) {
+    Frame frame;
+    frame.index = f;
+    frame.timestamp = f * 0.1;
+    for (int k = 0; k < kPerFrame; ++k) {
+      const ObservationId id = static_cast<ObservationId>(f * kPerFrame + k + 1)
+                               << 32;
+      frame.observations.push_back(MakeObs(id, ObservationSource::kModel,
+                                           ObjectClass::kCar, 5.0 * k, 0, f));
+    }
+    scene.AddFrame(std::move(frame));
+  }
+  EXPECT_TRUE(scene.Validate().ok()) << scene.Validate();
+
+  const ObservationId repeated = scene.frames()[3].observations[17].id;
+  scene.frames()[41].observations[900].id = repeated;
+  const Status status = scene.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.message(),
+            "scene 'colliding': duplicate observation id " +
+                std::to_string(repeated));
+}
+
 TEST(DatasetTest, TotalObservationsSumsScenes) {
   Dataset dataset;
   dataset.scenes.push_back(MakeValidScene(2));

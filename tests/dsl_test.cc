@@ -216,10 +216,26 @@ uint32_t AssociationDigest(const TrackSet& set) {
   return Crc32(text);
 }
 
+// A user bundler with IouBundler(0.5)'s relation. It is not an
+// IouBundler, so BuildViews asks it IsAssociated per pair instead of
+// testing the frame's precomputed footprints.
+class ForwardingIouBundler final : public Bundler {
+ public:
+  bool IsAssociated(const Observation& a,
+                    const Observation& b) const override {
+    return iou_.IsAssociated(a, b);
+  }
+
+ private:
+  IouBundler iou_{0.5};
+};
+
 // Association golden for one fixed-seed dense-urban scene. The expected
 // values are constants recorded with the quad clip deciding every pair,
 // so any shortcut in geom::BevIou that flips one association decision
-// (in sim placement, bundling or linking) changes them.
+// (in sim placement, bundling or linking) changes them. Both in-frame
+// paths are held to them: the default bundler's footprint sweep and a
+// user bundler's per-pair IsAssociated.
 TEST(TrackBuilderTest, DenseSceneAssociationGolden) {
   const Result<scenario::ScenarioSpec> spec =
       scenario::PresetByName("dense-urban-intersection");
@@ -228,16 +244,55 @@ TEST(TrackBuilderTest, DenseSceneAssociationGolden) {
       scenario::GenerateScenarioDataset(*spec, 1, 2022);
   ASSERT_TRUE(generated.ok()) << generated.status();
   ASSERT_EQ(generated->dataset.scenes.size(), 1u);
-  const auto views =
-      TrackBuilder().BuildViews(generated->dataset.scenes[0], true, true);
-  ASSERT_TRUE(views.ok()) << views.status();
+  for (const BundlerPtr& bundler :
+       {BundlerPtr(), BundlerPtr(std::make_shared<ForwardingIouBundler>())}) {
+    SCOPED_TRACE(bundler == nullptr ? "default bundler" : "user bundler");
+    const auto views = TrackBuilder({bundler}).BuildViews(
+        generated->dataset.scenes[0], true, true);
+    ASSERT_TRUE(views.ok()) << views.status();
 
-  const TrackSet& full = views->view(SceneView::kFull);
-  const TrackSet& model_only = views->view(SceneView::kModelOnly);
-  EXPECT_EQ(full.tracks.size(), 205u);
-  EXPECT_EQ(AssociationDigest(full), 3957315928u);
-  EXPECT_EQ(model_only.tracks.size(), 143u);
-  EXPECT_EQ(AssociationDigest(model_only), 1116404835u);
+    const TrackSet& full = views->view(SceneView::kFull);
+    const TrackSet& model_only = views->view(SceneView::kModelOnly);
+    EXPECT_EQ(full.tracks.size(), 205u);
+    EXPECT_EQ(AssociationDigest(full), 3957315928u);
+    EXPECT_EQ(model_only.tracks.size(), 143u);
+    EXPECT_EQ(AssociationDigest(model_only), 1116404835u);
+  }
+}
+
+// A bundle is matched across frames on its model prediction's box even
+// when a human label comes first in it. Frame 0 bundles a human label at
+// x = 10 with a model box at x = 11 (IoU 0.64). Frame 1 has two separate
+// model boxes: at x = 9 (IoU 0.64 with the human box, 0.38 with the
+// model box) and at x = 12 (0.38 and 0.64). Linking on the model box
+// continues the track with x = 12; linking on the human box would take
+// x = 9.
+TEST(TrackBuilderTest, LinksOnTheModelPredictionsBox) {
+  Scene scene("representative", 10.0);
+  Frame first;
+  first.index = 0;
+  first.observations.push_back(MakeObs(1, ObservationSource::kHuman, 10, 0, 0));
+  first.observations.push_back(MakeObs(2, ObservationSource::kModel, 11, 0, 0));
+  scene.AddFrame(std::move(first));
+  Frame second;
+  second.index = 1;
+  second.timestamp = 0.1;
+  second.observations.push_back(MakeObs(3, ObservationSource::kModel, 9, 0, 1));
+  second.observations.push_back(
+      MakeObs(4, ObservationSource::kModel, 12, 0, 1));
+  scene.AddFrame(std::move(second));
+
+  const auto tracks = TrackBuilder().Build(scene);
+  ASSERT_TRUE(tracks.ok()) << tracks.status();
+  ASSERT_EQ(tracks->tracks.size(), 2u);
+  const Track& linked = tracks->tracks[0];
+  ASSERT_EQ(linked.size(), 2u);
+  ASSERT_EQ(linked.bundles()[0].observations.size(), 2u);
+  EXPECT_EQ(linked.bundles()[0].observations[0].id, 1u);
+  ASSERT_EQ(linked.bundles()[1].observations.size(), 1u);
+  EXPECT_EQ(linked.bundles()[1].observations[0].id, 4u);
+  ASSERT_EQ(tracks->tracks[1].size(), 1u);
+  EXPECT_EQ(tracks->tracks[1].bundles()[0].observations[0].id, 3u);
 }
 
 // ------------------------------------------------------------------ AOF

@@ -517,6 +517,47 @@ TEST(BroadPhaseTest, NonFiniteValuesKeepTheClipsValue) {
   }
 }
 
+// A footprint carries its box's corners, centre, area and validity as the
+// box computes them, and its envelope flag is the guard above: both BEV
+// sides >= 1e-4 m and |centre| + circumradius <= 1e7 m on each axis. A
+// flag that dropped the radius or a side would change no IoU bit (the
+// margin has slack there), so these boxes sit on each side of every
+// bound.
+TEST(BroadPhaseTest, FootprintFollowsItsBoxAndTheGuard) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    Box3d box;
+    bool in_envelope;
+  } cases[] = {
+      // A 4 x 2 footprint has circumradius sqrt(5) ~ 2.24 m.
+      {Box3d({1e7 - 3, 0, 0}, 4, 2, 1, 0.4), true},
+      {Box3d({1e7 - 2, 0, 0}, 4, 2, 1, 0.4), false},
+      {Box3d({0, -(1e7 - 3), 0}, 4, 2, 1, 2.0), true},
+      {Box3d({0, -(1e7 - 2), 0}, 4, 2, 1, 2.0), false},
+      {Box3d({0, 0, 0}, kBroadPhaseMinSide, 2, 1, 0), true},
+      {Box3d({0, 0, 0}, 4, 0.99 * kBroadPhaseMinSide, 1, 0), false},
+      {Box3d({0, 0, 0}, 0.99 * kBroadPhaseMinSide, 2, 1, 0), false},
+      {Box3d({5, 5, 0}, 4, 2, 0, 0.7), true},  // invalid: zero height
+      {Box3d({nan, 0, 0}, 4, 2, 1, 0), false},
+      {Box3d({0, 0, 0}, inf, 2, 1, 0), false}};
+  for (const auto& [box, in_envelope] : cases) {
+    const BevFootprint footprint(box);
+    SCOPED_TRACE(DescribePair(box, box));
+    EXPECT_EQ(footprint.in_envelope, in_envelope);
+    EXPECT_EQ(footprint.valid, box.IsValid());
+    EXPECT_EQ(Bits(footprint.area), Bits(box.BevArea()));
+    EXPECT_EQ(Bits(footprint.radius), Bits(CircumRadius(box)));
+    EXPECT_EQ(Bits(footprint.center.x), Bits(box.center.x));
+    EXPECT_EQ(Bits(footprint.center.y), Bits(box.center.y));
+    const std::array<Vec2, 4> corners = box.BevCorners();
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(Bits(footprint.corners[i].x), Bits(corners[i].x));
+      EXPECT_EQ(Bits(footprint.corners[i].y), Bits(corners[i].y));
+    }
+  }
+}
+
 // ----------------------------------------------------- Pinned overlap bits
 
 // A CRC-32 over the 8-byte patterns of BevIntersectionArea and BevIou, in

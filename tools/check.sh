@@ -203,13 +203,15 @@ PYEOF
   fi
 
   echo "==== cache: streaming, CRC-32 and JSON tests under asan + tsan ===="
+  # Every binary the regex reaches is built, so a reused tree never runs
+  # a stale one and a fresh tree skips none.
   local san tests_re="Fxb|Crc32|Streaming|Binary|ChecksumFlip|Json"
   for san in address thread; do
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
     cmake --build "${dir}" -j "${JOBS}" \
         --target fxb_test batch_test common_test fault_injection_test io_test \
-        json_test
+        json_test core_test daemon_test multiapp_test obs_test scenario_test
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   done
   echo "==== cache: OK ===="
@@ -288,20 +290,23 @@ PYEOF
   fi
 
   echo "==== multiapp: multiapp tests under asan + tsan ===="
+  # The regex also reaches FeatureRegistryTest (model_io_test) and
+  # Presets.RegistryOrderAndLookup (scenario_test).
   local san tests_re="MultiApp|Registry|ScenePass"
   for san in address thread; do
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
-    cmake --build "${dir}" -j "${JOBS}" --target multiapp_test
+    cmake --build "${dir}" -j "${JOBS}" \
+        --target multiapp_test model_io_test scenario_test
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   done
   echo "==== multiapp: OK ===="
 }
 
 run_daemon_sweep() {
-  echo "==== daemon: build fixy_cli ===="
+  echo "==== daemon: build fixy_cli + the suites' binaries ===="
   cmake -B build -S .
-  cmake --build build -j "${JOBS}" --target fixy_cli
+  cmake --build build -j "${JOBS}" --target fixy_cli daemon_test common_test
   local cli="build/tools/fixy_cli"
   [ -x "${cli}" ] || cli="$(find build -name fixy_cli -type f | head -1)"
   local work
@@ -512,9 +517,11 @@ EOF
 }
 
 run_scenario_sweep() {
-  echo "==== sweep: build fixy_cli + scenario_test ===="
+  echo "==== sweep: build fixy_cli + scenario_test + incremental_test ===="
   cmake -B build -S .
-  cmake --build build -j "${JOBS}" --target fixy_cli scenario_test
+  # `Sweep` also reaches WatchTest.SurvivesSeededCorruptionSweep.
+  cmake --build build -j "${JOBS}" \
+      --target fixy_cli scenario_test incremental_test
   local cli="build/tools/fixy_cli"
   [ -x "${cli}" ] || cli="$(find build -name fixy_cli -type f | head -1)"
   local work
@@ -598,7 +605,8 @@ EOF
   local tests_re="SpecValidator|SpecRoundTrip|Presets|Materialize|DropoutWindows|LedgerIo|Sweep|CellDiff"
   (cd build && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   cmake -B build-asan -S . -DFIXY_SANITIZE=address
-  cmake --build build-asan -j "${JOBS}" --target scenario_test fixy_cli
+  cmake --build build-asan -j "${JOBS}" \
+      --target scenario_test fixy_cli incremental_test
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
   echo "==== sweep: OK ===="
 }
