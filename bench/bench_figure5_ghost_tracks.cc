@@ -137,8 +137,9 @@ void Run() {
               consistent_score - ghost_score);
 
   // ---- Figures 6/7: bundle probability separation. ----
-  // Learn the class-agreement Bernoulli from training data, then compare a
-  // consistent car/car bundle against a person-box-on-truck-box bundle.
+  // Learn the class-agreement categorical over {0, 1} (the paper's
+  // Bernoulli) from training data, then compare a consistent car/car
+  // bundle against a person-box-on-truck-box bundle.
   const sim::GeneratedDataset training = sim::GenerateDataset(
       sim::LyftLikeProfile(), "bundle_train", 4, kTrainingSeed);
   LearnerOptions learner_options;

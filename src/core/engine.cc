@@ -70,11 +70,6 @@ Status Fixy::Learn(const Dataset& training) {
 Status Fixy::LearnIncremental(const Dataset& delta) {
   const obs::ScopedStageTimer learn_timer("learn.total");
   FIXY_RETURN_IF_ERROR(CheckLearned());
-  if (stats_.empty()) {
-    return Status::FailedPrecondition(
-        "model carries no sufficient statistics to fold into (saved before "
-        "incremental learning?) — run a full Learn() instead");
-  }
   return FoldAndCommit(delta, LearnedFeatureSet{learned_with_count_, stats_});
 }
 
@@ -125,9 +120,7 @@ Status Fixy::LoadModel(const std::string& path) {
                                      feature->name() + "' distribution");
     }
     ordered.distributions.push_back(std::move(model.distributions[it->second]));
-    if (model.has_stats()) {
-      ordered.stats.push_back(std::move(model.stats[it->second]));
-    }
+    ordered.stats.push_back(std::move(model.stats[it->second]));
     entry_of.erase(it);
   }
   if (!entry_of.empty()) {

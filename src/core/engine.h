@@ -171,16 +171,10 @@ class Fixy {
   /// fit in the reservoir (LearnerOptions::kde_reservoir_capacity) and
   /// divergence is bounded past it (DESIGN.md §14). On error the learned
   /// state is unchanged. Errors: FailedPrecondition before Learn() or
-  /// when the model carries no statistics (loaded from a file saved
-  /// before incremental learning); otherwise the learner's errors.
+  /// LoadModel(); otherwise the learner's errors.
   Status LearnIncremental(const Dataset& delta);
 
   bool is_learned() const { return !learned_with_count_.empty(); }
-
-  /// True when the engine holds the sufficient statistics
-  /// LearnIncremental needs — after Learn(), or after LoadModel() of a
-  /// file that carried stats.
-  bool supports_incremental_learning() const { return !stats_.empty(); }
 
   /// Online phase (each requires Learn() first; FailedPrecondition
   /// otherwise). Outputs are ranked most-suspicious-first.
@@ -250,12 +244,15 @@ class Fixy {
     return learned_base_;
   }
 
-  /// Persists the learned model (all fitted distributions) to `path` so
-  /// the online phase can run in a different process. Requires Learn().
+  /// Persists the learned model (every feature's sufficient statistics)
+  /// to `path` so the online phase can run in a different process.
+  /// Requires Learn().
   Status SaveModel(const std::string& path) const;
 
   /// Restores a model saved with SaveModel, resolving feature names
-  /// through the standard registry plus this engine's extra_features.
+  /// through the standard registry plus this engine's extra_features,
+  /// and re-fits every distribution from the file's statistics (one fold
+  /// of no scenes, so the loaded model is the saved one, bit for bit).
   /// The file must hold exactly the features this engine learns, each
   /// once, in any order; they are stored in learn order (volume,
   /// velocity, extras, count), so a reload re-saves the canonical file
@@ -263,7 +260,9 @@ class Fixy {
   /// previously learned state, but only on success: on error the engine
   /// is unchanged. Errors: the file's I/O and parse errors; NotFound for
   /// an unregistered feature name; InvalidArgument for a missing,
-  /// duplicated or unlearned feature.
+  /// duplicated or unlearned feature, an entry without statistics (a
+  /// file saved before incremental learning) or malformed ones, and the
+  /// fit's errors.
   Status LoadModel(const std::string& path);
 
   const FixyOptions& options() const { return options_; }
@@ -288,8 +287,8 @@ class Fixy {
   /// commits the result: the shared tail of Learn and LearnIncremental.
   Status FoldAndCommit(const Dataset& data, LearnedFeatureSet state);
 
-  /// Makes `model` (in learn order; stats empty or parallel) the learned
-  /// state and rebuilds the specs.
+  /// Makes `model` (in learn order; stats parallel) the learned state and
+  /// rebuilds the specs.
   void Commit(LearnedFeatureSet model);
 
   /// Learned-state + registry checks and name resolution shared by every
@@ -325,8 +324,7 @@ class Fixy {
   /// (Section 8.4 adds "a track feature over the total number of
   /// observations").
   std::vector<FeatureDistribution> learned_with_count_;
-  /// Sufficient statistics parallel to learned_with_count_; empty when the
-  /// model was loaded from a stats-less file.
+  /// Sufficient statistics parallel to learned_with_count_.
   std::vector<FeatureStats> stats_;
   /// Cached specs, parallel to registry_.apps(), built by RebuildSpecs().
   /// Immutable between Learn()/LoadModel() calls and safe to share across

@@ -59,9 +59,11 @@ class VelocityFeature final : public TransitionFeature {
 
 /// 1.0 when all observations in a bundle agree on object class, 0.0
 /// otherwise — the Section 5.1 example bundle feature ("observations
-/// within bundles should agree on object class"; the learner fits the
-/// Bernoulli probability of agreement). Strongly inconsistent bundles such
-/// as Figure 7's person/truck overlap score low.
+/// within bundles should agree on object class"). The paper models it as a
+/// Bernoulli; the learner, run with EstimatorKind::kCategorical, fits a
+/// categorical over {0, 1} (add-one smoothing over the outcomes seen).
+/// Strongly inconsistent bundles such as Figure 7's person/truck overlap
+/// score low.
 class ClassAgreementFeature final : public BundleFeature {
  public:
   std::string name() const override { return "class_agreement"; }

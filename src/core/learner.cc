@@ -120,7 +120,7 @@ Result<stats::DistributionPtr> DistributionLearner::FitFromStats(
     }
     case EstimatorKind::kHistogram: {
       FIXY_ASSIGN_OR_RETURN(stats::HistogramDensity hist,
-                            stats::HistogramDensity::Fit(stats.counts.Expand()));
+                            stats::HistogramDensity::Fit(stats.counts));
       return stats::DistributionPtr(
           std::make_shared<stats::HistogramDensity>(std::move(hist)));
     }
@@ -134,7 +134,7 @@ Result<stats::DistributionPtr> DistributionLearner::FitFromStats(
     }
     case EstimatorKind::kCategorical: {
       FIXY_ASSIGN_OR_RETURN(stats::Categorical categorical,
-                            stats::Categorical::Fit(stats.counts.Expand()));
+                            stats::Categorical::Fit(stats.counts));
       return stats::DistributionPtr(
           std::make_shared<stats::Categorical>(std::move(categorical)));
     }
@@ -309,7 +309,12 @@ Status DistributionLearner::Fold(const Dataset& delta,
   }
   for (size_t c = 0; c < cells.size(); ++c) {
     if (cells[c].stats == nullptr) continue;
-    FIXY_RETURN_IF_ERROR(fitted[c].status());
+    if (!fitted[c].ok()) {
+      return Status(fitted[c].status().code(),
+                    StrFormat("feature '%s': %s",
+                              features[cells[c].feature]->name().c_str(),
+                              fitted[c].status().message().c_str()));
+    }
     cells[c].dist = std::move(*fitted[c]);
   }
 

@@ -140,16 +140,17 @@ class DistributionLearner {
   /// so folding A then B equals folding A+B) and re-fits the changed
   /// distributions. `state.stats[i]` holds feature i's statistics, which
   /// carry their own estimator. `state.distributions` is empty before the
-  /// first fit, when every (feature, class) cell is fitted; otherwise
-  /// distribution i must be feature i's, and a cell whose statistics the
-  /// fold left unchanged keeps its fitted distribution (a fit is a pure
-  /// function of its statistics, so reuse is byte-identical). Changed
-  /// cells fit in parallel. On error `state` is left unchanged. Errors,
-  /// all InvalidArgument, in this order: a feature/stats/distribution
-  /// shape or name mismatch; a feature with no class at
-  /// kMinTrainingSamples after the fold (in feature order); a failed fit
-  /// (in cell order). Scene validation errors from track building come
-  /// between the first two.
+  /// first fit (Learn, or a model load: a fold of no scenes), when every
+  /// (feature, class) cell is fitted; otherwise distribution i must be
+  /// feature i's, and a cell whose statistics the fold left unchanged
+  /// keeps its fitted distribution (a fit is a pure function of its
+  /// statistics, so reuse is byte-identical). Changed cells fit in
+  /// parallel. On error `state` is left unchanged. Errors, all
+  /// InvalidArgument, in this order: a feature/stats/distribution shape
+  /// or name mismatch; a feature with no class at kMinTrainingSamples
+  /// after the fold (in feature order); a failed fit (in cell order, its
+  /// message prefixed with the feature's name). Scene validation errors
+  /// from track building come between the first two.
   Status Fold(const Dataset& delta, const std::vector<FeaturePtr>& features,
               LearnedFeatureSet& state) const;
 

@@ -1,20 +1,18 @@
-// Persistence for learned models: serializes fitted feature distributions,
-// with the sufficient statistics they were fitted from, to JSON and
-// reloads them, so the offline phase (Learn) and the online phase (Find,
-// RankDataset) can run in different processes — e.g. learn once in a
-// nightly job, rank in the labeling pipeline. There is one serializer
-// pair: LearnedModelToJson / LearnedModelWithStatsFromJson, with the
-// file wrappers SaveLearnedModel / LoadLearnedModelWithStats. An empty
-// stats vector writes a distributions-only model, which ranks but cannot
-// be folded into.
+// Persistence for learned models, so the offline phase (Learn) and the
+// online phase (Find, RankDataset) can run in different processes — e.g.
+// learn once in a nightly job, rank in the labeling pipeline. A model file
+// holds each learned feature's sufficient statistics (core/learner.h) and
+// nothing else: a load parses them and fits every distribution with one
+// DistributionLearner::Fold of no scenes, the fit Learn and
+// LearnIncremental run, so a loaded model is exactly the learned one and
+// can be folded into. There is one serializer pair: LearnedModelToJson /
+// LearnedModelWithStatsFromJson, with the file wrappers SaveLearnedModel
+// / LoadLearnedModelWithStats.
 //
 // Features themselves are code, not data, so deserialization resolves them
 // by name through a FeatureRegistry; user-defined features are supported
-// by registering them before loading.
-//
-// Serializable distribution types: GaussianKde, HistogramDensity,
-// Gaussian, Bernoulli, Categorical (everything the learner fits). Manual
-// Lambda distributions are application-side configuration and are never
+// by registering them before loading. AOFs and manual Lambda
+// distributions are application-side configuration and are never
 // serialized.
 #ifndef FIXY_CORE_MODEL_IO_H_
 #define FIXY_CORE_MODEL_IO_H_
@@ -48,46 +46,26 @@ class FeatureRegistry {
   std::map<std::string, FeaturePtr> features_;
 };
 
-/// Serializes one fitted distribution. Errors: Unimplemented for
-/// non-serializable distribution types (e.g. LambdaDistribution).
-Result<json::Value> DistributionToJson(const stats::Distribution& dist);
-
-/// Reconstructs a distribution written by DistributionToJson.
-Result<stats::DistributionPtr> DistributionFromJson(const json::Value& value);
-
-/// Serializes one feature's sufficient statistics (core/learner.h) —
-/// the mergeable state Fixy::LearnIncremental folds new scenes into.
-Result<json::Value> FeatureStatsToJson(const FeatureStats& stats);
-
-/// Reconstructs statistics written by FeatureStatsToJson.
-Result<FeatureStats> FeatureStatsFromJson(const json::Value& value);
-
-/// Serializes a learned model (a set of feature distributions) together
-/// with the sufficient statistics it was fitted from (`stats` parallel to
-/// `learned`; pass an empty vector to omit them). AOFs are not serialized
-/// — they are per-application configuration. The document stays version
-/// 1: each feature entry just gains a "stats" member, which
-/// pre-incremental readers ignore.
+/// Serializes a learned model: one {"feature", "stats"} entry per
+/// feature, `stats` parallel to `learned` (which supplies the names).
+/// The document is version 1. Older writers of version 1 also stored each
+/// fitted distribution beside its statistics; a load ignores those
+/// members. Errors: InvalidArgument unless `stats` is parallel to
+/// `learned`.
 Result<json::Value> LearnedModelToJson(
     const std::vector<FeatureDistribution>& learned,
     const std::vector<FeatureStats>& stats);
 
-/// A loaded model, with sufficient statistics when the file carried them.
-struct LoadedModel {
-  std::vector<FeatureDistribution> distributions;
-  /// Parallel to `distributions` when EVERY feature entry carried stats;
-  /// empty otherwise (a model saved before incremental learning, which
-  /// still ranks but cannot be folded into).
-  std::vector<FeatureStats> stats;
+/// A loaded model: the fitted distributions and, parallel to them, the
+/// statistics they were fitted from.
+using LoadedModel = LearnedFeatureSet;
 
-  bool has_stats() const { return !stats.empty(); }
-};
-
-/// Reconstructs a learned model and its per-feature statistics; every
-/// feature name in the document must resolve through `registry`. A
-/// malformed "stats" member is an error (a file that claims stats must
-/// carry valid ones); a file with no stats members loads with `stats`
-/// empty.
+/// Reconstructs a learned model from its statistics; every feature name
+/// in the document must resolve through `registry` (NotFound otherwise).
+/// Errors: InvalidArgument for a malformed document, an entry without
+/// "stats" (a model saved before incremental learning: re-run `fixy_cli
+/// learn`) or malformed statistics, naming the feature; then the
+/// learner's Fold errors.
 Result<LoadedModel> LearnedModelWithStatsFromJson(
     const json::Value& value, const FeatureRegistry& registry);
 

@@ -258,11 +258,6 @@ Result<WatchReport> WatchDataset(const WatchOptions& options) {
 
   Fixy fixy(options.engine);
   FIXY_RETURN_IF_ERROR(fixy.LoadModel(options.model_path));
-  if (options.learn_labels && !fixy.supports_incremental_learning()) {
-    return Status::FailedPrecondition(
-        "--learn-labels needs a model with sufficient statistics (re-save "
-        "it with a current `fixy_cli learn` to enable incremental folds)");
-  }
 
   WatchState state;
   state.fixy = &fixy;

@@ -56,7 +56,7 @@ struct WatchOptions {
 
   /// Fold each batch of added/changed scenes into the learned model
   /// (Fixy::LearnIncremental) before re-ranking, and save the model to
-  /// `model_out`. Requires a model that carries sufficient statistics.
+  /// `model_out`.
   bool learn_labels = false;
 
   /// Proposals printed per re-ranked scene.
@@ -108,10 +108,9 @@ struct WatchReport {
 };
 
 /// Runs the watch loop until stopped. Errors: only for unrecoverable
-/// setup problems (missing dataset directory, unloadable model,
-/// --learn-labels against a model without sufficient statistics, unknown
-/// app); once the loop is running, per-cycle failures are counted and
-/// retried, never returned.
+/// setup problems (missing dataset directory, unloadable model, e.g. one
+/// saved without sufficient statistics, unknown app); once the loop is
+/// running, per-cycle failures are counted and retried, never returned.
 Result<WatchReport> WatchDataset(const WatchOptions& options);
 
 /// Records every watch.* counter and timer at zero on the calling

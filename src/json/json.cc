@@ -39,8 +39,6 @@ double Value::AsDouble() const {
   return std::get<double>(data_);
 }
 
-int64_t Value::AsInt64() const { return static_cast<int64_t>(AsDouble()); }
-
 const std::string& Value::AsString() const {
   FIXY_CHECK_MSG(is_string(), "JSON value is not a string");
   return std::get<std::string>(data_);
@@ -93,7 +91,17 @@ Result<double> Value::GetDouble(const std::string& key) const {
 
 Result<int64_t> Value::GetInt64(const std::string& key) const {
   FIXY_ASSIGN_OR_RETURN(double d, GetDouble(key));
-  return static_cast<int64_t>(d);
+  return ToInt64(d, key);
+}
+
+Result<int64_t> ToInt64(double number, const std::string& key) {
+  // Both bounds are exact doubles, and NaN fails the range test.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(number >= -kTwoTo63 && number < kTwoTo63) ||
+      number != std::trunc(number)) {
+    return Status::InvalidArgument("key is not a 64-bit integer: " + key);
+  }
+  return static_cast<int64_t>(number);
 }
 
 Result<std::string> Value::GetString(const std::string& key) const {

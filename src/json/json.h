@@ -52,15 +52,14 @@ class Value {
   /// the Get* helpers below for fallible access.
   bool AsBool() const;
   double AsDouble() const;
-  int64_t AsInt64() const;
   const std::string& AsString() const;
   const Array& AsArray() const;
   Array& AsArray();
   const Object& AsObject() const;
   Object& AsObject();
 
-  /// Fallible object-member lookup with type checking. `context` names the
-  /// object in error messages.
+  /// Fallible object-member lookup with type checking. GetInt64 reads the
+  /// number through ToInt64.
   Result<bool> GetBool(const std::string& key) const;
   Result<double> GetDouble(const std::string& key) const;
   Result<int64_t> GetInt64(const std::string& key) const;
@@ -75,6 +74,12 @@ class Value {
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
+
+/// The integer a JSON number names: every integer JSON number a reader
+/// turns into int64_t goes through here, because casting a double outside
+/// int64_t's range is undefined. Errors: InvalidArgument naming `key`
+/// unless `number` is integral and in [-2^63, 2^63).
+Result<int64_t> ToInt64(double number, const std::string& key);
 
 /// Parses a complete JSON document. Errors: InvalidArgument with a
 /// line/column-annotated message on malformed input; trailing non-space

@@ -7,40 +7,6 @@
 
 namespace fixy::stats {
 
-Result<Bernoulli> Bernoulli::Create(double p_one) {
-  if (!std::isfinite(p_one) || p_one < 0.0 || p_one > 1.0) {
-    return Status::InvalidArgument("Bernoulli p must be in [0, 1]");
-  }
-  return Bernoulli(p_one);
-}
-
-Result<Bernoulli> Bernoulli::Fit(const std::vector<double>& samples) {
-  if (samples.empty()) {
-    return Status::InvalidArgument("Bernoulli fit requires samples");
-  }
-  size_t ones = 0;
-  for (double s : samples) {
-    if (s >= 0.5) ++ones;
-  }
-  // Add-one smoothing keeps both outcomes representable.
-  const double p =
-      (static_cast<double>(ones) + 1.0) / (static_cast<double>(samples.size()) + 2.0);
-  return Bernoulli(p);
-}
-
-double Bernoulli::Density(double x) const {
-  const long v = std::lround(x);
-  if (v == 1) return p_one_;
-  if (v == 0) return 1.0 - p_one_;
-  return 0.0;
-}
-
-double Bernoulli::ModeDensity() const { return std::max(p_one_, 1.0 - p_one_); }
-
-std::string Bernoulli::ToString() const {
-  return StrFormat("Bernoulli(p=%s)", DoubleToString(p_one_, 4).c_str());
-}
-
 Categorical::Categorical(std::map<long, double> mass)
     : mass_(std::move(mass)) {
   for (const auto& [value, p] : mass_) {
@@ -49,43 +15,29 @@ Categorical::Categorical(std::map<long, double> mass)
   }
 }
 
-Result<Categorical> Categorical::Fit(const std::vector<double>& samples) {
-  if (samples.empty()) {
+Result<Categorical> Categorical::Fit(const ValueCounts& values) {
+  if (values.counts.empty()) {
     return Status::InvalidArgument("Categorical fit requires samples");
   }
   std::map<long, double> counts;
-  for (double s : samples) {
-    if (!std::isfinite(s)) {
+  uint64_t n = 0;
+  for (const auto& [value, count] : values.counts) {
+    if (!std::isfinite(value)) {
       return Status::InvalidArgument("Categorical sample is not finite");
     }
-    counts[std::lround(s)] += 1.0;
+    // Sums of integer-valued doubles below 2^53 are exact, so these are
+    // the bits one 1.0 per sample would add up to.
+    counts[std::lround(value)] += static_cast<double>(count);
+    n += count;
   }
   // Add-one smoothing over the observed support.
-  const double total = static_cast<double>(samples.size()) +
-                       static_cast<double>(counts.size());
+  const double total =
+      static_cast<double>(n) + static_cast<double>(counts.size());
   for (auto& [value, count] : counts) {
     (void)value;
     count = (count + 1.0) / total;
   }
   return Categorical(std::move(counts));
-}
-
-Result<Categorical> Categorical::FromMass(std::map<long, double> mass) {
-  if (mass.empty()) {
-    return Status::InvalidArgument("categorical mass function is empty");
-  }
-  double total = 0.0;
-  for (const auto& [value, p] : mass) {
-    (void)value;
-    if (!std::isfinite(p) || p < 0.0) {
-      return Status::InvalidArgument("categorical mass must be >= 0");
-    }
-    total += p;
-  }
-  if (std::abs(total - 1.0) > 1e-6) {
-    return Status::InvalidArgument("categorical masses must sum to 1");
-  }
-  return Categorical(std::move(mass));
 }
 
 double Categorical::Density(double x) const { return Mass(std::lround(x)); }

@@ -1,47 +1,25 @@
-// Discrete feature distributions: Bernoulli (e.g. "classes within a bundle
-// agree") and categorical over small integer supports (e.g. track length
-// buckets). Section 5.1 of the paper uses a Bernoulli for the bundle class-
-// agreement feature.
+// Discrete feature distributions: a categorical over integer values (e.g.
+// track observation counts, or the {0, 1} outcomes of "classes within a
+// bundle agree", for which Section 5.1 of the paper names a Bernoulli).
 #ifndef FIXY_STATS_DISCRETE_H_
 #define FIXY_STATS_DISCRETE_H_
 
 #include <map>
-#include <vector>
 
 #include "common/result.h"
 #include "stats/distribution.h"
+#include "stats/sufficient.h"
 
 namespace fixy::stats {
-
-/// Bernoulli over {0, 1}. Density(x) is the probability mass of round(x).
-class Bernoulli final : public Distribution {
- public:
-  /// Errors: InvalidArgument unless 0 <= p <= 1.
-  static Result<Bernoulli> Create(double p_one);
-
-  /// Fits by counting values >= 0.5 as ones, with add-one (Laplace)
-  /// smoothing so neither outcome has exactly zero mass.
-  /// Errors: InvalidArgument for an empty sample.
-  static Result<Bernoulli> Fit(const std::vector<double>& samples);
-
-  double Density(double x) const override;
-  double ModeDensity() const override;
-  std::string ToString() const override;
-
-  double p_one() const { return p_one_; }
-
- private:
-  explicit Bernoulli(double p_one) : p_one_(p_one) {}
-
-  double p_one_;
-};
 
 /// Categorical distribution over integer values; mass of round(x).
 class Categorical final : public Distribution {
  public:
   /// Fits by counting rounded values, with add-one smoothing over the
-  /// observed support. Errors: InvalidArgument for an empty sample.
-  static Result<Categorical> Fit(const std::vector<double>& samples);
+  /// observed support. Reads each distinct value once, so the work and
+  /// memory follow the distinct values, not the count they claim.
+  /// Errors: InvalidArgument for no values or a non-finite one.
+  static Result<Categorical> Fit(const ValueCounts& values);
 
   double Density(double x) const override;
   double ModeDensity() const override;
@@ -50,13 +28,8 @@ class Categorical final : public Distribution {
   /// Probability mass of the integer value `v` (0 if unseen).
   double Mass(long v) const;
 
-  /// The full mass function (exposed for serialization).
+  /// The full mass function.
   const std::map<long, double>& mass() const { return mass_; }
-
-  /// Reconstructs a categorical from a serialized mass function. Errors:
-  /// InvalidArgument if empty, entries are negative, or masses do not sum
-  /// to ~1.
-  static Result<Categorical> FromMass(std::map<long, double> mass);
 
  private:
   explicit Categorical(std::map<long, double> mass);

@@ -17,23 +17,23 @@ HistogramDensity::HistogramDensity(double lo, double bin_width,
                   (static_cast<double>(total_) * bin_width_);
 }
 
-Result<HistogramDensity> HistogramDensity::Fit(
-    const std::vector<double>& samples, int num_bins) {
-  if (samples.empty()) {
+Result<HistogramDensity> HistogramDensity::Fit(const ValueCounts& values,
+                                               int num_bins) {
+  if (values.counts.empty()) {
     return Status::InvalidArgument("histogram requires at least one sample");
   }
   if (num_bins < 1) {
     return Status::InvalidArgument("histogram needs num_bins >= 1");
   }
-  double lo = samples[0];
-  double hi = samples[0];
-  for (double s : samples) {
-    if (!std::isfinite(s)) {
+  for (const auto& [value, count] : values.counts) {
+    (void)count;
+    if (!std::isfinite(value)) {
       return Status::InvalidArgument("histogram sample is not finite");
     }
-    lo = std::min(lo, s);
-    hi = std::max(hi, s);
   }
+  // The map is sorted, so its ends bound the sample.
+  double lo = values.counts.begin()->first;
+  double hi = values.counts.rbegin()->first;
   if (hi - lo <= 0.0) {
     // All samples identical: widen to a small interval around the value.
     const double pad = std::max(1e-6, std::abs(lo) * 0.01);
@@ -41,29 +41,19 @@ Result<HistogramDensity> HistogramDensity::Fit(
     hi += pad;
   }
   const double width = (hi - lo) / num_bins;
+  if (!(width > 0.0) || !std::isfinite(width)) {
+    return Status::InvalidArgument(
+        "histogram bin width is not finite and positive");
+  }
   std::vector<size_t> counts(static_cast<size_t>(num_bins), 0);
-  for (double s : samples) {
-    int bin = static_cast<int>((s - lo) / width);
-    bin = std::clamp(bin, 0, num_bins - 1);
-    ++counts[static_cast<size_t>(bin)];
-  }
-  return HistogramDensity(lo, width, std::move(counts), samples.size());
-}
-
-Result<HistogramDensity> HistogramDensity::FromParts(
-    double lo, double bin_width, std::vector<size_t> counts) {
-  if (counts.empty()) {
-    return Status::InvalidArgument("histogram needs at least one bin");
-  }
-  if (!(bin_width > 0.0) || !std::isfinite(bin_width) || !std::isfinite(lo)) {
-    return Status::InvalidArgument("histogram bin geometry invalid");
-  }
   size_t total = 0;
-  for (size_t c : counts) total += c;
-  if (total == 0) {
-    return Status::InvalidArgument("histogram has no samples");
+  for (const auto& [value, count] : values.counts) {
+    int bin = static_cast<int>((value - lo) / width);
+    bin = std::clamp(bin, 0, num_bins - 1);
+    counts[static_cast<size_t>(bin)] += count;
+    total += count;
   }
-  return HistogramDensity(lo, bin_width, std::move(counts), total);
+  return HistogramDensity(lo, width, std::move(counts), total);
 }
 
 double HistogramDensity::Density(double x) const {

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "stats/distribution.h"
+#include "stats/sufficient.h"
 
 namespace fixy::stats {
 
@@ -15,10 +16,13 @@ namespace fixy::stats {
 /// fitted range have zero density (before the score floor).
 class HistogramDensity final : public Distribution {
  public:
-  /// Fits to `samples` with `num_bins` equal-width bins spanning the sample
-  /// range (widened slightly when the range is degenerate).
-  /// Errors: InvalidArgument for empty/non-finite samples or num_bins < 1.
-  static Result<HistogramDensity> Fit(const std::vector<double>& samples,
+  /// Fits to `values` with `num_bins` equal-width bins spanning their
+  /// range (widened slightly when the range is degenerate). Reads each
+  /// distinct value once, so the work and memory follow the distinct
+  /// values, not the count they claim. Errors: InvalidArgument for no
+  /// values, a non-finite one, num_bins < 1, or a range whose bin width
+  /// is not finite and positive (values near +-1e308).
+  static Result<HistogramDensity> Fit(const ValueCounts& values,
                                       int num_bins = 32);
 
   double Density(double x) const override;
@@ -29,15 +33,9 @@ class HistogramDensity final : public Distribution {
   double bin_width() const { return bin_width_; }
   /// Count of fitted samples in bin `i`.
   size_t bin_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  /// Left edge of bin 0 (exposed for serialization).
+  /// Left edge of bin 0.
   double lower_bound() const { return lo_; }
   size_t total_count() const { return total_; }
-
-  /// Reconstructs a histogram from serialized parameters. Errors:
-  /// InvalidArgument on empty counts, non-positive bin width, or counts
-  /// that do not sum to `total`.
-  static Result<HistogramDensity> FromParts(double lo, double bin_width,
-                                            std::vector<size_t> counts);
 
  private:
   HistogramDensity(double lo, double bin_width, std::vector<size_t> counts,

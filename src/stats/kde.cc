@@ -212,9 +212,7 @@ Result<GaussianKde> GaussianKde::FitWithBandwidth(std::vector<double> samples,
   FIXY_RETURN_IF_ERROR(ValidateSamples(samples));
   if (!(bandwidth >= kMinBandwidth) || !std::isfinite(bandwidth)) {
     // The lower bound also rejects denormal bandwidths whose reciprocal
-    // (or normalization constant) would overflow to infinity — reachable
-    // from a hand-edited model file via model_io, so this must be a
-    // Status, not a CHECK.
+    // (or normalization constant) would overflow to infinity.
     return Status::InvalidArgument(StrFormat(
         "KDE bandwidth must be a finite value >= %g", kMinBandwidth));
   }

@@ -51,10 +51,11 @@ class GaussianKde final : public Distribution {
   /// bandwidth so the density stays well defined.
   static Result<GaussianKde> Fit(std::vector<double> samples);
 
-  /// Fits with an explicit bandwidth. Errors (InvalidArgument) if the
-  /// bandwidth is below 1e-6 or not finite, if its normalization
-  /// 1/(sqrt(2*pi) * h * n) is not finite and positive, or if samples are
-  /// empty / non-finite.
+  /// Fits with an explicit bandwidth: the tests' way to pin one (no model
+  /// file carries a bandwidth; a load re-fits with Scott's rule). Errors
+  /// (InvalidArgument) if the bandwidth is below 1e-6 or not finite, if
+  /// its normalization 1/(sqrt(2*pi) * h * n) is not finite and positive,
+  /// or if samples are empty / non-finite.
   static Result<GaussianKde> FitWithBandwidth(std::vector<double> samples,
                                               double bandwidth);
 
@@ -88,7 +89,7 @@ class GaussianKde final : public Distribution {
 
   double bandwidth() const { return bandwidth_; }
   size_t sample_count() const { return samples_.size(); }
-  /// Fitted samples, sorted ascending (exposed for serialization).
+  /// Fitted samples, sorted ascending.
   const std::vector<double>& samples() const { return samples_; }
 
  private:

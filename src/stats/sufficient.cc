@@ -10,31 +10,9 @@ void MomentStats::Add(double x) {
   sum_sq += x * x;
 }
 
-void MomentStats::Merge(const MomentStats& other) {
-  n += other.n;
-  sum += other.sum;
-  sum_sq += other.sum_sq;
-}
-
 void ValueCounts::Add(double x) {
   ++counts[x];
   ++total;
-}
-
-void ValueCounts::Merge(const ValueCounts& other) {
-  for (const auto& [value, count] : other.counts) {
-    counts[value] += count;
-  }
-  total += other.total;
-}
-
-std::vector<double> ValueCounts::Expand() const {
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(total));
-  for (const auto& [value, count] : counts) {
-    out.insert(out.end(), static_cast<size_t>(count), value);
-  }
-  return out;
 }
 
 void ValueReservoir::Add(double x) {

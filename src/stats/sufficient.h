@@ -1,21 +1,23 @@
-// Mergeable sufficient statistics for incremental distribution learning.
+// Sufficient statistics for incremental distribution learning.
 //
 // The offline learner (core/learner.h) fits each feature distribution from
 // a stream of scalar values. To make "one new scene arrived" cost one
 // scene instead of a full refit, the learner keeps, per feature and class,
 // the sufficient statistics of the stream — and re-materializes the
-// distribution from them. The three primitives here cover the estimator
-// families:
+// distribution from them. They are also the whole saved model: a load
+// re-fits every distribution from them (core/model_io.h). The three
+// primitives here cover the estimator families:
 //
 //  - MomentStats: n, Σx, Σx² — everything a Gaussian fit needs.
-//  - ValueCounts: an exact value→count multiset — histogram and
-//    categorical fits over Expand() are order-insensitive, so a fold of
-//    new values yields the byte-identical distribution a full refit would.
+//  - ValueCounts: an exact value→count multiset — the histogram and
+//    categorical fits read it directly and are order-insensitive, so a
+//    fold of new values yields the byte-identical distribution a full
+//    refit would.
 //  - ValueReservoir: a bounded uniform sample for KDE, with counter-based
 //    randomness so it is resumable from its serialized state.
 //
-// All three fold one value at a time (Add) and two stat sets of the same
-// shape combine with Merge; DESIGN.md §14 documents the merge guarantees.
+// All three fold one value at a time (Add); DESIGN.md §14 documents the
+// fold guarantees.
 #ifndef FIXY_STATS_SUFFICIENT_H_
 #define FIXY_STATS_SUFFICIENT_H_
 
@@ -37,26 +39,22 @@ struct MomentStats {
   double sum_sq = 0.0;
 
   void Add(double x);
-  void Merge(const MomentStats& other);
 
   bool operator==(const MomentStats&) const = default;
 };
 
 /// An exact multiset of observed values (value → occurrence count).
 /// Order-free: streams with the same values in any order produce identical
-/// counts, so estimators fit from Expand() are byte-identical however the
+/// counts, so estimators fit from them are byte-identical however the
 /// values arrived. Memory is O(distinct values) — intended for the
 /// discrete-ish features (track counts, buckets) the histogram and
 /// categorical estimators serve.
 struct ValueCounts {
   std::map<double, uint64_t> counts;
+  /// The sum of `counts`.
   uint64_t total = 0;
 
   void Add(double x);
-  void Merge(const ValueCounts& other);
-
-  /// The multiset as a sorted-ascending vector of `total` values.
-  std::vector<double> Expand() const;
 
   bool operator==(const ValueCounts&) const = default;
 };

@@ -17,6 +17,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -132,6 +133,21 @@ TEST(DaemonProtocolTest, RequestFromJsonRejectsHostileInput) {
       RequestFromJson(json::Value(std::move(max_top)));
   ASSERT_TRUE(at_bound.ok()) << at_bound.status();
   EXPECT_EQ(at_bound->top, 2147483647);
+  // A number no int64_t holds, or a fraction, is rejected by name before
+  // any cast: casting 1e300 or 1e19 to int64_t is undefined.
+  const std::pair<const char*, double> not_int64[] = {
+      {"top", 1e300}, {"id", 1e19}, {"scene_index", 2.5}};
+  for (const auto& [key, number] : not_int64) {
+    json::Object request;
+    request["kind"] = json::Value(std::string("rank"));
+    request[key] = json::Value(number);
+    const Result<Request> parsed =
+        RequestFromJson(json::Value(std::move(request)));
+    ASSERT_FALSE(parsed.ok()) << key;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(key), std::string::npos)
+        << parsed.status();
+  }
 }
 
 // ----------------------------------------------------------- wire codec

@@ -37,10 +37,10 @@
 
 #include "common/crc32.h"
 #include "core/engine.h"
-#include "core/model_io.h"
 #include "daemon/watch.h"
 #include "io/fxb.h"
 #include "io/scene_io.h"
+#include "json/json.h"
 #include "obs/metrics.h"
 #include "sim/generate.h"
 #include "stats/sufficient.h"
@@ -462,7 +462,6 @@ TEST_P(MergeRefitTest, FoldMatchesFullRefitByteForByte) {
 
   Fixy folded(options);
   ASSERT_TRUE(folded.Learn(head).ok());
-  ASSERT_TRUE(folded.supports_incremental_learning());
   ASSERT_TRUE(folded.LearnIncremental(tail).ok());
   ASSERT_TRUE(folded.SaveModel(folded_path).ok());
 
@@ -482,8 +481,9 @@ INSTANTIATE_TEST_SUITE_P(AllEstimators, MergeRefitTest,
 
 // The saved bytes of a fixed-seed Learn, per estimator. Learn and
 // LearnIncremental share one fold, so the parity test above compares that
-// fold with itself; these constants were recorded from an earlier learner
-// whose Learn fitted every distribution directly, and pin both paths to it.
+// fold with itself; these constants pin both paths to the statistics an
+// earlier learner saved, whose Learn fitted every distribution directly
+// (its files, minus each entry's fitted "distribution"/"per_class").
 struct ModelGolden {
   EstimatorKind estimator;
   uint32_t crc;
@@ -519,10 +519,10 @@ TEST_P(LearnedModelGoldenTest, SavedModelMatchesRecordedCrc) {
 INSTANTIATE_TEST_SUITE_P(
     AllEstimators, LearnedModelGoldenTest,
     ::testing::Values(
-        ModelGolden{EstimatorKind::kKde, 2364567827u, 675843},
-        ModelGolden{EstimatorKind::kHistogram, 746815824u, 528393},
-        ModelGolden{EstimatorKind::kGaussian, 3223151782u, 7822},
-        ModelGolden{EstimatorKind::kCategorical, 1424494968u, 528391}),
+        ModelGolden{EstimatorKind::kKde, 3467216093u, 348158},
+        ModelGolden{EstimatorKind::kHistogram, 2327226523u, 520200},
+        ModelGolden{EstimatorKind::kGaussian, 2137334627u, 3955},
+        ModelGolden{EstimatorKind::kCategorical, 6144428u, 520204}),
     [](const auto& info) {
       return std::string(EstimatorKindToString(info.param.estimator));
     });
@@ -571,7 +571,6 @@ TEST(MergeRefitTest, FoldSurvivesModelSaveLoadRoundTrip) {
   // statistics must make the fold resume exactly where Learn left off.
   Fixy reloaded;
   ASSERT_TRUE(reloaded.LoadModel(dir + "/head.json").ok());
-  ASSERT_TRUE(reloaded.supports_incremental_learning());
   ASSERT_TRUE(reloaded.LearnIncremental(tail).ok());
   ASSERT_TRUE(reloaded.SaveModel(dir + "/reloaded.json").ok());
 
@@ -586,21 +585,25 @@ TEST(MergeRefitTest, StatsLessModelRejectsFold) {
   ASSERT_TRUE(engine.Learn(dataset).ok());
   ASSERT_TRUE(engine.SaveModel(dir + "/with_stats.json").ok());
 
-  // Strip the statistics by re-saving with an empty stats vector (the
-  // pre-incremental format).
-  const auto loaded = LoadLearnedModelWithStats(dir + "/with_stats.json",
-                                                FeatureRegistry::Standard());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->has_stats());
-  ASSERT_TRUE(
-      SaveLearnedModel(loaded->distributions, {}, dir + "/stats_less.json")
-          .ok());
+  // A model without statistics (written before incremental learning)
+  // cannot be fitted, so it cannot be loaded either: the load fails,
+  // naming the feature and the remedy, and the engine keeps the model it
+  // had, which still folds.
+  auto doc = json::Parse(ReadFile(dir + "/with_stats.json"));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  for (json::Value& entry : doc->AsObject()["features"].AsArray()) {
+    ASSERT_EQ(entry.AsObject().erase("stats"), 1u);
+  }
+  WriteFile(dir + "/stats_less.json", json::Write(*doc, /*pretty=*/true));
 
-  Fixy reloaded;
-  ASSERT_TRUE(reloaded.LoadModel(dir + "/stats_less.json").ok());
-  EXPECT_FALSE(reloaded.supports_incremental_learning());
-  const Status fold = reloaded.LearnIncremental(dataset);
-  EXPECT_EQ(fold.code(), StatusCode::kFailedPrecondition) << fold;
+  const Status load = engine.LoadModel(dir + "/stats_less.json");
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load;
+  EXPECT_NE(load.message().find("'volume'"), std::string::npos) << load;
+  EXPECT_NE(load.message().find("fixy_cli learn"), std::string::npos)
+      << load;
+  ASSERT_TRUE(engine.SaveModel(dir + "/kept.json").ok());
+  EXPECT_EQ(ReadFile(dir + "/kept.json"), ReadFile(dir + "/with_stats.json"));
+  EXPECT_TRUE(engine.LearnIncremental(dataset).ok());
 }
 
 TEST(MergeRefitTest, FoldBeforeLearnFails) {
@@ -612,19 +615,6 @@ TEST(MergeRefitTest, FoldBeforeLearnFails) {
 // ---------------------------------------------------------------------------
 // 5. Sufficient-statistics primitives.
 // ---------------------------------------------------------------------------
-
-TEST(SufficientStatsTest, CountsMergeIsOrderFree) {
-  stats::ValueCounts a, b, ab, ba;
-  for (double x : {1.0, 2.0, 2.0, 3.0}) a.Add(x);
-  for (double x : {3.0, 2.0, 5.0}) b.Add(x);
-  ab = a;
-  ab.Merge(b);
-  ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab, ba);
-  EXPECT_EQ(ab.total, 7u);
-  EXPECT_EQ(ab.Expand(), (std::vector<double>{1, 2, 2, 2, 3, 3, 5}));
-}
 
 TEST(SufficientStatsTest, ReservoirResumesTheExactStream) {
   constexpr uint64_t kCapacity = 8;
@@ -735,7 +725,6 @@ TEST(WatchTest, FoldsAndReranksOnlyTheChangedScene) {
   // The fold persisted the model with stats intact.
   Fixy reloaded;
   ASSERT_TRUE(reloaded.LoadModel(model_path).ok());
-  EXPECT_TRUE(reloaded.supports_incremental_learning());
 }
 
 TEST(WatchTest, SurvivesSeededCorruptionSweep) {

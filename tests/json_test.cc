@@ -31,7 +31,7 @@ TEST(JsonValueTest, TypesAndAccessors) {
   EXPECT_TRUE(Value("hi").is_string());
   EXPECT_TRUE(Value(Array{}).is_array());
   EXPECT_TRUE(Value(Object{}).is_object());
-  EXPECT_EQ(Value(7).AsInt64(), 7);
+  EXPECT_EQ(Value(7).AsDouble(), 7.0);
   EXPECT_EQ(Value("abc").AsString(), "abc");
 }
 
@@ -51,6 +51,27 @@ TEST(JsonValueTest, GetHelpersReportMissingAndWrongType) {
   EXPECT_TRUE(v.GetString("s").ok());
   EXPECT_FALSE(v.GetString("n").ok());
   EXPECT_FALSE(v.GetBool("n").ok());
+}
+
+TEST(JsonValueTest, GetInt64AcceptsOnlyIntegersInRange) {
+  Object obj;
+  obj["n"] = 5;
+  EXPECT_EQ(*Value(obj).GetInt64("n"), 5);
+  // Out of range (a cast would be undefined) or not integral.
+  for (const double bad : {1e300, -1e300, 9223372036854775808.0, 2.5}) {
+    obj["n"] = bad;
+    const Result<int64_t> got = Value(obj).GetInt64("n");
+    ASSERT_FALSE(got.ok()) << bad;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(got.status().message().find("n"), std::string::npos);
+  }
+  obj["n"] = -9223372036854775808.0;
+  EXPECT_EQ(*Value(obj).GetInt64("n"), INT64_MIN);
+  obj["n"] = -0.0;
+  EXPECT_EQ(*Value(obj).GetInt64("n"), 0);
+  EXPECT_EQ(*ToInt64(-0.0, "x"), 0);
+  EXPECT_EQ(ToInt64(2.5, "counts").status().message(),
+            "key is not a 64-bit integer: counts");
 }
 
 // --------------------------------------------------------------- Parser

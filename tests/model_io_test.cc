@@ -1,124 +1,31 @@
-// Tests for src/core/model_io: distribution serialization round-trips,
-// learned-model persistence, the feature registry, and failure injection
-// on malformed model documents.
+// Tests for src/core/model_io: learned-model persistence (a model file is
+// its sufficient statistics, and a load re-fits every distribution from
+// them), the feature registry, and failure injection on malformed model
+// documents and statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "common/random.h"
 #include "core/engine.h"
 #include "core/features_std.h"
 #include "core/model_io.h"
+#include "core/proposal_io.h"
 #include "sim/generate.h"
 #include "stats/discrete.h"
 #include "stats/gaussian.h"
 #include "stats/histogram.h"
 #include "stats/kde.h"
-#include "stats/lambda_distribution.h"
 
 namespace fixy {
 namespace {
-
-std::vector<double> Sample(int n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> xs;
-  for (int i = 0; i < n; ++i) xs.push_back(rng.Normal(10.0, 2.0));
-  return xs;
-}
-
-// Round-trips one distribution through JSON and checks densities match on
-// a probe grid.
-void ExpectRoundTrip(const stats::Distribution& original) {
-  const auto doc = DistributionToJson(original);
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  // Also through text, as the file path would.
-  const auto reparsed = json::Parse(json::Write(*doc));
-  ASSERT_TRUE(reparsed.ok());
-  const auto loaded = DistributionFromJson(*reparsed);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  for (double x = -5.0; x <= 25.0; x += 0.37) {
-    EXPECT_NEAR((*loaded)->Density(x), original.Density(x), 1e-12) << x;
-  }
-  EXPECT_NEAR((*loaded)->ModeDensity(), original.ModeDensity(), 1e-12);
-}
-
-TEST(DistributionIoTest, KdeRoundTrip) {
-  ExpectRoundTrip(stats::GaussianKde::Fit(Sample(200, 1)).value());
-}
-
-TEST(DistributionIoTest, HistogramRoundTrip) {
-  ExpectRoundTrip(stats::HistogramDensity::Fit(Sample(500, 2), 24).value());
-}
-
-TEST(DistributionIoTest, GaussianRoundTrip) {
-  ExpectRoundTrip(stats::Gaussian::Create(3.5, 0.75).value());
-}
-
-TEST(DistributionIoTest, BernoulliRoundTrip) {
-  ExpectRoundTrip(stats::Bernoulli::Create(0.37).value());
-}
-
-TEST(DistributionIoTest, CategoricalRoundTrip) {
-  ExpectRoundTrip(
-      stats::Categorical::Fit({1, 1, 2, 3, 3, 3, 7, 7, 120}).value());
-}
-
-TEST(DistributionIoTest, LambdaIsNotSerializable) {
-  const stats::LambdaDistribution manual("manual", [](double) { return 1.0; });
-  const auto doc = DistributionToJson(manual);
-  ASSERT_FALSE(doc.ok());
-  EXPECT_EQ(doc.status().code(), StatusCode::kUnimplemented);
-}
-
-class DistributionIoErrorTest : public ::testing::TestWithParam<const char*> {
-};
-
-TEST_P(DistributionIoErrorTest, RejectsMalformed) {
-  const auto doc = json::Parse(GetParam());
-  ASSERT_TRUE(doc.ok()) << "test input must be valid JSON";
-  EXPECT_FALSE(DistributionFromJson(*doc).ok()) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Malformed, DistributionIoErrorTest,
-    ::testing::Values(
-        R"({})",                                        // no type
-        R"({"type":"warp"})",                           // unknown type
-        R"({"type":"kde"})",                            // missing fields
-        R"({"type":"kde","bandwidth":-1,"samples":[1]})",
-        R"({"type":"kde","bandwidth":0,"samples":[1]})",
-        R"({"type":"kde","bandwidth":1e-320,"samples":[1]})",  // denormal
-        R"({"type":"kde","bandwidth":0.5,"samples":[]})",
-        R"({"type":"kde","bandwidth":0.5,"samples":["x"]})",
-        R"({"type":"histogram","lo":0,"bin_width":0,"counts":[1]})",
-        R"({"type":"histogram","lo":0,"bin_width":1,"counts":[]})",
-        R"({"type":"histogram","lo":0,"bin_width":1,"counts":[-3]})",
-        R"({"type":"gaussian","mean":0,"stddev":0})",
-        R"({"type":"bernoulli","p_one":1.5})",
-        R"({"type":"categorical","mass":{}})",
-        R"({"type":"categorical","mass":{"a":1.0}})",
-        R"({"type":"categorical","mass":{"1":0.4}})",   // does not sum to 1
-        R"({"type":"categorical","mass":{"":1.0}})",    // empty key
-        R"({"type":"categorical","mass":{"12x":1.0}})",  // trailing garbage
-        R"({"type":"categorical","mass":{"1.5":1.0}})",  // not an integer
-        // Out of range for long: must be rejected, not clamped to
-        // LONG_MAX/LONG_MIN (which would silently merge distinct keys).
-        R"({"type":"categorical","mass":{"99999999999999999999999999":1.0}})",
-        R"({"type":"categorical","mass":{"-99999999999999999999999999":1.0}})",
-        "[1,2,3]"));
-
-TEST(DistributionIoTest, CategoricalAcceptsSignedIntegerKeys) {
-  const auto doc = json::Parse(
-      R"({"type":"categorical","mass":{"-2":0.5,"7":0.5}})");
-  ASSERT_TRUE(doc.ok());
-  const auto dist = DistributionFromJson(*doc);
-  ASSERT_TRUE(dist.ok()) << dist.status();
-  EXPECT_GT((*dist)->Density(-2.0), 0.0);
-  EXPECT_GT((*dist)->Density(7.0), 0.0);
-}
 
 // ---------------------------------------------------------------- Registry
 
@@ -155,6 +62,26 @@ TEST(FeatureRegistryTest, UserFeaturesRegister) {
 
 // ---------------------------------------------------------------- Model IO
 
+// The statistics of the i-th feature entry of a saved model.
+json::Object& StatsOf(json::Array& features, size_t i) {
+  return features.at(i).AsObject().at("stats").AsObject();
+}
+
+// The first class's statistics of a class-conditional entry.
+json::Object& FirstClassOf(json::Array& features, size_t i) {
+  return StatsOf(features, i)
+      .at("per_class")
+      .AsObject()
+      .begin()
+      ->second.AsObject();
+}
+
+// The track count's value counts: SaveModel lists the count last, and it
+// is a categorical whatever the main estimator.
+json::Object& CountsOf(json::Array& features) {
+  return StatsOf(features, features.size() - 1).at("global").AsObject();
+}
+
 class ModelIoTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -186,6 +113,12 @@ class ModelIoTest : public ::testing::Test {
     out << json::Write(*doc, /*pretty=*/true);
   }
 
+  static FixyOptions WithEstimator(EstimatorKind estimator) {
+    FixyOptions options;
+    options.learner.estimator = estimator;
+    return options;
+  }
+
   static sim::GeneratedDataset* training_;
 };
 
@@ -201,21 +134,16 @@ TEST_F(ModelIoTest, EngineSaveLoadPreservesRanking) {
   ASSERT_TRUE(restored.LoadModel(path).ok());
   EXPECT_TRUE(restored.is_learned());
 
+  // Every application, the model-error one (which uses the learned count
+  // distribution) included, writes the same worklist bytes.
   const auto scene = sim::GenerateScene(sim::LyftLikeProfile(), "val", 616);
-  const auto a = original.Find(scene.scene, "missing-tracks").value();
-  const auto b = restored.Find(scene.scene, "missing-tracks").value();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].track_id, b[i].track_id);
-    EXPECT_NEAR(a[i].score, b[i].score, 1e-9);
-  }
-  // The model-error application (which uses the learned count
-  // distribution) survives too.
-  const auto me_a = original.Find(scene.scene, "model-errors").value();
-  const auto me_b = restored.Find(scene.scene, "model-errors").value();
-  ASSERT_EQ(me_a.size(), me_b.size());
-  for (size_t i = 0; i < me_a.size(); ++i) {
-    EXPECT_NEAR(me_a[i].score, me_b[i].score, 1e-9);
+  for (const std::string& app : original.applications().names()) {
+    const auto a = original.Find(scene.scene, app);
+    const auto b = restored.Find(scene.scene, app);
+    ASSERT_TRUE(a.ok() && b.ok()) << app;
+    EXPECT_FALSE(a->empty()) << app;
+    EXPECT_EQ(json::Write(ProposalsToJson(*a)), json::Write(ProposalsToJson(*b)))
+        << app;
   }
   std::filesystem::remove(path);
 }
@@ -263,19 +191,29 @@ TEST_F(ModelIoTest, LoadMissingFileFails) {
 }
 
 TEST_F(ModelIoTest, LoadRejectsModelWithoutCount) {
-  // A model document without the count distribution is rejected by the
-  // engine (the model-errors application needs it).
+  // A model document without the count statistics is rejected by the
+  // engine (the model-errors application needs the count distribution).
   Fixy original;
   ASSERT_TRUE(original.Learn(training_->dataset).ok());
-  const auto doc = LearnedModelToJson(original.learned_features(), {});
-  ASSERT_TRUE(doc.ok());
+  const std::string saved = TempPath("fixy_model_withcount.json");
+  ASSERT_TRUE(original.SaveModel(saved).ok());
+  auto loaded = LoadLearnedModelWithStats(saved, FeatureRegistry::Standard());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->distributions.back().feature().name(), "count");
+  loaded->distributions.pop_back();
+  loaded->stats.pop_back();
+  const auto doc = LearnedModelToJson(loaded->distributions, loaded->stats);
+  ASSERT_TRUE(doc.ok()) << doc.status();
   const std::string path = TempPath("fixy_model_nocount.json");
   {
     std::ofstream out(path);
     out << json::Write(*doc);
   }
   Fixy restored;
-  EXPECT_FALSE(restored.LoadModel(path).ok());
+  const Status status = restored.LoadModel(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("'count'"), std::string::npos) << status;
+  std::filesystem::remove(saved);
   std::filesystem::remove(path);
 }
 
@@ -358,31 +296,12 @@ TEST_F(ModelIoTest, FailedLoadKeepsLearnedState) {
   }
 }
 
-// Sets "bandwidth" on the first {"type": "kde"} object found depth-first.
-bool SetFirstKdeBandwidth(json::Value& value, double bandwidth) {
-  if (value.is_object()) {
-    json::Object& obj = value.AsObject();
-    const auto type = obj.find("type");
-    if (type != obj.end() && type->second.is_string() &&
-        type->second.AsString() == "kde") {
-      obj["bandwidth"] = bandwidth;
-      return true;
-    }
-    for (auto& [key, child] : obj) {
-      if (SetFirstKdeBandwidth(child, bandwidth)) return true;
-    }
-  } else if (value.is_array()) {
-    for (json::Value& child : value.AsArray()) {
-      if (SetFirstKdeBandwidth(child, bandwidth)) return true;
-    }
-  }
-  return false;
-}
-
-// Regression: a KDE bandwidth of 1e308 passes the finite/minimum check, but
-// its normalization 1/(sqrt(2*pi) * h * n) underflows to 0, which used to
-// abort the process in the KDE constructor. Loading it is an
-// InvalidArgument, and the engine keeps the model it had.
+// Regression: a KDE whose bandwidth has no finite normalization
+// 1/(sqrt(2*pi) * h * n) used to abort the process in the KDE
+// constructor. No file carries a bandwidth any more; the load computes
+// Scott's rule from the reservoir, which overflows for items near
+// +-1e300. Loading that is an InvalidArgument naming the feature, and the
+// engine keeps the model it had.
 TEST_F(ModelIoTest, LoadRejectsKdeBandwidthWithoutNormalization) {
   Fixy engine;
   ASSERT_TRUE(engine.Learn(training_->dataset).ok());
@@ -391,18 +310,16 @@ TEST_F(ModelIoTest, LoadRejectsKdeBandwidthWithoutNormalization) {
   const std::string after = TempPath("fixy_model_bw_after.json");
   ASSERT_TRUE(engine.SaveModel(before).ok());
   RewriteFeatures(before, huge, [](json::Array& features) {
-    bool set = false;
-    for (json::Value& feature : features) {
-      if (SetFirstKdeBandwidth(feature, 1e308)) {
-        set = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(set);
+    ASSERT_EQ(StatsOf(features, 0).at("estimator").AsString(), "kde");
+    json::Array& items = FirstClassOf(features, 0).at("items").AsArray();
+    ASSERT_GE(items.size(), 2u);
+    items[0] = 1e300;
+    items[1] = -1e300;
   });
 
   const Status status = engine.LoadModel(huge);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("'volume'"), std::string::npos) << status;
   EXPECT_TRUE(engine.is_learned());
   ASSERT_TRUE(engine.SaveModel(after).ok());
   EXPECT_TRUE(ReadBytes(after) == ReadBytes(before));
@@ -456,7 +373,9 @@ TEST_F(ModelIoTest, LearnRejectsSampleSpreadThatOverflows) {
 TEST_F(ModelIoTest, LoadRejectsUnknownFeature) {
   const auto doc = json::Parse(
       R"({"format":"fixy-model","version":1,"features":[
-           {"feature":"warp","distribution":{"type":"gaussian","mean":0,"stddev":1}}]})");
+           {"feature":"warp","stats":{"estimator":"gaussian",
+            "class_conditional":false,
+            "global":{"n":5,"sum":5,"sum_sq":5}}}]})");
   ASSERT_TRUE(doc.ok());
   const auto loaded =
       LearnedModelWithStatsFromJson(*doc, FeatureRegistry::Standard());
@@ -474,20 +393,313 @@ TEST_F(ModelIoTest, LoadRejectsWrongFormat) {
 TEST_F(ModelIoTest, PerClassStructurePreserved) {
   Fixy original;
   ASSERT_TRUE(original.Learn(training_->dataset).ok());
-  const auto doc = LearnedModelToJson(original.learned_features(), {});
-  ASSERT_TRUE(doc.ok());
+  const std::string path = TempPath("fixy_model_per_class.json");
+  ASSERT_TRUE(original.SaveModel(path).ok());
   const auto loaded =
-      LearnedModelWithStatsFromJson(*doc, FeatureRegistry::Standard());
+      LoadLearnedModelWithStats(path, FeatureRegistry::Standard());
+  std::filesystem::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(loaded->has_stats());
-  ASSERT_EQ(loaded->distributions.size(), original.learned_features().size());
-  for (size_t i = 0; i < loaded->distributions.size(); ++i) {
+  // SaveModel lists the base features, then the count.
+  ASSERT_EQ(loaded->distributions.size(),
+            original.learned_features().size() + 1);
+  ASSERT_EQ(loaded->stats.size(), loaded->distributions.size());
+  for (size_t i = 0; i < original.learned_features().size(); ++i) {
     const auto& orig = original.learned_features()[i];
     const auto& rest = loaded->distributions[i];
     EXPECT_EQ(rest.feature().name(), orig.feature().name());
+    EXPECT_TRUE(loaded->stats[i].class_conditional);
     EXPECT_EQ(rest.per_class_distributions().size(),
               orig.per_class_distributions().size());
   }
+}
+
+// A categorical's value counts claim 10^15 samples. A fit that expanded
+// the multiset into one double per sample would need 8 PB and end the
+// process with std::bad_alloc; the counts-based fit reads each distinct
+// value once, so the model loads, folds a scene and ranks.
+TEST_F(ModelIoTest, ForgedCountsLoadAndFold) {
+  Fixy original;
+  ASSERT_TRUE(original.Learn(training_->dataset).ok());
+  const std::string saved = TempPath("fixy_model_counts.json");
+  const std::string forged = TempPath("fixy_model_counts_forged.json");
+  ASSERT_TRUE(original.SaveModel(saved).ok());
+  RewriteFeatures(saved, forged, [](json::Array& features) {
+    json::Object& counts = CountsOf(features);
+    counts.at("total") = counts.at("total").AsDouble() + 1e15;
+    json::Value& first = counts.at("counts").AsArray().at(0);
+    first = first.AsDouble() + 1e15;
+  });
+
+  Fixy engine;
+  ASSERT_TRUE(engine.LoadModel(forged).ok());
+  Dataset delta;
+  delta.scenes.push_back(
+      sim::GenerateScene(sim::LyftLikeProfile(), "forged", 717).scene);
+  ASSERT_TRUE(engine.LearnIncremental(delta).ok());
+  EXPECT_TRUE(engine.Find(delta.scenes.front(), "model-errors").ok());
+  std::filesystem::remove(saved);
+  std::filesystem::remove(forged);
+}
+
+// One edit of a valid saved model's statistics, the feature it touches
+// and the estimator of the model it edits.
+struct StatsEdit {
+  std::string name;
+  std::string feature;
+  EstimatorKind estimator;
+  std::function<void(json::Array&)> edit;
+};
+
+std::vector<StatsEdit> MalformedStatistics() {
+  std::vector<StatsEdit> cases;
+  // Integers a cast could not hold, or that no stream could have: each
+  // used to be a static_cast of the parsed double.
+  for (const double bad : {-1.0, 2.5, 1e300}) {
+    const std::string value = json::Write(json::Value(bad));
+    cases.push_back({"n=" + value, "volume", EstimatorKind::kGaussian,
+                     [bad](json::Array& f) { FirstClassOf(f, 0)["n"] = bad; }});
+    for (const char* key : {"seen", "capacity", "seed"}) {
+      cases.push_back({std::string(key) + "=" + value, "volume",
+                       EstimatorKind::kKde, [bad, key](json::Array& f) {
+                         FirstClassOf(f, 0)[key] = bad;
+                       }});
+    }
+    cases.push_back({"count=" + value, "count", EstimatorKind::kKde,
+                     [bad](json::Array& f) {
+                       CountsOf(f).at("counts").AsArray().at(0) = bad;
+                     }});
+  }
+  cases.push_back({"values and counts differ in length", "count",
+                   EstimatorKind::kKde, [](json::Array& f) {
+                     CountsOf(f).at("counts").AsArray().pop_back();
+                   }});
+  cases.push_back({"count below 1", "count", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     CountsOf(f).at("counts").AsArray().at(0) = 0;
+                   }});
+  cases.push_back({"duplicate value", "count", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     json::Array& values = CountsOf(f).at("values").AsArray();
+                     values.at(1) = values.at(0);
+                   }});
+  cases.push_back({"total does not match", "count", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     json::Value& total = CountsOf(f).at("total");
+                     total = total.AsDouble() + 1;
+                   }});
+  // Three counts of 2^63 - 1024 wrap a 64-bit sum to 2^63 - 3072, which
+  // this total claims: only a checked sum tells them apart.
+  cases.push_back({"count sum overflows", "count", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     json::Object& counts = CountsOf(f);
+                     json::Array& values = counts.at("values").AsArray();
+                     values.resize(3);
+                     counts.at("counts") = json::Array(
+                         3, json::Value(9223372036854774784.0));
+                     counts.at("total") = 9223372036854772736.0;
+                   }});
+  cases.push_back({"reservoir holds too few items", "volume",
+                   EstimatorKind::kKde, [](json::Array& f) {
+                     FirstClassOf(f, 0).at("items").AsArray().pop_back();
+                   }});
+  cases.push_back({"non-number item", "volume", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     FirstClassOf(f, 0).at("items").AsArray().at(0) = "x";
+                   }});
+  cases.push_back({"unknown estimator", "volume", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     StatsOf(f, 0).at("estimator") = "warp";
+                   }});
+  cases.push_back({"unknown class", "volume", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     json::Object& per_class =
+                         StatsOf(f, 0).at("per_class").AsObject();
+                     per_class["spaceship"] = per_class.begin()->second;
+                   }});
+  cases.push_back({"empty per_class", "volume", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     StatsOf(f, 0).at("per_class") = json::Object{};
+                   }});
+  // Well-formed global statistics on a class-conditional feature: the
+  // fold's shape check, not the reader, rejects them.
+  cases.push_back({"class_conditional contradicts the feature", "volume",
+                   EstimatorKind::kKde, [](json::Array& f) {
+                     json::Object& stats = StatsOf(f, 0);
+                     stats["global"] = json::Value(FirstClassOf(f, 0));
+                     stats.erase("per_class");
+                     stats.at("class_conditional") = false;
+                   }});
+  cases.push_back({"entry without stats", "count", EstimatorKind::kKde,
+                   [](json::Array& f) {
+                     f.back().AsObject().erase("stats");
+                   }});
+  return cases;
+}
+
+// Each edit makes the load an InvalidArgument that names the feature, and
+// the engine keeps its model: the same bytes re-save.
+TEST_F(ModelIoTest, LoadRejectsMalformedStatistics) {
+  std::map<EstimatorKind, std::string> saved;
+  std::map<EstimatorKind, std::unique_ptr<Fixy>> engines;
+  for (const EstimatorKind estimator :
+       {EstimatorKind::kKde, EstimatorKind::kGaussian}) {
+    auto engine = std::make_unique<Fixy>(WithEstimator(estimator));
+    ASSERT_TRUE(engine->Learn(training_->dataset).ok());
+    const std::string path = TempPath(
+        (std::string("fixy_model_table_") + EstimatorKindToString(estimator) +
+         ".json")
+            .c_str());
+    ASSERT_TRUE(engine->SaveModel(path).ok());
+    saved[estimator] = path;
+    engines[estimator] = std::move(engine);
+  }
+  const std::string edited = TempPath("fixy_model_table_edited.json");
+  const std::string after = TempPath("fixy_model_table_after.json");
+  for (const StatsEdit& c : MalformedStatistics()) {
+    SCOPED_TRACE(c.name);
+    RewriteFeatures(saved.at(c.estimator), edited, c.edit);
+    Fixy& engine = *engines.at(c.estimator);
+    const Status status = engine.LoadModel(edited);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("'" + c.feature + "'"), std::string::npos)
+        << status;
+    ASSERT_TRUE(engine.SaveModel(after).ok());
+    EXPECT_TRUE(ReadBytes(after) == ReadBytes(saved.at(c.estimator)));
+  }
+  for (const auto& [estimator, path] : saved) std::filesystem::remove(path);
+  std::filesystem::remove(edited);
+  std::filesystem::remove(after);
+}
+
+// ------------------------------------------------- Load re-fits exactly
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Fails unless `loaded` is `learned`, bit for bit, in every parameter a
+// fit of `estimator` sets.
+void ExpectSameCell(const stats::Distribution& learned,
+                    const stats::Distribution& loaded,
+                    EstimatorKind estimator) {
+  switch (estimator) {
+    case EstimatorKind::kKde: {
+      const auto& a = dynamic_cast<const stats::GaussianKde&>(learned);
+      const auto& b = dynamic_cast<const stats::GaussianKde&>(loaded);
+      EXPECT_EQ(Bits(a.bandwidth()), Bits(b.bandwidth()));
+      ASSERT_EQ(a.samples().size(), b.samples().size());
+      for (size_t i = 0; i < a.samples().size(); ++i) {
+        EXPECT_EQ(Bits(a.samples()[i]), Bits(b.samples()[i])) << i;
+      }
+      break;
+    }
+    case EstimatorKind::kHistogram: {
+      const auto& a = dynamic_cast<const stats::HistogramDensity&>(learned);
+      const auto& b = dynamic_cast<const stats::HistogramDensity&>(loaded);
+      EXPECT_EQ(Bits(a.lower_bound()), Bits(b.lower_bound()));
+      EXPECT_EQ(Bits(a.bin_width()), Bits(b.bin_width()));
+      ASSERT_EQ(a.num_bins(), b.num_bins());
+      for (int i = 0; i < a.num_bins(); ++i) {
+        EXPECT_EQ(a.bin_count(i), b.bin_count(i)) << i;
+      }
+      break;
+    }
+    case EstimatorKind::kGaussian: {
+      const auto& a = dynamic_cast<const stats::Gaussian&>(learned);
+      const auto& b = dynamic_cast<const stats::Gaussian&>(loaded);
+      EXPECT_EQ(Bits(a.mean()), Bits(b.mean()));
+      EXPECT_EQ(Bits(a.stddev()), Bits(b.stddev()));
+      break;
+    }
+    case EstimatorKind::kCategorical: {
+      const auto& a = dynamic_cast<const stats::Categorical&>(learned);
+      const auto& b = dynamic_cast<const stats::Categorical&>(loaded);
+      ASSERT_EQ(a.mass().size(), b.mass().size());
+      for (auto x = a.mass().begin(), y = b.mass().begin();
+           x != a.mass().end(); ++x, ++y) {
+        EXPECT_EQ(x->first, y->first);
+        EXPECT_EQ(Bits(x->second), Bits(y->second)) << x->first;
+      }
+      break;
+    }
+  }
+}
+
+// A model file holds only statistics, so what a load gives back is a
+// fresh fit of them: it must be the learned model, cell for cell, and
+// re-save the same bytes.
+class DistributionIoTest : public ModelIoTest {
+ protected:
+  static void ExpectLoadRefitsEveryCell(EstimatorKind estimator) {
+    Fixy learned(WithEstimator(estimator));
+    ASSERT_TRUE(learned.Learn(training_->dataset).ok());
+    // ctest runs each test in its own process, in parallel: one file name
+    // per estimator.
+    const std::string name =
+        std::string("fixy_model_refit_") + EstimatorKindToString(estimator);
+    const std::string saved = TempPath((name + ".json").c_str());
+    const std::string resaved = TempPath((name + "_resaved.json").c_str());
+    ASSERT_TRUE(learned.SaveModel(saved).ok());
+    Fixy loaded(WithEstimator(estimator));
+    ASSERT_TRUE(loaded.LoadModel(saved).ok());
+
+    const auto& want = learned.learned_features();
+    const auto& got = loaded.learned_features();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(want[i].feature().name());
+      ASSERT_EQ(want[i].per_class_distributions().size(),
+                got[i].per_class_distributions().size());
+      ASSERT_FALSE(want[i].per_class_distributions().empty());
+      for (const auto& [cls, dist] : want[i].per_class_distributions()) {
+        const auto it = got[i].per_class_distributions().find(cls);
+        ASSERT_NE(it, got[i].per_class_distributions().end());
+        ExpectSameCell(*dist, *it->second, estimator);
+      }
+    }
+    ASSERT_TRUE(loaded.SaveModel(resaved).ok());
+    EXPECT_TRUE(ReadBytes(resaved) == ReadBytes(saved));
+    std::filesystem::remove(saved);
+    std::filesystem::remove(resaved);
+  }
+};
+
+TEST_F(DistributionIoTest, KdeRoundTrip) {
+  ExpectLoadRefitsEveryCell(EstimatorKind::kKde);
+}
+
+TEST_F(DistributionIoTest, HistogramRoundTrip) {
+  ExpectLoadRefitsEveryCell(EstimatorKind::kHistogram);
+}
+
+TEST_F(DistributionIoTest, GaussianRoundTrip) {
+  ExpectLoadRefitsEveryCell(EstimatorKind::kGaussian);
+}
+
+TEST_F(DistributionIoTest, CategoricalRoundTrip) {
+  ExpectLoadRefitsEveryCell(EstimatorKind::kCategorical);
+}
+
+// Value counts are JSON numbers of either sign; a categorical fitted from
+// them puts mass on negative integers too.
+TEST_F(DistributionIoTest, CategoricalAcceptsSignedIntegerKeys) {
+  Fixy original;
+  ASSERT_TRUE(original.Learn(training_->dataset).ok());
+  const std::string saved = TempPath("fixy_model_signed.json");
+  const std::string signed_path = TempPath("fixy_model_signed_edit.json");
+  ASSERT_TRUE(original.SaveModel(saved).ok());
+  RewriteFeatures(saved, signed_path, [](json::Array& features) {
+    json::Array& values = CountsOf(features).at("values").AsArray();
+    ASSERT_GT(values.front().AsDouble(), -2.0);
+    values.front() = -2;
+  });
+  const auto loaded =
+      LoadLearnedModelWithStats(signed_path, FeatureRegistry::Standard());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const stats::DistributionPtr& count =
+      loaded->distributions.back().global_distribution();
+  ASSERT_NE(count, nullptr);
+  EXPECT_GT(count->Density(-2.0), 0.0);
+  std::filesystem::remove(saved);
+  std::filesystem::remove(signed_path);
 }
 
 }  // namespace
