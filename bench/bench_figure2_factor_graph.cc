@@ -16,14 +16,12 @@ namespace fixy::bench {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    int frame, double confidence) {
+                    double confidence) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = ObjectClass::kCar;
   obs.box = geom::Box3d({x, 2.0, 0.85}, 4.6, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = confidence;
   return obs;
 }
@@ -41,9 +39,9 @@ void Run() {
     frame.timestamp = f * 0.1;
     frame.ego_position = {0.8 * f, 0.0};
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kModel, 10.0 + 0.8 * f, f, 0.92));
+        MakeObs(id++, ObservationSource::kModel, 10.0 + 0.8 * f, 0.92));
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 10.05 + 0.8 * f, f, 1.0));
+        MakeObs(id++, ObservationSource::kHuman, 10.05 + 0.8 * f, 1.0));
     scene.AddFrame(std::move(frame));
   }
 

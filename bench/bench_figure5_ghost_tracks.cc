@@ -24,15 +24,12 @@ namespace fixy::bench {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source,
-                    ObjectClass cls, geom::Box3d box, int frame,
-                    double confidence) {
+                    ObjectClass cls, geom::Box3d box, double confidence) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = cls;
   obs.box = box;
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = confidence;
   return obs;
 }
@@ -59,7 +56,7 @@ void AddConsistentTrack(Scene* scene, ObservationId* id) {
   for (int f = 0; f < 10; ++f) {
     scene->frames()[static_cast<size_t>(f)].observations.push_back(
         MakeObs((*id)++, ObservationSource::kModel, ObjectClass::kCar,
-                CarBox(10.0 + 0.8 * f, -2.0), f, 0.9));
+                CarBox(10.0 + 0.8 * f, -2.0), 0.9));
   }
 }
 
@@ -74,7 +71,7 @@ void AddGhostTrack(Scene* scene, ObservationId* id, Rng* rng) {
     const double scale = 1.0 + rng->Normal(0.0, 0.3);
     scene->frames()[static_cast<size_t>(f)].observations.push_back(
         MakeObs((*id)++, ObservationSource::kModel, ObjectClass::kCar,
-                CarBox(x, y, std::max(0.4, scale)), f, 0.88));
+                CarBox(x, y, std::max(0.4, scale)), 0.88));
   }
 }
 
@@ -162,17 +159,17 @@ void Run() {
   consistent.ego_position = {0, 0};
   consistent.observations = {
       MakeObs(1000, ObservationSource::kModel, ObjectClass::kCar,
-              CarBox(12, 2), 0, 0.9),
+              CarBox(12, 2), 0.9),
       MakeObs(1001, ObservationSource::kHuman, ObjectClass::kCar,
-              CarBox(12.05, 2.02), 0, 1.0)};
+              CarBox(12.05, 2.02), 1.0)};
   ObservationBundle conflicted;
   conflicted.frame_index = 0;
   conflicted.ego_position = {0, 0};
   conflicted.observations = {
       MakeObs(1002, ObservationSource::kModel, ObjectClass::kPedestrian,
-              geom::Box3d({12, 2, 0.9}, 0.8, 0.75, 1.8, 0.0), 0, 0.7),
+              geom::Box3d({12, 2, 0.9}, 0.8, 0.75, 1.8, 0.0), 0.7),
       MakeObs(1003, ObservationSource::kModel, ObjectClass::kTruck,
-              geom::Box3d({12.1, 2, 1.6}, 8.0, 2.8, 3.2, 0.0), 0, 0.8)};
+              geom::Box3d({12.1, 2, 1.6}, 8.0, 2.8, 3.2, 0.0), 0.8)};
 
   eval::Table bundle_table({"Bundle", "Class-agreement score"});
   char buf[64];

@@ -1,6 +1,7 @@
 // Whole-file reads and atomic whole-file writes, shared by every layer
 // that persists a document: scenes and manifests (io), the FXB cache,
-// learned models and worklists (core), scenario specs and ledgers.
+// learned models and worklists (core, and `fixy_cli query --out`),
+// metrics snapshots (obs), and scenario ledgers, locks and sweep reports.
 #ifndef FIXY_COMMON_FILE_UTIL_H_
 #define FIXY_COMMON_FILE_UTIL_H_
 

@@ -109,13 +109,6 @@ struct BatchReport {
   /// failure then fails the whole call instead).
   size_t scenes_quarantined = 0;
 
-  /// Stage timers, counters, and gauges for the whole batch. Empty unless
-  /// BatchOptions::collect_metrics was set. Counter values are identical
-  /// at every thread count; timer values measure this particular run. In
-  /// a MultiAppReport the run-wide snapshot lives on the MultiAppReport
-  /// instead and the per-app reports leave this empty.
-  obs::PipelineMetrics metrics;
-
   bool all_ok() const { return scenes_failed == 0; }
 };
 
@@ -128,11 +121,12 @@ struct MultiAppReport {
   std::vector<std::string> apps;
   std::vector<BatchReport> reports;
 
-  /// The whole run's metrics snapshot (when collected): shared stage
-  /// timers/counters (rank.track_build, rank.track_builds, batch.*) plus
-  /// each application's rank.<name>.* keys. Per-app reports carry empty
-  /// metrics — the pass is shared, so per-scene costs are not separable
-  /// per application.
+  /// The whole run's stage timers, counters and gauges: shared ones
+  /// (rank.track_build, rank.track_builds, batch.*) plus each
+  /// application's rank.<name>.* keys. Empty unless
+  /// BatchOptions::collect_metrics was set. Counter values are identical
+  /// at every thread count; timer values measure this particular run. The
+  /// pass is shared, so there is no per-application snapshot.
   obs::PipelineMetrics metrics;
 
   bool all_ok() const {

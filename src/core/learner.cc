@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "json/json.h"
 #include "obs/metrics.h"
 #include "stats/discrete.h"
 #include "stats/gaussian.h"
@@ -168,6 +169,16 @@ Status DistributionLearner::Fold(const Dataset& delta,
                                  const std::vector<FeaturePtr>& features,
                                  LearnedFeatureSet& state) const {
   const obs::ScopedStageTimer fit_timer("learn.fit");
+  for (const auto& [option, value] :
+       {std::pair{"kde_reservoir_seed", options_.kde_reservoir_seed},
+        std::pair{"kde_reservoir_capacity", options_.kde_reservoir_capacity}}) {
+    if (value > json::kMaxExactInteger) {
+      return Status::InvalidArgument(StrFormat(
+          "LearnerOptions::%s = %llu is above 2^53, so a saved model could "
+          "not hold it exactly",
+          option, static_cast<unsigned long long>(value)));
+    }
+  }
   const bool refit = !state.distributions.empty();
   if (features.size() != state.stats.size() ||
       (refit && features.size() != state.distributions.size())) {

@@ -71,7 +71,8 @@ struct LearnerOptions {
 
   /// Seed of the reservoirs' counter-based randomness. Part of the
   /// persisted model: reloading and folding more scenes continues the
-  /// exact subsampling stream.
+  /// exact subsampling stream. The seed and the capacity are saved as JSON
+  /// numbers, so Fold rejects either above json::kMaxExactInteger (2^53).
   uint64_t kde_reservoir_seed = 0;
 };
 
@@ -146,7 +147,8 @@ class DistributionLearner {
   /// keeps its fitted distribution (a fit is a pure function of its
   /// statistics, so reuse is byte-identical). Changed cells fit in
   /// parallel. On error `state` is left unchanged. Errors, all
-  /// InvalidArgument, in this order: a feature/stats/distribution shape
+  /// InvalidArgument, in this order: a kde_reservoir_seed or
+  /// kde_reservoir_capacity above 2^53; a feature/stats/distribution shape
   /// or name mismatch; a feature with no class at kMinTrainingSamples
   /// after the fold (in feature order); a failed fit (in cell order, its
   /// message prefixed with the feature's name). Scene validation errors

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "core/engine.h"
 #include "obs/metrics.h"
 
 namespace fixy {
@@ -25,6 +26,17 @@ std::vector<ErrorProposal> TopK(const std::vector<ErrorProposal>& ranked,
                                  ranked.begin() +
                                      std::min(k, ranked.size()));
   return top;
+}
+
+std::vector<ErrorProposal> Worklist(const BatchReport& report, size_t k) {
+  std::vector<ErrorProposal> worklist;
+  for (const SceneOutcome& outcome : report.outcomes) {
+    if (!outcome.ok()) continue;
+    worklist.insert(worklist.end(), outcome.proposals.begin(),
+                    outcome.proposals.begin() +
+                        std::min(k, outcome.proposals.size()));
+  }
+  return worklist;
 }
 
 std::vector<ErrorProposal> TopKPerClass(

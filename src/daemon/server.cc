@@ -381,9 +381,9 @@ struct FixydServer::Impl {
 
   /// The response body shared by rank and rank-dataset. `proposals` maps
   /// each application to the EXACT bytes `fixy_cli rank --out` would
-  /// write for it (per-scene TopK(top) concatenated in scene order, then
-  /// SaveProposals' pretty serialization) — the byte-parity contract is
-  /// "a client writing this string verbatim produces the CLI's file".
+  /// write for it (its Worklist, then SaveProposals' pretty
+  /// serialization) — the byte-parity contract is "a client writing this
+  /// string verbatim produces the CLI's file".
   static json::Value BuildRankResult(const MultiAppReport& report, int top) {
     json::Object result;
     json::Array apps;
@@ -393,13 +393,8 @@ struct FixydServer::Impl {
     for (size_t a = 0; a < report.apps.size(); ++a) {
       const std::string& app = report.apps[a];
       apps.emplace_back(app);
-      std::vector<ErrorProposal> all;
-      for (const SceneOutcome& outcome : report.reports[a].outcomes) {
-        if (!outcome.ok()) continue;
-        const std::vector<ErrorProposal> scene_top =
-            TopK(outcome.proposals, static_cast<size_t>(top));
-        all.insert(all.end(), scene_top.begin(), scene_top.end());
-      }
+      const std::vector<ErrorProposal> all =
+          Worklist(report.reports[a], static_cast<size_t>(top));
       proposals[app] =
           json::Value(json::Write(ProposalsToJson(all), /*pretty=*/true));
       counts[app] = json::Value(static_cast<uint64_t>(all.size()));

@@ -4,29 +4,22 @@
 #ifndef FIXY_DATA_OBSERVATION_H_
 #define FIXY_DATA_OBSERVATION_H_
 
-#include <string>
-
 #include "data/types.h"
 #include "geometry/box.h"
 
 namespace fixy {
 
-/// A single observation: source, class, oriented 3D box, timing, and (for
-/// model predictions) a confidence score.
+/// A single observation: source, class, oriented 3D box, and (for model
+/// predictions) a confidence score. Its time step is the frame that holds
+/// it (and the bundle built from that frame), which records its index and
+/// timestamp once for all of its observations.
 struct Observation {
   ObservationId id = kInvalidObservationId;
   ObservationSource source = ObservationSource::kHuman;
   ObjectClass object_class = ObjectClass::kCar;
   geom::Box3d box;
-  /// Index of the frame this observation belongs to within its scene.
-  int frame_index = 0;
-  /// Time in seconds since the start of the scene.
-  double timestamp = 0.0;
   /// Detector confidence in [0, 1]. Human and auditor labels carry 1.0.
   double confidence = 1.0;
-
-  /// Short debug string, e.g. "obs 17 model car @f3 conf=0.91".
-  std::string ToString() const;
 };
 
 }  // namespace fixy

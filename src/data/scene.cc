@@ -123,14 +123,6 @@ Status Scene::Validate() const {
     }
     prev_timestamp = frame.timestamp;
     for (const Observation& obs : frame.observations) {
-      if (obs.frame_index != frame.index) {
-        return Status::FailedPrecondition(
-            StrFormat("scene '%s': observation %llu in frame %d claims frame "
-                      "%d",
-                      name_.c_str(),
-                      static_cast<unsigned long long>(obs.id), frame.index,
-                      obs.frame_index));
-      }
       if (obs.id == kInvalidObservationId) {
         return Status::FailedPrecondition(
             StrFormat("scene '%s': observation with invalid id",
@@ -153,12 +145,6 @@ Status Scene::Validate() const {
         return Status::FailedPrecondition(
             StrFormat("scene '%s': observation %llu has degenerate box "
                       "(non-positive extent)",
-                      name_.c_str(),
-                      static_cast<unsigned long long>(obs.id)));
-      }
-      if (!std::isfinite(obs.timestamp)) {
-        return Status::FailedPrecondition(
-            StrFormat("scene '%s': observation %llu timestamp is not finite",
                       name_.c_str(),
                       static_cast<unsigned long long>(obs.id)));
       }

@@ -55,12 +55,11 @@ class Scene {
 
   /// Validates internal consistency: frame rate finite and positive, frame
   /// indices 0..n-1 in order, timestamps finite and non-decreasing, ego
-  /// poses finite, observations carry their frame's index, observation ids
-  /// unique within the scene, box fields finite with strictly positive
-  /// extents, and confidences in [0, 1] (NaN rejected). This is the
-  /// ingestion boundary: garbage that passes here must at worst rank as
-  /// low-plausibility, never crash the pipeline. Returns the first
-  /// violation found.
+  /// poses finite, observation ids unique within the scene, box fields
+  /// finite with strictly positive extents, and confidences in [0, 1]
+  /// (NaN rejected). This is the ingestion boundary: garbage that passes
+  /// here must at worst rank as low-plausibility, never crash the
+  /// pipeline. Returns the first violation found.
   Status Validate() const;
 
  private:

@@ -51,8 +51,6 @@ Result<AuditResult> AuditScene(const Scene& scene,
         obs.source = ObservationSource::kAuditor;
         obs.object_class = errors[e]->object_class;
         obs.box = box;
-        obs.frame_index = frame_index;
-        obs.timestamp = frame.timestamp;
         obs.confidence = 1.0;
         frame.observations.push_back(std::move(obs));
         ++result.observations_added;

@@ -301,12 +301,16 @@ std::string FactorGraph::ToString() const {
                               variables_.size(), factors_.size());
   for (size_t v = 0; v < variables_.size(); ++v) {
     const VariableNode& node = variables_[v];
-    const Observation& obs = tracks_.tracks[node.track_index]
-                                 .bundles()[node.bundle_index]
-                                 .observations[node.obs_index];
-    out += StrFormat("  var %zu: track %zu bundle %zu %s\n", v,
-                     node.track_index, node.bundle_index,
-                     obs.ToString().c_str());
+    const ObservationBundle& bundle =
+        tracks_.tracks[node.track_index].bundles()[node.bundle_index];
+    const Observation& obs = bundle.observations[node.obs_index];
+    out += StrFormat(
+        "  var %zu: track %zu bundle %zu obs %llu %s %s @f%d conf=%.2f\n", v,
+        node.track_index, node.bundle_index,
+        static_cast<unsigned long long>(obs.id),
+        ObservationSourceToString(obs.source),
+        ObjectClassToString(obs.object_class), bundle.frame_index,
+        obs.confidence);
   }
   for (size_t f = 0; f < factors_.size(); ++f) {
     const FactorNode& factor = factors_[f];

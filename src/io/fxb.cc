@@ -112,8 +112,7 @@ Result<std::string> EncodeScene(const Scene& scene) {
   std::vector<uint64_t> obs_id;
   std::vector<uint8_t> obs_source, obs_class;
   std::vector<double> obs_conf, obs_cx, obs_cy, obs_cz, obs_l, obs_w, obs_h,
-      obs_yaw, obs_ts;
-  std::vector<int32_t> obs_frame;
+      obs_yaw;
   obs_id.reserve(obs_total);
   for (size_t i = 0; i < n; ++i) {
     const Frame& frame = scene.frames()[i];
@@ -135,8 +134,6 @@ Result<std::string> EncodeScene(const Scene& scene) {
       obs_w.push_back(obs.box.width);
       obs_h.push_back(obs.box.height);
       obs_yaw.push_back(obs.box.yaw);
-      obs_frame.push_back(obs.frame_index);
-      obs_ts.push_back(obs.timestamp);
     }
   }
 
@@ -157,8 +154,6 @@ Result<std::string> EncodeScene(const Scene& scene) {
   AppendColumn(&out, obs_w);
   AppendColumn(&out, obs_h);
   AppendColumn(&out, obs_yaw);
-  AppendColumn(&out, obs_frame);
-  AppendColumn(&out, obs_ts);
   return out;
 }
 
@@ -197,8 +192,7 @@ Result<Scene> DecodeSceneSection(std::string_view section) {
   std::vector<uint64_t> obs_id;
   std::vector<uint8_t> obs_source, obs_class;
   std::vector<double> obs_conf, obs_cx, obs_cy, obs_cz, obs_l, obs_w, obs_h,
-      obs_yaw, obs_ts;
-  std::vector<int32_t> obs_frame;
+      obs_yaw;
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_id));
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_source));
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_class));
@@ -210,8 +204,6 @@ Result<Scene> DecodeSceneSection(std::string_view section) {
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_w));
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_h));
   FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_yaw));
-  FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_frame));
-  FIXY_RETURN_IF_ERROR(cursor.ReadColumn(obs_total, &obs_ts));
   if (cursor.remaining() != 0) {
     return Status::InvalidArgument(StrFormat(
         "FXB scene section has %zu trailing bytes", cursor.remaining()));
@@ -250,8 +242,6 @@ Result<Scene> DecodeSceneSection(std::string_view section) {
       obs.box.width = obs_w[next_obs];
       obs.box.height = obs_h[next_obs];
       obs.box.yaw = obs_yaw[next_obs];
-      obs.frame_index = obs_frame[next_obs];
-      obs.timestamp = obs_ts[next_obs];
       frame.observations.push_back(obs);
     }
     scene.AddFrame(std::move(frame));

@@ -6,7 +6,7 @@
 // and `rank` then decodes each scene with a handful of bounded memcpys
 // from a memory-mapped file instead of a JSON DOM walk.
 //
-// On-disk layout, format version 3 (all integers and doubles
+// On-disk layout, format version 4 (all integers and doubles
 // little-endian; byte-level table in DESIGN.md §9):
 //
 //   header   40 bytes: magic "FXB1", format version, scene count,
@@ -16,8 +16,9 @@
 //   scenes   one section per scene, columnar: frame columns (index,
 //            timestamp, ego x/y/yaw, per-frame observation count) then
 //            observation columns (id, source, class, confidence, box
-//            cx/cy/cz/l/w/h/yaw, frame index, timestamp), each a
-//            contiguous array decoded with one bounded memcpy.
+//            cx/cy/cz/l/w/h/yaw), each a contiguous array decoded with
+//            one bounded memcpy. An observation's frame is the one whose
+//            count covers it; no column repeats its index or timestamp.
 //   index    scene_count entries of {offset, length, crc32} locating and
 //            checksumming each scene section independently, so one
 //            corrupt section quarantines one scene, not the file.
@@ -56,7 +57,7 @@ namespace fixy::io {
 // ---- Layout constants (exported for DESIGN.md §9, tests, and the
 // binary corruptor in src/testing). ----
 inline constexpr char kFxbMagic[4] = {'F', 'X', 'B', '1'};
-inline constexpr uint32_t kFxbVersion = 3;
+inline constexpr uint32_t kFxbVersion = 4;
 inline constexpr size_t kFxbHeaderSize = 40;
 inline constexpr size_t kFxbVersionOffset = 4;        // u32
 inline constexpr size_t kFxbSceneCountOffset = 8;     // u32
@@ -209,7 +210,8 @@ Result<size_t> BuildFxbCache(const std::string& directory);
 /// encoded from the in-memory scene instead of a parse of its file, which
 /// matters when generating 100k+ scene synthetic datasets. The files are
 /// still read once each for their recorded CRCs. The result is
-/// byte-identical to BuildFxbCache over the same directory because JSON
+/// byte-identical to BuildFxbCache over the same directory: a section
+/// stores only fields the scene's JSON document carries, and JSON
 /// round-trips doubles bit-exactly, the sign of a zero included.
 /// Errors: InvalidArgument when the on-disk manifest does not list as
 /// many scenes as `dataset` holds.

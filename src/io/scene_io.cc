@@ -55,8 +55,7 @@ json::Value ObservationToJson(const Observation& obs) {
   return obj;
 }
 
-Result<Observation> ObservationFromJson(const json::Value& value,
-                                        int frame_index, double timestamp) {
+Result<Observation> ObservationFromJson(const json::Value& value) {
   if (!value.is_object()) {
     return Status::InvalidArgument("observation must be an object");
   }
@@ -71,8 +70,6 @@ Result<Observation> ObservationFromJson(const json::Value& value,
   if (box == nullptr) return Status::InvalidArgument("observation missing box");
   FIXY_ASSIGN_OR_RETURN(obs.box, BoxFromJson(*box));
   FIXY_ASSIGN_OR_RETURN(obs.confidence, value.GetDouble("confidence"));
-  obs.frame_index = frame_index;
-  obs.timestamp = timestamp;
   return obs;
 }
 
@@ -114,9 +111,7 @@ Result<Frame> FrameFromJson(const json::Value& value) {
     return Status::InvalidArgument("frame missing observations array");
   }
   for (const json::Value& obs_value : observations->AsArray()) {
-    FIXY_ASSIGN_OR_RETURN(
-        Observation obs,
-        ObservationFromJson(obs_value, frame.index, frame.timestamp));
+    FIXY_ASSIGN_OR_RETURN(Observation obs, ObservationFromJson(obs_value));
     frame.observations.push_back(std::move(obs));
   }
   return frame;
@@ -193,7 +188,6 @@ bool BitIdentical(const geom::Box3d& a, const geom::Box3d& b) {
 bool BitIdentical(const Observation& a, const Observation& b) {
   return a.id == b.id && a.source == b.source &&
          a.object_class == b.object_class && BitIdentical(a.box, b.box) &&
-         a.frame_index == b.frame_index && SameBits(a.timestamp, b.timestamp) &&
          SameBits(a.confidence, b.confidence);
 }
 

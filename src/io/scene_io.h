@@ -54,10 +54,10 @@ Result<Scene> LoadScene(const std::string& path);
 Result<Scene> LoadScene(const std::string& path, std::string* buffer);
 
 /// True when `a` and `b` hold the same scene field for field, with every
-/// double compared by its bit pattern. Stricter than comparing
-/// SceneToString texts, which are a function of the same fields: it also
-/// sees each observation's frame_index and timestamp, which the JSON
-/// document does not carry. The FXB cache's decode-back parity check.
+/// double compared by its bit pattern. The FXB cache's decode-back parity
+/// check. On valid scenes it agrees with comparing SceneToString texts,
+/// which carry the same fields and every finite double's bits (the sign of
+/// a zero included), without serializing either scene.
 bool BitIdentical(const Scene& a, const Scene& b);
 
 /// Writes every scene of `dataset` into `directory` as

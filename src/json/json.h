@@ -75,6 +75,10 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
+/// 2^53: every integer up to it is a double, and so a JSON number, exactly;
+/// 2^53 + 1 is not. The ceiling for seeds and counts stored as numbers.
+inline constexpr uint64_t kMaxExactInteger = uint64_t{1} << 53;
+
 /// The integer a JSON number names: every integer JSON number a reader
 /// turns into int64_t goes through here, because casting a double outside
 /// int64_t's range is undefined. Errors: InvalidArgument naming `key`

@@ -1,8 +1,8 @@
 #include "obs/metrics_json.h"
 
 #include <cmath>
-#include <fstream>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace fixy::obs {
@@ -37,13 +37,8 @@ json::Value MetricsToJson(const PipelineMetrics& metrics) {
 }
 
 Status SaveMetrics(const PipelineMetrics& metrics, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << json::Write(MetricsToJson(metrics), /*pretty=*/true);
-  out << "\n";
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteFileAtomic(
+      path, {json::Write(MetricsToJson(metrics), /*pretty=*/true), "\n"});
 }
 
 Status ValidateMetrics(const PipelineMetrics& metrics) {

@@ -28,7 +28,8 @@ namespace fixy::obs {
 /// Converts a snapshot to its JSON document.
 json::Value MetricsToJson(const PipelineMetrics& metrics);
 
-/// Writes a pretty-printed snapshot to `path`. Errors: IoError.
+/// Writes a pretty-printed snapshot to `path` through WriteFileAtomic.
+/// Errors: IoError.
 Status SaveMetrics(const PipelineMetrics& metrics, const std::string& path);
 
 /// Every metric value must be finite, and counters/timers non-negative

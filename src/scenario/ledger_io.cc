@@ -1,7 +1,6 @@
 #include "scenario/ledger_io.h"
 
 #include <cmath>
-#include <fstream>
 #include <utility>
 
 #include "common/file_util.h"
@@ -129,13 +128,8 @@ Result<sim::GtLedger> LedgerFromJson(const json::Value& value) {
 }
 
 Status SaveLedger(const sim::GtLedger& ledger, const std::string& path) {
-  const std::string text = json::Write(LedgerToJson(ledger), /*pretty=*/true);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << text << "\n";
-  out.close();
-  if (!out.good()) return Status::IoError("failed writing: " + path);
-  return Status::Ok();
+  return WriteFileAtomic(
+      path, {json::Write(LedgerToJson(ledger), /*pretty=*/true), "\n"});
 }
 
 Result<sim::GtLedger> LoadLedger(const std::string& path) {

@@ -19,9 +19,8 @@ json::Value LedgerToJson(const sim::GtLedger& ledger);
 /// document (wrong format tag, unknown error type, missing fields).
 Result<sim::GtLedger> LedgerFromJson(const json::Value& value);
 
-/// Saves / loads the ledger at `path` (pretty-printed, atomic-enough for
-/// the single-writer cache workflow: write then rename is not needed —
-/// the lock file is written last and gates reuse).
+/// Saves (pretty-printed, through WriteFileAtomic) / loads the ledger at
+/// `path`.
 Status SaveLedger(const sim::GtLedger& ledger, const std::string& path);
 Result<sim::GtLedger> LoadLedger(const std::string& path);
 

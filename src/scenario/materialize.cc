@@ -1,7 +1,6 @@
 #include "scenario/materialize.h"
 
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/file_util.h"
@@ -28,15 +27,6 @@ json::Value LockJson(const ScenarioSpec& spec, int scene_count,
   root["seed"] = seed;
   root["spec"] = ScenarioToJson(spec);
   return root;
-}
-
-Status WriteLock(const json::Value& lock, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << json::Write(lock, /*pretty=*/true) << "\n";
-  out.close();
-  if (!out.good()) return Status::IoError("failed writing: " + path);
-  return Status::Ok();
 }
 
 /// True when the directory's lock file records exactly this recipe.
@@ -119,7 +109,8 @@ Result<MaterializedDataset> MaterializeScenarioDataset(
         io::BuildFxbCacheFromDataset(result.data.dataset, directory).status());
   }
   FIXY_RETURN_IF_ERROR(SaveLedger(result.data.ledger, LedgerPath(directory)));
-  FIXY_RETURN_IF_ERROR(WriteLock(lock, ScenarioLockPath(directory)));
+  FIXY_RETURN_IF_ERROR(WriteFileAtomic(
+      ScenarioLockPath(directory), {json::Write(lock, /*pretty=*/true), "\n"}));
   return result;
 }
 

@@ -15,9 +15,7 @@ namespace {
 
 constexpr char kFormatName[] = "fixy-scenario";
 constexpr int kFormatVersion = 1;
-/// Largest integer a JSON double carries exactly — the ceiling for seeds
-/// and counts stored through the number type.
-constexpr double kMaxExactDouble = 9007199254740992.0;  // 2^53
+constexpr auto kMaxExact = static_cast<int64_t>(json::kMaxExactInteger);
 
 bool ValidName(const std::string& name) {
   if (name.empty()) return false;
@@ -78,9 +76,7 @@ class ObjectReader {
 
   void U64(const std::string& key, uint64_t* out) {
     int64_t value = 0;
-    if (!ReadIntegral(key, &value, 0, static_cast<int64_t>(kMaxExactDouble))) {
-      return;
-    }
+    if (!ReadIntegral(key, &value, 0, kMaxExact)) return;
     *out = static_cast<uint64_t>(value);
   }
 
@@ -149,7 +145,7 @@ class ObjectReader {
     }
     const double value = member->AsDouble();
     if (!std::isfinite(value) || std::floor(value) != value ||
-        std::abs(value) > kMaxExactDouble) {
+        std::abs(value) > static_cast<double>(kMaxExact)) {
       Fail(path_ + "." + key + ": expected an integer");
       return false;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <future>
 #include <set>
 #include <utility>
@@ -136,12 +135,12 @@ Result<size_t> ReadCount(const json::Value& object, const std::string& key,
     return Status::InvalidArgument(path + "." + key +
                                    ": expected a number");
   }
-  const double value = member->AsDouble();
-  if (!std::isfinite(value) || value < 0 || value != std::floor(value)) {
+  const Result<int64_t> value = json::ToInt64(member->AsDouble(), key);
+  if (!value.ok() || *value < 0) {
     return Status::InvalidArgument(path + "." + key +
                                    ": expected a non-negative integer");
   }
-  return static_cast<size_t>(value);
+  return static_cast<size_t>(*value);
 }
 
 Result<double> ReadFraction(const json::Value& object, const std::string& key,
@@ -328,12 +327,8 @@ Result<SweepReport> SweepReportFromJson(const json::Value& value) {
 }
 
 Status SaveSweepReport(const SweepReport& report, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << json::Write(SweepReportToJson(report), /*pretty=*/true) << "\n";
-  out.close();
-  if (!out.good()) return Status::IoError("failed writing: " + path);
-  return Status::Ok();
+  return WriteFileAtomic(
+      path, {json::Write(SweepReportToJson(report), /*pretty=*/true), "\n"});
 }
 
 Result<SweepReport> LoadSweepReport(const std::string& path) {

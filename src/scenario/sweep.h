@@ -91,7 +91,8 @@ Result<SweepReport> RunSweep(const std::vector<ScenarioSpec>& specs,
 json::Value SweepReportToJson(const SweepReport& report);
 Result<SweepReport> SweepReportFromJson(const json::Value& value);
 
-/// File forms of the above (pretty canonical JSON + trailing newline).
+/// File forms of the above (pretty canonical JSON + trailing newline,
+/// saved through WriteFileAtomic).
 Status SaveSweepReport(const SweepReport& report, const std::string& path);
 Result<SweepReport> LoadSweepReport(const std::string& path);
 

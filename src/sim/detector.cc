@@ -124,8 +124,6 @@ DetectorOutput GenerateDetections(const GtScene& gt,
       obs.source = ObservationSource::kModel;
       obs.object_class = emitted_class;
       obs.box = box;
-      obs.frame_index = f;
-      obs.timestamp = gt.TimestampOf(f);
       // Erroneous tracks tend to carry depressed confidence (the model is
       // partially aware something is off) — this is what gives
       // uncertainty sampling its non-trivial baseline precision — but the
@@ -223,8 +221,6 @@ DetectorOutput GenerateDetections(const GtScene& gt,
       obs.source = ObservationSource::kModel;
       obs.object_class = cls;
       obs.box = box;
-      obs.frame_index = f;
-      obs.timestamp = gt.TimestampOf(f);
       obs.confidence = std::clamp(
           ghost_conf_base + rng.Normal(0.0, params.per_frame_conf_noise),
           0.02, 0.999);

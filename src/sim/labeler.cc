@@ -129,8 +129,6 @@ LabelerOutput GenerateHumanLabels(const GtScene& gt,
       obs.source = ObservationSource::kHuman;
       obs.object_class = object.object_class;
       obs.box = JitterBox(object.BoxAt(f), profile, rng);
-      obs.frame_index = f;
-      obs.timestamp = gt.TimestampOf(f);
       obs.confidence = 1.0;
       output.observations[static_cast<size_t>(f)].push_back(std::move(obs));
     }

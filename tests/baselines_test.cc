@@ -9,14 +9,12 @@ namespace fixy::baselines {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    double y, int frame, double confidence = 0.9) {
+                    double y, double confidence = 0.9) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = ObjectClass::kCar;
   obs.box = geom::Box3d({x, y, 0.85}, 4.5, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = source == ObservationSource::kHuman ? 1.0 : confidence;
   return obs;
 }
@@ -32,14 +30,14 @@ Scene TestScene() {
     frame.timestamp = f * 0.1;
     frame.ego_position = {0.8 * f, 0};
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2, f));
+        MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2));
     frame.observations.push_back(MakeObs(
-        id++, ObservationSource::kModel, 10.05 + 0.8 * f, 2.02, f, 0.95));
+        id++, ObservationSource::kModel, 10.05 + 0.8 * f, 2.02, 0.95));
     frame.observations.push_back(MakeObs(
-        id++, ObservationSource::kModel, 20 + 0.8 * f, -2, f, 0.7));
+        id++, ObservationSource::kModel, 20 + 0.8 * f, -2, 0.7));
     if (f == 4 || f == 5) {
       frame.observations.push_back(
-          MakeObs(id++, ObservationSource::kModel, 40, 9, f, 0.45));
+          MakeObs(id++, ObservationSource::kModel, 40, 9, 0.45));
     }
     scene.AddFrame(std::move(frame));
   }
@@ -86,7 +84,7 @@ TEST(ConsistencyAssertionTest, MinLengthFiltersSingletons) {
   Frame frame;
   frame.index = 0;
   frame.observations.push_back(
-      MakeObs(1, ObservationSource::kModel, 10, 0, 0));
+      MakeObs(1, ObservationSource::kModel, 10, 0));
   scene.AddFrame(std::move(frame));
   const auto proposals =
       ConsistencyAssertion(scene, MaOrdering::kRandom, 1);
@@ -116,7 +114,7 @@ TEST(FlickerAssertionTest, FlagsTracksWithGaps) {
     frame.timestamp = f * 0.1;
     if (f != 3) {  // flicker: disappear at frame 3, reappear at 4
       frame.observations.push_back(
-          MakeObs(id++, ObservationSource::kModel, 10 + 0.2 * f, 0, f));
+          MakeObs(id++, ObservationSource::kModel, 10 + 0.2 * f, 0));
     }
     scene.AddFrame(std::move(frame));
   }
@@ -139,11 +137,11 @@ TEST(MultiboxAssertionTest, FlagsTripleOverlap) {
   Frame frame;
   frame.index = 0;
   frame.observations.push_back(
-      MakeObs(1, ObservationSource::kModel, 10.0, 0, 0));
+      MakeObs(1, ObservationSource::kModel, 10.0, 0));
   frame.observations.push_back(
-      MakeObs(2, ObservationSource::kModel, 10.4, 0.1, 0));
+      MakeObs(2, ObservationSource::kModel, 10.4, 0.1));
   frame.observations.push_back(
-      MakeObs(3, ObservationSource::kModel, 10.8, -0.1, 0));
+      MakeObs(3, ObservationSource::kModel, 10.8, -0.1));
   scene.AddFrame(std::move(frame));
   const auto proposals = MultiboxAssertion(scene);
   ASSERT_TRUE(proposals.ok());
@@ -156,9 +154,9 @@ TEST(MultiboxAssertionTest, PairOverlapNotFlagged) {
   Frame frame;
   frame.index = 0;
   frame.observations.push_back(
-      MakeObs(1, ObservationSource::kModel, 10.0, 0, 0));
+      MakeObs(1, ObservationSource::kModel, 10.0, 0));
   frame.observations.push_back(
-      MakeObs(2, ObservationSource::kModel, 10.4, 0.1, 0));
+      MakeObs(2, ObservationSource::kModel, 10.4, 0.1));
   scene.AddFrame(std::move(frame));
   const auto proposals = MultiboxAssertion(scene);
   ASSERT_TRUE(proposals.ok());
@@ -172,7 +170,7 @@ TEST(MultiboxAssertionTest, IgnoresHumanBoxes) {
   for (int i = 0; i < 3; ++i) {
     frame.observations.push_back(
         MakeObs(static_cast<ObservationId>(i + 1), ObservationSource::kHuman,
-                10.0 + 0.2 * i, 0, 0));
+                10.0 + 0.2 * i, 0));
   }
   scene.AddFrame(std::move(frame));
   const auto proposals = MultiboxAssertion(scene);

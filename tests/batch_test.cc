@@ -77,13 +77,16 @@ Dataset PoisonScene(const Dataset& dataset, size_t index) {
   return poisoned;
 }
 
-// The one report of a single-application ranking call, with the run's
-// metrics.
-Result<BatchReport> OnlyReport(Result<MultiAppReport> multi) {
+// The one report of a single-application ranking call, beside the run's
+// metrics snapshot.
+struct SoloReport : BatchReport {
+  obs::PipelineMetrics metrics;
+};
+
+Result<SoloReport> OnlyReport(Result<MultiAppReport> multi) {
   if (!multi.ok()) return multi.status();
-  BatchReport report = std::move(multi->reports.front());
-  report.metrics = std::move(multi->metrics);
-  return report;
+  return SoloReport{{std::move(multi->reports.front())},
+                    std::move(multi->metrics)};
 }
 
 // The dataset loop's independent reference: every scene ranked alone by

@@ -19,15 +19,13 @@ namespace fixy {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    double y, int frame, ObjectClass cls = ObjectClass::kCar,
+                    double y, ObjectClass cls = ObjectClass::kCar,
                     double confidence = 1.0) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = cls;
   obs.box = geom::Box3d({x, y, 0.85}, 4.5, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = confidence;
   return obs;
 }
@@ -47,7 +45,7 @@ ObservationBundle MakeBundle(int frame, std::vector<Observation> obs,
 TEST(FeaturesStdTest, VolumeFeature) {
   const VolumeFeature volume;
   EXPECT_TRUE(volume.class_conditional());
-  const Observation obs = MakeObs(1, ObservationSource::kHuman, 0, 0, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kHuman, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
   ASSERT_TRUE(volume.Compute(obs, ctx).has_value());
   EXPECT_NEAR(*volume.Compute(obs, ctx), 4.5 * 1.9 * 1.7, 1e-12);
@@ -55,14 +53,14 @@ TEST(FeaturesStdTest, VolumeFeature) {
 
 TEST(FeaturesStdTest, VolumeFeatureRejectsDegenerateBox) {
   const VolumeFeature volume;
-  Observation obs = MakeObs(1, ObservationSource::kHuman, 0, 0, 0);
+  Observation obs = MakeObs(1, ObservationSource::kHuman, 0, 0);
   obs.box.height = 0.0;
   EXPECT_FALSE(volume.Compute(obs, {{0, 0}, 10.0}).has_value());
 }
 
 TEST(FeaturesStdTest, DistanceFeature) {
   const DistanceFeature distance;
-  const Observation obs = MakeObs(1, ObservationSource::kHuman, 3, 4, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kHuman, 3, 4);
   EXPECT_NEAR(*distance.Compute(obs, {{0, 0}, 10.0}), 5.0, 1e-12);
   EXPECT_NEAR(*distance.Compute(obs, {{3, 4}, 10.0}), 0.0, 1e-12);
 }
@@ -71,12 +69,12 @@ TEST(FeaturesStdTest, ModelOnlyFeature) {
   const ModelOnlyFeature model_only;
   const FeatureContext ctx{{0, 0}, 10.0};
   const auto pure_model = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kModel, 0, 0, 0),
-          MakeObs(2, ObservationSource::kModel, 0, 0, 0)});
+      0, {MakeObs(1, ObservationSource::kModel, 0, 0),
+          MakeObs(2, ObservationSource::kModel, 0, 0)});
   EXPECT_DOUBLE_EQ(*model_only.Compute(pure_model, ctx), 1.0);
   const auto mixed = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kModel, 0, 0, 0),
-          MakeObs(2, ObservationSource::kHuman, 0, 0, 0)});
+      0, {MakeObs(1, ObservationSource::kModel, 0, 0),
+          MakeObs(2, ObservationSource::kHuman, 0, 0)});
   EXPECT_DOUBLE_EQ(*model_only.Compute(mixed, ctx), 0.0);
   EXPECT_FALSE(model_only.Compute(ObservationBundle{}, ctx).has_value());
 }
@@ -85,25 +83,25 @@ TEST(FeaturesStdTest, VelocityFeature) {
   const VelocityFeature velocity;
   EXPECT_TRUE(velocity.class_conditional());
   const auto from = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kHuman, 10, 0, 0)});
+      0, {MakeObs(1, ObservationSource::kHuman, 10, 0)});
   const auto to = MakeBundle(
-      1, {MakeObs(2, ObservationSource::kHuman, 10.8, 0.6, 1)});
+      1, {MakeObs(2, ObservationSource::kHuman, 10.8, 0.6)});
   // Displacement 1.0 m over 0.1 s -> 10 m/s.
   EXPECT_NEAR(*velocity.Compute(from, to, {{0, 0}, 10.0}), 10.0, 1e-9);
 }
 
 TEST(FeaturesStdTest, VelocityFeatureRejectsNonPositiveDt) {
   const VelocityFeature velocity;
-  const auto a = MakeBundle(0, {MakeObs(1, ObservationSource::kHuman, 0, 0, 0)});
+  const auto a = MakeBundle(0, {MakeObs(1, ObservationSource::kHuman, 0, 0)});
   EXPECT_FALSE(velocity.Compute(a, a, {{0, 0}, 10.0}).has_value());
 }
 
 TEST(FeaturesStdTest, CountFeature) {
   const CountFeature count;
   Track track(1);
-  track.AddBundle(MakeBundle(0, {MakeObs(1, ObservationSource::kHuman, 0, 0, 0),
-                                 MakeObs(2, ObservationSource::kModel, 0, 0, 0)}));
-  track.AddBundle(MakeBundle(1, {MakeObs(3, ObservationSource::kHuman, 0, 0, 1)}));
+  track.AddBundle(MakeBundle(0, {MakeObs(1, ObservationSource::kHuman, 0, 0),
+                                 MakeObs(2, ObservationSource::kModel, 0, 0)}));
+  track.AddBundle(MakeBundle(1, {MakeObs(3, ObservationSource::kHuman, 0, 0)}));
   EXPECT_DOUBLE_EQ(*count.Compute(track, {{0, 0}, 10.0}), 3.0);
 }
 
@@ -256,7 +254,7 @@ TEST(LearnerTest, LearnsVolumeAndVelocity) {
   ASSERT_EQ(learned->size(), 2u);
   // A typical car volume is likely; an absurd one is not.
   const FeatureContext ctx{{0, 0}, 10.0};
-  Observation car = MakeObs(1, ObservationSource::kHuman, 0, 0, 0);
+  Observation car = MakeObs(1, ObservationSource::kHuman, 0, 0);
   const auto typical = ScoreObservation((*learned)[0], car, ctx);
   ASSERT_TRUE(typical.has_value());
   car.box.length = 40.0;  // a 40 m "car"
@@ -334,12 +332,12 @@ TEST(LearnerTest, AllSourcesEnablesCrossSourceBundleFeatures) {
   const FeatureContext ctx{{0, 0}, 10.0};
   ObservationBundle agreeing;
   agreeing.observations = {
-      MakeObs(1, ObservationSource::kHuman, 0, 0, 0),
-      MakeObs(2, ObservationSource::kModel, 0, 0, 0)};
+      MakeObs(1, ObservationSource::kHuman, 0, 0),
+      MakeObs(2, ObservationSource::kModel, 0, 0)};
   ObservationBundle disagreeing;
   disagreeing.observations = {
-      MakeObs(3, ObservationSource::kHuman, 0, 0, 0, ObjectClass::kCar),
-      MakeObs(4, ObservationSource::kModel, 0, 0, 0, ObjectClass::kTruck)};
+      MakeObs(3, ObservationSource::kHuman, 0, 0, ObjectClass::kCar),
+      MakeObs(4, ObservationSource::kModel, 0, 0, ObjectClass::kTruck)};
   EXPECT_GT(*ScoreBundle(ok->front(), agreeing, ctx),
             *ScoreBundle(ok->front(), disagreeing, ctx));
 }
@@ -477,19 +475,19 @@ Scene MissingTrackScenario() {
     frame.ego_position = {0.8 * f, 0.0};
     // Labeled object.
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2, f));
+        MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2));
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         10.05 + 0.8 * f, 2.03, f,
+                                         10.05 + 0.8 * f, 2.03,
                                          ObjectClass::kCar, 0.9));
     // Missing object: consistent model-only detections.
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         15 + 0.8 * f, -2, f,
+                                         15 + 0.8 * f, -2,
                                          ObjectClass::kCar, 0.85));
     // Ghost: erratic model-only boxes near a fixed spot.
     if (f >= 2 && f <= 7) {
       Observation ghost = MakeObs(id++, ObservationSource::kModel,
                                   30 + rng.Normal(0.0, 1.2),
-                                  8 + rng.Normal(0.0, 1.2), f,
+                                  8 + rng.Normal(0.0, 1.2),
                                   ObjectClass::kCar, 0.6);
       ghost.box.length *= 1.0 + rng.Normal(0.0, 0.25);
       ghost.box.width *= 1.0 + rng.Normal(0.0, 0.25);
@@ -547,10 +545,10 @@ TEST_F(ApplicationsTest, MissingObservationFindsDroppedHumanBox) {
     frame.ego_position = {0.8 * f, 0};
     if (f != 4) {
       frame.observations.push_back(
-          MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2, f));
+          MakeObs(id++, ObservationSource::kHuman, 10 + 0.8 * f, 2));
     }
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         10.05 + 0.8 * f, 2.02, f,
+                                         10.05 + 0.8 * f, 2.02,
                                          ObjectClass::kCar, 0.9));
     scene.AddFrame(std::move(frame));
   }
@@ -571,7 +569,7 @@ TEST_F(ApplicationsTest, MissingObservationIgnoresModelOnlyTracks) {
     frame.index = f;
     frame.timestamp = f * 0.1;
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         10 + 0.5 * f, 0, f,
+                                         10 + 0.5 * f, 0,
                                          ObjectClass::kCar, 0.9));
     scene.AddFrame(std::move(frame));
   }
@@ -599,7 +597,7 @@ TEST_F(ApplicationsTest, ModelErrorsIgnoreHumanObservations) {
     frame.index = f;
     frame.timestamp = f * 0.1;
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 10, 2, f));
+        MakeObs(id++, ObservationSource::kHuman, 10, 2));
     scene.AddFrame(std::move(frame));
   }
   const auto proposals = fixy_.Find(scene, "model-errors");

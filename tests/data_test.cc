@@ -13,15 +13,13 @@ namespace fixy {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source,
-                    ObjectClass cls, double x, double y, int frame,
+                    ObjectClass cls, double x, double y,
                     double confidence = 1.0) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = cls;
   obs.box = geom::Box3d({x, y, 0.85}, 4.5, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = confidence;
   return obs;
 }
@@ -52,15 +50,6 @@ TEST(TypesTest, ObservationSourceRoundTrip) {
   EXPECT_FALSE(ObservationSourceFromString("oracle").ok());
 }
 
-TEST(ObservationTest, ToStringMentionsKeyFields) {
-  const Observation obs =
-      MakeObs(17, ObservationSource::kModel, ObjectClass::kCar, 0, 0, 3, 0.91);
-  const std::string s = obs.ToString();
-  EXPECT_NE(s.find("17"), std::string::npos);
-  EXPECT_NE(s.find("model"), std::string::npos);
-  EXPECT_NE(s.find("car"), std::string::npos);
-}
-
 // ---------------------------------------------------------------- Scene
 
 Scene MakeValidScene(int frames = 3) {
@@ -72,10 +61,9 @@ Scene MakeValidScene(int frames = 3) {
     frame.timestamp = f * 0.1;
     frame.ego_position = {f * 0.8, 0.0};
     frame.observations.push_back(MakeObs(
-        id++, ObservationSource::kHuman, ObjectClass::kCar, 10.0 + f, 2, f));
+        id++, ObservationSource::kHuman, ObjectClass::kCar, 10.0 + f, 2));
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         ObjectClass::kCar, 10.05 + f, 2.02,
-                                         f, 0.9));
+                                         ObjectClass::kCar, 10.05 + f, 2.02, 0.9));
     scene.AddFrame(std::move(frame));
   }
   return scene;
@@ -131,12 +119,6 @@ TEST(SceneValidateTest, RejectsDecreasingTimestamps) {
   Scene scene = MakeValidScene();
   scene.frames()[2].timestamp = 0.0;
   scene.frames()[1].timestamp = 0.5;
-  EXPECT_FALSE(scene.Validate().ok());
-}
-
-TEST(SceneValidateTest, RejectsFrameIndexMismatchInObservation) {
-  Scene scene = MakeValidScene();
-  scene.frames()[0].observations[0].frame_index = 2;
   EXPECT_FALSE(scene.Validate().ok());
 }
 
@@ -231,17 +213,9 @@ TEST(SceneValidateTest, RejectsNonFiniteFrameRate) {
   }
 }
 
-TEST(SceneValidateTest, RejectsNanObservationTimestamp) {
-  Scene scene = MakeValidScene();
-  scene.frames()[0].observations[0].timestamp =
-      std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(scene.Validate().ok());
-}
-
 // Validation reports the first violation in scan order: frame by frame,
-// observation by observation, and within one observation its frame
-// index, its id (invalid, then duplicate), then its box, timestamp and
-// confidence.
+// observation by observation, and within one observation its id
+// (invalid, then duplicate), then its box and confidence.
 TEST(SceneValidateTest, ReportsTheFirstFailureInScanOrder) {
   // MakeValidScene's ids run 1..6, two per frame.
   {
@@ -284,7 +258,7 @@ TEST(SceneValidateTest, DuplicateAmongManyCollidingIds) {
       const ObservationId id = static_cast<ObservationId>(f * kPerFrame + k + 1)
                                << 32;
       frame.observations.push_back(MakeObs(id, ObservationSource::kModel,
-                                           ObjectClass::kCar, 5.0 * k, 0, f));
+                                           ObjectClass::kCar, 5.0 * k, 0));
     }
     scene.AddFrame(std::move(frame));
   }
@@ -319,8 +293,8 @@ ObservationBundle MakeBundle(int frame, std::vector<Observation> obs) {
 
 TEST(BundleTest, SourceQueries) {
   const auto bundle = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kHuman, ObjectClass::kCar, 1, 0, 0),
-          MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 1, 0, 0,
+      0, {MakeObs(1, ObservationSource::kHuman, ObjectClass::kCar, 1, 0),
+          MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 1, 0,
                   0.8)});
   EXPECT_TRUE(bundle.HasSource(ObservationSource::kHuman));
   EXPECT_TRUE(bundle.HasSource(ObservationSource::kModel));
@@ -332,8 +306,8 @@ TEST(BundleTest, SourceQueries) {
 
 TEST(BundleTest, MeanCenterAveragesBoxes) {
   const auto bundle = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kHuman, ObjectClass::kCar, 0, 0, 0),
-          MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 2, 4, 0)});
+      0, {MakeObs(1, ObservationSource::kHuman, ObjectClass::kCar, 0, 0),
+          MakeObs(2, ObservationSource::kModel, ObjectClass::kCar, 2, 4)});
   const geom::Vec3 center = bundle.MeanCenter();
   EXPECT_DOUBLE_EQ(center.x, 1.0);
   EXPECT_DOUBLE_EQ(center.y, 2.0);
@@ -347,11 +321,11 @@ TEST(BundleTest, EmptyBundle) {
 
 TEST(BundleTest, MajorityClassTiesToLowerClass) {
   auto bundle = MakeBundle(
-      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kTruck, 0, 0, 0),
-          MakeObs(2, ObservationSource::kHuman, ObjectClass::kCar, 0, 0, 0)});
+      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kTruck, 0, 0),
+          MakeObs(2, ObservationSource::kHuman, ObjectClass::kCar, 0, 0)});
   EXPECT_EQ(bundle.MajorityClass(), ObjectClass::kCar);
   bundle.observations.push_back(
-      MakeObs(3, ObservationSource::kAuditor, ObjectClass::kTruck, 0, 0, 0));
+      MakeObs(3, ObservationSource::kAuditor, ObjectClass::kTruck, 0, 0));
   EXPECT_EQ(bundle.MajorityClass(), ObjectClass::kTruck);
 }
 
@@ -364,7 +338,7 @@ Track MakeTrack(TrackId id, int num_bundles,
   ObservationId obs_id = id * 1000 + 1;
   for (int b = 0; b < num_bundles; ++b) {
     track.AddBundle(MakeBundle(
-        b, {MakeObs(obs_id++, source, ObjectClass::kCar, 10.0 + b, 2, b,
+        b, {MakeObs(obs_id++, source, ObjectClass::kCar, 10.0 + b, 2,
                     confidence)}));
   }
   return track;
@@ -397,23 +371,22 @@ TEST(TrackTest, HasSource) {
 TEST(TrackTest, MajorityClassPicksMostCommon) {
   Track track(1);
   track.AddBundle(MakeBundle(0, {MakeObs(1, ObservationSource::kHuman,
-                                         ObjectClass::kTruck, 0, 0, 0)}));
+                                         ObjectClass::kTruck, 0, 0)}));
   track.AddBundle(MakeBundle(1, {MakeObs(2, ObservationSource::kHuman,
-                                         ObjectClass::kCar, 0, 0, 1)}));
+                                         ObjectClass::kCar, 0, 0)}));
   track.AddBundle(MakeBundle(2, {MakeObs(3, ObservationSource::kHuman,
-                                         ObjectClass::kTruck, 0, 0, 2)}));
+                                         ObjectClass::kTruck, 0, 0)}));
   EXPECT_EQ(track.MajorityClass(), ObjectClass::kTruck);
 }
 
 TEST(TrackTest, MeanModelConfidence) {
   Track track(1);
   track.AddBundle(MakeBundle(
-      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kCar, 0, 0, 0,
+      0, {MakeObs(1, ObservationSource::kModel, ObjectClass::kCar, 0, 0,
                   0.6),
-          MakeObs(2, ObservationSource::kHuman, ObjectClass::kCar, 0, 0,
-                  0)}));
+          MakeObs(2, ObservationSource::kHuman, ObjectClass::kCar, 0, 0)}));
   track.AddBundle(MakeBundle(1, {MakeObs(3, ObservationSource::kModel,
-                                         ObjectClass::kCar, 0, 0, 1, 0.8)}));
+                                         ObjectClass::kCar, 0, 0, 0.8)}));
   ASSERT_TRUE(track.MeanModelConfidence().has_value());
   EXPECT_NEAR(*track.MeanModelConfidence(), 0.7, 1e-12);
 }

@@ -21,15 +21,13 @@ namespace fixy {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    double y, int frame, ObjectClass cls = ObjectClass::kCar,
+                    double y, ObjectClass cls = ObjectClass::kCar,
                     double confidence = 1.0) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = cls;
   obs.box = geom::Box3d({x, y, 0.85}, 4.5, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = confidence;
   return obs;
 }
@@ -38,23 +36,23 @@ Observation MakeObs(ObservationId id, ObservationSource source, double x,
 
 TEST(IouBundlerTest, AssociatesOverlappingBoxes) {
   const IouBundler bundler(0.5);
-  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0, 0);
-  const Observation b = MakeObs(2, ObservationSource::kModel, 10.1, 0.05, 0);
+  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0);
+  const Observation b = MakeObs(2, ObservationSource::kModel, 10.1, 0.05);
   EXPECT_TRUE(bundler.IsAssociated(a, b));
 }
 
 TEST(IouBundlerTest, RejectsDistantBoxes) {
   const IouBundler bundler(0.5);
-  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0, 0);
-  const Observation b = MakeObs(2, ObservationSource::kModel, 20, 0, 0);
+  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0);
+  const Observation b = MakeObs(2, ObservationSource::kModel, 20, 0);
   EXPECT_FALSE(bundler.IsAssociated(a, b));
 }
 
 TEST(IouBundlerTest, ThresholdIsRespected) {
   // Two car boxes offset by half a length: IoU = (2.25*1.9)/(2*4.5*1.9 -
   // 2.25*1.9) = 1/3.
-  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0, 0);
-  const Observation b = MakeObs(2, ObservationSource::kModel, 12.25, 0, 0);
+  const Observation a = MakeObs(1, ObservationSource::kHuman, 10, 0);
+  const Observation b = MakeObs(2, ObservationSource::kModel, 12.25, 0);
   EXPECT_TRUE(IouBundler(0.3).IsAssociated(a, b));
   EXPECT_FALSE(IouBundler(0.35).IsAssociated(a, b));
 }
@@ -71,9 +69,9 @@ Scene SceneWithTwoSourceTrack(int frames, double step = 0.8) {
     frame.timestamp = f * 0.1;
     frame.ego_position = {0, 0};
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 10 + step * f, 0, f));
+        MakeObs(id++, ObservationSource::kHuman, 10 + step * f, 0));
     frame.observations.push_back(MakeObs(id++, ObservationSource::kModel,
-                                         10.08 + step * f, 0.04, f,
+                                         10.08 + step * f, 0.04,
                                          ObjectClass::kCar, 0.9));
     scene.AddFrame(std::move(frame));
   }
@@ -103,9 +101,9 @@ TEST(TrackBuilderTest, SeparateObjectsGetSeparateTracks) {
     frame.index = f;
     frame.timestamp = f * 0.1;
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kModel, 10 + 0.5 * f, 0, f));
+        MakeObs(id++, ObservationSource::kModel, 10 + 0.5 * f, 0));
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kModel, 40 - 0.5 * f, 8, f));
+        MakeObs(id++, ObservationSource::kModel, 40 - 0.5 * f, 8));
     scene.AddFrame(std::move(frame));
   }
   const auto tracks = TrackBuilder().Build(scene);
@@ -125,7 +123,7 @@ TEST(TrackBuilderTest, GapWithinAllowanceStaysOneTrack) {
     frame.timestamp = f * 0.1;
     if (f != 2) {  // one-frame gap
       frame.observations.push_back(
-          MakeObs(id++, ObservationSource::kModel, 10 + 0.3 * f, 0, f));
+          MakeObs(id++, ObservationSource::kModel, 10 + 0.3 * f, 0));
     }
     scene.AddFrame(std::move(frame));
   }
@@ -144,7 +142,7 @@ TEST(TrackBuilderTest, GapBeyondAllowanceSplitsTrack) {
     frame.timestamp = f * 0.1;
     if (f < 3 || f > 7) {  // four-frame gap
       frame.observations.push_back(
-          MakeObs(id++, ObservationSource::kModel, 10.0, 0, f));
+          MakeObs(id++, ObservationSource::kModel, 10.0, 0));
     }
     scene.AddFrame(std::move(frame));
   }
@@ -271,15 +269,15 @@ TEST(TrackBuilderTest, LinksOnTheModelPredictionsBox) {
   Scene scene("representative", 10.0);
   Frame first;
   first.index = 0;
-  first.observations.push_back(MakeObs(1, ObservationSource::kHuman, 10, 0, 0));
-  first.observations.push_back(MakeObs(2, ObservationSource::kModel, 11, 0, 0));
+  first.observations.push_back(MakeObs(1, ObservationSource::kHuman, 10, 0));
+  first.observations.push_back(MakeObs(2, ObservationSource::kModel, 11, 0));
   scene.AddFrame(std::move(first));
   Frame second;
   second.index = 1;
   second.timestamp = 0.1;
-  second.observations.push_back(MakeObs(3, ObservationSource::kModel, 9, 0, 1));
+  second.observations.push_back(MakeObs(3, ObservationSource::kModel, 9, 0));
   second.observations.push_back(
-      MakeObs(4, ObservationSource::kModel, 12, 0, 1));
+      MakeObs(4, ObservationSource::kModel, 12, 0));
   scene.AddFrame(std::move(second));
 
   const auto tracks = TrackBuilder().Build(scene);
@@ -352,7 +350,7 @@ TEST(FeatureDistributionTest, GlobalDistributionScoresObservation) {
   const double car_volume = 4.5 * 1.9 * 1.7;
   FeatureDistribution fd(std::make_shared<TestVolumeFeature>(false),
                          GaussianAt(car_volume, 1.0));
-  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
   const auto score = ScoreObservation(fd, obs, ctx);
   ASSERT_TRUE(score.has_value());
@@ -367,7 +365,7 @@ TEST(FeatureDistributionTest, ClassConditionalUsesMatchingClass) {
   FeatureDistribution fd(std::make_shared<TestVolumeFeature>(true),
                          std::move(per_class));
   const FeatureContext ctx{{0, 0}, 10.0};
-  const Observation car = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
+  const Observation car = MakeObs(1, ObservationSource::kModel, 0, 0);
   const auto car_score = ScoreObservation(fd, car, ctx);
   ASSERT_TRUE(car_score.has_value());
   EXPECT_NEAR(*car_score, 1.0, 1e-9);
@@ -384,7 +382,7 @@ TEST(FeatureDistributionTest, UnseenClassYieldsNoFactor) {
   per_class[ObjectClass::kCar] = GaussianAt(14.0, 1.0);
   FeatureDistribution fd(std::make_shared<TestVolumeFeature>(true),
                          std::move(per_class));
-  const Observation ped = MakeObs(1, ObservationSource::kModel, 0, 0, 0,
+  const Observation ped = MakeObs(1, ObservationSource::kModel, 0, 0,
                                   ObjectClass::kPedestrian);
   const FeatureContext ctx{{0, 0}, 10.0};
   EXPECT_FALSE(ScoreObservation(fd, ped, ctx).has_value());
@@ -394,7 +392,7 @@ TEST(FeatureDistributionTest, AofTransformsScore) {
   const double car_volume = 4.5 * 1.9 * 1.7;
   FeatureDistribution fd(std::make_shared<TestVolumeFeature>(false),
                          GaussianAt(car_volume, 1.0), MakeInvertAof());
-  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
   const auto score = ScoreObservation(fd, obs, ctx);
   ASSERT_TRUE(score.has_value());
@@ -407,7 +405,7 @@ TEST(FeatureDistributionTest, WithAofReplacesTransform) {
   const FeatureDistribution base(std::make_shared<TestVolumeFeature>(false),
                                  GaussianAt(car_volume, 1.0));
   const FeatureDistribution inverted = base.WithAof(MakeInvertAof());
-  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
   EXPECT_NEAR(*ScoreObservation(base, obs, ctx), 1.0, 1e-9);
   EXPECT_NEAR(*ScoreObservation(inverted, obs, ctx), stats::kScoreFloor,
@@ -419,7 +417,7 @@ TEST(FeatureDistributionTest, ScoreClampedToUnitInterval) {
   FeatureDistribution fd(
       std::make_shared<TestVolumeFeature>(false), GaussianAt(14.0, 1.0),
       std::make_shared<LambdaAof>("wild", [](double) { return 42.0; }));
-  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0, 0);
+  const Observation obs = MakeObs(1, ObservationSource::kModel, 0, 0);
   const FeatureContext ctx{{0, 0}, 10.0};
   EXPECT_DOUBLE_EQ(*ScoreObservation(fd, obs, ctx), 1.0);
 }

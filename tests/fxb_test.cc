@@ -20,14 +20,12 @@ namespace fixy::io {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    int frame, double confidence = 1.0) {
+                    double confidence = 1.0) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = ObjectClass::kTruck;
   obs.box = geom::Box3d({x, -2.5, 1.6}, 8.1, 2.8, 3.2, 0.31);
-  obs.frame_index = frame;
-  obs.timestamp = frame / 5.0;
   obs.confidence = confidence;
   return obs;
 }
@@ -42,9 +40,9 @@ Scene MakeScene(const std::string& name, int frames = 4) {
     frame.ego_position = {1.6 * f, 0.25};
     frame.ego_yaw = 0.01 * f;
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kHuman, 12.0 + f, f));
+        MakeObs(id++, ObservationSource::kHuman, 12.0 + f));
     frame.observations.push_back(
-        MakeObs(id++, ObservationSource::kModel, 12.1 + f, f, 0.87));
+        MakeObs(id++, ObservationSource::kModel, 12.1 + f, 0.87));
     scene.AddFrame(std::move(frame));
   }
   return scene;
@@ -217,6 +215,22 @@ TEST(FxbFormatTest, SceneSectionVerifiesChecksum) {
   EXPECT_TRUE(reader->SceneSection(0).ok());
   EXPECT_EQ(reader->SceneSection(1).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// A section is its header, 40 bytes a frame (index, timestamp, ego
+// x/y/yaw, observation count) and 74 bytes an observation (id, source,
+// class, confidence, seven box doubles). No observation column repeats
+// its frame's index or timestamp.
+TEST(FxbFormatTest, SectionSizeIsFixedPerFrameAndObservation) {
+  Dataset dataset;
+  dataset.name = "sized";
+  dataset.scenes.push_back(MakeScene("sized", 4));  // 8 observations
+  auto reader = FxbReader::FromBuffer(Encode(dataset));
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const auto section = reader->SceneSection(0);
+  ASSERT_TRUE(section.ok()) << section.status();
+  const size_t header = 4 + std::string("sized").size() + 8 + 4 + 4;
+  EXPECT_EQ(section->bytes.size(), header + 4 * 40 + 8 * 74);
 }
 
 TEST(FxbFormatTest, RejectsTruncatedBlob) {
@@ -498,9 +512,6 @@ TEST(FxbCacheTest, NegativeZeroCachesIdenticallyFromMemoryAndJson) {
   frame.timestamp = -0.0;
   frame.ego_position.x = -0.0;
   frame.ego_yaw = -0.0;
-  // JSON does not carry an observation's timestamp: loading gives it its
-  // frame's, so the in-memory scene must too.
-  for (Observation& obs : frame.observations) obs.timestamp = -0.0;
   const std::string dir = TempDir();
   ASSERT_TRUE(SaveDataset(dataset, dir).ok());
   ASSERT_TRUE(BuildFxbCacheFromDataset(dataset, dir).ok());

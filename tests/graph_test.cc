@@ -13,14 +13,12 @@ namespace fixy {
 namespace {
 
 Observation MakeObs(ObservationId id, ObservationSource source, double x,
-                    int frame, ObjectClass cls = ObjectClass::kCar) {
+                    ObjectClass cls = ObjectClass::kCar) {
   Observation obs;
   obs.id = id;
   obs.source = source;
   obs.object_class = cls;
   obs.box = geom::Box3d({x, 0, 0.85}, 4.5, 1.9, 1.7, 0.0);
-  obs.frame_index = frame;
-  obs.timestamp = frame * 0.1;
   obs.confidence = source == ObservationSource::kModel ? 0.9 : 1.0;
   return obs;
 }
@@ -40,7 +38,7 @@ Track SimpleTrack(TrackId id, int n) {
   for (int b = 0; b < n; ++b) {
     track.AddBundle(MakeBundle(
         b, {MakeObs(id * 100 + static_cast<ObservationId>(b),
-                    ObservationSource::kModel, 10.0 + 0.5 * b, b)}));
+                    ObservationSource::kModel, 10.0 + 0.5 * b)}));
   }
   return track;
 }
@@ -137,8 +135,8 @@ TEST(FactorGraphTest, BundleFactorConnectsAllMembers) {
   TrackSet tracks;
   Track track(0);
   track.AddBundle(MakeBundle(
-      0, {MakeObs(1, ObservationSource::kHuman, 10, 0),
-          MakeObs(2, ObservationSource::kModel, 10.05, 0)}));
+      0, {MakeObs(1, ObservationSource::kHuman, 10),
+          MakeObs(2, ObservationSource::kModel, 10.05)}));
   tracks.tracks.push_back(std::move(track));
   LoaSpec spec;
   spec.feature_distributions.push_back(Fd<ConstBundleFeature>(0.6));
@@ -233,9 +231,15 @@ TEST(FactorGraphScoringTest, OutOfRangeScoreQueriesYieldNullopt) {
   EXPECT_FALSE(graph->ScoreVariableSet({0, 1000}).has_value());
 }
 
+// Each variable's line names its observation's id, source, class and
+// confidence, and the frame of the bundle that holds it.
 TEST(FactorGraphTest, ToStringListsNodesAndFactors) {
   TrackSet tracks;
-  tracks.tracks.push_back(SimpleTrack(0, 2));
+  Track track(0);
+  track.AddBundle(MakeBundle(5, {MakeObs(17, ObservationSource::kModel, 10.0)}));
+  track.AddBundle(MakeBundle(6, {MakeObs(18, ObservationSource::kHuman, 10.5,
+                                         ObjectClass::kTruck)}));
+  tracks.tracks.push_back(std::move(track));
   LoaSpec spec;
   spec.feature_distributions.push_back(Fd<ConstObsFeature>(0.5));
   const auto graph = FactorGraph::Compile(tracks, spec, 10.0);
@@ -243,6 +247,12 @@ TEST(FactorGraphTest, ToStringListsNodesAndFactors) {
   const std::string s = graph->ToString();
   EXPECT_NE(s.find("2 variables"), std::string::npos);
   EXPECT_NE(s.find("2 factors"), std::string::npos);
+  EXPECT_NE(s.find("var 0: track 0 bundle 0 obs 17 model car @f5 conf=0.90"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("var 1: track 0 bundle 1 obs 18 human truck @f6 conf=1.00"),
+            std::string::npos)
+      << s;
 }
 
 // -------------------------------------------------------------- Scoring
@@ -255,13 +265,13 @@ TEST(FactorGraphScoringTest, PaperWorkedExample) {
   tracks.tracks.push_back(SimpleTrack(0, 2));
 
   // Distinct per-observation volume scores: use a feature of the box
-  // center to key the score.
+  // center (x = 10.0, then 10.5) to key the score.
   class VolumeScoreFeature final : public ObservationFeature {
    public:
     std::string name() const override { return "volume_like"; }
     std::optional<double> Compute(const Observation& obs,
                                   const FeatureContext&) const override {
-      return obs.frame_index == 0 ? 0.0 : 1.0;
+      return obs.box.center.x < 10.25 ? 0.0 : 1.0;
     }
   };
   const auto volume_dist = std::make_shared<stats::LambdaDistribution>(

@@ -555,6 +555,55 @@ TEST(MergeRefitCapacityTest, KdeFoldMatchesRefitPastReservoirCapacity) {
   EXPECT_EQ(ReadFile(dir + "/refit.json"), ReadFile(dir + "/folded.json"));
 }
 
+// A reservoir's seed and capacity are saved as JSON numbers, which hold
+// every integer up to 2^53 exactly but not 2^53 + 1. A larger option is
+// rejected by name: a model saved with it would reload rounded and fold a
+// different subsampling stream.
+TEST(MergeRefitCapacityTest, ReservoirOptionAboveTwoTo53IsRejected) {
+  const Dataset dataset = MakeLabeledDataset(2, 63);
+  for (const std::string option :
+       {"kde_reservoir_seed", "kde_reservoir_capacity"}) {
+    FixyOptions options;
+    options.learner.estimator = EstimatorKind::kKde;
+    (option == "kde_reservoir_seed" ? options.learner.kde_reservoir_seed
+                                    : options.learner.kde_reservoir_capacity) =
+        json::kMaxExactInteger + 1;
+    Fixy engine(options);
+    const Status learn = engine.Learn(dataset);
+    EXPECT_EQ(learn.code(), StatusCode::kInvalidArgument) << option;
+    EXPECT_NE(learn.message().find("LearnerOptions::" + option),
+              std::string::npos)
+        << learn;
+  }
+}
+
+// At 2^53 itself the saved seed is exact, so a fold after a save and a
+// reload continues the same stream as a fold without them.
+TEST(MergeRefitCapacityTest, ReservoirSeedAtTwoTo53SurvivesSaveLoad) {
+  Dataset full = MakeLabeledDataset(4, 63);
+  Dataset head = full;
+  Dataset tail = SplitTail(head, 2);
+
+  FixyOptions options;
+  options.learner.estimator = EstimatorKind::kKde;
+  options.learner.kde_reservoir_capacity = 16;
+  options.learner.kde_reservoir_seed = json::kMaxExactInteger;
+
+  const std::string dir = TempDir();
+  Fixy direct(options);
+  ASSERT_TRUE(direct.Learn(head).ok());
+  ASSERT_TRUE(direct.SaveModel(dir + "/head.json").ok());
+  ASSERT_TRUE(direct.LearnIncremental(tail).ok());
+  ASSERT_TRUE(direct.SaveModel(dir + "/direct.json").ok());
+
+  Fixy reloaded(options);
+  ASSERT_TRUE(reloaded.LoadModel(dir + "/head.json").ok());
+  ASSERT_TRUE(reloaded.LearnIncremental(tail).ok());
+  ASSERT_TRUE(reloaded.SaveModel(dir + "/reloaded.json").ok());
+
+  EXPECT_EQ(ReadFile(dir + "/direct.json"), ReadFile(dir + "/reloaded.json"));
+}
+
 TEST(MergeRefitTest, FoldSurvivesModelSaveLoadRoundTrip) {
   Dataset full = MakeLabeledDataset(3, 71);
   Dataset head = full;

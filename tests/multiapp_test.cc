@@ -386,9 +386,6 @@ TEST_F(MultiAppTest, PerAppMetricsKeysAreDistinct) {
         << apps[a];
     EXPECT_TRUE(multi->metrics.timers_ms.count(prefix + "compile"))
         << apps[a];
-    // The per-app reports carry no metrics in a multi-app run; the shared
-    // snapshot lives on the MultiAppReport.
-    EXPECT_TRUE(multi->reports[a].metrics.counters.empty());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/random.h"
@@ -48,6 +49,13 @@ TEST_P(SeededPropertyTest, TrackBundlesAreOrderedAndCoherent) {
       sim::GenerateScene(sim::InternalLikeProfile(), "prop", GetParam());
   const auto tracks = TrackBuilder().Build(generated.scene);
   ASSERT_TRUE(tracks.ok());
+  // Every observation's frame, from the scene that holds it.
+  std::map<ObservationId, int> frame_of;
+  for (const Frame& frame : generated.scene.frames()) {
+    for (const Observation& obs : frame.observations) {
+      frame_of[obs.id] = frame.index;
+    }
+  }
   for (const Track& track : tracks->tracks) {
     int prev_frame = -1;
     for (const ObservationBundle& bundle : track.bundles()) {
@@ -55,7 +63,7 @@ TEST_P(SeededPropertyTest, TrackBundlesAreOrderedAndCoherent) {
       prev_frame = bundle.frame_index;
       ASSERT_FALSE(bundle.observations.empty());
       for (const Observation& obs : bundle.observations) {
-        EXPECT_EQ(obs.frame_index, bundle.frame_index);
+        EXPECT_EQ(frame_of.at(obs.id), bundle.frame_index);
       }
     }
   }
@@ -133,7 +141,8 @@ TEST_P(SeededPropertyTest, HumanLabelsAreGrounded) {
         best_iou = std::max(
             best_iou, geom::BevIou(obs.box, object.BoxAt(frame.index)));
       }
-      EXPECT_GT(best_iou, 0.3) << obs.ToString();
+      EXPECT_GT(best_iou, 0.3)
+          << "human label " << obs.id << " at frame " << frame.index;
     }
   }
 }

@@ -509,6 +509,39 @@ TEST(Sweep, ReportParserRejectsMalformedDocuments) {
   EXPECT_FALSE(SweepReportFromJson(json::Value(bad_cells)).ok());
 }
 
+// A count must be an integer a size_t holds: a number past int64_t's
+// range or below zero is rejected by its path, never cast.
+TEST(Sweep, ReportParserRejectsOutOfRangeCounts) {
+  SweepReport report;
+  report.scenarios = {"s"};
+  report.apps = {"missing-tracks"};
+  report.top_k = 5;
+  SweepCell cell;
+  cell.scenario = "s";
+  cell.app = "missing-tracks";
+  report.cells.push_back(cell);
+  const json::Value valid = SweepReportToJson(report);
+  ASSERT_TRUE(SweepReportFromJson(valid).ok());
+
+  for (const std::string key :
+       {"scenes", "claimable", "proposals", "hits", "considered", "found"}) {
+    for (const double bad : {1e300, 18446744073709551616.0, -1.0}) {
+      json::Value doc = valid;
+      doc.AsObject()["cells"].AsArray()[0].AsObject()[key] = bad;
+      const Status status = SweepReportFromJson(doc).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << key << " = " << bad;
+      EXPECT_EQ(status.message(), "sweep report.cells[0]." + key +
+                                      ": expected a non-negative integer")
+          << key << " = " << bad;
+    }
+  }
+  json::Value doc = valid;
+  doc.AsObject()["top_k"] = 1e300;
+  EXPECT_EQ(SweepReportFromJson(doc).status().message(),
+            "sweep report.top_k: expected a non-negative integer");
+}
+
 TEST(Sweep, RejectsDegenerateGrids) {
   EXPECT_FALSE(RunSweep({}, TinySweepOptions()).ok());
   SweepOptions no_apps = TinySweepOptions();

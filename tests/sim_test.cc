@@ -323,7 +323,6 @@ TEST(LabelerTest, LabelNoiseIsBounded) {
       GenerateHumanLabels(gt, profile, rng, &next_id, &ledger);
   for (int f = 0; f < gt.num_frames; ++f) {
     for (const Observation& obs : output.observations[static_cast<size_t>(f)]) {
-      EXPECT_EQ(obs.frame_index, f);
       EXPECT_DOUBLE_EQ(obs.confidence, 1.0);
       EXPECT_EQ(obs.source, ObservationSource::kHuman);
       // Box stays near some ground-truth object.

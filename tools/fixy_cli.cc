@@ -68,7 +68,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -80,6 +79,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/applications.h"
@@ -646,14 +646,11 @@ Status CmdRank(const Flags& flags) {
   // summary line.
   size_t total_ok = 0;
   size_t total_failed = 0;
-  std::vector<std::vector<ErrorProposal>> per_app_proposals(
-      multi_report.apps.size());
   for (size_t a = 0; a < multi_report.apps.size(); ++a) {
     const BatchReport& report = multi_report.reports[a];
     if (multi) {
       std::printf("== app: %s ==\n", multi_report.apps[a].c_str());
     }
-    std::vector<ErrorProposal>& all_proposals = per_app_proposals[a];
     for (const SceneOutcome& outcome : report.outcomes) {
       if (!outcome.ok()) {
         std::printf("FAILED %s: %s\n", outcome.scene_name.c_str(),
@@ -663,12 +660,10 @@ Status CmdRank(const Flags& flags) {
       std::printf("%s: %zu candidates\n", outcome.scene_name.c_str(),
                   outcome.proposals.size());
       int rank = 1;
-      const auto scene_top = TopK(outcome.proposals, static_cast<size_t>(top));
-      for (const ErrorProposal& p : scene_top) {
+      for (const ErrorProposal& p :
+           TopK(outcome.proposals, static_cast<size_t>(top))) {
         std::printf("  #%2d %s\n", rank++, p.ToString().c_str());
       }
-      all_proposals.insert(all_proposals.end(), scene_top.begin(),
-                           scene_top.end());
     }
     if (keep_going) {
       std::printf("ranked %zu/%zu scenes (%zu quarantined)\n",
@@ -685,8 +680,10 @@ Status CmdRank(const Flags& flags) {
     for (size_t a = 0; a < multi_report.apps.size(); ++a) {
       const std::string path =
           multi ? PerAppOutPath(out_path, multi_report.apps[a]) : out_path;
-      FIXY_RETURN_IF_ERROR(SaveProposals(per_app_proposals[a], path));
-      std::printf("wrote %zu proposals to %s\n", per_app_proposals[a].size(),
+      const std::vector<ErrorProposal> worklist =
+          Worklist(multi_report.reports[a], static_cast<size_t>(top));
+      FIXY_RETURN_IF_ERROR(SaveProposals(worklist, path));
+      std::printf("wrote %zu proposals to %s\n", worklist.size(),
                   path.c_str());
     }
   }
@@ -803,11 +800,7 @@ Status CmdQuery(const Flags& flags) {
         // `fixy_cli rank --out` run.
         const std::string path = multi ? PerAppOutPath(out_path, app)
                                        : out_path;
-        std::ofstream out(path, std::ios::binary);
-        if (!out) return Status::IoError("cannot open " + path);
-        out << text->AsString();
-        if (!out.good()) return Status::IoError("failed writing " + path);
-        out.close();
+        FIXY_RETURN_IF_ERROR(WriteFileAtomic(path, {text->AsString()}));
         std::printf("wrote proposals to %s\n", path.c_str());
       }
       return Status::Ok();
